@@ -14,7 +14,6 @@ use gbdt_cluster::Cluster;
 use gbdt_data::dataset::Dataset;
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig, WireEncoding};
 use gbdt_partition::HorizontalPartition;
-use gbdt_quadrants::common::shard_dataset;
 use serde_json::json;
 use std::time::Instant;
 
@@ -27,7 +26,7 @@ fn run_encoding(
     let cfg = TransformConfig { encoding, ..Default::default() };
     let cluster = Cluster::new(workers);
     let (outputs, _) = cluster.run(|ctx| {
-        let shard = shard_dataset(full, partition, ctx.rank());
+        let shard = partition.shard(full, ctx.rank());
         let out =
             horizontal_to_vertical(ctx, &shard, partition, &cfg).expect("fault-free transform");
         out.report

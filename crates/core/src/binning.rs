@@ -4,15 +4,16 @@
 //! proposed from quantile sketches (§2.1.2, Figure 3). A feature value `v`
 //! maps to the first bin whose cut is ≥ `v`; values above the last cut
 //! clamp into the last bin (the last cut is the feature maximum, so this
-//! only happens for unseen validation values). Sparse zeros are *not*
-//! binned — they are the "missing values" the split finder routes through
-//! the learned default direction (§3.2.3).
+//! only happens for unseen validation values). Zeros — absent entries of a
+//! sparse matrix and exact `0.0` cells of a dense one alike — are *not*
+//! sketched or binned: they are the "missing values" the split finder routes
+//! through the learned default direction (§3.2.3).
 
 use crate::config::Storage;
 use crate::sketch::QuantileSketch;
 use gbdt_data::binned::BinnedRowsBuilder;
-use gbdt_data::dataset::{Dataset, FeatureMatrix};
-use gbdt_data::{BinId, BinnedRows, BinnedStore, FeatureId};
+use gbdt_data::dataset::Dataset;
+use gbdt_data::{BinId, BinnedRows, BinnedStore, DenseBinnedRows, FeatureId};
 use serde::{Deserialize, Serialize};
 
 /// Per-feature candidate split values.
@@ -35,22 +36,11 @@ impl BinCuts {
     /// produces the same cuts because the sketch is mergeable.
     pub fn sketch_dataset(dataset: &Dataset, capacity: usize) -> Vec<QuantileSketch> {
         let mut sketches = vec![QuantileSketch::new(capacity); dataset.n_features()];
-        match &dataset.features {
-            FeatureMatrix::Sparse(csr) => {
-                for (_, feats, vals) in csr.iter_rows() {
-                    for (&f, &v) in feats.iter().zip(vals) {
-                        sketches[f as usize].insert(v);
-                    }
-                }
+        dataset.features.for_each_row(|_, feats, vals| {
+            for (&f, &v) in feats.iter().zip(vals) {
+                sketches[f as usize].insert(v);
             }
-            FeatureMatrix::Dense(dense) => {
-                for i in 0..dense.n_rows() {
-                    for (j, &v) in dense.row(i).iter().enumerate() {
-                        sketches[j].insert(v);
-                    }
-                }
-            }
-        }
+        });
         sketches
     }
 
@@ -117,39 +107,59 @@ impl BinCuts {
         let d = dataset.n_features();
         assert_eq!(d, self.n_features(), "cuts built for a different dimensionality");
         let mut builder = BinnedRowsBuilder::with_capacity(d, n, dataset.features.n_stored());
-        let mut entries: Vec<(FeatureId, BinId)> = Vec::new();
-        match &dataset.features {
-            FeatureMatrix::Sparse(csr) => {
-                for (_, feats, vals) in csr.iter_rows() {
-                    entries.clear();
-                    for (&f, &v) in feats.iter().zip(vals) {
-                        if let Some(b) = self.bin(f, v) {
-                            entries.push((f, b));
-                        }
-                    }
-                    builder.push_row(&entries).expect("binned entries remain sorted");
-                }
-            }
-            FeatureMatrix::Dense(dense) => {
-                for i in 0..dense.n_rows() {
-                    entries.clear();
-                    for (j, &v) in dense.row(i).iter().enumerate() {
-                        if let Some(b) = self.bin(j as FeatureId, v) {
-                            entries.push((j as FeatureId, b));
-                        }
-                    }
-                    builder.push_row(&entries).expect("binned entries remain sorted");
-                }
-            }
-        }
+        self.for_each_binned_row(dataset, |_, entries| {
+            builder.push_row(entries).expect("binned entries remain sorted");
+        });
         builder.build()
     }
 
-    /// Quantizes a dataset and wraps the result in the layout `storage`
-    /// selects. The cell width of a dense result is fixed by these cuts'
-    /// global [`Self::max_bins`], so every shard packs identically.
+    /// Visits each row's `(feature, bin)` entries, ascending by feature: the
+    /// stored values of the features that have cuts.
+    fn for_each_binned_row(
+        &self,
+        dataset: &Dataset,
+        mut f: impl FnMut(usize, &[(FeatureId, BinId)]),
+    ) {
+        let mut entries: Vec<(FeatureId, BinId)> = Vec::new();
+        dataset.features.for_each_row(|i, feats, vals| {
+            entries.clear();
+            entries.extend(
+                feats.iter().zip(vals).filter_map(|(&f, &v)| Some((f, self.bin(f, v)?))),
+            );
+            f(i, &entries);
+        });
+    }
+
+    /// Quantizes a dataset straight into the layout `storage` selects —
+    /// equal to `storage.bin_store(self.apply(dataset), self.max_bins())`,
+    /// but a dense result is written as packed cells with no sparse
+    /// intermediate. The cell width is fixed by these cuts' global
+    /// [`Self::max_bins`], so every shard packs identically.
     pub fn apply_store(&self, dataset: &Dataset, storage: Storage) -> BinnedStore {
-        storage.bin_store(self.apply(dataset), self.max_bins())
+        let (n, d, q) = (dataset.n_instances(), dataset.n_features(), self.max_bins());
+        assert_eq!(d, self.n_features(), "cuts built for a different dimensionality");
+        // What `apply` would store: the values of features that have cuts —
+        // every stored value, unless some feature has none (training never
+        // saw it).
+        let binned = if self.cuts.iter().any(Vec::is_empty) {
+            let mut binned = 0usize;
+            dataset.features.for_each_row(|_, feats, _| {
+                binned += feats.iter().filter(|&&f| self.n_bins(f) > 0).count();
+            });
+            binned
+        } else {
+            dataset.features.n_stored()
+        };
+        let Some(width) = storage.dense_width(binned, n, d, q) else {
+            return BinnedStore::Sparse(self.apply(dataset));
+        };
+        let mut cells = DenseBinnedRows::all_missing(n, d, q, width);
+        self.for_each_binned_row(dataset, |i, entries| {
+            for &(f, b) in entries {
+                cells.set(i, f, b);
+            }
+        });
+        BinnedStore::Dense(cells)
     }
 
     /// Exact wire encoding, for broadcasting candidate splits (§4.2.1 step 2).
@@ -200,6 +210,7 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbdt_data::dataset::FeatureMatrix;
     use gbdt_data::sparse::CsrBuilder;
 
     fn cuts_simple() -> BinCuts {
@@ -286,9 +297,18 @@ mod tests {
         let ds = Dataset::new(FeatureMatrix::Dense(dense), vec![0.0; 3], 0, "t").unwrap();
         let cuts = BinCuts::from_dataset(&ds, 4);
         let binned = cuts.apply(&ds);
-        // Dense: every (row, feature) pair is stored, including zeros.
-        assert_eq!(binned.nnz(), 6);
-        assert!(binned.get(1, 1).is_some());
+        // A dense zero is absent, exactly as in the CSR form of the matrix.
+        assert_eq!(binned.nnz(), 5);
+        assert_eq!(binned.get(1, 1), None);
+        let as_csr = Dataset::new(
+            FeatureMatrix::Sparse(ds.features.to_csr()),
+            ds.labels.clone(),
+            0,
+            "t",
+        )
+        .unwrap();
+        assert_eq!(BinCuts::from_dataset(&as_csr, 4), cuts);
+        assert_eq!(cuts.apply(&as_csr), binned);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Training hyper-parameters.
 
 use crate::loss::Objective;
+use gbdt_data::{BinWidth, BinnedRows, BinnedStore, DenseBinnedRows};
 use serde::{Deserialize, Serialize};
 
 /// Histogram wire codec for distributed aggregation (§3.1.3 traffic).
@@ -105,21 +106,35 @@ impl Storage {
         }
     }
 
-    /// Applies the policy to already-binned rows. `n_bins` is the global
-    /// histogram width (it fixes the dense cell width deterministically, so
-    /// every shard of one dataset packs identically).
-    pub fn bin_store(
+    /// The policy's decision for an `n_rows × n_features` binned matrix
+    /// holding `nnz` values: the dense cell width, or `None` for the sparse
+    /// layout. `n_bins` is the global histogram width (it fixes the cell
+    /// width deterministically, so every shard of one dataset packs
+    /// identically).
+    pub fn dense_width(
         self,
-        rows: gbdt_data::BinnedRows,
+        nnz: usize,
+        n_rows: usize,
+        n_features: usize,
         n_bins: usize,
-    ) -> gbdt_data::BinnedStore {
-        use gbdt_data::BinnedStore;
+    ) -> Option<BinWidth> {
         match self {
-            Storage::Sparse => BinnedStore::sparse(rows),
-            Storage::Dense => BinnedStore::dense(rows, n_bins),
-            Storage::DenseWide => BinnedStore::dense_wide(rows, n_bins),
+            Storage::Sparse => None,
+            Storage::Dense => Some(BinWidth::for_bins(n_bins)),
+            Storage::DenseWide => Some(BinWidth::U16),
             Storage::Auto => {
-                BinnedStore::auto(rows, n_bins, gbdt_data::DEFAULT_DENSE_THRESHOLD)
+                gbdt_data::dense_at_density(nnz, n_rows, n_features)
+                    .then(|| BinWidth::for_bins(n_bins))
+            }
+        }
+    }
+
+    /// Applies the policy to already-binned rows.
+    pub fn bin_store(self, rows: BinnedRows, n_bins: usize) -> BinnedStore {
+        match self.dense_width(rows.nnz(), rows.n_rows(), rows.n_features(), n_bins) {
+            None => BinnedStore::Sparse(rows),
+            Some(width) => {
+                BinnedStore::Dense(DenseBinnedRows::from_sparse_with_width(&rows, n_bins, width))
             }
         }
     }

@@ -371,4 +371,71 @@ proptest! {
         let b = auc(&labels, &transformed);
         prop_assert!((a - b).abs() < 1e-12, "{} vs {}", a, b);
     }
+
+    /// `apply_store` writes each layout directly; `apply` followed by
+    /// `bin_store` — the path it replaced — is the oracle. Covers every
+    /// policy, densities on both sides of the auto threshold, a feature
+    /// with and without cuts, q > 255, and a dense source with zero cells.
+    #[test]
+    fn apply_store_matches_apply_then_bin_store(
+        cells in prop::collection::vec(prop::collection::vec((0u8..8, -40i16..40), 6), 1..40),
+        keep in 1u8..8,
+        wide in any::<bool>(),
+        unseen in any::<bool>(),
+    ) {
+        use gbdt_core::Storage;
+        use gbdt_data::{CsrMatrix, Dataset, DenseMatrix, FeatureMatrix};
+        // A cell is stored when its draw is under `keep` and its value is
+        // non-zero: density ≈ keep/8, so 1–2 bin sparse and 3+ bin dense.
+        let rows: Vec<Vec<f32>> = cells
+            .iter()
+            .map(|r| r.iter().map(|&(draw, v)| if draw < keep { f32::from(v) } else { 0.0 }).collect())
+            .collect();
+        let labels = vec![0.0; rows.len()];
+        let dense = Dataset::new(
+            FeatureMatrix::Dense(DenseMatrix::from_rows(&rows).unwrap()),
+            labels.clone(),
+            0,
+            "dense",
+        )
+        .unwrap();
+        let sparse = Dataset::new(
+            FeatureMatrix::Sparse(CsrMatrix::from_dense(&rows, 6).unwrap()),
+            labels,
+            0,
+            "sparse",
+        )
+        .unwrap();
+        // Feature 0 has 300 cuts when `wide` (u16 cells); feature 5 has none
+        // when `unseen`, so its values are not binned.
+        let first: Vec<f32> = if wide {
+            (0..300).map(|k| -30.0 + 0.2 * k as f32).collect()
+        } else {
+            vec![-10.0, 0.5, 10.0]
+        };
+        let cuts = BinCuts::from_cut_values(vec![
+            first,
+            vec![-20.0, -5.0, 5.0, 20.0],
+            vec![0.5],
+            vec![-1.0, 1.0],
+            vec![-39.0, 39.0],
+            if unseen { vec![] } else { vec![0.0] },
+        ]);
+        for storage in Storage::ALL {
+            let oracle = storage.bin_store(cuts.apply(&sparse), cuts.max_bins());
+            prop_assert_eq!(&cuts.apply_store(&sparse, storage), &oracle, "{} sparse", storage);
+            prop_assert_eq!(&cuts.apply_store(&dense, storage), &oracle, "{} dense", storage);
+        }
+        prop_assert_eq!(cuts.apply(&dense), cuts.apply(&sparse));
+        prop_assert_eq!(
+            BinCuts::sketch_dataset(&dense, 16)
+                .iter()
+                .map(QuantileSketch::count)
+                .collect::<Vec<_>>(),
+            BinCuts::sketch_dataset(&sparse, 16)
+                .iter()
+                .map(QuantileSketch::count)
+                .collect::<Vec<_>>()
+        );
+    }
 }

@@ -3,6 +3,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::DataError;
 use crate::sparse::CsrMatrix;
+use crate::FeatureId;
 use serde::{Deserialize, Serialize};
 
 /// Feature storage backing a dataset: sparse row-store or dense rows.
@@ -37,19 +38,40 @@ impl FeatureMatrix {
         }
     }
 
-    /// Number of stored values (nnz for sparse, `rows × cols` for dense).
+    /// Number of stored values: nnz for sparse (O(1)), the non-zero cells of
+    /// a dense matrix (counted) — the entries [`Self::for_each_row`] visits.
     pub fn n_stored(&self) -> usize {
         match self {
             FeatureMatrix::Sparse(m) => m.nnz(),
-            FeatureMatrix::Dense(m) => m.n_rows() * m.n_cols(),
+            FeatureMatrix::Dense(m) => m.n_present(),
         }
     }
 
-    /// A CSR view of the features (clones dense data; cheap for sparse).
+    /// The features as a row-store. Sparse data is aliased (O(1), no bytes
+    /// copied); dense data is converted, dropping its zero cells.
     pub fn to_csr(&self) -> CsrMatrix {
         match self {
             FeatureMatrix::Sparse(m) => m.clone(),
             FeatureMatrix::Dense(m) => m.to_csr(),
+        }
+    }
+
+    /// Rows `lo..hi` in the same storage, aliasing this matrix (O(1)).
+    pub fn slice_rows(&self, lo: usize, hi: usize) -> FeatureMatrix {
+        match self {
+            FeatureMatrix::Sparse(m) => FeatureMatrix::Sparse(m.slice_rows(lo, hi)),
+            FeatureMatrix::Dense(m) => FeatureMatrix::Dense(m.slice_rows(lo, hi)),
+        }
+    }
+
+    /// Visits every row's stored values as parallel `(features, values)`
+    /// slices, ascending by feature — for either storage exactly the entries
+    /// of [`Self::to_csr`], so sketching and binning see one dataset whether
+    /// it arrives dense, sparse, or as a shard of either.
+    pub fn for_each_row(&self, mut f: impl FnMut(usize, &[FeatureId], &[f32])) {
+        match self {
+            FeatureMatrix::Sparse(m) => m.iter_rows().for_each(|(i, feats, vals)| f(i, feats, vals)),
+            FeatureMatrix::Dense(m) => m.for_each_row(f),
         }
     }
 
@@ -127,6 +149,19 @@ impl Dataset {
         }
     }
 
+    /// Rows `lo..hi` as a row-store dataset named `{name}-{suffix}`: the one
+    /// way a dataset is cut by rows (hold-out split, worker shard). Sparse
+    /// features are aliased, not copied; dense features convert only the
+    /// rows taken. Labels are copied.
+    pub fn slice_rows(&self, lo: usize, hi: usize, suffix: &str) -> Dataset {
+        Dataset {
+            features: FeatureMatrix::Sparse(self.features.slice_rows(lo, hi).to_csr()),
+            labels: self.labels[lo..hi].to_vec(),
+            n_classes: self.n_classes,
+            name: format!("{}-{suffix}", self.name),
+        }
+    }
+
     /// Splits off the last `fraction` of instances as a validation set.
     ///
     /// Instances are assumed already shuffled (the synthetic generator and
@@ -136,20 +171,7 @@ impl Dataset {
         let n = self.n_instances();
         let n_valid = ((n as f64) * fraction).round() as usize;
         let cut = n - n_valid;
-        let csr = self.features.to_csr();
-        let train = Dataset {
-            features: FeatureMatrix::Sparse(csr.slice_rows(0, cut)),
-            labels: self.labels[..cut].to_vec(),
-            n_classes: self.n_classes,
-            name: format!("{}-train", self.name),
-        };
-        let valid = Dataset {
-            features: FeatureMatrix::Sparse(csr.slice_rows(cut, n)),
-            labels: self.labels[cut..].to_vec(),
-            n_classes: self.n_classes,
-            name: format!("{}-valid", self.name),
-        };
-        (train, valid)
+        (self.slice_rows(0, cut, "train"), self.slice_rows(cut, n, "valid"))
     }
 }
 

@@ -9,25 +9,48 @@ use crate::error::DataError;
 use crate::sparse::CsrMatrix;
 use crate::FeatureId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Dense row-major feature matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Like [`CsrMatrix`], a window of rows over an immutable shared buffer:
+/// [`DenseMatrix::slice_rows`] and `clone` are O(1) and copy no cells, and
+/// `heap_bytes`, `==`, `Debug` and serde describe the window only.
+#[derive(Clone)]
 pub struct DenseMatrix {
+    n_cols: usize,
+    values: Arc<Vec<f32>>,
+    /// This matrix is rows `lo..lo + n_rows` of `values`.
+    lo: usize,
+    n_rows: usize,
+}
+
+/// A window's own cells: the serialized form of a [`DenseMatrix`].
+#[derive(Serialize, Deserialize)]
+struct DenseParts {
     n_rows: usize,
     n_cols: usize,
     values: Vec<f32>,
 }
 
+/// Whether a dense cell is a stored value. An exact zero is absent — the one
+/// meaning `to_csr`, [`CsrMatrix::from_dense`], the LIBSVM writer, sketching
+/// and binning all share.
+#[inline]
+pub(crate) fn present(v: f32) -> bool {
+    v != 0.0
+}
+
 impl DenseMatrix {
     /// Builds a dense matrix from a flat row-major buffer.
     pub fn from_flat(n_rows: usize, n_cols: usize, values: Vec<f32>) -> Result<Self, DataError> {
-        if values.len() != n_rows * n_cols {
+        if n_rows.checked_mul(n_cols) != Some(values.len()) {
             return Err(DataError::Shape(format!(
                 "flat buffer len {} != {n_rows} x {n_cols}",
                 values.len()
             )));
         }
-        Ok(DenseMatrix { n_rows, n_cols, values })
+        Ok(DenseMatrix { n_cols, values: Arc::new(values), lo: 0, n_rows })
     }
 
     /// Builds a dense matrix from per-row vectors, all of equal length.
@@ -43,7 +66,7 @@ impl DenseMatrix {
             }
             values.extend_from_slice(row);
         }
-        Ok(DenseMatrix { n_rows: rows.len(), n_cols, values })
+        Ok(DenseMatrix { n_cols, values: Arc::new(values), lo: 0, n_rows: rows.len() })
     }
 
     /// Number of instances (rows).
@@ -58,40 +81,111 @@ impl DenseMatrix {
         self.n_cols
     }
 
+    /// This window's cells, row-major.
+    #[inline]
+    fn cells(&self) -> &[f32] {
+        &self.values[self.lo * self.n_cols..(self.lo + self.n_rows) * self.n_cols]
+    }
+
     /// Row `i` as a value slice of length `n_cols`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
-        &self.values[i * self.n_cols..(i + 1) * self.n_cols]
+        &self.cells()[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
     /// Value at `(row, col)`.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f32 {
-        self.values[row * self.n_cols + col]
+        self.row(row)[col]
     }
 
-    /// Converts to a CSR matrix, keeping explicit zeros out of the storage.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
+    /// Visits every row's stored values as parallel `(features, values)`
+    /// slices, ascending by feature: the non-zero cells, exactly the entries
+    /// [`Self::to_csr`] keeps.
+    pub fn for_each_row(&self, mut f: impl FnMut(usize, &[FeatureId], &[f32])) {
+        let mut feats = Vec::with_capacity(self.n_cols);
+        let mut vals = Vec::with_capacity(self.n_cols);
         for i in 0..self.n_rows {
+            feats.clear();
+            vals.clear();
             for (j, &v) in self.row(i).iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(j as FeatureId);
+                if present(v) {
+                    feats.push(j as FeatureId);
                     vals.push(v);
                 }
             }
-            row_ptr.push(col_idx.len());
+            f(i, &feats, &vals);
         }
+    }
+
+    /// Number of stored values: the non-zero cells.
+    pub fn n_present(&self) -> usize {
+        self.cells().iter().filter(|&&v| present(v)).count()
+    }
+
+    /// Converts to a CSR matrix, keeping explicit zeros out of the storage.
+    /// A count pass sizes the arrays exactly, so nothing is reallocated.
+    pub fn to_csr(&self) -> CsrMatrix {
+        let nnz = self.n_present();
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        self.for_each_row(|_, feats, row_vals| {
+            col_idx.extend_from_slice(feats);
+            vals.extend_from_slice(row_vals);
+            row_ptr.push(col_idx.len());
+        });
         CsrMatrix::from_parts(self.n_rows, self.n_cols, row_ptr, col_idx, vals)
             .expect("dense-to-CSR conversion preserves invariants")
     }
 
-    /// Bytes of heap storage used by the matrix.
+    /// The horizontal shard of rows `lo..hi`: a window over the same buffer,
+    /// O(1), no cells copied.
+    pub fn slice_rows(&self, lo: usize, hi: usize) -> DenseMatrix {
+        assert!(lo <= hi && hi <= self.n_rows, "row slice out of range");
+        DenseMatrix {
+            n_cols: self.n_cols,
+            values: Arc::clone(&self.values),
+            lo: self.lo + lo,
+            n_rows: hi - lo,
+        }
+    }
+
+    /// Bytes of heap storage the window's cells occupy.
     pub fn heap_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f32>()
+        std::mem::size_of_val(self.cells())
+    }
+}
+
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_rows == other.n_rows && self.n_cols == other.n_cols && self.cells() == other.cells()
+    }
+}
+
+impl std::fmt::Debug for DenseMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DenseMatrix")
+            .field("n_rows", &self.n_rows)
+            .field("n_cols", &self.n_cols)
+            .field("values", &self.cells())
+            .finish()
+    }
+}
+
+impl Serialize for DenseMatrix {
+    fn to_value(&self) -> serde::Value {
+        DenseParts { n_rows: self.n_rows, n_cols: self.n_cols, values: self.cells().to_vec() }
+            .to_value()
+    }
+}
+
+impl Deserialize for DenseMatrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let p = DenseParts::from_value(v)?;
+        DenseMatrix::from_flat(p.n_rows, p.n_cols, p.values)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -111,6 +205,17 @@ mod tests {
     fn from_flat_checks_len() {
         assert!(DenseMatrix::from_flat(2, 2, vec![0.0; 3]).is_err());
         assert!(DenseMatrix::from_flat(2, 2, vec![0.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn deserializing_validates_like_from_flat() {
+        let m = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        assert_eq!(DenseMatrix::from_value(&m.to_value()).unwrap(), m);
+        for bad in [3usize, usize::MAX] {
+            let serde::Value::Object(mut obj) = m.to_value() else { panic!("not an object") };
+            obj.insert("n_rows".to_string(), bad.to_value());
+            assert!(DenseMatrix::from_value(&serde::Value::Object(obj)).is_err(), "{bad}");
+        }
     }
 
     #[test]

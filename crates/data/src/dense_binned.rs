@@ -16,7 +16,7 @@
 //! `to_columns`/`to_rows`, `heap_bytes`), so horizontal sharding, vertical
 //! sharding, and the H2V transform work on either representation. The
 //! `auto` policy picks dense when the stored-value density reaches
-//! [`DEFAULT_DENSE_THRESHOLD`] (overridable per call): at 1 byte per cell
+//! [`DEFAULT_DENSE_THRESHOLD`]: at 1 byte per cell
 //! vs 6 bytes per sparse value the dense layout is smaller from ~1/6
 //! density upward, and its scans win earlier than that because they touch
 //! no feature ids.
@@ -38,6 +38,16 @@ use serde::{Deserialize, Serialize};
 /// sparse pairs); 0.25 leaves headroom so borderline-sparse data keeps the
 /// compact representation.
 pub const DEFAULT_DENSE_THRESHOLD: f64 = 0.25;
+
+/// The `auto` rule: whether `nnz` present values in an `n_rows × n_features`
+/// matrix reach [`DEFAULT_DENSE_THRESHOLD`] (never for degenerate empty
+/// shapes).
+pub fn dense_at_density(nnz: usize, n_rows: usize, n_features: usize) -> bool {
+    match n_rows.checked_mul(n_features) {
+        Some(cells) if cells > 0 => nnz as f64 / cells as f64 >= DEFAULT_DENSE_THRESHOLD,
+        _ => false,
+    }
+}
 
 /// Missing-cell sentinel for `u8`-packed cells.
 pub const MISSING_U8: u8 = u8::MAX;
@@ -198,6 +208,25 @@ impl DenseBinnedRows {
         n_bins: usize,
         width: BinWidth,
     ) -> DenseBinnedRows {
+        let mut out = Self::all_missing(rows.n_rows(), rows.n_features(), n_bins, width);
+        for i in 0..rows.n_rows() {
+            let (feats, bins) = rows.row(i);
+            for (&f, &b) in feats.iter().zip(bins) {
+                out.set(i, f, b);
+            }
+        }
+        out
+    }
+
+    /// An `n_rows × n_features` matrix of missing cells, to be filled with
+    /// [`Self::set`] — how binning writes packed cells directly, without a
+    /// sparse intermediate.
+    pub fn all_missing(
+        n_rows: usize,
+        n_features: usize,
+        n_bins: usize,
+        width: BinWidth,
+    ) -> DenseBinnedRows {
         let sentinel_floor = match width {
             BinWidth::U8 => MISSING_U8 as usize,
             BinWidth::U16 => MISSING_U16 as usize,
@@ -206,18 +235,17 @@ impl DenseBinnedRows {
             n_bins <= sentinel_floor,
             "{n_bins} bins cannot pack into {width:?} cells without sentinel collision"
         );
-        let (n, d) = (rows.n_rows(), rows.n_features());
-        let cells = n.checked_mul(d).expect("dense cell count overflows usize");
-        let mut pack = BinPack::filled(width, cells);
-        for i in 0..n {
-            let (feats, bins) = rows.row(i);
-            let base = i * d;
-            for (&f, &b) in feats.iter().zip(bins) {
-                debug_assert!((b as usize) < n_bins, "bin id {b} out of range {n_bins}");
-                pack.set(base + f as usize, b);
-            }
-        }
-        DenseBinnedRows { n_rows: n, n_features: d, n_bins, nnz: rows.nnz(), pack }
+        let cells = n_rows.checked_mul(n_features).expect("dense cell count overflows usize");
+        DenseBinnedRows { n_rows, n_features, n_bins, nnz: 0, pack: BinPack::filled(width, cells) }
+    }
+
+    /// Stores `bin` at `(row, feature)`.
+    pub fn set(&mut self, row: usize, feature: FeatureId, bin: BinId) {
+        assert!((feature as usize) < self.n_features, "feature {feature} out of range");
+        debug_assert!((bin as usize) < self.n_bins, "bin id {bin} out of range {}", self.n_bins);
+        let idx = row * self.n_features + feature as usize;
+        self.nnz += usize::from(self.pack.get(idx).is_none());
+        self.pack.set(idx, bin);
     }
 
     /// Converts back to the sparse row-store (exact inverse of
@@ -473,7 +501,7 @@ impl DenseBinnedColumns {
 
 /// Row-store of binned values in either layout. Everything downstream of
 /// binning scans this; the variant is fixed at binning time by the
-/// [`Storage` policy](BinnedStore::auto) and never changes mid-training.
+/// `Storage` policy (`gbdt-core`) and never changes mid-training.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BinnedStore {
     /// Sparse 〈feature, bin〉 pairs (the pre-existing layout).
@@ -491,24 +519,6 @@ impl BinnedStore {
     /// Densifies unconditionally.
     pub fn dense(rows: BinnedRows, n_bins: usize) -> BinnedStore {
         BinnedStore::Dense(DenseBinnedRows::from_sparse(&rows, n_bins))
-    }
-
-    /// Densifies unconditionally with u16 cells, even when `n_bins` fits
-    /// u8 — drives the u16 kernels on small-`q` data (`Storage::DenseWide`).
-    pub fn dense_wide(rows: BinnedRows, n_bins: usize) -> BinnedStore {
-        BinnedStore::Dense(DenseBinnedRows::from_sparse_with_width(&rows, n_bins, BinWidth::U16))
-    }
-
-    /// Picks dense when the stored-value density reaches `threshold`
-    /// (sparse otherwise, including for degenerate empty shapes).
-    pub fn auto(rows: BinnedRows, n_bins: usize, threshold: f64) -> BinnedStore {
-        let cells = rows.n_rows().checked_mul(rows.n_features());
-        match cells {
-            Some(c) if c > 0 && rows.nnz() as f64 / c as f64 >= threshold => {
-                BinnedStore::dense(rows, n_bins)
-            }
-            _ => BinnedStore::Sparse(rows),
-        }
     }
 
     /// Whether the dense layout was selected.
@@ -800,17 +810,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_picks_by_density() {
+    fn auto_rule_picks_by_density() {
         // sample(): 6 values over 16 cells = 0.375 density.
-        let dense = BinnedStore::auto(sample(), 6, 0.25);
-        assert!(dense.is_dense());
-        assert_eq!(dense.label(), "dense-u8");
-        let sparse = BinnedStore::auto(sample(), 6, 0.5);
-        assert!(!sparse.is_dense());
-        assert_eq!(sparse.label(), "sparse");
-        // Degenerate empty shape stays sparse.
-        let empty = BinnedRowsBuilder::new(0).build();
-        assert!(!BinnedStore::auto(empty, 6, 0.0).is_dense());
+        assert!(dense_at_density(6, 4, 4));
+        assert!(dense_at_density(4, 4, 4), "the threshold itself is dense");
+        assert!(!dense_at_density(3, 4, 4));
+        // Degenerate empty shapes stay sparse, as do overflowing ones.
+        assert!(!dense_at_density(0, 0, 0));
+        assert!(!dense_at_density(0, 5, 0));
+        assert!(!dense_at_density(usize::MAX, usize::MAX, 2));
+        assert_eq!(BinnedStore::dense(sample(), 6).label(), "dense-u8");
+        assert_eq!(BinnedStore::sparse(sample()).label(), "sparse");
     }
 
     #[test]

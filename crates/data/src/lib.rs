@@ -42,8 +42,8 @@ pub mod synthetic;
 pub use binned::{BinnedColumns, BinnedRows};
 pub use block::{Block, BlockedRows};
 pub use dense_binned::{
-    BinPack, BinWidth, BinnedStore, ColumnStore, DenseBinnedColumns, DenseBinnedRows,
-    DEFAULT_DENSE_THRESHOLD,
+    dense_at_density, BinPack, BinWidth, BinnedStore, ColumnStore, DenseBinnedColumns,
+    DenseBinnedRows, DEFAULT_DENSE_THRESHOLD,
 };
 pub use dataset::{Dataset, FeatureMatrix};
 pub use dense::DenseMatrix;

@@ -10,6 +10,7 @@
 use crate::error::DataError;
 use crate::{FeatureId, InstanceId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One nonzero entry of a sparse row or column.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,8 +25,35 @@ pub struct SparseEntry {
 ///
 /// `row_ptr[i]..row_ptr[i + 1]` delimits the nonzeros of instance `i` inside
 /// `col_idx` / `values`. Within a row, `col_idx` is strictly ascending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The three arrays are immutable and shared: a matrix is a window of rows
+/// over them, so [`CsrMatrix::slice_rows`] and `clone` are O(1) and copy no
+/// feature bytes — a worker's horizontal shard and a hold-out split alias
+/// the dataset they were cut from. Everything observable (`nnz`,
+/// `heap_bytes`, `==`, `Debug`, serde) describes the window only. The
+/// arrays are freed when the last window over them is dropped, so a small
+/// window keeps the whole allocation alive.
+#[derive(Clone)]
 pub struct CsrMatrix {
+    n_cols: usize,
+    arrays: Arc<CsrArrays>,
+    /// This matrix is rows `lo..hi` of `arrays`.
+    lo: usize,
+    hi: usize,
+}
+
+/// The arrays of the matrix a window was cut from. `row_ptr` holds absolute
+/// offsets into `col_idx` / `values` for every row of that matrix.
+struct CsrArrays {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<FeatureId>,
+    values: Vec<f32>,
+}
+
+/// A window's own arrays with `row_ptr` rebased to 0: what `from_parts`
+/// takes, and the serialized and printed form of a [`CsrMatrix`].
+#[derive(Serialize, Deserialize)]
+struct CsrParts {
     n_rows: usize,
     n_cols: usize,
     row_ptr: Vec<usize>,
@@ -115,13 +143,7 @@ impl CsrBuilder {
 
     /// Finalizes the builder into a [`CsrMatrix`].
     pub fn build(self) -> CsrMatrix {
-        CsrMatrix {
-            n_rows: self.row_ptr.len() - 1,
-            n_cols: self.n_cols,
-            row_ptr: self.row_ptr,
-            col_idx: self.col_idx,
-            values: self.values,
-        }
+        CsrMatrix::whole(self.n_cols, self.row_ptr, self.col_idx, self.values)
     }
 }
 
@@ -134,11 +156,10 @@ impl CsrMatrix {
         col_idx: Vec<FeatureId>,
         values: Vec<f32>,
     ) -> Result<Self, DataError> {
-        if row_ptr.len() != n_rows + 1 {
+        if row_ptr.len().checked_sub(1) != Some(n_rows) {
             return Err(DataError::Shape(format!(
-                "row_ptr len {} != n_rows + 1 = {}",
-                row_ptr.len(),
-                n_rows + 1
+                "row_ptr len {} != n_rows {n_rows} + 1",
+                row_ptr.len()
             )));
         }
         if col_idx.len() != values.len() {
@@ -173,7 +194,44 @@ impl CsrMatrix {
                 }
             }
         }
-        Ok(CsrMatrix { n_rows, n_cols, row_ptr, col_idx, values })
+        Ok(CsrMatrix::whole(n_cols, row_ptr, col_idx, values))
+    }
+
+    /// The window over all rows of freshly built arrays (invariants already
+    /// established by the caller).
+    fn whole(
+        n_cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<FeatureId>,
+        values: Vec<f32>,
+    ) -> Self {
+        let hi = row_ptr.len() - 1;
+        CsrMatrix { n_cols, arrays: Arc::new(CsrArrays { row_ptr, col_idx, values }), lo: 0, hi }
+    }
+
+    /// Absolute offsets of this window's rows: `n_rows + 1` entries.
+    #[inline]
+    fn ptrs(&self) -> &[usize] {
+        &self.arrays.row_ptr[self.lo..=self.hi]
+    }
+
+    /// This window's stretch of `col_idx` / `values`.
+    #[inline]
+    fn entries(&self) -> (&[FeatureId], &[f32]) {
+        let (base, end) = (self.arrays.row_ptr[self.lo], self.arrays.row_ptr[self.hi]);
+        (&self.arrays.col_idx[base..end], &self.arrays.values[base..end])
+    }
+
+    fn to_parts(&self) -> CsrParts {
+        let ptrs = self.ptrs();
+        let (col_idx, values) = self.entries();
+        CsrParts {
+            n_rows: self.n_rows(),
+            n_cols: self.n_cols,
+            row_ptr: ptrs.iter().map(|&p| p - ptrs[0]).collect(),
+            col_idx: col_idx.to_vec(),
+            values: values.to_vec(),
+        }
     }
 
     /// Builds a CSR matrix from a dense row-major slice; zeros are dropped.
@@ -183,7 +241,7 @@ impl CsrMatrix {
         for row in rows {
             entries.clear();
             for (j, &v) in row.iter().enumerate() {
-                if v != 0.0 {
+                if crate::dense::present(v) {
                     entries.push((j as FeatureId, v));
                 }
             }
@@ -195,7 +253,7 @@ impl CsrMatrix {
     /// Number of instances (rows).
     #[inline]
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.hi - self.lo
     }
 
     /// Number of features (columns).
@@ -207,23 +265,24 @@ impl CsrMatrix {
     /// Number of stored nonzeros.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.col_idx.len()
+        self.arrays.row_ptr[self.hi] - self.arrays.row_ptr[self.lo]
     }
 
     /// Nonzeros of row `i` as parallel slices `(features, values)`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[FeatureId], &[f32]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
+        let ptrs = self.ptrs();
+        let (lo, hi) = (ptrs[i], ptrs[i + 1]);
+        (&self.arrays.col_idx[lo..hi], &self.arrays.values[lo..hi])
     }
 
     /// Iterates rows as `(row index, features, values)`.
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[FeatureId], &[f32])> {
-        (0..self.n_rows).map(move |i| {
-            let (f, v) = self.row(i);
-            (i, f, v)
-        })
+        let arrays = &*self.arrays;
+        self.ptrs()
+            .windows(2)
+            .enumerate()
+            .map(move |(i, w)| (i, &arrays.col_idx[w[0]..w[1]], &arrays.values[w[0]..w[1]]))
     }
 
     /// Value at `(row, col)`, or `None` when the entry is missing (sparse zero).
@@ -235,7 +294,7 @@ impl CsrMatrix {
     /// Converts to the equivalent column-store.
     pub fn to_csc(&self) -> CscMatrix {
         let mut counts = vec![0usize; self.n_cols];
-        for &c in &self.col_idx {
+        for &c in self.entries().0 {
             counts[c as usize] += 1;
         }
         let mut col_ptr = Vec::with_capacity(self.n_cols + 1);
@@ -246,8 +305,7 @@ impl CsrMatrix {
         let mut cursor = col_ptr[..self.n_cols].to_vec();
         let mut row_idx = vec![0 as InstanceId; self.nnz()];
         let mut values = vec![0f32; self.nnz()];
-        for i in 0..self.n_rows {
-            let (feats, vals) = self.row(i);
+        for (i, feats, vals) in self.iter_rows() {
             for (&f, &v) in feats.iter().zip(vals) {
                 let dst = cursor[f as usize];
                 row_idx[dst] = i as InstanceId;
@@ -255,29 +313,64 @@ impl CsrMatrix {
                 cursor[f as usize] += 1;
             }
         }
-        CscMatrix { n_rows: self.n_rows, n_cols: self.n_cols, col_ptr, row_idx, values }
+        CscMatrix { n_rows: self.n_rows(), n_cols: self.n_cols, col_ptr, row_idx, values }
     }
 
-    /// Extracts the horizontal shard containing rows `lo..hi`.
+    /// The horizontal shard of rows `lo..hi`: a window over the same arrays,
+    /// O(1), no bytes copied.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> CsrMatrix {
-        assert!(lo <= hi && hi <= self.n_rows, "row slice out of range");
-        let base = self.row_ptr[lo];
-        let end = self.row_ptr[hi];
-        let row_ptr = self.row_ptr[lo..=hi].iter().map(|&p| p - base).collect();
+        assert!(lo <= hi && hi <= self.n_rows(), "row slice out of range");
         CsrMatrix {
-            n_rows: hi - lo,
             n_cols: self.n_cols,
-            row_ptr,
-            col_idx: self.col_idx[base..end].to_vec(),
-            values: self.values[base..end].to_vec(),
+            arrays: Arc::clone(&self.arrays),
+            lo: self.lo + lo,
+            hi: self.lo + hi,
         }
     }
 
-    /// Bytes of heap storage used by the matrix (exact, for memory accounting).
+    /// Bytes of heap storage the window's rows occupy (exact, for memory
+    /// accounting): what a copy of it would allocate, however large the
+    /// shared arrays are.
     pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<usize>()
-            + self.col_idx.len() * std::mem::size_of::<FeatureId>()
-            + self.values.len() * std::mem::size_of::<f32>()
+        (self.n_rows() + 1) * std::mem::size_of::<usize>()
+            + self.nnz() * (std::mem::size_of::<FeatureId>() + std::mem::size_of::<f32>())
+    }
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.ptrs(), other.ptrs());
+        self.n_cols == other.n_cols
+            && a.len() == b.len()
+            && a.iter().map(|p| p - a[0]).eq(b.iter().map(|p| p - b[0]))
+            && self.entries() == other.entries()
+    }
+}
+
+impl std::fmt::Debug for CsrMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = self.to_parts();
+        f.debug_struct("CsrMatrix")
+            .field("n_rows", &p.n_rows)
+            .field("n_cols", &p.n_cols)
+            .field("row_ptr", &p.row_ptr)
+            .field("col_idx", &p.col_idx)
+            .field("values", &p.values)
+            .finish()
+    }
+}
+
+impl Serialize for CsrMatrix {
+    fn to_value(&self) -> serde::Value {
+        self.to_parts().to_value()
+    }
+}
+
+impl Deserialize for CsrMatrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let p = CsrParts::from_value(v)?;
+        CsrMatrix::from_parts(p.n_rows, p.n_cols, p.row_ptr, p.col_idx, p.values)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -382,7 +475,7 @@ impl CscMatrix {
                 cursor[r as usize] += 1;
             }
         }
-        CsrMatrix { n_rows: self.n_rows, n_cols: self.n_cols, row_ptr, col_idx, values }
+        CsrMatrix::whole(self.n_cols, row_ptr, col_idx, values)
     }
 
     /// Extracts the vertical shard containing columns `cols` (renumbered
@@ -510,6 +603,19 @@ mod tests {
         assert!(CscMatrix::from_parts(2, 0, vec![], vec![], vec![]).is_err());
         // Pointers that start past 0 are rejected.
         assert!(CsrMatrix::from_parts(1, 2, vec![1, 2], vec![0], vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn deserializing_validates_like_from_parts() {
+        let m = sample_csr();
+        assert_eq!(CsrMatrix::from_value(&m.to_value()).unwrap(), m);
+        // Feature 2 is stored, so a 1-column claim is out of bounds; a row
+        // count of usize::MAX must be an error, not an overflow.
+        for (field, bad) in [("n_cols", 1usize), ("n_rows", usize::MAX)] {
+            let serde::Value::Object(mut obj) = m.to_value() else { panic!("not an object") };
+            obj.insert(field.to_string(), bad.to_value());
+            assert!(CsrMatrix::from_value(&serde::Value::Object(obj)).is_err(), "{field}");
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@ use gbdt_data::block::{Block, BlockedRows};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
 use gbdt_data::sparse::CsrBuilder;
-use gbdt_data::{BinId, BinnedRows, BinnedStore, FeatureId};
+use gbdt_data::{BinId, BinnedRows, BinnedStore, CsrMatrix, DenseMatrix, FeatureId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use serde::{Deserialize, Serialize};
 
 /// Strategy: a sparse matrix as rows of sorted, distinct (feature, value).
 fn arb_rows(max_rows: usize, n_cols: usize) -> impl Strategy<Value = Vec<Vec<(u32, f32)>>> {
@@ -34,6 +36,27 @@ fn build_csr(rows: &[Vec<(u32, f32)>], n_cols: usize) -> gbdt_data::CsrMatrix {
         b.push_row(row).unwrap();
     }
     b.build()
+}
+
+/// Length of the array serialized under `field`.
+fn serialized_len(v: &serde::Value, field: &str) -> usize {
+    v.get(field).and_then(|a| a.as_array()).map_or(usize::MAX, Vec::len)
+}
+
+/// A window must be indistinguishable from `copy`, the matrix built afresh
+/// from the same rows (what `slice_rows` returned before it aliased).
+fn assert_window_is(window: &CsrMatrix, copy: &CsrMatrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(window, copy);
+    prop_assert_eq!(window.n_rows(), copy.n_rows());
+    prop_assert_eq!(window.nnz(), copy.nnz());
+    prop_assert_eq!(window.heap_bytes(), copy.heap_bytes());
+    prop_assert_eq!(window.to_csc(), copy.to_csc());
+    prop_assert_eq!(format!("{window:?}"), format!("{copy:?}"));
+    for i in 0..copy.n_rows() {
+        prop_assert_eq!(window.row(i), copy.row(i));
+    }
+    prop_assert_eq!(window.iter_rows().collect::<Vec<_>>(), copy.iter_rows().collect::<Vec<_>>());
+    Ok(())
 }
 
 fn build_binned(rows: &[Vec<(u32, u16)>], n_cols: usize) -> BinnedRows {
@@ -76,6 +99,75 @@ proptest! {
         for i in 0..b.n_rows() {
             prop_assert_eq!(b.row(i), m.row(cut + i));
         }
+    }
+
+    #[test]
+    fn csr_window_equals_the_copy_it_replaces(
+        rows in arb_rows(30, 6),
+        a in 0usize..31,
+        b in 0usize..31,
+        c in 0usize..31,
+        d in 0usize..31,
+    ) {
+        let m = build_csr(&rows, 6);
+        let n = m.n_rows();
+        let (lo, hi) = (a.min(b).min(n), a.max(b).min(n));
+        let window = m.slice_rows(lo, hi);
+        assert_window_is(&window, &build_csr(&rows[lo..hi], 6))?;
+
+        // Aliasing: the window's rows are the parent's bytes, not a copy.
+        for i in 0..window.n_rows() {
+            prop_assert!(std::ptr::eq(window.row(i).0, m.row(lo + i).0));
+            prop_assert!(std::ptr::eq(window.row(i).1, m.row(lo + i).1));
+        }
+
+        // A window of a window is the window of the composed range.
+        let w = window.n_rows();
+        let (lo2, hi2) = (c.min(d).min(w), c.max(d).min(w));
+        let inner = window.slice_rows(lo2, hi2);
+        assert_window_is(&inner, &build_csr(&rows[lo + lo2..lo + hi2], 6))?;
+        prop_assert_eq!(&inner, &m.slice_rows(lo + lo2, lo + hi2));
+
+        // Serde carries the window only, and reads back as an equal matrix.
+        let v = window.to_value();
+        prop_assert_eq!(serialized_len(&v, "row_ptr"), window.n_rows() + 1);
+        prop_assert_eq!(serialized_len(&v, "col_idx"), window.nnz());
+        prop_assert_eq!(serialized_len(&v, "values"), window.nnz());
+        prop_assert_eq!(CsrMatrix::from_value(&v).unwrap(), window);
+    }
+
+    #[test]
+    fn dense_window_equals_the_copy_it_replaces(
+        cells in prop::collection::vec(prop::collection::vec(-3i8..4, 5), 0..20),
+        a in 0usize..21,
+        b in 0usize..21,
+    ) {
+        // Small integers: about one cell in seven is an exact zero.
+        let rows: Vec<Vec<f32>> =
+            cells.iter().map(|r| r.iter().map(|&v| f32::from(v)).collect()).collect();
+        let m = DenseMatrix::from_rows(&rows).unwrap();
+        // `from_rows` of no rows has no columns either.
+        let (n, d) = (m.n_rows(), m.n_cols());
+        let (lo, hi) = (a.min(b).min(n), a.max(b).min(n));
+        let window = m.slice_rows(lo, hi);
+        let copy = DenseMatrix::from_rows(&rows[lo..hi]).unwrap();
+        if lo < hi {
+            prop_assert_eq!(&window, &copy);
+            prop_assert_eq!(format!("{window:?}"), format!("{copy:?}"));
+        }
+        prop_assert_eq!(window.n_rows(), hi - lo);
+        prop_assert_eq!(window.heap_bytes(), (hi - lo) * d * 4);
+        for i in 0..window.n_rows() {
+            prop_assert_eq!(window.row(i), &rows[lo + i][..]);
+            prop_assert!(std::ptr::eq(window.row(i), m.row(lo + i)));
+        }
+        // Converting a window converts its own rows only, dropping zeros
+        // exactly as the whole matrix's conversion does.
+        prop_assert_eq!(window.to_csr(), m.to_csr().slice_rows(lo, hi));
+        prop_assert_eq!(window.to_csr(), CsrMatrix::from_dense(&rows[lo..hi], d).unwrap());
+        let v = window.to_value();
+        prop_assert_eq!(serialized_len(&v, "values"), (hi - lo) * d);
+        prop_assert_eq!(DenseMatrix::from_value(&v).unwrap(), window);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Horizontal (row) partitioning: contiguous instance ranges per worker —
 //! the de facto layout of datasets arriving from distributed file systems.
 
+use gbdt_data::Dataset;
 use serde::{Deserialize, Serialize};
 
 /// A horizontal partition of N instances over W workers.
@@ -38,6 +39,15 @@ impl HorizontalPartition {
         (lo, hi)
     }
 
+    /// Worker `rank`'s shard of `dataset`: its rows as a row-store, aliasing
+    /// the dataset's feature arrays, so a worker holds N/W rows and sharding
+    /// costs no copy however many workers there are.
+    pub fn shard(&self, dataset: &Dataset, rank: usize) -> Dataset {
+        assert_eq!(dataset.n_instances(), self.n_instances, "dataset does not match partition");
+        let (lo, hi) = self.bounds(rank);
+        dataset.slice_rows(lo, hi, &format!("shard{rank}"))
+    }
+
     /// Number of rows on worker `w`.
     pub fn shard_len(&self, w: usize) -> usize {
         let (lo, hi) = self.bounds(w);
@@ -61,6 +71,57 @@ impl HorizontalPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbdt_data::synthetic::SyntheticConfig;
+    use gbdt_data::FeatureMatrix;
+
+    fn csr_of(ds: &Dataset) -> &gbdt_data::CsrMatrix {
+        match &ds.features {
+            FeatureMatrix::Sparse(m) => m,
+            FeatureMatrix::Dense(_) => panic!("expected a row-store"),
+        }
+    }
+
+    /// Every rank's shard at W = 8 — with more rows than workers and with
+    /// fewer, so some shards are empty — holds exactly its rows and labels,
+    /// and a sparse dataset's shard points into the dataset's own arrays.
+    #[test]
+    fn shards_alias_the_dataset_and_hold_their_rows() {
+        for n in [5usize, 8, 203] {
+            for dense in [false, true] {
+                let full = SyntheticConfig {
+                    n_instances: n,
+                    n_features: 9,
+                    density: 0.4,
+                    dense,
+                    seed: n as u64,
+                    ..Default::default()
+                }
+                .generate();
+                let whole = full.features.to_csr();
+                let p = HorizontalPartition::new(n, 8);
+                let mut rows_seen = 0;
+                for rank in 0..8 {
+                    let (lo, hi) = p.bounds(rank);
+                    let shard = p.shard(&full, rank);
+                    let csr = csr_of(&shard);
+                    assert_eq!(shard.n_instances(), hi - lo);
+                    assert_eq!(shard.labels, full.labels[lo..hi]);
+                    assert_eq!(shard.n_classes, full.n_classes);
+                    assert_eq!(csr, &whole.slice_rows(lo, hi));
+                    for i in 0..csr.n_rows() {
+                        assert_eq!(csr.row(i), whole.row(lo + i), "n={n} rank={rank} row={i}");
+                        if !dense {
+                            let parent = csr_of(&full).row(lo + i);
+                            assert!(std::ptr::eq(csr.row(i).0, parent.0), "features copied");
+                            assert!(std::ptr::eq(csr.row(i).1, parent.1), "values copied");
+                        }
+                    }
+                    rows_seen += csr.n_rows();
+                }
+                assert_eq!(rows_seen, n);
+            }
+        }
+    }
 
     #[test]
     fn bounds_cover_all_rows_contiguously() {

@@ -444,13 +444,11 @@ fn encode_rowframed_naive(
     // The naïve format ships the ORIGINAL 〈global feature id, f64 value〉
     // pairs (12 bytes each) — exactly what a transformation without the
     // bin-index compression would send.
-    let csr = shard.features.to_csr();
     let mut out = BytesMut::new();
     out.put_u32(split);
     out.put_u32(row_offset);
     out.put_u32(row_ptr.len() as u32 - 1);
-    for i in 0..csr.n_rows() {
-        let (feats, vals) = csr.row(i);
+    shard.features.for_each_row(|_, feats, vals| {
         let pairs: Vec<(FeatureId, f64)> = feats
             .iter()
             .zip(vals)
@@ -459,7 +457,7 @@ fn encode_rowframed_naive(
             .collect();
         out.put_u32(pairs.len() as u32);
         out.put_slice(&encoding::encode_naive(&pairs));
-    }
+    });
     out.freeze()
 }
 
@@ -530,15 +528,7 @@ mod tests {
         let full_ref = &full;
         let cfg_ref = &cfg;
         let (outputs, _) = cluster.run(move |ctx| {
-            let (lo, hi) = partition.bounds(ctx.rank());
-            let csr = full_ref.features.to_csr().slice_rows(lo, hi);
-            let shard = Dataset::new(
-                gbdt_data::FeatureMatrix::Sparse(csr),
-                full_ref.labels[lo..hi].to_vec(),
-                full_ref.n_classes,
-                "shard",
-            )
-            .unwrap();
+            let shard = partition.shard(full_ref, ctx.rank());
             horizontal_to_vertical(ctx, &shard, partition, cfg_ref).unwrap()
         });
 
@@ -604,15 +594,7 @@ mod tests {
         let cluster = Cluster::new(4);
         let (full_ref, cfg_ref) = (&full, &cfg);
         let (outputs, _) = cluster.run(move |ctx| {
-            let (lo, hi) = partition.bounds(ctx.rank());
-            let csr = full_ref.features.to_csr().slice_rows(lo, hi);
-            let shard = Dataset::new(
-                gbdt_data::FeatureMatrix::Sparse(csr),
-                full_ref.labels[lo..hi].to_vec(),
-                full_ref.n_classes,
-                "shard",
-            )
-            .unwrap();
+            let shard = partition.shard(full_ref, ctx.rank());
             horizontal_to_vertical(ctx, &shard, partition, cfg_ref).unwrap()
         });
         let total_feats: usize =
@@ -633,15 +615,7 @@ mod tests {
             let cfg = TransformConfig { encoding, ..Default::default() };
             let (full_ref, cfg_ref) = (&full, &cfg);
             let (outputs, _) = cluster.run(move |ctx| {
-                let (lo, hi) = partition.bounds(ctx.rank());
-                let csr = full_ref.features.to_csr().slice_rows(lo, hi);
-                let shard = Dataset::new(
-                    gbdt_data::FeatureMatrix::Sparse(csr),
-                    full_ref.labels[lo..hi].to_vec(),
-                    full_ref.n_classes,
-                    "shard",
-                )
-                .unwrap();
+                let shard = partition.shard(full_ref, ctx.rank());
                 horizontal_to_vertical(ctx, &shard, partition, cfg_ref).unwrap()
             });
             sent.push(

@@ -200,21 +200,14 @@ impl Frontier {
     }
 }
 
-/// Extracts worker `rank`'s horizontal shard of a dataset.
+/// [`gbdt_partition::HorizontalPartition::shard`] under the name the
+/// stand-alone benchmark's probes import; the trainers call the method.
 pub fn shard_dataset(
     dataset: &gbdt_data::Dataset,
     partition: gbdt_partition::HorizontalPartition,
     rank: usize,
 ) -> gbdt_data::Dataset {
-    let (lo, hi) = partition.bounds(rank);
-    let csr = dataset.features.to_csr().slice_rows(lo, hi);
-    gbdt_data::Dataset::new(
-        gbdt_data::FeatureMatrix::Sparse(csr),
-        dataset.labels[lo..hi].to_vec(),
-        dataset.n_classes,
-        format!("{}-shard{rank}", dataset.name),
-    )
-    .expect("shard of a valid dataset is valid")
+    partition.shard(dataset, rank)
 }
 
 /// Records the logical-vs-wire histogram-aggregation bytes this worker

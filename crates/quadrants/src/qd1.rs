@@ -12,7 +12,7 @@
 
 use crate::common::{
     all_reduce_stats, record_layer_wire_bytes, restore_tree_checkpoint, save_tree_checkpoint,
-    shard_dataset, worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
+    worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, histogram_size_bytes, NodeHistogram};
@@ -31,7 +31,7 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
     config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
     let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
+        let shard = partition.shard(dataset, ctx.rank());
         train_worker(ctx, &shard, config)
     });
     let mut models = Vec::new();

@@ -16,7 +16,7 @@
 
 use crate::common::{
     all_reduce_stats, choose_global_best, record_layer_wire_bytes, restore_tree_checkpoint,
-    save_tree_checkpoint, shard_dataset, subtraction_plan, worker_threads, Aggregation,
+    save_tree_checkpoint, subtraction_plan, worker_threads, Aggregation,
     DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use gbdt_cluster::collectives::segment_bounds;
@@ -43,7 +43,7 @@ pub fn train(
     config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
     let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
+        let shard = partition.shard(dataset, ctx.rank());
         train_worker(ctx, &shard, config, aggregation)
     });
     let mut models = Vec::new();

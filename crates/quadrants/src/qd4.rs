@@ -20,7 +20,7 @@
 //! ensemble, which `tests/wire_determinism.rs` pins.
 
 use crate::common::{
-    restore_tree_checkpoint, save_tree_checkpoint, shard_dataset, subtraction_plan,
+    restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
     worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use crate::qd2::exchange_local_bests;
@@ -30,10 +30,10 @@ use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::parallel::{self, Meter};
 use gbdt_core::split::{best_split_parallel, NodeStats, Split, SplitParams};
 use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, GradBuffer, Storage, TrainConfig};
+use gbdt_core::{GbdtModel, GradBuffer, TrainConfig};
 use gbdt_data::block::BlockedRows;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{DenseBinnedRows, FeatureId, DEFAULT_DENSE_THRESHOLD};
+use gbdt_data::{DenseBinnedRows, FeatureId};
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig, TransformOutput};
 use gbdt_partition::{HorizontalPartition, PlacementBitmap};
 
@@ -80,7 +80,7 @@ pub fn train_with_options(
     config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
     let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
+        let shard = partition.shard(dataset, ctx.rank());
         let transformed = horizontal_to_vertical(ctx, &shard, partition, transform_cfg)?;
         train_worker_with_options(ctx, transformed, config, options)
     });
@@ -121,25 +121,13 @@ pub(crate) fn train_worker_with_options(
     // (which are dropped) — histogram scans and placement lookups then run
     // on the dense store with O(1) cell access.
     let local_rows: LocalRows = ctx.time(Phase::Transform, || {
-        let use_dense = match config.storage {
-            Storage::Sparse => false,
-            Storage::Dense | Storage::DenseWide => true,
-            Storage::Auto => match n.checked_mul(p_local) {
-                Some(cells) if cells > 0 => {
-                    local_data.nnz() as f64 / cells as f64 >= DEFAULT_DENSE_THRESHOLD
-                }
-                _ => false,
-            },
-        };
-        if use_dense {
-            let rows = local_data.to_binned_rows();
-            let width = match config.storage {
-                Storage::DenseWide => gbdt_data::dense_binned::BinWidth::U16,
-                _ => gbdt_data::dense_binned::BinWidth::for_bins(q),
-            };
-            LocalRows::Dense(DenseBinnedRows::from_sparse_with_width(&rows, q, width))
-        } else {
-            LocalRows::Blocked(local_data)
+        match config.storage.dense_width(local_data.nnz(), n, p_local, q) {
+            Some(width) => LocalRows::Dense(DenseBinnedRows::from_sparse_with_width(
+                &local_data.to_binned_rows(),
+                q,
+                width,
+            )),
+            None => LocalRows::Blocked(local_data),
         }
     });
 
@@ -509,7 +497,7 @@ mod tests {
             let partition = HorizontalPartition::new(ds.n_instances(), 2);
             let tcfg = TransformConfig::default();
             let (outputs, stats) = cluster.run(|ctx| {
-                let shard = shard_dataset(&ds, partition, ctx.rank());
+                let shard = partition.shard(&ds, ctx.rank());
                 let transformed =
                     horizontal_to_vertical(ctx, &shard, partition, &tcfg).unwrap();
                 let before_train = ctx.comm.counters().bytes_sent;

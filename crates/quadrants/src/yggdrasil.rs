@@ -13,7 +13,7 @@
 //! codecs (including the lossy f32) train the identical ensemble.
 
 use crate::common::{
-    restore_tree_checkpoint, save_tree_checkpoint, shard_dataset, subtraction_plan,
+    restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
     worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use crate::qd2::exchange_local_bests;
@@ -35,7 +35,7 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
     let transform_cfg = TransformConfig::default();
     let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
+        let shard = partition.shard(dataset, ctx.rank());
         let transformed = horizontal_to_vertical(ctx, &shard, partition, &transform_cfg)?;
         train_worker(ctx, transformed, config)
     });

@@ -8,7 +8,6 @@ use gbdt_data::sparse::CsrBuilder;
 use gbdt_data::{Dataset, FeatureMatrix};
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
 use gbdt_partition::HorizontalPartition;
-use gbdt_quadrants::common::shard_dataset;
 use gbdt_quadrants::{qd2, qd4, Aggregation};
 use proptest::prelude::*;
 
@@ -51,7 +50,7 @@ proptest! {
         let ds_ref = &ds;
         let tcfg_ref = &tcfg;
         let (outputs, _) = cluster.run(move |ctx| {
-            let shard = shard_dataset(ds_ref, partition, ctx.rank());
+            let shard = partition.shard(ds_ref, ctx.rank());
             horizontal_to_vertical(ctx, &shard, partition, tcfg_ref).unwrap()
         });
         // Reference binning with the distributed cuts.

@@ -130,3 +130,54 @@ fn deep_trees_agree() {
     let m4 = qd4::train(&cluster, &ds, &cfg).model;
     assert_same_predictions(&ds, &m2, &m4, "deep");
 }
+
+/// An exact `0.0` cell of a dense matrix is a missing value to every
+/// trainer, as it is to `to_csr` and the LIBSVM writer. The single-node and
+/// feature-parallel trainers read the dense matrix directly, QD2 reads CSR
+/// shards of it: they must sketch and bin the same entries. 200 rows stay
+/// under the sketch capacity, so the cuts are exact for every worker count
+/// and the ensembles can be compared split by split.
+#[test]
+fn dense_zero_cells_are_missing_to_every_trainer() {
+    let (n, d) = (200usize, 8usize);
+    let mut state = 1033u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as i64
+    };
+    let mut rows = Vec::with_capacity(n);
+    let mut labels = Vec::with_capacity(n);
+    for _ in 0..n {
+        // Integers in -3..=3: one cell in seven is an exact zero.
+        let row: Vec<f32> = (0..d).map(|_| (next() % 7 - 3) as f32).collect();
+        labels.push(f32::from(u8::from(row[0] + row[1] - row[2] > 0.0)));
+        rows.push(row);
+    }
+    let dense = gbdt_data::DenseMatrix::from_rows(&rows).unwrap();
+    assert!(rows.iter().flatten().any(|&v| v == 0.0));
+    let ds = Dataset::new(gbdt_data::FeatureMatrix::Dense(dense), labels.clone(), 2, "zeros").unwrap();
+    let as_csr =
+        Dataset::new(gbdt_data::FeatureMatrix::Sparse(ds.features.to_csr()), labels, 2, "zeros-csr")
+            .unwrap();
+    let cfg = config(2, 4, 4);
+
+    let reference = gbdt_quadrants::single::train(&ds, &cfg);
+    let splits = |m: &gbdt_core::GbdtModel| {
+        let mut out = Vec::new();
+        for tree in &m.trees {
+            tree.visit_internal(|f, threshold, _| out.push((f, threshold.to_bits())));
+        }
+        out
+    };
+    assert!(!splits(&reference).is_empty());
+    let others = [
+        ("single on CSR", gbdt_quadrants::single::train(&as_csr, &cfg)),
+        ("qd2 W=1", qd2::train(&Cluster::new(1), &ds, &cfg, Aggregation::ReduceScatter).model),
+        ("qd2 W=2", qd2::train(&Cluster::new(2), &ds, &cfg, Aggregation::ReduceScatter).model),
+        ("featpar W=2", featpar::train(&Cluster::new(2), &ds, &cfg).model),
+    ];
+    for (tag, model) in &others {
+        assert_eq!(splits(model), splits(&reference), "{tag}: different splits");
+        assert_same_predictions(&as_csr, &reference, model, tag);
+    }
+}
