@@ -3,7 +3,7 @@
 use crate::loss::Objective;
 use crate::metrics;
 use crate::tree::Tree;
-use gbdt_data::dataset::{Dataset, FeatureMatrix};
+use gbdt_data::dataset::Dataset;
 use serde::{Deserialize, Serialize};
 
 /// A trained GBDT model: `ŷᵢ = Σ_t η·f_t(xᵢ)` (leaf values are stored
@@ -61,30 +61,17 @@ impl GbdtModel {
         self.objective.transform(&self.predict_row(feats, vals))
     }
 
-    /// Raw scores of every instance, row-major `[instance][class]`.
+    /// Raw scores of every instance, row-major `[instance][class]`. Either
+    /// storage is read through [`FeatureMatrix::for_each_row`], so an exact
+    /// `0.0` dense cell is missing here exactly as it was in training.
+    ///
+    /// [`FeatureMatrix::for_each_row`]: gbdt_data::dataset::FeatureMatrix::for_each_row
     pub fn predict_dataset_raw(&self, dataset: &Dataset) -> Vec<f64> {
         let c = self.n_outputs();
-        let n = dataset.n_instances();
-        let mut scores = vec![0.0; n * c];
-        match &dataset.features {
-            FeatureMatrix::Sparse(csr) => {
-                for (i, feats, vals) in csr.iter_rows() {
-                    self.predict_row_into(feats, vals, &mut scores[i * c..(i + 1) * c]);
-                }
-            }
-            FeatureMatrix::Dense(dense) => {
-                for i in 0..dense.n_rows() {
-                    let row = dense.row(i);
-                    let out = &mut scores[i * c..(i + 1) * c];
-                    out.copy_from_slice(&self.init_scores);
-                    for tree in &self.trees {
-                        for (o, &v) in out.iter_mut().zip(tree.predict_dense(row)) {
-                            *o += v;
-                        }
-                    }
-                }
-            }
-        }
+        let mut scores = vec![0.0; dataset.n_instances() * c];
+        dataset.features.for_each_row(|i, feats, vals| {
+            self.predict_row_into(feats, vals, &mut scores[i * c..(i + 1) * c]);
+        });
         scores
     }
 
@@ -391,6 +378,7 @@ impl Evaluation {
 mod tests {
     use super::*;
     use crate::tree::Tree;
+    use gbdt_data::dataset::FeatureMatrix;
     use gbdt_data::sparse::CsrBuilder;
 
     fn stump(leaf_left: f64, leaf_right: f64) -> Tree {
@@ -521,13 +509,28 @@ mod tests {
     }
 
     #[test]
-    fn dense_prediction_path() {
+    fn dense_zero_cell_is_missing_in_prediction() {
+        // Missing goes right, a value <= 0.5 goes left: a dense zero must
+        // take the default direction, as its absent CSR twin does.
+        let mut tree = Tree::new(2, 1);
+        tree.set_internal(0, 0, 0, 0.5, false);
+        tree.set_leaf(1, vec![1.0]);
+        tree.set_leaf(2, vec![3.0]);
         let mut m = GbdtModel::new(Objective::SquaredError, 0.1, 2);
-        m.trees.push(stump(1.0, 3.0));
-        let dense = gbdt_data::DenseMatrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let ds = Dataset::new(FeatureMatrix::Dense(dense), vec![1.0, 3.0], 0, "d").unwrap();
-        assert_eq!(m.predict_dataset_raw(&ds), vec![1.0, 3.0]);
-        let eval = m.evaluate(&ds);
-        assert_eq!(eval.rmse, Some(0.0));
+        m.trees.push(tree);
+        let dense =
+            gbdt_data::DenseMatrix::from_rows(&[vec![0.0, 0.0], vec![0.25, 0.0], vec![1.0, 2.0]])
+                .unwrap();
+        let ds = Dataset::new(FeatureMatrix::Dense(dense), vec![3.0, 1.0, 3.0], 0, "d").unwrap();
+        assert_eq!(m.predict_dataset_raw(&ds), vec![3.0, 1.0, 3.0]);
+        let twin = Dataset::new(
+            FeatureMatrix::Sparse(ds.features.to_csr()),
+            ds.labels.clone(),
+            0,
+            "d-csr",
+        )
+        .unwrap();
+        assert_eq!(m.predict_dataset_raw(&twin), m.predict_dataset_raw(&ds));
+        assert_eq!(m.evaluate(&ds).rmse, Some(0.0));
     }
 }

@@ -188,11 +188,6 @@ impl Tree {
         })
     }
 
-    /// Predicts from a dense row of raw values.
-    pub fn predict_dense(&self, row: &[f32]) -> &[f64] {
-        self.predict_with(|f| LookupResult::Value(row[f as usize]))
-    }
-
     /// Visits every internal node as `(feature, threshold, gain)`.
     pub fn visit_internal(&self, mut visit: impl FnMut(FeatureId, f32, f64)) {
         for node in self.nodes.iter().flatten() {

@@ -47,8 +47,10 @@ impl FeatureMatrix {
         }
     }
 
-    /// The features as a row-store. Sparse data is aliased (O(1), no bytes
-    /// copied); dense data is converted, dropping its zero cells.
+    /// The features as a CSR row-store. Sparse data is aliased (O(1), no
+    /// bytes copied); dense data is converted, dropping its zero cells — a
+    /// copy no trainer or predictor makes (they read either storage through
+    /// [`Self::for_each_row`]); the file writers and tests do.
     pub fn to_csr(&self) -> CsrMatrix {
         match self {
             FeatureMatrix::Sparse(m) => m.clone(),
@@ -149,13 +151,14 @@ impl Dataset {
         }
     }
 
-    /// Rows `lo..hi` as a row-store dataset named `{name}-{suffix}`: the one
-    /// way a dataset is cut by rows (hold-out split, worker shard). Sparse
-    /// features are aliased, not copied; dense features convert only the
-    /// rows taken. Labels are copied.
+    /// Rows `lo..hi` as a dataset named `{name}-{suffix}`: the one way a
+    /// dataset is cut by rows (hold-out split, worker shard). The cut keeps
+    /// the storage it was given — sparse stays CSR, dense stays dense — and
+    /// aliases this dataset's feature buffer (O(1), no cell copied). Labels
+    /// are copied.
     pub fn slice_rows(&self, lo: usize, hi: usize, suffix: &str) -> Dataset {
         Dataset {
-            features: FeatureMatrix::Sparse(self.features.slice_rows(lo, hi).to_csr()),
+            features: self.features.slice_rows(lo, hi),
             labels: self.labels[lo..hi].to_vec(),
             n_classes: self.n_classes,
             name: format!("{}-{suffix}", self.name),

@@ -2,8 +2,8 @@
 //!
 //! The paper's "LD" datasets (SUSY, Higgs, Criteo, Epsilon — Table 2) are
 //! fully dense with few features; storing them sparsely would waste 4 bytes
-//! of index per value. Trainers treat a dense matrix as a row-store whose
-//! every feature is present.
+//! of index per value. Trainers and predictors read a dense matrix as a
+//! row-store whose every non-zero cell is present.
 
 use crate::error::DataError;
 use crate::sparse::CsrMatrix;
@@ -34,8 +34,8 @@ struct DenseParts {
 }
 
 /// Whether a dense cell is a stored value. An exact zero is absent — the one
-/// meaning `to_csr`, [`CsrMatrix::from_dense`], the LIBSVM writer, sketching
-/// and binning all share.
+/// meaning `to_csr`, [`CsrMatrix::from_dense`], the LIBSVM writer, sketching,
+/// binning and prediction all share.
 #[inline]
 pub(crate) fn present(v: f32) -> bool {
     v != 0.0
@@ -101,16 +101,24 @@ impl DenseMatrix {
 
     /// Visits every row's stored values as parallel `(features, values)`
     /// slices, ascending by feature: the non-zero cells, exactly the entries
-    /// [`Self::to_csr`] keeps.
+    /// [`Self::to_csr`] keeps. A row with no zero cell is handed out in
+    /// place against one `0..n_cols` id table; only a row that has one is
+    /// filtered into scratch.
     pub fn for_each_row(&self, mut f: impl FnMut(usize, &[FeatureId], &[f32])) {
-        let mut feats = Vec::with_capacity(self.n_cols);
-        let mut vals = Vec::with_capacity(self.n_cols);
+        let ids: Vec<FeatureId> = (0..self.n_cols as FeatureId).collect();
+        let mut feats = Vec::new();
+        let mut vals = Vec::new();
         for i in 0..self.n_rows {
+            let row = self.row(i);
+            if row.iter().all(|&v| present(v)) {
+                f(i, &ids, row);
+                continue;
+            }
             feats.clear();
             vals.clear();
-            for (j, &v) in self.row(i).iter().enumerate() {
+            for (&j, &v) in ids.iter().zip(row) {
                 if present(v) {
-                    feats.push(j as FeatureId);
+                    feats.push(j);
                     vals.push(v);
                 }
             }

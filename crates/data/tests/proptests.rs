@@ -7,7 +7,9 @@ use gbdt_data::block::{Block, BlockedRows};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
 use gbdt_data::sparse::CsrBuilder;
-use gbdt_data::{BinId, BinnedRows, BinnedStore, CsrMatrix, DenseMatrix, FeatureId};
+use gbdt_data::{
+    BinId, BinnedRows, BinnedStore, CsrMatrix, Dataset, DenseMatrix, FeatureId, FeatureMatrix,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use serde::{Deserialize, Serialize};
@@ -65,6 +67,20 @@ fn build_binned(rows: &[Vec<(u32, u16)>], n_cols: usize) -> BinnedRows {
         b.push_row(row).unwrap();
     }
     b.build()
+}
+
+/// Whether every row of `cut` is rows `lo..` of `parent` in the same storage,
+/// pointing into `parent`'s own buffer — kept variant, no cell copied.
+fn aliases_rows_of(cut: &FeatureMatrix, parent: &FeatureMatrix, lo: usize) -> bool {
+    match (cut, parent) {
+        (FeatureMatrix::Sparse(c), FeatureMatrix::Sparse(p)) => (0..c.n_rows()).all(|i| {
+            std::ptr::eq(c.row(i).0, p.row(lo + i).0) && std::ptr::eq(c.row(i).1, p.row(lo + i).1)
+        }),
+        (FeatureMatrix::Dense(c), FeatureMatrix::Dense(p)) => {
+            (0..c.n_rows()).all(|i| std::ptr::eq(c.row(i), p.row(lo + i)))
+        }
+        _ => false,
+    }
 }
 
 proptest! {
@@ -168,6 +184,79 @@ proptest! {
         let v = window.to_value();
         prop_assert_eq!(serialized_len(&v, "values"), (hi - lo) * d);
         prop_assert_eq!(DenseMatrix::from_value(&v).unwrap(), window);
+    }
+
+    #[test]
+    fn dense_for_each_row_visits_the_csr_entries(
+        cells in prop::collection::vec(prop::collection::vec(-3i8..4, 5), 1..20),
+        zero_free in any::<bool>(),
+    ) {
+        // With zeros, about one cell in seven is absent; without, every row
+        // takes the in-place path.
+        let rows: Vec<Vec<f32>> = cells
+            .iter()
+            .map(|r| r.iter().map(|&v| f32::from(if zero_free && v == 0 { 4 } else { v })).collect())
+            .collect();
+        let m = DenseMatrix::from_rows(&rows).unwrap();
+        let csr = m.to_csr();
+        prop_assert_eq!(csr.clone(), CsrMatrix::from_dense(&rows, 5).unwrap());
+        let mut visited = 0;
+        let mut failure = None;
+        m.for_each_row(|i, feats, vals| {
+            visited += 1;
+            if (feats, vals) != csr.row(i) {
+                failure = Some(format!("row {i}: {feats:?} {vals:?} != {:?}", csr.row(i)));
+            }
+            // A row with no zero cell is the matrix's own cells, not a copy.
+            if vals.len() == 5 && !std::ptr::eq(vals, m.row(i)) {
+                failure = Some(format!("row {i} was copied"));
+            }
+        });
+        prop_assert_eq!(failure, None);
+        prop_assert_eq!(visited, m.n_rows());
+    }
+
+    #[test]
+    fn dataset_row_cuts_keep_storage_and_alias(
+        cells in prop::collection::vec(prop::collection::vec(-3i8..4, 5), 1..20),
+        dense in any::<bool>(),
+        ends in prop::collection::vec(0usize..21, 4),
+        fraction in 0.0f64..0.95,
+    ) {
+        let (a, b, c, d) = (ends[0], ends[1], ends[2], ends[3]);
+        let rows: Vec<Vec<f32>> =
+            cells.iter().map(|r| r.iter().map(|&v| f32::from(v)).collect()).collect();
+        let n = rows.len();
+        let features = if dense {
+            FeatureMatrix::Dense(DenseMatrix::from_rows(&rows).unwrap())
+        } else {
+            FeatureMatrix::Sparse(CsrMatrix::from_dense(&rows, 5).unwrap())
+        };
+        let labels: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let ds = Dataset::new(features, labels, 0, "p").unwrap();
+
+        let (lo, hi) = (a.min(b).min(n), a.max(b).min(n));
+        let cut = ds.slice_rows(lo, hi, "cut");
+        prop_assert_eq!(&cut.features, &ds.features.slice_rows(lo, hi));
+        prop_assert_eq!(&cut.labels[..], &ds.labels[lo..hi]);
+        prop_assert!(aliases_rows_of(&cut.features, &ds.features, lo));
+
+        // A cut of a cut is the cut of the composed range, still aliasing.
+        let w = hi - lo;
+        let (lo2, hi2) = (c.min(d).min(w), c.max(d).min(w));
+        let inner = cut.slice_rows(lo2, hi2, "inner");
+        prop_assert_eq!(&inner.features, &ds.features.slice_rows(lo + lo2, lo + hi2));
+        prop_assert_eq!(&inner.labels[..], &ds.labels[lo + lo2..lo + hi2]);
+        prop_assert!(aliases_rows_of(&inner.features, &ds.features, lo + lo2));
+
+        // The hold-out split is two such cuts that tile the dataset.
+        let (train, valid) = ds.split_validation(fraction);
+        let n_train = train.n_instances();
+        prop_assert_eq!(n_train + valid.n_instances(), n);
+        prop_assert!(aliases_rows_of(&train.features, &ds.features, 0));
+        prop_assert!(aliases_rows_of(&valid.features, &ds.features, n_train));
+        prop_assert_eq!(&train.features, &ds.features.slice_rows(0, n_train));
+        prop_assert_eq!(&valid.features, &ds.features.slice_rows(n_train, n));
     }
 
     #[test]

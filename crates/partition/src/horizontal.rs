@@ -39,9 +39,9 @@ impl HorizontalPartition {
         (lo, hi)
     }
 
-    /// Worker `rank`'s shard of `dataset`: its rows as a row-store, aliasing
-    /// the dataset's feature arrays, so a worker holds N/W rows and sharding
-    /// costs no copy however many workers there are.
+    /// Worker `rank`'s shard of `dataset`: its rows in the dataset's own
+    /// storage, aliasing the dataset's feature buffer, so a worker holds N/W
+    /// rows and sharding costs no copy however many workers there are.
     pub fn shard(&self, dataset: &Dataset, rank: usize) -> Dataset {
         assert_eq!(dataset.n_instances(), self.n_instances, "dataset does not match partition");
         let (lo, hi) = self.bounds(rank);
@@ -74,16 +74,10 @@ mod tests {
     use gbdt_data::synthetic::SyntheticConfig;
     use gbdt_data::FeatureMatrix;
 
-    fn csr_of(ds: &Dataset) -> &gbdt_data::CsrMatrix {
-        match &ds.features {
-            FeatureMatrix::Sparse(m) => m,
-            FeatureMatrix::Dense(_) => panic!("expected a row-store"),
-        }
-    }
-
     /// Every rank's shard at W = 8 — with more rows than workers and with
-    /// fewer, so some shards are empty — holds exactly its rows and labels,
-    /// and a sparse dataset's shard points into the dataset's own arrays.
+    /// fewer, so some shards are empty — holds exactly its rows and labels in
+    /// the storage the dataset came in, and every row points into the
+    /// dataset's own buffer: sparse or dense, no cell is copied.
     #[test]
     fn shards_alias_the_dataset_and_hold_their_rows() {
         for n in [5usize, 8, 203] {
@@ -97,26 +91,34 @@ mod tests {
                     ..Default::default()
                 }
                 .generate();
-                let whole = full.features.to_csr();
                 let p = HorizontalPartition::new(n, 8);
                 let mut rows_seen = 0;
                 for rank in 0..8 {
                     let (lo, hi) = p.bounds(rank);
                     let shard = p.shard(&full, rank);
-                    let csr = csr_of(&shard);
                     assert_eq!(shard.n_instances(), hi - lo);
                     assert_eq!(shard.labels, full.labels[lo..hi]);
                     assert_eq!(shard.n_classes, full.n_classes);
-                    assert_eq!(csr, &whole.slice_rows(lo, hi));
-                    for i in 0..csr.n_rows() {
-                        assert_eq!(csr.row(i), whole.row(lo + i), "n={n} rank={rank} row={i}");
-                        if !dense {
-                            let parent = csr_of(&full).row(lo + i);
-                            assert!(std::ptr::eq(csr.row(i).0, parent.0), "features copied");
-                            assert!(std::ptr::eq(csr.row(i).1, parent.1), "values copied");
+                    assert_eq!(shard.features, full.features.slice_rows(lo, hi));
+                    match (&shard.features, &full.features) {
+                        (FeatureMatrix::Sparse(csr), FeatureMatrix::Sparse(whole)) => {
+                            for i in 0..csr.n_rows() {
+                                let (row, parent) = (csr.row(i), whole.row(lo + i));
+                                assert_eq!(row, parent, "n={n} rank={rank} row={i}");
+                                assert!(std::ptr::eq(row.0, parent.0), "features copied");
+                                assert!(std::ptr::eq(row.1, parent.1), "values copied");
+                            }
                         }
+                        (FeatureMatrix::Dense(cells), FeatureMatrix::Dense(whole)) => {
+                            for i in 0..cells.n_rows() {
+                                let (row, parent) = (cells.row(i), whole.row(lo + i));
+                                assert_eq!(row, parent, "n={n} rank={rank} row={i}");
+                                assert!(std::ptr::eq(row, parent), "cells copied");
+                            }
+                        }
+                        _ => panic!("n={n} rank={rank}: the shard changed storage"),
                     }
-                    rows_seen += csr.n_rows();
+                    rows_seen += shard.n_instances();
                 }
                 assert_eq!(rows_seen, n);
             }

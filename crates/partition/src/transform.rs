@@ -276,43 +276,68 @@ pub fn horizontal_to_vertical(
     let grouping = ColumnGrouping::decode_bytes(&grouping_bytes)
         .expect("master broadcasts well-formed grouping");
 
-    // Encode this shard as W partial column groups.
-    let binned = cuts.apply(shard);
+    // Encode this shard as W partial column groups, streaming: a counting
+    // pass sizes every destination's frame exactly, a binning pass writes
+    // each stored value that has a bin straight into its destination's
+    // frame, and a frame is freed as soon as it is encoded.
     let bytes_before_exchange = ctx.comm.counters().bytes_sent;
-    let mut to_send: Vec<Bytes> = Vec::with_capacity(w);
-    for dest in 0..w {
-        let p = grouping.group_len(dest).max(1);
-        // Collect this destination's pairs, framed per row.
-        let mut feats: Vec<FeatureId> = Vec::new();
-        let mut bins: Vec<BinId> = Vec::new();
-        let mut row_ptr: Vec<u32> = Vec::with_capacity(binned.n_rows() + 1);
-        row_ptr.push(0);
-        for i in 0..binned.n_rows() {
-            let (rf, rb) = binned.row(i);
-            for (&f, &b) in rf.iter().zip(rb) {
-                if grouping.group_of(f) == dest {
-                    feats.push(grouping.local_id(f));
-                    bins.push(b);
-                }
+    let n_local = shard.n_instances();
+    let mut pair_counts = vec![0usize; w];
+    shard.features.for_each_row(|_, feats, _| {
+        for &f in feats {
+            if cuts.n_bins(f) > 0 {
+                pair_counts[grouping.group_of(f)] += 1;
             }
-            row_ptr.push(feats.len() as u32);
         }
+    });
+    // A frame is the block its destination will receive, before encoding.
+    let mut frames: Vec<Block> = pair_counts
+        .iter()
+        .map(|&pairs| {
+            let mut row_ptr = Vec::with_capacity(n_local + 1);
+            row_ptr.push(0);
+            Block {
+                file_split_index: rank as u32,
+                row_offset: row_lo as u32,
+                feats: Vec::with_capacity(pairs),
+                bins: Vec::with_capacity(pairs),
+                row_ptr,
+            }
+        })
+        .collect();
+    shard.features.for_each_row(|_, feats, vals| {
+        for (&f, &v) in feats.iter().zip(vals) {
+            if let Some(b) = cuts.bin(f, v) {
+                let frame = &mut frames[grouping.group_of(f)];
+                frame.feats.push(grouping.local_id(f));
+                frame.bins.push(b);
+            }
+        }
+        for frame in &mut frames {
+            frame.row_ptr.push(frame.feats.len() as u32);
+        }
+    });
+    let mut to_send: Vec<Bytes> = Vec::with_capacity(w);
+    for (dest, frame) in frames.into_iter().enumerate() {
+        let p = grouping.group_len(dest).max(1);
         let payload = match cfg.encoding {
-            WireEncoding::Blockified => {
-                let block = Block::new(rank as u32, row_lo as u32, feats, bins, row_ptr)
-                    .expect("partial group arrays are consistent");
-                encoding::encode_block(&block, p, q)
-            }
-            WireEncoding::Compressed => {
-                encode_rowframed_compressed(rank as u32, row_lo as u32, &feats, &bins, &row_ptr, p, q)
-            }
+            WireEncoding::Blockified => encoding::encode_block(&frame, p, q),
+            WireEncoding::Compressed => encode_rowframed_compressed(
+                frame.file_split_index,
+                frame.row_offset,
+                &frame.feats,
+                &frame.bins,
+                &frame.row_ptr,
+                p,
+                q,
+            ),
             WireEncoding::Naive => encode_rowframed_naive(
-                rank as u32,
-                row_lo as u32,
+                frame.file_split_index,
+                frame.row_offset,
                 shard,
                 &grouping,
                 dest,
-                &row_ptr,
+                &frame.row_ptr,
             ),
         };
         to_send.push(payload);

@@ -3,7 +3,9 @@
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_core::split::{NodeStats, Split};
 use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, Parallelism, TrainConfig};
+use gbdt_core::{GbdtModel, Parallelism, Storage, TrainConfig};
+use gbdt_data::block::BlockedRows;
+use gbdt_data::ColumnStore;
 use serde::{Deserialize, Serialize};
 
 /// Resolves the per-worker intra-worker thread budget for a run: the
@@ -13,6 +15,17 @@ use serde::{Deserialize, Serialize};
 /// one process).
 pub fn worker_threads(config: &TrainConfig, world: usize) -> usize {
     Parallelism { threads: config.threads }.resolve(world)
+}
+
+/// A vertical worker's column group as the column-store `storage` selects
+/// (QD3, Yggdrasil), consuming the transformation's blocked rows: each stage
+/// of blocked rows → binned rows → row layout → columns is dropped once the
+/// next exists, so at most two are live at a time and only the columns
+/// outlive the call.
+pub(crate) fn column_group_store(local_data: BlockedRows, storage: Storage, q: usize) -> ColumnStore {
+    let rows = local_data.to_binned_rows();
+    drop(local_data);
+    storage.bin_store(rows, q).to_columns()
 }
 
 /// Histogram aggregation strategy for horizontal partitioning (§3.1.3/§4.1).

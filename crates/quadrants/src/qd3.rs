@@ -19,7 +19,7 @@
 //! wire codecs (including the lossy f32) train the identical ensemble.
 
 use crate::common::{
-    restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
+    column_group_store, restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
     worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use crate::qd2::exchange_local_bests;
@@ -75,9 +75,10 @@ fn train_worker(
     let meter = Meter::default();
     ctx.stats.threads = threads as u64;
 
-    // Column-store of the local feature group, in the configured layout.
+    // Column-store of the local feature group, in the configured layout;
+    // the blocked rows are consumed building it.
     let columns: ColumnStore = ctx.time(Phase::Transform, || {
-        config.storage.bin_store(local_data.to_binned_rows(), q).to_columns()
+        column_group_store(local_data, config.storage, q)
     });
     ctx.stats.data_bytes = (columns.heap_bytes() + labels.len() * 4) as u64;
 

@@ -118,15 +118,15 @@ pub(crate) fn train_worker_with_options(
 
     // Local column group in the configured layout. When the storage policy
     // selects dense, the packed cells REPLACE the two-phase blocked rows
-    // (which are dropped) — histogram scans and placement lookups then run
-    // on the dense store with O(1) cell access.
+    // (dropped before the cells are allocated) — histogram scans and
+    // placement lookups then run on the dense store with O(1) cell access.
     let local_rows: LocalRows = ctx.time(Phase::Transform, || {
         match config.storage.dense_width(local_data.nnz(), n, p_local, q) {
-            Some(width) => LocalRows::Dense(DenseBinnedRows::from_sparse_with_width(
-                &local_data.to_binned_rows(),
-                q,
-                width,
-            )),
+            Some(width) => {
+                let rows = local_data.to_binned_rows();
+                drop(local_data);
+                LocalRows::Dense(DenseBinnedRows::from_sparse_with_width(&rows, q, width))
+            }
             None => LocalRows::Blocked(local_data),
         }
     });

@@ -13,7 +13,7 @@
 //! codecs (including the lossy f32) train the identical ensemble.
 
 use crate::common::{
-    restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
+    column_group_store, restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
     worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
 };
 use crate::qd2::exchange_local_bests;
@@ -70,7 +70,7 @@ fn train_worker(
     ctx.stats.threads = threads as u64;
 
     let columns: ColumnStore = ctx.time(Phase::Transform, || {
-        config.storage.bin_store(local_data.to_binned_rows(), q).to_columns()
+        column_group_store(local_data, config.storage, q)
     });
     let mut cw_index = ctx.time(Phase::Transform, || ColumnWiseIndex::from_store(&columns));
     ctx.stats.data_bytes = (columns.heap_bytes() + labels.len() * 4) as u64;

@@ -33,7 +33,7 @@
 use crate::compile::{
     CompiledEnsemble, FlatNode, QuantNode, QUANT_DEFAULT_LEFT_BIT, QUANT_LINK_MASK,
 };
-use gbdt_data::dataset::{Dataset, FeatureMatrix};
+use gbdt_data::dataset::Dataset;
 use std::str::FromStr;
 
 /// A borrowed node array the traversal loops monomorphize over: one
@@ -483,35 +483,26 @@ impl FromStr for Strategy {
 /// Converts a dataset to the dense NaN-for-missing row buffer the
 /// executors consume, `n_features` wide per row.
 ///
-/// Sparse rows leave absent features as `NaN` so they route by default
-/// direction — exactly the [`GbdtModel::predict_row_into`] semantics.
-/// Dense datasets are copied verbatim (they carry no missing values).
+/// Every feature a row does not store is `NaN`, so it routes by default
+/// direction — exactly the [`GbdtModel::predict_row_into`] semantics. Both
+/// storages are read through [`FeatureMatrix::for_each_row`]: an exact `0.0`
+/// cell of a dense dataset is absent, as it is to training and to
+/// [`GbdtModel::predict_dataset_raw`].
 ///
 /// [`GbdtModel::predict_row_into`]: gbdt_core::model::GbdtModel::predict_row_into
+/// [`GbdtModel::predict_dataset_raw`]: gbdt_core::model::GbdtModel::predict_dataset_raw
+/// [`FeatureMatrix::for_each_row`]: gbdt_data::dataset::FeatureMatrix::for_each_row
 pub fn nan_dense_rows(dataset: &Dataset, n_features: usize) -> Vec<f32> {
-    match &dataset.features {
-        FeatureMatrix::Sparse(csr) => {
-            let mut rows = vec![f32::NAN; dataset.n_instances() * n_features];
-            for (i, feats, vals) in csr.iter_rows() {
-                let row = &mut rows[i * n_features..(i + 1) * n_features];
-                for (&f, &v) in feats.iter().zip(vals) {
-                    if (f as usize) < n_features {
-                        row[f as usize] = v;
-                    }
-                }
+    let mut rows = vec![f32::NAN; dataset.n_instances() * n_features];
+    dataset.features.for_each_row(|i, feats, vals| {
+        let row = &mut rows[i * n_features..(i + 1) * n_features];
+        for (&f, &v) in feats.iter().zip(vals) {
+            if (f as usize) < n_features {
+                row[f as usize] = v;
             }
-            rows
         }
-        FeatureMatrix::Dense(dense) => {
-            let mut rows = Vec::with_capacity(dense.n_rows() * n_features);
-            for i in 0..dense.n_rows() {
-                let row = dense.row(i);
-                rows.extend_from_slice(&row[..row.len().min(n_features)]);
-                rows.extend(std::iter::repeat_n(f32::NAN, n_features.saturating_sub(row.len())));
-            }
-            rows
-        }
-    }
+    });
+    rows
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::system::TrainOutcome;
 use gbdt_core::model::{evaluation_from_scores, Evaluation};
-use gbdt_data::dataset::{Dataset, FeatureMatrix};
+use gbdt_data::dataset::Dataset;
 use serde::{Deserialize, Serialize};
 
 /// One point of a convergence curve: the ensemble after `n_trees` trees.
@@ -34,24 +34,12 @@ pub fn convergence_curve(outcome: &TrainOutcome, valid: &Dataset) -> Vec<Converg
     let mut curve = Vec::with_capacity(model.trees.len());
     let mut elapsed = 0.0;
     for (t, tree) in model.trees.iter().enumerate() {
-        match &valid.features {
-            FeatureMatrix::Sparse(csr) => {
-                for (i, feats, vals) in csr.iter_rows() {
-                    let out = tree.predict_row(feats, vals);
-                    for (k, &v) in out.iter().enumerate() {
-                        scores[i * c + k] += v;
-                    }
-                }
+        valid.features.for_each_row(|i, feats, vals| {
+            let out = tree.predict_row(feats, vals);
+            for (k, &v) in out.iter().enumerate() {
+                scores[i * c + k] += v;
             }
-            FeatureMatrix::Dense(dense) => {
-                for i in 0..dense.n_rows() {
-                    let out = tree.predict_dense(dense.row(i));
-                    for (k, &v) in out.iter().enumerate() {
-                        scores[i * c + k] += v;
-                    }
-                }
-            }
-        }
+        });
         if let Some(stat) = outcome.per_tree.get(t) {
             elapsed += stat.comp_seconds + stat.comm_seconds;
         }

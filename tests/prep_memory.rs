@@ -1,0 +1,243 @@
+//! The prep pipeline's copy budget, in the paper's terms, as a gate that
+//! repeats exactly.
+//!
+//! The paper's memory analysis (§3.1.2, §3.2) charges a worker for its binned
+//! data, its histograms and its index. Everything a trainer allocates before
+//! tree 1 beyond that is this repository's overhead, and `peak_rss_mb` is
+//! where it shows — but RSS is a property of the allocator and the host. This
+//! binary counts bytes instead: a counting global allocator (live bytes, and
+//! the highest live count above a mark) around the public prep entry points
+//! at W = 1, so every figure is a pure function of the code under test.
+//!
+//! The rule the bounds encode (DESIGN.md item 16): a row cut keeps the storage
+//! it was given and copies no cell; prep is a stream; an intermediate is
+//! consumed by the stage that reads it, so at most two stages are live.
+
+use gbdt_cluster::Cluster;
+use gbdt_core::TrainConfig;
+use gbdt_data::encoding;
+use gbdt_data::synthetic::SyntheticConfig;
+use gbdt_data::Dataset;
+use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
+use gbdt_partition::HorizontalPartition;
+use gbdt_quadrants::{qd2, qd3, yggdrasil, Aggregation};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes the program holds right now, and the most it has held.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting every byte handed out and taken back.
+struct Counting;
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc_zeroed` is `System`'s.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: `p` came from this allocator with `layout`, i.e. from `System`.
+        unsafe { System.dealloc(p, layout) };
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `p` came from `System` with `layout`; `new_size` is the caller's.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and reports its peak: the most bytes it held above what was live
+/// when it started. The counters are process-wide, so nothing else may
+/// allocate meanwhile: this binary has one `#[test]`.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let entry = LIVE.load(Ordering::SeqCst);
+    PEAK.store(entry, Ordering::SeqCst);
+    let result = f();
+    (result, PEAK.load(Ordering::SeqCst) - entry)
+}
+
+const KIB: usize = 1024;
+
+fn dense_dataset() -> Dataset {
+    SyntheticConfig {
+        n_instances: 20_000,
+        n_features: 50,
+        n_classes: 2,
+        dense: true,
+        seed: 2301,
+        ..Default::default()
+    }
+    .generate()
+}
+
+/// 20 000 × 120 at density 0.2: under the 0.25 auto threshold, so every
+/// stage of the vertical pipeline stays in its 6-byte-per-pair sparse form.
+fn sparse_dataset() -> Dataset {
+    SyntheticConfig {
+        n_instances: 20_000,
+        n_features: 120,
+        n_classes: 2,
+        density: 0.2,
+        seed: 2302,
+        ..Default::default()
+    }
+    .generate()
+}
+
+fn config() -> TrainConfig {
+    TrainConfig::builder().n_trees(2).n_layers(4).threads(1).build().unwrap()
+}
+
+/// The hold-out split and the worker shard of a dense dataset copy labels and
+/// nothing else: every cut is a window over the caller's cells.
+fn dense_row_cuts_allocate_their_labels_only(broken: &mut Vec<String>) {
+    let ds = dense_dataset();
+    let ((train, valid, shard), peak) = measure(|| {
+        let (train, valid) = ds.split_validation(0.1);
+        let shard = HorizontalPartition::new(train.n_instances(), 1).shard(&train, 0);
+        (train, valid, shard)
+    });
+    let labels = 4 * (train.n_instances() + valid.n_instances() + shard.n_instances());
+    if peak > labels + KIB {
+        broken.push(format!(
+            "cutting a {} B dense matrix allocated {} B for {labels} B of labels",
+            ds.features.heap_bytes(),
+            peak,
+        ));
+    }
+}
+
+/// Training on a dense matrix never holds a second copy of it: the whole run
+/// — shard, sketches, packed cells, gradients, index, histograms — peaks
+/// below the bytes of the raw matrix the caller already holds.
+fn qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(broken: &mut Vec<String>) {
+    let ds = dense_dataset();
+    let cluster = Cluster::new(1);
+    let cfg = config();
+    let (result, peak) = measure(|| qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter));
+    assert_eq!(result.model.trees.len(), cfg.n_trees);
+    let raw = ds.features.heap_bytes();
+    if peak >= raw {
+        broken.push(format!(
+            "qd2 peaked {} B above entry on a raw dense matrix of {raw} B",
+            peak
+        ));
+    }
+}
+
+/// The repartition streams. What one worker holds at once is its staging
+/// frames and the payloads encoded from them, then the payloads and the
+/// blocks decoded from them — never a binned copy of the whole shard beside
+/// either. (The sum of all three, times 1.25, is a bound the copying encoder
+/// this replaced also met; the larger of the two live sets is not.)
+fn transform_holds_frames_payloads_and_blocks_only(broken: &mut Vec<String>) {
+    let ds = sparse_dataset();
+    let partition = HorizontalPartition::new(ds.n_instances(), 1);
+    let shard = partition.shard(&ds, 0);
+    let cluster = Cluster::new(1);
+    let cfg = TransformConfig::default();
+    let (output, peak) = measure(|| {
+        let (mut outputs, _) = cluster.run(|ctx| {
+            horizontal_to_vertical(ctx, &shard, partition, &cfg).expect("fault-free transformation")
+        });
+        outputs.swap_remove(0)
+    });
+    // One destination: its frame is the block before encoding — a u32
+    // feature and a u16 bin per pair, a u32 pointer per row — and its
+    // payload the blockified wire form of the same arrays.
+    let (n, pairs) = (output.local_data.n_rows(), output.local_data.nnz());
+    assert_eq!(pairs, ds.features.n_stored(), "every stored value has a bin");
+    let frames = pairs * 6 + (n + 1) * 4;
+    let payloads =
+        16 + pairs * encoding::compressed_pair_bytes(ds.n_features(), cfg.n_bins) + (n + 1) * 4;
+    let blocks = output.local_data.heap_bytes();
+    let budget = (payloads + frames.max(blocks)) * 5 / 4;
+    if peak > budget {
+        broken.push(format!(
+            "the transformation peaked {} B above entry; frames {frames} B, payloads \
+             {payloads} B and blocks {blocks} B allow {budget} B",
+            peak
+        ));
+    }
+}
+
+/// QD3 and Yggdrasil consume the blocked rows building their columns: at
+/// most two stages of blocked rows → binned rows → row layout → columns are
+/// live, and during trees only the columns (and Yggdrasil's column-wise
+/// index, which every tree's reset rebuilds beside the old one).
+fn vertical_column_trainers_consume_the_blocked_rows(broken: &mut Vec<String>) {
+    let ds = sparse_dataset();
+    let cluster = Cluster::new(1);
+    let cfg = config();
+
+    let (result, peak) = measure(|| qd3::train(&cluster, &ds, &cfg));
+    let stage = result.stats.max_data_bytes() as usize;
+    if peak > stage * 5 / 2 {
+        broken.push(format!(
+            "qd3 peaked {} B above entry: more than 2.5 stages of {stage} B were live",
+            peak
+        ));
+    }
+
+    let (result, peak) = measure(|| yggdrasil::train(&cluster, &ds, &cfg));
+    let columns = result.stats.max_data_bytes() as usize;
+    let index = result.stats.workers[0].index_bytes as usize;
+    let budget = (columns + 2 * index) * 5 / 4;
+    if peak > budget {
+        broken.push(format!(
+            "yggdrasil peaked {} B above entry; columns {columns} B and index {index} B \
+             allow {budget} B",
+            peak
+        ));
+    }
+}
+
+/// One test, so that nothing else in the process allocates while a case is
+/// measured; every broken bound is reported, not just the first.
+#[test]
+fn prep_stays_inside_its_copy_budget() {
+    let mut broken = Vec::new();
+    dense_row_cuts_allocate_their_labels_only(&mut broken);
+    qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(&mut broken);
+    transform_holds_frames_payloads_and_blocks_only(&mut broken);
+    vertical_column_trainers_consume_the_blocked_rows(&mut broken);
+    assert!(broken.is_empty(), "{} bound(s) broken:\n{}", broken.len(), broken.join("\n"));
+}

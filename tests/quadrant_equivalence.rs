@@ -131,14 +131,10 @@ fn deep_trees_agree() {
     assert_same_predictions(&ds, &m2, &m4, "deep");
 }
 
-/// An exact `0.0` cell of a dense matrix is a missing value to every
-/// trainer, as it is to `to_csr` and the LIBSVM writer. The single-node and
-/// feature-parallel trainers read the dense matrix directly, QD2 reads CSR
-/// shards of it: they must sketch and bin the same entries. 200 rows stay
-/// under the sketch capacity, so the cuts are exact for every worker count
-/// and the ensembles can be compared split by split.
-#[test]
-fn dense_zero_cells_are_missing_to_every_trainer() {
+/// A dense matrix whose cells are integers in -3..=3 (one in seven an exact
+/// zero) with its labels, and its CSR twin. 200 rows stay under the sketch
+/// capacity, so the cuts are exact for every worker count.
+fn dense_with_zero_cells() -> (Dataset, Dataset) {
     let (n, d) = (200usize, 8usize);
     let mut state = 1033u64;
     let mut next = || {
@@ -148,7 +144,6 @@ fn dense_zero_cells_are_missing_to_every_trainer() {
     let mut rows = Vec::with_capacity(n);
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
-        // Integers in -3..=3: one cell in seven is an exact zero.
         let row: Vec<f32> = (0..d).map(|_| (next() % 7 - 3) as f32).collect();
         labels.push(f32::from(u8::from(row[0] + row[1] - row[2] > 0.0)));
         rows.push(row);
@@ -159,9 +154,20 @@ fn dense_zero_cells_are_missing_to_every_trainer() {
     let as_csr =
         Dataset::new(gbdt_data::FeatureMatrix::Sparse(ds.features.to_csr()), labels, 2, "zeros-csr")
             .unwrap();
+    (ds, as_csr)
+}
+
+/// An exact `0.0` cell of a dense matrix is a missing value to every
+/// trainer, as it is to `to_csr` and the LIBSVM writer. Every trainer reads
+/// the dense matrix — whole, or as a dense shard of it — through the same
+/// row visitor, so all of them must sketch and bin the entries of its CSR
+/// twin and grow the single-node reference's ensemble, split by split.
+#[test]
+fn dense_zero_cells_are_missing_to_every_trainer() {
+    let (ds, as_csr) = dense_with_zero_cells();
     let cfg = config(2, 4, 4);
 
-    let reference = gbdt_quadrants::single::train(&ds, &cfg);
+    let reference = gbdt_quadrants::single::train(&as_csr, &cfg);
     let splits = |m: &gbdt_core::GbdtModel| {
         let mut out = Vec::new();
         for tree in &m.trees {
@@ -170,14 +176,73 @@ fn dense_zero_cells_are_missing_to_every_trainer() {
         out
     };
     assert!(!splits(&reference).is_empty());
-    let others = [
-        ("single on CSR", gbdt_quadrants::single::train(&as_csr, &cfg)),
-        ("qd2 W=1", qd2::train(&Cluster::new(1), &ds, &cfg, Aggregation::ReduceScatter).model),
-        ("qd2 W=2", qd2::train(&Cluster::new(2), &ds, &cfg, Aggregation::ReduceScatter).model),
-        ("featpar W=2", featpar::train(&Cluster::new(2), &ds, &cfg).model),
+    let mut others = vec![
+        ("single on dense".to_string(), gbdt_quadrants::single::train(&ds, &cfg)),
+        ("featpar W=2".to_string(), featpar::train(&Cluster::new(2), &ds, &cfg).model),
     ];
+    for world in [1usize, 2] {
+        let cluster = Cluster::new(world);
+        let vcfg = vero::VeroConfig::builder()
+            .workers(world)
+            .n_trees(cfg.n_trees)
+            .n_layers(cfg.n_layers)
+            .build()
+            .unwrap();
+        let models = [
+            ("qd1", qd1::train(&cluster, &ds, &cfg).model),
+            ("qd2/all-reduce", qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model),
+            ("qd2/reduce-scatter", qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model),
+            ("qd2/ps", qd2::train(&cluster, &ds, &cfg, Aggregation::ParameterServer).model),
+            ("qd3", qd3::train(&cluster, &ds, &cfg).model),
+            ("qd4", qd4::train(&cluster, &ds, &cfg).model),
+            ("vero", vero::Vero::fit(&vcfg, &ds).model.inner),
+            ("yggdrasil", yggdrasil::train(&cluster, &ds, &cfg).model),
+        ];
+        others.extend(models.map(|(tag, model)| (format!("{tag} W={world}"), model)));
+    }
     for (tag, model) in &others {
         assert_eq!(splits(model), splits(&reference), "{tag}: different splits");
         assert_same_predictions(&as_csr, &reference, model, tag);
+        assert_same_predictions(&ds, &reference, model, tag);
+    }
+}
+
+/// One meaning for a dense zero in prediction too: a model trained on the
+/// dense matrix scores it exactly as it scores the CSR twin, through every
+/// prediction path — batch predict, the convergence curve's incremental
+/// scores, and the compiled serving executors fed by `nan_dense_rows`.
+#[test]
+fn dense_zero_cells_are_missing_to_every_predictor() {
+    let (ds, as_csr) = dense_with_zero_cells();
+    let vcfg = vero::VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
+    let outcome = vero::Vero::fit(&vcfg, &ds);
+    let model = &outcome.model.inner;
+    let assert_same_bits = |got: &[f64], want: &[f64], tag: &str| {
+        assert_eq!(got.len(), want.len(), "{tag}: score count");
+        let differ = got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits());
+        assert_eq!(differ, None, "{tag}: first differing score");
+    };
+
+    let on_csr = model.predict_dataset_raw(&as_csr);
+    assert_same_bits(&model.predict_dataset_raw(&ds), &on_csr, "batch predict");
+
+    // The curve's last point is evaluated from its final incremental scores.
+    let curve = vero::convergence_curve(&outcome, &ds);
+    let expected = gbdt_core::model::evaluation_from_scores(&model.objective, &on_csr, &ds.labels);
+    assert_eq!(curve.last().unwrap().eval, expected, "convergence curve");
+    assert_eq!(vero::convergence_curve(&outcome, &as_csr), curve, "curve on the CSR twin");
+
+    let ens = gbdt_serve::compile::compile(model, 1).unwrap();
+    let rows = gbdt_serve::exec::nan_dense_rows(&ds, ens.n_features);
+    let twin_rows = gbdt_serve::exec::nan_dense_rows(&as_csr, ens.n_features);
+    let cell_bits = |rows: &[f32]| rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(cell_bits(&rows), cell_bits(&twin_rows), "serve row buffer");
+    for strategy in [gbdt_serve::Strategy::PerRow, gbdt_serve::Strategy::Blocked(0)] {
+        for layout in [gbdt_serve::Layout::Flat, gbdt_serve::Layout::Quant] {
+            let executor = strategy.executor_for(layout);
+            let mut served = vec![0.0; ds.n_instances() * ens.n_outputs];
+            executor.predict_into(&ens, &rows, &mut served);
+            assert_same_bits(&served, &on_csr, &format!("compiled serve ({})", executor.label()));
+        }
     }
 }

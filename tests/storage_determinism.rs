@@ -17,7 +17,7 @@ use gbdt_core::binning::BinCuts;
 use gbdt_core::{GbdtModel, Objective, Storage, TrainConfig};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::synthetic::SyntheticConfig;
-use gbdt_data::{BinnedStore, Dataset};
+use gbdt_data::{BinnedStore, Dataset, FeatureMatrix};
 use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
 use vero::{Vero, VeroConfig};
 
@@ -60,9 +60,34 @@ fn single_node_is_storage_invariant() {
     }
 }
 
+/// A `Dense` source with no zero cell (every row takes the in-place path of
+/// the row visitor), and the same data as CSR.
+fn dense_source_and_csr_twin(seed: u64) -> (Dataset, Dataset) {
+    let ds = SyntheticConfig {
+        n_instances: 2_000,
+        n_features: 16,
+        n_classes: 2,
+        dense: true,
+        label_noise: 0.02,
+        seed,
+        ..Default::default()
+    }
+    .generate();
+    assert_eq!(ds.features.n_stored(), 2_000 * 16, "the dense source must be zero-free");
+    let twin = Dataset::new(
+        FeatureMatrix::Sparse(ds.features.to_csr()),
+        ds.labels.clone(),
+        ds.n_classes,
+        "dense-csr",
+    )
+    .unwrap();
+    (ds, twin)
+}
+
 #[test]
 fn distributed_trainers_are_storage_invariant() {
-    let ds = dataset(2, 3003);
+    let sparse = dataset(2, 3003);
+    let (dense, dense_twin) = dense_source_and_csr_twin(3005);
     let cluster = Cluster::new(3);
     type Train = fn(&Cluster, &Dataset, &TrainConfig) -> gbdt_quadrants::DistTrainResult;
     let trainers: [(&str, Train); 6] = [
@@ -74,20 +99,26 @@ fn distributed_trainers_are_storage_invariant() {
         ("featpar", |c, d, cfg| featpar::train(c, d, cfg)),
     ];
     for (tag, train) in trainers {
-        let reference = train(&cluster, &ds, &config(2, Storage::Sparse));
-        for storage in [Storage::Dense, Storage::Auto] {
-            let r = train(&cluster, &ds, &config(2, storage));
-            assert_bit_identical(
-                &reference.model,
-                &r.model,
-                &format!("{tag}/{}", storage.label()),
-            );
-            assert_eq!(
-                reference.stats.total_bytes_sent(),
-                r.stats.total_bytes_sent(),
-                "{tag}/{}: collective byte counts differ between layouts",
-                storage.label()
-            );
+        // The reference of the dense source is its CSR twin: the source's
+        // storage, like the binned layout, changes no bit and no byte.
+        for (source, ds, reference_ds) in
+            [("sparse", &sparse, &sparse), ("dense", &dense, &dense_twin)]
+        {
+            let reference = train(&cluster, reference_ds, &config(2, Storage::Sparse));
+            for storage in [Storage::Sparse, Storage::Dense, Storage::Auto] {
+                let r = train(&cluster, ds, &config(2, storage));
+                assert_bit_identical(
+                    &reference.model,
+                    &r.model,
+                    &format!("{tag}/{source}/{}", storage.label()),
+                );
+                assert_eq!(
+                    reference.stats.total_bytes_sent(),
+                    r.stats.total_bytes_sent(),
+                    "{tag}/{source}/{}: collective byte counts differ between layouts",
+                    storage.label()
+                );
+            }
         }
     }
 }
