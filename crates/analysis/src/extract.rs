@@ -1094,6 +1094,38 @@ mod tests {
     }
 
     #[test]
+    fn path_calls_on_a_type_parameter_are_candidates_but_method_calls_are_not() {
+        // The growth loop calls its policy as `Q::build(&mut q, ctx, ..)`
+        // so each policy call is visible as a candidate protocol-bearing
+        // callee; the receiver form `q.build(..)` is indistinguishable from
+        // any data-structure method and stays dropped.
+        let src = r#"
+            fn train_worker<Q: Quadrant>(ctx: &mut WorkerCtx, mut q: Q) -> Result<(), CommError> {
+                for layer in 0..4 {
+                    ctx.fault_point(0, layer);
+                    Q::build(&mut q, ctx, &run)?;
+                    let decisions = Q::propose(&mut q, ctx, &run)?;
+                    q.retire(3);
+                }
+                Ok(())
+            }
+        "#;
+        let fns = fns_of(src);
+        let Op::ForRange { body, .. } = &fns[0].ops[0] else {
+            panic!("expected ForRange, got {:?}", fns[0].ops)
+        };
+        let calls: Vec<&str> = body
+            .iter()
+            .filter_map(|o| match o {
+                Op::Call { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, ["build", "propose"], "{body:?}");
+        assert!(matches!(&body[0], Op::Rendezvous { kind, .. } if kind == "fault_point"));
+    }
+
+    #[test]
     fn recv_any_resolves_named_tag_arrays() {
         let src = r#"
             fn serve_loop(comm: &Comm) -> Result<(), CommError> {

@@ -1,8 +1,9 @@
 //! The bounded protocol model checker (DESIGN.md item 15).
 //!
 //! Every protocol-bearing function in the SPMD simulation scope
-//! (collectives, parameter server, repartition, the seven trainers) is a
-//! *unit*: for world sizes 1–4 its IR is flattened into one linear trace
+//! (collectives, parameter server, repartition, the growth loop and the
+//! policy methods it calls) is a *unit*: for world sizes 1–4 its IR is
+//! flattened into one linear trace
 //! per rank — branch conditions evaluated in a per-rank environment,
 //! unresolved data-dependent choices enumerated *synchronously* across
 //! ranks (SPMD code branches on the same data everywhere; rank divergence
@@ -96,20 +97,14 @@ const VECTOR_BUDGET: usize = 4096;
 
 /// Files whose functions are simulated as SPMD units.
 fn sim_scope(path: &str) -> bool {
-    matches!(
-        path,
-        "crates/cluster/src/collectives.rs"
-            | "crates/cluster/src/ps.rs"
-            | "crates/partition/src/transform.rs"
-            | "crates/quadrants/src/qd1.rs"
-            | "crates/quadrants/src/qd2.rs"
-            | "crates/quadrants/src/qd3.rs"
-            | "crates/quadrants/src/qd4.rs"
-            | "crates/quadrants/src/yggdrasil.rs"
-            | "crates/quadrants/src/featpar.rs"
-            | "crates/quadrants/src/common.rs"
-            | "crates/vero/src/system.rs"
-    )
+    crate::rules::trainer_scope(path)
+        || matches!(
+            path,
+            "crates/cluster/src/collectives.rs"
+                | "crates/cluster/src/ps.rs"
+                | "crates/partition/src/transform.rs"
+                | "crates/quadrants/src/common.rs"
+        )
 }
 
 /// Serving-plane roles, keyed by basename so fixtures scope the same way.
@@ -462,7 +457,9 @@ impl<'a> Flattener<'a> {
 // ---------------------------------------------------------------------------
 
 /// A choice site only earns a radix if some alternative under it could
-/// change the trace or the environment.
+/// change the trace or the environment. Leaving a loop or the function
+/// does: an `if done { break; }` guard that was never enumerated would cut
+/// every loop body short at the guard.
 fn subtree_matters(ops: &[Op]) -> bool {
     ops.iter().any(|op| match op {
         Op::Send { .. }
@@ -470,7 +467,10 @@ fn subtree_matters(ops: &[Op]) -> bool {
         | Op::RecvAny { .. }
         | Op::Rendezvous { .. }
         | Op::Call { .. }
-        | Op::Let(..) => true,
+        | Op::Let(..)
+        | Op::Break
+        | Op::Continue
+        | Op::Return => true,
         Op::If { then, els, .. } => subtree_matters(then) || subtree_matters(els),
         Op::ForRange { body, .. } | Op::LoopNondet { body, .. } => subtree_matters(body),
         Op::Match { arms, .. } => arms.iter().any(|a| subtree_matters(a)),
@@ -744,6 +744,10 @@ pub struct UnitReport {
     pub max_buffer_depth: usize,
     /// Free variables enumerated over `0..world`.
     pub free_vars: Vec<String>,
+    /// Distinct rendezvous kinds the explored schedules meet, sorted: a
+    /// collective's name, `fault_point`, or `fn <callee>` for a call into
+    /// another protocol-bearing unit.
+    pub rendezvous: Vec<String>,
     /// Set when the unit could not be simulated (with the reason); its
     /// schedule is then *not* verified.
     pub skipped: Option<String>,
@@ -804,6 +808,7 @@ fn check_unit(
         traces_explored: 0,
         max_buffer_depth: 0,
         free_vars: Vec::new(),
+        rendezvous: Vec::new(),
         skipped: None,
     };
     let empty_free = BTreeMap::new();
@@ -839,6 +844,7 @@ fn check_unit(
     fill_radixes(&f.ops, &mut rad);
 
     let mut findings: BTreeMap<(&'static str, u32), String> = BTreeMap::new();
+    let mut kinds: BTreeSet<String> = BTreeSet::new();
     'worlds: for w in 1..=MAX_WORLD {
         let assigns = enumerate_assignments(&free, w);
         let cap = (VECTOR_BUDGET / assigns.len().max(1)).max(64);
@@ -870,6 +876,11 @@ fn check_unit(
             }
         }
         for traces in &unique {
+            for op in traces.iter().flatten() {
+                if let TOp::Rendezvous { kind, .. } = op {
+                    kinds.insert(kind.clone());
+                }
+            }
             report.traces_explored += 1;
             let (finding, depth) = simulate(traces, w as usize);
             report.max_buffer_depth = report.max_buffer_depth.max(depth);
@@ -880,6 +891,7 @@ fn check_unit(
             }
         }
     }
+    report.rendezvous = kinds.into_iter().collect();
     let out = findings
         .into_iter()
         .map(|((rule, line), msg)| (rule, line, msg))
@@ -1374,6 +1386,33 @@ mod tests {
             }
         "#;
         let out = check_one("crates/quadrants/src/qd1.rs", src);
+        assert!(
+            out.diags.iter().any(|d| d.rule == "mc-collective-divergence"),
+            "{:?}",
+            out.diags
+        );
+    }
+
+    #[test]
+    fn a_break_guard_does_not_hide_the_rest_of_the_loop_body() {
+        // `if done { break; }` is a choice like any other: the schedule
+        // where the loop goes on must be explored, or everything after the
+        // guard is never checked.
+        let src = r#"
+            fn train(ctx: &mut WorkerCtx) -> Result<(), CommError> {
+                for layer in 0..n_layers {
+                    ctx.fault_point(0, layer);
+                    if frontier.is_empty() {
+                        break;
+                    }
+                    if ctx.comm.rank() == 0 {
+                        ctx.comm.all_reduce_f64(&mut buf)?;
+                    }
+                }
+                Ok(())
+            }
+        "#;
+        let out = check_one("crates/quadrants/src/grow.rs", src);
         assert!(
             out.diags.iter().any(|d| d.rule == "mc-collective-divergence"),
             "{:?}",

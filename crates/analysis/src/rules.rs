@@ -52,8 +52,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "fault-point",
-        "every per-tree trainer loop must poll fault_point so injected crashes and \
-         cancellation land at recoverable boundaries",
+        "the per-tree loop of quadrants::grow must poll fault_point so injected crashes \
+         and cancellation land at recoverable boundaries, and no other distributed \
+         trainer file may grow a per-tree loop of its own",
     ),
     (
         "comm-unwrap",
@@ -129,25 +130,36 @@ fn comm_layer_scope(path: &str) -> bool {
     )
 }
 
-/// The SPMD trainer entry points whose collective schedules must be
-/// rank-symmetric.
+/// The one per-tree / per-layer growth loop of distributed training.
+pub const GROWTH_LOOP: &str = "crates/quadrants/src/grow.rs";
+
+/// Every source file of distributed training: the growth loop and the
+/// policy files it is generic over. The single list the lint scopes, the
+/// model checker's simulation scope and the gate tests all read.
+pub const TRAINER_FILES: &[&str] = &[
+    GROWTH_LOOP,
+    "crates/quadrants/src/vertical.rs",
+    "crates/quadrants/src/qd1.rs",
+    "crates/quadrants/src/qd2.rs",
+    "crates/quadrants/src/qd3.rs",
+    "crates/quadrants/src/qd4.rs",
+    "crates/quadrants/src/yggdrasil.rs",
+    "crates/quadrants/src/featpar.rs",
+];
+
+/// The SPMD trainer sources whose collective schedules must be
+/// rank-symmetric (Vero's driver delegates its loop to qd4).
 pub(crate) fn trainer_scope(path: &str) -> bool {
-    matches!(
-        path,
-        "crates/quadrants/src/qd1.rs"
-            | "crates/quadrants/src/qd2.rs"
-            | "crates/quadrants/src/qd3.rs"
-            | "crates/quadrants/src/qd4.rs"
-            | "crates/quadrants/src/yggdrasil.rs"
-            | "crates/quadrants/src/featpar.rs"
-            | "crates/vero/src/system.rs"
-    )
+    TRAINER_FILES.contains(&path) || path == "crates/vero/src/system.rs"
 }
 
-/// Distributed trainers with a per-tree loop (single-node training has no
-/// fault machinery to poll; vero delegates its loop to qd4).
-fn fault_point_scope(path: &str) -> bool {
-    trainer_scope(path) && path != "crates/vero/src/system.rs"
+/// Where a per-tree loop may not appear: everything under the quadrants
+/// crate but the growth loop itself and the single-node reference trainer
+/// (no fault machinery to poll; kept independent as the test oracle).
+fn second_loop_scope(path: &str) -> bool {
+    path.starts_with("crates/quadrants/src/")
+        && path != GROWTH_LOOP
+        && path != "crates/quadrants/src/single.rs"
 }
 
 /// Where `.unwrap()`/`.expect()` on a comm result would bypass supervision:
@@ -533,11 +545,15 @@ fn check_slice_index(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
 // Rule: fault-point
 // ---------------------------------------------------------------------------
 
-/// Every per-tree loop (`for t in start_tree..config.n_trees`) in a
-/// distributed trainer must poll `fault_point` somewhere in its body, so
-/// injected crashes land at checkpoint-recoverable boundaries.
+/// There is one per-tree loop (`for t in start_tree..config.n_trees`) in
+/// distributed training: the one in `quadrants::grow`. It must poll
+/// `fault_point` somewhere in its body, so injected crashes land at
+/// checkpoint-recoverable boundaries; a second such loop anywhere else
+/// under the quadrants crate would escape that, and every other thing the
+/// loop owns (checkpoints, the gate, timing), so it is a finding by itself.
 fn check_fault_point(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !fault_point_scope(path) {
+    let second = second_loop_scope(path);
+    if path != GROWTH_LOOP && !second {
         return;
     }
     let toks = &lexed.tokens;
@@ -556,18 +572,16 @@ fn check_fault_point(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
         }
         let close = matching_brace(toks, open);
         let body = &toks[open..close.min(toks.len())];
-        if !body.iter().any(|t| t.ident() == Some("fault_point")) {
-            push_diag(
-                out,
-                lexed,
-                path,
-                &toks[i],
-                "fault-point",
-                "per-tree trainer loop without a fault_point poll: injected crashes \
-                 cannot land at a recoverable boundary"
-                    .to_string(),
-            );
-        }
+        let message = if second {
+            "second per-tree loop: distributed trainers grow trees through \
+             quadrants::grow::train_worker, which owns fault_point, checkpoints and timing"
+        } else if !body.iter().any(|t| t.ident() == Some("fault_point")) {
+            "per-tree trainer loop without a fault_point poll: injected crashes \
+             cannot land at a recoverable boundary"
+        } else {
+            continue;
+        };
+        push_diag(out, lexed, path, &toks[i], "fault-point", message.to_string());
     }
 }
 

@@ -1,6 +1,6 @@
-//@ path: crates/quadrants/src/qd3.rs
+//@ path: crates/quadrants/src/grow.rs
 //@ expect: fault-point
-// Known-bad: a per-tree trainer loop that never polls fault_point — an
+// Known-bad: the growth loop's per-tree loop never polls fault_point — an
 // injected crash can only land mid-tree, where no checkpoint can recover.
 
 pub fn train_worker(ctx: &mut WorkerCtx, config: &TrainConfig) -> Result<(), CommError> {

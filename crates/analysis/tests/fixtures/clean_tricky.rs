@@ -1,5 +1,5 @@
-//@ path: crates/quadrants/src/qd4.rs
-// Clean file under the strictest scope (a trainer): every construct below
+//@ path: crates/quadrants/src/grow.rs
+// Clean file under the strictest scope (the growth loop): every construct below
 // LOOKS like a violation to a naive matcher but is fine — strings,
 // comments, raw strings, sorted iteration, rank-conditional payloads with
 // the collective hoisted out, pragma-justified loops, and test-only code.

@@ -2,6 +2,7 @@
 //! and injection tests proving the gate actually catches the regressions it
 //! claims to (rank-conditional collectives, unsorted hash drains).
 
+use gbdt_analysis::rules::TRAINER_FILES;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -115,18 +116,13 @@ fn workspace_walk_covers_product_sources() {
     let root = workspace_root();
     let sources = gbdt_analysis::workspace_sources(&root).expect("workspace walk succeeds");
     let paths: BTreeSet<&str> = sources.iter().map(|(p, _)| p.as_str()).collect();
-    for must in [
-        "crates/quadrants/src/qd1.rs",
-        "crates/quadrants/src/qd2.rs",
-        "crates/quadrants/src/qd3.rs",
-        "crates/quadrants/src/qd4.rs",
-        "crates/quadrants/src/yggdrasil.rs",
-        "crates/quadrants/src/featpar.rs",
+    let others = [
         "crates/cluster/src/comm.rs",
         "crates/cluster/src/collectives.rs",
         "crates/cluster/src/ps.rs",
         "crates/core/src/histogram.rs",
-    ] {
+    ];
+    for must in TRAINER_FILES.iter().copied().chain(others) {
         assert!(paths.contains(must), "workspace walk missed {must}");
     }
 }
@@ -136,10 +132,9 @@ fn workspace_walk_covers_product_sources() {
 #[test]
 fn injected_rank_conditional_collective_fails_the_gate() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
-        let rel = format!("crates/quadrants/src/{trainer}");
-        let mut source = fs::read_to_string(root.join(&rel)).expect("trainer source readable");
-        assert!(fired_rules(&rel, &source).is_empty(), "{rel} must start clean");
+    for rel in TRAINER_FILES.iter().copied() {
+        let mut source = fs::read_to_string(root.join(rel)).expect("trainer source readable");
+        assert!(fired_rules(rel, &source).is_empty(), "{rel} must start clean");
         source.push_str(
             "\n\npub fn injected_sync(ctx: &mut WorkerCtx, buf: &mut [f64]) -> Result<(), CommError> {\n\
              \x20   if ctx.rank() == 0 {\n\
@@ -148,7 +143,7 @@ fn injected_rank_conditional_collective_fails_the_gate() {
              \x20   Ok(())\n\
              }\n",
         );
-        let fired = fired_rules(&rel, &source);
+        let fired = fired_rules(rel, &source);
         assert!(
             fired.contains("rank-branch-collective"),
             "{rel}: injected deadlock not caught; fired {fired:?}"
@@ -161,9 +156,8 @@ fn injected_rank_conditional_collective_fails_the_gate() {
 #[test]
 fn injected_hashmap_drain_fails_the_gate() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
-        let rel = format!("crates/quadrants/src/{trainer}");
-        let mut source = fs::read_to_string(root.join(&rel)).expect("trainer source readable");
+    for rel in TRAINER_FILES.iter().copied() {
+        let mut source = fs::read_to_string(root.join(rel)).expect("trainer source readable");
         source.push_str(
             "\n\npub fn injected_drain(map: &mut std::collections::HashMap<u32, f64>) -> Vec<(u32, f64)> {\n\
              \x20   let mut out = Vec::new();\n\
@@ -173,7 +167,7 @@ fn injected_hashmap_drain_fails_the_gate() {
              \x20   out\n\
              }\n",
         );
-        let fired = fired_rules(&rel, &source);
+        let fired = fired_rules(rel, &source);
         assert!(
             fired.contains("map-iteration"),
             "{rel}: injected hash drain not caught; fired {fired:?}"

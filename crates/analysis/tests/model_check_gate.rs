@@ -3,6 +3,7 @@
 //! and injection tests that corrupt real trainer/serving sources in memory
 //! and prove the checker catches each corruption.
 
+use gbdt_analysis::rules::{GROWTH_LOOP, TRAINER_FILES};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -126,18 +127,32 @@ fn units_cover_collectives_and_trainers() {
     ] {
         assert!(verified.contains(&(path, name)), "no verified schedule for {path}::{name}");
     }
-    for path in [
-        "crates/quadrants/src/qd1.rs",
-        "crates/quadrants/src/qd2.rs",
-        "crates/quadrants/src/qd3.rs",
-        "crates/quadrants/src/qd4.rs",
-        "crates/quadrants/src/yggdrasil.rs",
-        "crates/quadrants/src/featpar.rs",
-        "crates/vero/src/system.rs",
-    ] {
+    // The growth loop, every policy file, and Vero's driver.
+    for path in TRAINER_FILES.iter().copied().chain(["crates/vero/src/system.rs"]) {
         assert!(
             verified.iter().any(|(p, _)| *p == path),
             "no verified schedule extracted from {path}"
+        );
+    }
+}
+
+/// The one loop's verified schedule is not empty: between `fault_point`s it
+/// meets every policy call as a rendezvous, because each of `root`,
+/// `build`, `propose` and `apply` issues a collective in some policy.
+#[test]
+fn growth_loop_schedule_contains_the_policy_calls() {
+    let root = workspace_root();
+    let outcome = gbdt_analysis::model_check_workspace(&root).expect("workspace walk succeeds");
+    let unit = outcome
+        .units
+        .iter()
+        .find(|u| u.path == GROWTH_LOOP && u.name == "train_worker" && u.skipped.is_none())
+        .expect("grow::train_worker is a verified unit");
+    for kind in ["fault_point", "fn root", "fn build", "fn propose", "fn apply"] {
+        assert!(
+            unit.rendezvous.iter().any(|k| k == kind),
+            "train_worker never meets `{kind}`: {:?}",
+            unit.rendezvous
         );
     }
 }
@@ -166,13 +181,13 @@ fn rules_at(files: &[(String, String)], rel: &str) -> BTreeSet<String> {
 }
 
 /// Acceptance check: a rank-conditional collective injected into each real
-/// trainer is caught by the simulator as a divergent rendezvous.
+/// trainer file — the growth loop and every policy file — is caught by the
+/// simulator as a divergent rendezvous.
 #[test]
 fn injected_rank_conditional_collective_fails_the_model_check() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
-        let rel = format!("crates/quadrants/src/{trainer}");
-        let files = mutated_workspace(&root, &rel, |src| {
+    for rel in TRAINER_FILES.iter().copied() {
+        let files = mutated_workspace(&root, rel, |src| {
             let mut s = src.to_string();
             s.push_str(
                 "\n\npub fn injected_sync(ctx: &mut WorkerCtx, buf: &mut [f64]) -> Result<(), CommError> {\n\
@@ -184,7 +199,7 @@ fn injected_rank_conditional_collective_fails_the_model_check() {
             );
             s
         });
-        let fired = rules_at(&files, &rel);
+        let fired = rules_at(&files, rel);
         assert!(
             fired.contains("mc-collective-divergence"),
             "{rel}: injected divergence not caught; fired {fired:?}"

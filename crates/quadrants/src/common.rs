@@ -1,11 +1,15 @@
-//! Shared pieces of the layer-wise growth engine.
+//! What the policies share besides the loop (`grow`): result types, the
+//! horizontal root all-reduce, the local-best exchange, wire accounting.
 
+use crate::grow::Run;
 use gbdt_cluster::stats::ClusterStats;
+use gbdt_cluster::{CommError, WorkerCtx};
+use gbdt_core::histogram::HistogramPool;
+use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::{NodeStats, Split};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, Parallelism, Storage, TrainConfig};
+use gbdt_core::{kernels, parallel, GbdtModel, Parallelism, Storage, TrainConfig};
 use gbdt_data::block::BlockedRows;
-use gbdt_data::ColumnStore;
+use gbdt_data::{BinnedStore, ColumnStore};
 use serde::{Deserialize, Serialize};
 
 /// Resolves the per-worker intra-worker thread budget for a run: the
@@ -109,37 +113,6 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Combines per-worker per-tree stats into straggler-gated records: a
-/// synchronous layer waits for the slowest worker, so the cluster-level cost
-/// of a tree is the max over workers.
-pub fn merge_tree_stats(per_worker: &[Vec<TreeStat>]) -> Vec<TreeStat> {
-    let n_trees = per_worker.iter().map(Vec::len).max().unwrap_or(0);
-    (0..n_trees)
-        .map(|t| {
-            let mut out = TreeStat::default();
-            for w in per_worker {
-                if let Some(s) = w.get(t) {
-                    out.comp_seconds = out.comp_seconds.max(s.comp_seconds);
-                    out.comm_seconds = out.comm_seconds.max(s.comm_seconds);
-                }
-            }
-            out
-        })
-        .collect()
-}
-
-/// Which sibling to build and which to derive by subtraction: build the
-/// child with fewer instances (§2.1.2 — "first construct the histograms of
-/// the one child node with fewer instances"); ties build the left child.
-pub fn subtraction_plan(left_count: u64, right_count: u64) -> (bool, bool) {
-    // (build_left, build_right): exactly one true.
-    if left_count <= right_count {
-        (true, false)
-    } else {
-        (false, true)
-    }
-}
-
 /// Picks the global best split from per-worker candidates, deterministically
 /// (max gain; ties toward smaller feature, then smaller bin).
 pub fn choose_global_best(candidates: impl IntoIterator<Item = Option<Split>>) -> Option<Split> {
@@ -150,67 +123,6 @@ pub fn choose_global_best(candidates: impl IntoIterator<Item = Option<Split>>) -
         }
     }
     best
-}
-
-/// Decision taken for one frontier node after split finding.
-#[derive(Debug, Clone)]
-pub enum NodeDecision {
-    /// Split with the given plan.
-    Split(Split),
-    /// Turn into a leaf (no valid split / too few instances / depth).
-    Leaf,
-}
-
-/// Finalizes a node as a leaf on the tree (Eq. 1 weights × η).
-pub fn set_leaf(tree: &mut Tree, node: u32, stats: &NodeStats, lambda: f64, eta: f64) {
-    tree.set_leaf_from_stats(node, stats, lambda, eta);
-}
-
-/// Per-node gradient sums, ordered by node id. A `BTreeMap` by
-/// construction: frontier contents feed split decisions and (via leaf
-/// weights) the model itself, so no iteration over this map may depend on
-/// process-random hash order (lint rule `map-iteration`).
-pub type NodeStatsMap = std::collections::BTreeMap<u32, NodeStats>;
-
-/// Frontier bookkeeping for one growing tree: per-node stats and global
-/// instance counts (counts gate `min_node_instances` and drive the
-/// subtraction schedule).
-#[derive(Debug, Default)]
-pub struct Frontier {
-    /// Nodes to process this layer, ascending.
-    pub nodes: Vec<u32>,
-    /// Global gradient sums per node.
-    pub stats: NodeStatsMap,
-    /// Global instance counts per node.
-    pub counts: std::collections::BTreeMap<u32, u64>,
-}
-
-impl Frontier {
-    /// A root-only frontier.
-    pub fn root(stats: NodeStats, count: u64) -> Self {
-        let mut f = Frontier::default();
-        f.nodes.push(0);
-        f.stats.insert(0, stats);
-        f.counts.insert(0, count);
-        f
-    }
-
-    /// Registers the children of a split node for the next layer.
-    pub fn push_children(
-        next: &mut Frontier,
-        node: u32,
-        split: &Split,
-        left_count: u64,
-        right_count: u64,
-    ) {
-        let (l, r) = tree::children(node);
-        next.nodes.push(l);
-        next.nodes.push(r);
-        next.stats.insert(l, split.left.clone());
-        next.stats.insert(r, split.right.clone());
-        next.counts.insert(l, left_count);
-        next.counts.insert(r, right_count);
-    }
 }
 
 /// [`gbdt_partition::HorizontalPartition::shard`] under the name the
@@ -226,8 +138,8 @@ pub fn shard_dataset(
 /// Records the logical-vs-wire histogram-aggregation bytes this worker
 /// moved during one tree layer, as the delta from a counters snapshot taken
 /// just before the layer's aggregation calls.
-pub fn record_layer_wire_bytes(
-    ctx: &mut gbdt_cluster::WorkerCtx,
+pub(crate) fn record_layer_wire_bytes(
+    ctx: &mut WorkerCtx,
     layer: usize,
     before: gbdt_cluster::comm::CommCounters,
 ) {
@@ -239,11 +151,38 @@ pub fn record_layer_wire_bytes(
     );
 }
 
-/// All-reduces per-class node statistics in place (horizontal root stats).
-pub fn all_reduce_stats(
-    ctx: &mut gbdt_cluster::WorkerCtx,
-    stats: &mut NodeStats,
-) -> Result<(), gbdt_cluster::CommError> {
+/// Scans `node`'s rows of a binned row-store into a fresh pool histogram
+/// (QD2's shard, the feature-parallel replica's group view).
+pub(crate) fn fill_rows(
+    pool: &mut HistogramPool,
+    node: u32,
+    binned: &BinnedStore,
+    index: &NodeToInstanceIndex,
+    run: &Run,
+) {
+    let instances = index.instances(node);
+    parallel::build_histogram_chunked(pool, node, instances, run.threads, &run.meter, |hist, chunk| {
+        kernels::fill_rows_chunk(hist, chunk, binned, &run.grads, run.config.kernel);
+    });
+}
+
+/// The child counts of a row-sharded layer: all-reduces the local
+/// `[left, right]` pairs of its split nodes into the global ones.
+pub(crate) fn all_reduce_counts(
+    ctx: &mut WorkerCtx,
+    mut counts: Vec<f64>,
+) -> Result<Vec<(u64, u64)>, CommError> {
+    ctx.comm.all_reduce_f64(&mut counts)?;
+    Ok(counts.chunks(2).map(|lr| (lr[0] as u64, lr[1] as u64)).collect())
+}
+
+/// The root of a row-sharded tree: all-reduces the local per-class gradient
+/// sums, then the local instance count, into the global pair.
+pub(crate) fn all_reduce_root(
+    ctx: &mut WorkerCtx,
+    mut stats: NodeStats,
+    n_local: usize,
+) -> Result<(NodeStats, u64), CommError> {
     let c = stats.n_outputs();
     let mut buf = Vec::with_capacity(2 * c);
     buf.extend_from_slice(&stats.grads);
@@ -251,65 +190,58 @@ pub fn all_reduce_stats(
     ctx.comm.all_reduce_f64(&mut buf)?;
     stats.grads.copy_from_slice(&buf[..c]);
     stats.hesses.copy_from_slice(&buf[c..]);
-    Ok(())
+    let mut count = vec![n_local as f64];
+    ctx.comm.all_reduce_f64(&mut count)?;
+    Ok((stats, count[0] as u64))
 }
 
-/// Per-tree recovery checkpoint every distributed trainer saves at tree
-/// boundaries: the model so far, this worker's raw prediction scores, and
-/// the per-tree timings. Replay resumes at `model.trees.len()`.
-pub type TreeCheckpoint = (GbdtModel, Vec<f64>, Vec<TreeStat>);
-
-/// Restores a surviving [`TreeCheckpoint`] from a crashed attempt into the
-/// trainer's state; returns the tree index to resume from (0 on a fresh
-/// run). Everything not checkpointed (indexes, histogram pools, gradients)
-/// is rebuilt per tree, so replaying the in-flight tree from here is
-/// deterministic.
-pub fn restore_tree_checkpoint(
-    ctx: &gbdt_cluster::WorkerCtx,
-    model: &mut GbdtModel,
-    scores: &mut Vec<f64>,
-    per_tree: &mut Vec<TreeStat>,
-) -> usize {
-    if let Some((m, s, p)) = ctx.load_checkpoint::<TreeCheckpoint>() {
-        *model = m;
-        *scores = s;
-        *per_tree = p;
+/// All-gathers per-node local best splits and resolves each node's global
+/// best deterministically. Shared by every policy that finds splits on
+/// feature subsets (QD2-sharded, the vertical quadrants, feature-parallel).
+pub(crate) fn exchange_local_bests(
+    ctx: &mut WorkerCtx,
+    locals: &[Option<Split>],
+) -> Result<Vec<Option<Split>>, CommError> {
+    // Encode: per node, u8 present + length-prefixed split bytes.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&(locals.len() as u32).to_le_bytes());
+    for s in locals {
+        match s {
+            Some(split) => {
+                let bytes = split.encode_bytes();
+                payload.push(1);
+                payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                payload.extend_from_slice(&bytes);
+            }
+            None => payload.push(0),
+        }
     }
-    model.trees.len()
-}
-
-/// Saves the [`TreeCheckpoint`] after a completed tree. Skipped entirely
-/// when no checkpoint store is attached, so fault-free runs pay no clone.
-pub fn save_tree_checkpoint(
-    ctx: &gbdt_cluster::WorkerCtx,
-    model: &GbdtModel,
-    scores: &[f64],
-    per_tree: &[TreeStat],
-) {
-    if ctx.has_checkpoint_store() {
-        ctx.save_checkpoint(&(model.clone(), scores.to_vec(), per_tree.to_vec()));
+    let gathered = ctx.comm.all_gather(bytes::Bytes::from(payload))?;
+    let mut per_worker: Vec<Vec<Option<Split>>> = Vec::with_capacity(gathered.len());
+    for buf in gathered {
+        let mut pos = 0usize;
+        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+        pos += 4;
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            let present = buf[pos];
+            pos += 1;
+            if present == 1 {
+                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
+                pos += 4;
+                let split = Split::decode_bytes(&buf[pos..pos + len])
+                    .expect("peer sends well-formed splits");
+                pos += len;
+                list.push(Some(split));
+            } else {
+                list.push(None);
+            }
+        }
+        per_worker.push(list);
     }
-}
-
-/// Tracks per-tree deltas of a worker's computation and communication time.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TreeTracker {
-    last_comp: f64,
-    last_comm: f64,
-}
-
-impl TreeTracker {
-    /// Returns the (comp, comm) delta since the previous call as a
-    /// [`TreeStat`] and advances the baseline.
-    pub fn lap(&mut self, ctx: &gbdt_cluster::WorkerCtx) -> TreeStat {
-        let comp = ctx.stats.comp_total();
-        let comm = ctx.comm.counters().comm_seconds;
-        let stat =
-            TreeStat { comp_seconds: comp - self.last_comp, comm_seconds: comm - self.last_comm };
-        self.last_comp = comp;
-        self.last_comm = comm;
-        stat
-    }
+    Ok((0..locals.len())
+        .map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone())))
+        .collect())
 }
 
 #[cfg(test)]
@@ -328,13 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn subtraction_builds_smaller_child() {
-        assert_eq!(subtraction_plan(10, 20), (true, false));
-        assert_eq!(subtraction_plan(20, 10), (false, true));
-        assert_eq!(subtraction_plan(5, 5), (true, false)); // tie -> left
-    }
-
-    #[test]
     fn global_best_is_deterministic() {
         let got = choose_global_best(vec![
             Some(mk_split(3, 1.0)),
@@ -345,29 +270,5 @@ mod tests {
         let got = got.unwrap();
         assert_eq!(got.feature, 1); // max gain, tie -> lower feature
         assert!(choose_global_best(vec![None, None]).is_none());
-    }
-
-    #[test]
-    fn merge_tree_stats_takes_worker_max() {
-        let a = vec![TreeStat { comp_seconds: 1.0, comm_seconds: 0.5 }];
-        let b = vec![TreeStat { comp_seconds: 0.5, comm_seconds: 2.0 }];
-        let merged = merge_tree_stats(&[a, b]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].comp_seconds, 1.0);
-        assert_eq!(merged[0].comm_seconds, 2.0);
-    }
-
-    #[test]
-    fn frontier_tracks_children() {
-        let mut f = Frontier::root(NodeStats::zero(1), 100);
-        assert_eq!(f.nodes, vec![0]);
-        let split = mk_split(0, 1.0);
-        let mut next = Frontier::default();
-        Frontier::push_children(&mut next, 0, &split, 60, 40);
-        assert_eq!(next.nodes, vec![1, 2]);
-        assert_eq!(next.counts[&1], 60);
-        assert_eq!(next.counts[&2], 40);
-        f = next;
-        assert!(f.stats.contains_key(&1));
     }
 }

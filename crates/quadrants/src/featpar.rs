@@ -12,242 +12,87 @@
 //! to encode: every codec (including the lossy f32) trains the identical
 //! ensemble here.
 
-use crate::common::{
-    restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan, worker_threads,
-    DistTrainResult, Frontier, TreeStat, TreeTracker,
-};
-use crate::qd2::exchange_local_bests;
+use crate::common::{fill_rows, DistTrainResult};
+use crate::grow::{self, Run};
+use crate::vertical::{placement_by, GroupStore, Vertical};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::parallel::{self, Meter};
-use gbdt_core::split::{best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{BinCuts, GbdtModel, GradBuffer, TrainConfig};
+use gbdt_core::split::Split;
+use gbdt_core::{BinCuts, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinnedStore, FeatureId};
-use gbdt_partition::{ColumnGrouping, GroupingStrategy};
+use gbdt_data::{BinnedStore, FeatureId, InstanceId};
+use gbdt_partition::{ColumnGrouping, GroupingStrategy, PlacementBitmap};
 
 /// Trains feature-parallel on `cluster.world` workers (full replica each).
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
-    config.validate().expect("invalid training config");
-    // With a full replica everywhere, cuts and grouping are computed
-    // identically and locally on every worker — no sketch repartition.
-    let (outputs, stats) = cluster.run_recoverable(|ctx| train_worker(ctx, dataset, config));
-    let mut models = Vec::new();
-    let mut per_worker_trees = Vec::new();
-    for (model, trees) in outputs {
-        models.push(model);
-        per_worker_trees.push(trees);
-    }
-    DistTrainResult {
-        model: models.swap_remove(0),
-        per_tree: crate::common::merge_tree_stats(&per_worker_trees),
-        stats,
-    }
+    grow::run(cluster, config, |ctx| {
+        let (rank, world) = (ctx.rank(), ctx.world());
+        let (d, n, q) = (dataset.n_features(), dataset.n_instances(), config.n_bins);
+        // With a full replica everywhere, cuts and grouping are computed
+        // identically and locally on every worker — no sketch repartition.
+        let cuts = ctx.time(Phase::Sketch, || BinCuts::from_dataset(dataset, q));
+        let full = ctx.time(Phase::Sketch, || cuts.apply_store(dataset, config.storage));
+        let grouping = ctx.time(Phase::Sketch, || {
+            let mut weights = vec![0u64; d];
+            for i in 0..n {
+                full.for_each_in_row(i, |j, _| weights[j as usize] += 1);
+            }
+            ColumnGrouping::build(GroupingStrategy::GreedyBalanced, d, world, &weights)
+        });
+        // Per-worker feature-subset view (same layout) for histogram building.
+        let local = ctx.time(Phase::Sketch, || full.select_cols(grouping.group_features(rank)));
+        let policy = Vertical {
+            store: Replica { full, local },
+            index: NodeToInstanceIndex::new(n),
+            pool: HistogramPool::new(grouping.group_len(rank), q, config.n_outputs()),
+            grouping,
+            n_rows: n,
+            use_subtraction: true,
+        };
+        grow::train_worker(ctx, policy, &dataset.labels, &cuts, config)
+    })
 }
 
-fn train_worker(
-    ctx: &mut WorkerCtx,
-    dataset: &Dataset,
-    config: &TrainConfig,
-) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
-    let rank = ctx.rank();
-    let world = ctx.world();
-    let d = dataset.n_features();
-    let q = config.n_bins;
-    let c = config.n_outputs();
-    let n = dataset.n_instances();
-    let params = SplitParams::from_config(config);
-    let objective = config.objective;
-    let threads = worker_threads(config, world);
-    let meter = Meter::default();
-    ctx.stats.threads = threads as u64;
-
-    // Full local copy: sketch, bin, and group features — all locally.
-    let cuts = ctx.time(Phase::Sketch, || BinCuts::from_dataset(dataset, q));
-    let full: BinnedStore = ctx.time(Phase::Sketch, || cuts.apply_store(dataset, config.storage));
-    let grouping = ctx.time(Phase::Sketch, || {
-        let mut weights = vec![0u64; d];
-        for i in 0..n {
-            full.for_each_in_row(i, |j, _| weights[j as usize] += 1);
-        }
-        ColumnGrouping::build(GroupingStrategy::GreedyBalanced, d, world, &weights)
-    });
-    // Per-worker feature-subset view (same layout) for histogram building.
-    let local: BinnedStore =
-        ctx.time(Phase::Sketch, || full.select_cols(grouping.group_features(rank)));
-    // The defining cost: the WHOLE dataset lives on this worker.
-    ctx.stats.data_bytes = (full.heap_bytes() + local.heap_bytes() + n * 4) as u64;
-
-    let mut model = GbdtModel::new(objective, config.learning_rate, d);
-    let mut scores = vec![0.0f64; n * c];
-    for chunk in scores.chunks_mut(c) {
-        chunk.copy_from_slice(&model.init_scores);
-    }
-    let mut grads = GradBuffer::new(n, c);
-    let mut index = NodeToInstanceIndex::new(n);
-    let mut pool = HistogramPool::new(grouping.group_len(rank), q, c);
-    ctx.stats.index_bytes = index.heap_bytes() as u64;
-
-    let to_global = |f: FeatureId| grouping.global_id(rank, f);
-
-    let mut tracker = TreeTracker::default();
-    tracker.lap(ctx);
-    let mut per_tree = Vec::with_capacity(config.n_trees);
-
-    let start_tree = restore_tree_checkpoint(ctx, &mut model, &mut scores, &mut per_tree);
-    for t in start_tree..config.n_trees {
-        ctx.time(Phase::Gradients, || {
-            objective.compute_gradients(&scores, &dataset.labels, &mut grads)
-        });
-        let mut tree = Tree::new(config.n_layers, c);
-
-        let mut root_stats = NodeStats::zero(c);
-        ctx.time(Phase::Gradients, || {
-            let mut g = vec![0.0; c];
-            let mut h = vec![0.0; c];
-            grads.sum_instances(index.instances(0), &mut g, &mut h);
-            root_stats.grads.copy_from_slice(&g);
-            root_stats.hesses.copy_from_slice(&h);
-        });
-        let mut frontier = Frontier::root(root_stats, n as u64);
-        let mut leaves: Vec<u32> = Vec::new();
-
-        for layer in 0..config.n_layers {
-            ctx.fault_point(t, layer);
-            if frontier.nodes.is_empty() {
-                break;
-            }
-            if layer + 1 == config.n_layers {
-                for &node in &frontier.nodes {
-                    tree.set_leaf_from_stats(
-                        node,
-                        &frontier.stats[&node],
-                        params.lambda,
-                        config.learning_rate,
-                    );
-                    leaves.push(node);
-                }
-                break;
-            }
-
-            ctx.time(Phase::HistogramBuild, || {
-                if layer == 0 {
-                    build_histogram(&mut pool, 0, &local, &grads, &index, threads, config.kernel, &meter);
-                } else {
-                    let mut k = 0;
-                    while k < frontier.nodes.len() {
-                        let (l, r) = (frontier.nodes[k], frontier.nodes[k + 1]);
-                        let (build_left, _) =
-                            subtraction_plan(frontier.counts[&l], frontier.counts[&r]);
-                        let (b, s) = if build_left { (l, r) } else { (r, l) };
-                        build_histogram(&mut pool, b, &local, &grads, &index, threads, config.kernel, &meter);
-                        pool.subtract_sibling(tree::parent(l), b, s);
-                        k += 2;
-                    }
-                }
-            });
-            ctx.stats.histogram_peak_bytes = pool.peak_bytes() as u64;
-
-            let locals: Vec<Option<Split>> = ctx.time(Phase::SplitFind, || {
-                frontier
-                    .nodes
-                    .iter()
-                    .map(|&node| {
-                        if frontier.counts[&node] < config.min_node_instances as u64 {
-                            return None;
-                        }
-                        best_split_parallel(
-                            pool.get(node).expect("histogram live"),
-                            &frontier.stats[&node],
-                            &params,
-                            |f| cuts.n_bins(to_global(f)),
-                            to_global,
-                            threads,
-                        )
-                    })
-                    .collect()
-            });
-            let decisions = exchange_local_bests(ctx, &locals)?;
-
-            // Node splitting is LOCAL: the full replica answers every
-            // feature lookup — no bitmap broadcast (Appendix D).
-            let mut next = Frontier::default();
-            for (&node, decision) in frontier.nodes.iter().zip(decisions) {
-                match decision {
-                    Some(split) => {
-                        tree.set_internal_with_gain(
-                            node,
-                            split.feature,
-                            split.bin,
-                            cuts.threshold(split.feature, split.bin),
-                            split.default_left,
-                            split.gain,
-                        );
-                        let (lc, rc) = ctx.time(Phase::NodeSplit, || {
-                            index.split(node, |i| match full.get(i as usize, split.feature) {
-                                Some(b) => b <= split.bin,
-                                None => split.default_left,
-                            })
-                        });
-                        Frontier::push_children(&mut next, node, &split, lc as u64, rc as u64);
-                    }
-                    None => {
-                        tree.set_leaf_from_stats(
-                            node,
-                            &frontier.stats[&node],
-                            params.lambda,
-                            config.learning_rate,
-                        );
-                        leaves.push(node);
-                        pool.release(node);
-                    }
-                }
-            }
-            frontier = next;
-        }
-
-        ctx.time(Phase::Predict, || {
-            for &leaf in &leaves {
-                let values = match &tree.node(leaf).expect("leaf set").kind {
-                    tree::NodeKind::Leaf { values } => values.clone(),
-                    _ => unreachable!("leaves vector only holds leaf nodes"),
-                };
-                for &i in index.instances(leaf) {
-                    let base = i as usize * c;
-                    for (k, &v) in values.iter().enumerate() {
-                        scores[base + k] += v;
-                    }
-                }
-            }
-        });
-
-        pool.release_all();
-        index.reset();
-        model.trees.push(tree);
-        per_tree.push(tracker.lap(ctx));
-        save_tree_checkpoint(ctx, &model, &scores, &per_tree);
-    }
-    ctx.stats.parallel_wall_seconds = meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = meter.busy_seconds();
-    Ok((model, per_tree))
+/// The replicated case of the vertical policy: the worker answers for one
+/// feature group (`local`, group-local ids) but holds every feature (`full`,
+/// global ids) — the defining cost, which `data_bytes` reports.
+struct Replica {
+    full: BinnedStore,
+    local: BinnedStore,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_histogram(
-    pool: &mut HistogramPool,
-    node: u32,
-    local: &BinnedStore,
-    grads: &GradBuffer,
-    index: &NodeToInstanceIndex,
-    threads: usize,
-    kernel: gbdt_core::Kernel,
-    meter: &Meter,
-) {
-    parallel::build_histogram_chunked(pool, node, index.instances(node), threads, meter, |hist, chunk| {
-        gbdt_core::kernels::fill_rows_chunk(hist, chunk, local, grads, kernel);
-    });
+impl GroupStore for Replica {
+    fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
+        fill_rows(pool, node, &self.local, index, run);
+    }
+
+    fn placement(
+        &self,
+        _node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        placement_by(instances, split, |inst| self.full.get(inst as usize, feature))
+    }
+
+    /// Node splitting is LOCAL: the full replica answers every feature
+    /// lookup — no bitmap broadcast (Appendix D).
+    fn place(
+        &self,
+        ctx: &mut WorkerCtx,
+        _grouping: &ColumnGrouping,
+        node: u32,
+        instances: &[InstanceId],
+        split: &Split,
+    ) -> Result<PlacementBitmap, CommError> {
+        Ok(ctx.time(Phase::NodeSplit, || self.placement(node, instances, split.feature, split)))
+    }
+
+    fn data_bytes(&self) -> usize {
+        self.full.heap_bytes() + self.local.heap_bytes()
+    }
 }
 
 #[cfg(test)]

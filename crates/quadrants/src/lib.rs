@@ -27,19 +27,25 @@
 //!   node-to-instance index (Appendix C).
 //! * [`featpar`] — LightGBM's feature-parallel mode: full replica per
 //!   worker (Appendix D).
-//! * [`common`] — the shared growth engine pieces: build/subtract
-//!   scheduling, leaf finalization, placement application, result types.
+//! * `grow` — the one per-tree / per-layer loop every distributed trainer
+//!   above runs, and the `Quadrant` policy trait through which they differ
+//!   (root / build / propose / apply); `vertical` — the one policy QD3,
+//!   QD4, Yggdrasil and feature-parallel share, parametrised by storage.
+//! * [`common`] — what policies share besides the loop: result types, the
+//!   horizontal root all-reduce, the local-best exchange, wire accounting.
 //! * [`advisor`] — the paper's §6 future work, implemented: an executable
 //!   §3 cost model that recommends a quadrant for a workload/environment.
 
 pub mod advisor;
 pub mod common;
 pub mod featpar;
+mod grow;
 pub mod qd1;
 pub mod qd2;
 pub mod qd3;
 pub mod qd4;
 pub mod single;
+mod vertical;
 pub mod yggdrasil;
 
 pub use common::{Aggregation, DistTrainResult, TreeStat};

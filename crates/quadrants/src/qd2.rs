@@ -15,19 +15,16 @@
 //! server-side split finding).
 
 use crate::common::{
-    all_reduce_stats, choose_global_best, record_layer_wire_bytes, restore_tree_checkpoint,
-    save_tree_checkpoint, subtraction_plan, worker_threads, Aggregation,
-    DistTrainResult, Frontier, TreeStat, TreeTracker,
+    all_reduce_counts, all_reduce_root, exchange_local_bests, fill_rows, record_layer_wire_bytes,
+    Aggregation, DistTrainResult,
 };
+use crate::grow::{self, add_leaf_values_by_node, smaller_sibling_schedule, sum_root, Quadrant, Run};
 use gbdt_cluster::collectives::segment_bounds;
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::kernels;
-use gbdt_core::parallel::{self, Meter};
-use gbdt_core::split::{best_split_in_range_parallel, best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, GradBuffer, TrainConfig};
+use gbdt_core::split::{best_split_in_range_parallel, best_split_parallel, NodeStats, Split};
+use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::BinnedStore;
 use gbdt_partition::transform::build_global_cuts;
@@ -40,356 +37,167 @@ pub fn train(
     config: &TrainConfig,
     aggregation: Aggregation,
 ) -> DistTrainResult {
-    config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
-    let (outputs, stats) = cluster.run_recoverable(|ctx| {
+    grow::run(cluster, config, |ctx| {
         let shard = partition.shard(dataset, ctx.rank());
-        train_worker(ctx, &shard, config, aggregation)
-    });
-    let mut models = Vec::new();
-    let mut per_worker_trees = Vec::new();
-    for (model, trees) in outputs {
-        models.push(model);
-        per_worker_trees.push(trees);
-    }
-    let model = models.swap_remove(0);
-    DistTrainResult { model, per_tree: crate::common::merge_tree_stats(&per_worker_trees), stats }
+        let (d, q, c) = (shard.n_features(), config.n_bins, config.n_outputs());
+        // Global candidate splits (local sketches merged across the cluster).
+        let (cuts, _) = build_global_cuts(ctx, &shard, q, gbdt_core::QuantileSketch::DEFAULT_CAP)?;
+        let binned = ctx.time(Phase::Sketch, || cuts.apply_store(&shard, config.storage));
+        let (rank, world) = (ctx.rank(), ctx.world());
+        let policy = RowShard {
+            index: NodeToInstanceIndex::new(binned.n_rows()),
+            binned,
+            pool: HistogramPool::new(d, q, c),
+            aggregation,
+            feature_slice: segment_bounds(d, world, rank),
+            elem_ranges: (0..world)
+                .map(|w| {
+                    let (lo, hi) = segment_bounds(d, world, w);
+                    (lo * q * c * 2, hi * q * c * 2)
+                })
+                .collect(),
+        };
+        grow::train_worker(ctx, policy, &shard.labels, &cuts, config)
+    })
 }
 
-fn train_worker(
-    ctx: &mut WorkerCtx,
-    shard: &Dataset,
-    config: &TrainConfig,
+/// A row shard in binned row-store form, its node-to-instance index, and
+/// local histograms over all D features that `aggregation` makes global.
+struct RowShard {
+    binned: BinnedStore,
+    index: NodeToInstanceIndex,
+    pool: HistogramPool,
     aggregation: Aggregation,
-) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
-    let d = shard.n_features();
-    let q = config.n_bins;
-    let c = config.n_outputs();
-    let params = SplitParams::from_config(config);
-    let objective = config.objective;
-    let world = ctx.world();
-    let rank = ctx.rank();
-    let threads = worker_threads(config, world);
-    let meter = Meter::default();
-    ctx.stats.threads = threads as u64;
-
-    // Global candidate splits (local sketches merged across the cluster).
-    let (cuts, _) = build_global_cuts(ctx, shard, q, gbdt_core::QuantileSketch::DEFAULT_CAP)?;
-    let binned = ctx.time(Phase::Sketch, || cuts.apply_store(shard, config.storage));
-    ctx.stats.data_bytes = binned.heap_bytes() as u64;
-
-    let n_local = binned.n_rows();
-    let mut model = GbdtModel::new(objective, config.learning_rate, d);
-    let mut scores = vec![0.0f64; n_local * c];
-    for chunk in scores.chunks_mut(c) {
-        chunk.copy_from_slice(&model.init_scores);
-    }
-    let mut grads = GradBuffer::new(n_local, c);
-    let mut index = NodeToInstanceIndex::new(n_local);
-    let mut pool = HistogramPool::new(d, q, c);
-    ctx.stats.index_bytes = index.heap_bytes() as u64;
-
-    // Feature shard for reduce-scatter / parameter-server aggregation, in
-    // histogram-element units (feature-aligned).
-    let (feat_lo, feat_hi) = segment_bounds(d, world, rank);
-    let elem_ranges: Vec<(usize, usize)> = (0..world)
-        .map(|w| {
-            let (lo, hi) = segment_bounds(d, world, w);
-            (lo * q * c * 2, hi * q * c * 2)
-        })
-        .collect();
-
-    let mut tracker = TreeTracker::default();
-    tracker.lap(ctx); // exclude sketch/binning setup from the first tree's cost
-    let mut per_tree = Vec::with_capacity(config.n_trees);
-
-    let start_tree = restore_tree_checkpoint(ctx, &mut model, &mut scores, &mut per_tree);
-    for t in start_tree..config.n_trees {
-        ctx.time(Phase::Gradients, || {
-            objective.compute_gradients(&scores, &shard.labels, &mut grads)
-        });
-        let mut tree = Tree::new(config.n_layers, c);
-
-        // Global root statistics and count.
-        let mut root_stats = NodeStats::zero(c);
-        ctx.time(Phase::Gradients, || {
-            let mut g = vec![0.0; c];
-            let mut h = vec![0.0; c];
-            grads.sum_instances(index.instances(0), &mut g, &mut h);
-            root_stats.grads.copy_from_slice(&g);
-            root_stats.hesses.copy_from_slice(&h);
-        });
-        all_reduce_stats(ctx, &mut root_stats)?;
-        let mut count_buf = vec![n_local as f64];
-        ctx.comm.all_reduce_f64(&mut count_buf)?;
-        let mut frontier = Frontier::root(root_stats, count_buf[0] as u64);
-        let mut leaves: Vec<u32> = Vec::new();
-
-        for layer in 0..config.n_layers {
-            ctx.fault_point(t, layer);
-            if frontier.nodes.is_empty() {
-                break;
-            }
-            if layer + 1 == config.n_layers {
-                for &node in &frontier.nodes {
-                    tree.set_leaf_from_stats(
-                        node,
-                        &frontier.stats[&node],
-                        params.lambda,
-                        config.learning_rate,
-                    );
-                    leaves.push(node);
-                }
-                break;
-            }
-
-            // Local histogram construction for the build set (smaller
-            // sibling; the other is derived by subtraction AFTER
-            // aggregation, so pool histograms are always global).
-            let mut build_nodes: Vec<u32> = Vec::new();
-            let mut derive: Vec<(u32, u32, u32)> = Vec::new(); // (parent, built, sibling)
-            if layer == 0 {
-                build_nodes.push(0);
-            } else {
-                let mut k = 0;
-                while k < frontier.nodes.len() {
-                    let (l, r) = (frontier.nodes[k], frontier.nodes[k + 1]);
-                    let (build_left, _) =
-                        subtraction_plan(frontier.counts[&l], frontier.counts[&r]);
-                    let (b, s) = if build_left { (l, r) } else { (r, l) };
-                    build_nodes.push(b);
-                    derive.push((tree::parent(l), b, s));
-                    k += 2;
-                }
-            }
-            ctx.time(Phase::HistogramBuild, || {
-                for &node in &build_nodes {
-                    build_histogram(&mut pool, node, &binned, &grads, &index, threads, config.kernel, &meter);
-                }
-            });
-
-            // Aggregate local histograms into global ones under the
-            // configured wire codec (control traffic stays dense).
-            let wire_before = ctx.comm.counters();
-            match aggregation {
-                Aggregation::AllReduce => {
-                    for &node in &build_nodes {
-                        let hist = pool.get_mut(node).expect("just built");
-                        ctx.comm.all_reduce_f64_codec(config.wire, hist.as_mut_slice())?;
-                    }
-                }
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    for &node in &build_nodes {
-                        let hist = pool.get_mut(node).expect("just built");
-                        let reduced = ctx.comm.ps_push_and_reduce_codec(
-                            config.wire,
-                            hist.as_slice(),
-                            &elem_ranges,
-                        )?;
-                        let (lo, hi) = elem_ranges[rank];
-                        hist.as_mut_slice()[lo..hi].copy_from_slice(&reduced);
-                    }
-                }
-            }
-            record_layer_wire_bytes(ctx, layer, wire_before);
-            ctx.time(Phase::HistogramBuild, || {
-                for &(parent, built, sibling) in &derive {
-                    pool.subtract_sibling(parent, built, sibling);
-                }
-            });
-            ctx.stats.histogram_peak_bytes = pool.peak_bytes() as u64;
-
-            // Split finding.
-            let decisions: Vec<Option<Split>> = match aggregation {
-                Aggregation::AllReduce => ctx.time(Phase::SplitFind, || {
-                    frontier
-                        .nodes
-                        .iter()
-                        .map(|&node| {
-                            if frontier.counts[&node] < config.min_node_instances as u64 {
-                                return None;
-                            }
-                            best_split_parallel(
-                                pool.get(node).expect("histogram live"),
-                                &frontier.stats[&node],
-                                &params,
-                                |f| cuts.n_bins(f),
-                                |f| f,
-                                threads,
-                            )
-                        })
-                        .collect()
-                }),
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    // Local best within my feature slice, then exchange.
-                    let locals: Vec<Option<Split>> = ctx.time(Phase::SplitFind, || {
-                        frontier
-                            .nodes
-                            .iter()
-                            .map(|&node| {
-                                if frontier.counts[&node] < config.min_node_instances as u64 {
-                                    return None;
-                                }
-                                best_split_in_range_parallel(
-                                    pool.get(node).expect("histogram live"),
-                                    feat_lo as u32..feat_hi as u32,
-                                    &frontier.stats[&node],
-                                    &params,
-                                    |f| cuts.n_bins(f),
-                                    |f| f,
-                                    threads,
-                                )
-                            })
-                            .collect()
-                    });
-                    exchange_local_bests(ctx, &locals)?
-                }
-            };
-
-            // Node splitting + global child counts.
-            let mut next = Frontier::default();
-            let mut split_nodes: Vec<(u32, Split)> = Vec::new();
-            for (&node, decision) in frontier.nodes.iter().zip(decisions) {
-                match decision {
-                    Some(split) => {
-                        tree.set_internal_with_gain(
-                            node,
-                            split.feature,
-                            split.bin,
-                            cuts.threshold(split.feature, split.bin),
-                            split.default_left,
-                            split.gain,
-                        );
-                        split_nodes.push((node, split));
-                    }
-                    None => {
-                        tree.set_leaf_from_stats(
-                            node,
-                            &frontier.stats[&node],
-                            params.lambda,
-                            config.learning_rate,
-                        );
-                        leaves.push(node);
-                        pool.release(node);
-                    }
-                }
-            }
-            let mut counts = vec![0f64; split_nodes.len() * 2];
-            ctx.time(Phase::NodeSplit, || {
-                for (k, (node, split)) in split_nodes.iter().enumerate() {
-                    let (lc, rc) = index.split(*node, |i| {
-                        match binned.get(i as usize, split.feature) {
-                            Some(b) => b <= split.bin,
-                            None => split.default_left,
-                        }
-                    });
-                    counts[2 * k] = lc as f64;
-                    counts[2 * k + 1] = rc as f64;
-                }
-            });
-            ctx.comm.all_reduce_f64(&mut counts)?;
-            for (k, (node, split)) in split_nodes.into_iter().enumerate() {
-                Frontier::push_children(
-                    &mut next,
-                    node,
-                    &split,
-                    counts[2 * k] as u64,
-                    counts[2 * k + 1] as u64,
-                );
-            }
-            frontier = next;
-        }
-
-        // Update local scores from leaves.
-        ctx.time(Phase::Predict, || {
-            for &leaf in &leaves {
-                let values = match &tree.node(leaf).expect("leaf set").kind {
-                    tree::NodeKind::Leaf { values } => values.clone(),
-                    _ => unreachable!("leaves vector only holds leaf nodes"),
-                };
-                for &i in index.instances(leaf) {
-                    let base = i as usize * c;
-                    for (k, &v) in values.iter().enumerate() {
-                        scores[base + k] += v;
-                    }
-                }
-            }
-        });
-
-        pool.release_all();
-        index.reset();
-        model.trees.push(tree);
-        per_tree.push(tracker.lap(ctx));
-        save_tree_checkpoint(ctx, &model, &scores, &per_tree);
-    }
-    ctx.stats.parallel_wall_seconds = meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = meter.busy_seconds();
-    Ok((model, per_tree))
+    /// The features this worker aggregates and finds splits for under
+    /// reduce-scatter / parameter-server aggregation.
+    feature_slice: (usize, usize),
+    /// Every worker's slice in histogram-element units (feature-aligned).
+    elem_ranges: Vec<(usize, usize)>,
 }
 
-/// All-gathers per-node local best splits and resolves each node's global
-/// best deterministically. Shared by every trainer that finds splits on
-/// feature subsets (QD2-sharded, QD3, QD4, feature-parallel).
-pub(crate) fn exchange_local_bests(
-    ctx: &mut WorkerCtx,
-    locals: &[Option<Split>],
-) -> Result<Vec<Option<Split>>, CommError> {
-    // Encode: per node, u8 present + length-prefixed split bytes.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(locals.len() as u32).to_le_bytes());
-    for s in locals {
-        match s {
-            Some(split) => {
-                let bytes = split.encode_bytes();
-                payload.push(1);
-                payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                payload.extend_from_slice(&bytes);
-            }
-            None => payload.push(0),
-        }
+impl Quadrant for RowShard {
+    fn root(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(NodeStats, u64), CommError> {
+        let local = sum_root(ctx, run, &self.index);
+        all_reduce_root(ctx, local, self.binned.n_rows())
     }
-    let gathered = ctx.comm.all_gather(bytes::Bytes::from(payload))?;
-    let mut per_worker: Vec<Vec<Option<Split>>> = Vec::with_capacity(gathered.len());
-    for buf in gathered {
-        let mut pos = 0usize;
-        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        pos += 4;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let present = buf[pos];
-            pos += 1;
-            if present == 1 {
-                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                let split = Split::decode_bytes(&buf[pos..pos + len])
-                    .expect("peer sends well-formed splits");
-                pos += len;
-                list.push(Some(split));
-            } else {
-                list.push(None);
-            }
-        }
-        per_worker.push(list);
-    }
-    Ok((0..locals.len())
-        .map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone())))
-        .collect())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn build_histogram(
-    pool: &mut HistogramPool,
-    node: u32,
-    binned: &BinnedStore,
-    grads: &GradBuffer,
-    index: &NodeToInstanceIndex,
-    threads: usize,
-    kernel: gbdt_core::Kernel,
-    meter: &Meter,
-) {
-    parallel::build_histogram_chunked(pool, node, index.instances(node), threads, meter, |hist, chunk| {
-        kernels::fill_rows_chunk(hist, chunk, binned, grads, kernel);
-    });
+    /// Local histograms of the build set (the smaller siblings), aggregated;
+    /// the other sibling is derived by subtraction AFTER aggregation, so
+    /// pool histograms are always global.
+    fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError> {
+        let steps = smaller_sibling_schedule(&run.frontier);
+        ctx.time(Phase::HistogramBuild, || {
+            for step in &steps {
+                fill_rows(&mut self.pool, step.node, &self.binned, &self.index, run);
+            }
+        });
+
+        // Aggregate local histograms into global ones under the configured
+        // wire codec (control traffic stays dense).
+        let wire = run.config.wire;
+        let wire_before = ctx.comm.counters();
+        for step in &steps {
+            let hist = self.pool.get_mut(step.node).expect("just built");
+            match self.aggregation {
+                Aggregation::AllReduce => ctx.comm.all_reduce_f64_codec(wire, hist.as_mut_slice())?,
+                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                    let ranges = &self.elem_ranges;
+                    let reduced = ctx.comm.ps_push_and_reduce_codec(wire, hist.as_slice(), ranges)?;
+                    let (lo, hi) = ranges[ctx.rank()];
+                    hist.as_mut_slice()[lo..hi].copy_from_slice(&reduced);
+                }
+            }
+        }
+        record_layer_wire_bytes(ctx, run.layer, wire_before);
+        ctx.time(Phase::HistogramBuild, || {
+            for step in &steps {
+                if let Some((parent, sibling)) = step.derive {
+                    self.pool.subtract_sibling(parent, step.node, sibling);
+                }
+            }
+        });
+        Ok(())
+    }
+
+    fn propose(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        run: &Run,
+    ) -> Result<Vec<Option<Split>>, CommError> {
+        let hist = |node| self.pool.get(node).expect("histogram live");
+        let n_bins = |f| run.cuts.n_bins(f);
+        match self.aggregation {
+            // Every worker holds the global histograms and finds every
+            // split redundantly.
+            Aggregation::AllReduce => Ok(run.scan(ctx, |node, stats| {
+                best_split_parallel(hist(node), stats, &run.params, n_bins, |f| f, run.threads)
+            })),
+            // Local best within my feature slice, then exchange.
+            Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                let (lo, hi) = self.feature_slice;
+                let locals = run.scan(ctx, |node, stats| {
+                    best_split_in_range_parallel(
+                        hist(node),
+                        lo as u32..hi as u32,
+                        stats,
+                        &run.params,
+                        n_bins,
+                        |f| f,
+                        run.threads,
+                    )
+                });
+                exchange_local_bests(ctx, &locals)
+            }
+        }
+    }
+
+    fn retire(&mut self, node: u32) {
+        self.pool.release(node);
+    }
+
+    /// Local predicate over the shard's rows, then one all-reduce of the
+    /// child counts of the whole layer.
+    fn apply(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        splits: &[(u32, Split)],
+    ) -> Result<Vec<(u64, u64)>, CommError> {
+        let mut counts = Vec::with_capacity(splits.len() * 2);
+        ctx.time(Phase::NodeSplit, || {
+            for (node, split) in splits {
+                let (left, right) = self.index.split(*node, |i| {
+                    match self.binned.get(i as usize, split.feature) {
+                        Some(b) => b <= split.bin,
+                        None => split.default_left,
+                    }
+                });
+                counts.extend([left as f64, right as f64]);
+            }
+        });
+        all_reduce_counts(ctx, counts)
+    }
+
+    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
+        add_leaf_values_by_node(&self.index, leaves, scores);
+    }
+
+    fn end_tree(&mut self, _ctx: &mut WorkerCtx) {
+        self.pool.release_all();
+        self.index.reset();
+    }
+
+    fn data_bytes(&self) -> usize {
+        self.binned.heap_bytes()
+    }
+
+    fn index_bytes(&self) -> usize {
+        self.index.heap_bytes()
+    }
+
+    fn histogram_peak_bytes(&self) -> usize {
+        self.pool.peak_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -18,335 +18,118 @@
 //! [`TrainConfig::wire`] is accepted but has nothing to encode here — all
 //! wire codecs (including the lossy f32) train the identical ensemble.
 
-use crate::common::{
-    column_group_store, restore_tree_checkpoint, save_tree_checkpoint, subtraction_plan,
-    worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
-};
-use crate::qd2::exchange_local_bests;
-use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
+use crate::common::{column_group_store, DistTrainResult};
+use crate::grow::Run;
+use crate::vertical::{self, mark_left, placement_by, GroupStore};
+use gbdt_cluster::{Cluster, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{InstanceToNodeIndex, NodeToInstanceIndex};
-use gbdt_core::parallel::{par_feature_fill, Meter};
-use gbdt_core::split::{best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, GradBuffer, TrainConfig};
+use gbdt_core::parallel::par_feature_fill;
+use gbdt_core::split::Split;
+use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{ColumnStore, FeatureId};
-use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig, TransformOutput};
-use gbdt_partition::{HorizontalPartition, PlacementBitmap};
+use gbdt_data::{ColumnStore, FeatureId, InstanceId};
+use gbdt_partition::transform::TransformConfig;
+use gbdt_partition::PlacementBitmap;
 
 /// Trains with QD3 on `cluster.world` workers (shard → transform → train).
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
-    config.validate().expect("invalid training config");
-    let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
-    let transform_cfg = TransformConfig::default();
-    let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = partition.shard(dataset, ctx.rank());
-        let transformed = horizontal_to_vertical(ctx, &shard, partition, &transform_cfg)?;
-        train_worker(ctx, transformed, config)
-    });
-    let mut models = Vec::new();
-    let mut per_worker_trees = Vec::new();
-    for (model, trees) in outputs {
-        models.push(model);
-        per_worker_trees.push(trees);
-    }
-    DistTrainResult {
-        model: models.swap_remove(0),
-        per_tree: crate::common::merge_tree_stats(&per_worker_trees),
-        stats,
-    }
+    vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data, _| {
+        // Column-store of the local feature group, in the configured layout;
+        // the blocked rows are consumed building it.
+        let columns = column_group_store(local_data, config.storage, config.n_bins);
+        let n = columns.n_rows();
+        HybridColumns {
+            columns,
+            inst_to_node: InstanceToNodeIndex::new(n),
+            scratch_left: vec![false; n],
+        }
+    })
 }
 
-fn train_worker(
-    ctx: &mut WorkerCtx,
-    transformed: TransformOutput,
-    config: &TrainConfig,
-) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
-    let TransformOutput { cuts, grouping, local_data, labels, .. } = transformed;
-    let rank = ctx.rank();
-    let q = config.n_bins;
-    let c = config.n_outputs();
-    let n = local_data.n_rows();
-    let p_local = grouping.group_len(rank);
-    let params = SplitParams::from_config(config);
-    let objective = config.objective;
-    let threads = worker_threads(config, ctx.world());
-    let meter = Meter::default();
-    ctx.stats.threads = threads as u64;
+/// Per-feature columns plus the instance-to-node index the linear scans
+/// filter by (the shared node-to-instance index drives the point lookups).
+struct HybridColumns {
+    columns: ColumnStore,
+    inst_to_node: InstanceToNodeIndex,
+    scratch_left: Vec<bool>,
+}
 
-    // Column-store of the local feature group, in the configured layout;
-    // the blocked rows are consumed building it.
-    let columns: ColumnStore = ctx.time(Phase::Transform, || {
-        column_group_store(local_data, config.storage, q)
-    });
-    ctx.stats.data_bytes = (columns.heap_bytes() + labels.len() * 4) as u64;
-
-    let mut model = GbdtModel::new(objective, config.learning_rate, grouping.n_features());
-    let mut scores = vec![0.0f64; n * c];
-    for chunk in scores.chunks_mut(c) {
-        chunk.copy_from_slice(&model.init_scores);
-    }
-    let mut grads = GradBuffer::new(n, c);
-    let mut index = NodeToInstanceIndex::new(n);
-    let mut inst_to_node = InstanceToNodeIndex::new(n);
-    let mut pool = HistogramPool::new(p_local, q, c);
-    ctx.stats.index_bytes = (index.heap_bytes() + inst_to_node.heap_bytes()) as u64;
-
-    let to_global = |f: FeatureId| grouping.global_id(rank, f);
-    let mut scratch_left = vec![false; n];
-
-    let mut tracker = TreeTracker::default();
-    tracker.lap(ctx);
-    let mut per_tree = Vec::with_capacity(config.n_trees);
-
-    let start_tree = restore_tree_checkpoint(ctx, &mut model, &mut scores, &mut per_tree);
-    for t in start_tree..config.n_trees {
-        ctx.time(Phase::Gradients, || objective.compute_gradients(&scores, &labels, &mut grads));
-        let mut tree = Tree::new(config.n_layers, c);
-
-        let mut root_stats = NodeStats::zero(c);
-        ctx.time(Phase::Gradients, || {
-            let mut g = vec![0.0; c];
-            let mut h = vec![0.0; c];
-            grads.sum_instances(index.instances(0), &mut g, &mut h);
-            root_stats.grads.copy_from_slice(&g);
-            root_stats.hesses.copy_from_slice(&h);
-        });
-        let mut frontier = Frontier::root(root_stats, n as u64);
-        let mut leaves: Vec<u32> = Vec::new();
-
-        for layer in 0..config.n_layers {
-            ctx.fault_point(t, layer);
-            if frontier.nodes.is_empty() {
-                break;
-            }
-            if layer + 1 == config.n_layers {
-                for &node in &frontier.nodes {
-                    tree.set_leaf_from_stats(
-                        node,
-                        &frontier.stats[&node],
-                        params.lambda,
-                        config.learning_rate,
-                    );
-                    leaves.push(node);
-                }
-                break;
-            }
-
-            // Histogram construction with the hybrid index plan.
-            ctx.time(Phase::HistogramBuild, || {
-                if layer == 0 {
-                    build_histogram_hybrid(
-                        &mut pool,
-                        0,
-                        &columns,
-                        &grads,
-                        &index,
-                        &inst_to_node,
-                        threads,
-                        &meter,
-                    );
-                } else {
-                    let mut k = 0;
-                    while k < frontier.nodes.len() {
-                        let (l, r) = (frontier.nodes[k], frontier.nodes[k + 1]);
-                        let (build_left, _) =
-                            subtraction_plan(frontier.counts[&l], frontier.counts[&r]);
-                        let (b, s) = if build_left { (l, r) } else { (r, l) };
-                        build_histogram_hybrid(
-                            &mut pool,
-                            b,
-                            &columns,
-                            &grads,
-                            &index,
-                            &inst_to_node,
-                            threads,
-                            &meter,
-                        );
-                        pool.subtract_sibling(tree::parent(l), b, s);
-                        k += 2;
+impl GroupStore for HybridColumns {
+    /// Hybrid per-(node, column) histogram construction: linear column scan
+    /// with instance-to-node filtering vs per-instance binary search,
+    /// whichever the cost model predicts cheaper.
+    fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
+        let (columns, grads) = (&self.columns, &run.grads);
+        let node_count = index.count(node);
+        let hist = pool.acquire(node);
+        let c = hist.n_outputs();
+        // Whole columns fan out across threads: each feature's histogram
+        // region is disjoint and filled in the sequential per-column order,
+        // so the result is bit-identical for every thread count. Both paths
+        // visit the node's present values in ascending instance order
+        // (columns store instances ascending; node instance lists stay
+        // ascending across splits), so the cost-model choice never changes
+        // the accumulated bits — on either storage layout.
+        par_feature_fill(hist, run.threads, &run.meter, |j, slice| {
+            let (cost_linear, cost_binary) = if columns.is_dense() {
+                // Dense: linear scan touches every cell; point lookups are O(1).
+                (columns.n_rows(), node_count)
+            } else {
+                let len = columns.col_nnz(j);
+                let log_len = usize::BITS - len.next_power_of_two().leading_zeros();
+                (len, node_count * log_len as usize)
+            };
+            if cost_linear <= cost_binary {
+                // Linear scan: touch every pair, keep only this node's.
+                columns.for_each_in_col(j, |i, b| {
+                    if self.inst_to_node.node_of(i) == node {
+                        let (g, h) = grads.instance(i as usize);
+                        add_instance_to_feature_slice(slice, c, b, g, h);
                     }
-                }
-            });
-            ctx.stats.histogram_peak_bytes = pool.peak_bytes() as u64;
-
-            let locals: Vec<Option<Split>> = ctx.time(Phase::SplitFind, || {
-                frontier
-                    .nodes
-                    .iter()
-                    .map(|&node| {
-                        if frontier.counts[&node] < config.min_node_instances as u64 {
-                            return None;
-                        }
-                        best_split_parallel(
-                            pool.get(node).expect("histogram live"),
-                            &frontier.stats[&node],
-                            &params,
-                            |f| cuts.n_bins(to_global(f)),
-                            to_global,
-                            threads,
-                        )
-                    })
-                    .collect()
-            });
-            let decisions = exchange_local_bests(ctx, &locals)?;
-
-            let mut next = Frontier::default();
-            for (&node, decision) in frontier.nodes.iter().zip(decisions) {
-                match decision {
-                    Some(split) => {
-                        tree.set_internal_with_gain(
-                            node,
-                            split.feature,
-                            split.bin,
-                            cuts.threshold(split.feature, split.bin),
-                            split.default_left,
-                            split.gain,
-                        );
-                        let owner = grouping.group_of(split.feature);
-                        let payload = if rank == owner {
-                            let bm = ctx.time(Phase::NodeSplit, || {
-                                placement_bitmap_from_columns(
-                                    &columns, &grouping, &index, node, &split,
-                                )
-                            });
-                            bytes::Bytes::from(bm.encode_bytes())
-                        } else {
-                            bytes::Bytes::new()
-                        };
-                        let payload = ctx.comm.broadcast(owner, payload)?;
-                        let bitmap = PlacementBitmap::decode_bytes(&payload)
-                            .expect("owner broadcasts a well-formed bitmap");
-                        let (lc, rc) = ctx.time(Phase::NodeSplit, || {
-                            // Mark instances by id so both indexes can split.
-                            for (k, &inst) in index.instances(node).iter().enumerate() {
-                                scratch_left[inst as usize] = bitmap.goes_left(k);
-                            }
-                            inst_to_node.split(node, |i| scratch_left[i as usize]);
-                            index.split(node, |i| scratch_left[i as usize])
-                        });
-                        Frontier::push_children(&mut next, node, &split, lc as u64, rc as u64);
-                    }
-                    None => {
-                        tree.set_leaf_from_stats(
-                            node,
-                            &frontier.stats[&node],
-                            params.lambda,
-                            config.learning_rate,
-                        );
-                        leaves.push(node);
-                        pool.release(node);
-                    }
-                }
-            }
-            frontier = next;
-        }
-
-        ctx.time(Phase::Predict, || {
-            for &leaf in &leaves {
-                let values = match &tree.node(leaf).expect("leaf set").kind {
-                    tree::NodeKind::Leaf { values } => values.clone(),
-                    _ => unreachable!("leaves vector only holds leaf nodes"),
-                };
-                for &i in index.instances(leaf) {
-                    let base = i as usize * c;
-                    for (k, &v) in values.iter().enumerate() {
-                        scores[base + k] += v;
+                });
+            } else {
+                // Point lookup per node instance — binary search on the sparse
+                // layout (the log(N) access path), O(1) on the dense layout.
+                for &i in index.instances(node) {
+                    if let Some(b) = columns.get(i as usize, j as FeatureId) {
+                        let (g, h) = grads.instance(i as usize);
+                        add_instance_to_feature_slice(slice, c, b, g, h);
                     }
                 }
             }
         });
-
-        pool.release_all();
-        index.reset();
-        inst_to_node.reset();
-        model.trees.push(tree);
-        per_tree.push(tracker.lap(ctx));
-        save_tree_checkpoint(ctx, &model, &scores, &per_tree);
     }
-    ctx.stats.parallel_wall_seconds = meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = meter.busy_seconds();
-    Ok((model, per_tree))
-}
 
-/// Hybrid per-(node, column) histogram construction: linear column scan with
-/// instance-to-node filtering vs per-instance binary search, whichever the
-/// cost model predicts cheaper.
-#[allow(clippy::too_many_arguments)]
-fn build_histogram_hybrid(
-    pool: &mut HistogramPool,
-    node: u32,
-    columns: &ColumnStore,
-    grads: &GradBuffer,
-    index: &NodeToInstanceIndex,
-    inst_to_node: &InstanceToNodeIndex,
-    threads: usize,
-    meter: &Meter,
-) {
-    let node_count = index.count(node);
-    let hist = pool.acquire(node);
-    let c = hist.n_outputs();
-    // Whole columns fan out across threads: each feature's histogram region
-    // is disjoint and filled in the sequential per-column order, so the
-    // result is bit-identical for every thread count. Both paths visit the
-    // node's present values in ascending instance order (columns store
-    // instances ascending; node instance lists stay ascending across
-    // splits), so the cost-model choice never changes the accumulated bits
-    // — on either storage layout.
-    par_feature_fill(hist, threads, meter, |j, slice| {
-        let (cost_linear, cost_binary) = if columns.is_dense() {
-            // Dense: linear scan touches every cell; point lookups are O(1).
-            (columns.n_rows(), node_count)
-        } else {
-            let len = columns.col_nnz(j);
-            let log_len = usize::BITS - len.next_power_of_two().leading_zeros();
-            (len, node_count * log_len as usize)
-        };
-        if cost_linear <= cost_binary {
-            // Linear scan: touch every pair, keep only this node's.
-            columns.for_each_in_col(j, |i, b| {
-                if inst_to_node.node_of(i) == node {
-                    let (g, h) = grads.instance(i as usize);
-                    add_instance_to_feature_slice(slice, c, b, g, h);
-                }
-            });
-        } else {
-            // Point lookup per node instance — binary search on the sparse
-            // layout (the log(N) access path), O(1) on the dense layout.
-            for &i in index.instances(node) {
-                if let Some(b) = columns.get(i as usize, j as FeatureId) {
-                    let (g, h) = grads.instance(i as usize);
-                    add_instance_to_feature_slice(slice, c, b, g, h);
-                }
-            }
-        }
-    });
-}
-
-/// Placement bitmap from column-store: look up the split feature's column
-/// for each of the node's instances (binary search on the sparse layout,
-/// O(1) on the dense layout).
-fn placement_bitmap_from_columns(
-    columns: &ColumnStore,
-    grouping: &gbdt_partition::ColumnGrouping,
-    index: &NodeToInstanceIndex,
-    node: u32,
-    split: &Split,
-) -> PlacementBitmap {
-    let local_feat = grouping.local_id(split.feature);
-    let instances = index.instances(node);
-    let mut bm = PlacementBitmap::new(instances.len());
-    for (k, &inst) in instances.iter().enumerate() {
-        let goes_left = match columns.get(inst as usize, local_feat) {
-            Some(b) => b <= split.bin,
-            None => split.default_left,
-        };
-        if goes_left {
-            bm.set(k);
-        }
+    /// Looks up the split feature's column for each of the node's instances
+    /// (binary search on the sparse layout, O(1) on the dense layout).
+    fn placement(
+        &self,
+        _node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        placement_by(instances, split, |inst| self.columns.get(inst as usize, feature))
     }
-    bm
+
+    fn partition(&mut self, node: u32, instances: &[InstanceId], bitmap: &PlacementBitmap) {
+        mark_left(&mut self.scratch_left, instances, bitmap);
+        let mask = &self.scratch_left;
+        self.inst_to_node.split(node, |i| mask[i as usize]);
+    }
+
+    fn end_tree(&mut self, _ctx: &mut WorkerCtx) {
+        self.inst_to_node.reset();
+    }
+
+    fn data_bytes(&self) -> usize {
+        self.columns.heap_bytes()
+    }
+
+    fn index_bytes(&self) -> usize {
+        self.inst_to_node.heap_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! There is no wire at all, so [`TrainConfig::wire`] is trivially a no-op:
 //! every codec trains the identical ensemble.
 
-use crate::common::{subtraction_plan, worker_threads, Frontier};
+use crate::common::worker_threads;
+use crate::grow::{subtraction_plan, Frontier};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::kernels;
@@ -95,7 +96,7 @@ pub fn train_prebinned(
                     let left = frontier.nodes[k];
                     let right = frontier.nodes[k + 1];
                     debug_assert_eq!(tree::sibling(left), right);
-                    let (build_left, _) =
+                    let build_left =
                         subtraction_plan(frontier.counts[&left], frontier.counts[&right]);
                     let (build, derive) = if build_left { (left, right) } else { (right, left) };
                     build_histogram(&mut pool, build, binned, &grads, &index, threads, config.kernel, &meter);

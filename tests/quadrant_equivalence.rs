@@ -91,6 +91,45 @@ fn agreement_holds_across_worker_counts() {
 }
 
 #[test]
+fn qd4_without_subtraction_grows_the_same_trees_with_more_histograms() {
+    // The ablation shares its "scan every node" schedule with QD1.
+    // Subtraction only re-associates the floats of the derived sibling, so
+    // the same splits must win (same feature, same bin, hence the same
+    // threshold) and predictions agree to rounding; without it both
+    // siblings are live beside their parents' generation, so the histogram
+    // peak cannot be smaller.
+    let ds = dataset(900, 16, 2, 0.5, 1017);
+    let cfg = config(2, 4, 5);
+    let cluster = Cluster::new(3);
+    let transform = gbdt_partition::transform::TransformConfig::default();
+    let with = qd4::train(&cluster, &ds, &cfg);
+    let options = qd4::Qd4Options { use_subtraction: false };
+    let without = qd4::train_with_options(&cluster, &ds, &cfg, &transform, options);
+
+    let splits = |model: &gbdt_core::GbdtModel| -> Vec<Vec<(u32, u32)>> {
+        model
+            .trees
+            .iter()
+            .map(|tree| {
+                let mut out = Vec::new();
+                tree.visit_internal(|feature, threshold, _gain| {
+                    out.push((feature, threshold.to_bits()))
+                });
+                out
+            })
+            .collect()
+    };
+    assert_eq!(splits(&with.model), splits(&without.model), "split features / thresholds differ");
+    assert_same_predictions(&ds, &with.model, &without.model, "qd4 subtraction on-vs-off");
+    assert!(
+        without.stats.max_histogram_bytes() >= with.stats.max_histogram_bytes(),
+        "no-subtraction peak {} < default peak {}",
+        without.stats.max_histogram_bytes(),
+        with.stats.max_histogram_bytes()
+    );
+}
+
+#[test]
 fn feature_parallel_matches_single_node_exactly() {
     // The replica mode computes single-node cuts, so it is exact vs the
     // reference regardless of W.
