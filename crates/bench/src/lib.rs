@@ -2,30 +2,24 @@
 //! evaluation (§5, §6, Appendices A–D).
 //!
 //! One binary per artifact (`fig10`, `fig11`, `table3`, `fig12`, `table5`,
-//! `table6`, `table7`, `table8`) plus Criterion micro-benchmarks of the hot
-//! kernels. Shared machinery lives here:
+//! `table6`, `table7`, `table8`) plus `ablations`. Performance is measured
+//! by the stand-alone `benchmark/` package, not here. Shared machinery:
 //!
 //! * [`args`] — a tiny flag parser (`--scale`, `--workers`, `--trees`, …).
 //! * [`datasets`] — scaled synthetic stand-ins for every paper dataset.
+//! * [`endtoend`] — run machinery shared by Figures 11–12 and Tables 3–4.
 //! * [`systems`] — the system registry mapping paper names to quadrant
 //!   trainers (XGBoost→QD1, LightGBM→QD2/reduce-scatter,
 //!   DimBoost→QD2/parameter-server, Vero→QD4, …).
 //! * [`output`] — aligned human tables + machine-readable JSONL rows under
 //!   `results/`.
-//! * [`gate`] — the shared perf-regression gate behind the `grid`,
-//!   `serve`, and `avail` binaries: machine-relative `*_rel` metrics,
-//!   baseline comparison, and the common run/compare CLI skeleton.
 //!
 //! Absolute numbers will differ from the paper (their 8×4-core cluster vs
 //! one process; real vs modelled links); the *shape* of each comparison is
 //! the reproduction target, recorded in `EXPERIMENTS.md`.
 
 pub mod args;
-pub mod availgrid;
 pub mod datasets;
 pub mod endtoend;
-pub mod gate;
-pub mod grid;
 pub mod output;
-pub mod servegrid;
 pub mod systems;

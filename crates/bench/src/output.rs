@@ -81,101 +81,10 @@ fn render(v: &Value) -> String {
     }
 }
 
-/// Pretty-prints a JSON value: 2-space indentation, one key or element per
-/// line. The serde_json shim's `to_string_pretty` prints compactly, so
-/// everything that lands in a checked-in trajectory file routes through
-/// this printer instead.
-pub fn to_pretty_string(v: &Value) -> String {
-    let mut out = String::new();
-    write_pretty(&mut out, v, 0);
-    out
-}
-
-fn write_pretty(out: &mut String, v: &Value, indent: usize) {
-    match v {
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (k, item) in items.iter().enumerate() {
-                push_indent(out, indent + 1);
-                write_pretty(out, item, indent + 1);
-                if k + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            let n = map.len();
-            for (k, (key, val)) in map.iter().enumerate() {
-                push_indent(out, indent + 1);
-                // Reuse the compact writer's string escaping for the key.
-                out.push_str(&Value::String(key.clone()).to_string());
-                out.push_str(": ");
-                write_pretty(out, val, indent + 1);
-                if k + 1 < n {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push('}');
-        }
-        scalar => out.push_str(&scalar.to_string()),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// Writes a benchmark trajectory file (`BENCH_*.json`): pretty-printed,
-/// newline-terminated JSON — the format every checked-in trajectory uses.
-pub fn write_trajectory(path: &str, report: &Value) -> std::io::Result<()> {
-    let mut text = to_pretty_string(report);
-    text.push('\n');
-    std::fs::write(path, text)
-}
-
-/// Formats bytes as a human-readable string.
-pub fn human_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KB", "MB", "GB", "TB"];
-    let mut v = bytes as f64;
-    let mut unit = 0;
-    while v >= 1024.0 && unit < UNITS.len() - 1 {
-        v /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes}B")
-    } else {
-        format!("{v:.2}{}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::json;
-
-    #[test]
-    fn human_bytes_scales() {
-        assert_eq!(human_bytes(512), "512B");
-        assert_eq!(human_bytes(2048), "2.00KB");
-        assert_eq!(human_bytes(3 * 1024 * 1024), "3.00MB");
-    }
 
     #[test]
     fn render_formats_numbers() {
@@ -183,35 +92,6 @@ mod tests {
         assert_eq!(render(&json!(1.23456)), "1.2346");
         assert_eq!(render(&json!(12345.6)), "12345.6");
         assert_eq!(render(&json!("x")), "x");
-    }
-
-    #[test]
-    fn pretty_round_trips_and_indents() {
-        let v = json!({
-            "name": "demo",
-            "cells": [{"a": 1, "b": "x\"y"}, {"a": 2.5, "b": null}],
-            "empty_list": [],
-            "empty_obj": {},
-            "flag": true,
-        });
-        let text = to_pretty_string(&v);
-        assert_eq!(serde_json::from_str::<Value>(&text).unwrap(), v, "round trip");
-        assert!(text.starts_with("{\n  \"name\": \"demo\""), "got:\n{text}");
-        assert!(text.contains("\n  \"cells\": [\n    {\n      \"a\": 1"), "got:\n{text}");
-        assert!(text.contains("\"empty_list\": []"));
-        assert!(text.ends_with('}') && !text.ends_with('\n'));
-    }
-
-    #[test]
-    fn trajectory_files_are_pretty_and_newline_terminated() {
-        let path = "results/unit-test-trajectory.json";
-        std::fs::create_dir_all("results").unwrap();
-        let v = json!({"k": [1, 2]});
-        write_trajectory(path, &v).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.ends_with("]\n}\n"), "got: {text:?}");
-        assert_eq!(serde_json::from_str::<Value>(&text).unwrap(), v);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

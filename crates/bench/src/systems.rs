@@ -46,11 +46,6 @@ impl System {
         System::LightGbmFeatureParallel,
     ];
 
-    /// Inverse of [`System::name`], for grid-spec parsing.
-    pub fn from_name(name: &str) -> Option<System> {
-        System::ALL.into_iter().find(|s| s.name() == name)
-    }
-
     /// Display name used in tables (paper naming).
     pub fn name(&self) -> &'static str {
         match self {
@@ -121,14 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn from_name_round_trips() {
-        for system in System::ALL {
-            assert_eq!(System::from_name(system.name()), Some(system));
-        }
-        assert_eq!(System::from_name("CatBoost"), None);
-    }
-
-    #[test]
     fn every_system_trains() {
         let ds = SyntheticConfig {
             n_instances: 400,
@@ -140,16 +127,7 @@ mod tests {
         .generate();
         let cfg = TrainConfig::builder().n_trees(2).n_layers(3).build().unwrap();
         let cluster = Cluster::new(2);
-        for system in [
-            System::XgboostLike,
-            System::LightGbmLike,
-            System::DimBoostLike,
-            System::Qd2AllReduce,
-            System::Qd3,
-            System::Vero,
-            System::Yggdrasil,
-            System::LightGbmFeatureParallel,
-        ] {
+        for system in System::ALL {
             let result = system.run(&cluster, &ds, &cfg);
             assert_eq!(result.model.trees.len(), 2, "{}", system.name());
         }

@@ -140,7 +140,7 @@ pub fn encode(codec: WireCodec, buf: &[f64]) -> Bytes {
     }
 }
 
-enum Layout<'a> {
+enum Payload<'a> {
     DenseF64(&'a [u8]),
     DenseF32(&'a [u8]),
     /// `(index, value)` pair bytes; values are f64 or f32 wide.
@@ -150,7 +150,7 @@ enum Layout<'a> {
 
 /// Classifies a payload for a decode target of `n` elements. Panics on a
 /// malformed payload — inside the simulator that is always a protocol bug.
-fn classify(bytes: &Bytes, n: usize) -> Layout<'_> {
+fn classify(bytes: &Bytes, n: usize) -> Payload<'_> {
     if bytes.len() % 2 == 1 {
         let nnz =
             u32::from_le_bytes(bytes[1..SPARSE_HEADER].try_into().expect("4-byte header")) as usize;
@@ -158,19 +158,19 @@ fn classify(bytes: &Bytes, n: usize) -> Layout<'_> {
         return match bytes[0] {
             MARKER_SPARSE_F64 => {
                 assert_eq!(body.len(), 12 * nnz, "sparse f64 payload length mismatch");
-                Layout::SparseF64(body)
+                Payload::SparseF64(body)
             }
             MARKER_SPARSE_F32 => {
                 assert_eq!(body.len(), 8 * nnz, "sparse f32 payload length mismatch");
-                Layout::SparseF32(body)
+                Payload::SparseF32(body)
             }
             m => panic!("unknown sparse wire marker {m:#x}"),
         };
     }
     if bytes.len() == n * 8 {
-        Layout::DenseF64(bytes)
+        Payload::DenseF64(bytes)
     } else if n > 0 && bytes.len() == n * 4 {
-        Layout::DenseF32(bytes)
+        Payload::DenseF32(bytes)
     } else {
         panic!("dense payload of {} bytes cannot decode into {n} f64s", bytes.len());
     }
@@ -197,18 +197,18 @@ fn for_each_sparse_f32(body: &[u8], n: usize, mut f: impl FnMut(usize, f64)) {
 /// dense add because histogram buffers never hold `-0.0`.
 pub fn decode_add(bytes: &Bytes, out: &mut [f64]) {
     match classify(bytes, out.len()) {
-        Layout::DenseF64(body) => {
+        Payload::DenseF64(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
                 *a += f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
             }
         }
-        Layout::DenseF32(body) => {
+        Payload::DenseF32(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
                 *a += f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
             }
         }
-        Layout::SparseF64(body) => for_each_sparse_f64(body, out.len(), |i, v| out[i] += v),
-        Layout::SparseF32(body) => for_each_sparse_f32(body, out.len(), |i, v| out[i] += v),
+        Payload::SparseF64(body) => for_each_sparse_f64(body, out.len(), |i, v| out[i] += v),
+        Payload::SparseF32(body) => for_each_sparse_f32(body, out.len(), |i, v| out[i] += v),
     }
 }
 
@@ -216,21 +216,21 @@ pub fn decode_add(bytes: &Bytes, out: &mut [f64]) {
 /// indices become `0.0`).
 pub fn decode_into(bytes: &Bytes, out: &mut [f64]) {
     match classify(bytes, out.len()) {
-        Layout::DenseF64(body) => {
+        Payload::DenseF64(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
                 *a = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
             }
         }
-        Layout::DenseF32(body) => {
+        Payload::DenseF32(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
                 *a = f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
             }
         }
-        Layout::SparseF64(body) => {
+        Payload::SparseF64(body) => {
             out.fill(0.0);
             for_each_sparse_f64(body, out.len(), |i, v| out[i] = v);
         }
-        Layout::SparseF32(body) => {
+        Payload::SparseF32(body) => {
             out.fill(0.0);
             for_each_sparse_f32(body, out.len(), |i, v| out[i] = v);
         }

@@ -329,11 +329,11 @@ fn dense_rows_c1_simd<T: CellLanes>(
     grads: &GradBuffer,
 ) {
     // Monomorphize the hot shape: stride 40 is `n_bins = 20 × C = 1 × 2`
-    // — the default bin budget, the shape every paper experiment and the
-    // BENCH grids run. With the stride a compile-time constant the
+    // — the default bin budget, the shape every paper experiment and
+    // benchmark workload runs. With the stride a compile-time constant the
     // per-lane feature advance folds into constant address displacements
-    // (no `base += stride` chain, no per-lane `lea`), worth ~15% on the
-    // BENCH_PR4 fill. Every other stride takes the runtime-stride body.
+    // (no `base += stride` chain, no per-lane `lea`), worth ~15% on a
+    // 6000×60 dense u8 fill. Every other stride takes the runtime-stride body.
     match hist.feature_stride() {
         40 => c1_simd_body::<T, 40>(hist, chunk, cells, limit, grads),
         _ => c1_simd_body::<T, 0>(hist, chunk, cells, limit, grads),
@@ -395,7 +395,7 @@ fn c1_simd_body<T: CellLanes, const S: usize>(
 /// last full lane group, bounds upgraded to a hard assert per present
 /// cell. (An overlapped-group tail — reloading the last `LANES` cells and
 /// masking off the already-drained lanes — measured ~60% *slower* than
-/// this plain walk on the BENCH_PR4 shape; the extra live vector wrecks
+/// this plain walk on a 6000×60 dense u8 fill; the extra live vector wrecks
 /// the main loop's register allocation. Don't revisit without measuring.)
 #[inline(always)]
 fn c1_simd_tail<T: Cell>(

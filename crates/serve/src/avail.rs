@@ -16,7 +16,7 @@
 //!
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 
-use crate::exec::{Layout, Strategy};
+use crate::exec::Strategy;
 use crate::replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
 use crate::router::{run_router, RouterConfig, RouterStats};
 use crate::server::{ModelSlot, ServeConfig};
@@ -47,8 +47,6 @@ pub struct AvailConfig {
     pub qps: f64,
     /// Execution strategy every replica runs.
     pub strategy: Strategy,
-    /// Compiled node layout every replica scores through.
-    pub layout: Layout,
     /// Scoring threads per request batch in every replica (1 = serial,
     /// 0 = auto).
     pub score_threads: usize,
@@ -73,7 +71,6 @@ impl Default for AvailConfig {
             batch: 8,
             qps: 0.0,
             strategy: Strategy::PerRow,
-            layout: Layout::Flat,
             score_threads: 1,
             seed: 42,
             router: RouterConfig::default(),
@@ -368,12 +365,8 @@ pub fn run_avail(
     let slots: Vec<ModelSlot> = (0..cfg.n_replicas)
         .map(|_| ModelSlot::new_versioned(first, 1))
         .collect::<Result<_, _>>()?;
-    let executor = ServeConfig {
-        strategy: cfg.strategy,
-        layout: cfg.layout,
-        score_threads: cfg.score_threads,
-    }
-    .executor();
+    let executor =
+        ServeConfig { strategy: cfg.strategy, score_threads: cfg.score_threads }.executor();
     let model_bytes = first.encode_bytes();
     let clock = Clock::new();
 

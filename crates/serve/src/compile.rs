@@ -15,17 +15,11 @@
 //! * Leaf output vectors live in one pooled `leaf_values` array; the
 //!   node's `payload` field is the pool offset.
 //!
-//! Alongside the 16-byte layout, compilation also builds an 8-byte
-//! [`QuantNode`] layout ([`QuantLayout`]) that indirects thresholds
-//! through per-feature tables of the *exact* original `f32` cut values.
-//! Traversal compares `row[feat] <= cuts[cut_base[feat] + slot]` — the
-//! identical `f32` comparison the flat layout performs — so predictions
-//! are bit-identical while node bytes halve, roughly doubling the
-//! ensemble size that stays L2-resident (see DESIGN.md item 14).
+//! This is the only compiled layout: `compile` allocates these arrays and
+//! nothing beside them (`tests/prep_memory.rs` bounds its peak bytes).
 
 use gbdt_core::model::GbdtModel;
 use gbdt_core::tree::{children, NodeKind, Tree};
-use std::collections::HashMap;
 
 /// One flattened tree node: 16 bytes, so a 1024-node tree block is
 /// 16 KiB — half a typical L1d.
@@ -59,72 +53,6 @@ impl FlatNode {
     }
 }
 
-/// One quantized tree node: 8 bytes — half a [`FlatNode`] — so twice the
-/// ensemble fits in the same cache footprint.
-///
-/// The `f32` threshold is replaced by a `u16` slot into the owning
-/// feature's cut table ([`QuantLayout::cuts`]), which stores the *exact*
-/// original `f32` bits, so the traversal comparison is unchanged.
-/// Encoding:
-///
-/// * `feat` — split feature (leaves store 0).
-/// * `slot` — threshold slot within the feature's table. Slot 0 of every
-///   feature's table is a reserved `+∞` sentinel and real cuts start at
-///   slot 1, so `slot == 0` uniquely identifies a leaf (whose `+∞`
-///   threshold also makes it self-loop, exactly like the flat layout).
-/// * `meta` — bit 31 is `default_left` (1 for leaves: missing routes
-///   left into the self-loop); bits 0..31 hold the tree-local left-child
-///   slot for internal nodes, or the leaf-value pool offset for leaves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantNode {
-    /// Split feature id (0 for leaves).
-    pub feat: u16,
-    /// Threshold slot in the feature's cut table; 0 ⇔ leaf.
-    pub slot: u16,
-    /// Bit 31 = default-left; bits 0..31 = left-child slot or payload.
-    pub meta: u32,
-}
-
-/// `meta` bit flagging that missing values route left.
-pub const QUANT_DEFAULT_LEFT_BIT: u32 = 1 << 31;
-/// Mask extracting the left-child slot / leaf payload from `meta`.
-pub const QUANT_LINK_MASK: u32 = !QUANT_DEFAULT_LEFT_BIT;
-
-// The whole point of the layout: 8 bytes per node, enforced at compile
-// time so a refactor can never silently fatten it.
-const _: () = assert!(std::mem::size_of::<QuantNode>() == 8);
-
-/// The quantized companion layout: 8-byte nodes plus per-feature tables
-/// of the exact original cut values.
-///
-/// Built alongside the flat layout whenever the model fits the quantized
-/// index widths (≤ 65536 features, ≤ 65535 distinct cuts per feature,
-/// links within 31 bits); otherwise [`CompiledEnsemble::quant`] is
-/// `None` and quant executors fall back to the flat nodes — harmless,
-/// because both layouts score bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantLayout {
-    /// All trees' nodes, tree-major, same slot order as the flat nodes.
-    pub nodes: Vec<QuantNode>,
-    /// `cuts` offset of each feature's table, plus a trailing total
-    /// (len = `n_features + 1`).
-    pub cut_base: Vec<u32>,
-    /// Concatenated per-feature cut tables. Entry `cut_base[f]` is the
-    /// `+∞` sentinel; entries `cut_base[f] + 1 ..` are the feature's
-    /// distinct thresholds, each the exact `f32` the model trained.
-    pub cuts: Vec<f32>,
-}
-
-impl QuantLayout {
-    /// Resident size of the quantized hot arrays in bytes (nodes plus
-    /// cut tables; leaf values are shared with the flat layout).
-    pub fn hot_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<QuantNode>()
-            + self.cuts.len() * 4
-            + self.cut_base.len() * 4
-    }
-}
-
 /// An ensemble compiled for inference: all trees' flat nodes in one
 /// contiguous array, leaf values pooled, per-tree offsets and fixed step
 /// counts precomputed.
@@ -147,9 +75,6 @@ pub struct CompiledEnsemble {
     pub tree_steps: Vec<u32>,
     /// Pooled leaf output vectors, `n_outputs` values each.
     pub leaf_values: Vec<f64>,
-    /// The 8-byte quantized companion layout, when the model fits its
-    /// index widths (see [`QuantLayout`]).
-    pub quant: Option<QuantLayout>,
 }
 
 impl CompiledEnsemble {
@@ -168,80 +93,6 @@ impl CompiledEnsemble {
     pub fn hot_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<FlatNode>() + self.leaf_values.len() * 8
     }
-
-    /// Approximate resident size when scoring through the quantized
-    /// layout (falls back to the flat footprint when quant is absent).
-    pub fn quant_hot_bytes(&self) -> usize {
-        match &self.quant {
-            Some(q) => q.hot_bytes() + self.leaf_values.len() * 8,
-            None => self.hot_bytes(),
-        }
-    }
-}
-
-/// Builds the quantized companion layout from the freshly compiled flat
-/// nodes, or `None` when the model exceeds the quantized index widths.
-///
-/// Every internal node's threshold is interned into its feature's cut
-/// table by exact bit pattern (first-seen order, so the table is a pure
-/// function of the node array — deterministic). Slot 0 of every table is
-/// reserved for the `+∞` leaf sentinel; that keeps `slot == 0` an
-/// unambiguous leaf test, since interned cuts start at slot 1.
-fn build_quant(nodes: &[FlatNode], tree_off: &[u32], n_features: usize) -> Option<QuantLayout> {
-    if n_features > u16::MAX as usize + 1 {
-        return None;
-    }
-    // A leaf is exactly a self-looping node. Tree-local slots make the
-    // test unambiguous: an internal node's left child is always a later
-    // slot, so `left == own slot` can never hold for one.
-    let is_leaf = |global: usize| {
-        let t = tree_off.partition_point(|&off| off as usize <= global) - 1;
-        nodes[global].left as usize == global - tree_off[t] as usize
-    };
-    // Pass 1: intern each feature's distinct thresholds. `slot_of` maps
-    // (feature, threshold bits) → 1-based slot; only keyed lookups, never
-    // iterated, so hash order cannot reach the layout.
-    let mut per_feat_cuts: Vec<Vec<f32>> = vec![Vec::new(); n_features];
-    let mut slot_of: HashMap<(u16, u32), u16> = HashMap::new();
-    for (g, n) in nodes.iter().enumerate() {
-        if is_leaf(g) {
-            continue; // leaves use the reserved slot-0 sentinel
-        }
-        let feat = n.feature() as u16;
-        let key = (feat, n.threshold.to_bits());
-        if let std::collections::hash_map::Entry::Vacant(e) = slot_of.entry(key) {
-            let table = &mut per_feat_cuts[feat as usize];
-            if table.len() >= u16::MAX as usize {
-                return None; // > 65535 distinct cuts on one feature
-            }
-            table.push(n.threshold);
-            e.insert(table.len() as u16);
-        }
-    }
-    // Pass 2: concatenate the tables (sentinel-first) and translate nodes.
-    let mut cut_base = Vec::with_capacity(n_features + 1);
-    let mut cuts = Vec::new();
-    for table in &per_feat_cuts {
-        cut_base.push(cuts.len() as u32);
-        cuts.push(f32::INFINITY);
-        cuts.extend_from_slice(table);
-    }
-    cut_base.push(cuts.len() as u32);
-    let mut qnodes = Vec::with_capacity(nodes.len());
-    for (g, n) in nodes.iter().enumerate() {
-        let (feat, slot, link) = if is_leaf(g) {
-            (0u16, 0u16, n.payload)
-        } else {
-            let feat = n.feature() as u16;
-            (feat, slot_of[&(feat, n.threshold.to_bits())], n.left)
-        };
-        if link & QUANT_DEFAULT_LEFT_BIT != 0 {
-            return None; // child slot / payload overflows the 31-bit link
-        }
-        let dl = if n.default_left() == 1 { QUANT_DEFAULT_LEFT_BIT } else { 0 };
-        qnodes.push(QuantNode { feat, slot, meta: dl | link });
-    }
-    Some(QuantLayout { nodes: qnodes, cut_base, cuts })
 }
 
 /// Compiles one tree, appending into the ensemble-wide pools.
@@ -336,7 +187,6 @@ pub fn compile(model: &GbdtModel, version: u64) -> Result<CompiledEnsemble, Stri
         return Err("ensemble exceeds u32 node offsets".into());
     }
     tree_off.push(nodes.len() as u32);
-    let quant = build_quant(&nodes, &tree_off, n_features);
     Ok(CompiledEnsemble {
         version,
         n_features,
@@ -346,7 +196,6 @@ pub fn compile(model: &GbdtModel, version: u64) -> Result<CompiledEnsemble, Stri
         tree_off,
         tree_steps,
         leaf_values,
-        quant,
     })
 }
 
@@ -409,66 +258,6 @@ mod tests {
         t.set_leaf(2, vec![2.0]);
         wide.trees.push(t);
         assert!(compile(&wide, 0).unwrap_err().contains("out of range"));
-    }
-
-    #[test]
-    fn quant_layout_mirrors_flat_with_exact_cuts() {
-        let c = compile(&two_layer_model(), 7).unwrap();
-        let q = c.quant.as_ref().expect("small model quantizes");
-        assert_eq!(q.nodes.len(), c.nodes.len());
-        assert_eq!(std::mem::size_of::<QuantNode>(), 8);
-        // Feature tables: 3 features, each sentinel + its distinct cuts.
-        // Feature 0 has cut -1.0, feature 2 has cut 0.5, feature 1 none.
-        assert_eq!(q.cut_base, vec![0, 2, 3, 5]);
-        assert_eq!(q.cuts[0], f32::INFINITY);
-        assert_eq!(q.cuts[1].to_bits(), (-1.0f32).to_bits());
-        assert_eq!(q.cuts[2], f32::INFINITY);
-        assert_eq!(q.cuts[3], f32::INFINITY);
-        assert_eq!(q.cuts[4].to_bits(), 0.5f32.to_bits());
-        // Every node's threshold round-trips exactly through its table,
-        // and links/default-left match the flat encoding bit for bit.
-        for (g, (f, qn)) in c.nodes.iter().zip(&q.nodes).enumerate() {
-            let thr = q.cuts[(q.cut_base[qn.feat as usize] + qn.slot as u32) as usize];
-            assert_eq!(thr.to_bits(), f.threshold.to_bits(), "node {g}");
-            assert_eq!(qn.meta >> 31, f.default_left(), "node {g}");
-            if qn.slot == 0 {
-                assert_eq!(qn.meta & QUANT_LINK_MASK, f.payload, "leaf {g}");
-                assert_eq!(f.left as usize, g, "slot-0 node {g} must be a self-loop leaf");
-            } else {
-                assert_eq!(qn.meta & QUANT_LINK_MASK, f.left, "internal {g}");
-            }
-        }
-        // Half the node bytes, plus small cut tables.
-        assert!(q.hot_bytes() < c.nodes.len() * std::mem::size_of::<FlatNode>());
-        assert!(c.quant_hot_bytes() < c.hot_bytes());
-    }
-
-    #[test]
-    fn quant_interning_dedups_shared_cuts_across_trees() {
-        let mut m = two_layer_model();
-        let dup = m.trees[0].clone();
-        m.trees.push(dup); // identical cuts — tables must not grow
-        let c = compile(&m, 0).unwrap();
-        let q = c.quant.unwrap();
-        assert_eq!(q.cut_base, vec![0, 2, 3, 5]);
-        assert_eq!(q.nodes.len(), 10);
-    }
-
-    #[test]
-    fn quant_overflows_fall_back_to_none() {
-        // 70 000 stump trees, each with a distinct threshold on feature 0:
-        // exceeds the 65 535 cuts-per-feature budget of the u16 slot.
-        let mut m = GbdtModel::new(Objective::SquaredError, 0.1, 1);
-        for k in 0..70_000u32 {
-            let mut t = Tree::new(2, 1);
-            t.set_internal(0, 0, 0, 1e-3 * k as f32, true);
-            t.set_leaf(1, vec![1.0]);
-            t.set_leaf(2, vec![-1.0]);
-            m.trees.push(t);
-        }
-        let c = compile(&m, 0).unwrap();
-        assert!(c.quant.is_none(), "cut overflow must disable quant, not corrupt it");
-        assert_eq!(c.quant_hot_bytes(), c.hot_bytes());
     }
 
     #[test]

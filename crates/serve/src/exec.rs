@@ -21,110 +21,37 @@
 //! means *missing* and routes by the split's default direction, matching
 //! the sparse predictor's semantics (see [`nan_dense_rows`]).
 //!
-//! Each strategy also exists over the 8-byte quantized node layout
-//! ([`QuantPerRow`], [`QuantBlocked`], selected via [`Layout`]): the
-//! traversal loops are monomorphized over a [`NodeView`], so the flat
-//! and quantized walkers are the *same code* over different node
-//! decodings — and since the quantized tables hold the exact original
-//! `f32` cuts, both layouts are bit-identical by construction.
-//!
 //! [`GbdtModel::predict_row_into`]: gbdt_core::model::GbdtModel::predict_row_into
 
-use crate::compile::{
-    CompiledEnsemble, FlatNode, QuantNode, QUANT_DEFAULT_LEFT_BIT, QUANT_LINK_MASK,
-};
+use crate::compile::{CompiledEnsemble, FlatNode};
 use gbdt_data::dataset::Dataset;
-use std::str::FromStr;
 
-/// A borrowed node array the traversal loops monomorphize over: one
-/// branchless step plus leaf-payload decoding.
-trait NodeView: Copy {
-    /// One traversal step: returns the next tree-local slot.
-    fn step(&self, base: u32, idx: u32, row: &[f32]) -> u32;
-    /// Leaf-value pool offset of the (leaf) node at `base + idx`.
-    fn payload(&self, base: u32, idx: u32) -> usize;
-}
-
-/// The 16-byte [`FlatNode`] array.
-#[derive(Clone, Copy)]
-struct FlatView<'a> {
-    nodes: &'a [FlatNode],
-}
-
-impl NodeView for FlatView<'_> {
-    /// `go_left = (v <= t) | (isnan(v) & default_left)`; the taken child
-    /// is `left + (1 − go_left)` because siblings are adjacent. Leaves
-    /// encode `threshold = +∞`, `default_left = 1`, `left = self`, so
-    /// they always "go left" into themselves.
-    #[inline(always)]
-    fn step(&self, base: u32, idx: u32, row: &[f32]) -> u32 {
-        let n = self.nodes[(base + idx) as usize];
-        let v = row[n.feature() as usize];
-        let go_left = u32::from(v <= n.threshold) | (u32::from(v.is_nan()) & n.default_left());
-        n.left + 1 - go_left
-    }
-
-    #[inline(always)]
-    fn payload(&self, base: u32, idx: u32) -> usize {
-        self.nodes[(base + idx) as usize].payload as usize
-    }
-}
-
-/// The 8-byte [`QuantNode`] array plus its per-feature cut tables.
-#[derive(Clone, Copy)]
-struct QuantView<'a> {
-    nodes: &'a [QuantNode],
-    cut_base: &'a [u32],
-    cuts: &'a [f32],
-}
-
-impl NodeView for QuantView<'_> {
-    /// Identical comparison to the flat step — `cuts[..]` holds the
-    /// exact original `f32` — with one extra branchless select: leaves
-    /// (`slot == 0`, threshold reads as the `+∞` sentinel) self-loop by
-    /// keeping `idx` instead of following the link, because their `meta`
-    /// link bits hold the payload, not a child slot.
-    #[inline(always)]
-    fn step(&self, base: u32, idx: u32, row: &[f32]) -> u32 {
-        let n = self.nodes[(base + idx) as usize];
-        let f = n.feat as usize;
-        let v = row[f];
-        let t = self.cuts[(self.cut_base[f] + n.slot as u32) as usize];
-        let dl = u32::from(n.meta & QUANT_DEFAULT_LEFT_BIT != 0);
-        let go_left = u32::from(v <= t) | (u32::from(v.is_nan()) & dl);
-        let leaf = u32::from(n.slot == 0);
-        leaf * idx + (1 - leaf) * ((n.meta & QUANT_LINK_MASK) + 1 - go_left)
-    }
-
-    #[inline(always)]
-    fn payload(&self, base: u32, idx: u32) -> usize {
-        (self.nodes[(base + idx) as usize].meta & QUANT_LINK_MASK) as usize
-    }
+/// One traversal step: returns the next tree-local slot.
+///
+/// `go_left = (v <= t) | (isnan(v) & default_left)`; the taken child is
+/// `left + (1 − go_left)` because siblings are adjacent. Leaves encode
+/// `threshold = +∞`, `default_left = 1`, `left = self`, so they always
+/// "go left" into themselves.
+#[inline(always)]
+fn step(nodes: &[FlatNode], base: u32, idx: u32, row: &[f32]) -> u32 {
+    let n = nodes[(base + idx) as usize];
+    let v = row[n.feature() as usize];
+    let go_left = u32::from(v <= n.threshold) | (u32::from(v.is_nan()) & n.default_left());
+    n.left + 1 - go_left
 }
 
 /// Adds tree `t`'s reached-leaf outputs for `row` into `out`.
 #[inline(always)]
-fn accumulate_leaf<V: NodeView>(
-    ens: &CompiledEnsemble,
-    view: V,
-    t: usize,
-    idx: u32,
-    out: &mut [f64],
-) {
-    let p = view.payload(ens.tree_off[t], idx);
+fn accumulate_leaf(ens: &CompiledEnsemble, nodes: &[FlatNode], t: usize, idx: u32, out: &mut [f64]) {
+    let p = nodes[(ens.tree_off[t] + idx) as usize].payload as usize;
     for (o, v) in out.iter_mut().zip(&ens.leaf_values[p..p + ens.n_outputs]) {
         *o += v;
     }
 }
 
-#[inline]
-fn flat_view(ens: &CompiledEnsemble) -> FlatView<'_> {
-    FlatView { nodes: &ens.nodes }
-}
-
 /// A batch-scoring strategy over a compiled ensemble.
 pub trait ExecStrategy {
-    /// Short name used in grids and reports.
+    /// Short name used in reports and test messages.
     fn label(&self) -> String;
 
     /// Scores `rows` (row-major, `rows.len() / ens.n_features` rows of
@@ -163,10 +90,10 @@ pub struct PerRow;
 /// fetches, few enough that all lanes' paths stay cache-resident.
 const LANES: usize = 4;
 
-/// The per-row traversal, monomorphized over the node layout.
-fn per_row_prefix<V: NodeView>(
+/// The per-row traversal.
+fn per_row_prefix(
     ens: &CompiledEnsemble,
-    view: V,
+    nodes: &[FlatNode],
     rows: &[f32],
     max_trees: usize,
     out: &mut [f64],
@@ -186,12 +113,12 @@ fn per_row_prefix<V: NodeView>(
             let steps = ens.tree_steps[t..t + lanes].iter().copied().max().unwrap_or(0);
             for _ in 0..steps {
                 for (l, slot) in idx.iter_mut().enumerate().take(lanes) {
-                    *slot = view.step(ens.tree_off[t + l], *slot, row);
+                    *slot = step(nodes, ens.tree_off[t + l], *slot, row);
                 }
             }
             // Leaf sums applied in ascending tree order (bit-identity).
             for (l, slot) in idx.iter().enumerate().take(lanes) {
-                accumulate_leaf(ens, view, t + l, *slot, o);
+                accumulate_leaf(ens, nodes, t + l, *slot, o);
             }
             t += lanes;
         }
@@ -210,38 +137,7 @@ impl ExecStrategy for PerRow {
         max_trees: usize,
         out: &mut [f64],
     ) {
-        per_row_prefix(ens, flat_view(ens), rows, max_trees, out);
-    }
-}
-
-/// [`PerRow`] over the 8-byte quantized nodes (falls back to the flat
-/// nodes when [`CompiledEnsemble::quant`] is absent — same bits, larger
-/// footprint).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantPerRow;
-
-impl ExecStrategy for QuantPerRow {
-    fn label(&self) -> String {
-        "per-row@quant".into()
-    }
-
-    fn predict_prefix_into(
-        &self,
-        ens: &CompiledEnsemble,
-        rows: &[f32],
-        max_trees: usize,
-        out: &mut [f64],
-    ) {
-        match &ens.quant {
-            Some(q) => per_row_prefix(
-                ens,
-                QuantView { nodes: &q.nodes, cut_base: &q.cut_base, cuts: &q.cuts },
-                rows,
-                max_trees,
-                out,
-            ),
-            None => per_row_prefix(ens, flat_view(ens), rows, max_trees, out),
-        }
+        per_row_prefix(ens, &ens.nodes, rows, max_trees, out);
     }
 }
 
@@ -261,46 +157,36 @@ const ROW_TILE: usize = 64;
 /// leaving room for the row tile.
 const BLOCK_NODE_BUDGET: u32 = 1024;
 
-/// Auto block budget over 8-byte quantized nodes: the same 16 KiB of
-/// L1d holds twice the trees per block.
-const QUANT_BLOCK_NODE_BUDGET: u32 = 2048;
-
-/// Greedy block boundaries: consecutive trees packed until the node
-/// budget (or fixed tree count) is reached. Every tree lands in exactly
-/// one block, in ascending order.
-fn tree_blocks(
-    ens: &CompiledEnsemble,
-    trees_per_block: usize,
-    node_budget: u32,
-) -> Vec<(usize, usize)> {
-    let n_trees = ens.n_trees();
-    let mut blocks = Vec::new();
-    let mut start = 0usize;
-    while start < n_trees {
-        let mut end = start + 1;
-        if trees_per_block > 0 {
-            end = (start + trees_per_block).min(n_trees);
-        } else {
-            while end < n_trees && ens.tree_off[end + 1] - ens.tree_off[start] <= node_budget {
-                end += 1;
-            }
-        }
-        blocks.push((start, end));
-        start = end;
-    }
-    blocks
-}
-
 impl Blocked {
+    /// Greedy block boundaries: consecutive trees packed until the node
+    /// budget (or fixed tree count) is reached. Every tree lands in exactly
+    /// one block, in ascending order.
     fn blocks(&self, ens: &CompiledEnsemble) -> Vec<(usize, usize)> {
-        tree_blocks(ens, self.trees_per_block, BLOCK_NODE_BUDGET)
+        let n_trees = ens.n_trees();
+        let mut blocks = Vec::new();
+        let mut start = 0usize;
+        while start < n_trees {
+            let mut end = start + 1;
+            if self.trees_per_block > 0 {
+                end = (start + self.trees_per_block).min(n_trees);
+            } else {
+                while end < n_trees
+                    && ens.tree_off[end + 1] - ens.tree_off[start] <= BLOCK_NODE_BUDGET
+                {
+                    end += 1;
+                }
+            }
+            blocks.push((start, end));
+            start = end;
+        }
+        blocks
     }
 }
 
-/// The blocked traversal, monomorphized over the node layout.
-fn blocked_prefix<V: NodeView>(
+/// The blocked traversal.
+fn blocked_prefix(
     ens: &CompiledEnsemble,
-    view: V,
+    nodes: &[FlatNode],
     blocks: &[(usize, usize)],
     rows: &[f32],
     max_trees: usize,
@@ -327,9 +213,9 @@ fn blocked_prefix<V: NodeView>(
                 for t in bs..be.min(limit) {
                     let mut idx = 0u32;
                     for _ in 0..ens.tree_steps[t] {
-                        idx = view.step(ens.tree_off[t], idx, row);
+                        idx = step(nodes, ens.tree_off[t], idx, row);
                     }
-                    accumulate_leaf(ens, view, t, idx, o);
+                    accumulate_leaf(ens, nodes, t, idx, o);
                 }
             }
         }
@@ -352,49 +238,11 @@ impl ExecStrategy for Blocked {
         max_trees: usize,
         out: &mut [f64],
     ) {
-        blocked_prefix(ens, flat_view(ens), &self.blocks(ens), rows, max_trees, out);
+        blocked_prefix(ens, &ens.nodes, &self.blocks(ens), rows, max_trees, out);
     }
 }
 
-/// [`Blocked`] over the 8-byte quantized nodes; auto blocks pack twice
-/// the trees into the same L1 budget (falls back to flat when
-/// [`CompiledEnsemble::quant`] is absent).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantBlocked {
-    /// Trees per block; `0` sizes blocks by the quantized node budget.
-    pub trees_per_block: usize,
-}
-
-impl ExecStrategy for QuantBlocked {
-    fn label(&self) -> String {
-        match self.trees_per_block {
-            0 => "blocked@quant".into(),
-            n => format!("blocked:{n}@quant"),
-        }
-    }
-
-    fn predict_prefix_into(
-        &self,
-        ens: &CompiledEnsemble,
-        rows: &[f32],
-        max_trees: usize,
-        out: &mut [f64],
-    ) {
-        match &ens.quant {
-            Some(q) => {
-                let blocks = tree_blocks(ens, self.trees_per_block, QUANT_BLOCK_NODE_BUDGET);
-                let view = QuantView { nodes: &q.nodes, cut_base: &q.cut_base, cuts: &q.cuts };
-                blocked_prefix(ens, view, &blocks, rows, max_trees, out);
-            }
-            None => {
-                let blocks = tree_blocks(ens, self.trees_per_block, BLOCK_NODE_BUDGET);
-                blocked_prefix(ens, flat_view(ens), &blocks, rows, max_trees, out);
-            }
-        }
-    }
-}
-
-/// A CLI-selectable strategy (grids, the serve bench, CI smokes).
+/// A configurable strategy ([`crate::server::ServeConfig`], the benchmark).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// [`PerRow`].
@@ -403,79 +251,12 @@ pub enum Strategy {
     Blocked(usize),
 }
 
-/// A CLI-selectable compiled-node layout (orthogonal to [`Strategy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// 16-byte [`FlatNode`]s — the default.
-    #[default]
-    Flat,
-    /// 8-byte [`QuantNode`]s with per-feature exact-cut tables; scoring
-    /// is bit-identical to flat, the working set roughly halves.
-    Quant,
-}
-
-impl Layout {
-    /// Grid/report label (round-trips through [`FromStr`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Layout::Flat => "flat",
-            Layout::Quant => "quant",
-        }
-    }
-}
-
-impl FromStr for Layout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "flat" => Ok(Layout::Flat),
-            "quant" => Ok(Layout::Quant),
-            _ => Err(format!("unknown layout {s:?} (expected flat or quant)")),
-        }
-    }
-}
-
 impl Strategy {
-    /// The executor this name selects, over the flat layout.
+    /// The executor this name selects.
     pub fn executor(&self) -> Box<dyn ExecStrategy + Send + Sync> {
-        self.executor_for(Layout::Flat)
-    }
-
-    /// The executor for this strategy over the given node layout.
-    pub fn executor_for(&self, layout: Layout) -> Box<dyn ExecStrategy + Send + Sync> {
-        match (*self, layout) {
-            (Strategy::PerRow, Layout::Flat) => Box::new(PerRow),
-            (Strategy::PerRow, Layout::Quant) => Box::new(QuantPerRow),
-            (Strategy::Blocked(n), Layout::Flat) => Box::new(Blocked { trees_per_block: n }),
-            (Strategy::Blocked(n), Layout::Quant) => {
-                Box::new(QuantBlocked { trees_per_block: n })
-            }
-        }
-    }
-
-    /// Grid/report label (round-trips through [`FromStr`]).
-    pub fn label(&self) -> String {
-        self.executor().label()
-    }
-}
-
-impl FromStr for Strategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "per-row" => Ok(Strategy::PerRow),
-            "blocked" => Ok(Strategy::Blocked(0)),
-            _ => match s.strip_prefix("blocked:") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map(Strategy::Blocked)
-                    .map_err(|e| format!("bad trees_per_block in {s:?}: {e}")),
-                None => Err(format!(
-                    "unknown strategy {s:?} (expected per-row, blocked, or blocked:N)"
-                )),
-            },
+        match *self {
+            Strategy::PerRow => Box::new(PerRow),
+            Strategy::Blocked(n) => Box::new(Blocked { trees_per_block: n }),
         }
     }
 }
@@ -611,20 +392,11 @@ mod tests {
                 Strategy::Blocked(1),
                 Strategy::Blocked(5),
             ] {
-                for layout in [Layout::Flat, Layout::Quant] {
-                    let exec = strategy.executor_for(layout);
-                    let mut got = vec![0.0f64; expect.len()];
-                    exec.predict_into(&ens, &rows, &mut got);
-                    let same = expect
-                        .iter()
-                        .zip(&got)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        same,
-                        "{} diverged (seed {seed}, T {n_trees}, C {c})",
-                        exec.label()
-                    );
-                }
+                let exec = strategy.executor();
+                let mut got = vec![0.0f64; expect.len()];
+                exec.predict_into(&ens, &rows, &mut got);
+                let same = expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{} diverged (seed {seed}, T {n_trees}, C {c})", exec.label());
             }
         }
     }
@@ -642,14 +414,11 @@ mod tests {
                 truncated.trees.truncate(k);
                 let expect = reference(&truncated, &rows, n_features);
                 for strategy in [Strategy::PerRow, Strategy::Blocked(0), Strategy::Blocked(4)] {
-                    for layout in [Layout::Flat, Layout::Quant] {
-                        let exec = strategy.executor_for(layout);
-                        let mut got = vec![0.0f64; expect.len()];
-                        exec.predict_prefix_into(&ens, &rows, k, &mut got);
-                        let same =
-                            expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "{} prefix k={k} diverged (seed {seed})", exec.label());
-                    }
+                    let exec = strategy.executor();
+                    let mut got = vec![0.0f64; expect.len()];
+                    exec.predict_prefix_into(&ens, &rows, k, &mut got);
+                    let same = expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{} prefix k={k} diverged (seed {seed})", exec.label());
                 }
             }
         }
@@ -667,53 +436,6 @@ mod tests {
         let mut out = vec![9.0f64; 3];
         Blocked::default().predict_into(&ens, &rows, &mut out);
         assert_eq!(out, vec![0.0; 3]); // init scores only
-    }
-
-    #[test]
-    fn strategy_labels_round_trip() {
-        for s in ["per-row", "blocked", "blocked:16"] {
-            let parsed: Strategy = s.parse().unwrap();
-            assert_eq!(parsed.label(), s);
-        }
-        assert!("walk".parse::<Strategy>().is_err());
-        assert!("blocked:x".parse::<Strategy>().is_err());
-        for l in ["flat", "quant"] {
-            let parsed: Layout = l.parse().unwrap();
-            assert_eq!(parsed.label(), l);
-        }
-        assert!("packed".parse::<Layout>().is_err());
-        assert_eq!(Strategy::PerRow.executor_for(Layout::Quant).label(), "per-row@quant");
-        assert_eq!(Strategy::Blocked(7).executor_for(Layout::Quant).label(), "blocked:7@quant");
-    }
-
-    #[test]
-    fn quant_executors_fall_back_to_flat_when_quant_absent() {
-        let model = random_model(21, 9, 6, 1);
-        let mut ens = compile(&model, 0).unwrap();
-        let rows = random_rows(0xfeed, 41, 6);
-        let expect = reference(&model, &rows, 6);
-        ens.quant = None; // simulate a model exceeding the quant widths
-        for strategy in [Strategy::PerRow, Strategy::Blocked(0)] {
-            let exec = strategy.executor_for(Layout::Quant);
-            let mut got = vec![0.0f64; expect.len()];
-            exec.predict_into(&ens, &rows, &mut got);
-            let same = expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{} fallback diverged", exec.label());
-        }
-    }
-
-    #[test]
-    fn quant_blocks_pack_twice_the_trees() {
-        let model = random_model(9, 200, 6, 1);
-        let ens = compile(&model, 0).unwrap();
-        let flat_blocks = Blocked::default().blocks(&ens);
-        let quant_blocks = tree_blocks(&ens, 0, QUANT_BLOCK_NODE_BUDGET);
-        assert!(
-            quant_blocks.len() < flat_blocks.len(),
-            "same L1 bytes must hold more quantized trees: {} vs {}",
-            quant_blocks.len(),
-            flat_blocks.len()
-        );
     }
 
     #[test]

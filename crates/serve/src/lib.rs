@@ -16,12 +16,7 @@
 //!   ([`exec::PerRow`]) and blocked batch evaluation ([`exec::Blocked`])
 //!   that streams row tiles through L1-resident tree blocks — the
 //!   database-style strategy whose win/loss crossover against per-row
-//!   moves with batch size and tree count. Each strategy also runs over
-//!   a second, 8-byte *quantized* node layout ([`compile::QuantNode`],
-//!   selected by [`exec::Layout`]) that indirects thresholds through
-//!   per-feature tables of the exact original `f32` cuts — half the
-//!   node bytes, bit-identical scores, so ensembles roughly twice as
-//!   large stay L2-resident.
+//!   moves with batch size and tree count.
 //! * [`pool`] parallelizes batch scoring inside a rank: a deterministic
 //!   scoped thread pool splits a request into fixed 64-row chunks with
 //!   disjoint output slices (`score_threads` knob in
@@ -67,8 +62,8 @@ pub mod traffic;
 pub mod wire;
 
 pub use avail::{run_avail, AvailConfig};
-pub use compile::{CompiledEnsemble, QuantLayout, QuantNode};
-pub use exec::{Blocked, ExecStrategy, Layout, PerRow, QuantBlocked, QuantPerRow, Strategy};
+pub use compile::CompiledEnsemble;
+pub use exec::{Blocked, ExecStrategy, PerRow, Strategy};
 pub use replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
 pub use router::{run_router, RouterConfig, RouterStats};
 pub use server::{serve, ModelSlot, ServeConfig, ServerStats};

@@ -110,7 +110,7 @@ impl ExecStrategy for Parallel {
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::exec::{Layout, Strategy};
+    use crate::exec::Strategy;
     use gbdt_core::model::GbdtModel;
     use gbdt_core::tree::Tree;
     use gbdt_core::Objective;
@@ -157,17 +157,14 @@ mod tests {
         // 3 full chunks + a ragged tail, so boundaries are exercised.
         let rows = rows(0xDECADE, 3 * SCORE_CHUNK + 17, n_features);
         for strategy in [Strategy::PerRow, Strategy::Blocked(0)] {
-            for layout in [Layout::Flat, Layout::Quant] {
-                let mut expect = vec![0.0f64; rows.len() / n_features];
-                strategy.executor_for(layout).predict_into(&ens, &rows, &mut expect);
-                for threads in [0usize, 1, 2, 3, 8, 32] {
-                    let exec = parallel(strategy.executor_for(layout), threads);
-                    let mut got = vec![0.0f64; expect.len()];
-                    exec.predict_into(&ens, &rows, &mut got);
-                    let same =
-                        expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{} threads={threads} diverged", exec.label());
-                }
+            let mut expect = vec![0.0f64; rows.len() / n_features];
+            strategy.executor().predict_into(&ens, &rows, &mut expect);
+            for threads in [0usize, 1, 2, 3, 8, 32] {
+                let exec = parallel(strategy.executor(), threads);
+                let mut got = vec![0.0f64; expect.len()];
+                exec.predict_into(&ens, &rows, &mut got);
+                let same = expect.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{} threads={threads} diverged", exec.label());
             }
         }
     }

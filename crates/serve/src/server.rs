@@ -13,7 +13,7 @@
 //! [`GbdtModel::encode_bytes`]: gbdt_core::model::GbdtModel::encode_bytes
 
 use crate::compile::{compile, CompiledEnsemble};
-use crate::exec::{ExecStrategy, Layout, Strategy};
+use crate::exec::{ExecStrategy, Strategy};
 use crate::pool;
 use crate::wire::{PredictRequest, PredictResponse, PublishAck, ReplyStatus};
 use bytes::Bytes;
@@ -98,18 +98,15 @@ impl ModelSlot {
     }
 }
 
-/// How a serving rank scores: strategy × node layout × thread budget.
+/// How a serving rank scores: strategy × thread budget.
 ///
 /// This is the one knob bundle every serving entry point (the
 /// single-rank [`serve`] loop, replicas, the traffic and availability
-/// harnesses, `--score-threads` on the bench binaries) constructs its
-/// executor from, via [`ServeConfig::executor`].
+/// harnesses) constructs its executor from, via [`ServeConfig::executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Batch execution strategy.
     pub strategy: Strategy,
-    /// Compiled node layout (flat 16-byte or quantized 8-byte).
-    pub layout: Layout,
     /// Scoring threads per request batch: 1 = serial (the default),
     /// 0 = one per available core, N = exactly N scoped workers.
     pub score_threads: usize,
@@ -117,22 +114,22 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { strategy: Strategy::PerRow, layout: Layout::Flat, score_threads: 1 }
+        ServeConfig { strategy: Strategy::PerRow, score_threads: 1 }
     }
 }
 
 impl ServeConfig {
-    /// A serial flat-layout config for `strategy` (the pre-parallel
-    /// behavior — what `Strategy::executor()` alone used to provide).
+    /// A serial config for `strategy` (the pre-parallel behavior — what
+    /// `Strategy::executor()` alone provides).
     pub fn serial(strategy: Strategy) -> Self {
         ServeConfig { strategy, ..ServeConfig::default() }
     }
 
-    /// Builds the executor this config describes: the strategy over the
-    /// chosen layout, wrapped for parallel chunk scoring when
-    /// `score_threads` resolves past 1 (see [`crate::pool`]).
+    /// Builds the executor this config describes: the strategy, wrapped
+    /// for parallel chunk scoring when `score_threads` resolves past 1
+    /// (see [`crate::pool`]).
     pub fn executor(&self) -> Box<dyn ExecStrategy + Send + Sync> {
-        pool::parallel(self.strategy.executor_for(self.layout), self.score_threads)
+        pool::parallel(self.strategy.executor(), self.score_threads)
     }
 }
 
@@ -321,8 +318,8 @@ mod tests {
 
     #[test]
     fn serve_config_parallel_session_is_bit_identical() {
-        // A large batch through a live session with score_threads=4 over
-        // the quantized layout must produce exactly the serial flat bits.
+        // A large batch through a live session with score_threads=4 must
+        // produce exactly the serial bits.
         let model = stump_model(1.5, -2.5);
         let slot = ModelSlot::new(&model).unwrap();
         let n_rows = 200usize;
@@ -330,13 +327,9 @@ mod tests {
         let req = PredictRequest { req_id: 1, n_features: 2, max_trees: 0, rows };
         let serial = score_request(&slot.load(), &PerRow, &req);
 
-        let cfg = ServeConfig {
-            strategy: Strategy::Blocked(0),
-            layout: Layout::Quant,
-            score_threads: 4,
-        };
+        let cfg = ServeConfig { strategy: Strategy::Blocked(0), score_threads: 4 };
         let executor = cfg.executor();
-        assert_eq!(executor.label(), "blocked@quant+t4");
+        assert_eq!(executor.label(), "blocked+t4");
 
         let mesh = Comm::mesh(2, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
         let mut mesh = mesh.into_iter();
@@ -355,7 +348,7 @@ mod tests {
                 .iter()
                 .zip(&resp.scores)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "parallel quant session diverged from serial flat scoring");
+            assert!(same, "parallel session diverged from serial scoring");
             client_comm.send(0, SERVE_STOP_TAG, Bytes::new()).unwrap();
             let stats = server.join().unwrap();
             assert_eq!(stats.rows, n_rows as u64);

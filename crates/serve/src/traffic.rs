@@ -13,7 +13,7 @@
 //! any response that does not bit-match its stamped version's expectation
 //! fails the run — the property that proves hot-swaps are never torn.
 
-use crate::exec::{Layout, Strategy};
+use crate::exec::Strategy;
 use crate::server::{serve, ModelSlot, ServeConfig};
 use crate::stats::{Clock, ServeRun};
 use crate::wire::{PredictRequest, PredictResponse, PublishAck};
@@ -38,8 +38,6 @@ pub struct TrafficConfig {
     pub qps: f64,
     /// Execution strategy the server runs.
     pub strategy: Strategy,
-    /// Compiled node layout the server scores through.
-    pub layout: Layout,
     /// Scoring threads per request batch (1 = serial, 0 = auto).
     pub score_threads: usize,
     /// Seed for the synthetic feature rows.
@@ -54,7 +52,6 @@ impl Default for TrafficConfig {
             batch: 16,
             qps: 0.0,
             strategy: Strategy::Blocked(0),
-            layout: Layout::Flat,
             score_threads: 1,
             seed: 42,
         }
@@ -273,12 +270,8 @@ pub fn run_traffic(models: &[GbdtModel], cfg: &TrafficConfig) -> Result<ServeRun
         .collect();
 
     let slot = ModelSlot::new(first)?;
-    let executor = ServeConfig {
-        strategy: cfg.strategy,
-        layout: cfg.layout,
-        score_threads: cfg.score_threads,
-    }
-    .executor();
+    let executor =
+        ServeConfig { strategy: cfg.strategy, score_threads: cfg.score_threads }.executor();
     let mesh = Comm::mesh(
         cfg.n_clients + 1,
         NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 },
@@ -349,10 +342,9 @@ pub fn run_traffic(models: &[GbdtModel], cfg: &TrafficConfig) -> Result<ServeRun
     if server_stats.malformed > 0 {
         return Err(format!("server saw {} malformed frames", server_stats.malformed));
     }
-    // The executor label, not `cfg.strategy.label()`: it names the path
-    // actually engaged, including layout and thread suffixes
-    // (`blocked@quant+t4`), so a trajectory can't claim a configuration
-    // it didn't run.
+    // The executor label, not the config: it names the path actually
+    // engaged, including the thread suffix (`blocked+t4`), so a run can't
+    // claim a configuration it didn't run.
     Ok(ServeRun::from_latencies(
         executor.label(),
         cfg.batch,
@@ -477,7 +469,6 @@ mod tests {
             batch: 96, // > one 64-row chunk, so the pool actually fans out
             qps: 1500.0,
             strategy: Strategy::Blocked(0),
-            layout: Layout::Quant,
             score_threads: 4,
             seed: 13,
         };

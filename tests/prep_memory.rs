@@ -11,16 +11,20 @@
 //!
 //! The rule the bounds encode (DESIGN.md item 16): a row cut keeps the storage
 //! it was given and copies no cell; prep is a stream; an intermediate is
-//! consumed by the stage that reads it, so at most two stages are live.
+//! consumed by the stage that reads it, so at most two stages are live. The
+//! serving compiler is held to the same rule: it builds one layout.
 
 use gbdt_cluster::Cluster;
-use gbdt_core::TrainConfig;
+use gbdt_core::model::GbdtModel;
+use gbdt_core::tree::Tree;
+use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::encoding;
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
 use gbdt_partition::HorizontalPartition;
 use gbdt_quadrants::{qd2, qd3, yggdrasil, Aggregation};
+use gbdt_serve::compile::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -230,6 +234,55 @@ fn vertical_column_trainers_consume_the_blocked_rows(broken: &mut Vec<String>) {
     }
 }
 
+/// `serve-batch`'s ensemble shape: 2048 complete 7-layer trees over 64
+/// features, thresholds from a seeded generator.
+fn serve_batch_ensemble() -> GbdtModel {
+    let (n_trees, n_layers, n_features) = (2048, 7, 64u64);
+    let mut state = 2501u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut model = GbdtModel::new(Objective::SquaredError, 0.1, n_features as usize);
+    let internal = (1u32 << (n_layers - 1)) - 1;
+    for _ in 0..n_trees {
+        let mut tree = Tree::new(n_layers, 1);
+        for id in 0..internal {
+            let threshold = (next() % 6000) as f32 / 1000.0 - 3.0;
+            tree.set_internal(id, (next() % n_features) as u32, 0, threshold, next() & 1 == 0);
+        }
+        for id in internal..2 * internal + 1 {
+            tree.set_leaf(id, vec![(next() % 1000) as f64 / 500.0 - 1.0]);
+        }
+        model.trees.push(tree);
+    }
+    model
+}
+
+/// `compile` holds the flat arrays it returns and nothing beside them: its
+/// peak stays within their allocated bytes (so `Vec` growth is allowed) plus
+/// one tree's BFS scratch — no second node layout, table or map.
+fn compile_builds_one_layout(broken: &mut Vec<String>) {
+    let model = serve_batch_ensemble();
+    let (ens, peak) = measure(|| compile(&model, 1).expect("complete trees compile"));
+    fn allocated<T>(v: &Vec<T>) -> usize {
+        v.capacity() * std::mem::size_of::<T>()
+    }
+    let flat = allocated(&ens.nodes)
+        + allocated(&ens.leaf_values)
+        + allocated(&ens.tree_off)
+        + allocated(&ens.tree_steps)
+        + allocated(&ens.init_scores);
+    if peak > flat + KIB {
+        broken.push(format!(
+            "compile peaked {peak} B above entry; the {} nodes, {} leaf values and \
+             per-tree arrays it returns hold {flat} B",
+            ens.nodes.len(),
+            ens.leaf_values.len(),
+        ));
+    }
+}
+
 /// One test, so that nothing else in the process allocates while a case is
 /// measured; every broken bound is reported, not just the first.
 #[test]
@@ -239,5 +292,6 @@ fn prep_stays_inside_its_copy_budget() {
     qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(&mut broken);
     transform_holds_frames_payloads_and_blocks_only(&mut broken);
     vertical_column_trainers_consume_the_blocked_rows(&mut broken);
+    compile_builds_one_layout(&mut broken);
     assert!(broken.is_empty(), "{} bound(s) broken:\n{}", broken.len(), broken.join("\n"));
 }

@@ -277,11 +277,9 @@ fn dense_zero_cells_are_missing_to_every_predictor() {
     let cell_bits = |rows: &[f32]| rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(cell_bits(&rows), cell_bits(&twin_rows), "serve row buffer");
     for strategy in [gbdt_serve::Strategy::PerRow, gbdt_serve::Strategy::Blocked(0)] {
-        for layout in [gbdt_serve::Layout::Flat, gbdt_serve::Layout::Quant] {
-            let executor = strategy.executor_for(layout);
-            let mut served = vec![0.0; ds.n_instances() * ens.n_outputs];
-            executor.predict_into(&ens, &rows, &mut served);
-            assert_same_bits(&served, &on_csr, &format!("compiled serve ({})", executor.label()));
-        }
+        let executor = strategy.executor();
+        let mut served = vec![0.0; ds.n_instances() * ens.n_outputs];
+        executor.predict_into(&ens, &rows, &mut served);
+        assert_same_bits(&served, &on_csr, &format!("compiled serve ({})", executor.label()));
     }
 }

@@ -6,13 +6,11 @@
 //! branchless node array and scores it with two interchangeable execution
 //! strategies. This test pins the contract the serving layer rides on:
 //! per-row traversal, blocked batched traversal, and the model's own
-//! tree walk must agree **bit for bit** on every trained model — across
-//! both node layouts (16-byte flat and 8-byte quantized) and at every
+//! tree walk must agree **bit for bit** on every trained model — at every
 //! scoring-thread budget (`SCORE_THREADS` env, default `1,4`) — the
-//! flattening, the self-looping leaf encoding, the exact-cut quantized
-//! tables, the parallel chunking, and the block schedule are never
-//! allowed to move a ULP (same bar as the storage/kernel sweeps in
-//! `ensemble_pinned.rs`).
+//! flattening, the self-looping leaf encoding, the parallel chunking, and
+//! the block schedule are never allowed to move a ULP (same bar as the
+//! storage/kernel sweeps in `ensemble_pinned.rs`).
 //!
 //! The byte codec rides the same bar: `encode_bytes` round-trips every
 //! trained model exactly, and its output for the pinned dataset/config is
@@ -25,7 +23,7 @@ use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
 use gbdt_serve::compile::compile;
-use gbdt_serve::exec::{nan_dense_rows, Layout, Strategy};
+use gbdt_serve::exec::{nan_dense_rows, Strategy};
 use gbdt_serve::pool;
 use vero::{Vero, VeroConfig};
 
@@ -60,39 +58,32 @@ fn score_thread_budgets() -> Vec<usize> {
     budgets
 }
 
-/// Bit-compares both compiled strategies — over both node layouts, at
-/// every scoring-thread budget, at several request batch shapes —
-/// against the model's own tree walk over the full dataset.
+/// Bit-compares both compiled strategies — at every scoring-thread budget,
+/// at several request batch shapes — against the model's own tree walk
+/// over the full dataset.
 fn assert_serving_equivalence(name: &str, model: &GbdtModel, ds: &Dataset) {
     let reference = model.predict_dataset_raw(ds);
     let ens = compile(model, 1).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-    assert!(
-        ens.quant.is_some(),
-        "{name}: quantized layout must exist for trained models (feature/cut counts \
-         are far below the u16 caps)",
-    );
     let rows = nan_dense_rows(ds, ens.n_features);
     let n_rows = ds.n_instances();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for strategy in [Strategy::PerRow, Strategy::Blocked(0), Strategy::Blocked(1)] {
-        for layout in [Layout::Flat, Layout::Quant] {
-            for &threads in &score_thread_budgets() {
-                let executor = pool::parallel(strategy.executor_for(layout), threads);
-                for batch in [1usize, 7, 64, n_rows] {
-                    let mut scores = vec![0.0f64; n_rows * ens.n_outputs];
-                    for (row_chunk, out_chunk) in rows
-                        .chunks(batch * ens.n_features)
-                        .zip(scores.chunks_mut(batch * ens.n_outputs))
-                    {
-                        executor.predict_into(&ens, row_chunk, out_chunk);
-                    }
-                    assert_eq!(
-                        bits(&scores),
-                        bits(&reference),
-                        "{name}: {} at batch {batch} diverged from the tree walk",
-                        executor.label(),
-                    );
+        for &threads in &score_thread_budgets() {
+            let executor = pool::parallel(strategy.executor(), threads);
+            for batch in [1usize, 7, 64, n_rows] {
+                let mut scores = vec![0.0f64; n_rows * ens.n_outputs];
+                for (row_chunk, out_chunk) in rows
+                    .chunks(batch * ens.n_features)
+                    .zip(scores.chunks_mut(batch * ens.n_outputs))
+                {
+                    executor.predict_into(&ens, row_chunk, out_chunk);
                 }
+                assert_eq!(
+                    bits(&scores),
+                    bits(&reference),
+                    "{name}: {} at batch {batch} diverged from the tree walk",
+                    executor.label(),
+                );
             }
         }
     }
@@ -147,13 +138,13 @@ fn multiclass_models_serve_bit_identically() {
     assert_serving_equivalence("single/3-class", &single::train(&ds, &cfg), &ds);
 }
 
-/// Fuzz the quantized layout against flat across randomized ensembles:
-/// thresholds drawn from a small palette (forcing heavy cut-table
-/// interning and shared slots across trees), random default directions,
-/// NaN-bearing rows, ragged batch shapes. Quantization must be invisible
-/// in the output bits at every strategy and thread budget.
+/// Fuzz the compiled executors against the model's own walk
+/// ([`GbdtModel::predict_row_into`] on each row's sparse form) across
+/// randomized ensembles: thresholds drawn from a small palette (so rows
+/// land exactly on cuts), random default directions, NaN-bearing rows,
+/// ragged row counts and batch sizes, at every strategy and thread budget.
 #[test]
-fn quantized_layout_is_bit_invisible_under_fuzz() {
+fn compiled_scores_match_the_walk_under_fuzz() {
     use gbdt_core::tree::Tree;
     use gbdt_core::Objective;
 
@@ -169,8 +160,7 @@ fn quantized_layout_is_bit_invisible_under_fuzz() {
         let n_features = 1 + (next() % 13) as usize;
         let n_layers = 2 + (next() % 5) as usize;
         let n_trees = 1 + (next() % 24) as usize;
-        // A tiny threshold palette makes distinct trees hit identical
-        // cuts, exercising the dedup path of the cut-table interner.
+        // A tiny threshold palette makes distinct trees share cuts.
         let palette: Vec<f32> =
             (0..1 + (next() % 6)).map(|_| (next() % 4000) as f32 / 1000.0 - 2.0).collect();
         let mut model = GbdtModel::new(Objective::SquaredError, 0.1, n_features);
@@ -193,7 +183,6 @@ fn quantized_layout_is_bit_invisible_under_fuzz() {
             model.trees.push(tree);
         }
         let ens = compile(&model, 1).unwrap();
-        assert!(ens.quant.is_some(), "case {case}: quant layout must build");
         let n_rows = 96 + (next() % 64) as usize;
         let rows: Vec<f32> = (0..n_rows * n_features)
             .map(|_| {
@@ -204,21 +193,32 @@ fn quantized_layout_is_bit_invisible_under_fuzz() {
                 }
             })
             .collect();
+        let mut expect = vec![0.0f64; n_rows];
+        for (row, out) in rows.chunks_exact(n_features).zip(expect.chunks_exact_mut(1)) {
+            let (feats, vals): (Vec<u32>, Vec<f32>) = row
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_nan())
+                .map(|(f, &v)| (f as u32, v))
+                .unzip();
+            model.predict_row_into(&feats, &vals, out);
+        }
+        let batch = 1 + (next() % n_rows as u64) as usize;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for strategy in [Strategy::PerRow, Strategy::Blocked(0)] {
             for &threads in &score_thread_budgets() {
-                let flat = pool::parallel(strategy.executor_for(Layout::Flat), threads);
-                let quant = pool::parallel(strategy.executor_for(Layout::Quant), threads);
-                let mut expect = vec![0.0f64; n_rows];
+                let executor = pool::parallel(strategy.executor(), threads);
                 let mut got = vec![0.0f64; n_rows];
-                flat.predict_into(&ens, &rows, &mut expect);
-                quant.predict_into(&ens, &rows, &mut got);
+                for (row_chunk, out_chunk) in
+                    rows.chunks(batch * n_features).zip(got.chunks_mut(batch))
+                {
+                    executor.predict_into(&ens, row_chunk, out_chunk);
+                }
                 assert_eq!(
-                    bits(&expect),
                     bits(&got),
-                    "case {case}: {} diverged from {}",
-                    quant.label(),
-                    flat.label(),
+                    bits(&expect),
+                    "case {case}: {} at batch {batch} diverged from the tree walk",
+                    executor.label(),
                 );
             }
         }

@@ -21,7 +21,7 @@ use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_quadrants::{qd2, Aggregation};
 use gbdt_serve::avail::{run_avail, AvailConfig};
-use gbdt_serve::exec::{Layout, PerRow, Strategy};
+use gbdt_serve::exec::{PerRow, Strategy};
 use gbdt_serve::server::ModelSlot;
 use gbdt_serve::traffic::{run_traffic, TrafficConfig};
 use gbdt_serve::ExecStrategy;
@@ -135,10 +135,9 @@ fn slot_snapshots_are_never_torn() {
 /// > 1` every request fans out across chunk workers under ONE snapshot
 /// taken before the fan-out, so a publish landing mid-batch must still
 /// produce a whole-version response. Batches span several 64-row chunks
-/// (so the pool genuinely splits), the quantized layout is on (so the
-/// swap also replaces the cut tables), and the harness bit-verifies
-/// every response against its stamped version — a torn or version-mixed
-/// chunk fails the bit match inside `run_traffic`.
+/// (so the pool genuinely splits), and the harness bit-verifies every
+/// response against its stamped version — a torn or version-mixed chunk
+/// fails the bit match inside `run_traffic`.
 #[test]
 fn parallel_scoring_observes_only_whole_versions() {
     let models = [trained(41, 4), trained(42, 4), trained(43, 6)];
@@ -148,12 +147,11 @@ fn parallel_scoring_observes_only_whole_versions() {
         batch: 160,
         qps: 0.0,
         strategy: Strategy::Blocked(0),
-        layout: Layout::Quant,
         score_threads: 4,
         seed: 907,
     };
     let run = run_traffic(&models, &cfg).expect("parallel traffic run completes");
-    assert_eq!(run.strategy, "blocked@quant+t4", "the pool must actually be engaged");
+    assert_eq!(run.strategy, "blocked+t4", "the pool must actually be engaged");
     assert_eq!(run.requests, 120, "every request completed");
     assert_eq!(run.dropped, 0, "zero dropped requests across the swaps");
     assert_eq!(run.publishes, 2, "both extra versions were published");
