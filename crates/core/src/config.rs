@@ -303,8 +303,11 @@ impl TrainConfig {
         if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
             return Err("learning_rate must be positive".into());
         }
-        if self.lambda < 0.0 || self.gamma < 0.0 {
+        if self.lambda.is_nan() || self.lambda < 0.0 || self.gamma.is_nan() || self.gamma < 0.0 {
             return Err("lambda and gamma must be non-negative".into());
+        }
+        if self.min_child_weight.is_nan() || self.min_child_weight < 0.0 {
+            return Err("min_child_weight must be non-negative".into());
         }
         Ok(())
     }
@@ -530,6 +533,11 @@ mod tests {
         assert!(TrainConfig::builder().n_bins(1).build().is_err());
         assert!(TrainConfig::builder().learning_rate(0.0).build().is_err());
         assert!(TrainConfig::builder().lambda(-1.0).build().is_err());
+        assert!(TrainConfig::builder().lambda(f64::NAN).build().is_err());
+        assert!(TrainConfig::builder().gamma(f64::NAN).build().is_err());
+        assert!(TrainConfig::builder().min_child_weight(-1.0).build().is_err());
+        assert!(TrainConfig::builder().min_child_weight(f64::NAN).build().is_err());
+        assert!(TrainConfig::builder().min_child_weight(0.0).build().is_ok());
         assert!(TrainConfig::builder().n_layers(25).build().is_err());
     }
 }

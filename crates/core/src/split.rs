@@ -152,38 +152,21 @@ pub struct Split {
 }
 
 impl Split {
-    /// Tolerance below which two gains are considered tied. Quadrants sum
-    /// the same per-instance gradients in different orders (horizontal
-    /// trainers reduce per-worker partials, vertical trainers sum whole
-    /// columns), so mathematically equal gains — e.g. two correlated
-    /// features inducing the identical partition — can differ by a few ulps
-    /// (observed ≲1e-13 relative). Treating near-equal gains as ties and
-    /// resolving them by the (feature, bin, default) key keeps every
-    /// trainer's choice identical despite that rounding noise; genuinely
-    /// distinct candidates differ by far more than this.
-    const GAIN_TIE_REL: f64 = 1e-9;
-    const GAIN_TIE_ABS: f64 = 1e-12;
-
-    fn gain_ties(&self, other: &Split) -> bool {
-        let tol = Self::GAIN_TIE_ABS + Self::GAIN_TIE_REL * self.gain.abs().max(other.gain.abs());
-        (self.gain - other.gain).abs() <= tol
-    }
-
     /// Deterministic preference order: larger gain wins; (near-)ties break
     /// toward the smaller feature id, then the smaller bin, then default
     /// left. Every trainer uses this single comparison, which is what makes
     /// all quadrants grow identical trees on equivalent histograms.
     pub fn better_than(&self, other: &Split) -> bool {
-        if !self.gain_ties(other) {
-            return self.gain > other.gain;
+        self.key().better_than(&other.key())
+    }
+
+    fn key(&self) -> SplitKey {
+        SplitKey {
+            gain: self.gain,
+            feature: self.feature,
+            bin: self.bin,
+            default_left: self.default_left,
         }
-        if self.feature != other.feature {
-            return self.feature < other.feature;
-        }
-        if self.bin != other.bin {
-            return self.bin < other.bin;
-        }
-        self.default_left && !other.default_left
     }
 
     /// Exact wire encoding for best-split exchange.
@@ -229,57 +212,9 @@ pub fn best_split_for_feature(
     node: &NodeStats,
     params: &SplitParams,
 ) -> Option<Split> {
-    if n_bins < 2 {
-        return None;
-    }
-    let c = node.n_outputs();
-    let present = hist.feature_totals(feature);
-    let missing = node.sub(&present);
-    let node_score = node.score(params.lambda);
-
-    let mut left_present = NodeStats::zero(c);
-    let mut best: Option<Split> = None;
-
-    // Split after bin b (bins 0..=b left); the last bin never splits.
-    for b in 0..n_bins - 1 {
-        hist.accumulate_bin(feature, b, &mut left_present);
-        let right_present = present.sub(&left_present);
-
-        for default_left in [true, false] {
-            let (left, right) = if default_left {
-                let mut l = left_present.clone();
-                l.add(&missing);
-                (l, right_present.clone())
-            } else {
-                let mut r = right_present.clone();
-                r.add(&missing);
-                (left_present.clone(), r)
-            };
-            if left.total_hess() < params.min_child_weight
-                || right.total_hess() < params.min_child_weight
-            {
-                continue;
-            }
-            let gain =
-                0.5 * (left.score(params.lambda) + right.score(params.lambda) - node_score)
-                    - params.gamma;
-            if gain <= 0.0 {
-                continue;
-            }
-            let candidate = Split {
-                feature,
-                bin: b as BinId,
-                default_left,
-                gain,
-                left,
-                right,
-            };
-            if best.as_ref().is_none_or(|cur| candidate.better_than(cur)) {
-                best = Some(candidate);
-            }
-        }
-    }
-    best
+    let scan = NodeScan::new(hist, node, params);
+    let key = scan.feature(feature, n_bins, &mut scan.scratch())?;
+    Some(scan.split(feature, key))
 }
 
 /// Finds the best split over all features of a histogram.
@@ -310,24 +245,22 @@ pub fn best_split_in_range(
     feature_map: impl Fn(FeatureId) -> FeatureId,
 ) -> Option<Split> {
     debug_assert!(range.end as usize <= hist.n_features());
-    let mut best: Option<Split> = None;
-    for f in range {
-        if let Some(mut s) = best_split_for_feature(hist, f, n_bins_of(f), node, params) {
-            s.feature = feature_map(f);
-            if best.as_ref().is_none_or(|cur| s.better_than(cur)) {
-                best = Some(s);
-            }
-        }
-    }
-    best
+    let scan = NodeScan::new(hist, node, params);
+    let mut scratch = scan.scratch();
+    let bests = range.filter_map(|f| {
+        let key = scan.feature(f, n_bins_of(f), &mut scratch)?;
+        Some((f, SplitKey { feature: feature_map(f), ..key }))
+    });
+    scan.winner(bests)
 }
 
 /// Parallel [`best_split_in_range`]: the per-feature scans fan out across
-/// `threads`, each feature's candidate lands in a feature-indexed slot, and
-/// the slots are reduced sequentially in ascending feature order with
-/// [`Split::better_than`]. The reduction therefore folds the same
-/// candidates in the same order as the sequential scan, making the chosen
-/// split bit-identical for every thread count.
+/// `threads` in contiguous chunks (one scratch each), each feature's
+/// candidate key lands in a feature-indexed slot, and the slots are reduced
+/// sequentially in ascending feature order with [`Split::better_than`]'s
+/// order. The reduction therefore folds the same candidates in the same
+/// order as the sequential scan, making the chosen split bit-identical for
+/// every thread count.
 pub fn best_split_in_range_parallel(
     hist: &NodeHistogram,
     range: std::ops::Range<FeatureId>,
@@ -341,22 +274,237 @@ pub fn best_split_in_range_parallel(
     if threads <= 1 || len < crate::parallel::MIN_PARALLEL_FEATURES {
         return best_split_in_range(hist, range, node, params, n_bins_of, feature_map);
     }
+    let scan = NodeScan::new(hist, node, params);
     let start = range.start;
-    let mut slots: Vec<Option<Split>> = vec![None; len];
-    crate::parallel::par_map_slots(&mut slots, threads, |k, slot| {
-        let f = start + k as FeatureId;
-        *slot = best_split_for_feature(hist, f, n_bins_of(f), node, params).map(|mut s| {
-            s.feature = feature_map(f);
-            s
-        });
+    let per = len.div_ceil(threads.min(len));
+    let mut slots: Vec<Option<SplitKey>> = vec![None; len];
+    let mut chunks: Vec<&mut [Option<SplitKey>]> = slots.chunks_mut(per).collect();
+    crate::parallel::par_map_slots(&mut chunks, threads, |i, chunk| {
+        let mut scratch = scan.scratch();
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            let f = start + (i * per + k) as FeatureId;
+            *slot = scan
+                .feature(f, n_bins_of(f), &mut scratch)
+                .map(|key| SplitKey { feature: feature_map(f), ..key });
+        }
     });
-    let mut best: Option<Split> = None;
-    for s in slots.into_iter().flatten() {
-        if best.as_ref().is_none_or(|cur| s.better_than(cur)) {
-            best = Some(s);
+    let bests =
+        slots.into_iter().enumerate().filter_map(|(k, key)| Some((start + k as FeatureId, key?)));
+    scan.winner(bests)
+}
+
+/// What candidate splits are ranked by: a [`Split`] without its child sums,
+/// which only the winner needs.
+#[derive(Debug, Clone, Copy)]
+struct SplitKey {
+    gain: f64,
+    feature: FeatureId,
+    bin: BinId,
+    default_left: bool,
+}
+
+impl SplitKey {
+    /// Tolerance below which two gains are considered tied. Quadrants sum
+    /// the same per-instance gradients in different orders (horizontal
+    /// trainers reduce per-worker partials, vertical trainers sum whole
+    /// columns), so mathematically equal gains — e.g. two correlated
+    /// features inducing the identical partition — can differ by a few ulps
+    /// (observed ≲1e-13 relative). Treating near-equal gains as ties and
+    /// resolving them by the (feature, bin, default) key keeps every
+    /// trainer's choice identical despite that rounding noise; genuinely
+    /// distinct candidates differ by far more than this.
+    const GAIN_TIE_REL: f64 = 1e-9;
+    const GAIN_TIE_ABS: f64 = 1e-12;
+
+    fn gain_ties(&self, other: &SplitKey) -> bool {
+        let tol = Self::GAIN_TIE_ABS + Self::GAIN_TIE_REL * self.gain.abs().max(other.gain.abs());
+        (self.gain - other.gain).abs() <= tol
+    }
+
+    /// The order of [`Split::better_than`].
+    fn better_than(&self, other: &SplitKey) -> bool {
+        if !self.gain_ties(other) {
+            return self.gain > other.gain;
+        }
+        if self.feature != other.feature {
+            return self.feature < other.feature;
+        }
+        if self.bin != other.bin {
+            return self.bin < other.bin;
+        }
+        self.default_left && !other.default_left
+    }
+}
+
+/// One node's split scan: the per-feature scans rank [`SplitKey`]s from
+/// running sums over the histogram and allocate nothing; [`Self::split`]
+/// builds the one `Split` that wins.
+///
+/// The float order is fixed, because every trainer must grow bit-identical
+/// trees from equal histograms (DESIGN.md item 17): the present mass sums
+/// all `n_bins()` histogram bins from 0.0, the left side is a running sum
+/// from 0.0, the right side is `present − left`, the missing mass
+/// `node − present` is added to the side the default direction sends it,
+/// and the gain is `0.5 · (score_L + score_R − score_node) − γ` with each
+/// score summed over classes in order. A candidate is kept only if its gain
+/// is `> 0.0` (so never NaN) and it beats the running best by
+/// [`Split::better_than`].
+struct NodeScan<'a> {
+    hist: &'a NodeHistogram,
+    node: &'a NodeStats,
+    params: &'a SplitParams,
+    node_score: f64,
+}
+
+impl<'a> NodeScan<'a> {
+    fn new(hist: &'a NodeHistogram, node: &'a NodeStats, params: &'a SplitParams) -> Self {
+        NodeScan { hist, node, params, node_score: node.score(params.lambda) }
+    }
+
+    /// The running sums of a C > 1 scan: present and left, `[class][g, h]`.
+    /// Empty, so never allocated, for C = 1, whose scan keeps scalars.
+    fn scratch(&self) -> Vec<f64> {
+        match self.node.n_outputs() {
+            1 => Vec::new(),
+            c => vec![0.0; 4 * c],
         }
     }
-    best
+
+    /// The best candidate of one (local) feature, keyed with its local id.
+    fn feature(&self, feature: FeatureId, n_bins: usize, scratch: &mut [f64]) -> Option<SplitKey> {
+        if n_bins < 2 {
+            return None;
+        }
+        let stride = self.hist.feature_stride();
+        let bins = &self.hist.as_slice()[feature as usize * stride..][..stride];
+        if self.node.n_outputs() == 1 {
+            self.scan_single(feature, bins, n_bins)
+        } else {
+            self.scan_multi(feature, bins, n_bins, scratch)
+        }
+    }
+
+    /// C == 1: scalar running sums. [`Self::scan_multi`] gives the same bits
+    /// at C = 1 (a one-term `Iterator::sum` is the term itself) but runs at
+    /// half the speed (EXPERIMENTS.md "Split scan").
+    fn scan_single(&self, feature: FeatureId, bins: &[f64], n_bins: usize) -> Option<SplitKey> {
+        let SplitParams { lambda, gamma, min_child_weight } = *self.params;
+        let score = |g: f64, h: f64| g * g / (h + lambda);
+        let (mut pg, mut ph) = (0.0f64, 0.0f64);
+        for pair in bins.chunks_exact(2) {
+            pg += pair[0];
+            ph += pair[1];
+        }
+        let (mg, mh) = (self.node.grads[0] - pg, self.node.hesses[0] - ph);
+        let (mut lg, mut lh) = (0.0f64, 0.0f64);
+        let mut best: Option<SplitKey> = None;
+        // Split after bin b (bins 0..=b left); the last bin never splits.
+        for (b, pair) in bins[..2 * (n_bins - 1)].chunks_exact(2).enumerate() {
+            lg += pair[0];
+            lh += pair[1];
+            let (rg, rh) = (pg - lg, ph - lh);
+            for (default_left, (xg, xh), (yg, yh)) in
+                [(true, (lg + mg, lh + mh), (rg, rh)), (false, (lg, lh), (rg + mg, rh + mh))]
+            {
+                if xh < min_child_weight || yh < min_child_weight {
+                    continue;
+                }
+                let gain = 0.5 * (score(xg, xh) + score(yg, yh) - self.node_score) - gamma;
+                let key = SplitKey { gain, feature, bin: b as BinId, default_left };
+                if gain > 0.0 && best.is_none_or(|cur| key.better_than(&cur)) {
+                    best = Some(key);
+                }
+            }
+        }
+        best
+    }
+
+    /// C > 1: the same scan over per-class running sums in `scratch`.
+    fn scan_multi(
+        &self,
+        feature: FeatureId,
+        bins: &[f64],
+        n_bins: usize,
+        scratch: &mut [f64],
+    ) -> Option<SplitKey> {
+        let SplitParams { lambda, gamma, min_child_weight } = *self.params;
+        let node = self.node;
+        let width = 2 * node.n_outputs();
+        let (present, left) = scratch.split_at_mut(width);
+        present.fill(0.0);
+        left.fill(0.0);
+        for bin in bins.chunks_exact(width) {
+            for (p, v) in present.iter_mut().zip(bin) {
+                *p += v;
+            }
+        }
+        let mut best: Option<SplitKey> = None;
+        for (b, bin) in bins[..width * (n_bins - 1)].chunks_exact(width).enumerate() {
+            for (l, v) in left.iter_mut().zip(bin) {
+                *l += v;
+            }
+            for default_left in [true, false] {
+                // Hessian totals and scores of both children in one pass over
+                // the classes. The sums start at −0.0 as `Iterator::sum`
+                // does, so they are `NodeStats::total_hess` and
+                // `NodeStats::score` bit for bit.
+                let (mut hl, mut hr, mut sl, mut sr) = (-0.0, -0.0, -0.0, -0.0);
+                for (k, (l, p)) in left.chunks_exact(2).zip(present.chunks_exact(2)).enumerate() {
+                    let (mg, mh) = (node.grads[k] - p[0], node.hesses[k] - p[1]);
+                    let (rg, rh) = (p[0] - l[0], p[1] - l[1]);
+                    let ((xg, xh), (yg, yh)) = if default_left {
+                        ((l[0] + mg, l[1] + mh), (rg, rh))
+                    } else {
+                        ((l[0], l[1]), (rg + mg, rh + mh))
+                    };
+                    hl += xh;
+                    hr += yh;
+                    sl += xg * xg / (xh + lambda);
+                    sr += yg * yg / (yh + lambda);
+                }
+                if hl < min_child_weight || hr < min_child_weight {
+                    continue;
+                }
+                let gain = 0.5 * (sl + sr - self.node_score) - gamma;
+                let key = SplitKey { gain, feature, bin: b as BinId, default_left };
+                if gain > 0.0 && best.is_none_or(|cur| key.better_than(&cur)) {
+                    best = Some(key);
+                }
+            }
+        }
+        best
+    }
+
+    /// Folds `(local feature, key)` bests in the order given and builds the
+    /// winner's `Split`.
+    fn winner(&self, bests: impl Iterator<Item = (FeatureId, SplitKey)>) -> Option<Split> {
+        let mut best: Option<(FeatureId, SplitKey)> = None;
+        for (f, key) in bests {
+            if best.is_none_or(|(_, cur)| key.better_than(&cur)) {
+                best = Some((f, key));
+            }
+        }
+        best.map(|(f, key)| self.split(f, key))
+    }
+
+    /// Materializes `key` on local `feature`: the child sums in the scan's
+    /// float order.
+    fn split(&self, feature: FeatureId, key: SplitKey) -> Split {
+        let present = self.hist.feature_totals(feature);
+        let missing = self.node.sub(&present);
+        let mut left = NodeStats::zero(self.node.n_outputs());
+        for b in 0..=key.bin as usize {
+            self.hist.accumulate_bin(feature, b, &mut left);
+        }
+        let mut right = present.sub(&left);
+        if key.default_left {
+            left.add(&missing);
+        } else {
+            right.add(&missing);
+        }
+        let SplitKey { gain, feature, bin, default_left } = key;
+        Split { feature, bin, default_left, gain, left, right }
+    }
 }
 
 /// Parallel [`best_split`] over all features of a histogram.
@@ -483,6 +631,23 @@ mod tests {
         let node = NodeStats { grads: vec![0.0], hesses: vec![4.0] };
         let s = best_split(&hist, &node, &params(), |_| 2, |f| f + 100).unwrap();
         assert_eq!(s.feature, 101); // remapped global id
+    }
+
+    #[test]
+    fn nan_gain_never_wins() {
+        // At λ = 0 an empty child scores 0/0 = NaN. Feature 0's bin 0 is
+        // empty, so its first candidates have NaN gains; feature 1
+        // separates perfectly.
+        let p = SplitParams { lambda: 0.0, gamma: 0.0, min_child_weight: 0.0 };
+        let mut hist = NodeHistogram::new(2, 3, 1);
+        hist.add(0, 1, 0, 1.0, 2.0);
+        hist.add(0, 2, 0, -1.0, 2.0);
+        hist.add(1, 0, 0, 2.0, 2.0);
+        hist.add(1, 1, 0, -2.0, 2.0);
+        let node = NodeStats { grads: vec![0.0], hesses: vec![4.0] };
+        let s = best_split(&hist, &node, &p, |_| 3, |f| f).unwrap();
+        assert_eq!((s.feature, s.bin, s.gain), (1, 0, 2.0));
+        assert_eq!(s.left, NodeStats { grads: vec![2.0], hesses: vec![2.0] });
     }
 
     #[test]

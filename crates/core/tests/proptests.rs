@@ -1,10 +1,154 @@
 //! Property-based tests of the GBDT core invariants.
 
 use gbdt_core::histogram::NodeHistogram;
-use gbdt_core::split::{best_split_for_feature, NodeStats, SplitParams};
+use gbdt_core::split::{
+    best_split, best_split_for_feature, best_split_in_range, best_split_in_range_parallel,
+    NodeStats, Split, SplitParams,
+};
 use gbdt_core::tree::{LookupResult, Tree};
 use gbdt_core::{BinCuts, QuantileSketch};
+use gbdt_data::{BinId, FeatureId};
 use proptest::prelude::*;
+
+/// The allocating split scan the running-sum scan replaced, kept as the
+/// oracle it must equal bit for bit: `NodeStats` per side, per bin and per
+/// default direction, and a `Split` per candidate.
+fn oracle_best_split_for_feature(
+    hist: &NodeHistogram,
+    feature: FeatureId,
+    n_bins: usize,
+    node: &NodeStats,
+    params: &SplitParams,
+) -> Option<Split> {
+    if n_bins < 2 {
+        return None;
+    }
+    let c = node.n_outputs();
+    let present = hist.feature_totals(feature);
+    let missing = node.sub(&present);
+    let node_score = node.score(params.lambda);
+
+    let mut left_present = NodeStats::zero(c);
+    let mut best: Option<Split> = None;
+    for b in 0..n_bins - 1 {
+        hist.accumulate_bin(feature, b, &mut left_present);
+        let right_present = present.sub(&left_present);
+        for default_left in [true, false] {
+            let (left, right) = if default_left {
+                let mut l = left_present.clone();
+                l.add(&missing);
+                (l, right_present.clone())
+            } else {
+                let mut r = right_present.clone();
+                r.add(&missing);
+                (left_present.clone(), r)
+            };
+            if left.total_hess() < params.min_child_weight
+                || right.total_hess() < params.min_child_weight
+            {
+                continue;
+            }
+            let gain = 0.5 * (left.score(params.lambda) + right.score(params.lambda) - node_score)
+                - params.gamma;
+            if gain <= 0.0 {
+                continue;
+            }
+            let candidate = Split { feature, bin: b as BinId, default_left, gain, left, right };
+            if best.as_ref().is_none_or(|cur| candidate.better_than(cur)) {
+                best = Some(candidate);
+            }
+        }
+    }
+    best
+}
+
+/// The oracle's fold over features, in ascending order.
+fn oracle_best_split_in_range(
+    hist: &NodeHistogram,
+    range: std::ops::Range<FeatureId>,
+    node: &NodeStats,
+    params: &SplitParams,
+    n_bins_of: impl Fn(FeatureId) -> usize,
+    feature_map: impl Fn(FeatureId) -> FeatureId,
+) -> Option<Split> {
+    let mut best: Option<Split> = None;
+    for f in range {
+        if let Some(mut s) = oracle_best_split_for_feature(hist, f, n_bins_of(f), node, params) {
+            s.feature = feature_map(f);
+            if best.as_ref().is_none_or(|cur| s.better_than(cur)) {
+                best = Some(s);
+            }
+        }
+    }
+    best
+}
+
+/// `0.0` half the time, else uniform in `0.0..hi`: a veto or missing mass
+/// either off exactly or on.
+fn zero_or_below(hi: f64) -> impl Strategy<Value = f64> {
+    (any::<bool>(), 0.0..hi).prop_map(|(off, v)| if off { 0.0 } else { v })
+}
+
+/// A split with every `f64` as its bits, so equality is bit-identity.
+type SplitBits = (FeatureId, BinId, bool, u64, Vec<u64>, Vec<u64>);
+
+fn split_bits(split: &Option<Split>) -> Option<SplitBits> {
+    let bits = |s: &NodeStats| s.grads.iter().chain(&s.hesses).map(|v| v.to_bits()).collect();
+    split.as_ref().map(|s| {
+        (s.feature, s.bin, s.default_left, s.gain.to_bits(), bits(&s.left), bits(&s.right))
+    })
+}
+
+/// A `d × q × c` histogram from `seed`: a bin is empty with probability
+/// `empty / 4` (bin 0 included), a bin repeats the one before it and a
+/// feature repeats the one before it now and then (exact ties), and the node
+/// is feature 0's present mass plus missing mass of scale `missing`.
+fn scan_histogram(
+    seed: u64,
+    d: usize,
+    q: usize,
+    c: usize,
+    empty: u64,
+    missing: f64,
+) -> (NodeHistogram, NodeStats) {
+    let mut state = seed;
+    let mut hist = NodeHistogram::new(d, q, c);
+    let (stride, width) = (hist.feature_stride(), 2 * c);
+    let data = hist.as_mut_slice();
+    for f in 0..d {
+        let at = f * stride;
+        if f > 0 && splitmix(&mut state).is_multiple_of(5) {
+            data.copy_within(at - stride..at, at);
+            continue;
+        }
+        for b in 0..q {
+            let cell = at + b * width;
+            let k = splitmix(&mut state) % 8;
+            if k < 2 * empty {
+                continue;
+            }
+            if k == 7 && b > 0 {
+                data.copy_within(cell - width..cell, cell);
+                continue;
+            }
+            for pair in data[cell..cell + width].chunks_exact_mut(2) {
+                pair[0] = unit_f64(&mut state) * 2.0;
+                pair[1] = unit_f64(&mut state).abs() * 2.0;
+                // Now and then one half of a pair is exactly zero, so a bin
+                // can move the hessian sums and not the gradient sums.
+                if k == 6 {
+                    pair[(splitmix(&mut state) % 2) as usize] = 0.0;
+                }
+            }
+        }
+    }
+    let mut node = hist.feature_totals(0);
+    for (g, h) in node.grads.iter_mut().zip(&mut node.hesses) {
+        *g += unit_f64(&mut state) * missing;
+        *h += unit_f64(&mut state).abs() * missing;
+    }
+    (hist, node)
+}
 
 /// Brute-force split gain for a single feature: enumerate every bin
 /// boundary and both default directions directly from per-instance data.
@@ -47,7 +191,9 @@ fn brute_force_best_gain(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The histogram split finder must agree with brute-force enumeration.
+    /// The histogram split finder must agree with brute-force enumeration,
+    /// with every bin populated (`hole` = 6) or with bin `hole` (bin 0
+    /// included) left empty.
     #[test]
     fn split_finder_matches_brute_force(
         data in prop::collection::vec(
@@ -56,15 +202,18 @@ proptest! {
         ),
         lambda in 0.1f64..5.0,
         gamma in 0.0f64..0.5,
+        min_child_weight in zero_or_below(3.0),
+        hole in 0u16..7,
     ) {
         let n_bins = 6usize;
-        let params = SplitParams { lambda, gamma, min_child_weight: 0.0 };
+        let params = SplitParams { lambda, gamma, min_child_weight };
         let mut hist = NodeHistogram::new(1, n_bins, 1);
         let mut node = NodeStats::zero(1);
         let mut bins = Vec::new();
         let mut grads = Vec::new();
         let mut hesses = Vec::new();
         for &(bin, g, h) in &data {
+            let bin = bin.map(|b| if b == hole { (b + 1) % n_bins as u16 } else { b });
             if let Some(b) = bin {
                 hist.add(0, b, 0, g, h);
             }
@@ -84,6 +233,49 @@ proptest! {
             (None, None) => {}
             (a, b) => prop_assert!(false, "finder {:?} vs brute {:?}", a.map(|s| s.gain), b),
         }
+    }
+
+    /// The running-sum scan equals the allocating oracle bit for bit — the
+    /// whole `Option<Split>` — per feature, over all features, over a
+    /// remapped subrange, and through the parallel path (D ≥ 64 engages it
+    /// at 4 threads). Covers C ∈ {1, 2, 3}, missing mass on either side,
+    /// empty and repeated bins, repeated features, `n_bins` below the
+    /// stride (down to 1), and γ / `min_child_weight` vetoes.
+    #[test]
+    fn split_scan_matches_the_allocating_oracle(
+        seed in any::<u64>(),
+        shape in (1usize..4, 2usize..9, any::<bool>(), 1usize..6),
+        empty in 0u64..4,
+        missing in zero_or_below(3.0),
+        vetoes in (0.05f64..3.0, zero_or_below(2.0), zero_or_below(4.0)),
+    ) {
+        let (c, q, wide, d) = shape;
+        let d = if wide { d + 63 } else { d };
+        let (lambda, gamma, min_child_weight) = vetoes;
+        let (hist, node) = scan_histogram(seed, d, q, c, empty, missing);
+        let params = SplitParams { lambda, gamma, min_child_weight };
+        let n_bins_of = |f: FeatureId| q - (f as usize % 3).min(q - 1);
+        for f in 0..d as FeatureId {
+            prop_assert_eq!(
+                split_bits(&best_split_for_feature(&hist, f, n_bins_of(f), &node, &params)),
+                split_bits(&oracle_best_split_for_feature(&hist, f, n_bins_of(f), &node, &params)),
+                "feature {}", f
+            );
+        }
+        let all = 0..d as FeatureId;
+        let oracle = split_bits(&oracle_best_split_in_range(&hist, all, &node, &params, n_bins_of, |f| f));
+        prop_assert_eq!(&split_bits(&best_split(&hist, &node, &params, n_bins_of, |f| f)), &oracle);
+        for threads in [1, 4] {
+            let all = 0..d as FeatureId;
+            let par = best_split_in_range_parallel(&hist, all, &node, &params, n_bins_of, |f| f, threads);
+            prop_assert_eq!(&split_bits(&par), &oracle, "threads {}", threads);
+        }
+        let sub = d as FeatureId / 3..d as FeatureId;
+        let map = |f: FeatureId| f + 1000;
+        prop_assert_eq!(
+            split_bits(&best_split_in_range(&hist, sub.clone(), &node, &params, n_bins_of, map)),
+            split_bits(&oracle_best_split_in_range(&hist, sub, &node, &params, n_bins_of, map))
+        );
     }
 
     /// Histogram subtraction must reproduce the directly built sibling.

@@ -12,12 +12,16 @@
 //! The rule the bounds encode (DESIGN.md item 16): a row cut keeps the storage
 //! it was given and copies no cell; prep is a stream; an intermediate is
 //! consumed by the stage that reads it, so at most two stages are live. The
-//! serving compiler is held to the same rule: it builds one layout.
+//! serving compiler is held to the same rule: it builds one layout. The
+//! split scan, which runs for every node, is held to a count of allocation
+//! calls that does not grow with the D·q bins it scans.
 
 use gbdt_cluster::Cluster;
+use gbdt_core::histogram::NodeHistogram;
 use gbdt_core::model::GbdtModel;
+use gbdt_core::split::best_split;
 use gbdt_core::tree::Tree;
-use gbdt_core::{Objective, TrainConfig};
+use gbdt_core::{NodeStats, Objective, SplitParams, TrainConfig};
 use gbdt_data::encoding;
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
@@ -31,8 +35,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Bytes the program holds right now, and the most it has held.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls to `alloc`, `alloc_zeroed` and `realloc` so far.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator, counting every byte handed out and taken back.
+/// The system allocator, counting every byte handed out and taken back, and
+/// every call that asks for bytes.
 struct Counting;
 
 fn grew(bytes: usize) {
@@ -51,6 +58,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
+            CALLS.fetch_add(1, Ordering::SeqCst);
             grew(layout.size());
         }
         p
@@ -60,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's contract for `alloc_zeroed` is `System`'s.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
+            CALLS.fetch_add(1, Ordering::SeqCst);
             grew(layout.size());
         }
         p
@@ -75,6 +84,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `p` came from `System` with `layout`; `new_size` is the caller's.
         let q = unsafe { System.realloc(p, layout, new_size) };
         if !q.is_null() {
+            CALLS.fetch_add(1, Ordering::SeqCst);
             if new_size >= layout.size() {
                 grew(new_size - layout.size());
             } else {
@@ -96,6 +106,13 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
     PEAK.store(entry, Ordering::SeqCst);
     let result = f();
     (result, PEAK.load(Ordering::SeqCst) - entry)
+}
+
+/// Runs `f` and reports how many allocation calls it made.
+fn allocation_calls<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let entry = CALLS.load(Ordering::SeqCst);
+    let result = f();
+    (result, CALLS.load(Ordering::SeqCst) - entry)
 }
 
 const KIB: usize = 1024;
@@ -283,6 +300,44 @@ fn compile_builds_one_layout(broken: &mut Vec<String>) {
     }
 }
 
+/// A root histogram of `d` features × `q` bins × `c` classes with seeded
+/// gradients, and its node sums (no value is missing).
+fn split_histogram(d: usize, q: usize, c: usize) -> (NodeHistogram, NodeStats) {
+    let mut state = 2601u64;
+    let mut hist = NodeHistogram::new(d, q, c);
+    for (k, v) in hist.as_mut_slice().iter_mut().enumerate() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+        // [g, h] pairs: gradients in [-0.5, 0.5), hessians in [0, 1).
+        *v = if k % 2 == 0 { unit - 0.5 } else { unit };
+    }
+    let node = hist.feature_totals(0);
+    (hist, node)
+}
+
+/// Split finding allocates per node, never per feature or per bin: one
+/// `best_split` over q = 20 bins makes as many allocation calls at D = 4 000
+/// as at D = 100, at C = 1 and at C = 3.
+fn split_scan_allocates_per_node_only(broken: &mut Vec<String>) {
+    let q = 20;
+    for c in [1, 3] {
+        let [small, large] = [100, 4_000].map(|d| {
+            let (hist, node) = split_histogram(d, q, c);
+            let params = SplitParams::default();
+            let (split, calls) =
+                allocation_calls(|| best_split(&hist, &node, &params, |_| q, |f| f));
+            assert!(split.is_some(), "a {d} × {q} × {c} histogram has a split");
+            calls
+        });
+        if small != large {
+            broken.push(format!(
+                "best_split over q = {q}, C = {c} made {small} allocation calls at D = 100 \
+                 and {large} at D = 4000"
+            ));
+        }
+    }
+}
+
 /// One test, so that nothing else in the process allocates while a case is
 /// measured; every broken bound is reported, not just the first.
 #[test]
@@ -293,5 +348,6 @@ fn prep_stays_inside_its_copy_budget() {
     transform_holds_frames_payloads_and_blocks_only(&mut broken);
     vertical_column_trainers_consume_the_blocked_rows(&mut broken);
     compile_builds_one_layout(&mut broken);
+    split_scan_allocates_per_node_only(&mut broken);
     assert!(broken.is_empty(), "{} bound(s) broken:\n{}", broken.len(), broken.join("\n"));
 }
