@@ -112,8 +112,7 @@ fn sim_scope(path: &str) -> bool {
 enum ServeRole {
     Router,
     Replica,
-    Server,
-    /// Request/publish clients (traffic generator, availability harness).
+    /// Request/publish clients (the availability harness).
     Client,
 }
 
@@ -124,8 +123,7 @@ fn serve_role(path: &str) -> Option<ServeRole> {
     match path.rsplit('/').next().unwrap_or("") {
         "router.rs" => Some(ServeRole::Router),
         "replica.rs" => Some(ServeRole::Replica),
-        "server.rs" => Some(ServeRole::Server),
-        "traffic.rs" | "avail.rs" => Some(ServeRole::Client),
+        "avail.rs" => Some(ServeRole::Client),
         _ => None,
     }
 }
@@ -143,8 +141,6 @@ fn send_target(path: &str, to_vars: &BTreeSet<String>) -> Option<ServeRole> {
             }
         }
         "replica.rs" => Some(ServeRole::Router),
-        "server.rs" => Some(ServeRole::Client),
-        "traffic.rs" => Some(ServeRole::Server),
         "avail.rs" => Some(ServeRole::Router),
         _ => None,
     }
@@ -1466,6 +1462,36 @@ mod tests {
         let out = check_one("crates/cluster/src/collectives.rs", src);
         assert!(out.diags.is_empty(), "{:?}", out.diags);
         assert_eq!(out.units[0].free_vars, vec!["root".to_string()]);
+    }
+
+    /// `mc-orphan-frame` only sees files that map to a role, so a serving
+    /// file that sends or receives frames under no role would go
+    /// unchecked. Every such file in the real tree must have one.
+    #[test]
+    fn every_frame_bearing_serve_file_has_a_role() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(|p| p.parent())
+            .expect("crates/analysis has a workspace two levels up");
+        let serve_tag = |t: &str| t.starts_with("SERVE_") && t.ends_with("_TAG");
+        let mut bearing = Vec::new();
+        for (path, src) in crate::workspace_sources(root).expect("workspace walk succeeds") {
+            if !path.starts_with("crates/serve/src/") {
+                continue;
+            }
+            let ops = collect_serve_ops(&extract_fns(&lex(&src)));
+            let names_tag = ops.sends.iter().filter_map(|(t, _, _)| t.as_deref()).any(serve_tag)
+                || ops.recv_tags.iter().any(|(t, _)| serve_tag(t))
+                || ops.recv_any_sets.iter().any(|(set, _)| set.iter().any(|t| serve_tag(t)));
+            if names_tag {
+                assert!(serve_role(&path).is_some(), "{path} moves serve frames under no role");
+                bearing.push(path.rsplit('/').next().unwrap_or("").to_string());
+            }
+        }
+        // The scan sees the files it must: the three roles' own sources.
+        for file in ["avail.rs", "replica.rs", "router.rs"] {
+            assert!(bearing.iter().any(|b| b == file), "{file} not detected: {bearing:?}");
+        }
     }
 
     #[test]

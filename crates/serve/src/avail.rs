@@ -4,7 +4,8 @@
 //! routing ([`crate::router`]), ranks `1..=n_replicas` serving
 //! ([`crate::replica`]), the rest driving open-loop load — optionally
 //! under a seeded [`FaultPlan`], and ledgers every request's fate:
-//! verified-full, verified-degraded, shed, or failed.
+//! verified-full, verified-degraded, shed, or failed. `n_replicas: 1` is
+//! the single-server case.
 //!
 //! **Verification is exact.** Every scored response names its generating
 //! function via the `(version, trees_scored)` stamp, and the harness
@@ -17,9 +18,10 @@
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 
 use crate::exec::Strategy;
+use crate::pool;
 use crate::replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
 use crate::router::{run_router, RouterConfig, RouterStats};
-use crate::server::{ModelSlot, ServeConfig};
+use crate::server::ModelSlot;
 use crate::stats::{AvailRun, Clock};
 use crate::wire::{PredictRequest, PredictResponse, PublishAck, ReplyStatus};
 use bytes::Bytes;
@@ -57,7 +59,9 @@ pub struct AvailConfig {
     /// Replica lifecycle knobs.
     pub replica: ReplicaConfig,
     /// How long a client waits for a response before counting the
-    /// request failed (must exceed `router.deadline × retry_budget`).
+    /// request failed. Must exceed `router.deadline × retry_budget`, or a
+    /// client gives up on requests the router is still retrying;
+    /// [`run_avail`] refuses a config where it does not.
     pub client_patience: Duration,
 }
 
@@ -162,20 +166,22 @@ fn bits_match(expected: &[f64], got: &[f64]) -> bool {
 }
 
 /// Waits for the response to `req_id`, discarding stale frames from
-/// requests this client already gave up on. `None` = client-side timeout.
+/// requests this client already gave up on. Returns the response and the
+/// instant its frame arrived; `None` = client-side timeout.
 fn await_response(
     comm: &Comm,
     req_id: u64,
     patience_s: f64,
     clock: Clock,
-) -> Option<PredictResponse> {
+) -> Option<(PredictResponse, f64)> {
     let deadline_s = clock.elapsed_s() + patience_s;
     loop {
         match comm.recv(ROUTER_RANK, SERVE_RESPONSE_TAG) {
             Ok(bytes) => {
+                let arrived_s = clock.elapsed_s();
                 if let Ok(resp) = PredictResponse::decode(&bytes) {
                     if resp.req_id == req_id {
-                        return Some(resp);
+                        return Some((resp, arrived_s));
                     }
                 }
                 // Stale response or stray ack frame: drop it and keep waiting.
@@ -189,12 +195,33 @@ fn await_response(
     }
 }
 
+/// Open-loop pacing: sleeps until request `i`'s *scheduled* start and
+/// returns that schedule — `i / qps`, a pure function of the pacing plan.
+/// When the client is running late (a backlogged plane pushed previous
+/// completions past the schedule) the scheduled start is returned
+/// unchanged rather than "now": latency measured from it then includes the
+/// queueing delay the backlog caused. This is the coordinated-omission
+/// guard.
+///
+/// `qps == 0` degrades to closed-loop pacing: each request is scheduled
+/// at the moment it is issued.
+fn pace_to_schedule(i: usize, per_client_qps: f64, clock: Clock) -> f64 {
+    if per_client_qps > 0.0 {
+        let target = i as f64 / per_client_qps;
+        let now = clock.elapsed_s();
+        if now < target {
+            std::thread::sleep(Duration::from_secs_f64(target - now));
+        }
+        target
+    } else {
+        clock.elapsed_s()
+    }
+}
+
 /// One client: paced request/verify loop; the first client additionally
 /// publishes each follow-up model at an evenly spaced request index.
-#[allow(clippy::too_many_arguments)]
 fn client_loop(
     comm: &Comm,
-    client_idx: usize,
     cfg: &AvailConfig,
     rows: &[f32],
     n_features: usize,
@@ -227,17 +254,7 @@ fn client_loop(
                 }
             }
         }
-        // Open-loop schedule; qps = 0 degrades to closed-loop pacing.
-        let scheduled_s = if per_client_qps > 0.0 {
-            let target = i as f64 / per_client_qps;
-            let now = clock.elapsed_s();
-            if now < target {
-                std::thread::sleep(Duration::from_secs_f64(target - now));
-            }
-            target
-        } else {
-            clock.elapsed_s()
-        };
+        let scheduled_s = pace_to_schedule(i, per_client_qps, clock);
         let req_id = 1 + i as u64;
         let req = PredictRequest {
             req_id,
@@ -250,7 +267,12 @@ fn client_loop(
             out.failed += 1;
             continue;
         }
-        let Some(resp) = await_response(comm, req_id, patience_s, clock) else {
+        // Completion is the instant the response frame arrives, before
+        // decode: the replica replies only after its last row chunk joins,
+        // so this is last-chunk completion, while decode and the bit
+        // verification below are the client's own cost and stay out of
+        // the served-latency ledger.
+        let Some((resp, arrived_s)) = await_response(comm, req_id, patience_s, clock) else {
             out.failed += 1;
             continue;
         };
@@ -286,12 +308,11 @@ fn client_loop(
                     out.degraded += 1;
                 }
                 out.versions.push(resp.version);
-                out.latencies_s.push(clock.elapsed_s() - scheduled_s);
+                out.latencies_s.push(arrived_s - scheduled_s);
             }
             _ => out.incorrect += 1,
         }
     }
-    let _ = client_idx;
     out
 }
 
@@ -313,6 +334,13 @@ pub fn run_avail(
     }
     if cfg.batch == 0 {
         return Err("batch must be positive".into());
+    }
+    let retry_window = cfg.router.deadline.as_secs_f64() * cfg.router.retry_budget as f64;
+    if cfg.client_patience.as_secs_f64() <= retry_window {
+        return Err(format!(
+            "client_patience {:?} must exceed router.deadline × retry_budget = {retry_window} s",
+            cfg.client_patience
+        ));
     }
     let n_features = first.n_features.max(1);
     for (k, m) in models.iter().enumerate().skip(1) {
@@ -365,8 +393,7 @@ pub fn run_avail(
     let slots: Vec<ModelSlot> = (0..cfg.n_replicas)
         .map(|_| ModelSlot::new_versioned(first, 1))
         .collect::<Result<_, _>>()?;
-    let executor =
-        ServeConfig { strategy: cfg.strategy, score_threads: cfg.score_threads }.executor();
+    let executor = pool::parallel(cfg.strategy.executor(), cfg.score_threads);
     let model_bytes = first.encode_bytes();
     let clock = Clock::new();
 
@@ -394,9 +421,8 @@ pub fn run_avail(
             let publishes: &[(usize, Vec<u8>)] =
                 if idx == 0 { &publish_payloads } else { &[] };
             client_handles.push(scope.spawn(move || {
-                let outcome = client_loop(
-                    &comm, idx, cfg_ref, rows, n_features, expected, publishes, clock,
-                );
+                let outcome =
+                    client_loop(&comm, cfg_ref, rows, n_features, expected, publishes, clock);
                 let _ = comm.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new());
                 outcome
             }));
@@ -546,5 +572,71 @@ mod tests {
         // With 4 clients against one tiny queue, degradation (and possibly
         // shedding) must kick in; whatever was answered verified bit-exact.
         assert!(outcome.run.served + outcome.run.degraded > 0);
+    }
+
+    /// Paced traffic with parallel chunked scoring through one replica:
+    /// every response still bit-matches its stamped version (the snapshot
+    /// is taken once per request, before the fan-out) and every request is
+    /// answered across the hot swap.
+    #[test]
+    fn paced_parallel_scoring_serves_whole_versions() {
+        let cfg = AvailConfig {
+            n_replicas: 1,
+            n_clients: 2,
+            requests_per_client: 25,
+            batch: 96, // > one 64-row chunk, so the pool actually fans out
+            qps: 1500.0,
+            strategy: Strategy::Blocked(0),
+            score_threads: 4,
+            seed: 13,
+            ..AvailConfig::default()
+        };
+        let models = [model_with_leaves(1.0, -1.0, 6), model_with_leaves(4.0, -4.0, 6)];
+        let run = run_avail(&models, &cfg, None).unwrap().run;
+        assert_eq!((run.requests, run.served), (50, 50), "{run:?}");
+        assert_eq!((run.incorrect, run.shed, run.failed), (0, 0, 0), "{run:?}");
+        assert_eq!(run.versions_seen, vec![1, 2], "both versions served, none torn");
+        assert!(run.p999_ms >= run.p99_ms && run.p99_ms >= run.p50_ms);
+    }
+
+    /// Regression (coordinated omission): a client running *late* must
+    /// still get the original schedule back, so latency measured from it
+    /// includes the backlog. If pacing ever "resets" to the current
+    /// clock, a stalled plane would erase its own queueing delay from
+    /// the ledger.
+    #[test]
+    fn late_pacing_keeps_the_scheduled_start() {
+        let clock = Clock::new();
+        // Request 2 at 1000 qps is scheduled at 2 ms; by the time the
+        // client gets to it the run is already ≥ 20 ms old (a backlog).
+        std::thread::sleep(Duration::from_millis(20));
+        let scheduled = pace_to_schedule(2, 1000.0, clock);
+        assert_eq!(scheduled, 0.002, "late request must keep its scheduled start");
+        let latency = clock.elapsed_s() - scheduled;
+        assert!(latency >= 0.018, "backlog must surface as latency, got {latency}");
+        // Closed loop (qps = 0): scheduled at issue time, so latency
+        // excludes think time by construction.
+        let scheduled = pace_to_schedule(2, 0.0, clock);
+        assert!(scheduled >= 0.02);
+    }
+
+    /// A client that gives up before the router's last retry could expire
+    /// would count as failed a request the router still answers.
+    #[test]
+    fn patience_must_outlast_the_router_retry_window() {
+        let models = [model_with_leaves(1.0, -1.0, 2)];
+        // The default router retries for 120 ms × 3 = 360 ms.
+        let impatient =
+            AvailConfig { client_patience: Duration::from_millis(300), ..AvailConfig::default() };
+        let err = run_avail(&models, &impatient, None).unwrap_err();
+        assert!(err.contains("client_patience"), "{err}");
+        let cfg = AvailConfig {
+            n_replicas: 1,
+            n_clients: 1,
+            requests_per_client: 4,
+            ..AvailConfig::default()
+        };
+        assert_eq!(cfg.client_patience, Duration::from_millis(900));
+        assert_eq!(run_avail(&models, &cfg, None).unwrap().run.served, 4);
     }
 }

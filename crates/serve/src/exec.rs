@@ -242,7 +242,7 @@ impl ExecStrategy for Blocked {
     }
 }
 
-/// A configurable strategy ([`crate::server::ServeConfig`], the benchmark).
+/// A configurable strategy ([`crate::avail::AvailConfig`], the benchmark).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// [`PerRow`].

@@ -20,25 +20,24 @@
 //! * [`pool`] parallelizes batch scoring inside a rank: a deterministic
 //!   scoped thread pool splits a request into fixed 64-row chunks with
 //!   disjoint output slices (`score_threads` knob in
-//!   [`server::ServeConfig`]), bit-identical at every thread count.
-//! * [`server`] runs a request loop over the `gbdt-cluster` byte-message
-//!   fabric with atomic model hot-swap ([`server::ModelSlot`]): a trainer
-//!   publishes [`GbdtModel::encode_bytes`] payloads and in-flight traffic
-//!   only ever observes fully the old or fully the new version.
-//! * [`traffic`] is an open-loop synthetic load generator (configurable
-//!   QPS, coordinated-omission-aware latency) reporting p50/p99/p999 and
-//!   throughput through [`stats::ServeRun`].
+//!   [`avail::AvailConfig`]), bit-identical at every thread count.
+//! * [`server`] holds the atomically swappable model
+//!   ([`server::ModelSlot`]): a trainer publishes
+//!   [`GbdtModel::encode_bytes`] payloads and in-flight traffic only ever
+//!   observes fully the old or fully the new version.
 //!
-//! The serving plane also runs **replicated** ([`router`], [`replica`],
-//! [`avail`]): rank 0 routes client requests over a group of replica
-//! ranks with per-request deadlines, bounded retries, one hedged backup
-//! after a p99-derived delay (duplicates suppressed by routing id),
+//! Serving runs over the `gbdt-cluster` byte-message fabric as a
+//! **router group** ([`router`], [`replica`], [`avail`]); a single server
+//! is the group with one replica. Rank 0 routes client requests over the
+//! replica ranks with per-request deadlines, bounded retries, one hedged
+//! backup after a p99-derived delay (duplicates suppressed by routing id),
 //! typed load-shedding over bounded inflight queues, optional
 //! degraded-mode tree-prefix scoring past the high-water mark, and
 //! heartbeat-driven failover with crash recovery + resync. The
-//! availability harness ([`avail::run_avail`]) ledgers every request as
-//! served / degraded / shed / failed under a seeded
-//! [`FaultPlan`](gbdt_cluster::FaultPlan) and verifies each response
+//! availability harness ([`avail::run_avail`]) drives open-loop or
+//! closed-loop clients, ledgers every request as served / degraded /
+//! shed / failed under an optional seeded
+//! [`FaultPlan`](gbdt_cluster::FaultPlan), and verifies each response
 //! bit-exactly against its stamped `(version, trees_scored)`.
 //!
 //! Every strategy is bit-identical to [`GbdtModel::predict_row_into`]:
@@ -58,7 +57,6 @@ pub mod replica;
 pub mod router;
 pub mod server;
 pub mod stats;
-pub mod traffic;
 pub mod wire;
 
 pub use avail::{run_avail, AvailConfig};
@@ -66,6 +64,5 @@ pub use compile::CompiledEnsemble;
 pub use exec::{Blocked, ExecStrategy, PerRow, Strategy};
 pub use replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
 pub use router::{run_router, RouterConfig, RouterStats};
-pub use server::{serve, ModelSlot, ServeConfig, ServerStats};
-pub use stats::{AvailRun, ServeRun};
-pub use traffic::{run_traffic, TrafficConfig};
+pub use server::ModelSlot;
+pub use stats::AvailRun;

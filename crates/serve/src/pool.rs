@@ -22,8 +22,8 @@
 //! The reply path waits on every chunk: `std::thread::scope` joins all
 //! spawned workers before [`ExecStrategy::predict_prefix_into`]
 //! returns, so a request's completion time is its *last* chunk's
-//! completion — the property the traffic harness's latency accounting
-//! relies on (no chunk finishes "early" for the ledger).
+//! completion — the property the availability harness's latency
+//! accounting relies on (no chunk finishes "early" for the ledger).
 
 use crate::compile::CompiledEnsemble;
 use crate::exec::ExecStrategy;

@@ -148,8 +148,6 @@ struct Outstanding {
     client: usize,
     client_req_id: u64,
     req: PredictRequest,
-    /// Open-loop latency anchor: when the client frame reached us.
-    arrived_s: f64,
     /// Per-attempt deadline anchor.
     sent_s: f64,
     attempts: usize,
@@ -328,7 +326,6 @@ impl<'a> Router<'a> {
                 client,
                 client_req_id,
                 req,
-                arrived_s: now_s,
                 sent_s: now_s,
                 attempts: 1,
                 hedged: false,
@@ -381,7 +378,6 @@ impl<'a> Router<'a> {
             self.stats.failed_over += 1;
         }
         resp.req_id = out.client_req_id;
-        let _ = out.arrived_s; // reserved for queueing-delay accounting
         self.respond(out.client, &resp);
     }
 
@@ -631,4 +627,95 @@ pub fn run_router(
     assert!(cfg.retry_budget >= 1, "retry_budget counts the first attempt");
     let clock = Clock::new();
     Router::new(comm, *cfg, model_bytes, clock).run(n_clients)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::PerRow;
+    use crate::replica::{run_replica, ReplicaConfig};
+    use crate::server::ModelSlot;
+    use gbdt_cluster::NetworkCostModel;
+    use gbdt_core::model::GbdtModel;
+    use gbdt_core::tree::Tree;
+    use gbdt_core::Objective;
+
+    fn stump_model(leaf_left: f64, leaf_right: f64) -> GbdtModel {
+        let mut m = GbdtModel::new(Objective::SquaredError, 0.1, 2);
+        let mut t = Tree::new(2, 1);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(1, vec![leaf_left]);
+        t.set_leaf(2, vec![leaf_right]);
+        m.trees.push(t);
+        m
+    }
+
+    /// One client, the router and one replica, driven frame by frame:
+    /// requests are answered by the current version, a publish is acked
+    /// with the version the router assigned, and garbage frames are refused
+    /// without ending the session or touching the served model.
+    #[test]
+    fn request_publish_stop_session() {
+        let mesh = Comm::mesh(3, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
+        let mut mesh = mesh.into_iter();
+        let (router_comm, replica_comm, client) =
+            (mesh.next().unwrap(), mesh.next().unwrap(), mesh.next().unwrap());
+        let v1 = stump_model(1.0, -1.0);
+        let slot = ModelSlot::new(&v1).unwrap();
+        let cfg = RouterConfig { n_replicas: 1, ..RouterConfig::default() };
+
+        std::thread::scope(|scope| {
+            let slot = &slot;
+            let router =
+                scope.spawn(move || run_router(&router_comm, &cfg, v1.encode_bytes(), 1).unwrap());
+            let replica = scope.spawn(move || {
+                run_replica(&replica_comm, slot, &PerRow, &ReplicaConfig::default()).unwrap()
+            });
+            let response = |tag, payload: Vec<u8>| {
+                client.send(ROUTER_RANK, tag, Bytes::from(payload)).unwrap();
+                client.recv(ROUTER_RANK, SERVE_RESPONSE_TAG).unwrap()
+            };
+
+            let req = PredictRequest {
+                req_id: 9,
+                n_features: 2,
+                max_trees: 0,
+                rows: vec![0.0, 0.0, 1.0, 0.0],
+            };
+            let resp =
+                PredictResponse::decode(&response(SERVE_REQUEST_TAG, req.encode())).unwrap();
+            assert_eq!((resp.req_id, resp.version), (9, 1));
+            assert_eq!(resp.scores, vec![1.0, -1.0]);
+
+            // Hot-swap to a model with other leaves; the router assigns v2.
+            let v2 = stump_model(5.0, -5.0).encode_bytes();
+            let ack = PublishAck::decode(&response(SERVE_PUBLISH_TAG, v2)).unwrap();
+            assert_eq!(ack.version, 2);
+
+            let resp =
+                PredictResponse::decode(&response(SERVE_REQUEST_TAG, req.encode())).unwrap();
+            assert_eq!((resp.req_id, resp.version), (9, 2));
+            assert_eq!(resp.scores, vec![5.0, -5.0]);
+
+            // Garbage request: a typed refusal, and the session goes on.
+            let err = PredictResponse::decode(&response(SERVE_REQUEST_TAG, vec![1, 2, 3])).unwrap();
+            assert_eq!((err.version, err.status), (0, ReplyStatus::Malformed));
+
+            // Garbage publish: acked with version 0, v2 stays served.
+            let ack = PublishAck::decode(&response(SERVE_PUBLISH_TAG, vec![7; 5])).unwrap();
+            assert_eq!(ack.version, 0);
+
+            client.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new()).unwrap();
+            let stats = router.join().unwrap();
+            assert!(
+                matches!(
+                    stats,
+                    RouterStats { served: 2, malformed: 2, publishes: 1, last_version: 2, .. }
+                ),
+                "{stats:?}"
+            );
+            let replica = replica.join().unwrap();
+            assert_eq!((replica.publishes, replica.last_version), (1, 2), "{replica:?}");
+        });
+    }
 }

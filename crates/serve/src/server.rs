@@ -1,26 +1,20 @@
-//! The serving request loop and atomic model hot-swap.
+//! What every serving replica holds and does per request: the atomically
+//! swappable model and the one scoring step.
 //!
-//! A server rank multiplexes three tag streams off the cluster fabric
-//! with [`gbdt_cluster::Comm::recv_any`]: prediction requests, model
-//! publishes, and per-client stops. The served model lives in a
-//! [`ModelSlot`] — publishing compiles the incoming
-//! [`GbdtModel::encode_bytes`] payload *outside* the lock, then swaps an
-//! `Arc` under a brief write lock. In-flight scoring holds its own `Arc`
-//! clone, so a swap never tears a batch: every response is stamped with
-//! the version that actually scored it, and concurrent traffic observes
-//! only whole versions (pinned by the hot-swap tests).
+//! The served model lives in a [`ModelSlot`] — publishing compiles the
+//! incoming [`GbdtModel::encode_bytes`] payload *outside* the lock, then
+//! swaps an `Arc` under a brief write lock. In-flight scoring holds its own
+//! `Arc` clone, so a swap never tears a batch: [`score_request`] stamps
+//! every response with the version that actually scored it, and concurrent
+//! traffic observes only whole versions (pinned by the hot-swap tests).
+//! The frame loop around them is [`crate::replica`]; a single server is a
+//! router group of one replica.
 //!
 //! [`GbdtModel::encode_bytes`]: gbdt_core::model::GbdtModel::encode_bytes
 
 use crate::compile::{compile, CompiledEnsemble};
-use crate::exec::{ExecStrategy, Strategy};
-use crate::pool;
-use crate::wire::{PredictRequest, PredictResponse, PublishAck, ReplyStatus};
-use bytes::Bytes;
-use gbdt_cluster::comm::protocol::{
-    SERVE_PUBLISH_TAG, SERVE_REQUEST_TAG, SERVE_RESPONSE_TAG, SERVE_STOP_TAG,
-};
-use gbdt_cluster::{Comm, CommError};
+use crate::exec::ExecStrategy;
+use crate::wire::{PredictRequest, PredictResponse, ReplyStatus};
 use gbdt_core::model::GbdtModel;
 use std::sync::{Arc, RwLock};
 
@@ -98,41 +92,6 @@ impl ModelSlot {
     }
 }
 
-/// How a serving rank scores: strategy × thread budget.
-///
-/// This is the one knob bundle every serving entry point (the
-/// single-rank [`serve`] loop, replicas, the traffic and availability
-/// harnesses) constructs its executor from, via [`ServeConfig::executor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeConfig {
-    /// Batch execution strategy.
-    pub strategy: Strategy,
-    /// Scoring threads per request batch: 1 = serial (the default),
-    /// 0 = one per available core, N = exactly N scoped workers.
-    pub score_threads: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig { strategy: Strategy::PerRow, score_threads: 1 }
-    }
-}
-
-impl ServeConfig {
-    /// A serial config for `strategy` (the pre-parallel behavior — what
-    /// `Strategy::executor()` alone provides).
-    pub fn serial(strategy: Strategy) -> Self {
-        ServeConfig { strategy, ..ServeConfig::default() }
-    }
-
-    /// Builds the executor this config describes: the strategy, wrapped
-    /// for parallel chunk scoring when `score_threads` resolves past 1
-    /// (see [`crate::pool`]).
-    pub fn executor(&self) -> Box<dyn ExecStrategy + Send + Sync> {
-        pool::parallel(self.strategy.executor(), self.score_threads)
-    }
-}
-
 /// Scores one decoded request against an ensemble snapshot, honoring the
 /// degraded-mode tree budget (`max_trees = 0` scores the full ensemble).
 /// The response stamps `(version, trees_scored)` — the exact deterministic
@@ -164,88 +123,10 @@ pub fn score_request(
     }
 }
 
-/// What one serving session handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Prediction requests answered.
-    pub requests: u64,
-    /// Rows scored.
-    pub rows: u64,
-    /// Successful model publishes.
-    pub publishes: u64,
-    /// Frames that failed to decode or had a mismatched shape (each is
-    /// answered with an empty error response so the client never hangs).
-    pub malformed: u64,
-    /// Version being served when the loop exited.
-    pub last_version: u64,
-}
-
-/// Runs the serving loop on this rank until every one of `n_clients`
-/// peers has sent a [`SERVE_STOP_TAG`] message.
-///
-/// Requests are scored with `strategy` against the current [`ModelSlot`]
-/// snapshot and answered on [`SERVE_RESPONSE_TAG`]; publishes hot-swap
-/// the slot and are acked with the new version. Malformed frames get an
-/// empty response (`version = 0`) so a buggy client fails fast instead
-/// of deadlocking the mesh.
-pub fn serve(
-    comm: &Comm,
-    slot: &ModelSlot,
-    strategy: &dyn ExecStrategy,
-    n_clients: usize,
-) -> Result<ServerStats, CommError> {
-    let tags = [SERVE_REQUEST_TAG, SERVE_PUBLISH_TAG, SERVE_STOP_TAG];
-    let mut stats = ServerStats::default();
-    let mut stops = 0usize;
-    while stops < n_clients {
-        let (from, tag, payload) = comm.recv_any(&tags)?;
-        if tag == SERVE_STOP_TAG {
-            stops += 1;
-        } else if tag == SERVE_REQUEST_TAG {
-            let ens = slot.load();
-            let response = match PredictRequest::decode(&payload) {
-                Ok(req) => {
-                    let response = score_request(&ens, strategy, &req);
-                    if response.status == ReplyStatus::Ok {
-                        stats.requests += 1;
-                        stats.rows += req.n_rows() as u64;
-                    } else {
-                        stats.malformed += 1;
-                    }
-                    response
-                }
-                Err(_) => {
-                    stats.malformed += 1;
-                    PredictResponse::refusal(0, ReplyStatus::Malformed)
-                }
-            };
-            comm.send(from, SERVE_RESPONSE_TAG, Bytes::from(response.encode()))?;
-        } else {
-            // SERVE_PUBLISH_TAG
-            let ack = match GbdtModel::decode_bytes(&payload)
-                .and_then(|model| slot.publish(&model))
-            {
-                Ok(version) => {
-                    stats.publishes += 1;
-                    PublishAck { version }
-                }
-                Err(_) => {
-                    stats.malformed += 1;
-                    PublishAck { version: 0 }
-                }
-            };
-            comm.send(from, SERVE_RESPONSE_TAG, Bytes::from(ack.encode()))?;
-        }
-    }
-    stats.last_version = slot.version();
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::PerRow;
-    use gbdt_cluster::NetworkCostModel;
     use gbdt_core::tree::Tree;
     use gbdt_core::Objective;
 
@@ -257,102 +138,6 @@ mod tests {
         t.set_leaf(2, vec![leaf_right]);
         m.trees.push(t);
         m
-    }
-
-    #[test]
-    fn request_publish_stop_session() {
-        let mesh = Comm::mesh(2, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
-        let mut mesh = mesh.into_iter();
-        let (server_comm, client_comm) = (mesh.next().unwrap(), mesh.next().unwrap());
-        let slot = ModelSlot::new(&stump_model(1.0, -1.0)).unwrap();
-
-        std::thread::scope(|scope| {
-            let slot = &slot;
-            let server = scope.spawn(move || serve(&server_comm, slot, &PerRow, 1).unwrap());
-
-            let req = PredictRequest {
-                req_id: 9,
-                n_features: 2,
-                max_trees: 0,
-                rows: vec![0.0, 0.0, 1.0, 0.0],
-            };
-            client_comm.send(0, SERVE_REQUEST_TAG, Bytes::from(req.encode())).unwrap();
-            let resp =
-                PredictResponse::decode(&client_comm.recv(0, SERVE_RESPONSE_TAG).unwrap())
-                    .unwrap();
-            assert_eq!(resp.req_id, 9);
-            assert_eq!(resp.version, 1);
-            assert_eq!(resp.scores, vec![1.0, -1.0]);
-
-            // Hot-swap to a model with flipped leaves.
-            let v2 = stump_model(5.0, -5.0);
-            client_comm.send(0, SERVE_PUBLISH_TAG, Bytes::from(v2.encode_bytes())).unwrap();
-            let ack =
-                PublishAck::decode(&client_comm.recv(0, SERVE_RESPONSE_TAG).unwrap()).unwrap();
-            assert_eq!(ack.version, 2);
-
-            client_comm.send(0, SERVE_REQUEST_TAG, Bytes::from(req.encode())).unwrap();
-            let resp =
-                PredictResponse::decode(&client_comm.recv(0, SERVE_RESPONSE_TAG).unwrap())
-                    .unwrap();
-            assert_eq!(resp.version, 2);
-            assert_eq!(resp.scores, vec![5.0, -5.0]);
-
-            // Malformed request: server answers an error frame, keeps going.
-            client_comm.send(0, SERVE_REQUEST_TAG, Bytes::from(vec![1, 2, 3])).unwrap();
-            let err =
-                PredictResponse::decode(&client_comm.recv(0, SERVE_RESPONSE_TAG).unwrap())
-                    .unwrap();
-            assert_eq!(err.version, 0);
-            assert_eq!(err.status, ReplyStatus::Malformed);
-
-            client_comm.send(0, SERVE_STOP_TAG, Bytes::new()).unwrap();
-            let stats = server.join().unwrap();
-            assert_eq!(stats.requests, 2);
-            assert_eq!(stats.rows, 4);
-            assert_eq!(stats.publishes, 1);
-            assert_eq!(stats.malformed, 1);
-            assert_eq!(stats.last_version, 2);
-        });
-    }
-
-    #[test]
-    fn serve_config_parallel_session_is_bit_identical() {
-        // A large batch through a live session with score_threads=4 must
-        // produce exactly the serial bits.
-        let model = stump_model(1.5, -2.5);
-        let slot = ModelSlot::new(&model).unwrap();
-        let n_rows = 200usize;
-        let rows: Vec<f32> = (0..n_rows * 2).map(|i| (i as f32 * 0.37).sin()).collect();
-        let req = PredictRequest { req_id: 1, n_features: 2, max_trees: 0, rows };
-        let serial = score_request(&slot.load(), &PerRow, &req);
-
-        let cfg = ServeConfig { strategy: Strategy::Blocked(0), score_threads: 4 };
-        let executor = cfg.executor();
-        assert_eq!(executor.label(), "blocked+t4");
-
-        let mesh = Comm::mesh(2, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
-        let mut mesh = mesh.into_iter();
-        let (server_comm, client_comm) = (mesh.next().unwrap(), mesh.next().unwrap());
-        std::thread::scope(|scope| {
-            let slot = &slot;
-            let executor = executor.as_ref();
-            let server =
-                scope.spawn(move || serve(&server_comm, slot, executor, 1).unwrap());
-            client_comm.send(0, SERVE_REQUEST_TAG, Bytes::from(req.encode())).unwrap();
-            let resp =
-                PredictResponse::decode(&client_comm.recv(0, SERVE_RESPONSE_TAG).unwrap())
-                    .unwrap();
-            let same = serial
-                .scores
-                .iter()
-                .zip(&resp.scores)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "parallel session diverged from serial scoring");
-            client_comm.send(0, SERVE_STOP_TAG, Bytes::new()).unwrap();
-            let stats = server.join().unwrap();
-            assert_eq!(stats.rows, n_rows as u64);
-        });
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! file). The scoring hot path stays clock-free — traversal kernels
 //! measuring themselves would both perturb the measurement and smuggle
 //! nondeterminism next to the bit-identity contract. Everything else
-//! (traffic pacing, latency percentiles) goes through [`Clock`].
+//! (client pacing, router deadlines, latency percentiles) goes through [`Clock`].
 
 use std::time::Instant;
 
-/// A monotonic stopwatch handed to the traffic generator and harnesses.
+/// A monotonic stopwatch handed to the router and the availability harness.
 #[derive(Debug, Clone, Copy)]
 pub struct Clock {
     start: Instant,
@@ -42,91 +42,10 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// One traffic run's accounting — the serving analogue of the training
-/// side's `SystemRun`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRun {
-    /// Strategy label the server executed.
-    pub strategy: String,
-    /// Rows per request batch.
-    pub batch: usize,
-    /// Trees in the served (initial) model.
-    pub n_trees: usize,
-    /// Client threads driving traffic.
-    pub n_clients: usize,
-    /// Offered load in requests/second across all clients (0 = open
-    /// throttle).
-    pub target_qps: f64,
-    /// Requests completed (every request must complete: drops are a
-    /// protocol bug, not a load signal).
-    pub requests: u64,
-    /// Requests that never got a response (must be 0).
-    pub dropped: u64,
-    /// Rows scored.
-    pub rows: u64,
-    /// Model publishes observed mid-run.
-    pub publishes: u64,
-    /// Distinct model versions stamped on responses, ascending.
-    pub versions_seen: Vec<u64>,
-    /// Wall-clock duration of the measured window, seconds.
-    pub wall_s: f64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-    /// Scored rows per second.
-    pub rows_per_sec: f64,
-    /// Median request latency, milliseconds (open-loop: measured from the
-    /// request's *scheduled* start, so queueing delay is not hidden).
-    pub p50_ms: f64,
-    /// 99th percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th percentile latency, milliseconds.
-    pub p999_ms: f64,
-}
-
-impl ServeRun {
-    /// Builds the run record from raw per-request latencies (seconds).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_latencies(
-        strategy: String,
-        batch: usize,
-        n_trees: usize,
-        n_clients: usize,
-        target_qps: f64,
-        latencies_s: &[f64],
-        dropped: u64,
-        rows: u64,
-        publishes: u64,
-        mut versions_seen: Vec<u64>,
-        wall_s: f64,
-    ) -> Self {
-        versions_seen.sort_unstable();
-        versions_seen.dedup();
-        let requests = latencies_s.len() as u64;
-        let wall = wall_s.max(1e-9);
-        ServeRun {
-            strategy,
-            batch,
-            n_trees,
-            n_clients,
-            target_qps,
-            requests,
-            dropped,
-            rows,
-            publishes,
-            versions_seen,
-            wall_s,
-            throughput_rps: requests as f64 / wall,
-            rows_per_sec: rows as f64 / wall,
-            p50_ms: percentile(latencies_s, 0.50) * 1e3,
-            p99_ms: percentile(latencies_s, 0.99) * 1e3,
-            p999_ms: percentile(latencies_s, 0.999) * 1e3,
-        }
-    }
-}
-
-/// One availability run's ledger — the chaos-facing analogue of
-/// [`ServeRun`]: what fraction of offered load got a verified answer,
-/// and at what latency, while replicas crashed and frames misbehaved.
+/// One availability run's ledger — the serving analogue of the training
+/// side's `SystemRun`: what fraction of offered load got a verified
+/// answer, and at what latency, while replicas crashed and frames
+/// misbehaved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AvailRun {
     /// Scenario label (e.g. `clean` or the fault spec).
@@ -268,30 +187,6 @@ mod tests {
         assert_eq!(percentile(&[7.0], 0.99), 7.0);
         // Unsorted input is handled.
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
-    }
-
-    #[test]
-    fn serve_run_aggregates() {
-        let lat = vec![0.001, 0.002, 0.003, 0.004];
-        let run = ServeRun::from_latencies(
-            "per-row".into(),
-            8,
-            100,
-            2,
-            1000.0,
-            &lat,
-            0,
-            32,
-            1,
-            vec![2, 1, 2],
-            2.0,
-        );
-        assert_eq!(run.requests, 4);
-        assert_eq!(run.versions_seen, vec![1, 2]);
-        assert_eq!(run.throughput_rps, 2.0);
-        assert_eq!(run.rows_per_sec, 16.0);
-        assert_eq!(run.p50_ms, 2.0);
-        assert!(run.p99_ms >= run.p50_ms);
     }
 
     #[test]

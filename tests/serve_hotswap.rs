@@ -5,10 +5,11 @@
 //! published version — never a mix — and no request is ever dropped on
 //! the floor during a swap. Two layers pin this:
 //!
-//! 1. An end-to-end traffic run ([`gbdt_serve::traffic::run_traffic`])
-//!    with trained models: open-loop clients verify every response
-//!    bit-for-bit against the expectation for the version stamped on it,
-//!    so a torn swap (half-old, half-new scores) fails the bit match.
+//! 1. An end-to-end run through a one-replica router group
+//!    ([`gbdt_serve::avail::run_avail`]) with trained models: clients
+//!    verify every response bit-for-bit against the expectation for the
+//!    version stamped on it, so a torn swap (half-old, half-new scores)
+//!    counts as `incorrect`.
 //! 2. A direct [`ModelSlot`] hammer: reader threads score snapshots while
 //!    the main thread publishes repeatedly; every observed score must
 //!    equal exactly one version's expected output.
@@ -20,10 +21,9 @@ use gbdt_core::TrainConfig;
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_quadrants::{qd2, Aggregation};
-use gbdt_serve::avail::{run_avail, AvailConfig};
+use gbdt_serve::avail::{run_avail, AvailConfig, AvailOutcome};
 use gbdt_serve::exec::{PerRow, Strategy};
 use gbdt_serve::server::ModelSlot;
-use gbdt_serve::traffic::{run_traffic, TrafficConfig};
 use gbdt_serve::ExecStrategy;
 
 fn dataset(seed: u64) -> Dataset {
@@ -44,30 +44,36 @@ fn trained(seed: u64, n_trees: usize) -> GbdtModel {
     qd2::train(&Cluster::new(2), &dataset(seed), &cfg, Aggregation::ReduceScatter).model
 }
 
-/// End-to-end: three clients drive open-throttle traffic while a third
-/// model version is published mid-run. Every score is verified bit-exact
-/// against its stamped version inside the harness; here we assert the
-/// run-level invariants the PR promises.
+/// The run-level invariants of a clean session with two hot swaps: every
+/// response verified against its own version, every request answered,
+/// both publishes accepted, all three versions served.
+fn assert_whole_versions(outcome: &AvailOutcome, requests: u64) {
+    let run = &outcome.run;
+    assert_eq!(run.incorrect, 0, "torn or mis-versioned response: {run:?}");
+    assert_eq!((run.failed, run.shed), (0, 0), "requests lost across the swaps: {run:?}");
+    assert_eq!(run.requests, requests, "{run:?}");
+    assert_eq!(run.served, run.requests, "every request answered in full: {run:?}");
+    assert_eq!(outcome.router.publishes, 2, "both extra versions were published");
+    assert_eq!(run.versions_seen, vec![1, 2, 3], "all three whole versions served");
+}
+
+/// End-to-end: three clients drive open-throttle traffic through one
+/// replica while two more model versions are published mid-run.
 #[test]
 fn concurrent_traffic_observes_only_whole_versions() {
     let models = [trained(31, 4), trained(32, 4), trained(33, 6)];
-    let cfg = TrafficConfig {
+    let cfg = AvailConfig {
+        n_replicas: 1,
         n_clients: 3,
         requests_per_client: 60,
         batch: 8,
         qps: 0.0,
         strategy: Strategy::Blocked(0),
         seed: 99,
-        ..TrafficConfig::default()
+        ..AvailConfig::default()
     };
-    let run = run_traffic(&models, &cfg).expect("traffic run completes");
-    assert_eq!(run.requests, 180, "every request completed");
-    assert_eq!(run.dropped, 0, "zero dropped requests across the swaps");
-    assert_eq!(run.publishes, 2, "both extra versions were published");
-    assert_eq!(run.versions_seen, vec![1, 2, 3], "all three whole versions served");
-    assert_eq!(run.rows, 180 * 8);
-    assert!(run.throughput_rps > 0.0);
-    assert!(run.p99_ms >= run.p50_ms && run.p50_ms >= 0.0);
+    let outcome = run_avail(&models, &cfg, None).expect("session completes");
+    assert_whole_versions(&outcome, 180);
 }
 
 /// Direct slot hammer: snapshots taken while publishes race must each be
@@ -137,11 +143,12 @@ fn slot_snapshots_are_never_torn() {
 /// produce a whole-version response. Batches span several 64-row chunks
 /// (so the pool genuinely splits), and the harness bit-verifies every
 /// response against its stamped version — a torn or version-mixed chunk
-/// fails the bit match inside `run_traffic`.
+/// counts as `incorrect`.
 #[test]
 fn parallel_scoring_observes_only_whole_versions() {
     let models = [trained(41, 4), trained(42, 4), trained(43, 6)];
-    let cfg = TrafficConfig {
+    let cfg = AvailConfig {
+        n_replicas: 1,
         n_clients: 3,
         requests_per_client: 40,
         batch: 160,
@@ -149,14 +156,10 @@ fn parallel_scoring_observes_only_whole_versions() {
         strategy: Strategy::Blocked(0),
         score_threads: 4,
         seed: 907,
+        ..AvailConfig::default()
     };
-    let run = run_traffic(&models, &cfg).expect("parallel traffic run completes");
-    assert_eq!(run.strategy, "blocked+t4", "the pool must actually be engaged");
-    assert_eq!(run.requests, 120, "every request completed");
-    assert_eq!(run.dropped, 0, "zero dropped requests across the swaps");
-    assert_eq!(run.publishes, 2, "both extra versions were published");
-    assert_eq!(run.versions_seen, vec![1, 2, 3], "all three whole versions served");
-    assert_eq!(run.rows, 120 * 160);
+    let outcome = run_avail(&models, &cfg, None).expect("parallel session completes");
+    assert_whole_versions(&outcome, 120);
 }
 
 /// Hot-swap during failover (PR 8): new versions are published through
