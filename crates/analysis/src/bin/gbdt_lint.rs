@@ -1,26 +1,26 @@
 //! `gbdt-lint` — the workspace determinism / deadlock-freedom gate.
 //!
 //! ```text
-//! gbdt-lint [--root PATH] [--json] [--protocol] [--model-check] [FILE...]
+//! gbdt-lint [--root PATH] [--json] [--model-check] [FILE...]
 //! ```
 //!
 //! With no `FILE` arguments, lints every product source in the workspace
 //! (`crates/*/src/**`, `examples/`). Explicit files are linted under their
 //! workspace-relative paths, so rule scoping behaves identically. Exits 1
 //! if any diagnostic fires; `--json` emits a machine-readable array for
-//! CI; `--protocol` prints the per-function collective schedule of every
-//! trainer instead of linting; `--model-check` runs the bounded protocol
-//! model checker (worlds 1–4 simulation, serve frame coverage, wire
-//! parity, lock order) instead of the lint rules and prints the
-//! per-unit schedule report.
+//! CI; `--model-check` runs the bounded protocol model checker (worlds 1–4
+//! simulation, serve frame coverage, wire parity, lock order) instead of
+//! the lint rules and prints the per-unit schedule report, with the
+//! rendezvous kinds each unit meets.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: gbdt-lint [--root PATH] [--json] [--model-check] [FILE...]";
+
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut protocol = false;
     let mut model_check = false;
     let mut files: Vec<String> = Vec::new();
 
@@ -32,12 +32,9 @@ fn main() -> ExitCode {
                 None => return usage("--root requires a path"),
             },
             "--json" => json = true,
-            "--protocol" => protocol = true,
             "--model-check" => model_check = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: gbdt-lint [--root PATH] [--json] [--protocol] [--model-check] [FILE...]"
-                );
+                println!("{USAGE}");
                 println!("\nlint rules:");
                 for (id, summary) in gbdt_analysis::rules::RULES {
                     println!("  {id:<24} {summary}");
@@ -57,16 +54,6 @@ fn main() -> ExitCode {
     let Some(root) = root.or_else(|| gbdt_analysis::find_workspace_root(&cwd)) else {
         return usage("could not find a workspace root (no Cargo.toml with [workspace] above cwd)");
     };
-
-    if protocol {
-        return match gbdt_analysis::workspace_protocol_report(&root) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => usage(&format!("failed to read workspace: {e}")),
-        };
-    }
 
     // Explicit FILE arguments, read and normalized to workspace-relative
     // paths (with `//@ path:` / `//@ file:` fixture directives honoured).
@@ -147,6 +134,6 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("gbdt-lint: {err}");
-    eprintln!("usage: gbdt-lint [--root PATH] [--json] [--protocol] [--model-check] [FILE...]");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }

@@ -5,7 +5,10 @@
 //! tag, ..)`, `recv(from, tag)`, `recv_any(&tags)`, collective calls,
 //! `alloc_collective_tag(s)`, `fault_point`, `purge_pending` — and the
 //! control flow around them (`if`/`else if`, `for` over literal ranges,
-//! `while`/`loop`, `match`). Everything else degrades conservatively:
+//! `while`/`loop`, `match`). A `while` condition and a `match` over
+//! integer arms are branch conditions like an `if`'s, so every way a rank
+//! test can guard a collective reaches the checker as an `Op::If`.
+//! Everything else degrades conservatively:
 //! an unparseable loop bound becomes a nondeterministic loop, an opaque
 //! condition a nondeterministic branch, and an `.enumerate()` loop is
 //! only given world-sized bounds when the body's own
@@ -13,6 +16,7 @@
 
 use crate::ir::{CmpOp, Cond, Expr, FnDef, Op, RecvAnySrc, Rhs};
 use crate::lexer::{Lexed, Token};
+use crate::rules::parse_u64;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Extracts every function body in `lexed` (test items are already
@@ -93,7 +97,7 @@ pub fn parse_registry(lexed: &Lexed) -> Vec<(String, u64, u32)> {
                         if let Some(crate::lexer::Tok::Num(num)) =
                             span.get(k + 1).map(|x| x.tok.clone())
                         {
-                            if let Some(v) = crate::protocol::parse_u64(&num) {
+                            if let Some(v) = parse_u64(&num) {
                                 out.push((name.to_string(), v, span[j].line));
                             }
                         }
@@ -329,8 +333,12 @@ impl Parser {
         close + 1
     }
 
-    /// `while <cond> { .. }` / `loop { .. }` → nondeterministic loop.
+    /// `loop { .. }` → nondeterministic loop. `while <cond> { .. }` is the
+    /// same loop under an `if` on its condition, so a rank test that only
+    /// some ranks pass is a rank branch; an opaque condition stays a bare
+    /// loop.
     fn parse_loop(&mut self, t: &[Token], i: usize, ops: &mut Vec<Op>) -> usize {
+        let line = t[i].line;
         let mut j = i + 1;
         let (mut paren, mut brack) = (0i32, 0i32);
         while j < t.len() {
@@ -354,13 +362,23 @@ impl Parser {
         let close = matching_brace(t, j);
         let body = self.parse_block(&t[j + 1..close]);
         let site = self.site();
-        ops.push(Op::LoopNondet { body, site });
+        let lp = Op::LoopNondet { body, site };
+        // `loop` has no condition tokens, so it always lands in `Unknown`.
+        match parse_cond(&t[i + 1..j]) {
+            Cond::Unknown => ops.push(lp),
+            cond => {
+                let site = self.site();
+                ops.push(Op::If { cond, then: vec![lp], els: Vec::new(), site, line });
+            }
+        }
         close + 1
     }
 
     /// `match <scrutinee> { pat => arm, .. }`. Scrutinee ops are emitted
     /// first (e.g. `match comm.recv_any(&tags)`), then one synchronized
-    /// arm choice.
+    /// arm choice — unless the scrutinee is an expression and every arm an
+    /// integer literal or `_`, which is an `if scrutinee == lit` chain
+    /// (`match ctx.rank() { 0 => .., _ => .. }` is a rank branch).
     fn parse_match(&mut self, t: &[Token], i: usize, ops: &mut Vec<Op>) -> usize {
         let line = t[i].line;
         let mut j = i + 1;
@@ -386,6 +404,8 @@ impl Parser {
         let close = matching_brace(t, j);
         let span = &t[j + 1..close];
         let mut arms = Vec::new();
+        // Per arm: `Some(Some(v))` for a literal `v`, `Some(None)` for `_`.
+        let mut pats: Vec<Option<Option<u64>>> = Vec::new();
         let mut k = 0;
         while k < span.len() {
             // Pattern (with optional guard): up to `=>` at depth 0.
@@ -419,6 +439,7 @@ impl Parser {
             if !found {
                 break;
             }
+            pats.push(int_pattern(&span[k..m]));
             let arm_start = m + 2;
             if span.get(arm_start).is_some_and(|x| x.is_punct('{')) {
                 let aclose = matching_brace(span, arm_start);
@@ -463,8 +484,31 @@ impl Parser {
                 k = e + 1;
             }
         }
-        let site = self.site();
-        ops.push(Op::Match { arms, site, line });
+        let scrutinee = parse_expr(&t[i + 1..j]);
+        match (scrutinee, pats.iter().copied().collect::<Option<Vec<_>>>()) {
+            (Some(scrutinee), Some(lits)) => {
+                // Built back to front: `_` becomes the final `else` (arms
+                // after it are unreachable), each literal an `if` around it.
+                let mut chain = Vec::new();
+                for (lit, arm) in lits.into_iter().zip(arms).rev() {
+                    chain = match lit {
+                        None => arm,
+                        Some(v) => vec![Op::If {
+                            cond: Cond::Cmp(CmpOp::Eq, scrutinee.clone(), Expr::Num(v)),
+                            then: arm,
+                            els: chain,
+                            site: self.site(),
+                            line,
+                        }],
+                    };
+                }
+                ops.extend(chain);
+            }
+            _ => {
+                let site = self.site();
+                ops.push(Op::Match { arms, site, line });
+            }
+        }
         close + 1
     }
 
@@ -710,6 +754,16 @@ fn parse_recv_any_arg(t: &[Token]) -> RecvAnySrc {
     }
 }
 
+/// A `match` arm pattern that is one integer literal (`Some(Some(v))`) or
+/// `_` (`Some(None)`); anything else — bindings, ranges, guards — is `None`.
+fn int_pattern(pat: &[Token]) -> Option<Option<u64>> {
+    match pat {
+        [p] if p.ident() == Some("_") => Some(None),
+        [Token { tok: crate::lexer::Tok::Num(n), .. }] => parse_u64(n).map(Some),
+        _ => None,
+    }
+}
+
 /// Parses `lo .. hi` out of a for-loop iterable.
 fn parse_range(t: &[Token]) -> Option<(Expr, Expr)> {
     let (mut p, mut b) = (0i32, 0i32);
@@ -877,7 +931,7 @@ fn parse_primary(t: &[Token], pos: &mut usize) -> Option<Expr> {
             Some(inner)
         }
         Some(Token { tok: crate::lexer::Tok::Num(n), .. }) => {
-            let v = crate::protocol::parse_u64(n)?;
+            let v = parse_u64(n)?;
             *pos += 1;
             Some(Expr::Num(v))
         }

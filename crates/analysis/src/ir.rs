@@ -184,10 +184,13 @@ pub enum Op {
     Purge { line: u32 },
     If { cond: Cond, then: Vec<Op>, els: Vec<Op>, site: u32, line: u32 },
     ForRange { var: String, lo: Expr, hi: Expr, body: Vec<Op>, site: u32 },
-    /// `while` / `loop` / any `for` whose bounds don't evaluate:
+    /// `loop`, the body of a `while` (under an `If` on its condition
+    /// unless that is opaque), any `for` whose bounds don't evaluate:
     /// explored at 0 and 2 trips.
     LoopNondet { body: Vec<Op>, site: u32 },
-    /// `match`: one synchronized arm choice per exploration.
+    /// `match` on anything but an expression with integer-literal / `_`
+    /// arms (those become an `If` chain): one synchronized arm choice per
+    /// exploration.
     Match { arms: Vec<Vec<Op>>, site: u32, line: u32 },
     Continue,
     Break,

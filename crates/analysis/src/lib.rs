@@ -11,15 +11,16 @@
 //! * **Lint** — [`lexer`] (a minimal Rust tokenizer that is sound about
 //!   strings, raw strings, char literals, nested block comments, and
 //!   `#[cfg(test)]` stripping, and that harvests `// lint: allow(<rule>)`
-//!   pragmas), [`rules`] (the deny-by-default catalog
-//!   [`rules::RULES`]), and [`protocol`] (collective-schedule
-//!   extraction, the rank-branch deadlock rule, the tag registry check).
+//!   pragmas) and [`rules`] (the deny-by-default catalog
+//!   [`rules::RULES`], tag registry included).
 //! * **Model check** (`gbdt-lint --model-check`) — [`ir`]/[`extract`]
 //!   lower every protocol-bearing function to a typed op tree, [`mc`]
 //!   exhaustively simulates it for world sizes 1–4 (deadlock, collective
 //!   divergence, orphan sends, serve-plane frame coverage, fault-path
 //!   closure, dead registry tags), and [`schema`]/[`locks`] gate
-//!   encode/decode parity and serve-plane lock ordering.
+//!   encode/decode parity and serve-plane lock ordering. A collective
+//!   under a rank branch is a collective divergence: the simulator is the
+//!   one place that check lives.
 //!
 //! The `gbdt-lint` binary (and the `workspace_is_lint_clean` /
 //! `workspace_is_protocol_clean` tests) walk every product source file —
@@ -34,7 +35,6 @@ pub mod ir;
 pub mod lexer;
 pub mod locks;
 pub mod mc;
-pub mod protocol;
 pub mod rules;
 pub mod schema;
 
@@ -168,15 +168,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col))
     });
     Ok(diags)
-}
-
-/// The `--protocol` report over the workspace's trainer files.
-pub fn workspace_protocol_report(root: &Path) -> io::Result<String> {
-    let files: Vec<(String, lexer::Lexed)> = workspace_sources(root)?
-        .into_iter()
-        .map(|(rel, src)| (rel, lexer::lex(&src)))
-        .collect();
-    Ok(protocol::protocol_report(&files))
 }
 
 /// Collects `(workspace-relative path, source)` for every linted file:

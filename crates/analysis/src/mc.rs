@@ -1280,8 +1280,10 @@ pub fn model_check_workspace(root: &std::path::Path) -> std::io::Result<McOutcom
     Ok(model_check_files(&crate::workspace_sources(root)?))
 }
 
-/// The human-readable `--model-check` report: per-unit schedule coverage,
-/// then findings (rendered by the caller alongside).
+/// The human-readable `--model-check` report: per-unit schedule coverage
+/// and the rendezvous kinds each unit meets (the per-function collective
+/// list a protocol change is reviewed by), then findings (rendered by the
+/// caller alongside).
 pub fn render_report(outcome: &McOutcome) -> String {
     let mut s = String::new();
     let checked = outcome.units.iter().filter(|u| u.skipped.is_none()).count();
@@ -1314,6 +1316,9 @@ pub fn render_report(outcome: &McOutcome) -> String {
                     "  {:>5}  fn {:<28} {:>5} trace set(s), max buffer depth {}{free}\n",
                     u.line, u.name, u.traces_explored, u.max_buffer_depth
                 ));
+                if !u.rendezvous.is_empty() {
+                    s.push_str(&format!("            meets: {}\n", u.rendezvous.join(", ")));
+                }
             }
         }
     }

@@ -11,7 +11,6 @@
 //! reject it.
 
 use crate::lexer::{Lexed, Token};
-use crate::protocol;
 use crate::Diagnostic;
 
 /// `(id, summary)` for every rule the engine enforces.
@@ -39,11 +38,6 @@ pub const RULES: &[(&str, &str)] = &[
         "slice-index",
         "unchecked slice indexing in the comm layer can panic mid-collective; use \
          get() or justify the bound with a pragma",
-    ),
-    (
-        "rank-branch-collective",
-        "a collective inside a rank-conditional branch is the canonical SPMD \
-         deadlock: some ranks enter, the rest never arrive",
     ),
     (
         "tag-registry",
@@ -638,6 +632,127 @@ fn check_comm_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: tag-registry
+// ---------------------------------------------------------------------------
+
+/// Outside `cluster/src/comm.rs`, any `const …TAG…: u64` is a stray manual
+/// tag — point-to-point messages match on `(from, tag)`, so two in-flight
+/// messages with the same tag can cross, and uniqueness is only checkable
+/// in one place: `gbdt_cluster::protocol`. Inside `comm.rs`, every tag
+/// constant must sit in the `protocol` module, carry a unique literal
+/// value, and stay below `COLLECTIVE_TAG_BASE` (1 << 63), where the
+/// collectives allocate their own tags.
+fn check_tag_registry(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
+    if !path.starts_with("crates/") {
+        return;
+    }
+    let toks = &lexed.tokens;
+    let in_comm = path == "crates/cluster/src/comm.rs";
+
+    // Locate the `mod protocol { … }` span in comm.rs.
+    let protocol_span = (0..toks.len()).find_map(|i| {
+        if toks[i].ident() == Some("mod") && toks.get(i + 1).and_then(Token::ident) == Some("protocol")
+        {
+            let open = (i + 2..toks.len()).find(|&j| toks[j].is_punct('{'))?;
+            Some((open, matching_brace(toks, open)))
+        } else {
+            None
+        }
+    });
+
+    let mut seen: Vec<(String, String)> = Vec::new(); // (value, name)
+    for i in 0..toks.len() {
+        if toks[i].ident() != Some("const") {
+            continue;
+        }
+        let Some(name) = toks.get(i + 1).and_then(Token::ident) else { continue };
+        if !name.contains("TAG") || name == "COLLECTIVE_TAG_BASE" {
+            continue;
+        }
+        let tok = &toks[i];
+        if !in_comm {
+            push_diag(
+                out,
+                lexed,
+                path,
+                tok,
+                "tag-registry",
+                format!(
+                    "manual tag constant `{name}` outside the central registry; declare it \
+                     in gbdt_cluster::protocol so uniqueness is checkable"
+                ),
+            );
+            continue;
+        }
+        let inside = protocol_span.is_some_and(|(open, close)| i > open && i < close);
+        if !inside {
+            push_diag(
+                out,
+                lexed,
+                path,
+                tok,
+                "tag-registry",
+                format!(
+                    "tag constant `{name}` in comm.rs but outside `mod protocol`; move it \
+                     into the registry"
+                ),
+            );
+            continue;
+        }
+        // Inside the registry no pragma applies: a duplicate is never excusable.
+        let mut flag = |message: String| {
+            out.push(Diagnostic {
+                path: path.to_string(),
+                line: tok.line,
+                col: tok.col,
+                rule: "tag-registry",
+                message,
+            })
+        };
+        // `const NAME: u64 = <num> ;`
+        let val = (i + 2..toks.len().min(i + 10)).find_map(|j| {
+            if toks[j].is_punct('=') {
+                if let crate::lexer::Tok::Num(n) = &toks.get(j + 1)?.tok {
+                    return Some(n.clone());
+                }
+            }
+            None
+        });
+        let Some(raw) = val else {
+            flag(format!("tag `{name}` must be a literal u64 so the checker can prove uniqueness"));
+            continue;
+        };
+        if let Some(v) = parse_u64(&raw) {
+            if v >= 1u64 << 63 {
+                flag(format!(
+                    "tag `{name}` = {raw} collides with the auto-allocated collective tag \
+                     space (>= COLLECTIVE_TAG_BASE)"
+                ));
+            }
+            if let Some((_, other)) = seen.iter().find(|(sv, _)| parse_u64(sv) == Some(v)) {
+                flag(format!("tag `{name}` duplicates the value of `{other}`"));
+            }
+        }
+        seen.push((raw, name.to_string()));
+    }
+}
+
+/// Parses `1234`, `0x7261_7274`, `0b…`, `0o…` with optional `u64` suffix.
+pub(crate) fn parse_u64(raw: &str) -> Option<u64> {
+    let s: String = raw.chars().filter(|c| *c != '_').collect();
+    let s = s.strip_suffix("u64").unwrap_or(&s);
+    if let Some(hex) = s.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16).ok()
+    } else if let Some(bin) = s.strip_prefix("0b") {
+        u64::from_str_radix(bin, 2).ok()
+    } else if let Some(oct) = s.strip_prefix("0o") {
+        u64::from_str_radix(oct, 8).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: unsafe-outside-simd
 // ---------------------------------------------------------------------------
 
@@ -733,8 +848,7 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     check_fault_point(path, lexed, &mut out);
     check_comm_unwrap(path, lexed, &mut out);
     check_unsafe_outside_simd(path, lexed, &mut out);
-    protocol::check_rank_branches(path, lexed, &mut out);
-    protocol::check_tag_registry(path, lexed, &mut out);
+    check_tag_registry(path, lexed, &mut out);
     check_stale_pragmas(path, lexed, &mut out);
     out.sort_by_key(|d| (d.line, d.col));
     out

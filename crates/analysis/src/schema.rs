@@ -25,7 +25,7 @@
 //! without both methods) is skipped, never guessed.
 
 use crate::lexer::{Lexed, Token};
-use crate::rules::{match_seq, matching_brace};
+use crate::rules::{match_seq, matching_brace, parse_u64};
 use crate::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -441,7 +441,7 @@ fn decode_items(
             if let Some(n) = tokens
                 .get(i + 3)
                 .and_then(|t| match &t.tok {
-                    crate::lexer::Tok::Num(raw) => crate::protocol::parse_u64(raw),
+                    crate::lexer::Tok::Num(raw) => parse_u64(raw),
                     _ => None,
                 })
             {
@@ -549,7 +549,7 @@ fn fn_strides(tokens: &[Token], range: (usize, usize)) -> BTreeSet<u64> {
     let mut out = BTreeSet::new();
     for i in range.0..range.1 {
         if let crate::lexer::Tok::Num(raw) = &tokens[i].tok {
-            let Some(n) = crate::protocol::parse_u64(raw) else { continue };
+            let Some(n) = parse_u64(raw) else { continue };
             if !STRIDES.contains(&n) {
                 continue;
             }

@@ -1,7 +1,8 @@
 //@ path: crates/quadrants/src/qd2.rs
-//@ expect: rank-branch-collective
-// Known-bad: the canonical SPMD deadlock. Rank 0 enters the all-reduce;
-// every other rank never reaches the rendezvous and blocks forever.
+//@ expect: mc-collective-divergence
+//! The rank is bound to a name first and the branch tests the name: the
+//! checker must see through the binding. Rank 0 enters the all-reduce,
+//! the rest never arrive.
 
 pub fn train_layer(ctx: &mut WorkerCtx, buf: &mut [f64]) -> Result<(), CommError> {
     let rank = ctx.rank();

@@ -1,6 +1,6 @@
 //! The lint gate: fixture self-tests, the workspace cleanliness invariant,
-//! and injection tests proving the gate actually catches the regressions it
-//! claims to (rank-conditional collectives, unsorted hash drains).
+//! and an injection test proving the gate actually catches the regression
+//! it claims to (unsorted hash drains).
 
 use gbdt_analysis::rules::TRAINER_FILES;
 use std::collections::BTreeSet;
@@ -93,9 +93,8 @@ fn fixtures_fire_exactly_their_declared_rules() {
 }
 
 /// Tier-1 gate: the shipped workspace is lint-clean. Any new hash-order
-/// iteration, wall-clock read, comm-layer panic, rank-conditional
-/// collective, or stray tag constant fails this test (and CI) at the line
-/// that introduced it.
+/// iteration, wall-clock read, comm-layer panic, or stray tag constant
+/// fails this test (and CI) at the line that introduced it.
 #[test]
 fn workspace_is_lint_clean() {
     let root = workspace_root();
@@ -127,32 +126,9 @@ fn workspace_walk_covers_product_sources() {
     }
 }
 
-/// Acceptance check: injecting a rank-conditional collective into a real
-/// trainer makes the gate fail.
-#[test]
-fn injected_rank_conditional_collective_fails_the_gate() {
-    let root = workspace_root();
-    for rel in TRAINER_FILES.iter().copied() {
-        let mut source = fs::read_to_string(root.join(rel)).expect("trainer source readable");
-        assert!(fired_rules(rel, &source).is_empty(), "{rel} must start clean");
-        source.push_str(
-            "\n\npub fn injected_sync(ctx: &mut WorkerCtx, buf: &mut [f64]) -> Result<(), CommError> {\n\
-             \x20   if ctx.rank() == 0 {\n\
-             \x20       ctx.comm.all_reduce_f64(buf)?;\n\
-             \x20   }\n\
-             \x20   Ok(())\n\
-             }\n",
-        );
-        let fired = fired_rules(rel, &source);
-        assert!(
-            fired.contains("rank-branch-collective"),
-            "{rel}: injected deadlock not caught; fired {fired:?}"
-        );
-    }
-}
-
 /// Acceptance check: injecting an unsorted `HashMap` drain into a real
-/// trainer makes the gate fail.
+/// trainer makes the gate fail. (A rank-conditional collective injected
+/// the same way is `model_check_gate`'s business.)
 #[test]
 fn injected_hashmap_drain_fails_the_gate() {
     let root = workspace_root();

@@ -138,7 +138,8 @@ fn units_cover_collectives_and_trainers() {
 
 /// The one loop's verified schedule is not empty: between `fault_point`s it
 /// meets every policy call as a rendezvous, because each of `root`,
-/// `build`, `propose` and `apply` issues a collective in some policy.
+/// `build`, `propose` and `apply` issues a collective in some policy. The
+/// `--model-check` report prints that list under the unit.
 #[test]
 fn growth_loop_schedule_contains_the_policy_calls() {
     let root = workspace_root();
@@ -155,6 +156,9 @@ fn growth_loop_schedule_contains_the_policy_calls() {
             unit.rendezvous
         );
     }
+    let report = gbdt_analysis::mc::render_report(&outcome);
+    let listed = format!("meets: {}", unit.rendezvous.join(", "));
+    assert!(report.contains(&listed), "report does not list `{listed}`:\n{report}");
 }
 
 /// Loads the workspace sources and applies `mutate` to the one file at
@@ -182,7 +186,10 @@ fn rules_at(files: &[(String, String)], rel: &str) -> BTreeSet<String> {
 
 /// Acceptance check: a rank-conditional collective injected into each real
 /// trainer file — the growth loop and every policy file — is caught by the
-/// simulator as a divergent rendezvous.
+/// simulator as a divergent rendezvous. This is the workspace's only
+/// rank-branch deadlock check; `fixtures/mc/bad_mc_rank_*.rs` hold it to
+/// every shape a rank test takes (`if`, `else`, a `let`-bound rank, an
+/// opaque owner, `match`, `while`).
 #[test]
 fn injected_rank_conditional_collective_fails_the_model_check() {
     let root = workspace_root();

@@ -4,17 +4,15 @@
 //! typos fail loudly.
 
 use gbdt_cluster::FaultPlan;
-use gbdt_core::{Kernel, Storage, WireCodec};
+use gbdt_core::WireCodec;
 use std::collections::HashMap;
 
 /// Value keys every experiment binary accepts without listing them:
 /// `--threads N` sets the intra-worker thread budget (0 = auto),
-/// `--wire {dense,sparse,auto,f32}` picks the histogram wire codec,
-/// `--storage {auto,sparse,dense,dense-u16}` picks the binned storage
-/// layout, `--kernel {simd,scalar}` picks the dense histogram fill kernel,
-/// and `--faults seed:spec` injects a deterministic fault plan (e.g.
+/// `--wire {dense,auto,f32}` picks the histogram wire codec, and
+/// `--faults seed:spec` injects a deterministic fault plan (e.g.
 /// `--faults "7:drop=0.05,dup=0.02,crash=1@3"`).
-const UNIVERSAL_VALUE_KEYS: [&str; 5] = ["threads", "wire", "storage", "kernel", "faults"];
+const UNIVERSAL_VALUE_KEYS: [&str; 3] = ["threads", "wire", "faults"];
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone)]
@@ -96,20 +94,6 @@ impl Args {
         self.get_or("wire", WireCodec::Dense)
     }
 
-    /// The `--storage` binned layout policy every binary accepts (default:
-    /// auto — dense when the shard's stored-value density warrants it).
-    /// Every choice trains the identical ensemble.
-    pub fn storage(&self) -> Storage {
-        self.get_or("storage", Storage::Auto)
-    }
-
-    /// The `--kernel` dense histogram fill kernel every binary accepts
-    /// (default: simd — the lane-group fast path). Every choice trains
-    /// the identical ensemble.
-    pub fn kernel(&self) -> Kernel {
-        self.get_or("kernel", Kernel::Simd)
-    }
-
     /// The `--faults seed:spec` fault-injection plan every binary accepts
     /// (default: none — fault-free execution).
     pub fn faults(&self) -> Option<FaultPlan> {
@@ -159,32 +143,6 @@ mod tests {
     #[should_panic(expected = "bad --wire")]
     fn rejects_unknown_wire_codec() {
         Args::parse_from(strs(&["--wire", "gzip"]), &[], &[]).wire();
-    }
-
-    #[test]
-    fn storage_key_is_universal() {
-        let args = Args::parse_from(strs(&["--storage", "dense"]), &[], &[]);
-        assert_eq!(args.storage(), Storage::Dense);
-        assert_eq!(Args::parse_from(strs(&[]), &[], &[]).storage(), Storage::Auto);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --storage")]
-    fn rejects_unknown_storage_layout() {
-        Args::parse_from(strs(&["--storage", "columnar"]), &[], &[]).storage();
-    }
-
-    #[test]
-    fn kernel_key_is_universal() {
-        let args = Args::parse_from(strs(&["--kernel", "scalar"]), &[], &[]);
-        assert_eq!(args.kernel(), Kernel::Scalar);
-        assert_eq!(Args::parse_from(strs(&[]), &[], &[]).kernel(), Kernel::Simd);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --kernel")]
-    fn rejects_unknown_kernel() {
-        Args::parse_from(strs(&["--kernel", "avx512"]), &[], &[]).kernel();
     }
 
     #[test]

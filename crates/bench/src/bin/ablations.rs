@@ -8,7 +8,7 @@
 //! * **network bandwidth sensitivity** — QD2 vs Vero across 0.1 / 1 / 10
 //!   Gbps links (the §6 observation that 10 Gbps lets horizontal systems
 //!   close the gap on low-dimensional data);
-//! * **histogram wire codec** — dense vs sparse vs adaptive vs lossy-f32
+//! * **histogram wire codec** — dense vs adaptive vs lossy-f32
 //!   aggregation payloads on sparse high-dimensional data (DESIGN.md §4.7),
 //!   reporting logical vs wire bytes, compression ratio, and wall-time;
 //! * **fault recovery** — overhead of the retry/ack protocol and per-tree
@@ -41,8 +41,6 @@ fn main() {
         .n_layers(8)
         .threads(args.threads())
         .wire(args.wire())
-        .storage(args.storage())
-        .kernel(args.kernel())
         .build()
         .unwrap();
 

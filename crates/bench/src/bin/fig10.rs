@@ -17,7 +17,7 @@ use gbdt_bench::args::Args;
 use gbdt_bench::output::ExperimentWriter;
 use gbdt_bench::systems::System;
 use gbdt_cluster::Cluster;
-use gbdt_core::{Objective, Storage, TrainConfig, WireCodec};
+use gbdt_core::{Objective, TrainConfig, WireCodec};
 use gbdt_data::synthetic::SyntheticConfig;
 use serde_json::json;
 
@@ -27,8 +27,6 @@ struct Knobs {
     trees: usize,
     threads: usize,
     wire: WireCodec,
-    storage: Storage,
-    kernel: gbdt_core::Kernel,
 }
 
 struct Point {
@@ -69,8 +67,6 @@ fn config(p: &Point, knobs: Knobs) -> TrainConfig {
         .objective(objective)
         .threads(knobs.threads)
         .wire(knobs.wire)
-        .storage(knobs.storage)
-        .kernel(knobs.kernel)
         .build()
         .expect("valid fig10 config")
 }
@@ -108,8 +104,6 @@ fn main() {
         trees,
         threads: args.threads(),
         wire: args.wire(),
-        storage: args.storage(),
-        kernel: args.kernel(),
     };
     let which = args.get("plot").map(str::to_string);
     let want = |p: &str| which.as_deref().is_none_or(|w| w == p);

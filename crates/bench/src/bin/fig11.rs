@@ -69,8 +69,6 @@ fn main() {
         let mut cfg = config_for(&train, trees, layers);
         cfg.threads = args.threads();
         cfg.wire = args.wire();
-        cfg.storage = args.storage();
-        cfg.kernel = args.kernel();
 
         w.section(&format!(
             "{name}: N={} D={} C={} W={workers} T={trees} L={layers}",

@@ -43,8 +43,6 @@ fn main() {
         let mut cfg = config_for(&train, trees, layers);
         cfg.threads = args.threads();
         cfg.wire = args.wire();
-        cfg.storage = args.storage();
-        cfg.kernel = args.kernel();
         let multiclass = full.n_classes > 2;
 
         let mut seconds: Vec<(System, f64)> = Vec::new();

@@ -29,8 +29,6 @@ fn main() {
             .n_layers(8)
             .threads(args.threads())
             .wire(args.wire())
-            .storage(args.storage())
-            .kernel(args.kernel())
             .build()
             .unwrap();
         let cluster = Cluster::new(5);

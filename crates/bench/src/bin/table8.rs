@@ -36,8 +36,6 @@ fn main() {
             .objective(objective)
             .threads(args.threads())
             .wire(args.wire())
-            .storage(args.storage())
-            .kernel(args.kernel())
             .build()
             .unwrap();
         let cluster = Cluster::new(workers);

@@ -4,7 +4,7 @@
 //! Histogram aggregation ships `D·q·C·2` f64s per built node every layer
 //! (§3.1.3) even when most bins are empty, which on high-dimensional sparse
 //! data is the bulk of all simulated traffic. This module provides four wire
-//! formats behind [`WireCodec`]:
+//! layouts behind three [`WireCodec`]s:
 //!
 //! * **dense f64** — raw little-endian f64s, `8·n` bytes. The legacy format;
 //!   byte counts of existing experiments are unchanged.
@@ -13,10 +13,12 @@
 //! * **dense/sparse f32** — the same two layouts with f32 values (DimBoost's
 //!   low-precision compressed histograms, §4.1). Lossy; opt-in.
 //!
-//! [`WireCodec::Auto`] picks sparse iff it is strictly smaller than dense
-//! for the message at hand: `5 + 12·nnz < 8·n`, i.e. density below roughly
-//! 2/3. [`WireCodec::F32`] is sparsity-aware the same way against its own
-//! break-even `5 + 8·nnz < 4·n` (density ≈ 1/2).
+//! [`WireCodec::Dense`] always ships dense f64. [`WireCodec::Auto`] picks
+//! sparse iff it is strictly smaller than dense for the message at hand:
+//! `5 + 12·nnz < 8·n`, i.e. density below roughly 2/3 — so it is never
+//! larger than either fixed layout. [`WireCodec::F32`] is sparsity-aware
+//! the same way against its own break-even `5 + 8·nnz < 4·n` (density
+//! ≈ 1/2).
 //!
 //! Formats are self-describing without tagging the dense fast path: sparse
 //! payloads start with a marker byte and have odd length (`5 + 12k` or
@@ -27,8 +29,7 @@
 //! `+0.0`, so they never hold `-0.0`; skipping zero bins on decode-add is
 //! therefore bit-identical to adding an explicit `+0.0`, and all merges run
 //! in the same rank/segment order as the dense path. The lossless codecs
-//! (`Dense`, `Sparse`, `Auto`) are guaranteed to train bit-identical
-//! ensembles.
+//! (`Dense`, `Auto`) are guaranteed to train bit-identical ensembles.
 
 use bytes::Bytes;
 pub use gbdt_core::config::WireCodec;
@@ -120,7 +121,6 @@ fn encode_dense_f32(buf: &[f64]) -> Bytes {
 pub fn encode(codec: WireCodec, buf: &[f64]) -> Bytes {
     match codec {
         WireCodec::Dense => f64s_to_bytes(buf),
-        WireCodec::Sparse => encode_sparse_f64(buf, count_nonzero(buf)),
         WireCodec::Auto => {
             let nnz = count_nonzero(buf);
             if sparse_wins(buf.len(), nnz) {
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn lossless_codecs_roundtrip_exactly() {
         let buf = vec![0.0, 1.5, 0.0, 0.0, -2.25, 1e300, 0.0, f64::MIN_POSITIVE];
-        for codec in [WireCodec::Dense, WireCodec::Sparse, WireCodec::Auto] {
+        for codec in [WireCodec::Dense, WireCodec::Auto] {
             assert_eq!(roundtrip(codec, &buf), buf, "{codec}");
         }
     }
@@ -305,7 +305,7 @@ mod tests {
     fn sparse_payloads_have_odd_length_dense_even() {
         let buf = vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0];
         assert_eq!(encode(WireCodec::Dense, &buf).len() % 2, 0);
-        assert_eq!(encode(WireCodec::Sparse, &buf).len() % 2, 1);
+        assert_eq!(encode(WireCodec::Auto, &buf).len() % 2, 1);
         assert_eq!(encode(WireCodec::F32, &buf).len() % 2, 1);
         let densebuf = vec![1.0; 6];
         assert_eq!(encode(WireCodec::F32, &densebuf).len() % 2, 0);
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn decode_add_accumulates() {
         let buf = vec![0.0, 2.0, 0.0, -1.0];
-        for codec in [WireCodec::Dense, WireCodec::Sparse, WireCodec::Auto] {
+        for codec in [WireCodec::Dense, WireCodec::Auto] {
             let mut acc = vec![10.0, 10.0, 10.0, 10.0];
             decode_add(&encode(codec, &buf), &mut acc);
             assert_eq!(acc, vec![10.0, 12.0, 10.0, 9.0], "{codec}");

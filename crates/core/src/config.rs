@@ -8,19 +8,17 @@ use serde::{Deserialize, Serialize};
 ///
 /// Selects how flat f64 histogram buffers are serialized by the
 /// codec-aware collectives in `gbdt-cluster`. The lossless codecs
-/// (`Dense`, `Sparse`, `Auto`) are guaranteed to produce bit-identical
-/// ensembles; `F32` is an opt-in lossy mode that halves payload width the
-/// way DimBoost's low-precision compressed histograms do (§4.1).
+/// (`Dense`, `Auto`) are guaranteed to produce bit-identical ensembles;
+/// `F32` is an opt-in lossy mode that halves payload width the way
+/// DimBoost's low-precision compressed histograms do (§4.1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WireCodec {
     /// Lossless raw little-endian f64 payloads — the legacy wire format.
     #[default]
     Dense,
-    /// Lossless COO-style `(u32 bin index, f64 value)` pairs for the
-    /// nonzero bins only (Block-distributed GBT style).
-    Sparse,
-    /// Per-message choice between `Dense` and `Sparse` by measured
-    /// density against the exact break-even byte count.
+    /// Per message, the smaller of raw f64s and lossless COO-style
+    /// `(u32 bin index, f64 value)` pairs for the nonzero bins only
+    /// (Block-distributed GBT style), by the exact break-even byte count.
     Auto,
     /// Lossy f32 payloads (sparsity-aware: picks sparse or dense f32
     /// pairs per message). Changes the trained ensemble; opt-in only.
@@ -29,8 +27,7 @@ pub enum WireCodec {
 
 impl WireCodec {
     /// All codecs, in display order.
-    pub const ALL: [WireCodec; 4] =
-        [WireCodec::Dense, WireCodec::Sparse, WireCodec::Auto, WireCodec::F32];
+    pub const ALL: [WireCodec; 3] = [WireCodec::Dense, WireCodec::Auto, WireCodec::F32];
 
     /// Whether decoded payloads are bit-identical to the encoder's input.
     pub fn is_lossless(self) -> bool {
@@ -41,7 +38,6 @@ impl WireCodec {
     pub fn label(self) -> &'static str {
         match self {
             WireCodec::Dense => "dense",
-            WireCodec::Sparse => "sparse",
             WireCodec::Auto => "auto",
             WireCodec::F32 => "f32",
         }
@@ -54,10 +50,9 @@ impl std::str::FromStr for WireCodec {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "dense" => Ok(WireCodec::Dense),
-            "sparse" => Ok(WireCodec::Sparse),
             "auto" => Ok(WireCodec::Auto),
             "f32" => Ok(WireCodec::F32),
-            other => Err(format!("unknown wire codec '{other}' (expected dense|sparse|auto|f32)")),
+            other => Err(format!("unknown wire codec '{other}' (expected dense|auto|f32)")),
         }
     }
 }
@@ -74,7 +69,9 @@ impl std::fmt::Display for WireCodec {
 /// 〈feature, bin〉-pair layout or the dense one-cell-per-`(row, feature)`
 /// layout with width-specialized histogram kernels. Every choice trains a
 /// **bit-identical** ensemble — both layouts scan values in the same
-/// ascending order — so this knob trades only memory and scan throughput.
+/// ascending order — so only memory and scan throughput differ. `Auto` is
+/// what every entry point uses; the forced layouts are test oracles (and
+/// the benchmark's per-layer probes set them on `TrainConfig::storage`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Storage {
     /// Pick dense when the stored-value density of the binned matrix
@@ -85,16 +82,11 @@ pub enum Storage {
     Sparse,
     /// Always the dense cell layout (u8 cells when `q ≤ 255`, else u16).
     Dense,
-    /// Always the dense cell layout with u16 cells, even when `q` fits u8.
-    /// Same bits out of training as every other policy; exists so the u16
-    /// kernels can be driven (and perf-compared) on small-`q` datasets.
-    DenseWide,
 }
 
 impl Storage {
     /// All policies, in display order.
-    pub const ALL: [Storage; 4] =
-        [Storage::Auto, Storage::Sparse, Storage::Dense, Storage::DenseWide];
+    pub const ALL: [Storage; 3] = [Storage::Auto, Storage::Sparse, Storage::Dense];
 
     /// Short label for reports and CLI echo.
     pub fn label(self) -> &'static str {
@@ -102,7 +94,6 @@ impl Storage {
             Storage::Auto => "auto",
             Storage::Sparse => "sparse",
             Storage::Dense => "dense",
-            Storage::DenseWide => "dense-u16",
         }
     }
 
@@ -121,7 +112,6 @@ impl Storage {
         match self {
             Storage::Sparse => None,
             Storage::Dense => Some(BinWidth::for_bins(n_bins)),
-            Storage::DenseWide => Some(BinWidth::U16),
             Storage::Auto => {
                 gbdt_data::dense_at_density(nnz, n_rows, n_features)
                     .then(|| BinWidth::for_bins(n_bins))
@@ -148,10 +138,7 @@ impl std::str::FromStr for Storage {
             "auto" => Ok(Storage::Auto),
             "sparse" => Ok(Storage::Sparse),
             "dense" => Ok(Storage::Dense),
-            "dense-u16" => Ok(Storage::DenseWide),
-            other => {
-                Err(format!("unknown storage '{other}' (expected auto|sparse|dense|dense-u16)"))
-            }
+            other => Err(format!("unknown storage '{other}' (expected auto|sparse|dense)")),
         }
     }
 }
@@ -168,9 +155,9 @@ impl std::fmt::Display for Storage {
 /// with unchecked accumulates whose bounds come from a per-group vector
 /// range check (see `gbdt_core::kernels::simd`); `Scalar` is the PR-4
 /// reference loop. Both visit values in the same ascending order, so the
-/// trained ensemble is **bit-identical** either way — this knob trades
-/// only scan throughput, and exists so the perf harness can measure the
-/// SIMD speedup and tests can cross-check the two implementations.
+/// trained ensemble is **bit-identical** either way — only scan throughput
+/// differs. `Scalar` is the oracle the SIMD fills are tested against (and
+/// the benchmark's per-layer probes set it on `TrainConfig::kernel`).
 /// Sparse storage has a single kernel and ignores this knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Kernel {
@@ -387,20 +374,6 @@ impl TrainConfigBuilder {
         self
     }
 
-    /// Sets the binned-storage layout policy (default [`Storage::Auto`];
-    /// results are bit-identical for every value).
-    pub fn storage(mut self, storage: Storage) -> Self {
-        self.cfg.storage = storage;
-        self
-    }
-
-    /// Sets the dense histogram fill kernel (default [`Kernel::Simd`];
-    /// results are bit-identical for every value).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.cfg.kernel = kernel;
-        self
-    }
-
     /// Finalizes, validating all parameters.
     pub fn build(self) -> Result<TrainConfig, String> {
         self.cfg.validate()?;
@@ -483,12 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_storage() {
-        let cfg = TrainConfig::builder().storage(Storage::Dense).build().unwrap();
-        assert_eq!(cfg.storage, Storage::Dense);
-    }
-
-    #[test]
     fn bin_store_follows_policy() {
         use gbdt_data::binned::BinnedRowsBuilder;
         let rows = || {
@@ -498,11 +465,9 @@ mod tests {
             b.build()
         };
         assert!(!Storage::Sparse.bin_store(rows(), 2).is_dense());
-        assert!(Storage::Dense.bin_store(rows(), 2).is_dense());
-        assert!(Storage::DenseWide.bin_store(rows(), 2).is_dense());
-        // DenseWide forces u16 cells even though 2 bins fit u8.
-        assert_eq!(Storage::DenseWide.bin_store(rows(), 2).label(), "dense-u16");
         assert_eq!(Storage::Dense.bin_store(rows(), 2).label(), "dense-u8");
+        // Past 255 bins the same policy packs u16 cells.
+        assert_eq!(Storage::Dense.bin_store(rows(), 256).label(), "dense-u16");
         // Fully dense data crosses the auto threshold.
         assert!(Storage::Auto.bin_store(rows(), 2).is_dense());
     }
@@ -519,12 +484,6 @@ mod tests {
             assert_eq!(format!("{kernel}"), kernel.label());
         }
         assert!("avx512".parse::<Kernel>().is_err());
-    }
-
-    #[test]
-    fn builder_sets_kernel() {
-        let cfg = TrainConfig::builder().kernel(Kernel::Scalar).build().unwrap();
-        assert_eq!(cfg.kernel, Kernel::Scalar);
     }
 
     #[test]

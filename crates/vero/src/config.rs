@@ -1,7 +1,7 @@
 //! Vero system configuration.
 
 use gbdt_cluster::{FaultPlan, NetworkCostModel};
-use gbdt_core::{Kernel, Objective, Storage, TrainConfig, WireCodec};
+use gbdt_core::{Objective, TrainConfig, WireCodec};
 use gbdt_partition::transform::{TransformConfig, WireEncoding};
 use gbdt_partition::GroupingStrategy;
 
@@ -117,21 +117,6 @@ impl VeroConfigBuilder {
         self
     }
 
-    /// Sets the binned storage layout policy (default: auto — dense when
-    /// the shard's stored-value density warrants it). Every choice trains
-    /// the identical ensemble; only speed and memory change.
-    pub fn storage(mut self, storage: Storage) -> Self {
-        self.cfg.train.storage = storage;
-        self
-    }
-
-    /// Sets the dense histogram fill kernel (default: SIMD lane groups).
-    /// Every choice trains the identical ensemble; only scan speed changes.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.cfg.train.kernel = kernel;
-        self
-    }
-
     /// Sets the column grouping strategy (default: greedy balanced).
     pub fn grouping(mut self, strategy: GroupingStrategy) -> Self {
         self.cfg.transform.strategy = strategy;
@@ -192,20 +177,6 @@ mod tests {
         let cfg = VeroConfig::builder().wire(WireCodec::Auto).build().unwrap();
         assert_eq!(cfg.train.wire, WireCodec::Auto);
         assert_eq!(VeroConfig::builder().build().unwrap().train.wire, WireCodec::Dense);
-    }
-
-    #[test]
-    fn storage_flows_into_train_config() {
-        let cfg = VeroConfig::builder().storage(Storage::Dense).build().unwrap();
-        assert_eq!(cfg.train.storage, Storage::Dense);
-        assert_eq!(VeroConfig::builder().build().unwrap().train.storage, Storage::Auto);
-    }
-
-    #[test]
-    fn kernel_flows_into_train_config() {
-        let cfg = VeroConfig::builder().kernel(Kernel::Scalar).build().unwrap();
-        assert_eq!(cfg.train.kernel, Kernel::Scalar);
-        assert_eq!(VeroConfig::builder().build().unwrap().train.kernel, Kernel::Simd);
     }
 
     #[test]

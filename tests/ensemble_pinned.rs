@@ -8,11 +8,12 @@
 //! item 10); the swap must not move a single bit, and any future change that
 //! alters a fingerprint is altering trained models and must be deliberate.
 //!
-//! The sweep test extends the same pins across every `--storage` layout and
-//! `--kernel` fill (DESIGN.md item 11): sparse pair walk, dense scalar scan,
-//! and dense SIMD lane groups over `u8` and `u16` cells must all reproduce
-//! the exact fingerprints pinned here — the storage and kernel knobs are
-//! perf-only by construction, and this test is the proof.
+//! The sweep test extends the same pins across every storage layout and
+//! fill kernel (DESIGN.md item 11): sparse pair walk, dense scalar scan,
+//! and dense SIMD lane groups must all reproduce the exact fingerprints
+//! pinned here — `TrainConfig::{storage, kernel}` are perf-only by
+//! construction, and this test is the proof. (Per-trainer `u16` cells are
+//! `storage_determinism::distributed_trainers_are_storage_invariant`'s.)
 
 use gbdt_cluster::Cluster;
 use gbdt_core::{Kernel, Storage, TrainConfig};
@@ -89,23 +90,17 @@ fn ensembles_are_bit_identical_to_pinned_fingerprints() {
     check("featpar", &r.model.predict_dataset_raw(&ds), FP_FEATPAR);
 }
 
-/// Every trainer × every storage layout × every fill kernel reproduces the
-/// exact fingerprints pinned above. `DenseWide` forces `u16` cells even
-/// though q fits `u8`, so both SIMD lane widths (16 × u8, 8 × u16) are on
-/// the hook for bit-identity in every trainer.
+/// Every trainer × every forced storage layout × every fill kernel
+/// reproduces the exact fingerprints pinned above.
 #[test]
 fn fingerprints_hold_across_storage_and_kernel() {
     let ds = dataset();
     let cluster = Cluster::new(2);
-    for storage in [Storage::Sparse, Storage::Dense, Storage::DenseWide] {
+    for storage in [Storage::Sparse, Storage::Dense] {
         for kernel in Kernel::ALL {
-            let cfg = TrainConfig::builder()
-                .n_trees(4)
-                .n_layers(4)
-                .storage(storage)
-                .kernel(kernel)
-                .build()
-                .unwrap();
+            let mut cfg = config();
+            cfg.storage = storage;
+            cfg.kernel = kernel;
             let tag = |t: &str| format!("{t}[{}/{}]", storage.label(), kernel.label());
             let r = single::train(&ds, &cfg);
             check(&tag("single"), &r.predict_dataset_raw(&ds), FP_SINGLE);
@@ -122,14 +117,9 @@ fn fingerprints_hold_across_storage_and_kernel() {
             let r = featpar::train(&cluster, &ds, &cfg);
             check(&tag("featpar"), &r.model.predict_dataset_raw(&ds), FP_FEATPAR);
 
-            let vcfg = VeroConfig::builder()
-                .workers(2)
-                .n_trees(4)
-                .n_layers(4)
-                .storage(storage)
-                .kernel(kernel)
-                .build()
-                .unwrap();
+            let mut vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
+            vcfg.train.storage = storage;
+            vcfg.train.kernel = kernel;
             let outcome = Vero::fit(&vcfg, &ds);
             check(&tag("vero"), &outcome.model.inner.predict_dataset_raw(&ds), FP_VERO);
         }

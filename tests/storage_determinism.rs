@@ -7,8 +7,9 @@
 //! accumulation order is identical on either layout. These tests pin that
 //! end to end: every trainer (all four quadrants, Yggdrasil, the
 //! feature-parallel replica, the single-node reference, and Vero) grows a
-//! bit-identical model under `--storage sparse`, `dense`, and `auto`, and
-//! a `u8`-packed store trains the same ensemble as a `u16`-packed one.
+//! bit-identical model under `Storage::{Sparse, Dense, Auto}`, on `u8`
+//! cells and, past 255 bins, on `u16` cells; and a `u8`-packed store
+//! trains the same ensemble as a `u16`-packed one.
 //! Density 0.3 sits above the 0.25 auto threshold, so `auto` genuinely
 //! takes the dense path here.
 
@@ -37,14 +38,14 @@ fn dataset(classes: usize, seed: u64) -> Dataset {
 fn config(classes: usize, storage: Storage) -> TrainConfig {
     let objective =
         if classes > 2 { Objective::Softmax { n_classes: classes } } else { Objective::Logistic };
-    TrainConfig::builder()
-        .n_trees(2)
-        .n_layers(4)
-        .objective(objective)
-        .storage(storage)
-        .build()
-        .unwrap()
+    let mut cfg =
+        TrainConfig::builder().n_trees(2).n_layers(4).objective(objective).build().unwrap();
+    cfg.storage = storage;
+    cfg
 }
+
+/// q past `u8`'s 255 bins: every dense store of this run packs `u16` cells.
+const WIDE_BINS: usize = 300;
 
 fn assert_bit_identical(a: &GbdtModel, b: &GbdtModel, tag: &str) {
     assert_eq!(a, b, "{tag}: ensemble differs between storage layouts");
@@ -88,6 +89,9 @@ fn dense_source_and_csr_twin(seed: u64) -> (Dataset, Dataset) {
 fn distributed_trainers_are_storage_invariant() {
     let sparse = dataset(2, 3003);
     let (dense, dense_twin) = dense_source_and_csr_twin(3005);
+    let wide = dataset(2, 3009);
+    let wide_store = BinCuts::from_dataset(&wide, WIDE_BINS).apply_store(&wide, Storage::Dense);
+    assert_eq!(wide_store.label(), "dense-u16", "the wide input must drive the u16 kernels");
     let cluster = Cluster::new(3);
     type Train = fn(&Cluster, &Dataset, &TrainConfig) -> gbdt_quadrants::DistTrainResult;
     let trainers: [(&str, Train); 6] = [
@@ -101,12 +105,15 @@ fn distributed_trainers_are_storage_invariant() {
     for (tag, train) in trainers {
         // The reference of the dense source is its CSR twin: the source's
         // storage, like the binned layout, changes no bit and no byte.
-        for (source, ds, reference_ds) in
-            [("sparse", &sparse, &sparse), ("dense", &dense, &dense_twin)]
-        {
-            let reference = train(&cluster, reference_ds, &config(2, Storage::Sparse));
+        for (source, ds, reference_ds, q) in [
+            ("sparse", &sparse, &sparse, 20),
+            ("dense", &dense, &dense_twin, 20),
+            ("u16", &wide, &wide, WIDE_BINS),
+        ] {
+            let config = |storage| TrainConfig { n_bins: q, ..config(2, storage) };
+            let reference = train(&cluster, reference_ds, &config(Storage::Sparse));
             for storage in [Storage::Sparse, Storage::Dense, Storage::Auto] {
-                let r = train(&cluster, ds, &config(2, storage));
+                let r = train(&cluster, ds, &config(storage));
                 assert_bit_identical(
                     &reference.model,
                     &r.model,
@@ -127,13 +134,8 @@ fn distributed_trainers_are_storage_invariant() {
 fn vero_is_storage_invariant() {
     let ds = dataset(2, 3007);
     let run = |storage: Storage| {
-        let cfg = VeroConfig::builder()
-            .workers(3)
-            .n_trees(2)
-            .n_layers(4)
-            .storage(storage)
-            .build()
-            .unwrap();
+        let mut cfg = VeroConfig::builder().workers(3).n_trees(2).n_layers(4).build().unwrap();
+        cfg.train.storage = storage;
         Vero::fit(&cfg, &ds).model
     };
     let reference = run(Storage::Sparse);

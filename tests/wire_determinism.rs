@@ -1,6 +1,6 @@
 //! Wire-codec determinism and compression guarantees (DESIGN.md §4.7).
 //!
-//! The lossless codecs (`dense`, `sparse`, `auto`) re-encode the exact f64
+//! The lossless codecs (`dense`, `auto`) re-encode the exact f64
 //! payload, and the decode-merge runs in the same rank/segment order as the
 //! dense path, so the trained ensemble must be bit-identical under every
 //! lossless codec and every thread count. On sparse data the adaptive codec
@@ -46,7 +46,7 @@ fn lossless_codecs_are_bit_identical_across_threads() {
     let ds = sparse_dataset(4001);
     let cluster = Cluster::new(3);
     let reference = qd1::train(&cluster, &ds, &config(2, 1, WireCodec::Dense)).model;
-    for codec in [WireCodec::Dense, WireCodec::Sparse, WireCodec::Auto] {
+    for codec in [WireCodec::Dense, WireCodec::Auto] {
         for threads in [1, 4] {
             let cfg = config(2, threads, codec);
             let q1 = qd1::train(&cluster, &ds, &cfg).model;
