@@ -64,23 +64,7 @@ impl BinnedRowsBuilder {
 
     /// Appends a row of (feature, bin) pairs; pairs must be sorted by feature.
     pub fn push_row(&mut self, entries: &[(FeatureId, BinId)]) -> Result<(), DataError> {
-        for w in entries.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err(DataError::Shape(format!(
-                    "row {} entries not strictly ascending by feature",
-                    self.row_ptr.len() - 1
-                )));
-            }
-        }
-        if let Some(&(last, _)) = entries.last() {
-            if last as usize >= self.n_features {
-                return Err(DataError::IndexOutOfBounds {
-                    kind: "feature",
-                    index: last as usize,
-                    bound: self.n_features,
-                });
-            }
-        }
+        check_row(self.row_ptr.len() - 1, entries.iter().map(|e| e.0), self.n_features)?;
         for &(f, b) in entries {
             self.feats.push(f);
             self.bins.push(b);
@@ -101,7 +85,60 @@ impl BinnedRowsBuilder {
     }
 }
 
+/// Checks that row `row`'s features are strictly ascending and `< n_features`.
+fn check_row(
+    row: usize,
+    feats: impl Iterator<Item = FeatureId>,
+    n_features: usize,
+) -> Result<(), DataError> {
+    let mut prev = None;
+    for f in feats {
+        if prev.is_some_and(|p| p >= f) {
+            return Err(DataError::Shape(format!(
+                "row {row} entries not strictly ascending by feature"
+            )));
+        }
+        prev = Some(f);
+    }
+    match prev {
+        Some(last) if last as usize >= n_features => Err(DataError::IndexOutOfBounds {
+            kind: "feature",
+            index: last as usize,
+            bound: n_features,
+        }),
+        _ => Ok(()),
+    }
+}
+
 impl BinnedRows {
+    /// Builds a row-store from its three arrays, validating them: `row_ptr`
+    /// runs from 0 to the pair count without descending, and every row's
+    /// features are strictly ascending and `< n_features`.
+    pub fn from_parts(
+        n_features: usize,
+        row_ptr: Vec<usize>,
+        feats: Vec<FeatureId>,
+        bins: Vec<BinId>,
+    ) -> Result<Self, DataError> {
+        if feats.len() != bins.len() {
+            return Err(DataError::Shape(format!(
+                "feats len {} != bins len {}",
+                feats.len(),
+                bins.len()
+            )));
+        }
+        if row_ptr.first() != Some(&0) || row_ptr.last() != Some(&feats.len()) {
+            return Err(DataError::Shape("row_ptr does not run from 0 to the pair count".into()));
+        }
+        for (i, w) in row_ptr.windows(2).enumerate() {
+            let row = feats
+                .get(w[0]..w[1])
+                .ok_or_else(|| DataError::Shape(format!("row_ptr is not monotone at row {i}")))?;
+            check_row(i, row.iter().copied(), n_features)?;
+        }
+        Ok(BinnedRows { n_rows: row_ptr.len() - 1, n_features, row_ptr, feats, bins })
+    }
+
     /// Number of instances.
     #[inline]
     pub fn n_rows(&self) -> usize {
@@ -158,20 +195,6 @@ impl BinnedRows {
             }
         }
         BinnedColumns { n_rows: self.n_rows, n_features: self.n_features, col_ptr, rows, bins }
-    }
-
-    /// Extracts rows `lo..hi` as a horizontal shard.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> BinnedRows {
-        assert!(lo <= hi && hi <= self.n_rows, "row slice out of range");
-        let base = self.row_ptr[lo];
-        let end = self.row_ptr[hi];
-        BinnedRows {
-            n_rows: hi - lo,
-            n_features: self.n_features,
-            row_ptr: self.row_ptr[lo..=hi].iter().map(|&p| p - base).collect(),
-            feats: self.feats[base..end].to_vec(),
-            bins: self.bins[base..end].to_vec(),
-        }
     }
 
     /// Extracts a vertical shard containing `cols` (renumbered `0..cols.len()`
@@ -235,55 +258,6 @@ impl BinnedColumns {
         (&self.rows[lo..hi], &self.bins[lo..hi])
     }
 
-    /// Iterates columns as `(column index, instances, bins)`.
-    pub fn iter_cols(&self) -> impl Iterator<Item = (usize, &[InstanceId], &[BinId])> {
-        (0..self.n_features).map(move |j| {
-            let (r, b) = self.col(j);
-            (j, r, b)
-        })
-    }
-
-    /// Converts to the equivalent row-store.
-    pub fn to_rows(&self) -> BinnedRows {
-        let mut counts = vec![0usize; self.n_rows];
-        for &r in &self.rows {
-            counts[r as usize] += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        row_ptr.push(0usize);
-        for i in 0..self.n_rows {
-            row_ptr.push(row_ptr[i] + counts[i]);
-        }
-        let mut cursor = row_ptr[..self.n_rows].to_vec();
-        let mut feats = vec![0 as FeatureId; self.nnz()];
-        let mut bins = vec![0 as BinId; self.nnz()];
-        for j in 0..self.n_features {
-            let (rows, col_bins) = self.col(j);
-            for (&r, &b) in rows.iter().zip(col_bins) {
-                let dst = cursor[r as usize];
-                feats[dst] = j as FeatureId;
-                bins[dst] = b;
-                cursor[r as usize] += 1;
-            }
-        }
-        BinnedRows { n_rows: self.n_rows, n_features: self.n_features, row_ptr, feats, bins }
-    }
-
-    /// Extracts a vertical shard containing `cols` (renumbered in order).
-    pub fn select_cols(&self, cols: &[FeatureId]) -> BinnedColumns {
-        let mut col_ptr = Vec::with_capacity(cols.len() + 1);
-        col_ptr.push(0usize);
-        let mut rows = Vec::new();
-        let mut bins = Vec::new();
-        for &j in cols {
-            let (r, b) = self.col(j as usize);
-            rows.extend_from_slice(r);
-            bins.extend_from_slice(b);
-            col_ptr.push(rows.len());
-        }
-        BinnedColumns { n_rows: self.n_rows, n_features: cols.len(), col_ptr, rows, bins }
-    }
-
     /// Bytes of heap storage used (exact, for memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.col_ptr.len() * std::mem::size_of::<usize>()
@@ -323,9 +297,40 @@ mod tests {
     }
 
     #[test]
-    fn rows_to_columns_roundtrip() {
+    fn columns_hold_every_cell_in_instance_order() {
         let m = sample();
-        assert_eq!(m, m.to_columns().to_rows());
+        let cols = m.to_columns();
+        assert_eq!((cols.n_rows(), cols.n_features(), cols.nnz()), (4, 4, m.nnz()));
+        for j in 0..m.n_features() {
+            let (rows, bins) = cols.col(j);
+            let got: Vec<(InstanceId, BinId)> =
+                rows.iter().copied().zip(bins.iter().copied()).collect();
+            let want: Vec<(InstanceId, BinId)> = (0..m.n_rows())
+                .filter_map(|i| m.get(i, j as FeatureId).map(|b| (i as InstanceId, b)))
+                .collect();
+            assert_eq!(got, want, "column {j}");
+        }
+    }
+
+    #[test]
+    fn from_parts_validates_pointers_and_rows() {
+        let parts = |row_ptr: Vec<usize>, feats: Vec<FeatureId>| {
+            let bins = vec![0; feats.len()];
+            BinnedRows::from_parts(3, row_ptr, feats, bins)
+        };
+        let m = parts(vec![0, 2, 2, 3], vec![0, 2, 1]).unwrap();
+        assert_eq!((m.n_rows(), m.nnz(), m.get(0, 2), m.get(2, 1)), (3, 3, Some(0), Some(0)));
+        assert!(parts(vec![], vec![]).is_err(), "no pointers");
+        assert!(parts(vec![1, 1], vec![0]).is_err(), "does not start at 0");
+        assert!(parts(vec![0, 1], vec![0, 1]).is_err(), "does not span the pairs");
+        assert!(parts(vec![0, 2, 1, 2], vec![0, 1]).is_err(), "descends");
+        assert!(parts(vec![0, 2], vec![1, 1]).is_err(), "repeated feature");
+        assert!(parts(vec![0, 2], vec![2, 1]).is_err(), "descending features");
+        assert!(matches!(
+            parts(vec![0, 1], vec![3]),
+            Err(DataError::IndexOutOfBounds { index: 3, bound: 3, .. })
+        ));
+        assert!(BinnedRows::from_parts(3, vec![0, 1], vec![0], vec![]).is_err(), "short bins");
     }
 
     #[test]
@@ -339,15 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_shards_horizontally() {
-        let m = sample();
-        let shard = m.slice_rows(1, 3);
-        assert_eq!(shard.n_rows(), 2);
-        assert_eq!(shard.get(0, 1), Some(2));
-        assert_eq!(shard.get(1, 0), None);
-    }
-
-    #[test]
     fn select_cols_shards_vertically_rowstore() {
         let m = sample();
         let shard = m.select_cols(&[3, 0]);
@@ -357,15 +353,6 @@ mod tests {
         assert_eq!(shard.get(3, 0), Some(5));
         assert_eq!(shard.get(3, 1), Some(0));
         assert_eq!(shard.get(0, 1), Some(3));
-    }
-
-    #[test]
-    fn select_cols_shards_vertically_colstore() {
-        let cols = sample().to_columns();
-        let shard = cols.select_cols(&[2, 1]);
-        assert_eq!(shard.n_features(), 2);
-        assert_eq!(shard.col(0).0, &[0]);
-        assert_eq!(shard.col(1).0, &[1, 3]);
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Blockified column groups and two-phase indexing (paper §4.2.3, Figure 9).
+//! Blockified column groups (paper §4.2.3, Figure 9).
 //!
 //! During the horizontal-to-vertical transformation each source worker sends
 //! its slice of a column group as one *block* — three flat arrays (feature
 //! indexes, histogram bin indexes, instance pointers) — rather than millions
-//! of small vectors, sidestepping (de)serialization overhead. After
-//! repartition, a worker's data sub-matrix is a sequence of blocks sorted by
-//! the sending worker's file-split index. Row lookup is *two-phase*: binary
-//! search the block containing a global row id, then index inside the block.
-//! Blocks are merged down to a handful (the paper observes ≤ 5) so the
-//! two-phase cost is negligible.
+//! of small vectors, sidestepping (de)serialization overhead. [`Block`] is
+//! that slice on the sending side. On the receiving side an [`Assembly`]
+//! takes the senders' slices in file-split order ("sorting the received
+//! column groups w.r.t. the original worker ids", step 4) straight into the
+//! three arrays of one [`BinnedRows`]: where the paper keeps a two-phase
+//! index over ≤ 5 merged blocks, a worker here holds one block, and a row
+//! lookup is one pointer read.
 
+use crate::binned::BinnedRows;
 use crate::error::DataError;
 use crate::{BinId, FeatureId};
-use serde::{Deserialize, Serialize};
 
 /// One contiguous slice of a column group: rows `row_offset ..
 /// row_offset + n_rows()` of the (vertically sharded) dataset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Block {
     /// Order key: index of the originating file split / source worker.
     pub file_split_index: u32,
@@ -31,35 +32,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Builds a block, validating the pointer structure.
-    pub fn new(
-        file_split_index: u32,
-        row_offset: u32,
-        feats: Vec<FeatureId>,
-        bins: Vec<BinId>,
-        row_ptr: Vec<u32>,
-    ) -> Result<Self, DataError> {
-        if feats.len() != bins.len() {
-            return Err(DataError::Shape(format!(
-                "feats len {} != bins len {}",
-                feats.len(),
-                bins.len()
-            )));
-        }
-        if row_ptr.first() != Some(&0) {
-            return Err(DataError::Shape("row_ptr must start with 0".into()));
-        }
-        if row_ptr.last().map(|&p| p as usize) != Some(feats.len()) {
-            return Err(DataError::Shape("row_ptr does not span the pairs".into()));
-        }
-        for w in row_ptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(DataError::Shape("row_ptr is not monotone".into()));
-            }
-        }
-        Ok(Block { file_split_index, row_offset, feats, bins, row_ptr })
-    }
-
     /// Number of rows covered by this block.
     #[inline]
     pub fn n_rows(&self) -> usize {
@@ -71,162 +43,70 @@ impl Block {
     pub fn nnz(&self) -> usize {
         self.feats.len()
     }
-
-    /// Local row `i` as parallel `(features, bins)` slices.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&[FeatureId], &[BinId]) {
-        let lo = self.row_ptr[i] as usize;
-        let hi = self.row_ptr[i + 1] as usize;
-        (&self.feats[lo..hi], &self.bins[lo..hi])
-    }
-
-    /// Appends another block's rows (which must directly follow this one).
-    fn absorb(&mut self, next: &Block) {
-        debug_assert_eq!(
-            self.row_offset as usize + self.n_rows(),
-            next.row_offset as usize,
-            "blocks must be row-contiguous to merge"
-        );
-        let base = self.nnz() as u32;
-        self.feats.extend_from_slice(&next.feats);
-        self.bins.extend_from_slice(&next.bins);
-        self.row_ptr.extend(next.row_ptr[1..].iter().map(|&p| p + base));
-    }
-
-    /// Bytes of heap storage used.
-    pub fn heap_bytes(&self) -> usize {
-        self.feats.len() * std::mem::size_of::<FeatureId>()
-            + self.bins.len() * std::mem::size_of::<BinId>()
-            + self.row_ptr.len() * std::mem::size_of::<u32>()
-    }
 }
 
-/// A worker's data sub-matrix after repartition: blocks sorted by file-split
-/// index, covering global rows `0..n_rows` contiguously, with the two-phase
-/// index over them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockedRows {
+/// A worker's column group under assembly: the senders' slices, appended in
+/// file-split order to the three arrays of one [`BinnedRows`].
+#[derive(Debug)]
+pub struct Assembly {
     n_features: usize,
-    blocks: Vec<Block>,
-    /// Phase-one index: `block_row_offsets[k]` is the first global row id of
-    /// block `k`; one trailing sentinel equal to `n_rows`.
-    block_row_offsets: Vec<u32>,
+    n_rows: usize,
+    pub(crate) row_ptr: Vec<usize>,
+    pub(crate) feats: Vec<FeatureId>,
+    pub(crate) bins: Vec<BinId>,
+    /// Slices begun so far: the file-split index the next one must carry.
+    slices: u32,
 }
 
-impl BlockedRows {
-    /// Assembles a sub-matrix from received blocks.
-    ///
-    /// Blocks are sorted by `file_split_index` (paper step 4: "sorting the
-    /// received column groups w.r.t. the original worker ids") and must then
-    /// cover rows contiguously from 0.
-    pub fn assemble(n_features: usize, mut blocks: Vec<Block>) -> Result<Self, DataError> {
-        blocks.sort_by_key(|b| b.file_split_index);
-        let mut expected = 0u32;
-        for b in &blocks {
-            if b.row_offset != expected {
-                return Err(DataError::Shape(format!(
-                    "block {} starts at row {} but previous blocks end at {}",
-                    b.file_split_index, b.row_offset, expected
-                )));
-            }
-            for &f in &b.feats {
-                if f as usize >= n_features {
-                    return Err(DataError::IndexOutOfBounds {
-                        kind: "feature",
-                        index: f as usize,
-                        bound: n_features,
-                    });
-                }
-            }
-            expected += b.n_rows() as u32;
+impl Assembly {
+    /// An empty assembly of `n_rows` rows over `n_features` group-local
+    /// features, with room for `nnz` pairs.
+    pub fn new(n_features: usize, n_rows: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(n_rows + 1);
+        row_ptr.push(0);
+        let (feats, bins) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        Assembly { n_features, n_rows, row_ptr, feats, bins, slices: 0 }
+    }
+
+    /// Opens the next sender's slice, which must carry the next file-split
+    /// index and start at the first row not yet assembled.
+    pub fn begin(&mut self, file_split_index: u32, row_offset: u32) -> Result<(), DataError> {
+        let next_row = self.row_ptr.len() - 1;
+        if file_split_index != self.slices || row_offset as usize != next_row {
+            return Err(DataError::Shape(format!(
+                "slice {file_split_index} starts at row {row_offset}; expected slice {} at row \
+                 {next_row}",
+                self.slices
+            )));
         }
-        let mut offsets: Vec<u32> = blocks.iter().map(|b| b.row_offset).collect();
-        offsets.push(expected);
-        Ok(BlockedRows { n_features, blocks, block_row_offsets: offsets })
+        self.slices += 1;
+        Ok(())
     }
 
-    /// Total number of rows covered.
+    /// Appends a pair to the open row.
     #[inline]
-    pub fn n_rows(&self) -> usize {
-        *self.block_row_offsets.last().unwrap_or(&0) as usize
+    pub fn push(&mut self, feature: FeatureId, bin: BinId) {
+        self.feats.push(feature);
+        self.bins.push(bin);
     }
 
-    /// Number of group-local features.
+    /// Closes the open row.
     #[inline]
-    pub fn n_features(&self) -> usize {
-        self.n_features
+    pub fn end_row(&mut self) {
+        self.row_ptr.push(self.feats.len());
     }
 
-    /// Number of stored pairs across all blocks.
-    pub fn nnz(&self) -> usize {
-        self.blocks.iter().map(Block::nnz).sum()
-    }
-
-    /// Number of blocks (paper: ≤ 5 after merging).
-    #[inline]
-    pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Two-phase lookup: global row id → `(features, bins)` slices.
-    ///
-    /// Phase one binary-searches the block; phase two indexes inside it.
-    #[inline]
-    pub fn row(&self, global_row: u32) -> (&[FeatureId], &[BinId]) {
-        debug_assert!((global_row as usize) < self.n_rows(), "row out of range");
-        let block_idx = match self.block_row_offsets.binary_search(&global_row) {
-            Ok(k) if k == self.blocks.len() => k - 1,
-            Ok(k) => k,
-            Err(k) => k - 1,
-        };
-        let block = &self.blocks[block_idx];
-        block.row((global_row - block.row_offset) as usize)
-    }
-
-    /// Merges adjacent blocks until at most `max_blocks` remain.
-    pub fn merge(&mut self, max_blocks: usize) {
-        assert!(max_blocks >= 1, "must keep at least one block");
-        while self.blocks.len() > max_blocks {
-            // Merge the adjacent pair with the smallest combined size to keep
-            // the work balanced.
-            let mut best = 0usize;
-            let mut best_size = usize::MAX;
-            for k in 0..self.blocks.len() - 1 {
-                let size = self.blocks[k].nnz() + self.blocks[k + 1].nnz();
-                if size < best_size {
-                    best_size = size;
-                    best = k;
-                }
-            }
-            let next = self.blocks.remove(best + 1);
-            self.blocks[best].absorb(&next);
-            self.block_row_offsets.remove(best + 1);
+    /// The assembled rows, once the slices covered all `n_rows`, validated
+    /// by [`BinnedRows::from_parts`].
+    pub fn finish(self) -> Result<BinnedRows, DataError> {
+        let assembled = self.row_ptr.len() - 1;
+        if assembled != self.n_rows {
+            return Err(DataError::Shape(format!(
+                "{} slices cover {assembled} of {} rows",
+                self.slices, self.n_rows
+            )));
         }
-    }
-
-    /// Converts the sub-matrix into one contiguous [`crate::BinnedRows`]
-    /// (used by tests and by trainers that want a flat view).
-    pub fn to_binned_rows(&self) -> crate::BinnedRows {
-        let mut b = crate::binned::BinnedRowsBuilder::with_capacity(
-            self.n_features,
-            self.n_rows(),
-            self.nnz(),
-        );
-        let mut entries: Vec<(FeatureId, BinId)> = Vec::new();
-        for r in 0..self.n_rows() as u32 {
-            let (feats, bins) = self.row(r);
-            entries.clear();
-            entries.extend(feats.iter().copied().zip(bins.iter().copied()));
-            entries.sort_unstable_by_key(|&(f, _)| f);
-            b.push_row(&entries).expect("block rows have valid features");
-        }
-        b.build()
-    }
-
-    /// Bytes of heap storage used.
-    pub fn heap_bytes(&self) -> usize {
-        self.blocks.iter().map(Block::heap_bytes).sum::<usize>()
-            + self.block_row_offsets.len() * std::mem::size_of::<u32>()
+        BinnedRows::from_parts(self.n_features, self.row_ptr, self.feats, self.bins)
     }
 }
 
@@ -234,104 +114,49 @@ impl BlockedRows {
 mod tests {
     use super::*;
 
-    fn block(split: u32, offset: u32, rows: &[&[(u32, u16)]]) -> Block {
-        let mut feats = Vec::new();
-        let mut bins = Vec::new();
-        let mut row_ptr = vec![0u32];
+    /// Appends one slice of rows to `asm`.
+    fn slice(
+        asm: &mut Assembly,
+        split: u32,
+        offset: u32,
+        rows: &[&[(u32, u16)]],
+    ) -> Result<(), DataError> {
+        asm.begin(split, offset)?;
         for row in rows {
             for &(f, b) in *row {
-                feats.push(f);
-                bins.push(b);
+                asm.push(f, b);
             }
-            row_ptr.push(feats.len() as u32);
+            asm.end_row();
         }
-        Block::new(split, offset, feats, bins, row_ptr).unwrap()
+        Ok(())
     }
 
-    fn sample() -> BlockedRows {
+    #[test]
+    fn slices_assemble_into_one_row_store() {
         // Rows 0-1 from split 0, rows 2-4 from split 1, row 5 from split 2.
-        let b0 = block(0, 0, &[&[(0, 1), (2, 3)], &[(1, 2)]]);
-        let b1 = block(1, 2, &[&[], &[(0, 5)], &[(2, 7)]]);
-        let b2 = block(2, 5, &[&[(1, 9)]]);
-        // Deliver out of order: assemble must sort by file split index.
-        BlockedRows::assemble(3, vec![b1, b2, b0]).unwrap()
-    }
-
-    #[test]
-    fn malformed_pointers_error_instead_of_panicking() {
-        // Empty row_ptr (e.g. a truncated wire payload) must be a DataError.
-        assert!(Block::new(0, 0, vec![], vec![], vec![]).is_err());
-        // row_ptr not spanning the pairs.
-        assert!(Block::new(0, 0, vec![1, 2], vec![1, 2], vec![0, 1]).is_err());
-        // Non-monotone row_ptr.
-        assert!(Block::new(0, 0, vec![1, 2], vec![1, 2], vec![0, 2, 1, 2]).is_err());
-    }
-
-    #[test]
-    fn block_new_validates_structure() {
-        assert!(Block::new(0, 0, vec![1], vec![1, 2], vec![0, 1]).is_err());
-        assert!(Block::new(0, 0, vec![1], vec![1], vec![1, 1]).is_err());
-        assert!(Block::new(0, 0, vec![1], vec![1], vec![0, 2]).is_err());
-        assert!(Block::new(0, 0, vec![1], vec![1], vec![0, 1]).is_ok());
-    }
-
-    #[test]
-    fn assemble_sorts_and_checks_contiguity() {
-        let m = sample();
-        assert_eq!(m.n_rows(), 6);
-        assert_eq!(m.n_blocks(), 3);
-        assert_eq!(m.nnz(), 6);
-        // Gap between blocks is rejected.
-        let b0 = block(0, 0, &[&[(0, 1)]]);
-        let b1 = block(1, 2, &[&[(0, 1)]]);
-        assert!(BlockedRows::assemble(3, vec![b0, b1]).is_err());
-    }
-
-    #[test]
-    fn assemble_rejects_out_of_range_features() {
-        let b0 = block(0, 0, &[&[(5, 1)]]);
-        assert!(BlockedRows::assemble(3, vec![b0]).is_err());
-    }
-
-    #[test]
-    fn two_phase_lookup_finds_every_row() {
-        let m = sample();
+        let mut asm = Assembly::new(3, 6, 6);
+        slice(&mut asm, 0, 0, &[&[(0, 1), (2, 3)], &[(1, 2)]]).unwrap();
+        slice(&mut asm, 1, 2, &[&[], &[(0, 5)], &[(2, 7)]]).unwrap();
+        slice(&mut asm, 2, 5, &[&[(1, 9)]]).unwrap();
+        let m = asm.finish().unwrap();
+        assert_eq!((m.n_rows(), m.nnz()), (6, 6));
         assert_eq!(m.row(0), (&[0u32, 2][..], &[1u16, 3][..]));
-        assert_eq!(m.row(1), (&[1u32][..], &[2u16][..]));
         assert_eq!(m.row(2), (&[][..], &[][..]));
-        assert_eq!(m.row(3), (&[0u32][..], &[5u16][..]));
         assert_eq!(m.row(4), (&[2u32][..], &[7u16][..]));
         assert_eq!(m.row(5), (&[1u32][..], &[9u16][..]));
     }
 
     #[test]
-    fn merge_reduces_block_count_preserving_rows() {
-        let mut m = sample();
-        let before: Vec<_> = (0..6).map(|r| {
-            let (f, b) = m.row(r);
-            (f.to_vec(), b.to_vec())
-        }).collect();
-        m.merge(2);
-        assert_eq!(m.n_blocks(), 2);
-        for r in 0..6u32 {
-            let (f, b) = m.row(r);
-            assert_eq!((f.to_vec(), b.to_vec()), before[r as usize]);
-        }
-        m.merge(1);
-        assert_eq!(m.n_blocks(), 1);
-        for r in 0..6u32 {
-            let (f, b) = m.row(r);
-            assert_eq!((f.to_vec(), b.to_vec()), before[r as usize]);
-        }
-    }
-
-    #[test]
-    fn to_binned_rows_flattens() {
-        let m = sample();
-        let flat = m.to_binned_rows();
-        assert_eq!(flat.n_rows(), 6);
-        assert_eq!(flat.get(0, 2), Some(3));
-        assert_eq!(flat.get(3, 0), Some(5));
-        assert_eq!(flat.get(2, 0), None);
+    fn slices_must_tile_the_rows_in_file_split_order() {
+        let mut asm = Assembly::new(3, 2, 0);
+        slice(&mut asm, 0, 0, &[&[(0, 1)]]).unwrap();
+        assert!(asm.begin(1, 2).is_err(), "gap between slices");
+        assert!(asm.begin(1, 0).is_err(), "overlapping slices");
+        assert!(asm.begin(2, 1).is_err(), "out of file-split order");
+        let mut short = Assembly::new(3, 2, 0);
+        slice(&mut short, 0, 0, &[&[(0, 1)]]).unwrap();
+        assert!(short.finish().is_err(), "a row no slice covers");
+        slice(&mut asm, 1, 1, &[&[(2, 1)]]).unwrap();
+        assert_eq!(asm.finish().unwrap().n_rows(), 2);
     }
 }

@@ -12,10 +12,9 @@
 //! scans and routed through the learned default direction at split time.
 //!
 //! [`BinnedStore`] and [`ColumnStore`] wrap the dense and sparse layouts
-//! behind one API with full sharding parity (`slice_rows`, `select_cols`,
-//! `to_columns`/`to_rows`, `heap_bytes`), so horizontal sharding, vertical
-//! sharding, and the H2V transform work on either representation. The
-//! `auto` policy picks dense when the stored-value density reaches
+//! behind the one API the trainers use (point lookups, ordered scans,
+//! `select_cols`, `to_columns`, `heap_bytes`), so every trainer runs on
+//! either representation. The `auto` policy picks dense when the stored-value density reaches
 //! [`DEFAULT_DENSE_THRESHOLD`]: at 1 byte per cell
 //! vs 6 bytes per sparse value the dense layout is smaller from ~1/6
 //! density upward, and its scans win earlier than that because they touch
@@ -317,25 +316,6 @@ impl DenseBinnedRows {
         }
     }
 
-    /// Present-cell count of one row.
-    pub fn row_nnz(&self, row: usize) -> usize {
-        let mut n = 0;
-        self.for_each_in_row(row, |_, _| n += 1);
-        n
-    }
-
-    /// Extracts rows `lo..hi` as a horizontal shard (same cell width).
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> DenseBinnedRows {
-        assert!(lo <= hi && hi <= self.n_rows, "row slice out of range");
-        let d = self.n_features;
-        let mut pack = BinPack::filled(self.width(), (hi - lo) * d);
-        gather(&self.pack, &mut pack, (0..(hi - lo) * d).map(|k| (k, lo * d + k)));
-        let mut out =
-            DenseBinnedRows { n_rows: hi - lo, n_features: d, n_bins: self.n_bins, nnz: 0, pack };
-        out.nnz = out.count_nnz();
-        out
-    }
-
     /// Extracts a vertical shard containing `cols` (renumbered
     /// `0..cols.len()` in the given order), keeping all rows.
     pub fn select_cols(&self, cols: &[FeatureId]) -> DenseBinnedRows {
@@ -456,43 +436,6 @@ impl DenseBinnedColumns {
         }
     }
 
-    /// Transposes to the equivalent dense row-store.
-    pub fn to_rows(&self) -> DenseBinnedRows {
-        let (n, d) = (self.n_rows, self.n_features);
-        let mut pack = BinPack::filled(self.width(), n * d);
-        gather(
-            &self.pack,
-            &mut pack,
-            (0..n).flat_map(|i| (0..d).map(move |j| (i * d + j, j * n + i))),
-        );
-        DenseBinnedRows { n_rows: n, n_features: d, n_bins: self.n_bins, nnz: self.nnz, pack }
-    }
-
-    /// Extracts a vertical shard containing `cols` (renumbered in order).
-    pub fn select_cols(&self, cols: &[FeatureId]) -> DenseBinnedColumns {
-        let n = self.n_rows;
-        let mut pack = BinPack::filled(self.width(), n * cols.len());
-        gather(
-            &self.pack,
-            &mut pack,
-            cols.iter().enumerate().flat_map(|(new, &old)| {
-                (0..n).map(move |i| (new * n + i, old as usize * n + i))
-            }),
-        );
-        let mut out = DenseBinnedColumns {
-            n_rows: n,
-            n_features: cols.len(),
-            n_bins: self.n_bins,
-            nnz: 0,
-            pack,
-        };
-        out.nnz = match &out.pack {
-            BinPack::U8(c) => c.iter().filter(|&&v| v != MISSING_U8).count(),
-            BinPack::U16(c) => c.iter().filter(|&&v| v != MISSING_U16).count(),
-        };
-        out
-    }
-
     /// Bytes of heap storage used (exact, for memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.pack.heap_bytes()
@@ -571,14 +514,6 @@ impl BinnedStore {
         }
     }
 
-    /// Present-value count of one row.
-    pub fn row_nnz(&self, row: usize) -> usize {
-        match self {
-            BinnedStore::Sparse(r) => r.row(row).0.len(),
-            BinnedStore::Dense(d) => d.row_nnz(row),
-        }
-    }
-
     /// Present entries of one row in ascending feature order (the shared
     /// scan order of both layouts).
     pub fn for_each_in_row(&self, row: usize, mut f: impl FnMut(FeatureId, BinId)) {
@@ -590,14 +525,6 @@ impl BinnedStore {
                 }
             }
             BinnedStore::Dense(d) => d.for_each_in_row(row, f),
-        }
-    }
-
-    /// Extracts rows `lo..hi` as a horizontal shard (same layout).
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> BinnedStore {
-        match self {
-            BinnedStore::Sparse(r) => BinnedStore::Sparse(r.slice_rows(lo, hi)),
-            BinnedStore::Dense(d) => BinnedStore::Dense(d.slice_rows(lo, hi)),
         }
     }
 
@@ -615,15 +542,6 @@ impl BinnedStore {
         match self {
             BinnedStore::Sparse(r) => ColumnStore::Sparse(r.to_columns()),
             BinnedStore::Dense(d) => ColumnStore::Dense(d.to_columns()),
-        }
-    }
-
-    /// The sparse row-store equivalent (identity for sparse, expansion for
-    /// dense) — the bridge for consumers that require explicit pairs.
-    pub fn to_sparse_rows(&self) -> BinnedRows {
-        match self {
-            BinnedStore::Sparse(r) => r.clone(),
-            BinnedStore::Dense(d) => d.to_sparse(),
         }
     }
 
@@ -715,23 +633,6 @@ impl ColumnStore {
         }
     }
 
-    /// Converts to the row-store of the same layout.
-    pub fn to_rows(&self) -> BinnedStore {
-        match self {
-            ColumnStore::Sparse(c) => BinnedStore::Sparse(c.to_rows()),
-            ColumnStore::Dense(d) => BinnedStore::Dense(d.to_rows()),
-        }
-    }
-
-    /// Extracts a vertical shard containing `cols`, renumbered in order
-    /// (same layout).
-    pub fn select_cols(&self, cols: &[FeatureId]) -> ColumnStore {
-        match self {
-            ColumnStore::Sparse(c) => ColumnStore::Sparse(c.select_cols(cols)),
-            ColumnStore::Dense(d) => ColumnStore::Dense(d.select_cols(cols)),
-        }
-    }
-
     /// Bytes of heap storage used (exact, for memory accounting).
     pub fn heap_bytes(&self) -> usize {
         match self {
@@ -791,12 +692,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_ops_match_sparse() {
+    fn select_cols_and_transpose_keep_every_cell() {
         let rows = sample();
         let dense = DenseBinnedRows::from_sparse(&rows, 6);
-        assert_eq!(dense.slice_rows(1, 3).to_sparse(), rows.slice_rows(1, 3));
         assert_eq!(dense.select_cols(&[3, 0]).to_sparse(), rows.select_cols(&[3, 0]));
-        assert_eq!(dense.to_columns().to_rows(), dense);
+        let cols = dense.to_columns();
+        assert_eq!(cols.nnz(), dense.nnz());
+        for i in 0..rows.n_rows() {
+            for j in 0..rows.n_features() as FeatureId {
+                assert_eq!(cols.get(i, j), dense.get(i, j), "cell ({i}, {j})");
+            }
+        }
     }
 
     #[test]
@@ -830,22 +736,18 @@ mod tests {
         let dense = BinnedStore::dense(rows.clone(), 6);
         assert_eq!(sparse.n_rows(), dense.n_rows());
         assert_eq!(sparse.nnz(), dense.nnz());
-        assert_eq!(sparse.row_nnz(3), 3);
-        assert_eq!(dense.row_nnz(3), 3);
         for i in 0..rows.n_rows() {
             for j in 0..rows.n_features() as FeatureId {
                 assert_eq!(sparse.get(i, j), dense.get(i, j));
             }
         }
-        assert_eq!(sparse.slice_rows(0, 2).to_sparse_rows(), dense.slice_rows(0, 2).to_sparse_rows());
-        assert_eq!(
-            sparse.select_cols(&[1, 2]).to_sparse_rows(),
-            dense.select_cols(&[1, 2]).to_sparse_rows()
-        );
-        assert_eq!(
-            sparse.to_columns().to_rows().to_sparse_rows(),
-            dense.to_columns().to_rows().to_sparse_rows()
-        );
+        let cols = [3, 0];
+        let (sparse_cut, dense_cut) = (sparse.select_cols(&cols), dense.select_cols(&cols));
+        for i in 0..rows.n_rows() {
+            for j in 0..cols.len() as FeatureId {
+                assert_eq!(sparse_cut.get(i, j), dense_cut.get(i, j));
+            }
+        }
     }
 
     #[test]

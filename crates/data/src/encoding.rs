@@ -12,12 +12,14 @@
 //!   to encode the new feature id").
 //! * **Blockified** — the compressed pairs of one (file split × column
 //!   group) cell as three flat arrays with a single header, eliminating
-//!   per-vector framing (paper Figure 9).
+//!   per-vector framing (paper Figure 9). The receiver decodes every
+//!   sender's block in place into one row-store ([`decode_blocks`]).
 //!
 //! All encoders really produce bytes — the byte counts reported to the cost
 //! model are the lengths of these buffers, not estimates.
 
-use crate::block::Block;
+use crate::binned::BinnedRows;
+use crate::block::{Assembly, Block};
 use crate::error::DataError;
 use crate::{BinId, FeatureId};
 use bytes::Bytes;
@@ -83,20 +85,14 @@ fn put_u32s(out: &mut [u8], values: &[u32], width: usize) {
     }
 }
 
-/// Reads a `u32` array encoded at the given element width.
-fn get_u32s(src: &[u8], width: usize) -> Vec<u32> {
+/// Appends a `u32` array encoded at the given element width.
+fn extend_u32s(dst: &mut Vec<u32>, src: &[u8], width: usize) {
     debug_assert!(src.len().is_multiple_of(width));
     match width {
-        1 => src.iter().map(|&b| u32::from(b)).collect(),
-        2 => src
-            .chunks_exact(2)
-            .map(|c| u32::from(u16::from_be_bytes([c[0], c[1]])))
-            .collect(),
-        4 => src
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-        _ => src.chunks_exact(width).map(|c| get_be(c) as u32).collect(),
+        1 => dst.extend(src.iter().map(|&b| u32::from(b))),
+        2 => dst.extend(src.chunks_exact(2).map(|c| u32::from(u16::from_be_bytes([c[0], c[1]])))),
+        4 => dst.extend(src.chunks_exact(4).map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))),
+        _ => dst.extend(src.chunks_exact(width).map(|c| get_be(c) as u32)),
     }
 }
 
@@ -211,42 +207,79 @@ pub fn encode_block(block: &Block, p: usize, q: usize) -> Bytes {
     Bytes::from(out)
 }
 
-/// Decodes the blockified wire format.
-pub fn decode_block(bytes: Bytes, p: usize, q: usize) -> Result<Block, DataError> {
-    let fw = bytes_for_cardinality(p);
-    let bw = bytes_for_cardinality(q);
+/// The header of a blockified payload, checked against the payload's length.
+struct BlockHeader {
+    file_split_index: u32,
+    row_offset: u32,
+    n_rows: usize,
+    nnz: usize,
+}
+
+fn block_header(bytes: &[u8], p: usize, q: usize) -> Result<BlockHeader, DataError> {
     if bytes.len() < 16 {
         return Err(DataError::Shape("block buffer shorter than header".into()));
     }
     let hdr = |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
-    let file_split_index = hdr(0);
-    let row_offset = hdr(4);
-    let n_rows = hdr(8) as usize;
-    let nnz = hdr(12) as usize;
-    let need = nnz.checked_mul(fw + bw).and_then(|v| v.checked_add((n_rows + 1) * 4));
+    let (n_rows, nnz) = (hdr(8) as usize, hdr(12) as usize);
+    let need =
+        nnz.checked_mul(compressed_pair_bytes(p, q)).and_then(|v| v.checked_add((n_rows + 1) * 4));
     if need != Some(bytes.len() - 16) {
         return Err(DataError::Shape(format!(
             "block buffer has {} payload bytes, header implies {need:?}",
             bytes.len() - 16
         )));
     }
-    let feats_end = 16 + nnz * fw;
-    let bins_end = feats_end + nnz * bw;
-    let feats = get_u32s(&bytes[16..feats_end], fw);
-    let bins: Vec<BinId> = match bw {
-        1 => bytes[feats_end..bins_end].iter().map(|&b| BinId::from(b)).collect(),
-        _ => bytes[feats_end..bins_end]
-            .chunks_exact(bw)
-            .map(|c| get_be(c) as BinId)
-            .collect(),
-    };
-    let row_ptr = get_u32s(&bytes[bins_end..], 4);
-    Block::new(file_split_index, row_offset, feats, bins, row_ptr)
+    Ok(BlockHeader { file_split_index: hdr(0), row_offset: hdr(4), n_rows, nnz })
+}
+
+/// Decodes blockified payloads — one per sender, in file-split order — into
+/// one row-store of `n_rows` rows over a `p`-feature group. The headers size
+/// its pair arrays exactly; each payload is decoded in place, appended, and
+/// dropped before the next. Every malformed payload is a [`DataError`]: a
+/// length its header does not imply, slices that do not tile the rows,
+/// pointers that do not run from 0 to the slice's pair count without
+/// descending, or a row whose features are not strictly ascending and `< p`.
+pub fn decode_blocks(
+    payloads: Vec<Bytes>,
+    n_rows: usize,
+    p: usize,
+    q: usize,
+) -> Result<BinnedRows, DataError> {
+    let headers =
+        payloads.iter().map(|b| block_header(b, p, q)).collect::<Result<Vec<_>, _>>()?;
+    let (fw, bw) = (bytes_for_cardinality(p), bytes_for_cardinality(q));
+    let mut rows = Assembly::new(p, n_rows, headers.iter().map(|h| h.nnz).sum());
+    for (payload, h) in payloads.into_iter().zip(headers) {
+        rows.begin(h.file_split_index, h.row_offset)?;
+        let feats_end = 16 + h.nnz * fw;
+        let bins_end = feats_end + h.nnz * bw;
+        extend_u32s(&mut rows.feats, &payload[16..feats_end], fw);
+        let bins = &payload[feats_end..bins_end];
+        match bw {
+            1 => rows.bins.extend(bins.iter().map(|&b| BinId::from(b))),
+            _ => rows.bins.extend(bins.chunks_exact(bw).map(|c| get_be(c) as BinId)),
+        }
+        let ptrs = &payload[bins_end..];
+        let ptr = |k: usize| get_be(&ptrs[4 * k..4 * k + 4]) as usize;
+        if ptr(0) != 0 || ptr(h.n_rows) != h.nnz {
+            return Err(DataError::Shape(format!(
+                "slice {} row_ptr does not run from 0 to its {} pairs",
+                h.file_split_index, h.nnz
+            )));
+        }
+        let base = rows.feats.len() - h.nnz;
+        rows.row_ptr.extend((1..=h.n_rows).map(|k| base + ptr(k)));
+    }
+    rows.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn block(split: u32, offset: u32, feats: Vec<u32>, bins: Vec<u16>, row_ptr: Vec<u32>) -> Block {
+        Block { file_split_index: split, row_offset: offset, feats, bins, row_ptr }
+    }
 
     #[test]
     fn cardinality_widths_match_paper_arithmetic() {
@@ -303,26 +336,26 @@ mod tests {
     }
 
     #[test]
-    fn block_roundtrip() {
-        let block = Block::new(
-            3,
-            100,
-            vec![0, 5, 2, 1],
-            vec![1, 19, 0, 7],
-            vec![0, 2, 2, 3, 4],
-        )
-        .unwrap();
-        let enc = encode_block(&block, 64, 20);
-        let back = decode_block(enc, 64, 20).unwrap();
-        assert_eq!(block, back);
+    fn blocks_decode_into_one_row_store() {
+        // Four rows of a 64-feature group, sent as two slices.
+        let a = block(0, 0, vec![0, 5, 2], vec![1, 19, 0], vec![0, 2, 2, 3]);
+        let b = block(1, 3, vec![1, 63], vec![7, 3], vec![0, 2]);
+        let wire = vec![encode_block(&a, 64, 20), encode_block(&b, 64, 20)];
+        let rows = decode_blocks(wire, 4, 64, 20).unwrap();
+        assert_eq!((rows.n_rows(), rows.nnz()), (4, 5));
+        assert_eq!(rows.row(0), (&[0u32, 5][..], &[1u16, 19][..]));
+        assert_eq!(rows.row(1), (&[][..], &[][..]));
+        assert_eq!(rows.row(2), (&[2u32][..], &[0u16][..]));
+        assert_eq!(rows.row(3), (&[1u32, 63][..], &[7u16, 3][..]));
     }
 
     #[test]
     fn block_decode_rejects_wrong_length() {
-        let block = Block::new(0, 0, vec![1], vec![1], vec![0, 1]).unwrap();
-        let enc = encode_block(&block, 64, 20);
-        assert!(decode_block(enc.slice(0..enc.len() - 1), 64, 20).is_err());
-        assert!(decode_block(enc.slice(0..8), 64, 20).is_err());
+        let enc = encode_block(&block(0, 0, vec![1], vec![1], vec![0, 1]), 64, 20);
+        assert!(decode_blocks(vec![enc.slice(0..enc.len() - 1)], 1, 64, 20).is_err());
+        assert!(decode_blocks(vec![enc.slice(0..8)], 1, 64, 20).is_err());
+        assert!(decode_blocks(vec![enc.clone()], 2, 64, 20).is_err(), "a row no block covers");
+        assert!(decode_blocks(vec![enc], 1, 64, 20).is_ok());
     }
 
     #[test]
@@ -333,8 +366,7 @@ mod tests {
         let feats: Vec<u32> = (0..n as u32).map(|i| i % 64).collect();
         let bins: Vec<u16> = (0..n as u16).map(|i| i % 20).collect();
         let row_ptr: Vec<u32> = (0..=n as u32).collect(); // one pair per row
-        let block = Block::new(0, 0, feats, bins, row_ptr).unwrap();
-        let enc = encode_block(&block, 64, 20);
+        let enc = encode_block(&block(0, 0, feats, bins, row_ptr), 64, 20);
         // 16-byte header + 2 bytes/pair + 4 bytes/row pointer.
         assert_eq!(enc.len(), 16 + n * 2 + (n + 1) * 4);
     }

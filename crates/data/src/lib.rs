@@ -22,8 +22,9 @@
 //! * [`dense_binned`] — dense bin-encoded matrices (one u8/u16 cell per
 //!   `(row, feature)` with a missing sentinel) and the `BinnedStore`/
 //!   `ColumnStore` wrappers that pick dense vs sparse by density.
-//! * [`block`] — blockified column groups with two-phase indexing and block
-//!   merge (paper §4.2.3, Figure 9).
+//! * [`block`] — blockified column groups (paper §4.2.3, Figure 9): the
+//!   block a transformation sender ships, and the assembly that appends the
+//!   received blocks into one `BinnedRows` per worker.
 //! * [`encoding`] — key-value pair encodings: naïve 12-byte pairs vs the
 //!   compact ⌈log p⌉ / ⌈log q⌉ byte encoding of §4.2.1 step 3.
 
@@ -40,7 +41,7 @@ pub mod sparse;
 pub mod synthetic;
 
 pub use binned::{BinnedColumns, BinnedRows};
-pub use block::{Block, BlockedRows};
+pub use block::Block;
 pub use dense_binned::{
     dense_at_density, BinPack, BinWidth, BinnedStore, ColumnStore, DenseBinnedColumns,
     DenseBinnedRows, DEFAULT_DENSE_THRESHOLD,

@@ -3,12 +3,13 @@
 //! wire encodings must round-trip for arbitrary inputs.
 
 use gbdt_data::binned::BinnedRowsBuilder;
-use gbdt_data::block::{Block, BlockedRows};
+use gbdt_data::block::Block;
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
 use gbdt_data::sparse::CsrBuilder;
 use gbdt_data::{
-    BinId, BinnedRows, BinnedStore, CsrMatrix, Dataset, DenseMatrix, FeatureId, FeatureMatrix,
+    BinId, BinnedRows, BinnedStore, ColumnStore, CsrMatrix, DataError, Dataset, DenseMatrix,
+    FeatureId, FeatureMatrix,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -260,9 +261,15 @@ proptest! {
     }
 
     #[test]
-    fn binned_roundtrip_and_vertical_shard(rows in arb_binned(30, 8, 16)) {
+    fn binned_columns_and_vertical_shard(rows in arb_binned(30, 8, 16)) {
         let m = build_binned(&rows, 8);
-        prop_assert_eq!(m.clone(), m.to_columns().to_rows());
+        let cols = ColumnStore::Sparse(m.to_columns());
+        prop_assert_eq!(cols.nnz(), m.nnz());
+        for i in 0..m.n_rows() {
+            for f in 0u32..8 {
+                prop_assert_eq!(cols.get(i, f), m.get(i, f));
+            }
+        }
         // A 2-way vertical shard partitions the pairs.
         let left: Vec<FeatureId> = (0u32..4).collect();
         let right: Vec<FeatureId> = (4u32..8).collect();
@@ -294,27 +301,25 @@ proptest! {
     }
 
     #[test]
-    fn store_shard_ops_are_layout_invariant(rows in arb_binned(30, 8, 16), cut in 0usize..30) {
-        // slice_rows, select_cols, and the column transpose must see through
-        // the layout: the dense store's results, lowered back to sparse rows,
-        // equal the sparse store's.
+    fn store_views_are_layout_invariant(rows in arb_binned(30, 8, 16)) {
+        // select_cols and the column transpose must see through the layout:
+        // every cell of either store's results equals the source's.
         let m = build_binned(&rows, 8);
         let sparse = BinnedStore::sparse(m.clone());
         let dense = BinnedStore::dense(m.clone(), 16);
-        let cut = cut.min(m.n_rows());
-        prop_assert_eq!(
-            sparse.slice_rows(cut, m.n_rows()).to_sparse_rows(),
-            dense.slice_rows(cut, m.n_rows()).to_sparse_rows()
-        );
         let cols: Vec<FeatureId> = (0u32..8).step_by(2).collect();
-        prop_assert_eq!(
-            sparse.select_cols(&cols).to_sparse_rows(),
-            dense.select_cols(&cols).to_sparse_rows()
-        );
-        prop_assert_eq!(
-            sparse.to_columns().to_rows().to_sparse_rows(),
-            dense.to_columns().to_rows().to_sparse_rows()
-        );
+        let (sparse_cut, dense_cut) = (sparse.select_cols(&cols), dense.select_cols(&cols));
+        let (sparse_t, dense_t) = (sparse.to_columns(), dense.to_columns());
+        for i in 0..m.n_rows() {
+            for f in 0u32..8 {
+                prop_assert_eq!(sparse_t.get(i, f), m.get(i, f));
+                prop_assert_eq!(dense_t.get(i, f), m.get(i, f));
+            }
+            for (k, &f) in cols.iter().enumerate() {
+                prop_assert_eq!(sparse_cut.get(i, k as FeatureId), m.get(i, f));
+                prop_assert_eq!(dense_cut.get(i, k as FeatureId), m.get(i, f));
+            }
+        }
     }
 
     #[test]
@@ -339,33 +344,108 @@ proptest! {
     }
 
     #[test]
-    fn blockify_roundtrip_via_wire(rows in arb_binned(40, 8, 20), n_blocks in 1usize..5) {
+    fn blockify_roundtrip_via_wire(rows in arb_binned(40, 8, 20), n_blocks in 1usize..6) {
+        // Split rows into n_blocks contiguous slices, encode each as a block,
+        // and decode them all in place: the result must equal the original.
+        let m = build_binned(&rows, 8);
+        let wire: Vec<_> =
+            slices(&m, n_blocks).iter().map(|b| encoding::encode_block(b, 8, 20)).collect();
+        prop_assert_eq!(encoding::decode_blocks(wire, m.n_rows(), 8, 20).unwrap(), m);
+    }
+
+    #[test]
+    fn a_corrupt_block_is_a_typed_error(
+        rows in prop::collection::vec(arb_row_with_ends(), 10..40),
+        n_blocks in 1usize..6,
+        target in 0usize..5,
+        kind in 0usize..8,
+        noise in 0usize..200,
+    ) {
+        // Rows hold features 0 and 7, so every block has pairs and every row
+        // two of them; block 0 has at least two rows.
+        let m = build_binned(&rows, 8);
+        let mut blocks = slices(&m, n_blocks);
+        let t = target % blocks.len();
+        let b = &mut blocks[t];
+        let (nnz, n_rows) = (b.nnz() as u32, b.n_rows());
+        // Pair positions: the first two of row 0, and the last of some row
+        // (always feature 7, so raising it keeps the row ascending).
+        let (first, last) = (b.row_ptr[0] as usize, b.row_ptr[1] as usize - 1);
+        let any_last = b.row_ptr[1 + noise % n_rows] as usize - 1;
+        let mut truncate = 0;
+        let what = match kind {
+            0 => { truncate = 1 + noise % 16; "a truncated payload" }
+            1 => { b.row_ptr[usize::from(n_rows > 1)] = nnz + 1; "a row pointer that descends" }
+            2 => { b.feats[any_last] = 8 + noise as u32 % 248; "a feature >= p" }
+            3 => { b.feats[first + 1] = b.feats[first]; "a repeated feature" }
+            4 => { b.feats.swap(first, last); "descending features" }
+            5 => { b.file_split_index += 1 + noise as u32; "a split index out of order" }
+            6 => { b.row_offset += 1 + noise as u32; "a row offset that leaves a gap" }
+            _ => { b.row_offset = b.row_offset.wrapping_sub(1 + noise as u32); "a row offset that overlaps" }
+        };
+        let mut wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, 8, 20)).collect();
+        let len = wire[t].len();
+        wire[t] = wire[t].slice(0..len - truncate.min(len));
+        let out = encoding::decode_blocks(wire, m.n_rows(), 8, 20);
+        let typed = match kind {
+            2 => matches!(out, Err(DataError::IndexOutOfBounds { kind: "feature", .. })),
+            _ => matches!(out, Err(DataError::Shape(_))),
+        };
+        prop_assert!(typed, "{} decoded to {:?}", what, out.map(|r| r.n_rows()));
+    }
+
+    #[test]
+    fn missing_or_surplus_blocks_are_typed_errors(
+        rows in arb_binned(40, 8, 20),
+        n_blocks in 1usize..6,
+        target in 0usize..5,
+    ) {
         let m = build_binned(&rows, 8);
         if m.n_rows() == 0 {
-            return Ok(());
+            return Ok(()); // no payload is missing from nothing
         }
-        // Split rows into n_blocks contiguous chunks, encode each block,
-        // decode, assemble, merge — the result must equal the original.
-        let n = m.n_rows();
-        let chunk = n.div_ceil(n_blocks);
-        let mut blocks = Vec::new();
-        for (k, lo) in (0..n).step_by(chunk).enumerate() {
-            let hi = (lo + chunk).min(n);
-            let mut feats = Vec::new();
-            let mut bins = Vec::new();
-            let mut row_ptr = vec![0u32];
-            for i in lo..hi {
+        let wire: Vec<_> =
+            slices(&m, n_blocks).iter().map(|b| encoding::encode_block(b, 8, 20)).collect();
+        let mut missing = wire.clone();
+        missing.remove(target % wire.len());
+        let surplus: Vec<_> = wire.iter().chain(&wire[..1]).cloned().collect();
+        for payloads in [missing, surplus] {
+            let out = encoding::decode_blocks(payloads, m.n_rows(), 8, 20);
+            prop_assert!(matches!(out, Err(DataError::Shape(_))), "{:?}", out.map(|r| r.n_rows()));
+        }
+    }
+}
+
+/// `m`'s rows as `n_blocks` contiguous blocks (fewer when `m` is short), as
+/// the transformation's senders frame them.
+fn slices(m: &BinnedRows, n_blocks: usize) -> Vec<Block> {
+    let n = m.n_rows();
+    let chunk = n.div_ceil(n_blocks).max(1);
+    let bounds: Vec<usize> = (0..n).step_by(chunk).chain([n]).collect();
+    let bounds = if n == 0 { vec![0, 0] } else { bounds };
+    bounds
+        .windows(2)
+        .enumerate()
+        .map(|(k, w)| {
+            let (mut feats, mut bins, mut row_ptr) = (Vec::new(), Vec::new(), vec![0u32]);
+            for i in w[0]..w[1] {
                 let (f, b) = m.row(i);
                 feats.extend_from_slice(f);
                 bins.extend_from_slice(b);
                 row_ptr.push(feats.len() as u32);
             }
-            let block = Block::new(k as u32, lo as u32, feats, bins, row_ptr).unwrap();
-            let wire = encoding::encode_block(&block, 8, 20);
-            blocks.push(encoding::decode_block(wire, 8, 20).unwrap());
-        }
-        let mut assembled = BlockedRows::assemble(8, blocks).unwrap();
-        assembled.merge(2);
-        prop_assert_eq!(assembled.to_binned_rows(), m);
-    }
+            Block { file_split_index: k as u32, row_offset: w[0] as u32, feats, bins, row_ptr }
+        })
+        .collect()
+}
+
+/// A binned row over 8 features that always holds features 0 and 7.
+fn arb_row_with_ends() -> impl Strategy<Value = Vec<(u32, u16)>> {
+    (prop::collection::btree_map(1u32..7, 0u16..20, 0..6), 0u16..20, 0u16..20).prop_map(
+        |(mut row, first, last)| {
+            row.insert(0, first);
+            row.insert(7, last);
+            row.into_iter().collect()
+        },
+    )
 }

@@ -14,8 +14,10 @@
 //!    broadcasts the assignment; each worker re-encodes its shard as W
 //!    partial column groups with group-local feature ids and bin indexes.
 //! 4. **Repartition column groups** — partial groups are exchanged so each
-//!    worker holds all rows of its group, as [`BlockedRows`] sorted by
-//!    source file split and merged down to a handful of blocks (Figure 9).
+//!    worker holds all rows of its group. The received slices are decoded in
+//!    file-split order straight into one [`BinnedRows`] — one block per
+//!    worker where the paper's Figure 9 merges down to ≤ 5 and indexes them
+//!    in two phases — each payload dropped once decoded.
 //! 5. **Broadcast instance labels** — the master collects every shard's
 //!    labels and broadcasts the full vector.
 //!
@@ -29,10 +31,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gbdt_cluster::comm::protocol::REPARTITION_A2A_TAG;
 use gbdt_cluster::{CommError, Phase, WorkerCtx};
 use gbdt_core::{BinCuts, QuantileSketch};
-use gbdt_data::block::{Block, BlockedRows};
+use gbdt_data::block::{Assembly, Block};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::encoding;
-use gbdt_data::{BinId, FeatureId};
+use gbdt_data::{BinId, BinnedRows, DataError, FeatureId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -59,8 +61,6 @@ pub struct TransformConfig {
     pub strategy: GroupingStrategy,
     /// Step-4 wire format.
     pub encoding: WireEncoding,
-    /// Block-merge target (paper: ≤ 5 blocks after merge).
-    pub max_blocks: usize,
 }
 
 impl Default for TransformConfig {
@@ -70,7 +70,6 @@ impl Default for TransformConfig {
             sketch_capacity: QuantileSketch::DEFAULT_CAP,
             strategy: GroupingStrategy::GreedyBalanced,
             encoding: WireEncoding::Blockified,
-            max_blocks: 5,
         }
     }
 }
@@ -80,7 +79,7 @@ impl Default for TransformConfig {
 pub struct TransformReport {
     /// Steps 1–2: sketching, merge, candidate split generation (comp s).
     pub sketch_seconds: f64,
-    /// Steps 3–4: grouping, encode, exchange, decode, merge (comp s).
+    /// Steps 3–4: grouping, encode, exchange, decode (comp s).
     pub repartition_seconds: f64,
     /// Step 5: label gather + broadcast (comp s).
     pub label_seconds: f64,
@@ -98,7 +97,7 @@ pub struct TransformOutput {
     /// The feature → group assignment.
     pub grouping: ColumnGrouping,
     /// All N rows of this worker's column group (group-local feature ids).
-    pub local_data: BlockedRows,
+    pub local_data: BinnedRows,
     /// All N instance labels.
     pub labels: Vec<f32>,
     /// Per-feature key-value counts (from the global sketches).
@@ -319,7 +318,7 @@ pub fn horizontal_to_vertical(
     });
     let mut to_send: Vec<Bytes> = Vec::with_capacity(w);
     for (dest, frame) in frames.into_iter().enumerate() {
-        let p = grouping.group_len(dest).max(1);
+        let p = grouping.group_len(dest);
         let payload = match cfg.encoding {
             WireEncoding::Blockified => encoding::encode_block(&frame, p, q),
             WireEncoding::Compressed => encode_rowframed_compressed(
@@ -345,26 +344,36 @@ pub fn horizontal_to_vertical(
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
 
-    // Step 4: exchange and reassemble.
+    // Step 4: exchange, and decode every sender's slice into one row-store.
     let received = all_to_all(ctx, to_send)?;
     // lint: allow(wall-clock) — measures computation time for modelled stats only
     let t = Instant::now();
-    let p_local = grouping.group_len(rank).max(1);
-    let mut blocks = Vec::with_capacity(w);
-    for payload in received {
-        let block = match cfg.encoding {
-            WireEncoding::Blockified => encoding::decode_block(payload, p_local, q)
-                .expect("peer sends well-formed blocks"),
-            WireEncoding::Compressed => decode_rowframed_compressed(payload, p_local, q)
-                .expect("peer sends well-formed compressed rows"),
-            WireEncoding::Naive => decode_rowframed_naive(payload, &cuts, &grouping, rank)
-                .expect("peer sends well-formed naive rows"),
-        };
-        blocks.push(block);
+    let p_local = grouping.group_len(rank);
+    let n = partition.n_instances();
+    let local_data = match cfg.encoding {
+        WireEncoding::Blockified => encoding::decode_blocks(received, n, p_local, q),
+        WireEncoding::Compressed => {
+            let pair_bytes = encoding::compressed_pair_bytes(p_local, q);
+            decode_rowframed(received, p_local, n, pair_bytes, |row, rows| {
+                for (f, b) in encoding::decode_compressed(row, p_local, q)? {
+                    rows.push(f, b);
+                }
+                Ok(())
+            })
+        }
+        WireEncoding::Naive => {
+            decode_rowframed(received, p_local, n, encoding::NAIVE_PAIR_BYTES, |row, rows| {
+                for (f, v) in encoding::decode_naive(row)? {
+                    debug_assert_eq!(grouping.group_of(f), rank);
+                    if let Some(b) = cuts.bin(f, v as f32) {
+                        rows.push(grouping.local_id(f), b);
+                    }
+                }
+                Ok(())
+            })
+        }
     }
-    let mut local_data = BlockedRows::assemble(grouping.group_len(rank), blocks)
-        .expect("received blocks tile the instance space");
-    local_data.merge(cfg.max_blocks);
+    .expect("peers send slices that tile the instance space");
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
     report.repartition_bytes_sent = ctx.comm.counters().bytes_sent - bytes_before_exchange;
@@ -425,37 +434,40 @@ fn encode_rowframed_compressed(
     out.freeze()
 }
 
-fn decode_rowframed_compressed(mut bytes: Bytes, p: usize, q: usize) -> Option<Block> {
-    if bytes.len() < 12 {
-        return None;
-    }
-    let split = bytes.get_u32();
-    let row_offset = bytes.get_u32();
-    let n_rows = bytes.get_u32() as usize;
-    let pair_bytes = encoding::compressed_pair_bytes(p, q);
-    let mut feats = Vec::new();
-    let mut bins = Vec::new();
-    let mut row_ptr = Vec::with_capacity(n_rows + 1);
-    row_ptr.push(0u32);
-    for _ in 0..n_rows {
-        if bytes.remaining() < 4 {
-            return None;
+/// Decodes row-framed payloads — one per sender, in file-split order — into
+/// one row-store of `p` group features over `n_rows` rows, each payload
+/// dropped once decoded. `decode_row` appends one row's pairs, `pair_bytes`
+/// wide on the wire.
+fn decode_rowframed(
+    received: Vec<Bytes>,
+    p: usize,
+    n_rows: usize,
+    pair_bytes: usize,
+    mut decode_row: impl FnMut(Bytes, &mut Assembly) -> Result<(), DataError>,
+) -> Result<BinnedRows, DataError> {
+    let truncated = || DataError::Shape("row-framed payload truncated".into());
+    let mut rows = Assembly::new(p, n_rows, 0);
+    for mut bytes in received {
+        if bytes.len() < 12 {
+            return Err(truncated());
         }
-        let n = bytes.get_u32() as usize;
-        if bytes.remaining() < n * pair_bytes {
-            return None;
+        rows.begin(bytes.get_u32(), bytes.get_u32())?;
+        for _ in 0..bytes.get_u32() {
+            if bytes.remaining() < 4 {
+                return Err(truncated());
+            }
+            let len = bytes.get_u32() as usize * pair_bytes;
+            if bytes.remaining() < len {
+                return Err(truncated());
+            }
+            decode_row(bytes.split_to(len), &mut rows)?;
+            rows.end_row();
         }
-        let pairs = encoding::decode_compressed(bytes.split_to(n * pair_bytes), p, q).ok()?;
-        for (f, b) in pairs {
-            feats.push(f);
-            bins.push(b);
+        if bytes.has_remaining() {
+            return Err(DataError::Shape("row-framed payload has trailing bytes".into()));
         }
-        row_ptr.push(feats.len() as u32);
     }
-    if bytes.has_remaining() {
-        return None;
-    }
-    Block::new(split, row_offset, feats, bins, row_ptr).ok()
+    rows.finish()
 }
 
 fn encode_rowframed_naive(
@@ -484,47 +496,6 @@ fn encode_rowframed_naive(
         out.put_slice(&encoding::encode_naive(&pairs));
     });
     out.freeze()
-}
-
-fn decode_rowframed_naive(
-    mut bytes: Bytes,
-    cuts: &BinCuts,
-    grouping: &ColumnGrouping,
-    rank: usize,
-) -> Option<Block> {
-    if bytes.len() < 12 {
-        return None;
-    }
-    let split = bytes.get_u32();
-    let row_offset = bytes.get_u32();
-    let n_rows = bytes.get_u32() as usize;
-    let mut feats = Vec::new();
-    let mut bins = Vec::new();
-    let mut row_ptr = Vec::with_capacity(n_rows + 1);
-    row_ptr.push(0u32);
-    for _ in 0..n_rows {
-        if bytes.remaining() < 4 {
-            return None;
-        }
-        let n = bytes.get_u32() as usize;
-        if bytes.remaining() < n * encoding::NAIVE_PAIR_BYTES {
-            return None;
-        }
-        let pairs =
-            encoding::decode_naive(bytes.split_to(n * encoding::NAIVE_PAIR_BYTES)).ok()?;
-        for (f, v) in pairs {
-            debug_assert_eq!(grouping.group_of(f), rank);
-            if let Some(b) = cuts.bin(f, v as f32) {
-                feats.push(grouping.local_id(f));
-                bins.push(b);
-            }
-        }
-        row_ptr.push(feats.len() as u32);
-    }
-    if bytes.has_remaining() {
-        return None;
-    }
-    Block::new(split, row_offset, feats, bins, row_ptr).ok()
 }
 
 #[cfg(test)]
@@ -568,14 +539,13 @@ mod tests {
             assert_eq!(out.cuts, outputs[0].cuts);
             assert_eq!(out.grouping, outputs[0].grouping);
             assert_eq!(out.labels, full.labels);
-            assert!(out.local_data.n_blocks() <= cfg.max_blocks);
             assert_eq!(out.local_data.n_rows(), full.n_instances());
         }
 
         // The union of vertical shards reproduces the binned matrix exactly.
         let grouping = &outputs[0].grouping;
         for (w, out) in outputs.iter().enumerate() {
-            let local = out.local_data.to_binned_rows();
+            let local = &out.local_data;
             assert_eq!(local.n_features(), grouping.group_len(w));
             for i in 0..full.n_instances() {
                 for (local_id, &global_f) in grouping.group_features(w).iter().enumerate() {

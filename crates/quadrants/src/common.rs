@@ -8,8 +8,7 @@ use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::{NodeStats, Split};
 use gbdt_core::{kernels, parallel, GbdtModel, Parallelism, Storage, TrainConfig};
-use gbdt_data::block::BlockedRows;
-use gbdt_data::{BinnedStore, ColumnStore};
+use gbdt_data::{BinnedRows, BinnedStore, ColumnStore};
 use serde::{Deserialize, Serialize};
 
 /// Resolves the per-worker intra-worker thread budget for a run: the
@@ -22,13 +21,10 @@ pub fn worker_threads(config: &TrainConfig, world: usize) -> usize {
 }
 
 /// A vertical worker's column group as the column-store `storage` selects
-/// (QD3, Yggdrasil), consuming the transformation's blocked rows: each stage
-/// of blocked rows → binned rows → row layout → columns is dropped once the
-/// next exists, so at most two are live at a time and only the columns
-/// outlive the call.
-pub(crate) fn column_group_store(local_data: BlockedRows, storage: Storage, q: usize) -> ColumnStore {
-    let rows = local_data.to_binned_rows();
-    drop(local_data);
+/// (QD3, Yggdrasil), consuming the transformation's rows: each stage of rows
+/// → row layout → columns is dropped once the next exists, so at most two
+/// are live at a time and only the columns outlive the call.
+pub(crate) fn column_group_store(rows: BinnedRows, storage: Storage, q: usize) -> ColumnStore {
     storage.bin_store(rows, q).to_columns()
 }
 
@@ -152,7 +148,8 @@ pub(crate) fn record_layer_wire_bytes(
 }
 
 /// Scans `node`'s rows of a binned row-store into a fresh pool histogram
-/// (QD2's shard, the feature-parallel replica's group view).
+/// (QD2's shard, QD4's column group, the feature-parallel replica's group
+/// view).
 pub(crate) fn fill_rows(
     pool: &mut HistogramPool,
     node: u32,

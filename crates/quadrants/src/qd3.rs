@@ -34,9 +34,9 @@ use gbdt_partition::PlacementBitmap;
 
 /// Trains with QD3 on `cluster.world` workers (shard → transform → train).
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
-    vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data, _| {
+    vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data| {
         // Column-store of the local feature group, in the configured layout;
-        // the blocked rows are consumed building it.
+        // the assembled rows are consumed building it.
         let columns = column_group_store(local_data, config.storage, config.n_bins);
         let n = columns.n_rows();
         HybridColumns {

@@ -1,8 +1,9 @@
 //! QD4 — vertical partitioning + row-store: **Vero's trainer** (§4.2.2).
 //!
 //! After the horizontal-to-vertical transformation each worker holds *all N
-//! rows* of its column group, stored row-wise (blockified, two-phase
-//! indexed), plus every instance label. Training then:
+//! rows* of its column group as one row-store — the same [`BinnedStore`] QD2
+//! scans, sparse pairs or dense cells by the storage policy — plus every
+//! instance label. Training then:
 //!
 //! * builds histograms only for the worker's own features with the
 //!   node-to-instance index and histogram subtraction — no aggregation at
@@ -19,17 +20,16 @@
 //! encode: every codec (including the lossy f32) trains the identical
 //! ensemble, which `tests/wire_determinism.rs` pins.
 
-use crate::common::DistTrainResult;
+use crate::common::{fill_rows, DistTrainResult};
 use crate::grow::Run;
 use crate::vertical::{self, placement_by, GroupStore};
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::Split;
-use gbdt_core::{kernels, parallel, TrainConfig};
-use gbdt_data::block::BlockedRows;
+use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{DenseBinnedRows, FeatureId, InstanceId};
+use gbdt_data::{BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
 use gbdt_partition::PlacementBitmap;
 
@@ -73,56 +73,22 @@ pub fn train_with_options(
     transform_cfg: &TransformConfig,
     options: Qd4Options,
 ) -> DistTrainResult {
-    let use_subtraction = options.use_subtraction;
-    vertical::train(cluster, dataset, config, transform_cfg, use_subtraction, |local_data, p_local| {
-        // Local column group in the configured layout. When the storage
-        // policy selects dense, the packed cells REPLACE the two-phase
-        // blocked rows (dropped before the cells are allocated) — histogram
-        // scans and placement lookups then run on the dense store with O(1)
-        // cell access.
-        let (n, q) = (local_data.n_rows(), config.n_bins);
-        match config.storage.dense_width(local_data.nnz(), n, p_local, q) {
-            Some(width) => {
-                let rows = local_data.to_binned_rows();
-                drop(local_data);
-                LocalRows::Dense(DenseBinnedRows::from_sparse_with_width(&rows, q, width))
-            }
-            None => LocalRows::Blocked(local_data),
-        }
+    vertical::train(cluster, dataset, config, transform_cfg, options.use_subtraction, |local_data| {
+        // The column group in the layout the storage policy selects: the
+        // assembled rows themselves, or packed dense cells that replace them.
+        config.storage.bin_store(local_data, config.n_bins)
     })
 }
 
-/// The local column group in whichever layout the storage policy selected:
-/// blockified sparse rows (the pre-existing two-phase layout) or packed
-/// dense cells. The node-to-instance index is the only index.
-enum LocalRows {
-    Blocked(BlockedRows),
-    Dense(DenseBinnedRows),
-}
-
-impl GroupStore for LocalRows {
+/// QD4's column group is a row-store: the row scan QD2 shares, and a point
+/// lookup per instance for placements (a binary search of the row's sorted
+/// features on the sparse layout, O(1) on the dense one). The
+/// node-to-instance index is the only index.
+impl GroupStore for BinnedStore {
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
-        let (grads, instances) = (&run.grads, index.instances(node));
-        parallel::build_histogram_chunked(pool, node, instances, run.threads, &run.meter, |hist, chunk| {
-            match self {
-                LocalRows::Dense(dense) => {
-                    kernels::fill_dense_rows(hist, chunk, dense, grads, run.config.kernel)
-                }
-                LocalRows::Blocked(blocked) => {
-                    for &i in chunk {
-                        let (g, h) = grads.instance(i as usize);
-                        let (feats, bins) = blocked.row(i);
-                        for (&f, &b) in feats.iter().zip(bins) {
-                            hist.add_instance(f, b, g, h);
-                        }
-                    }
-                }
-            }
-        });
+        fill_rows(pool, node, self, index, run);
     }
 
-    /// Two-phase row lookups on the blocked column group, or O(1) cell
-    /// lookups on the dense layout.
     fn placement(
         &self,
         _node: u32,
@@ -130,20 +96,11 @@ impl GroupStore for LocalRows {
         feature: FeatureId,
         split: &Split,
     ) -> PlacementBitmap {
-        placement_by(instances, split, |inst| match self {
-            LocalRows::Dense(dense) => dense.get(inst as usize, feature),
-            LocalRows::Blocked(blocked) => {
-                let (feats, bins) = blocked.row(inst);
-                feats.binary_search(&feature).ok().map(|pos| bins[pos])
-            }
-        })
+        placement_by(instances, split, |inst| self.get(inst as usize, feature))
     }
 
     fn data_bytes(&self) -> usize {
-        match self {
-            LocalRows::Blocked(b) => b.heap_bytes(),
-            LocalRows::Dense(d) => d.heap_bytes(),
-        }
+        self.heap_bytes()
     }
 }
 

@@ -6,8 +6,11 @@
 //! workers exchange only their local best splits, and the owner of a split
 //! feature broadcasts the instance placement as a bitmap (`⌈N/8⌉` bytes)
 //! that every worker applies to its identical node-to-instance index.
-//! QD3, QD4 and Yggdrasil are this policy over a different [`GroupStore`] —
-//! exactly the §5.2.2 controlled comparison — and feature-parallel is its
+//! Every vertical worker starts from the one row-store the transformation
+//! assembled. QD3, QD4 and Yggdrasil are this policy over a different
+//! [`GroupStore`] built from it — columns, the rows themselves (a
+//! `BinnedStore`), node-partitioned columns: exactly the §5.2.2 controlled
+//! comparison — and feature-parallel is its
 //! replicated case: a store that also holds everyone else's features, so
 //! it overrides [`GroupStore::place`] and never broadcasts.
 
@@ -22,9 +25,8 @@ use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::{best_split_parallel, NodeStats, Split};
 use gbdt_core::tree;
 use gbdt_core::TrainConfig;
-use gbdt_data::block::BlockedRows;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinId, FeatureId, InstanceId};
+use gbdt_data::{BinId, BinnedRows, FeatureId, InstanceId};
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig, TransformOutput};
 use gbdt_partition::{ColumnGrouping, HorizontalPartition, PlacementBitmap};
 
@@ -224,15 +226,15 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
 }
 
 /// Trains a vertical quadrant: shard → transform → `store` (which consumes
-/// the transformation's blocked rows; its second argument is the size of
-/// this worker's feature group) → the growth loop.
+/// the row-store the transformation assembled: all N rows of this worker's
+/// feature group, in group-local ids) → the growth loop.
 pub(crate) fn train<S: GroupStore>(
     cluster: &Cluster,
     dataset: &Dataset,
     config: &TrainConfig,
     transform_cfg: &TransformConfig,
     use_subtraction: bool,
-    store: impl Fn(BlockedRows, usize) -> S + Sync,
+    store: impl Fn(BinnedRows) -> S + Sync,
 ) -> DistTrainResult {
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
     grow::run(cluster, config, |ctx| {
@@ -242,7 +244,7 @@ pub(crate) fn train<S: GroupStore>(
         let n_rows = local_data.n_rows();
         let p_local = grouping.group_len(ctx.rank());
         let policy = Vertical {
-            store: ctx.time(Phase::Transform, || store(local_data, p_local)),
+            store: ctx.time(Phase::Transform, || store(local_data)),
             grouping,
             index: NodeToInstanceIndex::new(n_rows),
             pool: HistogramPool::new(p_local, config.n_bins, config.n_outputs()),

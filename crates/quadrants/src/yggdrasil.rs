@@ -28,7 +28,7 @@ use gbdt_partition::PlacementBitmap;
 
 /// Trains Yggdrasil-style on `cluster.world` workers.
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
-    vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data, _| {
+    vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data| {
         let columns = column_group_store(local_data, config.storage, config.n_bins);
         let cw_index = ColumnWiseIndex::from_store(&columns);
         let scratch_left = vec![false; columns.n_rows()];

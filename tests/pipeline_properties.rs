@@ -58,7 +58,7 @@ proptest! {
         let grouping = &outputs[0].grouping;
         for (w, out) in outputs.iter().enumerate() {
             prop_assert_eq!(out.labels.as_slice(), ds.labels.as_slice());
-            let local = out.local_data.to_binned_rows();
+            let local = &out.local_data;
             for i in 0..ds.n_instances() {
                 for (local_id, &global) in grouping.group_features(w).iter().enumerate() {
                     prop_assert_eq!(

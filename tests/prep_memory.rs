@@ -7,7 +7,8 @@
 //! where it shows — but RSS is a property of the allocator and the host. This
 //! binary counts bytes instead: a counting global allocator (live bytes, and
 //! the highest live count above a mark) around the public prep entry points
-//! at W = 1, so every figure is a pure function of the code under test.
+//! at W = 1 (and the transformation also at W = 2), so every figure is a pure
+//! function of the code under test.
 //!
 //! The rule the bounds encode (DESIGN.md item 16): a row cut keeps the storage
 //! it was given and copies no cell; prep is a stream; an intermediate is
@@ -27,7 +28,7 @@ use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
 use gbdt_partition::HorizontalPartition;
-use gbdt_quadrants::{qd2, qd3, yggdrasil, Aggregation};
+use gbdt_quadrants::{qd2, qd3, qd4, yggdrasil, Aggregation};
 use gbdt_serve::compile::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -184,50 +185,75 @@ fn qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(broken: &mut Vec<String>)
     }
 }
 
-/// The repartition streams. What one worker holds at once is its staging
-/// frames and the payloads encoded from them, then the payloads and the
-/// blocks decoded from them — never a binned copy of the whole shard beside
-/// either. (The sum of all three, times 1.25, is a bound the copying encoder
-/// this replaced also met; the larger of the two live sets is not.)
-fn transform_holds_frames_payloads_and_blocks_only(broken: &mut Vec<String>) {
+/// The repartition streams. What a worker holds at once is its staging
+/// frames and the payloads encoded from them, then the payloads and the one
+/// row-store they are decoded into in place — never a binned copy of the
+/// whole shard, nor a decoded block beside the rows it is copied into. At
+/// W = 1 the one payload becomes the rows; at W = 2 each worker assembles
+/// two senders' blocks into one store. (The sum of all three, times 1.25, is
+/// a bound a copying encoder or assembly also meets; the larger of the two
+/// live sets is not.)
+fn transform_holds_frames_payloads_and_rows_only(broken: &mut Vec<String>) {
     let ds = sparse_dataset();
-    let partition = HorizontalPartition::new(ds.n_instances(), 1);
-    let shard = partition.shard(&ds, 0);
-    let cluster = Cluster::new(1);
     let cfg = TransformConfig::default();
-    let (output, peak) = measure(|| {
-        let (mut outputs, _) = cluster.run(|ctx| {
-            horizontal_to_vertical(ctx, &shard, partition, &cfg).expect("fault-free transformation")
+    for world in [1, 2] {
+        let partition = HorizontalPartition::new(ds.n_instances(), world);
+        let shards: Vec<Dataset> = (0..world).map(|w| partition.shard(&ds, w)).collect();
+        let cluster = Cluster::new(world);
+        let (outputs, peak) = measure(|| {
+            let (outputs, _) = cluster.run(|ctx| {
+                horizontal_to_vertical(ctx, &shards[ctx.rank()], partition, &cfg)
+                    .expect("fault-free transformation")
+            });
+            outputs
         });
-        outputs.swap_remove(0)
-    });
-    // One destination: its frame is the block before encoding — a u32
-    // feature and a u16 bin per pair, a u32 pointer per row — and its
-    // payload the blockified wire form of the same arrays.
-    let (n, pairs) = (output.local_data.n_rows(), output.local_data.nnz());
-    assert_eq!(pairs, ds.features.n_stored(), "every stored value has a bin");
-    let frames = pairs * 6 + (n + 1) * 4;
-    let payloads =
-        16 + pairs * encoding::compressed_pair_bytes(ds.n_features(), cfg.n_bins) + (n + 1) * 4;
-    let blocks = output.local_data.heap_bytes();
-    let budget = (payloads + frames.max(blocks)) * 5 / 4;
-    if peak > budget {
-        broken.push(format!(
-            "the transformation peaked {} B above entry; frames {frames} B, payloads \
-             {payloads} B and blocks {blocks} B allow {budget} B",
-            peak
-        ));
+        // A worker's frames are the blocks it sends, before encoding — a u32
+        // feature and a u16 bin per pair, a u32 pointer per row and
+        // destination; its payloads are the blockified wire form of the
+        // blocks it receives, one per sender.
+        let n = ds.n_instances();
+        let budget: usize = outputs
+            .iter()
+            .zip(&shards)
+            .enumerate()
+            .map(|(w, (out, shard))| {
+                let frames = shard.features.n_stored() * 6 + world * (shard.n_instances() + 1) * 4;
+                let pair_bytes =
+                    encoding::compressed_pair_bytes(out.grouping.group_len(w), cfg.n_bins);
+                let payloads = world * 20 + out.local_data.nnz() * pair_bytes + n * 4;
+                let rows = out.local_data.heap_bytes();
+                (payloads + frames.max(rows)) * 5 / 4
+            })
+            .sum();
+        let pairs: usize = outputs.iter().map(|o| o.local_data.nnz()).sum();
+        assert_eq!(pairs, ds.features.n_stored(), "every stored value has a bin");
+        if peak > budget {
+            broken.push(format!(
+                "the transformation peaked {peak} B above entry at W = {world}; its frames, \
+                 payloads and rows allow {budget} B"
+            ));
+        }
     }
 }
 
-/// QD3 and Yggdrasil consume the blocked rows building their columns: at
-/// most two stages of blocked rows → binned rows → row layout → columns are
-/// live, and during trees only the columns (and Yggdrasil's column-wise
-/// index, which every tree's reset rebuilds beside the old one).
-fn vertical_column_trainers_consume_the_blocked_rows(broken: &mut Vec<String>) {
+/// The vertical trainers consume the transformation's rows: QD4 trains on
+/// them (or on the dense cells that replace them), and QD3 and Yggdrasil
+/// build their columns from them, so at most two stages of rows → row layout
+/// → columns are live, and during trees only the store the trainer scans
+/// (and Yggdrasil's column-wise index, which every tree's reset rebuilds
+/// beside the old one).
+fn vertical_trainers_keep_one_store(broken: &mut Vec<String>) {
     let ds = sparse_dataset();
     let cluster = Cluster::new(1);
     let cfg = config();
+
+    let (result, peak) = measure(|| qd4::train(&cluster, &ds, &cfg));
+    let rows = result.stats.max_data_bytes() as usize;
+    if peak > rows * 3 / 2 {
+        broken.push(format!(
+            "qd4 peaked {peak} B above entry: more than 1.5 stores of {rows} B were live"
+        ));
+    }
 
     let (result, peak) = measure(|| qd3::train(&cluster, &ds, &cfg));
     let stage = result.stats.max_data_bytes() as usize;
@@ -345,8 +371,8 @@ fn prep_stays_inside_its_copy_budget() {
     let mut broken = Vec::new();
     dense_row_cuts_allocate_their_labels_only(&mut broken);
     qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(&mut broken);
-    transform_holds_frames_payloads_and_blocks_only(&mut broken);
-    vertical_column_trainers_consume_the_blocked_rows(&mut broken);
+    transform_holds_frames_payloads_and_rows_only(&mut broken);
+    vertical_trainers_keep_one_store(&mut broken);
     compile_builds_one_layout(&mut broken);
     split_scan_allocates_per_node_only(&mut broken);
     assert!(broken.is_empty(), "{} bound(s) broken:\n{}", broken.len(), broken.join("\n"));
