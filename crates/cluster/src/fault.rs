@@ -46,6 +46,12 @@ pub enum CommError {
         /// The configured buffer capacity that was exceeded.
         capacity: usize,
     },
+    /// A peer's payload did not decode: truncated, over-long, or covering a
+    /// different number of items than the receiver expects.
+    Malformed {
+        /// Rank whose payload was rejected.
+        from: usize,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -62,6 +68,7 @@ impl std::fmt::Display for CommError {
             CommError::PendingOverflow { capacity } => {
                 write!(f, "pending message buffer overflowed its {capacity}-message bound")
             }
+            CommError::Malformed { from } => write!(f, "malformed payload from rank {from}"),
         }
     }
 }

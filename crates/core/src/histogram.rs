@@ -320,6 +320,11 @@ impl HistogramPool {
         self.live.get_mut(&node)
     }
 
+    /// Every live histogram, by ascending node id.
+    pub fn live_mut(&mut self) -> impl Iterator<Item = (u32, &mut NodeHistogram)> {
+        self.live.iter_mut().map(|(&node, hist)| (node, hist))
+    }
+
     /// Replaces the histogram of `node` (used after aggregation rounds).
     ///
     /// The full shape must match: a histogram with the right feature count
@@ -487,6 +492,7 @@ mod tests {
         pool.acquire(2);
         pool.acquire(3);
         assert_eq!(pool.peak_bytes(), 3 * each);
+        assert_eq!(pool.live_mut().map(|(node, _)| node).collect::<Vec<_>>(), [1, 2, 3]);
         pool.release_all();
         assert_eq!(pool.current_bytes(), 0);
         assert_eq!(pool.peak_bytes(), 3 * each);

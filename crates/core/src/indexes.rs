@@ -9,7 +9,8 @@
 //! * [`InstanceToNodeIndex`] — maps an instance to its node. The natural fit
 //!   for column-store scans (XGBoost / QD1), but it cannot enumerate a
 //!   node's instances without a full scan, which is why QD1 cannot exploit
-//!   histogram subtraction (§3.2.3).
+//!   histogram subtraction (§3.2.3). Splitting is a full scan too, so a
+//!   layer's splits share one ([`InstanceToNodeIndex::split_layer`]).
 //! * [`ColumnWiseIndex`] — a node-to-instance index maintained *per column*
 //!   (Yggdrasil / QD3-variant). Locating a node's pairs on every column is
 //!   O(1), but every node split must repartition all D columns — the
@@ -61,11 +62,6 @@ impl NodeToInstanceIndex {
         self.ranges.get(&node).map_or(0, |&(lo, hi)| (hi - lo) as usize)
     }
 
-    /// True when the index currently tracks `node`.
-    pub fn contains(&self, node: u32) -> bool {
-        self.ranges.contains_key(&node)
-    }
-
     /// Splits `node` into its children with a stable partition: instances
     /// for which `goes_left` holds keep their relative order on the left
     /// child, the rest on the right. Returns `(left_count, right_count)`.
@@ -103,11 +99,6 @@ impl NodeToInstanceIndex {
         (write - lo, hi - write)
     }
 
-    /// Drops tracking of a finished node (its range is simply forgotten).
-    pub fn retire(&mut self, node: u32) {
-        self.ranges.remove(&node);
-    }
-
     /// Bytes of heap storage used.
     pub fn heap_bytes(&self) -> usize {
         self.positions.len() * 4 + self.scratch.capacity() * 4 + self.ranges.len() * 16
@@ -138,32 +129,47 @@ impl InstanceToNodeIndex {
     }
 
     /// Moves every instance on `node` to a child according to `goes_left`.
-    /// Requires a full scan of the index — the cost the paper attributes to
-    /// this structure. Returns `(left_count, right_count)`.
+    /// Returns `(left_count, right_count)`.
     pub fn split(
         &mut self,
         node: u32,
         mut goes_left: impl FnMut(InstanceId) -> bool,
     ) -> (usize, usize) {
-        let (left, right) = crate::tree::children(node);
-        let mut counts = (0usize, 0usize);
+        self.split_layer(&[node], |i, _| goes_left(i))[0]
+    }
+
+    /// Moves the instances of every node in `nodes` to a child in ONE full
+    /// scan of the index — the cost the paper attributes to this structure,
+    /// paid once per layer as XGBoost's position update does:
+    /// `goes_left(instance, k)` decides an instance on `nodes[k]`; instances
+    /// on any other node stay put. Returns `(left, right)` counts per node.
+    pub fn split_layer(
+        &mut self,
+        nodes: &[u32],
+        mut goes_left: impl FnMut(InstanceId, usize) -> bool,
+    ) -> Vec<(usize, usize)> {
+        // slot[node - lo] is `node`'s position in `nodes`.
+        let lo = nodes.iter().copied().min().unwrap_or(0);
+        let mut slot = vec![None; nodes.iter().map(|&n| (n - lo) as usize + 1).max().unwrap_or(0)];
+        for (k, &node) in nodes.iter().enumerate() {
+            slot[(node - lo) as usize] = Some(k);
+        }
+        let mut counts = vec![(0, 0); nodes.len()];
         for (i, n) in self.nodes.iter_mut().enumerate() {
-            if *n == node {
-                if goes_left(i as InstanceId) {
-                    *n = left;
-                    counts.0 += 1;
-                } else {
-                    *n = right;
-                    counts.1 += 1;
-                }
+            let Some(k) = n.checked_sub(lo).and_then(|s| slot.get(s as usize).copied().flatten())
+            else {
+                continue;
+            };
+            let (left, right) = crate::tree::children(*n);
+            if goes_left(i as InstanceId, k) {
+                *n = left;
+                counts[k].0 += 1;
+            } else {
+                *n = right;
+                counts[k].1 += 1;
             }
         }
         counts
-    }
-
-    /// Number of instances on `node` (full scan).
-    pub fn count(&self, node: u32) -> usize {
-        self.nodes.iter().filter(|&&n| n == node).count()
     }
 
     /// Bytes of heap storage used.
@@ -322,7 +328,7 @@ mod tests {
         assert_eq!((l, r), (3, 3));
         assert_eq!(idx.instances(1), &[0, 2, 4]);
         assert_eq!(idx.instances(2), &[1, 3, 5]);
-        assert!(!idx.contains(0));
+        assert!(idx.instances(0).is_empty());
         // Split a child again.
         let (l, r) = idx.split(1, |i| i < 3);
         assert_eq!((l, r), (2, 1));
@@ -341,22 +347,39 @@ mod tests {
         assert_eq!(idx.count(1), 0);
     }
 
+    fn nodes_of(idx: &InstanceToNodeIndex, n: u32) -> Vec<u32> {
+        (0..n).map(|i| idx.node_of(i)).collect()
+    }
+
     #[test]
     fn instance_to_node_split_scans_all() {
         let mut idx = InstanceToNodeIndex::new(5);
         let (l, r) = idx.split(0, |i| i < 2);
         assert_eq!((l, r), (2, 3));
-        assert_eq!(idx.node_of(0), 1);
-        assert_eq!(idx.node_of(4), 2);
-        assert_eq!(idx.count(1), 2);
-        assert_eq!(idx.count(2), 3);
+        assert_eq!(nodes_of(&idx, 5), [1, 1, 2, 2, 2]);
         // Splitting node 2 leaves node 1 instances alone.
         idx.split(2, |i| i == 3);
-        assert_eq!(idx.node_of(3), 5);
-        assert_eq!(idx.node_of(4), 6);
-        assert_eq!(idx.node_of(0), 1);
+        assert_eq!(nodes_of(&idx, 5), [1, 1, 6, 5, 6]);
         idx.reset();
-        assert_eq!(idx.count(0), 5);
+        assert_eq!(nodes_of(&idx, 5), [0; 5]);
+    }
+
+    #[test]
+    fn split_layer_matches_per_node_splits() {
+        // Layer 2 of a 12-instance tree: nodes 3, 4, 5 and 6 all populated.
+        let mut per_node = InstanceToNodeIndex::new(12);
+        per_node.split(0, |i| i < 7);
+        per_node.split(1, |i| i % 2 == 0);
+        per_node.split(2, |i| i > 9);
+        let mut layer = per_node.clone();
+        // Nodes 3 and 6 split, each by its own rule; 4 and 5 become leaves.
+        let rules: [fn(InstanceId) -> bool; 2] = [|i| i % 3 == 0, |i| i == 8];
+        let counts = vec![per_node.split(3, rules[0]), per_node.split(6, rules[1])];
+        assert_eq!(layer.split_layer(&[3, 6], |i, k| rules[k](i)), counts);
+        assert_eq!(nodes_of(&layer, 12), nodes_of(&per_node, 12));
+        // Instance 1 sits on node 4 and 10 on node 5: neither moved.
+        assert_eq!((layer.node_of(1), layer.node_of(10)), (4, 5));
+        assert_eq!(counts, [(2, 2), (1, 2)]);
     }
 
     fn sample_columns() -> BinnedColumns {

@@ -1,14 +1,10 @@
 //! What the policies share besides the loop (`grow`): result types, the
 //! horizontal root all-reduce, the local-best exchange, wire accounting.
 
-use crate::grow::Run;
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::{CommError, WorkerCtx};
-use gbdt_core::histogram::HistogramPool;
-use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::{NodeStats, Split};
-use gbdt_core::{kernels, parallel, GbdtModel, Parallelism, Storage, TrainConfig};
-use gbdt_data::{BinnedRows, BinnedStore, ColumnStore};
+use gbdt_core::{GbdtModel, Parallelism, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// Resolves the per-worker intra-worker thread budget for a run: the
@@ -18,14 +14,6 @@ use serde::{Deserialize, Serialize};
 /// one process).
 pub fn worker_threads(config: &TrainConfig, world: usize) -> usize {
     Parallelism { threads: config.threads }.resolve(world)
-}
-
-/// A vertical worker's column group as the column-store `storage` selects
-/// (QD3, Yggdrasil), consuming the transformation's rows: each stage of rows
-/// → row layout → columns is dropped once the next exists, so at most two
-/// are live at a time and only the columns outlive the call.
-pub(crate) fn column_group_store(rows: BinnedRows, storage: Storage, q: usize) -> ColumnStore {
-    storage.bin_store(rows, q).to_columns()
 }
 
 /// Histogram aggregation strategy for horizontal partitioning (§3.1.3/§4.1).
@@ -147,22 +135,6 @@ pub(crate) fn record_layer_wire_bytes(
     );
 }
 
-/// Scans `node`'s rows of a binned row-store into a fresh pool histogram
-/// (QD2's shard, QD4's column group, the feature-parallel replica's group
-/// view).
-pub(crate) fn fill_rows(
-    pool: &mut HistogramPool,
-    node: u32,
-    binned: &BinnedStore,
-    index: &NodeToInstanceIndex,
-    run: &Run,
-) {
-    let instances = index.instances(node);
-    parallel::build_histogram_chunked(pool, node, instances, run.threads, &run.meter, |hist, chunk| {
-        kernels::fill_rows_chunk(hist, chunk, binned, &run.grads, run.config.kernel);
-    });
-}
-
 /// The child counts of a row-sharded layer: all-reduces the local
 /// `[left, right]` pairs of its split nodes into the global ones.
 pub(crate) fn all_reduce_counts(
@@ -199,9 +171,19 @@ pub(crate) fn exchange_local_bests(
     ctx: &mut WorkerCtx,
     locals: &[Option<Split>],
 ) -> Result<Vec<Option<Split>>, CommError> {
-    // Encode: per node, u8 present + length-prefixed split bytes.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(locals.len() as u32).to_le_bytes());
+    let n = locals.len();
+    let gathered = ctx.comm.all_gather(bytes::Bytes::from(encode_local_bests(locals)))?;
+    let mut per_worker = Vec::with_capacity(gathered.len());
+    for (from, buf) in gathered.iter().enumerate() {
+        per_worker.push(decode_local_bests(buf, n, from)?);
+    }
+    Ok((0..n).map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone()))).collect())
+}
+
+/// A `u32` node count, then per node a presence byte and, when 1, a
+/// `u32`-length-prefixed split.
+fn encode_local_bests(locals: &[Option<Split>]) -> Vec<u8> {
+    let mut payload = (locals.len() as u32).to_le_bytes().to_vec();
     for s in locals {
         match s {
             Some(split) => {
@@ -213,32 +195,35 @@ pub(crate) fn exchange_local_bests(
             None => payload.push(0),
         }
     }
-    let gathered = ctx.comm.all_gather(bytes::Bytes::from(payload))?;
-    let mut per_worker: Vec<Vec<Option<Split>>> = Vec::with_capacity(gathered.len());
-    for buf in gathered {
-        let mut pos = 0usize;
-        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        pos += 4;
+    payload
+}
+
+/// Rank `from`'s [`encode_local_bests`] output for exactly `n` nodes and
+/// nothing after; anything else is [`CommError::Malformed`].
+fn decode_local_bests(buf: &[u8], n: usize, from: usize) -> Result<Vec<Option<Split>>, CommError> {
+    let decode = || -> Option<Vec<Option<Split>>> {
+        let (count, mut rest) = buf.split_first_chunk::<4>()?;
+        if u32::from_le_bytes(*count) as usize != n {
+            return None;
+        }
         let mut list = Vec::with_capacity(n);
         for _ in 0..n {
-            let present = buf[pos];
-            pos += 1;
-            if present == 1 {
-                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                let split = Split::decode_bytes(&buf[pos..pos + len])
-                    .expect("peer sends well-formed splits");
-                pos += len;
-                list.push(Some(split));
-            } else {
-                list.push(None);
-            }
+            let (&present, tail) = rest.split_first()?;
+            rest = tail;
+            list.push(match present {
+                0 => None,
+                1 => {
+                    let (len, tail) = rest.split_first_chunk::<4>()?;
+                    let (split, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+                    rest = tail;
+                    Some(Split::decode_bytes(split)?)
+                }
+                _ => return None,
+            });
         }
-        per_worker.push(list);
-    }
-    Ok((0..locals.len())
-        .map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone())))
-        .collect())
+        rest.is_empty().then_some(list)
+    };
+    decode().ok_or(CommError::Malformed { from })
 }
 
 #[cfg(test)]
@@ -254,6 +239,29 @@ mod tests {
             left: NodeStats::zero(1),
             right: NodeStats::zero(1),
         }
+    }
+
+    #[test]
+    fn malformed_local_bests_are_rejected_not_panicked_on() {
+        let locals = vec![Some(mk_split(3, 1.0)), None, Some(mk_split(1, 2.0))];
+        let bytes = encode_local_bests(&locals);
+        assert_eq!(decode_local_bests(&bytes, 3, 1), Ok(locals));
+        let malformed = Err(CommError::Malformed { from: 1 });
+        // Every truncation, an over-long payload, and a stray presence byte.
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_local_bests(&bytes[..cut], 3, 1), malformed, "cut at {cut}");
+        }
+        assert_eq!(decode_local_bests(&[&bytes[..], &[0]].concat(), 3, 1), malformed);
+        let mut stray = bytes.clone();
+        stray[4] = 2;
+        assert_eq!(decode_local_bests(&stray, 3, 1), malformed);
+        // A count other than the receiver's node count: fewer, more, or a
+        // hostile one that promises more than the bytes hold.
+        assert_eq!(decode_local_bests(&bytes, 2, 1), malformed);
+        assert_eq!(decode_local_bests(&bytes, 4, 1), malformed);
+        let short = encode_local_bests(&[None, None]);
+        assert_eq!(decode_local_bests(&short, 3, 1), malformed);
+        assert_eq!(decode_local_bests(&[0xff, 0xff, 0xff, 0xff, 0], 3, 1), malformed);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! to encode: every codec (including the lossy f32) trains the identical
 //! ensemble here.
 
-use crate::common::{fill_rows, DistTrainResult};
+use crate::common::DistTrainResult;
 use crate::grow::{self, Run};
 use crate::vertical::{placement_by, GroupStore, Vertical};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
@@ -21,7 +21,7 @@ use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::Split;
 use gbdt_core::{BinCuts, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinnedStore, FeatureId, InstanceId};
+use gbdt_data::{BinId, BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::{ColumnGrouping, GroupingStrategy, PlacementBitmap};
 
 /// Trains feature-parallel on `cluster.world` workers (full replica each).
@@ -62,32 +62,28 @@ struct Replica {
     local: BinnedStore,
 }
 
+/// The group view answers for the group, exactly as QD4's row-store does.
 impl GroupStore for Replica {
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
-        fill_rows(pool, node, &self.local, index, run);
+        self.local.fill(pool, node, index, run);
     }
 
-    fn placement(
-        &self,
-        _node: u32,
-        instances: &[InstanceId],
-        feature: FeatureId,
-        split: &Split,
-    ) -> PlacementBitmap {
-        placement_by(instances, split, |inst| self.full.get(inst as usize, feature))
+    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
+        self.local.bin(instance, feature)
     }
 
     /// Node splitting is LOCAL: the full replica answers every feature
-    /// lookup — no bitmap broadcast (Appendix D).
+    /// lookup, by global id — no bitmap broadcast (Appendix D).
     fn place(
         &self,
         ctx: &mut WorkerCtx,
         _grouping: &ColumnGrouping,
-        node: u32,
         instances: &[InstanceId],
         split: &Split,
     ) -> Result<PlacementBitmap, CommError> {
-        Ok(ctx.time(Phase::NodeSplit, || self.placement(node, instances, split.feature, split)))
+        Ok(ctx.time(Phase::NodeSplit, || {
+            placement_by(instances, split, |inst| self.full.bin(inst, split.feature))
+        }))
     }
 
     fn data_bytes(&self) -> usize {

@@ -17,10 +17,12 @@
 //!
 //! * [`single`] — single-node reference trainer (ground truth for the
 //!   cross-quadrant equivalence tests).
-//! * [`qd1`] — horizontal + column-store, instance-to-node index, all-reduce.
+//! * [`qd1`] — horizontal + column-store, instance-to-node index (one scan
+//!   of it places a whole layer), all-reduce.
 //! * [`qd2`] — horizontal + row-store, node-to-instance index, histogram
 //!   subtraction; aggregation: all-reduce, reduce-scatter (LightGBM) or
-//!   parameter-server (DimBoost).
+//!   parameter-server (DimBoost). Its rows are scanned and looked up by the
+//!   same code as QD4's column group.
 //! * [`qd3`] — vertical + column-store with the hybrid index plan of §5.2.2.
 //! * [`qd4`] — vertical + row-store: **Vero's** trainer.
 //! * [`yggdrasil`] — vertical + column-store with a column-wise
@@ -30,7 +32,10 @@
 //! * `grow` — the one per-tree / per-layer loop every distributed trainer
 //!   above runs, and the `Quadrant` policy trait through which they differ
 //!   (root / build / propose / apply); `vertical` — the one policy QD3,
-//!   QD4, Yggdrasil and feature-parallel share, parametrised by storage.
+//!   QD4, Yggdrasil and feature-parallel share, parametrised by storage (a
+//!   `GroupStore`: a node's histogram fill and a per-instance `bin`
+//!   lookup). The row-store's impl is the paper's row-store under both
+//!   partitionings. Every policy holds its histograms in a `HistogramPool`.
 //! * [`common`] — what policies share besides the loop: result types, the
 //!   horizontal root all-reduce, the local-best exchange, wire accounting.
 //! * [`advisor`] — the paper's §6 future work, implemented: an executable

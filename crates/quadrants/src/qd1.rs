@@ -9,13 +9,13 @@
 //! all local pairs, and both children of every split are built from
 //! scratch. Aggregation is all-reduce, after which every worker finds every
 //! split redundantly (the leader-based variant has identical traffic shape).
+//! Node splitting is the same kind of pass: one scan of the index moves the
+//! whole layer.
 
-use crate::common::{
-    all_reduce_counts, all_reduce_root, record_layer_wire_bytes, DistTrainResult,
-};
+use crate::common::{all_reduce_counts, all_reduce_root, record_layer_wire_bytes, DistTrainResult};
 use crate::grow::{self, every_node_schedule, Quadrant, Run};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
-use gbdt_core::histogram::{add_instance_to_feature_slice, histogram_size_bytes, NodeHistogram};
+use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::InstanceToNodeIndex;
 use gbdt_core::split::{best_split_parallel, NodeStats, Split};
 use gbdt_core::TrainConfig;
@@ -35,10 +35,8 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
             ctx.time(Phase::Sketch, || cuts.apply_store(&shard, config.storage).to_columns());
         let policy = ColumnShard {
             index: InstanceToNodeIndex::new(columns.n_rows()),
+            pool: HistogramPool::new(columns.n_features(), config.n_bins, config.n_outputs()),
             columns,
-            hists: Vec::new(),
-            layer_base: 0,
-            hist_peak: 0,
         };
         grow::train_worker(ctx, policy, &shard.labels, &cuts, config)
     })
@@ -48,12 +46,9 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
 struct ColumnShard {
     columns: ColumnStore,
     index: InstanceToNodeIndex,
-    /// The current layer's histograms, by position in the layer: the live
-    /// set is the frontier and nothing else.
-    hists: Vec<Option<NodeHistogram>>,
-    /// Node id of the current layer's first position.
-    layer_base: u32,
-    hist_peak: usize,
+    /// The current layer's histograms: the live set is the frontier and
+    /// nothing else.
+    pool: HistogramPool,
 }
 
 impl Quadrant for ColumnShard {
@@ -75,14 +70,10 @@ impl Quadrant for ColumnShard {
     /// One column pass builds the histograms of the WHOLE layer — no
     /// subtraction, every pair of the shard is touched.
     fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError> {
-        let (d, q, c) = (self.columns.n_features(), run.config.n_bins, run.config.n_outputs());
-        let steps = every_node_schedule(&run.frontier);
-        self.layer_base = (1u32 << run.layer) - 1;
-        self.hists = (0..1usize << run.layer).map(|_| None).collect();
-        for step in &steps {
-            self.hists[(step.node - self.layer_base) as usize] = Some(NodeHistogram::new(d, q, c));
+        self.pool.release_all();
+        for step in every_node_schedule(&run.frontier) {
+            self.pool.acquire(step.node);
         }
-        self.hist_peak = self.hist_peak.max(steps.len() * histogram_size_bytes(d, q, c));
         ctx.time(Phase::HistogramBuild, || self.fill_layer(run));
 
         // All-reduce each node's histogram under the configured wire codec;
@@ -90,7 +81,7 @@ impl Quadrant for ColumnShard {
         // (counts, root stats) stays dense — only histogram payloads are
         // codec-mediated.
         let wire_before = ctx.comm.counters();
-        for hist in self.hists.iter_mut().flatten() {
+        for (_, hist) in self.pool.live_mut() {
             ctx.comm.all_reduce_f64_codec(run.config.wire, hist.as_mut_slice())?;
         }
         record_layer_wire_bytes(ctx, run.layer, wire_before);
@@ -103,45 +94,39 @@ impl Quadrant for ColumnShard {
         run: &Run,
     ) -> Result<Vec<Option<Split>>, CommError> {
         Ok(run.scan(ctx, |node, stats| {
-            let hist = self.hists[(node - self.layer_base) as usize].as_ref().expect("allocated");
+            let hist = self.pool.get(node).expect("histogram live");
             let n_bins = |f| run.cuts.n_bins(f);
             best_split_parallel(hist, stats, &run.params, n_bins, |f| f, run.threads)
         }))
     }
 
-    /// The next layer's `build` replaces the whole vector.
-    fn retire(&mut self, _node: u32) {}
+    fn retire(&mut self, node: u32) {
+        self.pool.release(node);
+    }
 
-    /// Placements are resolved by scanning the split feature's column and
-    /// defaulting the absent instances; one all-reduce of the child counts
-    /// of the whole layer follows.
+    /// One pass over each split feature's column places the present
+    /// instances; one scan of the index then moves the whole layer, absent
+    /// instances to their split's default side. One all-reduce of the
+    /// child counts of the layer follows.
     fn apply(
         &mut self,
         ctx: &mut WorkerCtx,
         splits: &[(u32, Split)],
     ) -> Result<Vec<(u64, u64)>, CommError> {
-        let n_local = self.columns.n_rows();
         let (columns, index) = (&self.columns, &mut self.index);
-        let mut counts = Vec::with_capacity(splits.len() * 2);
-        ctx.time(Phase::NodeSplit, || {
-            let mut went_left = vec![false; n_local];
+        let counts = ctx.time(Phase::NodeSplit, || {
+            let mut placed = vec![None; columns.n_rows()];
             for (node, split) in splits {
-                // Default placement, then overrides from the column.
-                for i in 0..n_local as InstanceId {
-                    if index.node_of(i) == *node {
-                        went_left[i as usize] = split.default_left;
-                    }
-                }
                 columns.for_each_in_col(split.feature as usize, |i, b| {
                     if index.node_of(i) == *node {
-                        went_left[i as usize] = b <= split.bin;
+                        placed[i as usize] = Some(b <= split.bin);
                     }
                 });
-                let (left, right) = index.split(*node, |i| went_left[i as usize]);
-                counts.extend([left as f64, right as f64]);
             }
+            let nodes: Vec<u32> = splits.iter().map(|(node, _)| *node).collect();
+            index.split_layer(&nodes, |i, k| placed[i as usize].unwrap_or(splits[k].1.default_left))
         });
-        all_reduce_counts(ctx, counts)
+        all_reduce_counts(ctx, counts.iter().flat_map(|&(l, r)| [l as f64, r as f64]).collect())
     }
 
     fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
@@ -169,7 +154,7 @@ impl Quadrant for ColumnShard {
     }
 
     fn histogram_peak_bytes(&self) -> usize {
-        self.hist_peak
+        self.pool.peak_bytes()
     }
 }
 
@@ -185,22 +170,23 @@ impl ColumnShard {
     /// the same per-column pair order as a single-block pass — bit-identical
     /// for every thread count.
     fn fill_layer(&mut self, run: &Run) {
-        let (columns, index, layer_base) = (&self.columns, &self.index, self.layer_base);
+        let (columns, index) = (&self.columns, &self.index);
         let d = columns.n_features();
-        let Some(first) = self.hists.iter().flatten().next() else { return };
-        let (stride, c) = (first.feature_stride(), first.n_outputs());
         if d == 0 {
             return;
         }
+        let c = run.config.n_outputs();
+        let stride = run.config.n_bins * c * 2;
         let per = d.div_ceil(run.threads.clamp(1, d));
         let n_blocks = d.div_ceil(per);
-        // blocks[b][slot] is feature block `b` of node slot `slot`.
+        // blocks[b][slot] is feature block `b` of node `layer_base + slot`.
+        let layer_base = (1u32 << run.layer) - 1;
         let mut blocks: Vec<Vec<Option<&mut [f64]>>> =
-            (0..n_blocks).map(|_| Vec::with_capacity(self.hists.len())).collect();
-        for hist in self.hists.iter_mut() {
-            let mut chunks = hist.as_mut().map(|h| h.as_mut_slice().chunks_mut(per * stride));
-            for block in blocks.iter_mut() {
-                block.push(chunks.as_mut().and_then(Iterator::next));
+            (0..n_blocks).map(|_| (0..1usize << run.layer).map(|_| None).collect()).collect();
+        for (node, hist) in self.pool.live_mut() {
+            let chunks = hist.as_mut_slice().chunks_mut(per * stride);
+            for (block, chunk) in blocks.iter_mut().zip(chunks) {
+                block[(node - layer_base) as usize] = Some(chunk);
             }
         }
         // The column pass over feature block `bi`.

@@ -15,10 +15,11 @@
 //! server-side split finding).
 
 use crate::common::{
-    all_reduce_counts, all_reduce_root, exchange_local_bests, fill_rows, record_layer_wire_bytes,
-    Aggregation, DistTrainResult,
+    all_reduce_counts, all_reduce_root, exchange_local_bests, record_layer_wire_bytes, Aggregation,
+    DistTrainResult,
 };
 use crate::grow::{self, add_leaf_values_by_node, smaller_sibling_schedule, sum_root, Quadrant, Run};
+use crate::vertical::GroupStore;
 use gbdt_cluster::collectives::segment_bounds;
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
@@ -62,8 +63,10 @@ pub fn train(
     })
 }
 
-/// A row shard in binned row-store form, its node-to-instance index, and
-/// local histograms over all D features that `aggregation` makes global.
+/// A row shard in binned row-store form (scanned and looked up through the
+/// same [`GroupStore`] impl as QD4's column group), its node-to-instance
+/// index, and local histograms over all D features that `aggregation`
+/// makes global.
 struct RowShard {
     binned: BinnedStore,
     index: NodeToInstanceIndex,
@@ -89,7 +92,7 @@ impl Quadrant for RowShard {
         let steps = smaller_sibling_schedule(&run.frontier);
         ctx.time(Phase::HistogramBuild, || {
             for step in &steps {
-                fill_rows(&mut self.pool, step.node, &self.binned, &self.index, run);
+                self.binned.fill(&mut self.pool, step.node, &self.index, run);
             }
         });
 
@@ -156,8 +159,8 @@ impl Quadrant for RowShard {
         self.pool.release(node);
     }
 
-    /// Local predicate over the shard's rows, then one all-reduce of the
-    /// child counts of the whole layer.
+    /// Local predicate through the row-store's lookup, inside the index's
+    /// partition; then one all-reduce of the child counts of the layer.
     fn apply(
         &mut self,
         ctx: &mut WorkerCtx,
@@ -167,7 +170,7 @@ impl Quadrant for RowShard {
         ctx.time(Phase::NodeSplit, || {
             for (node, split) in splits {
                 let (left, right) = self.index.split(*node, |i| {
-                    match self.binned.get(i as usize, split.feature) {
+                    match self.binned.bin(i, split.feature) {
                         Some(b) => b <= split.bin,
                         None => split.default_left,
                     }

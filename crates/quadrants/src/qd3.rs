@@ -18,26 +18,26 @@
 //! [`TrainConfig::wire`] is accepted but has nothing to encode here — all
 //! wire codecs (including the lossy f32) train the identical ensemble.
 
-use crate::common::{column_group_store, DistTrainResult};
+use crate::common::DistTrainResult;
 use crate::grow::Run;
-use crate::vertical::{self, mark_left, placement_by, GroupStore};
+use crate::vertical::{self, mark_left, GroupStore};
 use gbdt_cluster::{Cluster, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{InstanceToNodeIndex, NodeToInstanceIndex};
 use gbdt_core::parallel::par_feature_fill;
-use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{ColumnStore, FeatureId, InstanceId};
+use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
 use gbdt_partition::PlacementBitmap;
 
 /// Trains with QD3 on `cluster.world` workers (shard → transform → train).
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
     vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data| {
-        // Column-store of the local feature group, in the configured layout;
-        // the assembled rows are consumed building it.
-        let columns = column_group_store(local_data, config.storage, config.n_bins);
+        // Column-store of the local feature group, in the configured layout.
+        // Each stage of rows → row layout → columns is consumed building the
+        // next, so at most two are live and only the columns outlive this.
+        let columns = config.storage.bin_store(local_data, config.n_bins).to_columns();
         let n = columns.n_rows();
         HybridColumns {
             columns,
@@ -101,16 +101,9 @@ impl GroupStore for HybridColumns {
         });
     }
 
-    /// Looks up the split feature's column for each of the node's instances
-    /// (binary search on the sparse layout, O(1) on the dense layout).
-    fn placement(
-        &self,
-        _node: u32,
-        instances: &[InstanceId],
-        feature: FeatureId,
-        split: &Split,
-    ) -> PlacementBitmap {
-        placement_by(instances, split, |inst| self.columns.get(inst as usize, feature))
+    /// Binary search of the column on the sparse layout, O(1) on the dense.
+    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
+        self.columns.get(instance as usize, feature)
     }
 
     fn partition(&mut self, node: u32, instances: &[InstanceId], bitmap: &PlacementBitmap) {

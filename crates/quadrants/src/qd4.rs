@@ -20,18 +20,16 @@
 //! encode: every codec (including the lossy f32) trains the identical
 //! ensemble, which `tests/wire_determinism.rs` pins.
 
-use crate::common::{fill_rows, DistTrainResult};
+use crate::common::DistTrainResult;
 use crate::grow::Run;
-use crate::vertical::{self, placement_by, GroupStore};
+use crate::vertical::{self, GroupStore};
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::split::Split;
-use gbdt_core::TrainConfig;
+use gbdt_core::{kernels, parallel, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinnedStore, FeatureId, InstanceId};
+use gbdt_data::{BinId, BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
-use gbdt_partition::PlacementBitmap;
 
 /// Trains with QD4 (Vero) on `cluster.world` workers, running the full
 /// pipeline: shard → transform → train.
@@ -80,23 +78,22 @@ pub fn train_with_options(
     })
 }
 
-/// QD4's column group is a row-store: the row scan QD2 shares, and a point
-/// lookup per instance for placements (a binary search of the row's sorted
-/// features on the sparse layout, O(1) on the dense one). The
+/// The paper's row-store, under both partitionings: QD4's column group,
+/// QD2's row shard and the feature-parallel replica's group view all scan a
+/// node's rows and look a split feature up here (a binary search of the
+/// row's sorted features on the sparse layout, O(1) on the dense one). The
 /// node-to-instance index is the only index.
 impl GroupStore for BinnedStore {
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
-        fill_rows(pool, node, self, index, run);
+        let (rows, threads) = (index.instances(node), run.threads);
+        parallel::build_histogram_chunked(pool, node, rows, threads, &run.meter, |hist, chunk| {
+            kernels::fill_rows_chunk(hist, chunk, self, &run.grads, run.config.kernel);
+        });
     }
 
-    fn placement(
-        &self,
-        _node: u32,
-        instances: &[InstanceId],
-        feature: FeatureId,
-        split: &Split,
-    ) -> PlacementBitmap {
-        placement_by(instances, split, |inst| self.get(inst as usize, feature))
+    #[inline]
+    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
+        self.get(instance as usize, feature)
     }
 
     fn data_bytes(&self) -> usize {

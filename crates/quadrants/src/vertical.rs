@@ -36,38 +36,32 @@ pub(crate) trait GroupStore {
     /// Scans `node`'s values into a fresh pool histogram.
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run);
 
-    /// Looks `feature` up for every instance of `node` (bit k = k-th of
-    /// `instances`) and places it; see [`placement_by`].
-    fn placement(
-        &self,
-        node: u32,
-        instances: &[InstanceId],
-        feature: FeatureId,
-        split: &Split,
-    ) -> PlacementBitmap;
+    /// The bin of `instance` on `feature` (group-local id), `None` when the
+    /// value is absent.
+    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId>;
 
-    /// How that placement reaches every worker. A column group is the only
-    /// holder of its features: the split feature's owner computes the bitmap
-    /// and broadcasts it (`⌈N/8⌉` bytes — §4.2.2's 32× reduction).
+    /// Places a node's `instances` (bit k = k-th of them) on every worker. A
+    /// column group is the only holder of its features: the split feature's
+    /// owner looks each instance up and broadcasts the bitmap (`⌈N/8⌉` bytes
+    /// — §4.2.2's 32× reduction).
     fn place(
         &self,
         ctx: &mut WorkerCtx,
         grouping: &ColumnGrouping,
-        node: u32,
         instances: &[InstanceId],
         split: &Split,
     ) -> Result<PlacementBitmap, CommError> {
         let owner = grouping.group_of(split.feature);
         let payload = if ctx.rank() == owner {
             let feature = grouping.local_id(split.feature);
-            let bitmap =
-                ctx.time(Phase::NodeSplit, || self.placement(node, instances, feature, split));
+            let bitmap = ctx.time(Phase::NodeSplit, || {
+                placement_by(instances, split, |inst| self.bin(inst, feature))
+            });
             bytes::Bytes::from(bitmap.encode_bytes())
         } else {
             bytes::Bytes::new()
         };
-        let payload = ctx.comm.broadcast(owner, payload)?;
-        Ok(PlacementBitmap::decode_bytes(&payload).expect("owner broadcasts a well-formed bitmap"))
+        decode_placement(&ctx.comm.broadcast(owner, payload)?, instances.len(), owner)
     }
 
     /// Partitions the storage's own second index, if it keeps one.
@@ -96,6 +90,14 @@ pub(crate) fn placement_by(
         Some(b) => b <= split.bin,
         None => split.default_left,
     })
+}
+
+/// The `owner`'s broadcast placement of a node's `n` instances; anything
+/// else is [`CommError::Malformed`].
+fn decode_placement(payload: &[u8], n: usize, owner: usize) -> Result<PlacementBitmap, CommError> {
+    PlacementBitmap::decode_bytes(payload)
+        .filter(|bitmap| bitmap.len() == n)
+        .ok_or(CommError::Malformed { from: owner })
 }
 
 /// Spreads a node's placement bitmap into a by-instance-id mask, so an
@@ -183,7 +185,7 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
         for (node, split) in splits {
             let node = *node;
             let instances = self.index.instances(node);
-            let bitmap = S::place(&self.store, ctx, &self.grouping, node, instances, split)?;
+            let bitmap = S::place(&self.store, ctx, &self.grouping, instances, split)?;
             let (left, right) = ctx.time(Phase::NodeSplit, || {
                 self.store.partition(node, self.index.instances(node), &bitmap);
                 // The index visits a node's instances in order; bit k maps
@@ -253,4 +255,25 @@ pub(crate) fn train<S: GroupStore>(
         };
         grow::train_worker(ctx, policy, &labels, &cuts, config)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_placement_that_does_not_cover_the_node_is_malformed() {
+        let bitmap = PlacementBitmap::from_predicate(70, |k| k % 3 == 0);
+        let bytes = bitmap.encode_bytes();
+        assert_eq!(decode_placement(&bytes, 70, 1), Ok(bitmap));
+        let malformed = Err(CommError::Malformed { from: 1 });
+        // Truncated header, truncated body, over-long body.
+        assert_eq!(decode_placement(&bytes[..5], 70, 1), malformed);
+        assert_eq!(decode_placement(&bytes[..bytes.len() - 1], 70, 1), malformed);
+        assert_eq!(decode_placement(&[&bytes[..], &[0]].concat(), 70, 1), malformed);
+        // A well-formed bitmap over the wrong number of instances.
+        assert_eq!(decode_placement(&bytes, 71, 1), malformed);
+        assert_eq!(decode_placement(&bytes, 64, 1), malformed);
+        assert_eq!(decode_placement(&[], 0, 1), malformed);
+    }
 }

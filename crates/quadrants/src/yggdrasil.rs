@@ -12,14 +12,13 @@
 //! [`TrainConfig::wire`] is accepted but has nothing to encode — all wire
 //! codecs (including the lossy f32) train the identical ensemble.
 
-use crate::common::{column_group_store, DistTrainResult};
+use crate::common::DistTrainResult;
 use crate::grow::Run;
-use crate::vertical::{self, mark_left, placement_by, GroupStore};
+use crate::vertical::{self, mark_left, GroupStore};
 use gbdt_cluster::{Cluster, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{ColumnWiseIndex, NodeToInstanceIndex};
 use gbdt_core::parallel::par_feature_fill;
-use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
@@ -29,7 +28,8 @@ use gbdt_partition::PlacementBitmap;
 /// Trains Yggdrasil-style on `cluster.world` workers.
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
     vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data| {
-        let columns = column_group_store(local_data, config.storage, config.n_bins);
+        // The rows are consumed building the columns, as in QD3.
+        let columns = config.storage.bin_store(local_data, config.n_bins).to_columns();
         let cw_index = ColumnWiseIndex::from_store(&columns);
         let scratch_left = vec![false; columns.n_rows()];
         NodeColumns { columns, cw_index, scratch_left }
@@ -40,7 +40,8 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
 /// node. The shared node-to-instance index stays the canonical instance
 /// order (placement bits, counts, prediction updates).
 struct NodeColumns {
-    /// Kept for the whole run: every tree rebuilds `cw_index` from it.
+    /// Kept for the whole run: every tree rebuilds `cw_index` from it, and
+    /// placements look the split feature up in it.
     columns: ColumnStore,
     cw_index: ColumnWiseIndex,
     scratch_left: Vec<bool>,
@@ -64,22 +65,9 @@ impl GroupStore for NodeColumns {
         });
     }
 
-    /// The split column's node slice is already contiguous; absent
-    /// instances fall to the default side.
-    fn placement(
-        &self,
-        node: u32,
-        instances: &[InstanceId],
-        feature: FeatureId,
-        split: &Split,
-    ) -> PlacementBitmap {
-        let (insts, bins) = self.cw_index.node_column(node, feature as usize);
-        // Present instances, by id. BTreeMap so placement never depends on
-        // hash order (only keyed lookups today, but the bitmap reaches the
-        // wire).
-        let present: std::collections::BTreeMap<InstanceId, BinId> =
-            insts.iter().copied().zip(bins.iter().copied()).collect();
-        placement_by(instances, split, |inst| present.get(&inst).copied())
+    /// A point lookup in the kept column, as QD3 does.
+    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
+        self.columns.get(instance as usize, feature)
     }
 
     /// THE expensive step: repartition every column.
