@@ -195,7 +195,6 @@ pub(crate) fn is_collective_name(name: &str) -> bool {
         "all_gather",
         "all_reduce",
         "reduce_scatter",
-        "reduce_to_root",
         "ps_push",
     ];
     PREFIXES.iter().any(|p| name.starts_with(p))

@@ -18,7 +18,6 @@
 
 use gbdt_bench::args::Args;
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::System;
 use gbdt_cluster::{Cluster, NetworkCostModel};
 use gbdt_core::{TrainConfig, WireCodec};
 use gbdt_data::synthetic::SyntheticConfig;
@@ -26,6 +25,7 @@ use gbdt_partition::transform::TransformConfig;
 use rand::prelude::*;
 use gbdt_partition::GroupingStrategy;
 use gbdt_quadrants::qd4::{self, Qd4Options};
+use gbdt_quadrants::System;
 use serde_json::json;
 
 fn main() {

@@ -15,10 +15,10 @@
 
 use gbdt_bench::args::Args;
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::System;
 use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig, WireCodec};
 use gbdt_data::synthetic::SyntheticConfig;
+use gbdt_quadrants::System;
 use serde_json::json;
 
 /// Sweep-invariant run settings shared by every fig10 point.

@@ -10,9 +10,8 @@
 
 use gbdt_bench::args::Args;
 use gbdt_bench::datasets;
-use gbdt_bench::endtoend::{add_fault_columns, config_for, run_system};
+use gbdt_bench::endtoend::{add_fault_columns, config_for, run_system, END_TO_END};
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::END_TO_END;
 use gbdt_cluster::NetworkCostModel;
 use serde_json::json;
 

@@ -11,8 +11,8 @@ use gbdt_bench::args::Args;
 use gbdt_bench::datasets;
 use gbdt_bench::endtoend::{add_fault_columns, config_for, run_system};
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::System;
 use gbdt_cluster::NetworkCostModel;
+use gbdt_quadrants::System;
 use serde_json::json;
 
 fn main() {

@@ -9,10 +9,10 @@
 
 use gbdt_bench::args::Args;
 use gbdt_bench::datasets;
-use gbdt_bench::endtoend::{config_for, run_system};
+use gbdt_bench::endtoend::{config_for, run_system, END_TO_END};
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::{System, END_TO_END};
 use gbdt_cluster::NetworkCostModel;
+use gbdt_quadrants::System;
 use serde_json::json;
 
 const DATASETS: &[&str] = &[

@@ -8,9 +8,9 @@
 use gbdt_bench::args::Args;
 use gbdt_bench::datasets;
 use gbdt_bench::output::ExperimentWriter;
-use gbdt_bench::systems::System;
 use gbdt_cluster::Cluster;
 use gbdt_core::TrainConfig;
+use gbdt_quadrants::System;
 use serde_json::json;
 
 fn main() {

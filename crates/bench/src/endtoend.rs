@@ -1,12 +1,15 @@
 //! End-to-end run machinery shared by Figures 11–12 and Tables 3–4.
 
-use crate::systems::System;
 use gbdt_cluster::{Cluster, FaultPlan, NetworkCostModel};
 use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_quadrants::TreeStat;
+use gbdt_quadrants::{System, TreeStat};
 use serde::{Deserialize, Serialize};
 use vero::report::ConvergencePoint;
+
+/// The §5.3 end-to-end line-up.
+pub const END_TO_END: &[System] =
+    &[System::XgboostLike, System::LightGbmLike, System::DimBoostLike, System::Vero];
 
 /// One system's end-to-end result on one dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -7,10 +7,9 @@
 //!
 //! * [`args`] — a tiny flag parser (`--scale`, `--workers`, `--trees`, …).
 //! * [`datasets`] — scaled synthetic stand-ins for every paper dataset.
-//! * [`endtoend`] — run machinery shared by Figures 11–12 and Tables 3–4.
-//! * [`systems`] — the system registry mapping paper names to quadrant
-//!   trainers (XGBoost→QD1, LightGBM→QD2/reduce-scatter,
-//!   DimBoost→QD2/parameter-server, Vero→QD4, …).
+//! * [`endtoend`] — run machinery shared by Figures 11–12 and Tables 3–4,
+//!   and the §5.3 line-up of `gbdt_quadrants::System`, the system table
+//!   every binary draws its rows from.
 //! * [`output`] — aligned human tables + machine-readable JSONL rows under
 //!   `results/`.
 //!
@@ -22,4 +21,3 @@ pub mod args;
 pub mod datasets;
 pub mod endtoend;
 pub mod output;
-pub mod systems;

@@ -1,6 +1,7 @@
 //! Collective operations over the mesh: broadcast, gather, all-gather, ring
 //! all-reduce and ring reduce-scatter — the "different aggregation methods"
-//! of §3.1.3 (map-reduce, all-reduce, reduce-scatter).
+//! of §3.1.3 that a compared system uses (all-reduce, reduce-scatter; no
+//! system aggregates map-reduce style to one root).
 //!
 //! Every rank must call the same collectives in the same program order; tags
 //! are auto-allocated from a per-endpoint counter that stays aligned across
@@ -22,14 +23,6 @@ use crate::comm::Comm;
 use crate::fault::CommError;
 use crate::wire::{self, WireCodec};
 use bytes::Bytes;
-
-fn f64s_to_bytes(buf: &[f64]) -> Bytes {
-    wire::f64s_to_bytes(buf)
-}
-
-fn bytes_to_f64s(bytes: &Bytes) -> Vec<f64> {
-    wire::bytes_to_f64s(bytes)
-}
 
 /// Segment `[start, end)` of a length-`len` buffer owned by `seg` of `world`.
 pub fn segment_bounds(len: usize, world: usize, seg: usize) -> (usize, usize) {
@@ -101,42 +94,13 @@ impl Comm {
         Ok(out)
     }
 
-    /// Reduces (element-wise sum) `buf` to `root` in rank order — the
-    /// gather-style aggregation whose single-point bottleneck DimBoost's
-    /// parameter server avoids (§4.1). Non-roots keep their input.
-    pub fn reduce_to_root_f64(&self, root: usize, buf: &mut [f64]) -> Result<(), CommError> {
-        self.reduce_to_root_f64_codec(WireCodec::Dense, root, buf)
-    }
-
-    /// [`Self::reduce_to_root_f64`] with payloads encoded under `codec`;
-    /// contributions are decode-merged at the root in rank order.
-    pub fn reduce_to_root_f64_codec(
-        &self,
-        codec: WireCodec,
-        root: usize,
-        buf: &mut [f64],
-    ) -> Result<(), CommError> {
-        let tag = self.alloc_collective_tag();
-        if self.rank() == root {
-            for from in 0..self.world() {
-                if from == root {
-                    continue;
-                }
-                wire::decode_add(&self.recv(from, tag)?, buf);
-            }
-        } else {
-            self.send_f64s(root, tag, codec, buf)?;
-        }
-        Ok(())
-    }
-
     /// Broadcasts an f64 buffer from `root`, overwriting `buf` elsewhere.
     pub fn broadcast_f64(&self, root: usize, buf: &mut [f64]) -> Result<(), CommError> {
         let payload =
-            if self.rank() == root { f64s_to_bytes(buf) } else { Bytes::new() };
+            if self.rank() == root { wire::f64s_to_bytes(buf) } else { Bytes::new() };
         let received = self.broadcast(root, payload)?;
         if self.rank() != root {
-            let vals = bytes_to_f64s(&received);
+            let vals = wire::bytes_to_f64s(&received);
             assert_eq!(vals.len(), buf.len(), "broadcast buffer length mismatch");
             buf.copy_from_slice(&vals);
         }
@@ -196,13 +160,8 @@ impl Comm {
     }
 
     /// Ring all-gather of segments: rank `r` contributes segment `r` of
-    /// `buf`; on return every rank holds the complete buffer.
-    pub fn all_gather_segments_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
-        self.all_gather_segments_f64_codec(WireCodec::Dense, buf)
-    }
-
-    /// [`Self::all_gather_segments_f64`] with every forwarded segment encoded
-    /// under `codec`.
+    /// `buf`; on return every rank holds the complete buffer. Every
+    /// forwarded segment is encoded under `codec`.
     pub fn all_gather_segments_f64_codec(
         &self,
         codec: WireCodec,
@@ -312,17 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_to_root_sums() {
-        let got = run(4, |c| {
-            let mut buf = vec![c.rank() as f64, 1.0];
-            c.reduce_to_root_f64(2, &mut buf).unwrap();
-            buf
-        });
-        assert_eq!(got[2], vec![0.0 + 1.0 + 2.0 + 3.0, 4.0]);
-        assert_eq!(got[0], vec![0.0, 1.0]); // non-root unchanged
-    }
-
-    #[test]
     fn broadcast_f64_overwrites() {
         let got = run(3, |c| {
             let mut buf = if c.rank() == 0 { vec![1.5, 2.5] } else { vec![0.0, 0.0] };
@@ -419,22 +367,28 @@ mod tests {
             }
         }
 
-        // Adaptive switch point: n = 16 ⇒ dense = 128 bytes, sparse =
-        // 5 + 12·nnz. nnz = 10 (125 < 128) still ships sparse; nnz = 11
-        // (137) flips to dense.
+        // Adaptive switch point: a 16-element segment is dense = 128 bytes,
+        // sparse = 5 + 12·nnz. nnz = 10 (125 < 128) still ships sparse;
+        // nnz = 11 (137) flips to dense. World = 2 reduce-scatter of 32
+        // elements: only rank 1's segment 1 is nonzero, so each rank ships
+        // one 16-element segment holding those nnz values and one of zeros
+        // (the 5-byte header).
         for (nnz, expected_wire) in [(10usize, 125u64), (11, 128)] {
             let counters = run(2, move |c| {
-                let mut buf = vec![0.0f64; 16];
-                for (i, slot) in buf.iter_mut().take(nnz).enumerate() {
-                    *slot = 1.0 + i as f64;
+                let mut buf = vec![0.0f64; 32];
+                if c.rank() == 1 {
+                    for (i, slot) in buf[16..].iter_mut().take(nnz).enumerate() {
+                        *slot = 1.0 + i as f64;
+                    }
                 }
-                c.reduce_to_root_f64_codec(WireCodec::Auto, 0, &mut buf).unwrap();
+                c.reduce_scatter_f64_codec(WireCodec::Auto, &mut buf).unwrap();
                 c.counters()
             });
-            assert_eq!(counters[1].logical_f64_bytes, 128, "nnz={nnz}");
-            assert_eq!(counters[1].wire_f64_bytes, expected_wire, "nnz={nnz}");
-            assert_eq!(counters[1].bytes_sent, expected_wire, "nnz={nnz}");
-            assert_eq!(counters[0].bytes_sent, 0); // root only receives
+            for c in counters {
+                assert_eq!(c.logical_f64_bytes, 2 * 128, "nnz={nnz}");
+                assert_eq!(c.wire_f64_bytes, expected_wire + 5, "nnz={nnz}");
+                assert_eq!(c.bytes_sent, expected_wire + 5, "nnz={nnz}");
+            }
         }
     }
 
@@ -461,12 +415,6 @@ mod tests {
                 buf
             });
             assert_eq!(got, dense, "all_reduce auto world={world}");
-            let root = run(world, move |c| {
-                let mut buf = mk(c.rank());
-                c.reduce_to_root_f64_codec(WireCodec::Auto, 0, &mut buf).unwrap();
-                buf
-            });
-            assert_eq!(root[0], dense[0], "reduce_to_root auto world={world}");
         }
     }
 

@@ -186,7 +186,8 @@ impl BinCuts {
             Some(s)
         };
         let d = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-        let mut cuts = Vec::with_capacity(d);
+        // Each feature takes ≥ 2 bytes: a header cannot size past the bytes.
+        let mut cuts = Vec::with_capacity(d.min(bytes.len() / 2));
         for _ in 0..d {
             let len = u16::from_le_bytes(take(2)?.try_into().ok()?) as usize;
             let mut c = Vec::with_capacity(len);
@@ -317,6 +318,10 @@ mod tests {
         let bytes = c.encode_bytes();
         assert_eq!(BinCuts::decode_bytes(&bytes).unwrap(), c);
         assert!(BinCuts::decode_bytes(&bytes[..bytes.len() - 2]).is_none());
+        // A feature count past the bytes is rejected before it sizes anything.
+        let mut hostile = bytes.clone();
+        hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(BinCuts::decode_bytes(&hostile).is_none());
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl QuantileSketch {
         let mut levels = Vec::with_capacity(n_levels.max(1));
         for _ in 0..n_levels {
             let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-            let mut level = Vec::with_capacity(len);
+            let mut level = Vec::with_capacity(len.min(bytes.len() / 4));
             for _ in 0..len {
                 level.push(f32::from_le_bytes(take(4)?.try_into().ok()?));
             }
@@ -359,6 +359,9 @@ mod tests {
         // Truncated input is rejected.
         assert!(QuantileSketch::decode_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(QuantileSketch::decode_bytes(&[1, 2, 3]).is_none());
+        // A level length past the bytes is rejected before it sizes anything.
+        let hostile = [&bytes[..25], &u32::MAX.to_le_bytes()].concat();
+        assert!(QuantileSketch::decode_bytes(&hostile).is_none());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum WireEncoding {
 /// Transformation parameters.
 #[derive(Debug, Clone)]
 pub struct TransformConfig {
-    /// q — candidate splits per feature.
+    /// q — candidate splits per feature (vertical trainers use their own).
     pub n_bins: usize,
     /// Quantile sketch per-level capacity.
     pub sketch_capacity: usize,
@@ -124,91 +124,156 @@ pub fn build_global_cuts(
     let local = ctx.time(Phase::Sketch, || BinCuts::sketch_dataset(shard, sketch_capacity));
 
     // Repartition: feature f's sketches merge on worker f mod W.
-    let payloads = ctx.time(Phase::Sketch, || {
-        let mut payloads: Vec<BytesMut> = (0..w).map(|_| BytesMut::new()).collect();
-        for (f, sketch) in local.iter().enumerate() {
-            let dest = f % w;
-            if dest == rank || sketch.is_empty() {
-                continue;
-            }
-            let bytes = sketch.encode_bytes();
-            payloads[dest].put_u32(f as u32);
-            payloads[dest].put_u32(bytes.len() as u32);
-            payloads[dest].put_slice(&bytes);
-        }
-        payloads
-    });
+    let payloads = ctx.time(Phase::Sketch, || encode_sketch_batches(&local, rank, w));
     let mut merged: Vec<QuantileSketch> = local;
-    // Send per-destination batches, receive and merge.
-    let mut incoming: Vec<Bytes> = Vec::with_capacity(w);
-    {
-        let tag_payloads: Vec<Bytes> = payloads.into_iter().map(BytesMut::freeze).collect();
-        // All-to-all via pairwise send/recv on a gathered tag.
-        let batches = all_to_all(ctx, tag_payloads)?;
-        incoming.extend(batches);
-    }
+    let incoming = all_to_all(ctx, payloads)?;
     ctx.time(Phase::Sketch, || {
-        for mut batch in incoming {
-            while batch.has_remaining() {
-                let f = batch.get_u32() as usize;
-                let len = batch.get_u32() as usize;
-                let sk = QuantileSketch::decode_bytes(&batch.split_to(len))
-                    .expect("peer sends well-formed sketches");
-                merged[f].merge(&sk);
-            }
-        }
-    });
+        incoming
+            .into_iter()
+            .enumerate()
+            .try_for_each(|(from, batch)| merge_sketch_batch(&mut merged, batch, rank, w, from))
+    })?;
 
     // Owned features: cuts + counts, gathered at master.
-    let partial = ctx.time(Phase::Sketch, || {
-        let mut out = BytesMut::new();
-        for f in (rank..d).step_by(w) {
-            let cuts = merged[f].candidate_splits(n_bins);
-            out.put_u32(f as u32);
-            out.put_u64(merged[f].count());
-            out.put_u16(cuts.len() as u16);
-            for c in &cuts {
-                out.put_f32(*c);
-            }
-        }
-        out.freeze()
-    });
+    let partial = ctx.time(Phase::Sketch, || encode_cut_part(&merged, rank, w, n_bins));
     let gathered = ctx.comm.gather(0, partial)?;
     let full = if let Some(parts) = gathered {
-        let mut cut_values: Vec<Vec<f32>> = vec![Vec::new(); d];
-        let mut counts = vec![0u64; d];
-        for mut part in parts {
-            while part.has_remaining() {
-                let f = part.get_u32() as usize;
-                counts[f] = part.get_u64();
-                let len = part.get_u16() as usize;
-                let mut cuts = Vec::with_capacity(len);
-                for _ in 0..len {
-                    cuts.push(part.get_f32());
-                }
-                cut_values[f] = cuts;
-            }
-        }
-        let cuts = BinCuts::from_cut_values(cut_values);
-        let mut payload = BytesMut::new();
-        let cut_bytes = cuts.encode_bytes();
-        payload.put_u32(cut_bytes.len() as u32);
-        payload.put_slice(&cut_bytes);
-        for &c in &counts {
-            payload.put_u64(c);
-        }
-        payload.freeze()
+        let (cut_values, counts) = decode_cut_parts(parts, d, n_bins)?;
+        encode_cuts_and_counts(&BinCuts::from_cut_values(cut_values), &counts)
     } else {
         Bytes::new()
     };
-    let mut full = ctx.comm.broadcast(0, full)?;
-    let cut_len = full.get_u32() as usize;
-    let cuts = BinCuts::decode_bytes(&full.split_to(cut_len))
-        .expect("master broadcasts well-formed cuts");
-    let mut counts = Vec::with_capacity(d);
-    while full.has_remaining() {
-        counts.push(full.get_u64());
+    decode_cuts_and_counts(ctx.comm.broadcast(0, full)?, d, n_bins)
+}
+
+/// One batch per destination of this worker's non-empty sketches: feature
+/// `f`'s goes to worker `f mod W` as a 〈feature, length, sketch〉 record.
+fn encode_sketch_batches(local: &[QuantileSketch], rank: usize, w: usize) -> Vec<Bytes> {
+    let mut payloads: Vec<BytesMut> = (0..w).map(|_| BytesMut::new()).collect();
+    for (f, sketch) in local.iter().enumerate() {
+        let dest = f % w;
+        if dest == rank || sketch.is_empty() {
+            continue;
+        }
+        let bytes = sketch.encode_bytes();
+        payloads[dest].put_u32(f as u32);
+        payloads[dest].put_u32(bytes.len() as u32);
+        payloads[dest].put_slice(&bytes);
     }
+    payloads.into_iter().map(BytesMut::freeze).collect()
+}
+
+/// Merges one peer's batch of 〈feature, length, sketch〉 records into the
+/// sketches of the features this worker merges (`f mod W = rank`).
+/// Anything else is [`CommError::Malformed`].
+fn merge_sketch_batch(
+    merged: &mut [QuantileSketch],
+    mut batch: Bytes,
+    rank: usize,
+    w: usize,
+    from: usize,
+) -> Result<(), CommError> {
+    let malformed = CommError::Malformed { from };
+    while batch.has_remaining() {
+        if batch.remaining() < 8 {
+            return Err(malformed);
+        }
+        let f = batch.get_u32() as usize;
+        let len = batch.get_u32() as usize;
+        if f >= merged.len() || f % w != rank || batch.remaining() < len {
+            return Err(malformed);
+        }
+        let Some(sketch) = QuantileSketch::decode_bytes(&batch.split_to(len)) else {
+            return Err(malformed);
+        };
+        merged[f].merge(&sketch);
+    }
+    Ok(())
+}
+
+/// This worker's 〈feature, count, cuts〉 record for each feature it merged.
+fn encode_cut_part(merged: &[QuantileSketch], rank: usize, w: usize, n_bins: usize) -> Bytes {
+    let mut out = BytesMut::new();
+    for f in (rank..merged.len()).step_by(w) {
+        let cuts = merged[f].candidate_splits(n_bins);
+        out.put_u32(f as u32);
+        out.put_u64(merged[f].count());
+        out.put_u16(cuts.len() as u16);
+        for c in &cuts {
+            out.put_f32(*c);
+        }
+    }
+    out.freeze()
+}
+
+/// The master's decode of every worker's 〈feature, count, cuts〉 records:
+/// worker `from` sends exactly its features `from, from + W, …` in order,
+/// each with at most `n_bins` strictly ascending cuts. Anything else is
+/// [`CommError::Malformed`].
+fn decode_cut_parts(
+    parts: Vec<Bytes>,
+    d: usize,
+    n_bins: usize,
+) -> Result<(Vec<Vec<f32>>, Vec<u64>), CommError> {
+    let w = parts.len();
+    let mut cut_values: Vec<Vec<f32>> = vec![Vec::new(); d];
+    let mut counts = vec![0u64; d];
+    for (from, mut part) in parts.into_iter().enumerate() {
+        let malformed = CommError::Malformed { from };
+        for f in (from..d).step_by(w) {
+            if part.remaining() < 14 || part.get_u32() as usize != f {
+                return Err(malformed);
+            }
+            counts[f] = part.get_u64();
+            let len = part.get_u16() as usize;
+            if len > n_bins || part.remaining() < 4 * len {
+                return Err(malformed);
+            }
+            let cuts: Vec<f32> = (0..len).map(|_| part.get_f32()).collect();
+            if !cuts.windows(2).all(|pair| pair[0] < pair[1]) {
+                return Err(malformed);
+            }
+            cut_values[f] = cuts;
+        }
+        if part.has_remaining() {
+            return Err(malformed);
+        }
+    }
+    Ok((cut_values, counts))
+}
+
+/// The global cuts, then one count per feature.
+fn encode_cuts_and_counts(cuts: &BinCuts, counts: &[u64]) -> Bytes {
+    let mut payload = BytesMut::new();
+    let cut_bytes = cuts.encode_bytes();
+    payload.put_u32(cut_bytes.len() as u32);
+    payload.put_slice(&cut_bytes);
+    for &c in counts {
+        payload.put_u64(c);
+    }
+    payload.freeze()
+}
+
+/// The master's broadcast of the global cuts (at most `n_bins` per feature,
+/// for all `d` features) followed by one count per feature. Anything else
+/// is [`CommError::Malformed`].
+fn decode_cuts_and_counts(
+    mut full: Bytes,
+    d: usize,
+    n_bins: usize,
+) -> Result<(BinCuts, Vec<u64>), CommError> {
+    let malformed = CommError::Malformed { from: 0 };
+    if full.remaining() < 4 {
+        return Err(malformed);
+    }
+    let cut_len = full.get_u32() as usize;
+    if full.remaining() != cut_len + 8 * d {
+        return Err(malformed);
+    }
+    let cuts = BinCuts::decode_bytes(&full.split_to(cut_len))
+        .filter(|cuts| cuts.n_features() == d && cuts.max_bins() <= n_bins)
+        .ok_or(malformed)?;
+    let counts = (0..d).map(|_| full.get_u64()).collect();
     Ok((cuts, counts))
 }
 
@@ -272,8 +337,7 @@ pub fn horizontal_to_vertical(
         Bytes::new()
     };
     let grouping_bytes = ctx.comm.broadcast(0, grouping_bytes)?;
-    let grouping = ColumnGrouping::decode_bytes(&grouping_bytes)
-        .expect("master broadcasts well-formed grouping");
+    let grouping = decode_grouping(&grouping_bytes, d, w)?;
 
     // Encode this shard as W partial column groups, streaming: a counting
     // pass sizes every destination's frame exactly, a binning pass writes
@@ -399,6 +463,9 @@ pub fn horizontal_to_vertical(
         Bytes::new()
     };
     let mut all_labels = ctx.comm.broadcast(0, all_labels)?;
+    if all_labels.len() != 4 * partition.n_instances() {
+        return Err(CommError::Malformed { from: 0 });
+    }
     let mut labels = Vec::with_capacity(partition.n_instances());
     while all_labels.has_remaining() {
         labels.push(all_labels.get_f32());
@@ -409,6 +476,14 @@ pub fn horizontal_to_vertical(
     report.comm_seconds = ctx.comm.counters().comm_seconds - comm_before.comm_seconds;
 
     Ok(TransformOutput { cuts, grouping, local_data, labels, feature_counts, report })
+}
+
+/// The master's broadcast assignment of all `d` features to `w` groups;
+/// anything else is [`CommError::Malformed`].
+fn decode_grouping(payload: &[u8], d: usize, w: usize) -> Result<ColumnGrouping, CommError> {
+    ColumnGrouping::decode_bytes(payload, w)
+        .filter(|grouping| grouping.n_features() == d)
+        .ok_or(CommError::Malformed { from: 0 })
 }
 
 fn encode_rowframed_compressed(
@@ -631,5 +706,121 @@ mod tests {
         );
         // The pair compression alone is ~4x (12 bytes -> 3 with row framing).
         assert!(naive as f64 / blockified as f64 > 3.0);
+    }
+
+    /// Sketches of `d` features with distinct value streams.
+    fn sketches(d: usize) -> Vec<QuantileSketch> {
+        (0..d)
+            .map(|f| {
+                let mut sketch = QuantileSketch::new(8);
+                (0..20).for_each(|i| sketch.insert((i * (f + 1)) as f32));
+                sketch
+            })
+            .collect()
+    }
+
+    /// `fields` as the big-endian words `put_u32` writes.
+    fn words(fields: &[u32]) -> Vec<u8> {
+        fields.iter().flat_map(|x| x.to_be_bytes()).collect()
+    }
+
+    #[test]
+    fn malformed_sketch_batches_are_rejected_not_panicked_on() {
+        // Rank 0 of W = 2 sends rank 1 the sketches of features 1 and 3.
+        let (d, w) = (4, 2);
+        let batch = encode_sketch_batches(&sketches(d), 0, w).swap_remove(1);
+        let merge = |bytes: &[u8]| {
+            merge_sketch_batch(&mut sketches(d), Bytes::from(bytes.to_vec()), 1, w, 0)
+        };
+        let mut merged = sketches(d);
+        assert_eq!(merge_sketch_batch(&mut merged, batch.clone(), 1, w, 0), Ok(()));
+        assert_eq!((merged[0].count(), merged[1].count(), merged[3].count()), (20, 40, 40));
+        assert_eq!(merge(&[]), Ok(()));
+        let sketch = sketches(d)[1].encode_bytes();
+        let record = |f: u32| [words(&[f, sketch.len() as u32]), sketch.clone()].concat();
+        assert_eq!(merge(&batch[..record(1).len()]), Ok(()));
+        let malformed = Err(CommError::Malformed { from: 0 });
+        // Every other truncation and an over-long batch.
+        for cut in (1..batch.len()).filter(|&cut| cut != record(1).len()) {
+            assert_eq!(merge(&batch[..cut]), malformed, "cut at {cut}");
+        }
+        assert_eq!(merge(&[&batch[..], &[0]].concat()), malformed);
+        // A feature rank 1 does not merge, one past D, a length past the
+        // end, and a well-framed record whose sketch does not decode.
+        assert_eq!(merge(&record(2)), malformed);
+        assert_eq!(merge(&record(5)), malformed);
+        assert_eq!(merge(&words(&[1, u32::MAX])), malformed);
+        assert_eq!(merge(&words(&[1, 4, 0])), malformed);
+    }
+
+    #[test]
+    fn malformed_cut_parts_are_rejected_not_panicked_on() {
+        // W = 2, D = 3: rank 0 sends features 0 and 2, rank 1 feature 1.
+        let (d, w, q) = (3, 2, 4);
+        let merged = sketches(d);
+        let parts: Vec<Bytes> = (0..w).map(|rank| encode_cut_part(&merged, rank, w, q)).collect();
+        let (cut_values, counts) = decode_cut_parts(parts.clone(), d, q).unwrap();
+        assert_eq!(counts, vec![20; 3]);
+        assert_eq!(BinCuts::from_cut_values(cut_values), BinCuts::from_sketches(&merged, q));
+        let with_part_1 = |bytes: &[u8]| {
+            decode_cut_parts(vec![parts[0].clone(), Bytes::from(bytes.to_vec())], d, q)
+        };
+        let malformed = Err(CommError::Malformed { from: 1 });
+        // Every truncation (the empty part included) and an over-long part.
+        for cut in 0..parts[1].len() {
+            assert_eq!(with_part_1(&parts[1][..cut]), malformed, "cut at {cut}");
+        }
+        assert_eq!(with_part_1(&[&parts[1][..], &[0]].concat()), malformed);
+        // Rank 0's feature, a feature past D, and rank 0's records sent as
+        // rank 1's.
+        for f in [2, 7] {
+            assert_eq!(with_part_1(&[&words(&[f])[..], &parts[1][4..]].concat()), malformed);
+        }
+        assert_eq!(with_part_1(&parts[0]), malformed);
+        // More cuts than q, and cuts that do not ascend (the first cut of
+        // feature 1 raised past the second).
+        let from_0 = Err(CommError::Malformed { from: 0 });
+        assert_eq!(decode_cut_parts(parts.clone(), d, q - 1), from_0);
+        let mut descending = parts[1].to_vec();
+        descending[14..18].copy_from_slice(&f32::MAX.to_be_bytes());
+        assert_eq!(with_part_1(&descending), malformed);
+    }
+
+    #[test]
+    fn malformed_cut_broadcasts_are_rejected_not_panicked_on() {
+        let (d, q) = (3, 4);
+        let cuts = BinCuts::from_sketches(&sketches(d), q);
+        let full = encode_cuts_and_counts(&cuts, &[5, 6, 7]);
+        assert_eq!(decode_cuts_and_counts(full.clone(), d, q), Ok((cuts, vec![5, 6, 7])));
+        let decode = |bytes: &[u8]| decode_cuts_and_counts(Bytes::from(bytes.to_vec()), d, q);
+        let malformed = Err(CommError::Malformed { from: 0 });
+        // Every truncation and an over-long payload.
+        for cut in 0..full.len() {
+            assert_eq!(decode(&full[..cut]), malformed, "cut at {cut}");
+        }
+        assert_eq!(decode(&[&full[..], &[0]].concat()), malformed);
+        // Cuts for another D, more cuts than q, a cut length past the end.
+        assert_eq!(decode_cuts_and_counts(full.clone(), d + 1, q), malformed);
+        assert_eq!(decode_cuts_and_counts(full.clone(), d, q - 1), malformed);
+        assert_eq!(decode(&words(&[u32::MAX])), malformed);
+    }
+
+    #[test]
+    fn malformed_groupings_are_rejected_not_panicked_on() {
+        let grouping = ColumnGrouping::build(GroupingStrategy::RoundRobin, 5, 2, &[]);
+        let bytes = grouping.encode_bytes();
+        assert_eq!(decode_grouping(&bytes, 5, 2), Ok(grouping));
+        let malformed = Err(CommError::Malformed { from: 0 });
+        // Every truncation, an over-long payload, another D, another W.
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_grouping(&bytes[..cut], 5, 2), malformed, "cut at {cut}");
+        }
+        assert_eq!(decode_grouping(&[&bytes[..], &[0]].concat(), 5, 2), malformed);
+        assert_eq!(decode_grouping(&bytes, 6, 2), malformed);
+        assert_eq!(decode_grouping(&bytes, 5, 3), malformed);
+        // A feature assigned to a group past W.
+        let mut stray = bytes.clone();
+        stray[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_grouping(&stray, 5, 2), malformed);
     }
 }

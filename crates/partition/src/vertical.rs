@@ -137,15 +137,16 @@ impl ColumnGrouping {
         out
     }
 
-    /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
+    /// Decodes [`Self::encode_bytes`] output of a grouping into `world`
+    /// groups; `None` for anything else.
+    pub fn decode_bytes(bytes: &[u8], world: usize) -> Option<Self> {
         if bytes.len() < 8 {
             return None;
         }
-        let world = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
+        let encoded_world = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
         let d = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
         let payload = &bytes[8..];
-        if payload.len() != d * 4 || world == 0 {
+        if payload.len() != d * 4 || world == 0 || encoded_world != world {
             return None;
         }
         let assignment: Vec<u32> = payload
@@ -228,12 +229,18 @@ mod tests {
     fn wire_roundtrip() {
         let g = ColumnGrouping::build(GroupingStrategy::RoundRobin, 9, 4, &[]);
         let bytes = g.encode_bytes();
-        assert_eq!(ColumnGrouping::decode_bytes(&bytes).unwrap(), g);
-        assert!(ColumnGrouping::decode_bytes(&bytes[..5]).is_none());
+        assert_eq!(ColumnGrouping::decode_bytes(&bytes, 4).unwrap(), g);
+        assert!(ColumnGrouping::decode_bytes(&bytes[..5], 4).is_none());
         // Corrupt a group id beyond world.
         let mut bad = bytes.clone();
         bad[8] = 200;
-        assert!(ColumnGrouping::decode_bytes(&bad).is_none());
+        assert!(ColumnGrouping::decode_bytes(&bad, 4).is_none());
+        // A header naming another world, the receiver's own or a hostile
+        // one that would size a group per claimed worker.
+        assert!(ColumnGrouping::decode_bytes(&bytes, 3).is_none());
+        let mut hostile = bytes.clone();
+        hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ColumnGrouping::decode_bytes(&hostile, 4).is_none());
     }
 
     #[test]

@@ -38,10 +38,9 @@
 //!   partitionings. Every policy holds its histograms in a `HistogramPool`.
 //! * [`common`] — what policies share besides the loop: result types, the
 //!   horizontal root all-reduce, the local-best exchange, wire accounting.
-//! * [`advisor`] — the paper's §6 future work, implemented: an executable
-//!   §3 cost model that recommends a quadrant for a workload/environment.
+//! * [`System`] — the one system table: each compared system as a row
+//!   naming its cell of the grid above and the trainer that runs it.
 
-pub mod advisor;
 pub mod common;
 pub mod featpar;
 mod grow;
@@ -50,7 +49,9 @@ pub mod qd2;
 pub mod qd3;
 pub mod qd4;
 pub mod single;
+mod system;
 mod vertical;
 pub mod yggdrasil;
 
 pub use common::{Aggregation, DistTrainResult, TreeStat};
+pub use system::System;

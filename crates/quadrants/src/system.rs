@@ -1,19 +1,21 @@
-//! System registry: paper system names → quadrant trainers.
+//! The system table: paper system names → quadrant trainers.
 //!
-//! §5.3 compares XGBoost, LightGBM, DimBoost, and Vero. Our stand-ins run
-//! the corresponding data-management policy in the shared code base (the
+//! Figure 1 places every compared system in one partitioning × storage
+//! cell; §5.3 compares XGBoost, LightGBM, DimBoost and Vero. Each row here
+//! runs the corresponding data-management policy in this code base (the
 //! substitution table in `DESIGN.md`): the *data-management* effect is
 //! reproduced; the C++-vs-Java constant factors the paper itself flags as
-//! confounds are not simulated.
+//! confounds are not simulated. Every "for each trainer" loop — the
+//! explorer, the determinism, equivalence and serving suites — iterates
+//! [`System::ALL`].
 
+use crate::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation, DistTrainResult};
 use gbdt_cluster::Cluster;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation, DistTrainResult};
-use serde::{Deserialize, Serialize};
 
 /// A runnable system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
     /// XGBoost policy: QD1 — horizontal + column-store + all-reduce.
     XgboostLike,
@@ -34,7 +36,7 @@ pub enum System {
 }
 
 impl System {
-    /// Every runnable system, in registry order.
+    /// Every runnable system, in table order.
     pub const ALL: [System; 8] = [
         System::XgboostLike,
         System::LightGbmLike,
@@ -97,10 +99,6 @@ impl System {
         }
     }
 }
-
-/// The §5.3 end-to-end line-up.
-pub const END_TO_END: &[System] =
-    &[System::XgboostLike, System::LightGbmLike, System::DimBoostLike, System::Vero];
 
 #[cfg(test)]
 mod tests {

@@ -229,7 +229,8 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
 
 /// Trains a vertical quadrant: shard → transform → `store` (which consumes
 /// the row-store the transformation assembled: all N rows of this worker's
-/// feature group, in group-local ids) → the growth loop.
+/// feature group, in group-local ids) → the growth loop. The transformation
+/// bins with `config`'s q, the one the histograms are sized for.
 pub(crate) fn train<S: GroupStore>(
     cluster: &Cluster,
     dataset: &Dataset,
@@ -239,10 +240,11 @@ pub(crate) fn train<S: GroupStore>(
     store: impl Fn(BinnedRows) -> S + Sync,
 ) -> DistTrainResult {
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
+    let transform_cfg = TransformConfig { n_bins: config.n_bins, ..transform_cfg.clone() };
     grow::run(cluster, config, |ctx| {
         let shard = partition.shard(dataset, ctx.rank());
         let TransformOutput { cuts, grouping, local_data, labels, .. } =
-            horizontal_to_vertical(ctx, &shard, partition, transform_cfg)?;
+            horizontal_to_vertical(ctx, &shard, partition, &transform_cfg)?;
         let n_rows = local_data.n_rows();
         let p_local = grouping.group_len(ctx.rank());
         let policy = Vertical {

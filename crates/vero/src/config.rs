@@ -15,7 +15,8 @@ pub struct VeroConfig {
     pub network: NetworkCostModel,
     /// GBDT hyper-parameters (T, L, q, η, λ, γ, objective).
     pub train: TrainConfig,
-    /// Horizontal-to-vertical transformation options.
+    /// Horizontal-to-vertical transformation options (its `n_bins` is
+    /// ignored: the transformation bins with `train.n_bins`).
     pub transform: TransformConfig,
     /// Optional deterministic fault-injection plan (chaos testing). `None`
     /// trains fault-free with zero overhead.
@@ -72,7 +73,6 @@ impl VeroConfigBuilder {
     /// Sets q, the number of candidate splits.
     pub fn n_bins(mut self, q: usize) -> Self {
         self.cfg.train.n_bins = q;
-        self.cfg.transform.n_bins = q;
         self
     }
 
@@ -143,9 +143,6 @@ impl VeroConfigBuilder {
             return Err("workers must be >= 1".into());
         }
         self.cfg.train.validate()?;
-        if self.cfg.transform.n_bins != self.cfg.train.n_bins {
-            return Err("transform.n_bins must equal train.n_bins".into());
-        }
         Ok(self.cfg)
     }
 }
@@ -177,13 +174,6 @@ mod tests {
         let cfg = VeroConfig::builder().wire(WireCodec::Auto).build().unwrap();
         assert_eq!(cfg.train.wire, WireCodec::Auto);
         assert_eq!(VeroConfig::builder().build().unwrap().train.wire, WireCodec::Dense);
-    }
-
-    #[test]
-    fn n_bins_keeps_transform_in_sync() {
-        let cfg = VeroConfig::builder().n_bins(32).build().unwrap();
-        assert_eq!(cfg.train.n_bins, 32);
-        assert_eq!(cfg.transform.n_bins, 32);
     }
 
     #[test]

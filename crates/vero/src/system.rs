@@ -270,6 +270,31 @@ mod tests {
         assert!(validated.best_iteration <= 5);
     }
 
+    /// q is the training config's even when it is set after `build()`, as
+    /// callers set other fields: the transformation bins with the q the
+    /// histograms are sized for.
+    #[test]
+    fn q_set_after_build_trains_like_the_builder() {
+        for dense in [false, true] {
+            let ds = SyntheticConfig {
+                n_instances: 400,
+                n_features: 12,
+                n_classes: 2,
+                density: 0.5,
+                dense,
+                seed: 257,
+                ..Default::default()
+            }
+            .generate();
+            let builder = VeroConfig::builder().workers(2).n_trees(3).n_layers(4);
+            let mut mutated = builder.clone().build().unwrap();
+            mutated.train.n_bins = 8;
+            let built = builder.n_bins(8).build().unwrap();
+            let (got, want) = (Vero::fit(&mutated, &ds).model, Vero::fit(&built, &ds).model);
+            assert_eq!(got, want, "dense={dense}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "softmax class count")]
     fn objective_mismatch_is_rejected() {

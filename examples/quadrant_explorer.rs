@@ -1,4 +1,5 @@
-//! Quadrant explorer: run all four data-management quadrants on a workload
+//! Quadrant explorer: run every system of the table — all four
+//! data-management quadrants and the variants beside them — on a workload
 //! shape of your choosing and see the paper's Table 1 verdict emerge.
 //!
 //! ```sh
@@ -12,7 +13,7 @@
 use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
-use gbdt_quadrants::{qd1, qd2, qd3, qd4, Aggregation, DistTrainResult};
+use gbdt_quadrants::System;
 
 fn main() {
     let args: Vec<usize> =
@@ -44,29 +45,24 @@ fn main() {
 
     println!("workload: N={n} D={d} C={c}, W={workers}, L=8, q=20, 3 trees\n");
     println!(
-        "{:<26}{:>12}{:>12}{:>12}{:>14}{:>14}",
-        "quadrant", "comp s/tree", "comm s/tree", "total", "net MB", "hist MB/wk"
+        "{:<14}{:<26}{:>12}{:>12}{:>12}{:>14}{:>14}",
+        "system", "quadrant", "comp s/tree", "comm s/tree", "total", "net MB", "hist MB/wk"
     );
 
-    let runs: Vec<(&str, DistTrainResult)> = vec![
-        ("QD1 horizontal+column", qd1::train(&cluster, &dataset, &config)),
-        (
-            "QD2 horizontal+row",
-            qd2::train(&cluster, &dataset, &config, Aggregation::ReduceScatter),
-        ),
-        ("QD3 vertical+column", qd3::train(&cluster, &dataset, &config)),
-        ("QD4 vertical+row (Vero)", qd4::train(&cluster, &dataset, &config)),
-    ];
-
     let mut best = (f64::INFINITY, "");
-    for (name, result) in &runs {
+    for system in System::ALL {
+        if c > 2 && !system.supports_multiclass() {
+            continue;
+        }
+        let result = system.run(&cluster, &dataset, &config);
         let total = result.mean_tree_seconds();
         if total < best.0 {
-            best = (total, name);
+            best = (total, system.name());
         }
         println!(
-            "{:<26}{:>12.3}{:>12.3}{:>12.3}{:>14.2}{:>14.2}",
-            name,
+            "{:<14}{:<26}{:>12.3}{:>12.3}{:>12.3}{:>14.2}{:>14.2}",
+            system.name(),
+            system.quadrant(),
             result.mean_tree_comp_seconds(),
             result.mean_tree_comm_seconds(),
             total,
@@ -75,16 +71,6 @@ fn main() {
         );
     }
     println!("\nfastest on this shape (measured): {}", best.1);
-
-    // The cost-model advisor (the paper's §6 future work) predicts without
-    // running anything:
-    let spec = gbdt_quadrants::advisor::WorkloadSpec::from_dataset(&dataset, &config);
-    let env = gbdt_quadrants::advisor::EnvSpec {
-        workers,
-        ..Default::default()
-    };
-    let rec = gbdt_quadrants::advisor::recommend(&spec, &env);
-    println!("advisor recommends:          {}", rec.quadrant.name());
     println!("(paper Table 1: vertical wins on high-dim / deep / multi-class;");
     println!(" horizontal wins on low-dim with many instances; row-store beats");
     println!(" column-store unless N is tiny)");

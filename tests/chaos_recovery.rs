@@ -12,7 +12,7 @@ use gbdt_cluster::{Cluster, FaultPlan};
 use gbdt_core::{GbdtModel, Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation, DistTrainResult};
+use gbdt_quadrants::{single, System};
 
 fn dataset(seed: u64) -> Dataset {
     SyntheticConfig {
@@ -43,15 +43,17 @@ fn chaos_plan() -> FaultPlan {
         .expect("valid chaos spec")
 }
 
-/// Runs a trainer clean and under chaos, asserting bit-identical ensembles
-/// and that the faults demonstrably fired and were absorbed.
-fn assert_recovers(name: &str, train: impl Fn(&Cluster) -> DistTrainResult) {
-    let workers = 3;
-    let clean = train(&Cluster::new(workers));
+/// Trains `system` on the dataset of `seed`, clean and under chaos,
+/// asserting bit-identical ensembles and that the faults demonstrably fired
+/// and were absorbed.
+fn assert_recovers(system: System, seed: u64) {
+    let (ds, cfg, workers) = (dataset(seed), config(), 3);
+    let name = system.name();
+    let clean = system.run(&Cluster::new(workers), &ds, &cfg);
     assert_eq!(clean.stats.recoveries, 0, "{name}: clean run recovered");
     assert_eq!(clean.stats.total_retries(), 0, "{name}: clean run retried");
 
-    let faulted = train(&Cluster::new(workers).with_faults(Some(chaos_plan())));
+    let faulted = system.run(&Cluster::new(workers).with_faults(Some(chaos_plan())), &ds, &cfg);
     assert_eq!(
         clean.model, faulted.model,
         "{name}: chaos run must recover the bit-identical ensemble"
@@ -71,54 +73,38 @@ fn assert_recovers(name: &str, train: impl Fn(&Cluster) -> DistTrainResult) {
 
 #[test]
 fn qd1_recovers_bit_identically() {
-    let ds = dataset(31);
-    let cfg = config();
-    assert_recovers("qd1", |c| qd1::train(c, &ds, &cfg));
+    assert_recovers(System::XgboostLike, 31);
 }
 
 #[test]
 fn qd2_all_reduce_recovers_bit_identically() {
-    let ds = dataset(32);
-    let cfg = config();
-    assert_recovers("qd2-allreduce", |c| qd2::train(c, &ds, &cfg, Aggregation::AllReduce));
+    assert_recovers(System::Qd2AllReduce, 32);
 }
 
 #[test]
 fn qd2_reduce_scatter_and_ps_recover_bit_identically() {
-    let ds = dataset(33);
-    let cfg = config();
-    assert_recovers("qd2-reducescatter", |c| {
-        qd2::train(c, &ds, &cfg, Aggregation::ReduceScatter)
-    });
-    assert_recovers("qd2-ps", |c| qd2::train(c, &ds, &cfg, Aggregation::ParameterServer));
+    assert_recovers(System::LightGbmLike, 33);
+    assert_recovers(System::DimBoostLike, 33);
 }
 
 #[test]
 fn qd3_recovers_bit_identically() {
-    let ds = dataset(34);
-    let cfg = config();
-    assert_recovers("qd3", |c| qd3::train(c, &ds, &cfg));
+    assert_recovers(System::Qd3, 34);
 }
 
 #[test]
 fn qd4_recovers_bit_identically() {
-    let ds = dataset(35);
-    let cfg = config();
-    assert_recovers("qd4", |c| qd4::train(c, &ds, &cfg));
+    assert_recovers(System::Vero, 35);
 }
 
 #[test]
 fn yggdrasil_recovers_bit_identically() {
-    let ds = dataset(36);
-    let cfg = config();
-    assert_recovers("yggdrasil", |c| yggdrasil::train(c, &ds, &cfg));
+    assert_recovers(System::Yggdrasil, 36);
 }
 
 #[test]
 fn featpar_recovers_bit_identically() {
-    let ds = dataset(37);
-    let cfg = config();
-    assert_recovers("featpar", |c| featpar::train(c, &ds, &cfg));
+    assert_recovers(System::LightGbmFeatureParallel, 37);
 }
 
 /// A one-worker cluster has no network faults to inject, but a scheduled
@@ -129,15 +115,10 @@ fn featpar_recovers_bit_identically() {
 fn single_worker_crash_recovers_bit_identically() {
     let ds = dataset(38);
     let cfg = config();
-    let clean = qd2::train(&Cluster::new(1), &ds, &cfg, Aggregation::AllReduce);
+    let clean = System::Qd2AllReduce.run(&Cluster::new(1), &ds, &cfg);
 
     let plan = FaultPlan::parse("7:crash=0@1.1").unwrap();
-    let faulted = qd2::train(
-        &Cluster::new(1).with_faults(Some(plan)),
-        &ds,
-        &cfg,
-        Aggregation::AllReduce,
-    );
+    let faulted = System::Qd2AllReduce.run(&Cluster::new(1).with_faults(Some(plan)), &ds, &cfg);
     assert_eq!(clean.model, faulted.model, "single-worker crash must replay identically");
     assert_eq!(faulted.stats.recoveries, 1);
 
@@ -169,13 +150,8 @@ fn vero_recovers_bit_identically() {
 fn fault_free_byte_accounting_is_deterministic() {
     let ds = dataset(40);
     let cfg = config();
-    let a = qd2::train(&Cluster::new(3), &ds, &cfg, Aggregation::AllReduce);
-    let b = qd2::train(
-        &Cluster::new(3).with_faults(None),
-        &ds,
-        &cfg,
-        Aggregation::AllReduce,
-    );
+    let a = System::Qd2AllReduce.run(&Cluster::new(3), &ds, &cfg);
+    let b = System::Qd2AllReduce.run(&Cluster::new(3).with_faults(None), &ds, &cfg);
     assert_eq!(a.stats.total_bytes_sent(), b.stats.total_bytes_sent());
     assert_eq!(a.stats.total_logical_f64_bytes(), b.stats.total_logical_f64_bytes());
     assert_eq!(a.stats.total_wire_f64_bytes(), b.stats.total_wire_f64_bytes());

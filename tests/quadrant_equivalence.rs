@@ -9,7 +9,7 @@ use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation};
+use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation, System};
 
 fn dataset(n: usize, d: usize, classes: usize, density: f64, seed: u64) -> Dataset {
     SyntheticConfig {
@@ -215,29 +215,21 @@ fn dense_zero_cells_are_missing_to_every_trainer() {
         out
     };
     assert!(!splits(&reference).is_empty());
-    let mut others = vec![
-        ("single on dense".to_string(), gbdt_quadrants::single::train(&ds, &cfg)),
-        ("featpar W=2".to_string(), featpar::train(&Cluster::new(2), &ds, &cfg).model),
-    ];
+    let mut others =
+        vec![("single on dense".to_string(), gbdt_quadrants::single::train(&ds, &cfg))];
     for world in [1usize, 2] {
         let cluster = Cluster::new(world);
+        for system in System::ALL {
+            let model = system.run(&cluster, &ds, &cfg).model;
+            others.push((format!("{} W={world}", system.name()), model));
+        }
         let vcfg = vero::VeroConfig::builder()
             .workers(world)
             .n_trees(cfg.n_trees)
             .n_layers(cfg.n_layers)
             .build()
             .unwrap();
-        let models = [
-            ("qd1", qd1::train(&cluster, &ds, &cfg).model),
-            ("qd2/all-reduce", qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model),
-            ("qd2/reduce-scatter", qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model),
-            ("qd2/ps", qd2::train(&cluster, &ds, &cfg, Aggregation::ParameterServer).model),
-            ("qd3", qd3::train(&cluster, &ds, &cfg).model),
-            ("qd4", qd4::train(&cluster, &ds, &cfg).model),
-            ("vero", vero::Vero::fit(&vcfg, &ds).model.inner),
-            ("yggdrasil", yggdrasil::train(&cluster, &ds, &cfg).model),
-        ];
-        others.extend(models.map(|(tag, model)| (format!("{tag} W={world}"), model)));
+        others.push((format!("Vero::fit W={world}"), vero::Vero::fit(&vcfg, &ds).model.inner));
     }
     for (tag, model) in &others {
         assert_eq!(splits(model), splits(&reference), "{tag}: different splits");

@@ -1,8 +1,8 @@
 //! Serving equivalence: the compiled flattened ensemble is a perf-only
 //! transform.
 //!
-//! Every trainer in the repository (the seven quadrant trainers + Vero)
-//! produces a `GbdtModel`; `gbdt-serve` compiles that model into a
+//! Every trainer in the repository (the single-node reference, every row of
+//! `System::ALL`, and `Vero::fit`) produces a `GbdtModel`; `gbdt-serve` compiles that model into a
 //! branchless node array and scores it with two interchangeable execution
 //! strategies. This test pins the contract the serving layer rides on:
 //! per-row traversal, blocked batched traversal, and the model's own
@@ -21,7 +21,7 @@ use gbdt_core::model::GbdtModel;
 use gbdt_core::TrainConfig;
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
+use gbdt_quadrants::{single, System};
 use gbdt_serve::compile::compile;
 use gbdt_serve::exec::{nan_dense_rows, Strategy};
 use gbdt_serve::pool;
@@ -101,21 +101,9 @@ fn all_trainers_serve_bit_identically() {
     let cluster = Cluster::new(2);
 
     assert_serving_equivalence("single", &single::train(&ds, &cfg), &ds);
-    assert_serving_equivalence("qd1", &qd1::train(&cluster, &ds, &cfg).model, &ds);
-    assert_serving_equivalence(
-        "qd2/all-reduce",
-        &qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model,
-        &ds,
-    );
-    assert_serving_equivalence(
-        "qd2/reduce-scatter",
-        &qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model,
-        &ds,
-    );
-    assert_serving_equivalence("qd3", &qd3::train(&cluster, &ds, &cfg).model, &ds);
-    assert_serving_equivalence("qd4", &qd4::train(&cluster, &ds, &cfg).model, &ds);
-    assert_serving_equivalence("yggdrasil", &yggdrasil::train(&cluster, &ds, &cfg).model, &ds);
-    assert_serving_equivalence("featpar", &featpar::train(&cluster, &ds, &cfg).model, &ds);
+    for system in System::ALL {
+        assert_serving_equivalence(system.name(), &system.run(&cluster, &ds, &cfg).model, &ds);
+    }
 
     let vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
     assert_serving_equivalence("vero", &Vero::fit(&vcfg, &ds).model.inner, &ds);

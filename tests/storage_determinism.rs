@@ -19,7 +19,7 @@ use gbdt_core::{GbdtModel, Objective, Storage, TrainConfig};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::{BinnedStore, Dataset, FeatureMatrix};
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
+use gbdt_quadrants::{qd4, single, System};
 use vero::{Vero, VeroConfig};
 
 fn dataset(classes: usize, seed: u64) -> Dataset {
@@ -93,16 +93,8 @@ fn distributed_trainers_are_storage_invariant() {
     let wide_store = BinCuts::from_dataset(&wide, WIDE_BINS).apply_store(&wide, Storage::Dense);
     assert_eq!(wide_store.label(), "dense-u16", "the wide input must drive the u16 kernels");
     let cluster = Cluster::new(3);
-    type Train = fn(&Cluster, &Dataset, &TrainConfig) -> gbdt_quadrants::DistTrainResult;
-    let trainers: [(&str, Train); 6] = [
-        ("qd1", |c, d, cfg| qd1::train(c, d, cfg)),
-        ("qd2", |c, d, cfg| qd2::train(c, d, cfg, Aggregation::AllReduce)),
-        ("qd3", |c, d, cfg| qd3::train(c, d, cfg)),
-        ("qd4", |c, d, cfg| qd4::train(c, d, cfg)),
-        ("yggdrasil", |c, d, cfg| yggdrasil::train(c, d, cfg)),
-        ("featpar", |c, d, cfg| featpar::train(c, d, cfg)),
-    ];
-    for (tag, train) in trainers {
+    for system in System::ALL {
+        let tag = system.name();
         // The reference of the dense source is its CSR twin: the source's
         // storage, like the binned layout, changes no bit and no byte.
         for (source, ds, reference_ds, q) in [
@@ -111,9 +103,9 @@ fn distributed_trainers_are_storage_invariant() {
             ("u16", &wide, &wide, WIDE_BINS),
         ] {
             let config = |storage| TrainConfig { n_bins: q, ..config(2, storage) };
-            let reference = train(&cluster, reference_ds, &config(Storage::Sparse));
+            let reference = system.run(&cluster, reference_ds, &config(Storage::Sparse));
             for storage in [Storage::Sparse, Storage::Dense, Storage::Auto] {
-                let r = train(&cluster, ds, &config(storage));
+                let r = system.run(&cluster, ds, &config(storage));
                 assert_bit_identical(
                     &reference.model,
                     &r.model,

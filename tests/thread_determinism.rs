@@ -14,7 +14,7 @@ use gbdt_cluster::Cluster;
 use gbdt_core::{GbdtModel, Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
+use gbdt_quadrants::{qd4, single, System};
 
 /// Larger than one 4096-instance chunk so histogram builds split into
 /// multiple chunks, and wider than the 64-feature gate so split finding
@@ -60,18 +60,10 @@ fn single_node_is_thread_count_invariant() {
 fn distributed_trainers_are_thread_count_invariant() {
     let ds = dataset(2, 2003);
     let cluster = Cluster::new(3);
-    type Train = fn(&Cluster, &Dataset, &TrainConfig) -> gbdt_quadrants::DistTrainResult;
-    let trainers: [(&str, Train); 6] = [
-        ("qd1", |c, d, cfg| qd1::train(c, d, cfg)),
-        ("qd2", |c, d, cfg| qd2::train(c, d, cfg, Aggregation::AllReduce)),
-        ("qd3", |c, d, cfg| qd3::train(c, d, cfg)),
-        ("qd4", |c, d, cfg| qd4::train(c, d, cfg)),
-        ("yggdrasil", |c, d, cfg| yggdrasil::train(c, d, cfg)),
-        ("featpar", |c, d, cfg| featpar::train(c, d, cfg)),
-    ];
-    for (tag, train) in trainers {
-        let r1 = train(&cluster, &ds, &config(2, 1));
-        let r4 = train(&cluster, &ds, &config(2, 4));
+    for system in System::ALL {
+        let tag = system.name();
+        let r1 = system.run(&cluster, &ds, &config(2, 1));
+        let r4 = system.run(&cluster, &ds, &config(2, 4));
         assert_bit_identical(&r1.model, &r4.model, tag);
         assert_eq!(
             r1.stats.total_bytes_sent(),
@@ -101,18 +93,12 @@ fn multiclass_is_thread_count_invariant() {
     // every pair in the same slot.
     let ds = dataset(4, 2017);
     let cluster = Cluster::new(2);
-    for (tag, train) in [
-        ("qd2", qd2_ps as fn(&Cluster, &Dataset, &TrainConfig) -> gbdt_quadrants::DistTrainResult),
-        ("qd4", |c: &Cluster, d: &Dataset, cfg: &TrainConfig| qd4::train(c, d, cfg)),
-    ] {
-        let r1 = train(&cluster, &ds, &config(4, 1));
-        let r4 = train(&cluster, &ds, &config(4, 4));
-        assert_bit_identical(&r1.model, &r4.model, tag);
+    // The parameter server's sharded push, and the vertical row-store.
+    for system in [System::DimBoostLike, System::Vero] {
+        let r1 = system.run(&cluster, &ds, &config(4, 1));
+        let r4 = system.run(&cluster, &ds, &config(4, 4));
+        assert_bit_identical(&r1.model, &r4.model, system.name());
     }
-}
-
-fn qd2_ps(c: &Cluster, d: &Dataset, cfg: &TrainConfig) -> gbdt_quadrants::DistTrainResult {
-    qd2::train(c, d, cfg, Aggregation::ParameterServer)
 }
 
 #[test]
@@ -132,7 +118,7 @@ fn parallel_meter_reports_plausible_speedup() {
     }
     .generate();
     let cluster = Cluster::new(2);
-    let r = qd2::train(&cluster, &ds, &config(2, 4), Aggregation::AllReduce);
+    let r = System::Qd2AllReduce.run(&cluster, &ds, &config(2, 4));
     let speedup = r.stats.parallel_speedup();
     assert!(speedup > 0.0, "speedup should be positive, got {speedup}");
     assert!(speedup <= 4.0 + 1e-9, "speedup cannot exceed thread count, got {speedup}");
