@@ -9,9 +9,9 @@
 //! workspace-relative paths, so rule scoping behaves identically. Exits 1
 //! if any diagnostic fires; `--json` emits a machine-readable array for
 //! CI; `--model-check` runs the bounded protocol model checker (worlds 1–4
-//! simulation, serve frame coverage, wire parity, lock order) instead of
-//! the lint rules and prints the per-unit schedule report, with the
-//! rendezvous kinds each unit meets.
+//! simulation, serve frame coverage, fault-path closure, dead tags)
+//! instead of the lint rules and prints the per-unit schedule report, with
+//! the rendezvous kinds each unit meets.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

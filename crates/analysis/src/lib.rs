@@ -17,10 +17,14 @@
 //!   lower every protocol-bearing function to a typed op tree, [`mc`]
 //!   exhaustively simulates it for world sizes 1–4 (deadlock, collective
 //!   divergence, orphan sends, serve-plane frame coverage, fault-path
-//!   closure, dead registry tags), and [`schema`]/[`locks`] gate
-//!   encode/decode parity and serve-plane lock ordering. A collective
-//!   under a rank branch is a collective divergence: the simulator is the
-//!   one place that check lives.
+//!   closure, dead registry tags). A collective under a rank branch is a
+//!   collective divergence: the simulator is the one place that check
+//!   lives.
+//!
+//! The crate keeps only what no other check holds. Wire-codec parity is
+//! the round-trip tests' (`serve::wire::tests`, `cluster`'s
+//! `wire_proptests`), and confining `unsafe` to `gbdt-core::kernels::simd`
+//! is rustc's (`unsafe_code = "deny"` in every manifest).
 //!
 //! The `gbdt-lint` binary (and the `workspace_is_lint_clean` /
 //! `workspace_is_protocol_clean` tests) walk every product source file —
@@ -33,10 +37,8 @@
 pub mod extract;
 pub mod ir;
 pub mod lexer;
-pub mod locks;
 pub mod mc;
 pub mod rules;
-pub mod schema;
 
 pub use mc::{model_check_files, model_check_workspace, McOutcome};
 

@@ -29,9 +29,9 @@
 //! stale buffers, announce itself with a RECOVER frame the router
 //! listens for, and only shrink its listen set while degraded
 //! (`mc-fault-closure`). `dead-tag` flags registry tags no extracted
-//! schedule mentions. Wire-schema parity and lock ordering live in
-//! [`crate::schema`] and [`crate::locks`] and are folded into the same
-//! report.
+//! schedule mentions. Wire-codec parity is not checked here: a width or
+//! field-order drift breaks decode(encode(x)) = x, which the serve and
+//! cluster wire round-trip tests assert.
 
 use crate::extract::{extract_fns, parse_registry};
 use crate::ir::{Cond, Expr, FnDef, Op, RecvAnySrc, Rhs};
@@ -73,15 +73,6 @@ pub const MC_RULES: &[(&str, &str)] = &[
         "dead-tag",
         "a tag registered in comm::protocol that no extracted schedule ever sends \
          or receives",
-    ),
-    (
-        "schema-parity",
-        "an encode_*/decode_* pair disagrees on field order or field width",
-    ),
-    (
-        "lock-order",
-        "two serve-plane lock acquisitions nest in opposite orders (or re-enter \
-         the same lock) — a latent deadlock",
     ),
 ];
 
@@ -1257,9 +1248,6 @@ pub fn model_check_files(files: &[(String, String)]) -> McOutcome {
             }
         }
     }
-
-    crate::schema::check_files(&lexed, &mut outcome.diags);
-    crate::locks::check_files(&lexed, &mut outcome.diags);
 
     outcome.diags.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(

@@ -56,11 +56,6 @@ pub const RULES: &[(&str, &str)] = &[
          turns a recoverable fault into a worker abort",
     ),
     (
-        "unsafe-outside-simd",
-        "the `unsafe` keyword is confined to gbdt-core::kernels::simd, the one \
-         audited module; everywhere else memory safety stays compiler-checked",
-    ),
-    (
         "stale-pragma",
         "a `// lint: allow(...)` pragma that suppresses zero findings (or names \
          an unknown rule) — allowlists must not outlive the code they excuse",
@@ -752,41 +747,6 @@ pub(crate) fn parse_u64(raw: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: unsafe-outside-simd
-// ---------------------------------------------------------------------------
-
-/// The one module whose `unsafe` has been audited: the fixed-width lane
-/// structs and accumulate helpers behind the SIMD histogram fills. Every
-/// other file keeps the compiler's memory-safety checks.
-fn unsafe_scope(path: &str) -> bool {
-    path != "crates/core/src/kernels/simd.rs"
-}
-
-/// Any `unsafe` token (block, fn, impl, trait) outside the audited SIMD
-/// module. The lexer treats keywords as identifiers, so a plain ident scan
-/// covers every syntactic position; comments and strings are already
-/// stripped.
-fn check_unsafe_outside_simd(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !unsafe_scope(path) {
-        return;
-    }
-    for t in &lexed.tokens {
-        if t.ident() == Some("unsafe") {
-            push_diag(
-                out,
-                lexed,
-                path,
-                t,
-                "unsafe-outside-simd",
-                "`unsafe` outside gbdt-core::kernels::simd; move the code into the \
-                 audited module or find a safe formulation"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: stale-pragma
 // ---------------------------------------------------------------------------
 
@@ -846,7 +806,6 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     check_slice_index(path, lexed, &mut out);
     check_fault_point(path, lexed, &mut out);
     check_comm_unwrap(path, lexed, &mut out);
-    check_unsafe_outside_simd(path, lexed, &mut out);
     check_tag_registry(path, lexed, &mut out);
     check_stale_pragmas(path, lexed, &mut out);
     out.sort_by_key(|d| (d.line, d.col));

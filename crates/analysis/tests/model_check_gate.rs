@@ -87,7 +87,7 @@ fn mc_fixtures_fire_exactly_their_declared_rules() {
 /// Tier-1 gate: the shipped workspace model-checks clean. Every extracted
 /// schedule completes without deadlock, divergence, or orphan messages for
 /// world sizes 1-4, the serving frame machine covers every emitted tag, the
-/// fault path is closed, and the wire schemas and lock orders agree.
+/// fault path is closed, and every registry tag is used.
 #[test]
 fn workspace_is_protocol_clean() {
     let root = workspace_root();

@@ -33,6 +33,7 @@ use crate::histogram::NodeHistogram;
 use gbdt_data::dense_binned::{BinPack, DenseBinnedRows, MISSING_U16, MISSING_U8};
 use gbdt_data::{BinId, BinnedRows, BinnedStore};
 
+#[allow(unsafe_code)] // the workspace's one audited `unsafe` module; see its docs
 pub mod simd;
 
 /// A packed bin cell: `u8` or `u16` with the all-ones missing sentinel.

@@ -8,11 +8,12 @@
 //! the f64 accumulates) without any target-feature gates or intrinsics.
 //!
 //! This module is the **only** place in the workspace allowed to contain
-//! `unsafe` — gbdt-lint's `unsafe-outside-simd` rule denies the keyword
-//! everywhere else. The unsafe surface is two accumulate helpers
-//! ([`add_pair`] and the tail of [`add_span`]) whose bounds preconditions
-//! are documented below, asserted in debug builds, and established by the
-//! callers in [`crate::kernels`] through a per-lane-group range check
+//! `unsafe` — every manifest sets rustc's `unsafe_code = "deny"`, and the
+//! `#[allow(unsafe_code)]` on `pub mod simd` is the one product-code
+//! exemption. The unsafe surface is one accumulate helper, [`add_pair`],
+//! whose bounds precondition is documented below, asserted in debug
+//! builds, and established by the callers in [`crate::kernels`] through a
+//! per-lane-group range check
 //! (every present cell's bin is vector-compared against the pack's bin
 //! count before any unchecked index is formed).
 //!

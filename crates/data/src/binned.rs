@@ -86,7 +86,7 @@ impl BinnedRowsBuilder {
 }
 
 /// Checks that row `row`'s features are strictly ascending and `< n_features`.
-fn check_row(
+pub(crate) fn check_row(
     row: usize,
     feats: impl Iterator<Item = FeatureId>,
     n_features: usize,
@@ -136,7 +136,17 @@ impl BinnedRows {
                 .ok_or_else(|| DataError::Shape(format!("row_ptr is not monotone at row {i}")))?;
             check_row(i, row.iter().copied(), n_features)?;
         }
-        Ok(BinnedRows { n_rows: row_ptr.len() - 1, n_features, row_ptr, feats, bins })
+        Ok(BinnedRows::from_checked_parts(n_features, row_ptr, feats, bins))
+    }
+
+    /// [`BinnedRows::from_parts`] for arrays the caller has already checked.
+    pub(crate) fn from_checked_parts(
+        n_features: usize,
+        row_ptr: Vec<usize>,
+        feats: Vec<FeatureId>,
+        bins: Vec<BinId>,
+    ) -> Self {
+        BinnedRows { n_rows: row_ptr.len() - 1, n_features, row_ptr, feats, bins }
     }
 
     /// Number of instances.

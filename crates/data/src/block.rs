@@ -11,7 +11,7 @@
 //! index over ≤ 5 merged blocks, a worker here holds one block, and a row
 //! lookup is one pointer read.
 
-use crate::binned::BinnedRows;
+use crate::binned::{check_row, BinnedRows};
 use crate::error::DataError;
 use crate::{BinId, FeatureId};
 
@@ -56,6 +56,18 @@ pub struct Assembly {
     pub(crate) bins: Vec<BinId>,
     /// Slices begun so far: the file-split index the next one must carry.
     slices: u32,
+    /// Rows checked so far: every row of the slices before the open one.
+    checked: usize,
+}
+
+/// A sender's slice that does not assemble: its file-split index — the
+/// sender's position among the payloads — and why.
+#[derive(Debug)]
+pub struct SliceError {
+    /// The failing slice's file-split index.
+    pub slice: usize,
+    /// What was wrong with it.
+    pub error: DataError,
 }
 
 impl Assembly {
@@ -65,21 +77,48 @@ impl Assembly {
         let mut row_ptr = Vec::with_capacity(n_rows + 1);
         row_ptr.push(0);
         let (feats, bins) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
-        Assembly { n_features, n_rows, row_ptr, feats, bins, slices: 0 }
+        Assembly { n_features, n_rows, row_ptr, feats, bins, slices: 0, checked: 0 }
     }
 
-    /// Opens the next sender's slice, which must carry the next file-split
-    /// index and start at the first row not yet assembled.
-    pub fn begin(&mut self, file_split_index: u32, row_offset: u32) -> Result<(), DataError> {
+    /// Closes the open slice, then opens the next sender's, which must
+    /// carry the next file-split index and start at the first row not yet
+    /// assembled.
+    pub fn begin(&mut self, file_split_index: u32, row_offset: u32) -> Result<(), SliceError> {
+        self.close()?;
         let next_row = self.row_ptr.len() - 1;
         if file_split_index != self.slices || row_offset as usize != next_row {
-            return Err(DataError::Shape(format!(
-                "slice {file_split_index} starts at row {row_offset}; expected slice {} at row \
-                 {next_row}",
-                self.slices
-            )));
+            return Err(SliceError {
+                slice: self.slices as usize,
+                error: DataError::Shape(format!(
+                    "slice {file_split_index} starts at row {row_offset}; expected slice {} at \
+                     row {next_row}",
+                    self.slices
+                )),
+            });
         }
         self.slices += 1;
+        Ok(())
+    }
+
+    /// Checks the open slice's rows as [`BinnedRows::from_parts`] would:
+    /// pointers that do not descend and end at the pair count, and features
+    /// strictly ascending and `< n_features` in every row.
+    fn close(&mut self) -> Result<(), SliceError> {
+        let slice = (self.slices as usize).saturating_sub(1);
+        let fail = |error| SliceError { slice, error };
+        let rows = &self.row_ptr[self.checked..];
+        for (i, w) in (self.checked..).zip(rows.windows(2)) {
+            let row = self.feats.get(w[0]..w[1]).ok_or_else(|| {
+                fail(DataError::Shape(format!("row_ptr is not monotone at row {i}")))
+            })?;
+            check_row(i, row.iter().copied(), self.n_features).map_err(fail)?;
+        }
+        if self.row_ptr.last() != Some(&self.feats.len()) || self.feats.len() != self.bins.len() {
+            return Err(fail(DataError::Shape(
+                "row_ptr does not end at the pair count".into(),
+            )));
+        }
+        self.checked = self.row_ptr.len() - 1;
         Ok(())
     }
 
@@ -96,17 +135,21 @@ impl Assembly {
         self.row_ptr.push(self.feats.len());
     }
 
-    /// The assembled rows, once the slices covered all `n_rows`, validated
-    /// by [`BinnedRows::from_parts`].
-    pub fn finish(self) -> Result<BinnedRows, DataError> {
+    /// The assembled rows, once the slices covered all `n_rows`. A short
+    /// total is the last slice's error.
+    pub fn finish(mut self) -> Result<BinnedRows, SliceError> {
+        self.close()?;
         let assembled = self.row_ptr.len() - 1;
         if assembled != self.n_rows {
-            return Err(DataError::Shape(format!(
-                "{} slices cover {assembled} of {} rows",
-                self.slices, self.n_rows
-            )));
+            return Err(SliceError {
+                slice: (self.slices as usize).saturating_sub(1),
+                error: DataError::Shape(format!(
+                    "{} slices cover {assembled} of {} rows",
+                    self.slices, self.n_rows
+                )),
+            });
         }
-        BinnedRows::from_parts(self.n_features, self.row_ptr, self.feats, self.bins)
+        Ok(BinnedRows::from_checked_parts(self.n_features, self.row_ptr, self.feats, self.bins))
     }
 }
 
@@ -120,7 +163,7 @@ mod tests {
         split: u32,
         offset: u32,
         rows: &[&[(u32, u16)]],
-    ) -> Result<(), DataError> {
+    ) -> Result<(), SliceError> {
         asm.begin(split, offset)?;
         for row in rows {
             for &(f, b) in *row {

@@ -19,7 +19,7 @@
 //! model are the lengths of these buffers, not estimates.
 
 use crate::binned::BinnedRows;
-use crate::block::{Assembly, Block};
+use crate::block::{Assembly, Block, SliceError};
 use crate::error::DataError;
 use crate::{BinId, FeatureId};
 use bytes::Bytes;
@@ -235,21 +235,25 @@ fn block_header(bytes: &[u8], p: usize, q: usize) -> Result<BlockHeader, DataErr
 /// Decodes blockified payloads — one per sender, in file-split order — into
 /// one row-store of `n_rows` rows over a `p`-feature group. The headers size
 /// its pair arrays exactly; each payload is decoded in place, appended, and
-/// dropped before the next. Every malformed payload is a [`DataError`]: a
-/// length its header does not imply, slices that do not tile the rows,
-/// pointers that do not run from 0 to the slice's pair count without
-/// descending, or a row whose features are not strictly ascending and `< p`.
+/// dropped before the next. Every malformed payload is a [`SliceError`]
+/// naming it: a length its header does not imply, slices that do not tile
+/// the rows, pointers that do not run from 0 to the slice's pair count
+/// without descending, or a row whose features are not strictly ascending
+/// and `< p`.
 pub fn decode_blocks(
     payloads: Vec<Bytes>,
     n_rows: usize,
     p: usize,
     q: usize,
-) -> Result<BinnedRows, DataError> {
-    let headers =
-        payloads.iter().map(|b| block_header(b, p, q)).collect::<Result<Vec<_>, _>>()?;
+) -> Result<BinnedRows, SliceError> {
+    let headers = payloads
+        .iter()
+        .enumerate()
+        .map(|(slice, b)| block_header(b, p, q).map_err(|error| SliceError { slice, error }))
+        .collect::<Result<Vec<_>, _>>()?;
     let (fw, bw) = (bytes_for_cardinality(p), bytes_for_cardinality(q));
     let mut rows = Assembly::new(p, n_rows, headers.iter().map(|h| h.nnz).sum());
-    for (payload, h) in payloads.into_iter().zip(headers) {
+    for (slice, (payload, h)) in payloads.into_iter().zip(headers).enumerate() {
         rows.begin(h.file_split_index, h.row_offset)?;
         let feats_end = 16 + h.nnz * fw;
         let bins_end = feats_end + h.nnz * bw;
@@ -262,10 +266,13 @@ pub fn decode_blocks(
         let ptrs = &payload[bins_end..];
         let ptr = |k: usize| get_be(&ptrs[4 * k..4 * k + 4]) as usize;
         if ptr(0) != 0 || ptr(h.n_rows) != h.nnz {
-            return Err(DataError::Shape(format!(
-                "slice {} row_ptr does not run from 0 to its {} pairs",
-                h.file_split_index, h.nnz
-            )));
+            return Err(SliceError {
+                slice,
+                error: DataError::Shape(format!(
+                    "slice {} row_ptr does not run from 0 to its {} pairs",
+                    h.file_split_index, h.nnz
+                )),
+            });
         }
         let base = rows.feats.len() - h.nnz;
         rows.row_ptr.extend((1..=h.n_rows).map(|k| base + ptr(k)));

@@ -13,7 +13,6 @@
 //! * [`dataset`] — labeled dataset abstraction shared by all trainers.
 //! * [`libsvm`] — LIBSVM-format reader/writer (the format the paper's public
 //!   datasets ship in).
-//! * [`csv`] — dense CSV reader with missing-value handling.
 //! * [`synthetic`] — the paper's §5.2 synthetic workload generator (random
 //!   linear regression model) plus shape presets for every dataset used in
 //!   the evaluation (Tables 2, 4).
@@ -31,7 +30,6 @@
 pub mod binned;
 pub mod block;
 pub mod dense_binned;
-pub mod csv;
 pub mod dataset;
 pub mod dense;
 pub mod encoding;

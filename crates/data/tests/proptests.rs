@@ -3,7 +3,7 @@
 //! wire encodings must round-trip for arbitrary inputs.
 
 use gbdt_data::binned::BinnedRowsBuilder;
-use gbdt_data::block::Block;
+use gbdt_data::block::{Block, SliceError};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
 use gbdt_data::sparse::CsrBuilder;
@@ -387,11 +387,15 @@ proptest! {
         let len = wire[t].len();
         wire[t] = wire[t].slice(0..len - truncate.min(len));
         let out = encoding::decode_blocks(wire, m.n_rows(), 8, 20);
-        let typed = match kind {
-            2 => matches!(out, Err(DataError::IndexOutOfBounds { kind: "feature", .. })),
-            _ => matches!(out, Err(DataError::Shape(_))),
+        // The error is typed and names the corrupted block's sender.
+        let typed = match &out {
+            Err(SliceError { slice, error }) if *slice == t => match kind {
+                2 => matches!(error, DataError::IndexOutOfBounds { kind: "feature", .. }),
+                _ => matches!(error, DataError::Shape(_)),
+            },
+            _ => false,
         };
-        prop_assert!(typed, "{} decoded to {:?}", what, out.map(|r| r.n_rows()));
+        prop_assert!(typed, "{} in block {} decoded to {:?}", what, t, out.map(|r| r.n_rows()));
     }
 
     #[test]
@@ -411,7 +415,11 @@ proptest! {
         let surplus: Vec<_> = wire.iter().chain(&wire[..1]).cloned().collect();
         for payloads in [missing, surplus] {
             let out = encoding::decode_blocks(payloads, m.n_rows(), 8, 20);
-            prop_assert!(matches!(out, Err(DataError::Shape(_))), "{:?}", out.map(|r| r.n_rows()));
+            prop_assert!(
+                matches!(out, Err(SliceError { error: DataError::Shape(_), .. })),
+                "{:?}",
+                out.map(|r| r.n_rows())
+            );
         }
     }
 }

@@ -31,7 +31,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gbdt_cluster::comm::protocol::REPARTITION_A2A_TAG;
 use gbdt_cluster::{CommError, Phase, WorkerCtx};
 use gbdt_core::{BinCuts, QuantileSketch};
-use gbdt_data::block::{Assembly, Block};
+use gbdt_data::block::{Assembly, Block, SliceError};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::encoding;
 use gbdt_data::{BinId, BinnedRows, DataError, FeatureId};
@@ -165,7 +165,8 @@ fn encode_sketch_batches(local: &[QuantileSketch], rank: usize, w: usize) -> Vec
 
 /// Merges one peer's batch of 〈feature, length, sketch〉 records into the
 /// sketches of the features this worker merges (`f mod W = rank`).
-/// Anything else is [`CommError::Malformed`].
+/// Anything else, or a count that would overflow the merged count, is
+/// [`CommError::Malformed`].
 fn merge_sketch_batch(
     merged: &mut [QuantileSketch],
     mut batch: Bytes,
@@ -186,6 +187,9 @@ fn merge_sketch_batch(
         let Some(sketch) = QuantileSketch::decode_bytes(&batch.split_to(len)) else {
             return Err(malformed);
         };
+        if merged[f].count().checked_add(sketch.count()).is_none() {
+            return Err(malformed);
+        }
         merged[f].merge(&sketch);
     }
     Ok(())
@@ -339,11 +343,71 @@ pub fn horizontal_to_vertical(
     let grouping_bytes = ctx.comm.broadcast(0, grouping_bytes)?;
     let grouping = decode_grouping(&grouping_bytes, d, w)?;
 
-    // Encode this shard as W partial column groups, streaming: a counting
-    // pass sizes every destination's frame exactly, a binning pass writes
-    // each stored value that has a bin straight into its destination's
-    // frame, and a frame is freed as soon as it is encoded.
     let bytes_before_exchange = ctx.comm.counters().bytes_sent;
+    let to_send = encode_groups(shard, rank, row_lo, &cuts, &grouping, cfg);
+    report.repartition_seconds += t.elapsed().as_secs_f64();
+    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+
+    // Step 4: exchange, and decode every sender's slice into one row-store.
+    let received = all_to_all(ctx, to_send)?;
+    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    let t = Instant::now();
+    let local_data =
+        decode_group(received, rank, partition.n_instances(), &cuts, &grouping, cfg)?;
+    report.repartition_seconds += t.elapsed().as_secs_f64();
+    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+    report.repartition_bytes_sent = ctx.comm.counters().bytes_sent - bytes_before_exchange;
+
+    // Step 5: labels.
+    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    let t = Instant::now();
+    let label_payload = {
+        let mut out = BytesMut::with_capacity(shard.labels.len() * 4);
+        for &y in &shard.labels {
+            out.put_f32(y);
+        }
+        out.freeze()
+    };
+    let gathered = ctx.comm.gather(0, label_payload)?;
+    let all_labels = if let Some(parts) = gathered {
+        let mut out = BytesMut::new();
+        for part in parts {
+            out.put_slice(&part);
+        }
+        out.freeze()
+    } else {
+        Bytes::new()
+    };
+    let mut all_labels = ctx.comm.broadcast(0, all_labels)?;
+    if all_labels.len() != 4 * partition.n_instances() {
+        return Err(CommError::Malformed { from: 0 });
+    }
+    let mut labels = Vec::with_capacity(partition.n_instances());
+    while all_labels.has_remaining() {
+        labels.push(all_labels.get_f32());
+    }
+    report.label_seconds = t.elapsed().as_secs_f64();
+    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+
+    report.comm_seconds = ctx.comm.counters().comm_seconds - comm_before.comm_seconds;
+
+    Ok(TransformOutput { cuts, grouping, local_data, labels, feature_counts, report })
+}
+
+/// Step 3's encode: this shard (rows `row_lo..`) as W partial column
+/// groups, one payload per destination, streaming: a counting pass sizes
+/// every destination's frame exactly, a binning pass writes each stored
+/// value that has a bin straight into its destination's frame, and a frame
+/// is freed as soon as it is encoded.
+fn encode_groups(
+    shard: &Dataset,
+    rank: usize,
+    row_lo: usize,
+    cuts: &BinCuts,
+    grouping: &ColumnGrouping,
+    cfg: &TransformConfig,
+) -> Vec<Bytes> {
+    let (w, q) = (grouping.world(), cfg.n_bins);
     let n_local = shard.n_instances();
     let mut pair_counts = vec![0usize; w];
     shard.features.for_each_row(|_, feats, _| {
@@ -398,24 +462,33 @@ pub fn horizontal_to_vertical(
                 frame.file_split_index,
                 frame.row_offset,
                 shard,
-                &grouping,
+                grouping,
                 dest,
                 &frame.row_ptr,
             ),
         };
         to_send.push(payload);
     }
-    report.repartition_seconds += t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+    to_send
+}
 
-    // Step 4: exchange, and decode every sender's slice into one row-store.
-    let received = all_to_all(ctx, to_send)?;
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
-    let t = Instant::now();
-    let p_local = grouping.group_len(rank);
-    let n = partition.n_instances();
-    let local_data = match cfg.encoding {
-        WireEncoding::Blockified => encoding::decode_blocks(received, n, p_local, q),
+/// Step 4's decode: every sender's slice of column group `rank`, in
+/// file-split order, into one row-store over all `n` rows. A payload that
+/// does not decode, or does not tile the rows, is [`CommError::Malformed`]
+/// from its sender.
+fn decode_group(
+    received: Vec<Bytes>,
+    rank: usize,
+    n: usize,
+    cuts: &BinCuts,
+    grouping: &ColumnGrouping,
+    cfg: &TransformConfig,
+) -> Result<BinnedRows, CommError> {
+    let (p_local, q) = (grouping.group_len(rank), cfg.n_bins);
+    match cfg.encoding {
+        WireEncoding::Blockified => {
+            encoding::decode_blocks(received, n, p_local, q).map_err(malformed_slice)
+        }
         WireEncoding::Compressed => {
             let pair_bytes = encoding::compressed_pair_bytes(p_local, q);
             decode_rowframed(received, p_local, n, pair_bytes, |row, rows| {
@@ -428,7 +501,9 @@ pub fn horizontal_to_vertical(
         WireEncoding::Naive => {
             decode_rowframed(received, p_local, n, encoding::NAIVE_PAIR_BYTES, |row, rows| {
                 for (f, v) in encoding::decode_naive(row)? {
-                    debug_assert_eq!(grouping.group_of(f), rank);
+                    if f as usize >= grouping.n_features() || grouping.group_of(f) != rank {
+                        return Err(DataError::Shape(format!("feature {f} is not in group {rank}")));
+                    }
                     if let Some(b) = cuts.bin(f, v as f32) {
                         rows.push(grouping.local_id(f), b);
                     }
@@ -437,45 +512,6 @@ pub fn horizontal_to_vertical(
             })
         }
     }
-    .expect("peers send slices that tile the instance space");
-    report.repartition_seconds += t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
-    report.repartition_bytes_sent = ctx.comm.counters().bytes_sent - bytes_before_exchange;
-
-    // Step 5: labels.
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
-    let t = Instant::now();
-    let label_payload = {
-        let mut out = BytesMut::with_capacity(shard.labels.len() * 4);
-        for &y in &shard.labels {
-            out.put_f32(y);
-        }
-        out.freeze()
-    };
-    let gathered = ctx.comm.gather(0, label_payload)?;
-    let all_labels = if let Some(parts) = gathered {
-        let mut out = BytesMut::new();
-        for part in parts {
-            out.put_slice(&part);
-        }
-        out.freeze()
-    } else {
-        Bytes::new()
-    };
-    let mut all_labels = ctx.comm.broadcast(0, all_labels)?;
-    if all_labels.len() != 4 * partition.n_instances() {
-        return Err(CommError::Malformed { from: 0 });
-    }
-    let mut labels = Vec::with_capacity(partition.n_instances());
-    while all_labels.has_remaining() {
-        labels.push(all_labels.get_f32());
-    }
-    report.label_seconds = t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
-
-    report.comm_seconds = ctx.comm.counters().comm_seconds - comm_before.comm_seconds;
-
-    Ok(TransformOutput { cuts, grouping, local_data, labels, feature_counts, report })
 }
 
 /// The master's broadcast assignment of all `d` features to `w` groups;
@@ -512,37 +548,44 @@ fn encode_rowframed_compressed(
 /// Decodes row-framed payloads — one per sender, in file-split order — into
 /// one row-store of `p` group features over `n_rows` rows, each payload
 /// dropped once decoded. `decode_row` appends one row's pairs, `pair_bytes`
-/// wide on the wire.
+/// wide on the wire. A payload that does not decode, or does not tile the
+/// rows, is [`CommError::Malformed`] from its sender.
 fn decode_rowframed(
     received: Vec<Bytes>,
     p: usize,
     n_rows: usize,
     pair_bytes: usize,
     mut decode_row: impl FnMut(Bytes, &mut Assembly) -> Result<(), DataError>,
-) -> Result<BinnedRows, DataError> {
-    let truncated = || DataError::Shape("row-framed payload truncated".into());
+) -> Result<BinnedRows, CommError> {
     let mut rows = Assembly::new(p, n_rows, 0);
-    for mut bytes in received {
+    for (from, mut bytes) in received.into_iter().enumerate() {
+        let malformed = CommError::Malformed { from };
         if bytes.len() < 12 {
-            return Err(truncated());
+            return Err(malformed);
         }
-        rows.begin(bytes.get_u32(), bytes.get_u32())?;
+        rows.begin(bytes.get_u32(), bytes.get_u32()).map_err(malformed_slice)?;
         for _ in 0..bytes.get_u32() {
             if bytes.remaining() < 4 {
-                return Err(truncated());
+                return Err(malformed);
             }
             let len = bytes.get_u32() as usize * pair_bytes;
             if bytes.remaining() < len {
-                return Err(truncated());
+                return Err(malformed);
             }
-            decode_row(bytes.split_to(len), &mut rows)?;
+            decode_row(bytes.split_to(len), &mut rows).map_err(|_| CommError::Malformed { from })?;
             rows.end_row();
         }
         if bytes.has_remaining() {
-            return Err(DataError::Shape("row-framed payload has trailing bytes".into()));
+            return Err(malformed);
         }
     }
-    rows.finish()
+    rows.finish().map_err(malformed_slice)
+}
+
+/// A slice the row-store could not take is malformed from its sender: the
+/// slice index is the sender's rank.
+fn malformed_slice(e: SliceError) -> CommError {
+    CommError::Malformed { from: e.slice }
 }
 
 fn encode_rowframed_naive(
@@ -751,6 +794,63 @@ mod tests {
         assert_eq!(merge(&record(5)), malformed);
         assert_eq!(merge(&words(&[1, u32::MAX])), malformed);
         assert_eq!(merge(&words(&[1, 4, 0])), malformed);
+    }
+
+    #[test]
+    fn malformed_sketch_counts_that_overflow_are_rejected_not_panicked_on() {
+        // Rank 0 of W = 2 sends rank 1 a sketch of feature 1 claiming `n`
+        // values; rank 1's own sketch of it already counts 20.
+        let (d, w) = (2, 2);
+        let merge_count = |n: u64| {
+            let mut sketch = sketches(d)[1].encode_bytes();
+            sketch[4..12].copy_from_slice(&n.to_le_bytes());
+            let batch = [words(&[1, sketch.len() as u32]), sketch].concat();
+            merge_sketch_batch(&mut sketches(d), Bytes::from(batch), 1, w, 0)
+        };
+        assert_eq!(merge_count(u64::MAX - 20), Ok(()));
+        assert_eq!(merge_count(u64::MAX - 19), Err(CommError::Malformed { from: 0 }));
+    }
+
+    #[test]
+    fn malformed_slices_name_their_sender() {
+        // W = 2: group 0's slices from both ranks, rank 1's one byte short.
+        let full = toy_dataset(60, 6, 3);
+        let partition = HorizontalPartition::new(full.n_instances(), 2);
+        let grouping = ColumnGrouping::build(GroupingStrategy::RoundRobin, 6, 2, &[]);
+        for encoding in [WireEncoding::Blockified, WireEncoding::Compressed, WireEncoding::Naive] {
+            let cfg = TransformConfig { encoding, ..Default::default() };
+            let cuts = BinCuts::from_sketches(
+                &BinCuts::sketch_dataset(&full, cfg.sketch_capacity),
+                cfg.n_bins,
+            );
+            let mut received: Vec<Bytes> = (0..2)
+                .map(|rank| {
+                    let shard = partition.shard(&full, rank);
+                    let row_lo = partition.bounds(rank).0;
+                    encode_groups(&shard, rank, row_lo, &cuts, &grouping, &cfg).swap_remove(0)
+                })
+                .collect();
+            let decode = |received| {
+                decode_group(received, 0, full.n_instances(), &cuts, &grouping, &cfg).err()
+            };
+            assert_eq!(decode(received.clone()), None, "{encoding:?}");
+            if encoding == WireEncoding::Naive {
+                // Rank 1's first pair renamed to a feature of group 1, then
+                // to one past D.
+                let mut pos = 12;
+                while received[1][pos..pos + 4] == [0; 4] {
+                    pos += 4;
+                }
+                for f in [1u32, 99] {
+                    let mut renamed = received[1].to_vec();
+                    renamed[pos + 4..pos + 8].copy_from_slice(&f.to_be_bytes());
+                    let payloads = vec![received[0].clone(), Bytes::from(renamed)];
+                    assert_eq!(decode(payloads), Some(CommError::Malformed { from: 1 }), "{f}");
+                }
+            }
+            received[1] = received[1].slice(0..received[1].len() - 1);
+            assert_eq!(decode(received), Some(CommError::Malformed { from: 1 }), "{encoding:?}");
+        }
     }
 
     #[test]

@@ -261,43 +261,54 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn request_round_trips_including_nan() {
-        let req = PredictRequest {
-            req_id: 42,
-            n_features: 3,
-            max_trees: 5,
-            rows: vec![1.0, f32::NAN, -2.5, 0.0, 7.0, f32::NAN],
-        };
-        assert_eq!(req.n_rows(), 2);
-        let back = PredictRequest::decode(&req.encode()).unwrap();
-        assert_eq!(back.req_id, 42);
-        assert_eq!(back.n_features, 3);
-        assert_eq!(back.max_trees, 5);
-        // NaN != NaN, so compare bit patterns.
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.rows), bits(&req.rows));
+    use proptest::prelude::*;
+
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn response_and_ack_round_trip() {
-        let resp = PredictResponse {
-            req_id: 7,
-            version: 3,
-            status: ReplyStatus::Ok,
-            trees_scored: 12,
-            n_outputs: 2,
-            scores: vec![0.25, -1.5, 3.75, 0.0],
-        };
-        assert_eq!(PredictResponse::decode(&resp.encode()).unwrap(), resp);
-        let shed = PredictResponse::refusal(9, ReplyStatus::Shed);
-        let back = PredictResponse::decode(&shed.encode()).unwrap();
-        assert_eq!(back.status, ReplyStatus::Shed);
-        assert!(back.scores.is_empty());
-        let ack = PublishAck { version: 11 };
-        assert_eq!(PublishAck::decode(&ack.encode()).unwrap(), ack);
-        let publish = PublishFrame { version: 4, model_bytes: vec![1, 2, 3, 4, 5] };
-        assert_eq!(PublishFrame::decode(&publish.encode()).unwrap(), publish);
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Every frame round-trips field for field. Ids, versions and counts
+        /// are random, so same-width fields differ and a swapped or resized
+        /// field decodes to another value; cells and scores carry NaN
+        /// (compared as bits).
+        #[test]
+        fn every_frame_round_trips(
+            ids in (any::<u64>(), any::<u64>()),
+            counts in (any::<u32>(), any::<u32>(), any::<u32>(), 1u32..6),
+            status in 0u8..4,
+            cells in prop::collection::vec(prop::option::of(-1e3f32..1e3), 0..40),
+            scores in prop::collection::vec(prop::option::of(-1e3f64..1e3), 0..40),
+            model_bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let ((req_id, version), (trees_scored, n_outputs, max_trees, n_features)) = (ids, counts);
+            let width = n_features as usize;
+            let cells = &cells[..cells.len() / width * width];
+            let rows: Vec<f32> = cells.iter().map(|c| c.unwrap_or(f32::NAN)).collect();
+            let req = PredictRequest { req_id, n_features, max_trees, rows };
+            let back = PredictRequest::decode(&req.encode()).unwrap();
+            prop_assert_eq!((back.req_id, back.n_features, back.max_trees), (req_id, n_features, max_trees));
+            prop_assert_eq!(bits32(&back.rows), bits32(&req.rows));
+
+            let status = ReplyStatus::from_u8(status).unwrap();
+            let scores: Vec<f64> = scores.iter().map(|s| s.unwrap_or(f64::NAN)).collect();
+            let resp = PredictResponse { req_id, version, status, trees_scored, n_outputs, scores };
+            let back = PredictResponse::decode(&resp.encode()).unwrap();
+            prop_assert_eq!(
+                (back.req_id, back.version, back.status, back.trees_scored, back.n_outputs),
+                (req_id, version, status, trees_scored, n_outputs)
+            );
+            prop_assert_eq!(bits64(&back.scores), bits64(&resp.scores));
+
+            let ack = PublishAck { version };
+            prop_assert_eq!(PublishAck::decode(&ack.encode()), Ok(ack));
+            let publish = PublishFrame { version, model_bytes };
+            prop_assert_eq!(PublishFrame::decode(&publish.encode()), Ok(publish.clone()));
+        }
     }
 
     #[test]
