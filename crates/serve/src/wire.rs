@@ -260,7 +260,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
     use proptest::prelude::*;
 
     fn bits32(v: &[f32]) -> Vec<u32> {
