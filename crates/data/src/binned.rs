@@ -75,13 +75,7 @@ impl BinnedRowsBuilder {
 
     /// Finalizes the builder.
     pub fn build(self) -> BinnedRows {
-        BinnedRows {
-            n_rows: self.row_ptr.len() - 1,
-            n_features: self.n_features,
-            row_ptr: self.row_ptr,
-            feats: self.feats,
-            bins: self.bins,
-        }
+        BinnedRows::from_checked_parts(self.n_features, self.row_ptr, self.feats, self.bins)
     }
 }
 
@@ -111,35 +105,10 @@ pub(crate) fn check_row(
 }
 
 impl BinnedRows {
-    /// Builds a row-store from its three arrays, validating them: `row_ptr`
-    /// runs from 0 to the pair count without descending, and every row's
-    /// features are strictly ascending and `< n_features`.
-    pub fn from_parts(
-        n_features: usize,
-        row_ptr: Vec<usize>,
-        feats: Vec<FeatureId>,
-        bins: Vec<BinId>,
-    ) -> Result<Self, DataError> {
-        if feats.len() != bins.len() {
-            return Err(DataError::Shape(format!(
-                "feats len {} != bins len {}",
-                feats.len(),
-                bins.len()
-            )));
-        }
-        if row_ptr.first() != Some(&0) || row_ptr.last() != Some(&feats.len()) {
-            return Err(DataError::Shape("row_ptr does not run from 0 to the pair count".into()));
-        }
-        for (i, w) in row_ptr.windows(2).enumerate() {
-            let row = feats
-                .get(w[0]..w[1])
-                .ok_or_else(|| DataError::Shape(format!("row_ptr is not monotone at row {i}")))?;
-            check_row(i, row.iter().copied(), n_features)?;
-        }
-        Ok(BinnedRows::from_checked_parts(n_features, row_ptr, feats, bins))
-    }
-
-    /// [`BinnedRows::from_parts`] for arrays the caller has already checked.
+    /// A row-store over three arrays the caller has checked: `row_ptr` runs
+    /// from 0 to the pair count without descending, and every row's features
+    /// are strictly ascending and `< n_features` ([`BinnedRowsBuilder`]
+    /// checks row by row, [`crate::block::Assembly`] slice by slice).
     pub(crate) fn from_checked_parts(
         n_features: usize,
         row_ptr: Vec<usize>,
@@ -320,27 +289,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "column {j}");
         }
-    }
-
-    #[test]
-    fn from_parts_validates_pointers_and_rows() {
-        let parts = |row_ptr: Vec<usize>, feats: Vec<FeatureId>| {
-            let bins = vec![0; feats.len()];
-            BinnedRows::from_parts(3, row_ptr, feats, bins)
-        };
-        let m = parts(vec![0, 2, 2, 3], vec![0, 2, 1]).unwrap();
-        assert_eq!((m.n_rows(), m.nnz(), m.get(0, 2), m.get(2, 1)), (3, 3, Some(0), Some(0)));
-        assert!(parts(vec![], vec![]).is_err(), "no pointers");
-        assert!(parts(vec![1, 1], vec![0]).is_err(), "does not start at 0");
-        assert!(parts(vec![0, 1], vec![0, 1]).is_err(), "does not span the pairs");
-        assert!(parts(vec![0, 2, 1, 2], vec![0, 1]).is_err(), "descends");
-        assert!(parts(vec![0, 2], vec![1, 1]).is_err(), "repeated feature");
-        assert!(parts(vec![0, 2], vec![2, 1]).is_err(), "descending features");
-        assert!(matches!(
-            parts(vec![0, 1], vec![3]),
-            Err(DataError::IndexOutOfBounds { index: 3, bound: 3, .. })
-        ));
-        assert!(BinnedRows::from_parts(3, vec![0, 1], vec![0], vec![]).is_err(), "short bins");
     }
 
     #[test]

@@ -61,7 +61,10 @@ pub struct Assembly {
 }
 
 /// A sender's slice that does not assemble: its file-split index — the
-/// sender's position among the payloads — and why.
+/// sender's position among the payloads — and why. A slice's own rows are
+/// blamed on it; slices that do not tile the rows are blamed where the gap
+/// or overlap shows, on the later slice (only a caller that knows each
+/// sender's rows can tell which of the two is wrong).
 #[derive(Debug)]
 pub struct SliceError {
     /// The failing slice's file-split index.
@@ -100,9 +103,9 @@ impl Assembly {
         Ok(())
     }
 
-    /// Checks the open slice's rows as [`BinnedRows::from_parts`] would:
-    /// pointers that do not descend and end at the pair count, and features
-    /// strictly ascending and `< n_features` in every row.
+    /// Checks the open slice's rows: pointers that do not descend and end at
+    /// the pair count, and features strictly ascending and `< n_features` in
+    /// every row.
     fn close(&mut self) -> Result<(), SliceError> {
         let slice = (self.slices as usize).saturating_sub(1);
         let fail = |error| SliceError { slice, error };
@@ -113,7 +116,7 @@ impl Assembly {
             })?;
             check_row(i, row.iter().copied(), self.n_features).map_err(fail)?;
         }
-        if self.row_ptr.last() != Some(&self.feats.len()) || self.feats.len() != self.bins.len() {
+        if self.row_ptr.last() != Some(&self.feats.len()) {
             return Err(fail(DataError::Shape(
                 "row_ptr does not end at the pair count".into(),
             )));
@@ -201,5 +204,30 @@ mod tests {
         assert!(short.finish().is_err(), "a row no slice covers");
         slice(&mut asm, 1, 1, &[&[(2, 1)]]).unwrap();
         assert_eq!(asm.finish().unwrap().n_rows(), 2);
+    }
+
+    #[test]
+    fn each_slice_is_checked_as_it_closes() {
+        // Slice 0 is sound; slice 1's one row is not, and the error names it.
+        let two_slices = |row: &[(u32, u16)]| {
+            let mut asm = Assembly::new(3, 2, 0);
+            slice(&mut asm, 0, 0, &[&[(0, 1)]]).unwrap();
+            slice(&mut asm, 1, 1, &[row]).unwrap();
+            asm.finish()
+        };
+        assert!(two_slices(&[(0, 1), (2, 3)]).is_ok());
+        for row in [&[(1, 0), (1, 0)][..], &[(2, 0), (1, 0)]] {
+            assert!(matches!(two_slices(row), Err(SliceError { slice: 1, .. })), "{row:?}");
+        }
+        assert!(matches!(
+            two_slices(&[(3, 0)]),
+            Err(SliceError { slice: 1, error: DataError::IndexOutOfBounds { index: 3, bound: 3, .. } })
+        ));
+        // A pointer that descends: slice 0's second row would end before
+        // its first.
+        let mut asm = Assembly::new(3, 2, 0);
+        slice(&mut asm, 0, 0, &[&[(0, 1), (1, 1)]]).unwrap();
+        asm.row_ptr.push(1);
+        assert!(matches!(asm.begin(1, 2), Err(SliceError { slice: 0, .. })));
     }
 }

@@ -236,8 +236,8 @@ fn block_header(bytes: &[u8], p: usize, q: usize) -> Result<BlockHeader, DataErr
 /// one row-store of `n_rows` rows over a `p`-feature group. The headers size
 /// its pair arrays exactly; each payload is decoded in place, appended, and
 /// dropped before the next. Every malformed payload is a [`SliceError`]
-/// naming it: a length its header does not imply, slices that do not tile
-/// the rows, pointers that do not run from 0 to the slice's pair count
+/// (which says whom it blames): a length its header does not imply, slices
+/// that do not tile the rows, pointers that do not run from 0 to the slice's pair count
 /// without descending, or a row whose features are not strictly ascending
 /// and `< p`.
 pub fn decode_blocks(

@@ -352,8 +352,7 @@ pub fn horizontal_to_vertical(
     let received = all_to_all(ctx, to_send)?;
     // lint: allow(wall-clock) — measures computation time for modelled stats only
     let t = Instant::now();
-    let local_data =
-        decode_group(received, rank, partition.n_instances(), &cuts, &grouping, cfg)?;
+    let local_data = decode_group(received, rank, &partition, &cuts, &grouping, cfg)?;
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
     report.repartition_bytes_sent = ctx.comm.counters().bytes_sent - bytes_before_exchange;
@@ -473,18 +472,29 @@ fn encode_groups(
 }
 
 /// Step 4's decode: every sender's slice of column group `rank`, in
-/// file-split order, into one row-store over all `n` rows. A payload that
-/// does not decode, or does not tile the rows, is [`CommError::Malformed`]
-/// from its sender.
+/// file-split order, into one row-store over the partition's rows. A
+/// payload that does not decode, or does not cover exactly its sender's
+/// rows, is [`CommError::Malformed`] from its sender.
 fn decode_group(
     received: Vec<Bytes>,
     rank: usize,
-    n: usize,
+    partition: &HorizontalPartition,
     cuts: &BinCuts,
     grouping: &ColumnGrouping,
     cfg: &TransformConfig,
 ) -> Result<BinnedRows, CommError> {
-    let (p_local, q) = (grouping.group_len(rank), cfg.n_bins);
+    // Every payload opens with its file-split index, first row and row
+    // count, which the partition fixes. Checked here, a slice of the wrong
+    // length is blamed on its sender, not on the next slice it pushes out
+    // of line.
+    for (from, bytes) in received.iter().enumerate() {
+        let (lo, hi) = partition.bounds(from);
+        let header = bytes.get(..12).map(|mut h| [h.get_u32(), h.get_u32(), h.get_u32()]);
+        if header != Some([from, lo, hi - lo].map(|v| v as u32)) {
+            return Err(CommError::Malformed { from });
+        }
+    }
+    let (n, p_local, q) = (partition.n_instances(), grouping.group_len(rank), cfg.n_bins);
     match cfg.encoding {
         WireEncoding::Blockified => {
             encoding::decode_blocks(received, n, p_local, q).map_err(malformed_slice)
@@ -545,11 +555,11 @@ fn encode_rowframed_compressed(
     out.freeze()
 }
 
-/// Decodes row-framed payloads — one per sender, in file-split order — into
-/// one row-store of `p` group features over `n_rows` rows, each payload
-/// dropped once decoded. `decode_row` appends one row's pairs, `pair_bytes`
-/// wide on the wire. A payload that does not decode, or does not tile the
-/// rows, is [`CommError::Malformed`] from its sender.
+/// Decodes row-framed payloads — one per sender, in file-split order, each
+/// with the 12-byte header [`decode_group`] checked — into one row-store of
+/// `p` group features over `n_rows` rows, each payload dropped once decoded.
+/// `decode_row` appends one row's pairs, `pair_bytes` wide on the wire. A
+/// payload that does not decode is [`CommError::Malformed`] from its sender.
 fn decode_rowframed(
     received: Vec<Bytes>,
     p: usize,
@@ -560,9 +570,6 @@ fn decode_rowframed(
     let mut rows = Assembly::new(p, n_rows, 0);
     for (from, mut bytes) in received.into_iter().enumerate() {
         let malformed = CommError::Malformed { from };
-        if bytes.len() < 12 {
-            return Err(malformed);
-        }
         rows.begin(bytes.get_u32(), bytes.get_u32()).map_err(malformed_slice)?;
         for _ in 0..bytes.get_u32() {
             if bytes.remaining() < 4 {
@@ -831,7 +838,7 @@ mod tests {
                 })
                 .collect();
             let decode = |received| {
-                decode_group(received, 0, full.n_instances(), &cuts, &grouping, &cfg).err()
+                decode_group(received, 0, &partition, &cuts, &grouping, &cfg).err()
             };
             assert_eq!(decode(received.clone()), None, "{encoding:?}");
             if encoding == WireEncoding::Naive {
@@ -848,6 +855,13 @@ mod tests {
                     assert_eq!(decode(payloads), Some(CommError::Malformed { from: 1 }), "{f}");
                 }
             }
+            // Rank 0's slice one row short but sound in itself: the gap
+            // shows at rank 1's first row, and rank 0 is still named.
+            let (lo, hi) = partition.bounds(0);
+            let short = full.slice_rows(lo, hi - 1, "short");
+            let short = encode_groups(&short, 0, lo, &cuts, &grouping, &cfg).swap_remove(0);
+            let payloads = vec![short, received[1].clone()];
+            assert_eq!(decode(payloads), Some(CommError::Malformed { from: 0 }), "{encoding:?}");
             received[1] = received[1].slice(0..received[1].len() - 1);
             assert_eq!(decode(received), Some(CommError::Malformed { from: 1 }), "{encoding:?}");
         }
