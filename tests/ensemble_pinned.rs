@@ -16,10 +16,10 @@
 //! `storage_determinism::distributed_trainers_are_storage_invariant`'s.)
 
 use gbdt_cluster::Cluster;
-use gbdt_core::{Kernel, Storage, TrainConfig};
+use gbdt_core::{Kernel, Objective, Storage, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation};
+use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation, System};
 use vero::{Vero, VeroConfig};
 
 /// FNV-1a over the little-endian bytes of every raw prediction.
@@ -142,6 +142,66 @@ const FP_YGG: u64 = 0xe2aa_7b22_b437_c55e;
 const FP_FEATPAR: u64 = 0x6fa4_55f6_cf12_84e1;
 const FP_VERO: u64 = 0xe2aa_7b22_b437_c55e;
 
+/// 6 000 rows × 70 features: every root spans two 4 096-row histogram
+/// chunks, so these pins fix the chunk-partial summation order that the
+/// 600-row set above never reaches.
+fn multi_chunk_dataset(classes: usize, seed: u64) -> Dataset {
+    SyntheticConfig {
+        n_instances: 6_000,
+        n_features: 70,
+        n_classes: classes,
+        density: 0.3,
+        label_noise: 0.02,
+        seed,
+        ..Default::default()
+    }
+    .generate()
+}
+
+fn multi_chunk_config(classes: usize) -> TrainConfig {
+    let objective =
+        if classes > 2 { Objective::Softmax { n_classes: classes } } else { Objective::Logistic };
+    TrainConfig::builder().n_trees(2).n_layers(4).objective(objective).build().unwrap()
+}
+
+#[test]
+fn multi_chunk_ensembles_are_pinned() {
+    let ds = multi_chunk_dataset(2, 2001);
+    let m = single::train(&ds, &multi_chunk_config(2));
+    check("single", &m.predict_dataset_raw(&ds), FP_MC_SINGLE);
+
+    let ds = multi_chunk_dataset(2, 2003);
+    let cluster = Cluster::new(3);
+    for (system, expected) in System::ALL.into_iter().zip(FP_MC_BINARY_W3) {
+        let r = system.run(&cluster, &ds, &multi_chunk_config(2));
+        check(system.name(), &r.model.predict_dataset_raw(&ds), expected);
+    }
+
+    let ds = multi_chunk_dataset(4, 2017);
+    let cluster = Cluster::new(2);
+    for (system, expected) in [(System::DimBoostLike, FP_MC_DIMBOOST_C4), (System::Vero, FP_MC_VERO_C4)] {
+        let r = system.run(&cluster, &ds, &multi_chunk_config(4));
+        check(system.name(), &r.model.predict_dataset_raw(&ds), expected);
+    }
+}
+
+// Captured while `TrainConfig::threads` still existed, at one thread (its
+// `thread_determinism` suite held threads = 4 to the same bits).
+const FP_MC_SINGLE: u64 = 0x8cd4_0c05_d2bf_de53;
+/// In `System::ALL` order, W = 3.
+const FP_MC_BINARY_W3: [u64; 8] = [
+    0xb8a0_311c_d5c8_50ff, // XGBoost
+    0x9501_8496_8fc3_2896, // LightGBM
+    0x9501_8496_8fc3_2896, // DimBoost
+    0x9501_8496_8fc3_2896, // QD2
+    0xba84_5849_4f54_20c7, // QD3
+    0x5889_092d_92c7_34f1, // Vero
+    0xba84_5849_4f54_20c7, // Yggdrasil
+    0x6366_e3d9_6a34_d48e, // LightGBM-FP
+];
+const FP_MC_DIMBOOST_C4: u64 = 0xd9c6_93a2_154e_cfd0;
+const FP_MC_VERO_C4: u64 = 0x2820_3f6f_07ee_decf;
+
 /// Prints the current fingerprints (run with `--nocapture --ignored`).
 #[test]
 #[ignore]
@@ -160,4 +220,19 @@ fn print_fingerprints() {
     println!("FP_FEATPAR: {:#018x}", fp(&featpar::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
     let vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
     println!("FP_VERO: {:#018x}", fp(&Vero::fit(&vcfg, &ds).model.inner.predict_dataset_raw(&ds)));
+
+    let ds = multi_chunk_dataset(2, 2001);
+    println!("FP_MC_SINGLE: {:#018x}", fp(&single::train(&ds, &multi_chunk_config(2)).predict_dataset_raw(&ds)));
+    let ds = multi_chunk_dataset(2, 2003);
+    let cluster = Cluster::new(3);
+    for system in System::ALL {
+        let r = system.run(&cluster, &ds, &multi_chunk_config(2));
+        println!("FP_MC_BINARY_W3 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
+    }
+    let ds = multi_chunk_dataset(4, 2017);
+    let cluster = Cluster::new(2);
+    for system in [System::DimBoostLike, System::Vero] {
+        let r = system.run(&cluster, &ds, &multi_chunk_config(4));
+        println!("FP_MC C4 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
+    }
 }
