@@ -68,11 +68,9 @@ pub const RULES: &[(&str, &str)] = &[
 
 /// Files where nondeterministic map iteration can reach wire bytes or model
 /// output: all of core/quadrants/vero, plus the cluster modules that build
-/// messages (wire codecs, collectives, parameter server), plus the serving
-/// thread pool (chunk scheduling there must never depend on hash order, or
-/// the parallel scorer's bit-identity contract dies). The rest of the serve
-/// crate stays out of scope — router.rs legitimately iterates replica maps
-/// for bookkeeping that never reaches a response byte.
+/// messages (wire codecs, collectives, parameter server). The serve crate
+/// stays out of scope — router.rs legitimately iterates replica maps for
+/// bookkeeping that never reaches a response byte.
 fn map_iteration_scope(path: &str) -> bool {
     path.starts_with("crates/core/src")
         || path.starts_with("crates/quadrants/src")
@@ -82,7 +80,6 @@ fn map_iteration_scope(path: &str) -> bool {
             "crates/cluster/src/wire.rs"
                 | "crates/cluster/src/collectives.rs"
                 | "crates/cluster/src/ps.rs"
-                | "crates/serve/src/pool.rs"
         )
 }
 

@@ -8,11 +8,10 @@ use gbdt_core::WireCodec;
 use std::collections::HashMap;
 
 /// Value keys every experiment binary accepts without listing them:
-/// `--threads N` sets the intra-worker thread budget (0 = auto),
 /// `--wire {dense,auto,f32}` picks the histogram wire codec, and
 /// `--faults seed:spec` injects a deterministic fault plan (e.g.
 /// `--faults "7:drop=0.05,dup=0.02,crash=1@3"`).
-const UNIVERSAL_VALUE_KEYS: [&str; 3] = ["threads", "wire", "faults"];
+const UNIVERSAL_VALUE_KEYS: [&str; 2] = ["wire", "faults"];
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone)]
@@ -83,11 +82,6 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// The `--threads` budget every binary accepts (0 = auto).
-    pub fn threads(&self) -> usize {
-        self.get_or("threads", 0)
-    }
-
     /// The `--wire` histogram codec every binary accepts (default: dense,
     /// the legacy bit-exact format).
     pub fn wire(&self) -> WireCodec {
@@ -123,13 +117,6 @@ mod tests {
         assert!(!args.has("other"));
         assert_eq!(args.get("missing"), None);
         assert_eq!(args.get_or("missing", 7usize), 7);
-    }
-
-    #[test]
-    fn threads_key_is_universal() {
-        let args = Args::parse_from(strs(&["--threads", "4"]), &[], &[]);
-        assert_eq!(args.threads(), 4);
-        assert_eq!(Args::parse_from(strs(&[]), &[], &[]).threads(), 0);
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn main() {
     let cfg = TrainConfig::builder()
         .n_trees(trees)
         .n_layers(8)
-        .threads(args.threads())
         .wire(args.wire())
         .build()
         .unwrap();
@@ -171,7 +170,6 @@ fn main() {
         let wcfg = TrainConfig::builder()
             .n_trees(trees)
             .n_layers(8)
-            .threads(args.threads())
             .wire(codec)
             .build()
             .unwrap();

@@ -25,7 +25,6 @@ use serde_json::json;
 #[derive(Clone, Copy)]
 struct Knobs {
     trees: usize,
-    threads: usize,
     wire: WireCodec,
 }
 
@@ -65,7 +64,6 @@ fn config(p: &Point, knobs: Knobs) -> TrainConfig {
         .n_trees(knobs.trees)
         .n_layers(p.l)
         .objective(objective)
-        .threads(knobs.threads)
         .wire(knobs.wire)
         .build()
         .expect("valid fig10 config")
@@ -91,7 +89,6 @@ fn run_point(
         "bytes_sent": result.stats.total_bytes_sent(),
         "data_mb": result.stats.max_data_bytes() as f64 / 1e6,
         "hist_mb": result.stats.max_histogram_bytes() as f64 / 1e6,
-        "par_speedup": result.stats.parallel_speedup(),
     }));
 }
 
@@ -100,11 +97,7 @@ fn main() {
     let scale = args.get_or("scale", 1.0f64);
     let workers = args.get_or("workers", 8usize);
     let trees = args.get_or("trees", 3usize);
-    let knobs = Knobs {
-        trees,
-        threads: args.threads(),
-        wire: args.wire(),
-    };
+    let knobs = Knobs { trees, wire: args.wire() };
     let which = args.get("plot").map(str::to_string);
     let want = |p: &str| which.as_deref().is_none_or(|w| w == p);
     let sc = |n: usize| ((n as f64 / (500.0 * scale)) as usize).max(1000);

@@ -66,7 +66,6 @@ fn main() {
         let workers = datasets::default_workers(name);
         let multiclass = full.n_classes > 2;
         let mut cfg = config_for(&train, trees, layers);
-        cfg.threads = args.threads();
         cfg.wire = args.wire();
 
         w.section(&format!(

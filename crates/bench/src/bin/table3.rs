@@ -41,7 +41,6 @@ fn main() {
         let (train, valid) = full.split_validation(0.2);
         let workers = datasets::default_workers(name);
         let mut cfg = config_for(&train, trees, layers);
-        cfg.threads = args.threads();
         cfg.wire = args.wire();
         let multiclass = full.n_classes > 2;
 

@@ -27,7 +27,6 @@ fn main() {
         let cfg = TrainConfig::builder()
             .n_trees(trees)
             .n_layers(8)
-            .threads(args.threads())
             .wire(args.wire())
             .build()
             .unwrap();

@@ -34,7 +34,6 @@ fn main() {
             .n_trees(trees)
             .n_layers(8)
             .objective(objective)
-            .threads(args.threads())
             .wire(args.wire())
             .build()
             .unwrap();

@@ -85,12 +85,6 @@ pub struct WorkerStats {
     pub histogram_peak_bytes: u64,
     /// Bytes of auxiliary index structures.
     pub index_bytes: u64,
-    /// Intra-worker threads used for histogram build / split finding.
-    pub threads: u64,
-    /// Wall-clock seconds spent inside multi-threaded sections.
-    pub parallel_wall_seconds: f64,
-    /// Summed per-thread busy seconds inside multi-threaded sections.
-    pub parallel_busy_seconds: f64,
     /// Logical (decoded f64) bytes of codec-mediated collective payloads —
     /// what the dense wire would have sent.
     pub logical_f64_bytes: u64,
@@ -133,17 +127,6 @@ impl WorkerStats {
         out
     }
 
-    /// Intra-worker parallel speedup: per-thread busy seconds divided by
-    /// wall-clock seconds of the parallel sections (1.0 when no parallel
-    /// section ran).
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.parallel_wall_seconds > 0.0 {
-            self.parallel_busy_seconds / self.parallel_wall_seconds
-        } else {
-            1.0
-        }
-    }
-
     /// Adds one layer's histogram-aggregation byte pair (0-based layer index
     /// into the growing loop; the root layer never aggregates). Vectors grow
     /// on demand so trees of different depth can share one stats object.
@@ -178,9 +161,6 @@ impl WorkerStats {
         self.data_bytes = self.data_bytes.max(other.data_bytes);
         self.histogram_peak_bytes = self.histogram_peak_bytes.max(other.histogram_peak_bytes);
         self.index_bytes = self.index_bytes.max(other.index_bytes);
-        self.threads = self.threads.max(other.threads);
-        self.parallel_wall_seconds += other.parallel_wall_seconds;
-        self.parallel_busy_seconds += other.parallel_busy_seconds;
         self.logical_f64_bytes += other.logical_f64_bytes;
         self.wire_f64_bytes += other.wire_f64_bytes;
         for (layer, (&logical, &wireb)) in
@@ -295,19 +275,6 @@ impl ClusterStats {
         }
         out
     }
-
-    /// Cluster-wide intra-worker parallel speedup: total busy seconds over
-    /// total wall seconds of parallel sections (1.0 when nothing ran
-    /// multi-threaded).
-    pub fn parallel_speedup(&self) -> f64 {
-        let wall: f64 = self.workers.iter().map(|w| w.parallel_wall_seconds).sum();
-        let busy: f64 = self.workers.iter().map(|w| w.parallel_busy_seconds).sum();
-        if wall > 0.0 {
-            busy / wall
-        } else {
-            1.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,26 +333,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.comp(Phase::Sketch), 3.0);
         assert_eq!(a.histogram_peak_bytes, 100);
-    }
-
-    #[test]
-    fn parallel_speedup_is_busy_over_wall() {
-        let mut w = WorkerStats::default();
-        assert_eq!(w.parallel_speedup(), 1.0); // no parallel section yet
-        w.threads = 4;
-        w.parallel_wall_seconds = 2.0;
-        w.parallel_busy_seconds = 6.0;
-        assert!((w.parallel_speedup() - 3.0).abs() < 1e-12);
-        let other = WorkerStats {
-            threads: 2,
-            parallel_wall_seconds: 1.0,
-            parallel_busy_seconds: 1.0,
-            ..WorkerStats::default()
-        };
-        w.merge(&other);
-        assert_eq!(w.threads, 4); // max, not sum
-        let c = ClusterStats::new(vec![w]);
-        assert!((c.parallel_speedup() - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

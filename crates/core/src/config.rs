@@ -130,25 +130,6 @@ impl Storage {
     }
 }
 
-impl std::str::FromStr for Storage {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Storage::Auto),
-            "sparse" => Ok(Storage::Sparse),
-            "dense" => Ok(Storage::Dense),
-            other => Err(format!("unknown storage '{other}' (expected auto|sparse|dense)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Storage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Histogram fill-kernel selection for the dense storage layout.
 ///
 /// `Simd` (the default) scans packed cells in fixed-width lane groups
@@ -181,24 +162,6 @@ impl Kernel {
     }
 }
 
-impl std::str::FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "simd" => Ok(Kernel::Simd),
-            "scalar" => Ok(Kernel::Scalar),
-            other => Err(format!("unknown kernel '{other}' (expected simd|scalar)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// GBDT training configuration, using the paper's symbols.
 ///
 /// Defaults follow §5.1: `T = 100` trees, `L = 8` layers, `q = 20` candidate
@@ -224,10 +187,6 @@ pub struct TrainConfig {
     pub min_node_instances: usize,
     /// The training objective.
     pub objective: Objective,
-    /// Intra-worker threads for histogram build and split finding; 0 = auto
-    /// (`available_parallelism() / W`, clamped to ≥ 1). Results are
-    /// bit-identical for every value — see [`crate::parallel`].
-    pub threads: usize,
     /// Histogram wire codec for distributed aggregation. All lossless
     /// codecs (everything but [`WireCodec::F32`]) train bit-identical
     /// ensembles; trainers that never ship histograms (the vertical
@@ -254,7 +213,6 @@ impl Default for TrainConfig {
             min_child_weight: 1e-3,
             min_node_instances: 2,
             objective: Objective::Logistic,
-            threads: 0,
             wire: WireCodec::Dense,
             storage: Storage::Auto,
             kernel: Kernel::Simd,
@@ -265,7 +223,7 @@ impl Default for TrainConfig {
 impl TrainConfig {
     /// Starts a fluent builder from the §5.1 defaults.
     pub fn builder() -> TrainConfigBuilder {
-        TrainConfigBuilder { cfg: TrainConfig::default() }
+        TrainConfigBuilder { cfg: TrainConfig::default(), threads: 1 }
     }
 
     /// C — the gradient dimension: 1 for regression/binary, the class count
@@ -304,6 +262,7 @@ impl TrainConfig {
 #[derive(Debug, Clone)]
 pub struct TrainConfigBuilder {
     cfg: TrainConfig,
+    threads: usize,
 }
 
 impl TrainConfigBuilder {
@@ -361,10 +320,11 @@ impl TrainConfigBuilder {
         self
     }
 
-    /// Sets the intra-worker thread budget (0 = auto; results are
-    /// bit-identical for every value).
+    /// Accepts the one thread every simulated worker trains on: 0 and 1
+    /// build, anything larger makes [`build`](Self::build) fail. Kept only
+    /// because the benchmark calls `.threads(1)`; it sets nothing.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
+        self.threads = threads;
         self
     }
 
@@ -376,6 +336,9 @@ impl TrainConfigBuilder {
 
     /// Finalizes, validating all parameters.
     pub fn build(self) -> Result<TrainConfig, String> {
+        if self.threads > 1 {
+            return Err("threads must be 0 or 1: each simulated worker trains on one thread".into());
+        }
         self.cfg.validate()?;
         Ok(self.cfg)
     }
@@ -404,18 +367,18 @@ mod tests {
             .lambda(2.0)
             .gamma(0.5)
             .objective(Objective::Softmax { n_classes: 7 })
-            .threads(4)
             .build()
             .unwrap();
         assert_eq!(cfg.n_trees, 5);
         assert_eq!(cfg.n_outputs(), 7);
         assert_eq!(cfg.gamma, 0.5);
-        assert_eq!(cfg.threads, 4);
     }
 
     #[test]
-    fn default_thread_budget_is_auto() {
-        assert_eq!(TrainConfig::default().threads, 0);
+    fn threads_accepts_only_one_thread() {
+        assert!(TrainConfig::builder().threads(0).build().is_ok());
+        assert!(TrainConfig::builder().threads(1).build().is_ok());
+        assert!(TrainConfig::builder().threads(2).build().is_err());
     }
 
     #[test]
@@ -447,15 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_parses_cli_names() {
-        for storage in Storage::ALL {
-            assert_eq!(storage.label().parse::<Storage>().unwrap(), storage);
-            assert_eq!(format!("{storage}"), storage.label());
-        }
-        assert!("columnar".parse::<Storage>().is_err());
-    }
-
-    #[test]
     fn bin_store_follows_policy() {
         use gbdt_data::binned::BinnedRowsBuilder;
         let rows = || {
@@ -475,15 +429,6 @@ mod tests {
     #[test]
     fn default_kernel_is_simd() {
         assert_eq!(TrainConfig::default().kernel, Kernel::Simd);
-    }
-
-    #[test]
-    fn kernel_parses_cli_names() {
-        for kernel in Kernel::ALL {
-            assert_eq!(kernel.label().parse::<Kernel>().unwrap(), kernel);
-            assert_eq!(format!("{kernel}"), kernel.label());
-        }
-        assert!("avx512".parse::<Kernel>().is_err());
     }
 
     #[test]

@@ -8,12 +8,23 @@
 //! The layout is one flat `f64` array ordered `[feature][bin][class][g,h]`,
 //! so per-feature slices are contiguous for split finding and the whole
 //! buffer is contiguous for element-wise aggregation and subtraction.
+//!
+//! A row-store node spanning more than [`INSTANCE_CHUNK`] instances is
+//! built chunk by chunk ([`HistogramPool::build_chunked`]): each chunk fills
+//! a zeroed partial, and the partials merge into the node histogram in
+//! ascending chunk order. That bracketing, `((p₀+p₁)+p₂)+…`, is the f64
+//! summation order every pinned ensemble fingerprint depends on.
 
 use crate::gradients::GradPair;
 use crate::split::NodeStats;
 use gbdt_data::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// Instances per row-store histogram-build chunk. Fixed, so the chunk
+/// partials — and therefore every f64 sum — depend only on a node's
+/// instance list.
+pub const INSTANCE_CHUNK: usize = 4096;
 
 /// `Sizehist` — histogram bytes for one tree node (paper §3.1.1).
 pub const fn histogram_size_bytes(n_features: usize, n_bins: usize, n_outputs: usize) -> usize {
@@ -171,7 +182,7 @@ impl NodeHistogram {
 
     /// `f64` elements covering one feature (`n_bins × n_outputs × 2`) — the
     /// stride between consecutive features in the flat buffer, used to carve
-    /// the buffer into disjoint per-feature regions for parallel fills.
+    /// the buffer into per-feature regions for column fills.
     #[inline]
     pub fn feature_stride(&self) -> usize {
         self.n_bins * self.n_outputs * 2
@@ -242,7 +253,7 @@ impl NodeHistogram {
 
 /// Accumulates one instance's per-class gradient pairs into a single
 /// feature's region of a histogram buffer (layout `[bin][class][g,h]`), as
-/// handed out by feature-parallel fills.
+/// handed out by column fills.
 #[inline]
 pub fn add_instance_to_feature_slice(
     slice: &mut [f64],
@@ -350,10 +361,34 @@ impl HistogramPool {
         self.live.insert(sibling, parent_hist);
     }
 
+    /// Builds the histogram of `node` from its instance list, one
+    /// [`INSTANCE_CHUNK`] at a time (module docs). `fill` accumulates one
+    /// chunk of instances into a histogram. A node of one chunk fills its
+    /// zeroed histogram directly: that is exactly the one merged partial.
+    pub fn build_chunked(
+        &mut self,
+        node: u32,
+        instances: &[u32],
+        mut fill: impl FnMut(&mut NodeHistogram, &[u32]),
+    ) {
+        if instances.len() <= INSTANCE_CHUNK {
+            fill(self.acquire(node), instances);
+            return;
+        }
+        let mut scratch = self.take_scratch();
+        let hist = self.acquire(node);
+        for chunk in instances.chunks(INSTANCE_CHUNK) {
+            scratch.zero();
+            fill(&mut scratch, chunk);
+            hist.merge_from(&scratch);
+        }
+        self.return_scratch(scratch);
+    }
+
     /// Takes a zeroed scratch histogram from the free list (allocating if
-    /// empty) for use as a per-thread partial in parallel builds. Scratch
-    /// buffers are transient and do **not** count toward the live/peak
-    /// accounting, which tracks only per-node histograms as §3.1.2 defines.
+    /// empty) for use as a chunk partial. Scratch buffers are transient and
+    /// do **not** count toward the live/peak accounting, which tracks only
+    /// per-node histograms as §3.1.2 defines.
     pub fn take_scratch(&mut self) -> NodeHistogram {
         match self.free.pop() {
             Some(mut h) => {
@@ -546,6 +581,41 @@ mod tests {
         let s2 = pool.take_scratch();
         assert_eq!(s2.get(0, 0, 0), GradPair::default());
         assert_eq!(pool.peak_bytes(), 0);
+    }
+
+    fn fill_chunk(hist: &mut NodeHistogram, chunk: &[u32], d: usize, q: usize, c: usize) {
+        for &i in chunk {
+            // Deterministic pseudo-data derived from the instance id, with
+            // irrational-ish magnitudes so reorderings would change bits.
+            let f = (i as usize * 7) % d;
+            let b = ((i as usize * 13) % q) as u16;
+            let g: Vec<f64> = (0..c).map(|k| ((i as f64) + k as f64) * 0.3183098123456789).collect();
+            let h: Vec<f64> = (0..c).map(|k| ((i as f64) - k as f64) * 0.6366197987654321).collect();
+            hist.add_instance(f as u32, b, &g, &h);
+        }
+    }
+
+    #[test]
+    fn chunked_build_merges_partials_in_chunk_order() {
+        let (d, q, c) = (13, 8, 2);
+        for n in [100, INSTANCE_CHUNK, 3 * INSTANCE_CHUNK + 57] {
+            let instances: Vec<u32> = (0..n as u32).collect();
+            // The reference bracketing: a zeroed partial per chunk, merged
+            // in ascending chunk order (one chunk fills directly).
+            let mut expected = NodeHistogram::new(d, q, c);
+            if n <= INSTANCE_CHUNK {
+                fill_chunk(&mut expected, &instances, d, q, c);
+            } else {
+                for chunk in instances.chunks(INSTANCE_CHUNK) {
+                    let mut partial = NodeHistogram::new(d, q, c);
+                    fill_chunk(&mut partial, chunk, d, q, c);
+                    expected.merge_from(&partial);
+                }
+            }
+            let mut pool = HistogramPool::new(d, q, c);
+            pool.build_chunked(0, &instances, |h, chunk| fill_chunk(h, chunk, d, q, c));
+            assert_eq!(pool.get(0).unwrap().as_slice(), expected.as_slice(), "n = {n}");
+        }
     }
 
     #[test]

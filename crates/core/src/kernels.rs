@@ -24,8 +24,8 @@
 //! order and skips missing cells — exactly the sparse pair order — so a
 //! histogram built from any (layout × kernel) combination is
 //! **bit-identical**, and all of them slot into
-//! [`crate::parallel::build_histogram_chunked`] as chunk fills without
-//! touching the PR-1 determinism invariant.
+//! [`HistogramPool::build_chunked`](crate::histogram::HistogramPool::build_chunked)
+//! as chunk fills without moving the pinned chunk-merge order.
 
 use crate::config::Kernel;
 use crate::gradients::GradBuffer;
@@ -153,10 +153,10 @@ fn corrupt_cell_panic(at: usize, limit: usize) -> ! {
 
 /// Accumulates one chunk of instances into `hist` from whichever layout
 /// `store` holds. This is the chunk-fill body every row-scan trainer hands
-/// to [`crate::parallel::build_histogram_chunked`]. `kernel` picks the
-/// dense fill implementation (SIMD lane groups vs the scalar reference);
-/// both produce bit-identical histograms, and the sparse layout has a
-/// single (scalar) kernel.
+/// to [`HistogramPool::build_chunked`](crate::histogram::HistogramPool::build_chunked).
+/// `kernel` picks the dense fill implementation (SIMD lane groups vs the
+/// scalar reference); both produce bit-identical histograms, and the
+/// sparse layout has a single (scalar) kernel.
 #[inline]
 pub fn fill_rows_chunk(
     hist: &mut NodeHistogram,
@@ -473,7 +473,7 @@ fn dense_rows_multi_simd<T: CellLanes>(
 
 /// Accumulates every present value of one column into that feature's
 /// histogram region (layout `[bin][class][g,h]`), instances ascending —
-/// the column-scan kernel the per-feature-parallel builders use. For the
+/// the column-scan kernel the column-store builders use. For the
 /// dense layout the inner loop is a straight cell scan with no instance-id
 /// loads; `C = 1` drops the per-class loop, and the SIMD kernel
 /// classifies instances in lane groups. Bin collisions inside a group

@@ -12,15 +12,14 @@
 //! * [`binning`] — candidate splits per feature and value → bin mapping.
 //! * [`loss`] — second-order objectives: squared error, logistic, softmax.
 //! * [`gradients`] — flat first-/second-order gradient buffers.
-//! * [`histogram`] — gradient histograms with element-wise merge and the
-//!   histogram **subtraction** technique (§2.1.2).
+//! * [`histogram`] — gradient histograms with element-wise merge, the
+//!   histogram **subtraction** technique (§2.1.2) and the chunked
+//!   row-store build.
 //! * [`split`] — split gain (Eq. 2), leaf weights (Eq. 1), missing-value
 //!   default direction.
 //! * [`tree`] / [`model`] — the decision tree and boosted ensemble.
 //! * [`indexes`] — the three tree-node/instance index structures of §3.2.1.
 //! * [`metrics`] — AUC, accuracy, RMSE, log-loss.
-//! * [`parallel`] — deterministic intra-worker multi-core execution
-//!   (chunked histogram map-reduce, feature-fanned split finding).
 //! * [`kernels`] — storage-specialized histogram-build kernels (dense row
 //!   and column scans, `C = 1` fast path, explicit SIMD lane fills in the
 //!   one audited `kernels::simd` unsafe module) that are bit-identical to
@@ -35,7 +34,6 @@ pub mod kernels;
 pub mod loss;
 pub mod metrics;
 pub mod model;
-pub mod parallel;
 pub mod sketch;
 pub mod split;
 pub mod tree;
@@ -46,7 +44,6 @@ pub use gradients::{GradBuffer, GradPair};
 pub use histogram::NodeHistogram;
 pub use loss::Objective;
 pub use model::GbdtModel;
-pub use parallel::Parallelism;
 pub use sketch::QuantileSketch;
 pub use split::{NodeStats, Split, SplitParams};
 pub use tree::{NodeKind, Tree, TreeNode};

@@ -254,45 +254,6 @@ pub fn best_split_in_range(
     scan.winner(bests)
 }
 
-/// Parallel [`best_split_in_range`]: the per-feature scans fan out across
-/// `threads` in contiguous chunks (one scratch each), each feature's
-/// candidate key lands in a feature-indexed slot, and the slots are reduced
-/// sequentially in ascending feature order with [`Split::better_than`]'s
-/// order. The reduction therefore folds the same candidates in the same
-/// order as the sequential scan, making the chosen split bit-identical for
-/// every thread count.
-pub fn best_split_in_range_parallel(
-    hist: &NodeHistogram,
-    range: std::ops::Range<FeatureId>,
-    node: &NodeStats,
-    params: &SplitParams,
-    n_bins_of: impl Fn(FeatureId) -> usize + Sync,
-    feature_map: impl Fn(FeatureId) -> FeatureId + Sync,
-    threads: usize,
-) -> Option<Split> {
-    let len = range.len();
-    if threads <= 1 || len < crate::parallel::MIN_PARALLEL_FEATURES {
-        return best_split_in_range(hist, range, node, params, n_bins_of, feature_map);
-    }
-    let scan = NodeScan::new(hist, node, params);
-    let start = range.start;
-    let per = len.div_ceil(threads.min(len));
-    let mut slots: Vec<Option<SplitKey>> = vec![None; len];
-    let mut chunks: Vec<&mut [Option<SplitKey>]> = slots.chunks_mut(per).collect();
-    crate::parallel::par_map_slots(&mut chunks, threads, |i, chunk| {
-        let mut scratch = scan.scratch();
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            let f = start + (i * per + k) as FeatureId;
-            *slot = scan
-                .feature(f, n_bins_of(f), &mut scratch)
-                .map(|key| SplitKey { feature: feature_map(f), ..key });
-        }
-    });
-    let bests =
-        slots.into_iter().enumerate().filter_map(|(k, key)| Some((start + k as FeatureId, key?)));
-    scan.winner(bests)
-}
-
 /// What candidate splits are ranked by: a [`Split`] without its child sums,
 /// which only the winner needs.
 #[derive(Debug, Clone, Copy)]
@@ -507,26 +468,6 @@ impl<'a> NodeScan<'a> {
     }
 }
 
-/// Parallel [`best_split`] over all features of a histogram.
-pub fn best_split_parallel(
-    hist: &NodeHistogram,
-    node: &NodeStats,
-    params: &SplitParams,
-    n_bins_of: impl Fn(FeatureId) -> usize + Sync,
-    feature_map: impl Fn(FeatureId) -> FeatureId + Sync,
-    threads: usize,
-) -> Option<Split> {
-    best_split_in_range_parallel(
-        hist,
-        0..hist.n_features() as FeatureId,
-        node,
-        params,
-        n_bins_of,
-        feature_map,
-        threads,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,39 +629,6 @@ mod tests {
         let s = best_split_for_feature(&hist, 0, 2, &node, &params()).unwrap();
         // Per class: 0.5*(1/2 + 1/2) = 0.5; two classes -> 1.0.
         assert!((s.gain - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_split_matches_sequential_exactly() {
-        // Enough features to clear MIN_PARALLEL_FEATURES so the fan-out
-        // path actually engages.
-        let d = crate::parallel::MIN_PARALLEL_FEATURES + 9;
-        let q = 6;
-        let mut hist = NodeHistogram::new(d, q, 1);
-        let mut node = NodeStats::zero(1);
-        for f in 0..d as u32 {
-            for b in 0..q as u16 {
-                let g = ((f as f64 * 31.0 + b as f64 * 7.0).sin()) * 0.5;
-                hist.add(f, b, 0, g, 1.0);
-            }
-        }
-        // Node totals = sums over feature 0 (every feature sees all mass).
-        let t = hist.feature_totals(0);
-        node.grads[0] = t.grads[0];
-        node.hesses[0] = t.hesses[0];
-        let p = params();
-        let seq = best_split(&hist, &node, &p, |_| q, |f| f);
-        for threads in [1usize, 2, 4, 8] {
-            let par = best_split_parallel(&hist, &node, &p, |_| q, |f| f, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        // Subrange variant too.
-        let lo = 10u32;
-        let hi = d as u32 - 3;
-        let seq = best_split_in_range(&hist, lo..hi, &node, &p, |_| q, |f| f + 1000);
-        let par =
-            best_split_in_range_parallel(&hist, lo..hi, &node, &p, |_| q, |f| f + 1000, 4);
-        assert_eq!(par, seq);
     }
 
     #[test]

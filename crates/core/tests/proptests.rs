@@ -2,8 +2,7 @@
 
 use gbdt_core::histogram::NodeHistogram;
 use gbdt_core::split::{
-    best_split, best_split_for_feature, best_split_in_range, best_split_in_range_parallel,
-    NodeStats, Split, SplitParams,
+    best_split, best_split_for_feature, best_split_in_range, NodeStats, Split, SplitParams,
 };
 use gbdt_core::tree::{LookupResult, Tree};
 use gbdt_core::{BinCuts, QuantileSketch};
@@ -236,9 +235,9 @@ proptest! {
     }
 
     /// The running-sum scan equals the allocating oracle bit for bit — the
-    /// whole `Option<Split>` — per feature, over all features, over a
-    /// remapped subrange, and through the parallel path (D ≥ 64 engages it
-    /// at 4 threads). Covers C ∈ {1, 2, 3}, missing mass on either side,
+    /// whole `Option<Split>` — per feature, over all features and over a
+    /// remapped subrange, on narrow and wide (D ≥ 64) histograms. Covers
+    /// C ∈ {1, 2, 3}, missing mass on either side,
     /// empty and repeated bins, repeated features, `n_bins` below the
     /// stride (down to 1), and γ / `min_child_weight` vetoes.
     #[test]
@@ -265,11 +264,6 @@ proptest! {
         let all = 0..d as FeatureId;
         let oracle = split_bits(&oracle_best_split_in_range(&hist, all, &node, &params, n_bins_of, |f| f));
         prop_assert_eq!(&split_bits(&best_split(&hist, &node, &params, n_bins_of, |f| f)), &oracle);
-        for threads in [1, 4] {
-            let all = 0..d as FeatureId;
-            let par = best_split_in_range_parallel(&hist, all, &node, &params, n_bins_of, |f| f, threads);
-            prop_assert_eq!(&split_bits(&par), &oracle, "threads {}", threads);
-        }
         let sub = d as FeatureId / 3..d as FeatureId;
         let map = |f: FeatureId| f + 1000;
         prop_assert_eq!(
@@ -615,8 +609,8 @@ proptest! {
         ]);
         for storage in Storage::ALL {
             let oracle = storage.bin_store(cuts.apply(&sparse), cuts.max_bins());
-            prop_assert_eq!(&cuts.apply_store(&sparse, storage), &oracle, "{} sparse", storage);
-            prop_assert_eq!(&cuts.apply_store(&dense, storage), &oracle, "{} dense", storage);
+            prop_assert_eq!(&cuts.apply_store(&sparse, storage), &oracle, "{} sparse", storage.label());
+            prop_assert_eq!(&cuts.apply_store(&dense, storage), &oracle, "{} dense", storage.label());
         }
         prop_assert_eq!(cuts.apply(&dense), cuts.apply(&sparse));
         prop_assert_eq!(

@@ -4,17 +4,8 @@
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::{CommError, WorkerCtx};
 use gbdt_core::split::{NodeStats, Split};
-use gbdt_core::{GbdtModel, Parallelism, TrainConfig};
+use gbdt_core::GbdtModel;
 use serde::{Deserialize, Serialize};
-
-/// Resolves the per-worker intra-worker thread budget for a run: the
-/// config's explicit `threads` if non-zero, otherwise the cores of the
-/// machine divided evenly among the `world` co-located workers so the
-/// simulated cluster never oversubscribes the host (§5.1 runs W workers in
-/// one process).
-pub fn worker_threads(config: &TrainConfig, world: usize) -> usize {
-    Parallelism { threads: config.threads }.resolve(world)
-}
 
 /// Histogram aggregation strategy for horizontal partitioning (§3.1.3/§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -9,10 +9,9 @@
 //! `min_node_instances` gate, per-tree timing and checkpoint/restore; a
 //! policy owns its data, its index(es), its histograms and every collective.
 
-use crate::common::{worker_threads, DistTrainResult, TreeStat};
+use crate::common::{DistTrainResult, TreeStat};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::parallel::Meter;
 use gbdt_core::split::{NodeStats, Split, SplitParams};
 use gbdt_core::tree::{self, Tree};
 use gbdt_core::{BinCuts, GbdtModel, GradBuffer, TrainConfig};
@@ -24,10 +23,6 @@ pub(crate) struct Run<'a> {
     /// Global candidate splits, indexed by global feature id.
     pub cuts: &'a BinCuts,
     pub params: SplitParams,
-    /// Intra-worker thread budget.
-    pub threads: usize,
-    /// Wall/busy time of the parallel sections (the `par_speedup` column).
-    pub meter: Meter,
     /// Gradients of the instances this worker scores, for the current tree.
     pub grads: GradBuffer,
     pub layer: usize,
@@ -123,13 +118,10 @@ pub(crate) fn train_worker<Q: Quadrant>(
         config,
         cuts,
         params: SplitParams::from_config(config),
-        threads: worker_threads(config, ctx.world()),
-        meter: Meter::default(),
         grads: GradBuffer::new(n, c),
         layer: 0,
         frontier: Frontier::default(),
     };
-    ctx.stats.threads = run.threads as u64;
     ctx.stats.data_bytes = q.data_bytes() as u64;
     ctx.stats.index_bytes = q.index_bytes() as u64;
 
@@ -220,8 +212,6 @@ pub(crate) fn train_worker<Q: Quadrant>(
         progress.per_tree.push(tracker.lap(ctx));
         save_tree_checkpoint(ctx, &progress);
     }
-    ctx.stats.parallel_wall_seconds = run.meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = run.meter.busy_seconds();
     Ok((progress.model, progress.per_tree))
 }
 

@@ -17,7 +17,7 @@ use crate::grow::{self, every_node_schedule, Quadrant, Run};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::InstanceToNodeIndex;
-use gbdt_core::split::{best_split_parallel, NodeStats, Split};
+use gbdt_core::split::{best_split, NodeStats, Split};
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{ColumnStore, InstanceId};
@@ -96,7 +96,7 @@ impl Quadrant for ColumnShard {
         Ok(run.scan(ctx, |node, stats| {
             let hist = self.pool.get(node).expect("histogram live");
             let n_bins = |f| run.cuts.n_bins(f);
-            best_split_parallel(hist, stats, &run.params, n_bins, |f| f, run.threads)
+            best_split(hist, stats, &run.params, n_bins, |f| f)
         }))
     }
 
@@ -161,77 +161,30 @@ impl Quadrant for ColumnShard {
 impl ColumnShard {
     /// One linear pass over the columns builds the histograms of a WHOLE
     /// layer: every 〈instance, bin〉 pair is routed to its instance's current
-    /// node.
-    ///
-    /// Threads fan out over disjoint **feature blocks**: thread `b` owns
-    /// block `b` of every live node histogram (features are the outermost
-    /// axis of the flat layout, so a feature block is one contiguous region
-    /// per histogram). Each f64 slot is written by exactly one thread, in
-    /// the same per-column pair order as a single-block pass — bit-identical
-    /// for every thread count.
+    /// node, columns ascending and each column's pairs in stored order.
     fn fill_layer(&mut self, run: &Run) {
         let (columns, index) = (&self.columns, &self.index);
-        let d = columns.n_features();
-        if d == 0 {
-            return;
-        }
         let c = run.config.n_outputs();
         let stride = run.config.n_bins * c * 2;
-        let per = d.div_ceil(run.threads.clamp(1, d));
-        let n_blocks = d.div_ceil(per);
-        // blocks[b][slot] is feature block `b` of node `layer_base + slot`.
+        // slots[k] is the histogram of node `layer_base + k`, if it is built.
         let layer_base = (1u32 << run.layer) - 1;
-        let mut blocks: Vec<Vec<Option<&mut [f64]>>> =
-            (0..n_blocks).map(|_| (0..1usize << run.layer).map(|_| None).collect()).collect();
+        let mut slots: Vec<Option<&mut [f64]>> = (0..1usize << run.layer).map(|_| None).collect();
         for (node, hist) in self.pool.live_mut() {
-            let chunks = hist.as_mut_slice().chunks_mut(per * stride);
-            for (block, chunk) in blocks.iter_mut().zip(chunks) {
-                block[(node - layer_base) as usize] = Some(chunk);
-            }
+            slots[(node - layer_base) as usize] = Some(hist.as_mut_slice());
         }
-        // The column pass over feature block `bi`.
-        let scan = |bi: usize, mut slots: Vec<Option<&mut [f64]>>| {
-            let lo = bi * per;
-            for j in lo..(lo + per).min(d) {
-                let off = (j - lo) * stride;
-                columns.for_each_in_col(j, |i, b| {
-                    let node = index.node_of(i);
-                    if node < layer_base {
-                        return; // instance settled on an earlier leaf
-                    }
-                    let slot = (node - layer_base) as usize;
-                    if let Some(block) = slots.get_mut(slot).and_then(Option::as_mut) {
-                        let (g, h) = run.grads.instance(i as usize);
-                        add_instance_to_feature_slice(&mut block[off..], c, b, g, h);
-                    }
-                });
-            }
-        };
-        if n_blocks == 1 {
-            return scan(0, blocks.pop().expect("one block"));
+        for j in 0..columns.n_features() {
+            let off = j * stride;
+            columns.for_each_in_col(j, |i, b| {
+                let node = index.node_of(i);
+                if node < layer_base {
+                    return; // instance settled on an earlier leaf
+                }
+                if let Some(hist) = slots[(node - layer_base) as usize].as_mut() {
+                    let (g, h) = run.grads.instance(i as usize);
+                    add_instance_to_feature_slice(&mut hist[off..], c, b, g, h);
+                }
+            });
         }
-
-        // lint: allow(wall-clock) — measures computation time for modelled stats only
-        let start = std::time::Instant::now();
-        let busy = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for (bi, slots) in blocks.into_iter().enumerate() {
-                let (busy, scan) = (&busy, &scan);
-                s.spawn(move || {
-                    // lint: allow(wall-clock) — measures computation time for modelled stats only
-                    let t0 = std::time::Instant::now();
-                    scan(bi, slots);
-                    busy.fetch_add(
-                        t0.elapsed().as_nanos() as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                });
-            }
-        });
-        run.meter.add(
-            start.elapsed(),
-            std::time::Duration::from_nanos(busy.load(std::sync::atomic::Ordering::Relaxed)),
-        );
     }
 }
 

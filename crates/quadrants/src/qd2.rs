@@ -24,7 +24,7 @@ use gbdt_cluster::collectives::segment_bounds;
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::split::{best_split_in_range_parallel, best_split_parallel, NodeStats, Split};
+use gbdt_core::split::{best_split, best_split_in_range, NodeStats, Split};
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::BinnedStore;
@@ -134,20 +134,19 @@ impl Quadrant for RowShard {
             // Every worker holds the global histograms and finds every
             // split redundantly.
             Aggregation::AllReduce => Ok(run.scan(ctx, |node, stats| {
-                best_split_parallel(hist(node), stats, &run.params, n_bins, |f| f, run.threads)
+                best_split(hist(node), stats, &run.params, n_bins, |f| f)
             })),
             // Local best within my feature slice, then exchange.
             Aggregation::ReduceScatter | Aggregation::ParameterServer => {
                 let (lo, hi) = self.feature_slice;
                 let locals = run.scan(ctx, |node, stats| {
-                    best_split_in_range_parallel(
+                    best_split_in_range(
                         hist(node),
                         lo as u32..hi as u32,
                         stats,
                         &run.params,
                         n_bins,
                         |f| f,
-                        run.threads,
                     )
                 });
                 exchange_local_bests(ctx, &locals)

@@ -24,7 +24,6 @@ use crate::vertical::{self, mark_left, GroupStore};
 use gbdt_cluster::{Cluster, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{InstanceToNodeIndex, NodeToInstanceIndex};
-use gbdt_core::parallel::par_feature_fill;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
@@ -63,15 +62,12 @@ impl GroupStore for HybridColumns {
         let (columns, grads) = (&self.columns, &run.grads);
         let node_count = index.count(node);
         let hist = pool.acquire(node);
-        let c = hist.n_outputs();
-        // Whole columns fan out across threads: each feature's histogram
-        // region is disjoint and filled in the sequential per-column order,
-        // so the result is bit-identical for every thread count. Both paths
-        // visit the node's present values in ascending instance order
-        // (columns store instances ascending; node instance lists stay
+        let (c, stride) = (hist.n_outputs(), hist.feature_stride());
+        // Both paths visit the node's present values in ascending instance
+        // order (columns store instances ascending; node instance lists stay
         // ascending across splits), so the cost-model choice never changes
         // the accumulated bits — on either storage layout.
-        par_feature_fill(hist, run.threads, &run.meter, |j, slice| {
+        for (j, slice) in hist.as_mut_slice().chunks_mut(stride).enumerate() {
             let (cost_linear, cost_binary) = if columns.is_dense() {
                 // Dense: linear scan touches every cell; point lookups are O(1).
                 (columns.n_rows(), node_count)
@@ -98,7 +94,7 @@ impl GroupStore for HybridColumns {
                     }
                 }
             }
-        });
+        }
     }
 
     /// Binary search of the column on the sparse layout, O(1) on the dense.

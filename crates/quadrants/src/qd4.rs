@@ -26,7 +26,7 @@ use crate::vertical::{self, GroupStore};
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::{kernels, parallel, TrainConfig};
+use gbdt_core::{kernels, TrainConfig};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{BinId, BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
@@ -85,8 +85,7 @@ pub fn train_with_options(
 /// node-to-instance index is the only index.
 impl GroupStore for BinnedStore {
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
-        let (rows, threads) = (index.instances(node), run.threads);
-        parallel::build_histogram_chunked(pool, node, rows, threads, &run.meter, |hist, chunk| {
+        pool.build_chunked(node, index.instances(node), |hist, chunk| {
             kernels::fill_rows_chunk(hist, chunk, self, &run.grads, run.config.kernel);
         });
     }

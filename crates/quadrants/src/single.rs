@@ -7,13 +7,11 @@
 //! There is no wire at all, so [`TrainConfig::wire`] is trivially a no-op:
 //! every codec trains the identical ensemble.
 
-use crate::common::worker_threads;
 use crate::grow::{subtraction_plan, Frontier};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::kernels;
-use gbdt_core::parallel::{self, Meter};
-use gbdt_core::split::{best_split_parallel, NodeStats, SplitParams};
+use gbdt_core::split::{best_split, NodeStats, SplitParams};
 use gbdt_core::tree::{self, Tree};
 use gbdt_core::{BinCuts, GbdtModel, GradBuffer, TrainConfig};
 use gbdt_data::dataset::Dataset;
@@ -40,14 +38,11 @@ pub fn train_prebinned(
     let c = config.n_outputs();
     let params = SplitParams::from_config(config);
     let objective = config.objective;
-    let threads = worker_threads(config, 1);
-    let meter = Meter::default();
 
     let mut model = GbdtModel::new(objective, config.learning_rate, d);
     let mut scores = vec![0.0f64; n * c];
-    for (i, chunk) in scores.chunks_mut(c).enumerate() {
+    for chunk in scores.chunks_mut(c) {
         chunk.copy_from_slice(&model.init_scores);
-        let _ = i;
     }
     let mut grads = GradBuffer::new(n, c);
     let mut index = NodeToInstanceIndex::new(n);
@@ -89,7 +84,7 @@ pub fn train_prebinned(
             // Build histograms: root directly; deeper layers build the
             // smaller sibling and subtract for the other.
             if layer == 0 {
-                build_histogram(&mut pool, 0, binned, &grads, &index, threads, config.kernel, &meter);
+                build_histogram(&mut pool, 0, binned, &grads, &index, config.kernel);
             } else {
                 let mut k = 0;
                 while k < frontier.nodes.len() {
@@ -99,7 +94,7 @@ pub fn train_prebinned(
                     let build_left =
                         subtraction_plan(frontier.counts[&left], frontier.counts[&right]);
                     let (build, derive) = if build_left { (left, right) } else { (right, left) };
-                    build_histogram(&mut pool, build, binned, &grads, &index, threads, config.kernel, &meter);
+                    build_histogram(&mut pool, build, binned, &grads, &index, config.kernel);
                     pool.subtract_sibling(tree::parent(left), build, derive);
                     k += 2;
                 }
@@ -113,7 +108,7 @@ pub fn train_prebinned(
                     None
                 } else {
                     let hist = pool.get(node).expect("frontier node has a histogram");
-                    best_split_parallel(hist, stats, &params, |f| cuts.n_bins(f), |f| f, threads)
+                    best_split(hist, stats, &params, |f| cuts.n_bins(f), |f| f)
                 };
                 match decision {
                     Some(split) => {
@@ -164,18 +159,15 @@ pub fn train_prebinned(
     model
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_histogram(
     pool: &mut HistogramPool,
     node: u32,
     binned: &BinnedStore,
     grads: &GradBuffer,
     index: &NodeToInstanceIndex,
-    threads: usize,
     kernel: gbdt_core::Kernel,
-    meter: &Meter,
 ) {
-    parallel::build_histogram_chunked(pool, node, index.instances(node), threads, meter, |hist, chunk| {
+    pool.build_chunked(node, index.instances(node), |hist, chunk| {
         kernels::fill_rows_chunk(hist, chunk, binned, grads, kernel);
     });
 }

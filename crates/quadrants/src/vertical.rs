@@ -22,7 +22,7 @@ use crate::grow::{
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::split::{best_split_parallel, NodeStats, Split};
+use gbdt_core::split::{best_split, NodeStats, Split};
 use gbdt_core::tree;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
@@ -160,13 +160,12 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
         let rank = ctx.rank();
         let to_global = |f: FeatureId| self.grouping.global_id(rank, f);
         let locals = run.scan(ctx, |node, stats| {
-            best_split_parallel(
+            best_split(
                 self.pool.get(node).expect("histogram live"),
                 stats,
                 &run.params,
                 |f| run.cuts.n_bins(to_global(f)),
                 to_global,
-                run.threads,
             )
         });
         exchange_local_bests(ctx, &locals)

@@ -18,7 +18,6 @@ use crate::vertical::{self, mark_left, GroupStore};
 use gbdt_cluster::{Cluster, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{ColumnWiseIndex, NodeToInstanceIndex};
-use gbdt_core::parallel::par_feature_fill;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
@@ -52,17 +51,14 @@ impl GroupStore for NodeColumns {
     /// index is good at.
     fn fill(&self, pool: &mut HistogramPool, node: u32, _index: &NodeToInstanceIndex, run: &Run) {
         let hist = pool.acquire(node);
-        let c = hist.n_outputs();
-        // Whole columns fan out across threads; each feature's region is
-        // disjoint and read in the sequential node-slice order, so the
-        // result is bit-identical for every thread count.
-        par_feature_fill(hist, run.threads, &run.meter, |j, slice| {
+        let (c, stride) = (hist.n_outputs(), hist.feature_stride());
+        for (j, slice) in hist.as_mut_slice().chunks_mut(stride).enumerate() {
             let (insts, bins) = self.cw_index.node_column(node, j);
             for (&i, &b) in insts.iter().zip(bins) {
                 let (g, h) = run.grads.instance(i as usize);
                 add_instance_to_feature_slice(slice, c, b, g, h);
             }
-        });
+        }
     }
 
     /// A point lookup in the kept column, as QD3 does.

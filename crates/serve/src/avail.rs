@@ -18,7 +18,6 @@
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 
 use crate::exec::Strategy;
-use crate::pool;
 use crate::replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
 use crate::router::{run_router, RouterConfig, RouterStats};
 use crate::server::ModelSlot;
@@ -49,9 +48,6 @@ pub struct AvailConfig {
     pub qps: f64,
     /// Execution strategy every replica runs.
     pub strategy: Strategy,
-    /// Scoring threads per request batch in every replica (1 = serial,
-    /// 0 = auto).
-    pub score_threads: usize,
     /// Seed for the synthetic feature rows.
     pub seed: u64,
     /// Routing policy (its `n_replicas` is overridden by ours).
@@ -75,7 +71,6 @@ impl Default for AvailConfig {
             batch: 8,
             qps: 0.0,
             strategy: Strategy::PerRow,
-            score_threads: 1,
             seed: 42,
             router: RouterConfig::default(),
             replica: ReplicaConfig::default(),
@@ -393,7 +388,7 @@ pub fn run_avail(
     let slots: Vec<ModelSlot> = (0..cfg.n_replicas)
         .map(|_| ModelSlot::new_versioned(first, 1))
         .collect::<Result<_, _>>()?;
-    let executor = pool::parallel(cfg.strategy.executor(), cfg.score_threads);
+    let executor = cfg.strategy.executor();
     let model_bytes = first.encode_bytes();
     let clock = Clock::new();
 
@@ -574,20 +569,19 @@ mod tests {
         assert!(outcome.run.served + outcome.run.degraded > 0);
     }
 
-    /// Paced traffic with parallel chunked scoring through one replica:
-    /// every response still bit-matches its stamped version (the snapshot
-    /// is taken once per request, before the fan-out) and every request is
-    /// answered across the hot swap.
+    /// Paced traffic with blocked scoring through one replica: every
+    /// response still bit-matches its stamped version (the snapshot is
+    /// taken once per request) and every request is answered across the
+    /// hot swap.
     #[test]
-    fn paced_parallel_scoring_serves_whole_versions() {
+    fn paced_blocked_scoring_serves_whole_versions() {
         let cfg = AvailConfig {
             n_replicas: 1,
             n_clients: 2,
             requests_per_client: 25,
-            batch: 96, // > one 64-row chunk, so the pool actually fans out
+            batch: 96, // > one 64-row tile of the blocked executor
             qps: 1500.0,
             strategy: Strategy::Blocked(0),
-            score_threads: 4,
             seed: 13,
             ..AvailConfig::default()
         };

@@ -17,10 +17,6 @@
 //!   that streams row tiles through L1-resident tree blocks — the
 //!   database-style strategy whose win/loss crossover against per-row
 //!   moves with batch size and tree count.
-//! * [`pool`] parallelizes batch scoring inside a rank: a deterministic
-//!   scoped thread pool splits a request into fixed 64-row chunks with
-//!   disjoint output slices (`score_threads` knob in
-//!   [`avail::AvailConfig`]), bit-identical at every thread count.
 //! * [`server`] holds the atomically swappable model
 //!   ([`server::ModelSlot`]): a trainer publishes
 //!   [`GbdtModel::encode_bytes`] payloads and in-flight traffic only ever
@@ -52,7 +48,6 @@
 pub mod avail;
 pub mod compile;
 pub mod exec;
-pub mod pool;
 pub mod replica;
 pub mod router;
 pub mod server;

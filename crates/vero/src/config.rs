@@ -100,14 +100,6 @@ impl VeroConfigBuilder {
         self
     }
 
-    /// Sets the intra-worker thread budget (0 = auto:
-    /// `available_parallelism() / workers`). Trained ensembles are
-    /// bit-identical for every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.train.threads = threads;
-        self
-    }
-
     /// Sets the histogram wire codec (default: dense). Vero's trainer never
     /// aggregates histograms, so this only matters when the same config
     /// drives one of the horizontal quadrants in a comparison run; every
@@ -160,13 +152,6 @@ mod tests {
         assert_eq!(cfg.train.n_bins, 20);
         assert_eq!(cfg.transform.encoding, WireEncoding::Blockified);
         assert_eq!(cfg.transform.strategy, GroupingStrategy::GreedyBalanced);
-    }
-
-    #[test]
-    fn threads_flow_into_train_config() {
-        let cfg = VeroConfig::builder().threads(4).build().unwrap();
-        assert_eq!(cfg.train.threads, 4);
-        assert_eq!(VeroConfig::builder().build().unwrap().train.threads, 0); // auto
     }
 
     #[test]

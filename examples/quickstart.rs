@@ -37,7 +37,6 @@ fn main() {
         .n_trees(30)
         .n_layers(6)
         .learning_rate(0.2)
-        .threads(2) // intra-worker threads (0 = auto, the default)
         .build()
         .expect("valid config");
 

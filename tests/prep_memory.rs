@@ -146,7 +146,7 @@ fn sparse_dataset() -> Dataset {
 }
 
 fn config() -> TrainConfig {
-    TrainConfig::builder().n_trees(2).n_layers(4).threads(1).build().unwrap()
+    TrainConfig::builder().n_trees(2).n_layers(4).build().unwrap()
 }
 
 /// The hold-out split and the worker shard of a dense dataset copy labels and

@@ -99,13 +99,12 @@ fn three_replica_group_survives_crash_and_lossy_plan() {
     assert!(outcome.replicas.iter().all(|r| r.requests > 0), "{:?}", outcome.replicas);
 }
 
-/// The full chaos plan with the PR 9 scoring path engaged: a 4-way
-/// scoring pool inside every replica, batches wide enough (3 chunks)
-/// that each request genuinely fans out. Crash,
-/// loss, duplication, failover, recovery resync, and mid-run publishes
-/// all land on replicas whose scoring is chunk-parallel — and the
-/// ledger must still verify every response bit-exact for its stamped
-/// `(version, trees_scored)`: no torn chunk, no version-mixed batch.
+/// The full chaos plan over wide batches (three 64-row blocked tiles per
+/// request) on three replicas scoring in parallel with each other. Crash,
+/// loss, duplication, failover, recovery resync, and a mid-run publish
+/// all land on them — and the ledger must still verify every response
+/// bit-exact for its stamped `(version, trees_scored)`: no version-mixed
+/// batch.
 #[test]
 fn parallel_replicas_survive_the_chaos_plan() {
     let plan = serve_tagged(
@@ -123,7 +122,6 @@ fn parallel_replicas_survive_the_chaos_plan() {
         batch: 192,
         qps: 0.0,
         strategy: Strategy::Blocked(0),
-        score_threads: 4,
         seed: 909,
         ..AvailConfig::default()
     };

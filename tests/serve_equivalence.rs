@@ -6,11 +6,10 @@
 //! branchless node array and scores it with two interchangeable execution
 //! strategies. This test pins the contract the serving layer rides on:
 //! per-row traversal, blocked batched traversal, and the model's own
-//! tree walk must agree **bit for bit** on every trained model — at every
-//! scoring-thread budget (`SCORE_THREADS` env, default `1,4`) — the
-//! flattening, the self-looping leaf encoding, the parallel chunking, and
-//! the block schedule are never allowed to move a ULP (same bar as the
-//! storage/kernel sweeps in `ensemble_pinned.rs`).
+//! tree walk must agree **bit for bit** on every trained model — the
+//! flattening, the self-looping leaf encoding and the block schedule are
+//! never allowed to move a ULP (same bar as the storage/kernel sweeps in
+//! `ensemble_pinned.rs`).
 //!
 //! The byte codec rides the same bar: `encode_bytes` round-trips every
 //! trained model exactly, and its output for the pinned dataset/config is
@@ -24,7 +23,6 @@ use gbdt_data::Dataset;
 use gbdt_quadrants::{single, System};
 use gbdt_serve::compile::compile;
 use gbdt_serve::exec::{nan_dense_rows, Strategy};
-use gbdt_serve::pool;
 use vero::{Vero, VeroConfig};
 
 fn dataset() -> Dataset {
@@ -44,23 +42,8 @@ fn config() -> TrainConfig {
     TrainConfig::builder().n_trees(4).n_layers(4).build().unwrap()
 }
 
-/// Scoring-thread budgets to sweep: the `SCORE_THREADS` env var as a
-/// comma-separated list, defaulting to `1,4` so a plain `cargo test`
-/// covers both the serial path and the parallel pool. CI runs the suite
-/// once per value to also get each budget in isolation.
-fn score_thread_budgets() -> Vec<usize> {
-    let spec = std::env::var("SCORE_THREADS").unwrap_or_else(|_| "1,4".to_string());
-    let budgets: Vec<usize> = spec
-        .split(',')
-        .map(|t| t.trim().parse().unwrap_or_else(|e| panic!("bad SCORE_THREADS '{spec}': {e}")))
-        .collect();
-    assert!(!budgets.is_empty(), "SCORE_THREADS must name at least one budget");
-    budgets
-}
-
-/// Bit-compares both compiled strategies — at every scoring-thread budget,
-/// at several request batch shapes — against the model's own tree walk
-/// over the full dataset.
+/// Bit-compares both compiled strategies — at several request batch
+/// shapes — against the model's own tree walk over the full dataset.
 fn assert_serving_equivalence(name: &str, model: &GbdtModel, ds: &Dataset) {
     let reference = model.predict_dataset_raw(ds);
     let ens = compile(model, 1).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
@@ -68,23 +51,21 @@ fn assert_serving_equivalence(name: &str, model: &GbdtModel, ds: &Dataset) {
     let n_rows = ds.n_instances();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for strategy in [Strategy::PerRow, Strategy::Blocked(0), Strategy::Blocked(1)] {
-        for &threads in &score_thread_budgets() {
-            let executor = pool::parallel(strategy.executor(), threads);
-            for batch in [1usize, 7, 64, n_rows] {
-                let mut scores = vec![0.0f64; n_rows * ens.n_outputs];
-                for (row_chunk, out_chunk) in rows
-                    .chunks(batch * ens.n_features)
-                    .zip(scores.chunks_mut(batch * ens.n_outputs))
-                {
-                    executor.predict_into(&ens, row_chunk, out_chunk);
-                }
-                assert_eq!(
-                    bits(&scores),
-                    bits(&reference),
-                    "{name}: {} at batch {batch} diverged from the tree walk",
-                    executor.label(),
-                );
+        let executor = strategy.executor();
+        for batch in [1usize, 7, 64, n_rows] {
+            let mut scores = vec![0.0f64; n_rows * ens.n_outputs];
+            for (row_chunk, out_chunk) in rows
+                .chunks(batch * ens.n_features)
+                .zip(scores.chunks_mut(batch * ens.n_outputs))
+            {
+                executor.predict_into(&ens, row_chunk, out_chunk);
             }
+            assert_eq!(
+                bits(&scores),
+                bits(&reference),
+                "{name}: {} at batch {batch} diverged from the tree walk",
+                executor.label(),
+            );
         }
     }
     // The byte codec is exact on every trained model, not just synthetic
@@ -130,7 +111,7 @@ fn multiclass_models_serve_bit_identically() {
 /// ([`GbdtModel::predict_row_into`] on each row's sparse form) across
 /// randomized ensembles: thresholds drawn from a small palette (so rows
 /// land exactly on cuts), random default directions, NaN-bearing rows,
-/// ragged row counts and batch sizes, at every strategy and thread budget.
+/// ragged row counts and batch sizes, at every strategy.
 #[test]
 fn compiled_scores_match_the_walk_under_fuzz() {
     use gbdt_core::tree::Tree;
@@ -194,21 +175,18 @@ fn compiled_scores_match_the_walk_under_fuzz() {
         let batch = 1 + (next() % n_rows as u64) as usize;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for strategy in [Strategy::PerRow, Strategy::Blocked(0)] {
-            for &threads in &score_thread_budgets() {
-                let executor = pool::parallel(strategy.executor(), threads);
-                let mut got = vec![0.0f64; n_rows];
-                for (row_chunk, out_chunk) in
-                    rows.chunks(batch * n_features).zip(got.chunks_mut(batch))
-                {
-                    executor.predict_into(&ens, row_chunk, out_chunk);
-                }
-                assert_eq!(
-                    bits(&got),
-                    bits(&expect),
-                    "case {case}: {} at batch {batch} diverged from the tree walk",
-                    executor.label(),
-                );
+            let executor = strategy.executor();
+            let mut got = vec![0.0f64; n_rows];
+            for (row_chunk, out_chunk) in rows.chunks(batch * n_features).zip(got.chunks_mut(batch))
+            {
+                executor.predict_into(&ens, row_chunk, out_chunk);
             }
+            assert_eq!(
+                bits(&got),
+                bits(&expect),
+                "case {case}: {} at batch {batch} diverged from the tree walk",
+                executor.label(),
+            );
         }
     }
 }

@@ -137,13 +137,12 @@ fn slot_snapshots_are_never_torn() {
     assert_eq!(slot.version(), models.len() as u64);
 }
 
-/// Parallel scoring does not widen the swap window: with `score_threads
-/// > 1` every request fans out across chunk workers under ONE snapshot
-/// taken before the fan-out, so a publish landing mid-batch must still
-/// produce a whole-version response. Batches span several 64-row chunks
-/// (so the pool genuinely splits), and the harness bit-verifies every
-/// response against its stamped version — a torn or version-mixed chunk
-/// counts as `incorrect`.
+/// Wide batches do not widen the swap window: each request spans several
+/// 64-row blocked tiles scored under ONE snapshot, so a publish landing
+/// mid-batch must still produce a whole-version response; the harness
+/// bit-verifies every response against its stamped version — a
+/// version-mixed tile counts as `incorrect`. (The name is older than the
+/// one-thread-per-replica rule: the parallelism is now the three clients'.)
 #[test]
 fn parallel_scoring_observes_only_whole_versions() {
     let models = [trained(41, 4), trained(42, 4), trained(43, 6)];
@@ -154,11 +153,10 @@ fn parallel_scoring_observes_only_whole_versions() {
         batch: 160,
         qps: 0.0,
         strategy: Strategy::Blocked(0),
-        score_threads: 4,
         seed: 907,
         ..AvailConfig::default()
     };
-    let outcome = run_avail(&models, &cfg, None).expect("parallel session completes");
+    let outcome = run_avail(&models, &cfg, None).expect("wide-batch session completes");
     assert_whole_versions(&outcome, 120);
 }
 

@@ -3,7 +3,7 @@
 //! The lossless codecs (`dense`, `auto`) re-encode the exact f64
 //! payload, and the decode-merge runs in the same rank/segment order as the
 //! dense path, so the trained ensemble must be bit-identical under every
-//! lossless codec and every thread count. On sparse data the adaptive codec
+//! lossless codec. On sparse data the adaptive codec
 //! must also cut histogram-aggregation wire bytes at least 2x — that is the
 //! whole point of the layer.
 
@@ -13,14 +13,13 @@ use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_quadrants::{qd1, qd2, qd4, Aggregation};
 
-fn config(classes: usize, threads: usize, wire: WireCodec) -> TrainConfig {
+fn config(classes: usize, wire: WireCodec) -> TrainConfig {
     let objective =
         if classes > 2 { Objective::Softmax { n_classes: classes } } else { Objective::Logistic };
     TrainConfig::builder()
         .n_trees(2)
         .n_layers(5)
         .objective(objective)
-        .threads(threads)
         .wire(wire)
         .build()
         .unwrap()
@@ -41,19 +40,20 @@ fn sparse_dataset(seed: u64) -> Dataset {
     .generate()
 }
 
+/// Every lossless codec, on both horizontal trainers, grows QD1's dense
+/// ensemble. (The name is older than the one-thread-per-worker rule: the
+/// threads are the W = 3 worker threads the codecs cross between.)
 #[test]
 fn lossless_codecs_are_bit_identical_across_threads() {
     let ds = sparse_dataset(4001);
     let cluster = Cluster::new(3);
-    let reference = qd1::train(&cluster, &ds, &config(2, 1, WireCodec::Dense)).model;
+    let reference = qd1::train(&cluster, &ds, &config(2, WireCodec::Dense)).model;
     for codec in [WireCodec::Dense, WireCodec::Auto] {
-        for threads in [1, 4] {
-            let cfg = config(2, threads, codec);
-            let q1 = qd1::train(&cluster, &ds, &cfg).model;
-            let q2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
-            assert_eq!(reference, q1, "qd1 wire={codec} threads={threads}");
-            assert_eq!(reference, q2, "qd2 wire={codec} threads={threads}");
-        }
+        let cfg = config(2, codec);
+        let q1 = qd1::train(&cluster, &ds, &cfg).model;
+        let q2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
+        assert_eq!(reference, q1, "qd1 wire={codec}");
+        assert_eq!(reference, q2, "qd2 wire={codec}");
     }
 }
 
@@ -61,8 +61,8 @@ fn lossless_codecs_are_bit_identical_across_threads() {
 fn auto_codec_compresses_sparse_aggregation_at_least_2x() {
     let ds = sparse_dataset(4003);
     let cluster = Cluster::new(2);
-    let dense = qd2::train(&cluster, &ds, &config(2, 1, WireCodec::Dense), Aggregation::AllReduce);
-    let auto = qd2::train(&cluster, &ds, &config(2, 1, WireCodec::Auto), Aggregation::AllReduce);
+    let dense = qd2::train(&cluster, &ds, &config(2, WireCodec::Dense), Aggregation::AllReduce);
+    let auto = qd2::train(&cluster, &ds, &config(2, WireCodec::Auto), Aggregation::AllReduce);
 
     // Same logical traffic, bit-identical ensemble.
     assert_eq!(dense.model, auto.model, "auto must stay lossless");
@@ -104,12 +104,12 @@ fn f32_codec_is_rank_consistent_and_cheaper() {
     // deterministic and strictly cheaper on the wire.
     let ds = sparse_dataset(4007);
     let cluster = Cluster::new(3);
-    let cfg = config(2, 1, WireCodec::F32);
+    let cfg = config(2, WireCodec::F32);
     let a = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce);
     let b = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce);
     assert_eq!(a.model, b.model, "f32 codec must still be run-to-run deterministic");
 
-    let dense = qd2::train(&cluster, &ds, &config(2, 1, WireCodec::Dense), Aggregation::AllReduce);
+    let dense = qd2::train(&cluster, &ds, &config(2, WireCodec::Dense), Aggregation::AllReduce);
     assert!(
         a.stats.total_wire_f64_bytes() < dense.stats.total_wire_f64_bytes() / 2,
         "f32 + sparsity should beat half of dense: {} vs {}",
@@ -127,7 +127,7 @@ fn vertical_trainers_are_codec_invariant() {
     let cluster = Cluster::new(2);
     let mut models: Vec<(WireCodec, GbdtModel)> = Vec::new();
     for codec in WireCodec::ALL {
-        let r = qd4::train(&cluster, &ds, &config(2, 1, codec));
+        let r = qd4::train(&cluster, &ds, &config(2, codec));
         assert_eq!(r.stats.total_wire_f64_bytes(), 0, "qd4 has no histogram wire traffic");
         models.push((codec, r.model));
     }
