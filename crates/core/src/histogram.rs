@@ -389,7 +389,7 @@ impl HistogramPool {
     /// empty) for use as a chunk partial. Scratch buffers are transient and
     /// do **not** count toward the live/peak accounting, which tracks only
     /// per-node histograms as §3.1.2 defines.
-    pub fn take_scratch(&mut self) -> NodeHistogram {
+    fn take_scratch(&mut self) -> NodeHistogram {
         match self.free.pop() {
             Some(mut h) => {
                 h.zero();
@@ -400,7 +400,7 @@ impl HistogramPool {
     }
 
     /// Returns a scratch histogram to the free list for reuse.
-    pub fn return_scratch(&mut self, hist: NodeHistogram) {
+    fn return_scratch(&mut self, hist: NodeHistogram) {
         debug_assert_eq!(hist.n_features, self.n_features, "scratch shape mismatch");
         self.free.push(hist);
     }

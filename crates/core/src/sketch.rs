@@ -88,6 +88,16 @@ impl QuantileSketch {
         self.n
     }
 
+    /// Σ len·2^h over the levels: the total weight `quantile` and
+    /// `candidate_splits` sum. `None` when it does not fit a `u64`, which
+    /// only a peer's hostile sketch (or a merge with one) can reach.
+    pub fn weight(&self) -> Option<u64> {
+        self.levels.iter().enumerate().try_fold(0u64, |total, (h, level)| {
+            let w = if level.is_empty() { 0 } else { 1u64.checked_shl(h as u32)? };
+            total.checked_add((level.len() as u64).checked_mul(w)?)
+        })
+    }
+
     /// True when no values have been observed.
     pub fn is_empty(&self) -> bool {
         self.n == 0
@@ -270,14 +280,11 @@ impl QuantileSketch {
             return None;
         }
         let mut levels = Vec::with_capacity(n_levels.max(1));
-        // Σ len·2^h, the weight `quantile` sums, must fit a u64.
-        let mut total = 0u64;
-        for h in 0..n_levels {
+        for _ in 0..n_levels {
             let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
             if len > capacity {
                 return None;
             }
-            total = total.checked_add((len as u64).checked_mul(1 << h)?)?;
             let mut level = Vec::with_capacity(len.min(bytes.len() / 4));
             for _ in 0..len {
                 level.push(f32::from_le_bytes(take(4)?.try_into().ok()?));
@@ -290,7 +297,9 @@ impl QuantileSketch {
         if pos != bytes.len() {
             return None;
         }
-        Some(QuantileSketch { capacity, levels, n, min, max, flip })
+        let sketch = QuantileSketch { capacity, levels, n, min, max, flip };
+        sketch.weight()?;
+        Some(sketch)
     }
 
     /// Bytes the sketch occupies on the wire.

@@ -166,8 +166,10 @@ fn encode_sketch_batches(local: &[QuantileSketch], rank: usize, w: usize) -> Vec
 /// Merges one peer's batch of 〈feature, length, sketch〉 records into the
 /// sketches of the features this worker merges (`f mod W = rank`).
 /// Anything else, a sketch [`QuantileSketch::decode_bytes`] rejects (a
-/// level over its capacity or a total weight past `u64` included), or a
-/// count that would overflow the merged count, is [`CommError::Malformed`].
+/// level over its capacity or a total weight past `u64` included), a count
+/// that would overflow the merged count, or a merge whose total weight
+/// ([`QuantileSketch::weight`]) would not fit a `u64` is
+/// [`CommError::Malformed`].
 fn merge_sketch_batch(
     merged: &mut [QuantileSketch],
     mut batch: Bytes,
@@ -192,6 +194,9 @@ fn merge_sketch_batch(
             return Err(malformed);
         }
         merged[f].merge(&sketch);
+        if merged[f].weight().is_none() {
+            return Err(malformed);
+        }
     }
     Ok(())
 }
@@ -821,6 +826,31 @@ mod tests {
         };
         assert_eq!(merge_count(u64::MAX - 20), Ok(()));
         assert_eq!(merge_count(u64::MAX - 19), Err(CommError::Malformed { from: 0 }));
+    }
+
+    #[test]
+    fn malformed_sketch_weights_that_overflow_on_merge_are_rejected_not_panicked_on() {
+        // Rank 0 of W = 2 sends rank 1 a sketch of feature 1 with one item
+        // on each of levels `lowest..=top`; rank 1's own sketch of it
+        // already holds 20 values. Alone, levels 0–63 weigh 2^64 − 1 and
+        // decode; merged, they overflow the weight `candidate_splits` sums.
+        let (d, w) = (2, 2);
+        let merge_levels = |top: u32| {
+            let mut bytes = [&8u32.to_le_bytes()[..], &1u64.to_le_bytes()].concat();
+            bytes.extend([0f32, 1f32].iter().flat_map(|v| v.to_le_bytes()));
+            bytes.push(0);
+            bytes.extend((top + 1).to_le_bytes());
+            for _ in 0..=top {
+                bytes.extend(1u32.to_le_bytes().into_iter().chain(0.5f32.to_le_bytes()));
+            }
+            assert!(QuantileSketch::decode_bytes(&bytes).is_some());
+            let batch = [words(&[1, bytes.len() as u32]), bytes].concat();
+            let mut merged = sketches(d);
+            merge_sketch_batch(&mut merged, Bytes::from(batch), 1, w, 0).map(|()| merged)
+        };
+        let merged = merge_levels(61).expect("2^62 − 1 + 20 fits");
+        assert_eq!(merged[1].candidate_splits(20).last(), Some(&38.0));
+        assert_eq!(merge_levels(63).err(), Some(CommError::Malformed { from: 0 }));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! pinned here — `TrainConfig::{storage, kernel}` are perf-only by
 //! construction, and this test is the proof. (Per-trainer `u16` cells are
 //! `storage_determinism::distributed_trainers_are_storage_invariant`'s.)
+//!
+//! The multi-chunk pins train on 6 000 rows, so every root spans two
+//! 4 096-row histogram chunks: they fix the order in which row-store
+//! builds merge chunk partials (DESIGN.md item 6), which the 600-row set
+//! never reaches.
 
 use gbdt_cluster::Cluster;
 use gbdt_core::{Kernel, Objective, Storage, TrainConfig};
@@ -142,9 +147,7 @@ const FP_YGG: u64 = 0xe2aa_7b22_b437_c55e;
 const FP_FEATPAR: u64 = 0x6fa4_55f6_cf12_84e1;
 const FP_VERO: u64 = 0xe2aa_7b22_b437_c55e;
 
-/// 6 000 rows × 70 features: every root spans two 4 096-row histogram
-/// chunks, so these pins fix the chunk-partial summation order that the
-/// 600-row set above never reaches.
+/// 6 000 rows × 70 features, density 0.3 (module docs).
 fn multi_chunk_dataset(classes: usize, seed: u64) -> Dataset {
     SyntheticConfig {
         n_instances: 6_000,
@@ -179,14 +182,15 @@ fn multi_chunk_ensembles_are_pinned() {
 
     let ds = multi_chunk_dataset(4, 2017);
     let cluster = Cluster::new(2);
-    for (system, expected) in [(System::DimBoostLike, FP_MC_DIMBOOST_C4), (System::Vero, FP_MC_VERO_C4)] {
+    let pins = [(System::DimBoostLike, FP_MC_DIMBOOST_C4), (System::Vero, FP_MC_VERO_C4)];
+    for (system, expected) in pins {
         let r = system.run(&cluster, &ds, &multi_chunk_config(4));
         check(system.name(), &r.model.predict_dataset_raw(&ds), expected);
     }
 }
 
-// Captured while `TrainConfig::threads` still existed, at one thread (its
-// `thread_determinism` suite held threads = 4 to the same bits).
+// Captured before the intra-worker thread paths were deleted, at one
+// thread; four threads trained the same bits then.
 const FP_MC_SINGLE: u64 = 0x8cd4_0c05_d2bf_de53;
 /// In `System::ALL` order, W = 3.
 const FP_MC_BINARY_W3: [u64; 8] = [
