@@ -88,7 +88,7 @@ impl Storage {
     /// All policies, in display order.
     pub const ALL: [Storage; 3] = [Storage::Auto, Storage::Sparse, Storage::Dense];
 
-    /// Short label for reports and CLI echo.
+    /// Short label for reports and test tags.
     pub fn label(self) -> &'static str {
         match self {
             Storage::Auto => "auto",
@@ -153,7 +153,7 @@ impl Kernel {
     /// All kernels, in display order.
     pub const ALL: [Kernel; 2] = [Kernel::Simd, Kernel::Scalar];
 
-    /// Short label for reports and CLI echo.
+    /// Short label for reports and test tags.
     pub fn label(self) -> &'static str {
         match self {
             Kernel::Simd => "simd",

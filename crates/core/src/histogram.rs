@@ -589,8 +589,9 @@ mod tests {
             // irrational-ish magnitudes so reorderings would change bits.
             let f = (i as usize * 7) % d;
             let b = ((i as usize * 13) % q) as u16;
-            let g: Vec<f64> = (0..c).map(|k| ((i as f64) + k as f64) * 0.3183098123456789).collect();
-            let h: Vec<f64> = (0..c).map(|k| ((i as f64) - k as f64) * 0.6366197987654321).collect();
+            let x = i as f64;
+            let g: Vec<f64> = (0..c).map(|k| (x + k as f64) * 0.3183098123456789).collect();
+            let h: Vec<f64> = (0..c).map(|k| (x - k as f64) * 0.6366197987654321).collect();
             hist.add_instance(f as u32, b, &g, &h);
         }
     }

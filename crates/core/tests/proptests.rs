@@ -609,8 +609,9 @@ proptest! {
         ]);
         for storage in Storage::ALL {
             let oracle = storage.bin_store(cuts.apply(&sparse), cuts.max_bins());
-            prop_assert_eq!(&cuts.apply_store(&sparse, storage), &oracle, "{} sparse", storage.label());
-            prop_assert_eq!(&cuts.apply_store(&dense, storage), &oracle, "{} dense", storage.label());
+            let tag = storage.label();
+            prop_assert_eq!(&cuts.apply_store(&sparse, storage), &oracle, "{} sparse", tag);
+            prop_assert_eq!(&cuts.apply_store(&dense, storage), &oracle, "{} dense", tag);
         }
         prop_assert_eq!(cuts.apply(&dense), cuts.apply(&sparse));
         prop_assert_eq!(
