@@ -15,8 +15,9 @@
 //! construction, and this test is the proof. (Per-trainer `u16` cells are
 //! `storage_determinism::distributed_trainers_are_storage_invariant`'s.)
 //!
-//! The multi-chunk pins train on 6 000 rows, so every root spans two
-//! 4 096-row histogram chunks: they fix the order in which row-store
+//! The multi-chunk pins train on 6 000 rows, so wherever a worker's row
+//! store holds every row (`single`, Vero, feature-parallel) the root spans
+//! two 4 096-row histogram chunks: they fix the order in which row-store
 //! builds merge chunk partials (DESIGN.md item 6), which the 600-row set
 //! never reaches.
 
