@@ -1,17 +1,19 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5, §6, Appendices A–D).
 //!
-//! One binary per artifact (`fig10`, `fig11`, `table3`, `fig12`, `table5`,
-//! `table6`, `table7`, `table8`) plus `ablations`. Performance is measured
-//! by the stand-alone `benchmark/` package, not here. Shared machinery:
+//! One binary, `reproduce`, runs any subset of the experiment table
+//! [`experiments::EXPERIMENTS`] (`table1`, `fig10`, `table2`, `fig11`,
+//! `table3`, `fig12`, `table5`–`table8`, `ablations`). Performance is
+//! measured by the stand-alone `benchmark/` package, not here. Modules:
 //!
-//! * [`args`] — a tiny flag parser (`--scale`, `--workers`, `--trees`, …).
+//! * [`args`] — the command line: experiment names, `--scale`, `--faults`.
 //! * [`datasets`] — scaled synthetic stand-ins for every paper dataset.
-//! * [`endtoend`] — run machinery shared by Figures 11–12 and Tables 3–4,
-//!   and the §5.3 line-up of `gbdt_quadrants::System`, the system table
-//!   every binary draws its rows from.
+//! * [`endtoend`] — one system's end-to-end run with its convergence
+//!   curve, and the §5.3 line-up of `gbdt_quadrants::System`.
+//! * [`experiments`] — the table: each experiment's shape, claim, output
+//!   file and run function, and the driver that builds every cluster.
 //! * [`output`] — aligned human tables + machine-readable JSONL rows under
-//!   `results/`.
+//!   `results/`, replaced only when an experiment finishes.
 //!
 //! Absolute numbers will differ from the paper (their 8×4-core cluster vs
 //! one process; real vs modelled links); the *shape* of each comparison is
@@ -20,4 +22,5 @@
 pub mod args;
 pub mod datasets;
 pub mod endtoend;
+pub mod experiments;
 pub mod output;
