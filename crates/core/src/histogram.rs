@@ -9,22 +9,18 @@
 //! so per-feature slices are contiguous for split finding and the whole
 //! buffer is contiguous for element-wise aggregation and subtraction.
 //!
-//! A row-store node spanning more than [`INSTANCE_CHUNK`] instances is
-//! built chunk by chunk ([`HistogramPool::build_chunked`]): each chunk fills
-//! a zeroed partial, and the partials merge into the node histogram in
-//! ascending chunk order. That bracketing, `((p₀+p₁)+p₂)+…`, is the f64
-//! summation order every pinned ensemble fingerprint depends on.
+//! Every gradient lies on one power-of-two grid
+//! ([`GradGrid`](crate::loss::GradGrid)), so every cell sum, merge and
+//! subtraction is exact: a node's histogram has the same bits whatever the
+//! order of its instances, however it is split into partials and in
+//! whichever order those merge, and whether it is built or derived from its
+//! parent.
 
 use crate::gradients::GradPair;
 use crate::split::NodeStats;
 use gbdt_data::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Instances per row-store histogram-build chunk. Fixed, so the chunk
-/// partials — and therefore every f64 sum — depend only on a node's
-/// instance list.
-pub const INSTANCE_CHUNK: usize = 4096;
 
 /// `Sizehist` — histogram bytes for one tree node (paper §3.1.1).
 pub const fn histogram_size_bytes(n_features: usize, n_bins: usize, n_outputs: usize) -> usize {
@@ -111,21 +107,7 @@ impl NodeHistogram {
     /// Element-wise sum with another histogram of identical shape
     /// (the aggregation step of horizontal partitioning, §2.2.1).
     pub fn merge_from(&mut self, other: &NodeHistogram) {
-        assert_eq!(self.data.len(), other.data.len(), "histogram shape mismatch");
-        // Equal flat length does not imply equal (D, B, C) factorization;
-        // merging a transposed shape would silently scramble bins.
-        debug_assert!(
-            self.n_features == other.n_features
-                && self.n_bins == other.n_bins
-                && self.n_outputs == other.n_outputs,
-            "histogram factor mismatch: ({}, {}, {}) vs ({}, {}, {})",
-            self.n_features,
-            self.n_bins,
-            self.n_outputs,
-            other.n_features,
-            other.n_bins,
-            other.n_outputs
-        );
+        self.assert_same_shape(other);
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
@@ -136,22 +118,18 @@ impl NodeHistogram {
     /// This is the **histogram subtraction technique** (§2.1.2): the sibling
     /// histogram equals parent minus the built child.
     pub fn subtract_from(&mut self, other: &NodeHistogram) {
-        assert_eq!(self.data.len(), other.data.len(), "histogram shape mismatch");
-        debug_assert!(
-            self.n_features == other.n_features
-                && self.n_bins == other.n_bins
-                && self.n_outputs == other.n_outputs,
-            "histogram factor mismatch: ({}, {}, {}) vs ({}, {}, {})",
-            self.n_features,
-            self.n_bins,
-            self.n_outputs,
-            other.n_features,
-            other.n_bins,
-            other.n_outputs
-        );
+        self.assert_same_shape(other);
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a -= b;
         }
+    }
+
+    /// Equal flat length does not imply equal (D, B, C) factorization; an
+    /// element-wise op on a transposed shape would silently scramble bins.
+    fn assert_same_shape(&self, other: &NodeHistogram) {
+        assert_eq!(self.data.len(), other.data.len(), "histogram shape mismatch");
+        let shape = |h: &NodeHistogram| (h.n_features, h.n_bins, h.n_outputs);
+        debug_assert_eq!(shape(self), shape(other), "histogram factor mismatch");
     }
 
     /// Per-class gradient sums over all bins of one feature — the gradient
@@ -361,50 +339,6 @@ impl HistogramPool {
         self.live.insert(sibling, parent_hist);
     }
 
-    /// Builds the histogram of `node` from its instance list, one
-    /// [`INSTANCE_CHUNK`] at a time (module docs). `fill` accumulates one
-    /// chunk of instances into a histogram. A node of one chunk fills its
-    /// zeroed histogram directly: that is exactly the one merged partial.
-    pub fn build_chunked(
-        &mut self,
-        node: u32,
-        instances: &[u32],
-        mut fill: impl FnMut(&mut NodeHistogram, &[u32]),
-    ) {
-        if instances.len() <= INSTANCE_CHUNK {
-            fill(self.acquire(node), instances);
-            return;
-        }
-        let mut scratch = self.take_scratch();
-        let hist = self.acquire(node);
-        for chunk in instances.chunks(INSTANCE_CHUNK) {
-            scratch.zero();
-            fill(&mut scratch, chunk);
-            hist.merge_from(&scratch);
-        }
-        self.return_scratch(scratch);
-    }
-
-    /// Takes a zeroed scratch histogram from the free list (allocating if
-    /// empty) for use as a chunk partial. Scratch buffers are transient and
-    /// do **not** count toward the live/peak accounting, which tracks only
-    /// per-node histograms as §3.1.2 defines.
-    fn take_scratch(&mut self) -> NodeHistogram {
-        match self.free.pop() {
-            Some(mut h) => {
-                h.zero();
-                h
-            }
-            None => NodeHistogram::new(self.n_features, self.n_bins, self.n_outputs),
-        }
-    }
-
-    /// Returns a scratch histogram to the free list for reuse.
-    fn return_scratch(&mut self, hist: NodeHistogram) {
-        debug_assert_eq!(hist.n_features, self.n_features, "scratch shape mismatch");
-        self.free.push(hist);
-    }
-
     /// Releases the histogram of `node` back to the free list.
     pub fn release(&mut self, node: u32) {
         if let Some(h) = self.live.remove(&node) {
@@ -568,55 +502,6 @@ mod tests {
         let mut pool = HistogramPool::new(1, 2, 1);
         pool.acquire(0);
         pool.acquire(0);
-    }
-
-    #[test]
-    fn scratch_buffers_recycle_without_accounting() {
-        let mut pool = HistogramPool::new(2, 3, 1);
-        let mut s = pool.take_scratch();
-        s.add(0, 0, 0, 1.0, 1.0);
-        assert_eq!(pool.current_bytes(), 0);
-        pool.return_scratch(s);
-        // Reuse zeroes the buffer.
-        let s2 = pool.take_scratch();
-        assert_eq!(s2.get(0, 0, 0), GradPair::default());
-        assert_eq!(pool.peak_bytes(), 0);
-    }
-
-    fn fill_chunk(hist: &mut NodeHistogram, chunk: &[u32], d: usize, q: usize, c: usize) {
-        for &i in chunk {
-            // Deterministic pseudo-data derived from the instance id, with
-            // irrational-ish magnitudes so reorderings would change bits.
-            let f = (i as usize * 7) % d;
-            let b = ((i as usize * 13) % q) as u16;
-            let x = i as f64;
-            let g: Vec<f64> = (0..c).map(|k| (x + k as f64) * 0.3183098123456789).collect();
-            let h: Vec<f64> = (0..c).map(|k| (x - k as f64) * 0.6366197987654321).collect();
-            hist.add_instance(f as u32, b, &g, &h);
-        }
-    }
-
-    #[test]
-    fn chunked_build_merges_partials_in_chunk_order() {
-        let (d, q, c) = (13, 8, 2);
-        for n in [100, INSTANCE_CHUNK, 3 * INSTANCE_CHUNK + 57] {
-            let instances: Vec<u32> = (0..n as u32).collect();
-            // The reference bracketing: a zeroed partial per chunk, merged
-            // in ascending chunk order (one chunk fills directly).
-            let mut expected = NodeHistogram::new(d, q, c);
-            if n <= INSTANCE_CHUNK {
-                fill_chunk(&mut expected, &instances, d, q, c);
-            } else {
-                for chunk in instances.chunks(INSTANCE_CHUNK) {
-                    let mut partial = NodeHistogram::new(d, q, c);
-                    fill_chunk(&mut partial, chunk, d, q, c);
-                    expected.merge_from(&partial);
-                }
-            }
-            let mut pool = HistogramPool::new(d, q, c);
-            pool.build_chunked(0, &instances, |h, chunk| fill_chunk(h, chunk, d, q, c));
-            assert_eq!(pool.get(0).unwrap().as_slice(), expected.as_slice(), "n = {n}");
-        }
     }
 
     #[test]

@@ -15,17 +15,13 @@
 //! present (`bin < n_bins`), missing (the all-ones sentinel), or corrupt
 //! (loud panic), and present lanes accumulate through unchecked indices
 //! whose bounds are proven by that same compare. Lanes are *features*, not
-//! instances: lane `j` of a group targets feature region `f + j`, regions
-//! are disjoint, and lanes are drained in ascending order, so there are no
-//! bin collisions inside a group and the f64 accumulation order is exactly
-//! the scalar kernel's. Multiclass rows pre-interleave the instance's
-//! `(g, h)` pairs once per row and add them as f64×4 lane groups per
-//! present cell. Every kernel therefore visits values in ascending feature
-//! order and skips missing cells — exactly the sparse pair order — so a
-//! histogram built from any (layout × kernel) combination is
-//! **bit-identical**, and all of them slot into
-//! [`HistogramPool::build_chunked`](crate::histogram::HistogramPool::build_chunked)
-//! as chunk fills without moving the pinned chunk-merge order.
+//! instances: lane `j` of a group targets feature region `f + j` and regions
+//! are disjoint, so there are no bin collisions inside a group. Multiclass
+//! rows pre-interleave the instance's `(g, h)` pairs once per row and add
+//! them as f64×4 lane groups per present cell. On grid-valued gradients
+//! ([`GradGrid`](crate::loss::GradGrid)) every order gives the same sums;
+//! lanes still drain in ascending feature order, the sparse pair order, so
+//! the kernels agree bit for bit on any floats (`kernel_equivalence`).
 
 use crate::config::Kernel;
 use crate::gradients::GradBuffer;
@@ -151,11 +147,9 @@ fn corrupt_cell_panic(at: usize, limit: usize) -> ! {
     panic!("corrupt dense pack: non-sentinel cell with bin >= {limit} in lane group at {at}");
 }
 
-/// Accumulates one chunk of instances into `hist` from whichever layout
-/// `store` holds. This is the chunk-fill body every row-scan trainer hands
-/// to [`HistogramPool::build_chunked`](crate::histogram::HistogramPool::build_chunked).
-/// `kernel` picks the dense fill implementation (SIMD lane groups vs the
-/// scalar reference); both produce bit-identical histograms, and the
+/// Accumulates the rows `chunk` into `hist` from whichever layout `store`
+/// holds. `kernel` picks the dense fill implementation (SIMD lane groups vs
+/// the scalar reference); both produce bit-identical histograms, and the
 /// sparse layout has a single (scalar) kernel.
 #[inline]
 pub fn fill_rows_chunk(

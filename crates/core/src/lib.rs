@@ -10,11 +10,11 @@
 //! * [`sketch`] — mergeable quantile sketch for candidate split proposal
 //!   (§2.1.2: "the most common approach … is using the quantile sketch").
 //! * [`binning`] — candidate splits per feature and value → bin mapping.
-//! * [`loss`] — second-order objectives: squared error, logistic, softmax.
+//! * [`loss`] — second-order objectives: squared error, logistic, softmax,
+//!   and the power-of-two grid that makes every gradient sum exact.
 //! * [`gradients`] — flat first-/second-order gradient buffers.
-//! * [`histogram`] — gradient histograms with element-wise merge, the
-//!   histogram **subtraction** technique (§2.1.2) and the chunked
-//!   row-store build.
+//! * [`histogram`] — gradient histograms with element-wise merge and the
+//!   histogram **subtraction** technique (§2.1.2).
 //! * [`split`] — split gain (Eq. 2), leaf weights (Eq. 1), missing-value
 //!   default direction.
 //! * [`tree`] / [`model`] — the decision tree and boosted ensemble.

@@ -39,6 +39,15 @@ impl GbdtModel {
         self.objective.n_outputs()
     }
 
+    /// A bound on every |raw score|: the largest |initial score| plus each
+    /// tree's largest |leaf|, added in tree order as scores are, so rounding
+    /// cannot take a score past it.
+    pub fn score_bound(&self) -> f64 {
+        let max_abs = |m: f64, v: &f64| m.max(v.abs());
+        let init = self.init_scores.iter().fold(0.0, max_abs);
+        self.trees.iter().fold(init, |b, t| b + t.leaf_values().flatten().fold(0.0, max_abs))
+    }
+
     /// Raw scores of one sparse row, summed over trees, into `out` (len C).
     pub fn predict_row_into(&self, feats: &[u32], vals: &[f32], out: &mut [f64]) {
         out.copy_from_slice(&self.init_scores);

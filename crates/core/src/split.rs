@@ -7,10 +7,17 @@
 //! are summed). Instances whose value for the split feature is missing are
 //! routed through a learned **default direction**, chosen as whichever side
 //! yields the higher gain.
+//!
+//! Histograms hold exact sums of grid-valued gradients
+//! ([`GradGrid`](crate::loss::GradGrid)), and so does every running sum a
+//! scan forms from them, so a candidate's child sums and gain are the same
+//! bits in every trainer; [`Split::better_than`] is a strict total order,
+//! so any fold order picks the same winner.
 
 use crate::histogram::NodeHistogram;
 use gbdt_data::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Regularization parameters of the gain computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,10 +159,9 @@ pub struct Split {
 }
 
 impl Split {
-    /// Deterministic preference order: larger gain wins; (near-)ties break
-    /// toward the smaller feature id, then the smaller bin, then default
-    /// left. Every trainer uses this single comparison, which is what makes
-    /// all quadrants grow identical trees on equivalent histograms.
+    /// The one preference order every trainer uses, strict and total: the
+    /// larger gain wins; equal gains go to the smaller feature id, then the
+    /// smaller bin, then default left (module docs).
     pub fn better_than(&self, other: &Split) -> bool {
         self.key().better_than(&other.key())
     }
@@ -265,35 +271,10 @@ struct SplitKey {
 }
 
 impl SplitKey {
-    /// Tolerance below which two gains are considered tied. Quadrants sum
-    /// the same per-instance gradients in different orders (horizontal
-    /// trainers reduce per-worker partials, vertical trainers sum whole
-    /// columns), so mathematically equal gains — e.g. two correlated
-    /// features inducing the identical partition — can differ by a few ulps
-    /// (observed ≲1e-13 relative). Treating near-equal gains as ties and
-    /// resolving them by the (feature, bin, default) key keeps every
-    /// trainer's choice identical despite that rounding noise; genuinely
-    /// distinct candidates differ by far more than this.
-    const GAIN_TIE_REL: f64 = 1e-9;
-    const GAIN_TIE_ABS: f64 = 1e-12;
-
-    fn gain_ties(&self, other: &SplitKey) -> bool {
-        let tol = Self::GAIN_TIE_ABS + Self::GAIN_TIE_REL * self.gain.abs().max(other.gain.abs());
-        (self.gain - other.gain).abs() <= tol
-    }
-
-    /// The order of [`Split::better_than`].
+    /// The order of [`Split::better_than`] (gains are never NaN).
     fn better_than(&self, other: &SplitKey) -> bool {
-        if !self.gain_ties(other) {
-            return self.gain > other.gain;
-        }
-        if self.feature != other.feature {
-            return self.feature < other.feature;
-        }
-        if self.bin != other.bin {
-            return self.bin < other.bin;
-        }
-        self.default_left && !other.default_left
+        let rank = |k: &SplitKey| (Reverse(k.feature), Reverse(k.bin), k.default_left);
+        self.gain > other.gain || (self.gain == other.gain && rank(self) > rank(other))
     }
 }
 
@@ -301,14 +282,11 @@ impl SplitKey {
 /// running sums over the histogram and allocate nothing; [`Self::split`]
 /// builds the one `Split` that wins.
 ///
-/// The float order is fixed, because every trainer must grow bit-identical
-/// trees from equal histograms (DESIGN.md item 17): the present mass sums
-/// all `n_bins()` histogram bins from 0.0, the left side is a running sum
-/// from 0.0, the right side is `present − left`, the missing mass
-/// `node − present` is added to the side the default direction sends it,
-/// and the gain is `0.5 · (score_L + score_R − score_node) − γ` with each
-/// score summed over classes in order. A candidate is kept only if its gain
-/// is `> 0.0` (so never NaN) and it beats the running best by
+/// The present mass sums all `n_bins()` bins, the left side is a running
+/// sum, the right side `present − left`, and the missing mass
+/// `node − present` joins the side the default direction names; the gain is
+/// `0.5 · (score_L + score_R − score_node) − γ`. A candidate is kept only
+/// if its gain is `> 0.0` (so never NaN) and it beats the running best by
 /// [`Split::better_than`].
 struct NodeScan<'a> {
     hist: &'a NodeHistogram,
@@ -448,8 +426,7 @@ impl<'a> NodeScan<'a> {
         best.map(|(f, key)| self.split(f, key))
     }
 
-    /// Materializes `key` on local `feature`: the child sums in the scan's
-    /// float order.
+    /// Materializes `key` on local `feature`: the child sums the scan saw.
     fn split(&self, feature: FeatureId, key: SplitKey) -> Split {
         let present = self.hist.feature_totals(feature);
         let missing = self.node.sub(&present);
@@ -618,6 +595,12 @@ mod tests {
         assert!(a.better_than(&b));
         b.bin = 0;
         assert!(!a.better_than(&b)); // identical: first wins via map_or(false)
+
+        // Any larger gain wins, however small the margin: no tolerance, so
+        // the order is transitive and the fold order cannot matter.
+        b.feature = 9;
+        b.gain = f64::from_bits(a.gain.to_bits() + 1);
+        assert!(b.better_than(&a) && !a.better_than(&b));
     }
 
     #[test]

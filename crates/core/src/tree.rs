@@ -149,12 +149,17 @@ impl Tree {
         self.nodes.iter().filter(|n| n.is_some()).count()
     }
 
+    /// The values of every leaf, in node-id order.
+    pub fn leaf_values(&self) -> impl Iterator<Item = &[f64]> {
+        self.nodes.iter().filter_map(|n| match n {
+            Some(TreeNode { kind: NodeKind::Leaf { values } }) => Some(values.as_slice()),
+            _ => None,
+        })
+    }
+
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Some(TreeNode { kind: NodeKind::Leaf { .. } })))
-            .count()
+        self.leaf_values().count()
     }
 
     /// Walks the tree with a per-feature value lookup returning `None` for

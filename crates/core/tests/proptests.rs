@@ -1,12 +1,16 @@
 //! Property-based tests of the GBDT core invariants.
 
 use gbdt_core::histogram::NodeHistogram;
+use gbdt_core::kernels::fill_rows_chunk;
+use gbdt_core::loss::GradGrid;
 use gbdt_core::split::{
     best_split, best_split_for_feature, best_split_in_range, NodeStats, Split, SplitParams,
 };
 use gbdt_core::tree::{LookupResult, Tree};
-use gbdt_core::{BinCuts, QuantileSketch};
-use gbdt_data::{BinId, FeatureId};
+use gbdt_core::{BinCuts, GradBuffer, Kernel, QuantileSketch};
+use gbdt_data::binned::BinnedRowsBuilder;
+use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
+use gbdt_data::{BinId, BinnedRows, BinnedStore, FeatureId};
 use proptest::prelude::*;
 
 /// The allocating split scan the running-sum scan replaced, kept as the
@@ -406,6 +410,32 @@ proptest! {
     }
 }
 
+/// Every row-store layout and fill kernel: the sparse pair walk, and dense
+/// `u8` and `u16` cells under each kernel.
+fn every_store_and_kernel(rows: &BinnedRows, q: usize) -> Vec<(BinnedStore, Kernel)> {
+    let mut out = vec![(BinnedStore::Sparse(rows.clone()), Kernel::Scalar)];
+    for width in [BinWidth::U8, BinWidth::U16] {
+        for kernel in Kernel::ALL {
+            let dense = DenseBinnedRows::from_sparse_with_width(rows, q, width);
+            out.push((BinnedStore::Dense(dense), kernel));
+        }
+    }
+    out
+}
+
+/// `items` in a seeded Fisher–Yates order.
+fn shuffled<T: Clone>(items: &[T], state: &mut u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+fn hist_bits(hist: &NodeHistogram) -> Vec<u64> {
+    hist.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// Deterministic splitmix64 step, for growing arbitrary-shape trees from a
 /// proptest-chosen seed without a strategy for recursive structures.
 fn splitmix(state: &mut u64) -> u64 {
@@ -488,6 +518,67 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// On grid-valued gradients a node histogram has one set of bits under
+    /// every storage × kernel, however it is made: filled from any
+    /// permutation of its instances, from any number of partials merged in
+    /// any order, or derived by subtracting its sibling from its parent.
+    /// (D = 19 leaves a remainder after both lane widths.)
+    #[test]
+    fn grid_histograms_are_order_free(
+        cells in prop::collection::vec(prop::collection::vec(prop::option::of(0u16..13), 19), 1..41),
+        c in 1usize..4,
+        parts in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let (d, q, n) = (19, 13, cells.len());
+        let mut builder = BinnedRowsBuilder::new(d);
+        for row in &cells {
+            let entries: Vec<(u32, u16)> = row
+                .iter()
+                .enumerate()
+                .filter_map(|(j, bin)| bin.map(|b| (j as u32, b)))
+                .collect();
+            builder.push_row(&entries).unwrap();
+        }
+        let rows = builder.build();
+        let mut state = seed;
+        let grid = GradGrid::new(n, 1.0);
+        let mut grads = GradBuffer::new(n, c);
+        for i in 0..n {
+            for k in 0..c {
+                let (g, h) = (unit_f64(&mut state), unit_f64(&mut state).abs() / 2.0);
+                grads.set(i, k, grid.round(g), grid.hessian(h));
+            }
+        }
+        let all: Vec<u32> = (0..n as u32).collect();
+        let (node, sibling): (Vec<u32>, Vec<u32>) =
+            all.iter().partition(|_| splitmix(&mut state).is_multiple_of(2));
+        let fill = |store: &BinnedStore, kernel: Kernel, instances: &[u32]| {
+            let mut hist = NodeHistogram::new(d, q, c);
+            fill_rows_chunk(&mut hist, instances, store, &grads, kernel);
+            hist
+        };
+        let want = hist_bits(&fill(&BinnedStore::Sparse(rows.clone()), Kernel::Scalar, &node));
+        for (store, kernel) in every_store_and_kernel(&rows, q) {
+            let tag = format!("{}/{}", if matches!(store, BinnedStore::Sparse(_)) { "sparse" } else { "dense" }, kernel.label());
+            let order = shuffled(&node, &mut state);
+            prop_assert!(hist_bits(&fill(&store, kernel, &order)) == want, "{} permuted", tag);
+
+            let cut = |k: usize| k * order.len() / parts;
+            let partials: Vec<NodeHistogram> =
+                (0..parts).map(|k| fill(&store, kernel, &order[cut(k)..cut(k + 1)])).collect();
+            let mut merged = NodeHistogram::new(d, q, c);
+            for k in shuffled(&(0..parts).collect::<Vec<_>>(), &mut state) {
+                merged.merge_from(&partials[k]);
+            }
+            prop_assert!(hist_bits(&merged) == want, "{} merged from {} partials", tag, parts);
+
+            let mut derived = fill(&store, kernel, &shuffled(&all, &mut state));
+            derived.subtract_from(&fill(&store, kernel, &shuffled(&sibling, &mut state)));
+            prop_assert!(hist_bits(&derived) == want, "{} derived from its parent", tag);
+        }
+    }
+
     /// First- and second-order gradients of every objective must match
     /// central finite differences of its mean loss.
     #[test]
@@ -542,6 +633,64 @@ proptest! {
                 "softmax grad class {}: {} vs {}", k, buf.get(0, k).grad, num
             );
         }
+    }
+
+    /// Every gradient and hessian lies on its grid: a whole number of grid
+    /// units, g never −0.0 (the sparse wire codec's absent-means-+0.0
+    /// argument needs that), and h at least one unit (so no node's H is 0,
+    /// even at λ = 0). Scores reach ±40, where the logistic hessian
+    /// underflows any grid, and sit within half a unit of their label,
+    /// where g rounds to zero from below.
+    #[test]
+    fn gradients_lie_on_the_grid(
+        obj_pick in 0u8..3,
+        rows in prop::collection::vec((-40.0f64..40.0, -50.0f32..50.0, 0u8..4), 1..200),
+    ) {
+        use gbdt_core::{GradBuffer, Objective};
+        let obj = match obj_pick {
+            0 => Objective::SquaredError,
+            1 => Objective::Logistic,
+            _ => Objective::Softmax { n_classes: 3 },
+        };
+        let c = obj.n_outputs();
+        let labels: Vec<f32> = rows
+            .iter()
+            .map(|&(_, y, k)| match obj {
+                Objective::SquaredError => y,
+                Objective::Logistic => f32::from(k % 2),
+                Objective::Softmax { .. } => f32::from(k % 3),
+            })
+            .collect();
+        let mut scores = Vec::with_capacity(rows.len() * c);
+        for (i, &(s, _, k)) in rows.iter().enumerate() {
+            for _ in 0..c {
+                scores.push(match k {
+                    0 if obj == Objective::SquaredError => {
+                        let y = f64::from(labels[i]);
+                        y - (y.abs() * f64::EPSILON).max(1e-300)
+                    }
+                    1 => s.signum() * 40.0,
+                    _ => s,
+                });
+            }
+        }
+        let score_bound = scores.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+        let grid = obj.grid(&labels, score_bound);
+        let mut buf = GradBuffer::new(rows.len(), c);
+        obj.compute_gradients_on(grid, &scores, &labels, &mut buf);
+        let on_grid = |v: f64| (v / grid.unit()).fract() == 0.0;
+        for i in 0..rows.len() {
+            for k in 0..c {
+                let p = buf.get(i, k);
+                prop_assert!(on_grid(p.grad) && on_grid(p.hess), "({}, {}) off the grid", p.grad, p.hess);
+                prop_assert!(p.grad.to_bits() != (-0.0f64).to_bits(), "g is -0.0");
+                prop_assert!(p.hess >= grid.unit(), "h {} below one unit", p.hess);
+            }
+        }
+        // The convenience entry point picks the same grid from the same bounds.
+        let mut same = GradBuffer::new(rows.len(), c);
+        obj.compute_gradients(&scores, &labels, &mut same);
+        prop_assert_eq!(same, buf);
     }
 
     /// AUC is invariant under strictly monotone score transforms.

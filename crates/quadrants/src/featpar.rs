@@ -50,7 +50,7 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
             n_rows: n,
             use_subtraction: true,
         };
-        grow::train_worker(ctx, policy, &dataset.labels, &cuts, config)
+        grow::train_worker(ctx, policy, &dataset.labels, &dataset.labels, &cuts, config)
     })
 }
 
@@ -131,7 +131,7 @@ mod tests {
         let pf = fp.model.predict_dataset_raw(&ds);
         let ps = single.predict_dataset_raw(&ds);
         for (a, b) in pf.iter().zip(&ps) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 

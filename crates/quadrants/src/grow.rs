@@ -104,11 +104,14 @@ pub(crate) trait Quadrant {
 
 /// Grows `config.n_trees` trees on one worker under policy `q`. The worker
 /// scores one instance per label: its row shard, or all N where every
-/// worker holds every row.
+/// worker holds every row. `all_labels` are the N labels of the dataset,
+/// fixed before training and equal on every rank: they size the gradient
+/// grid (a row-sharded worker is handed them as it is handed N).
 pub(crate) fn train_worker<Q: Quadrant>(
     ctx: &mut WorkerCtx,
     mut q: Q,
     labels: &[f32],
+    all_labels: &[f32],
     cuts: &BinCuts,
     config: &TrainConfig,
 ) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
@@ -138,7 +141,8 @@ pub(crate) fn train_worker<Q: Quadrant>(
     let start_tree = restore_tree_checkpoint(ctx, &mut progress);
     for t in start_tree..config.n_trees {
         ctx.time(Phase::Gradients, || {
-            objective.compute_gradients(&progress.scores, labels, &mut run.grads)
+            let grid = objective.grid(all_labels, progress.model.score_bound());
+            objective.compute_gradients_on(grid, &progress.scores, labels, &mut run.grads)
         });
         let mut tree = Tree::new(config.n_layers, c);
         let (root_stats, root_count) = Q::root(&mut q, ctx, &run)?;

@@ -38,7 +38,7 @@ pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> Dist
             pool: HistogramPool::new(columns.n_features(), config.n_bins, config.n_outputs()),
             columns,
         };
-        grow::train_worker(ctx, policy, &shard.labels, &cuts, config)
+        grow::train_worker(ctx, policy, &shard.labels, &dataset.labels, &cuts, config)
     })
 }
 
@@ -238,7 +238,7 @@ mod tests {
         let p1 = qd1.model.predict_dataset_raw(&ds);
         let p2 = qd2.model.predict_dataset_raw(&ds);
         for (a, b) in p1.iter().zip(&p2) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 

@@ -59,7 +59,7 @@ pub fn train(
                 })
                 .collect(),
         };
-        grow::train_worker(ctx, policy, &shard.labels, &cuts, config)
+        grow::train_worker(ctx, policy, &shard.labels, &dataset.labels, &cuts, config)
     })
 }
 
@@ -255,13 +255,14 @@ mod tests {
         let a = train(&cluster, &ds, &cfg, Aggregation::AllReduce);
         let b = train(&cluster, &ds, &cfg, Aggregation::ReduceScatter);
         let c = train(&cluster, &ds, &cfg, Aggregation::ParameterServer);
-        // Same global histograms (mod float summation order) -> same trees.
+        // Exact global histogram sums under every aggregation -> the same
+        // trees, bit for bit.
         let pa = a.model.predict_dataset_raw(&ds);
         let pb = b.model.predict_dataset_raw(&ds);
         let pc = c.model.predict_dataset_raw(&ds);
         for ((x, y), z) in pa.iter().zip(&pb).zip(&pc) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-            assert!((y - z).abs() < 1e-6, "{y} vs {z}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+            assert_eq!(y.to_bits(), z.to_bits(), "{y} vs {z}");
         }
     }
 

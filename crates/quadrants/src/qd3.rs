@@ -63,10 +63,9 @@ impl GroupStore for HybridColumns {
         let node_count = index.count(node);
         let hist = pool.acquire(node);
         let (c, stride) = (hist.n_outputs(), hist.feature_stride());
-        // Both paths visit the node's present values in ascending instance
-        // order (columns store instances ascending; node instance lists stay
-        // ascending across splits), so the cost-model choice never changes
-        // the accumulated bits — on either storage layout.
+        // Both paths add the node's present values, in whatever order; the
+        // sums are exact on the gradient grid, so the cost-model choice
+        // never changes the accumulated bits — on either storage layout.
         for (j, slice) in hist.as_mut_slice().chunks_mut(stride).enumerate() {
             let (cost_linear, cost_binary) = if columns.is_dense() {
                 // Dense: linear scan touches every cell; point lookups are O(1).
@@ -158,8 +157,8 @@ mod tests {
 
     #[test]
     fn matches_qd4_exactly_in_structure() {
-        // Same vertical partitioning, same histograms (column-store scans
-        // add the same values in instance order) -> same ensembles.
+        // Same vertical partitioning, same exact histogram sums -> the same
+        // ensemble, bit for bit.
         let ds = dataset(800, 14, 2, 137);
         let cfg = config(2, 5);
         let qd3 = train(&Cluster::new(3), &ds, &cfg);
@@ -167,7 +166,7 @@ mod tests {
         let p3 = qd3.model.predict_dataset_raw(&ds);
         let p4 = qd4.model.predict_dataset_raw(&ds);
         for (a, b) in p3.iter().zip(&p4) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 

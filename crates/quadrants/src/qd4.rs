@@ -85,9 +85,8 @@ pub fn train_with_options(
 /// node-to-instance index is the only index.
 impl GroupStore for BinnedStore {
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run) {
-        pool.build_chunked(node, index.instances(node), |hist, chunk| {
-            kernels::fill_rows_chunk(hist, chunk, self, &run.grads, run.config.kernel);
-        });
+        let hist = pool.acquire(node);
+        kernels::fill_rows_chunk(hist, index.instances(node), self, &run.grads, run.config.kernel);
     }
 
     #[inline]
@@ -171,7 +170,7 @@ mod tests {
         let p2 = qd2.model.predict_dataset_raw(&ds);
         let p4 = qd4.model.predict_dataset_raw(&ds);
         for (a, b) in p2.iter().zip(&p4) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 

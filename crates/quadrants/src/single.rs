@@ -49,7 +49,8 @@ pub fn train_prebinned(
     let mut pool = HistogramPool::new(d, config.n_bins, c);
 
     for _ in 0..config.n_trees {
-        objective.compute_gradients(&scores, labels, &mut grads);
+        let grid = objective.grid(labels, model.score_bound());
+        objective.compute_gradients_on(grid, &scores, labels, &mut grads);
         let mut tree = Tree::new(config.n_layers, c);
 
         // Root statistics.
@@ -83,8 +84,12 @@ pub fn train_prebinned(
 
             // Build histograms: root directly; deeper layers build the
             // smaller sibling and subtract for the other.
+            let build = |pool: &mut HistogramPool, node: u32| {
+                let (hist, rows) = (pool.acquire(node), index.instances(node));
+                kernels::fill_rows_chunk(hist, rows, binned, &grads, config.kernel);
+            };
             if layer == 0 {
-                build_histogram(&mut pool, 0, binned, &grads, &index, config.kernel);
+                build(&mut pool, 0);
             } else {
                 let mut k = 0;
                 while k < frontier.nodes.len() {
@@ -93,9 +98,9 @@ pub fn train_prebinned(
                     debug_assert_eq!(tree::sibling(left), right);
                     let build_left =
                         subtraction_plan(frontier.counts[&left], frontier.counts[&right]);
-                    let (build, derive) = if build_left { (left, right) } else { (right, left) };
-                    build_histogram(&mut pool, build, binned, &grads, &index, config.kernel);
-                    pool.subtract_sibling(tree::parent(left), build, derive);
+                    let (built, derive) = if build_left { (left, right) } else { (right, left) };
+                    build(&mut pool, built);
+                    pool.subtract_sibling(tree::parent(left), built, derive);
                     k += 2;
                 }
             }
@@ -157,19 +162,6 @@ pub fn train_prebinned(
         model.trees.push(tree);
     }
     model
-}
-
-fn build_histogram(
-    pool: &mut HistogramPool,
-    node: u32,
-    binned: &BinnedStore,
-    grads: &GradBuffer,
-    index: &NodeToInstanceIndex,
-    kernel: gbdt_core::Kernel,
-) {
-    pool.build_chunked(node, index.instances(node), |hist, chunk| {
-        kernels::fill_rows_chunk(hist, chunk, binned, grads, kernel);
-    });
 }
 
 #[cfg(test)]

@@ -254,7 +254,7 @@ pub(crate) fn train<S: GroupStore>(
             n_rows,
             use_subtraction,
         };
-        grow::train_worker(ctx, policy, &labels, &cuts, config)
+        grow::train_worker(ctx, policy, &labels, &dataset.labels, &cuts, config)
     })
 }
 

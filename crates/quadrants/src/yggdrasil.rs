@@ -124,7 +124,7 @@ mod tests {
         let py = ygg.model.predict_dataset_raw(&ds);
         let p4 = qd4.model.predict_dataset_raw(&ds);
         for (a, b) in py.iter().zip(&p4) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 }

@@ -127,7 +127,7 @@ fn single_worker_crash_recovers_bit_identically() {
     let pa = clean.model.predict_dataset_raw(&ds);
     let pb = reference.predict_dataset_raw(&ds);
     for (x, y) in pa.iter().zip(&pb) {
-        assert!((x - y).abs() < 1e-6, "cluster vs single diverged: {x} vs {y}");
+        assert_eq!(x.to_bits(), y.to_bits(), "cluster vs single diverged: {x} vs {y}");
     }
 }
 

@@ -15,11 +15,14 @@
 //! construction, and this test is the proof. (Per-trainer `u16` cells are
 //! `storage_determinism::distributed_trainers_are_storage_invariant`'s.)
 //!
-//! The multi-chunk pins train on 6 000 rows, so wherever a worker's row
-//! store holds every row (`single`, Vero, feature-parallel) the root spans
-//! two 4 096-row histogram chunks: they fix the order in which row-store
-//! builds merge chunk partials (DESIGN.md item 6), which the 600-row set
-//! never reaches.
+//! Gradients lie on one power-of-two grid (DESIGN.md item 6), so every
+//! histogram sum is exact and an ensemble depends only on the cuts it was
+//! binned with, not on how a system partitions, stores, orders, merges or
+//! codes its sums. The pins say so: one constant per set of cuts. At W
+//! workers every system sketch-merges the same cuts — except
+//! feature-parallel, which cuts its full replica exactly as `single` does,
+//! so it pins `single`'s value. The larger pins (6 000 rows × 70 features,
+//! W = 3, and C = 4) hold that collapse on deeper, wider histograms.
 
 use gbdt_cluster::Cluster;
 use gbdt_core::{Kernel, Objective, Storage, TrainConfig};
@@ -75,25 +78,29 @@ fn ensembles_are_bit_identical_to_pinned_fingerprints() {
     check("single", &reference.predict_dataset_raw(&ds), FP_SINGLE);
 
     let r = qd1::train(&cluster, &ds, &cfg);
-    check("qd1", &r.model.predict_dataset_raw(&ds), FP_QD1);
+    check("qd1", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce);
-    check("qd2/all-reduce", &r.model.predict_dataset_raw(&ds), FP_QD2_AR);
+    check("qd2/all-reduce", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter);
-    check("qd2/reduce-scatter", &r.model.predict_dataset_raw(&ds), FP_QD2_RS);
+    check("qd2/reduce-scatter", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = qd3::train(&cluster, &ds, &cfg);
-    check("qd3", &r.model.predict_dataset_raw(&ds), FP_QD3);
+    check("qd3", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = qd4::train(&cluster, &ds, &cfg);
-    check("qd4", &r.model.predict_dataset_raw(&ds), FP_QD4);
+    check("qd4", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = yggdrasil::train(&cluster, &ds, &cfg);
-    check("yggdrasil", &r.model.predict_dataset_raw(&ds), FP_YGG);
+    check("yggdrasil", &r.model.predict_dataset_raw(&ds), FP_W2);
 
     let r = featpar::train(&cluster, &ds, &cfg);
-    check("featpar", &r.model.predict_dataset_raw(&ds), FP_FEATPAR);
+    check("featpar", &r.model.predict_dataset_raw(&ds), FP_SINGLE);
+
+    let vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
+    let outcome = Vero::fit(&vcfg, &ds);
+    check("vero", &outcome.model.inner.predict_dataset_raw(&ds), FP_W2);
 }
 
 /// Every trainer × every forced storage layout × every fill kernel
@@ -111,45 +118,36 @@ fn fingerprints_hold_across_storage_and_kernel() {
             let r = single::train(&ds, &cfg);
             check(&tag("single"), &r.predict_dataset_raw(&ds), FP_SINGLE);
             let r = qd1::train(&cluster, &ds, &cfg);
-            check(&tag("qd1"), &r.model.predict_dataset_raw(&ds), FP_QD1);
+            check(&tag("qd1"), &r.model.predict_dataset_raw(&ds), FP_W2);
             let r = qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter);
-            check(&tag("qd2"), &r.model.predict_dataset_raw(&ds), FP_QD2_RS);
+            check(&tag("qd2"), &r.model.predict_dataset_raw(&ds), FP_W2);
             let r = qd3::train(&cluster, &ds, &cfg);
-            check(&tag("qd3"), &r.model.predict_dataset_raw(&ds), FP_QD3);
+            check(&tag("qd3"), &r.model.predict_dataset_raw(&ds), FP_W2);
             let r = qd4::train(&cluster, &ds, &cfg);
-            check(&tag("qd4"), &r.model.predict_dataset_raw(&ds), FP_QD4);
+            check(&tag("qd4"), &r.model.predict_dataset_raw(&ds), FP_W2);
             let r = yggdrasil::train(&cluster, &ds, &cfg);
-            check(&tag("yggdrasil"), &r.model.predict_dataset_raw(&ds), FP_YGG);
+            check(&tag("yggdrasil"), &r.model.predict_dataset_raw(&ds), FP_W2);
             let r = featpar::train(&cluster, &ds, &cfg);
-            check(&tag("featpar"), &r.model.predict_dataset_raw(&ds), FP_FEATPAR);
+            check(&tag("featpar"), &r.model.predict_dataset_raw(&ds), FP_SINGLE);
 
             let mut vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
             vcfg.train.storage = storage;
             vcfg.train.kernel = kernel;
             let outcome = Vero::fit(&vcfg, &ds);
-            check(&tag("vero"), &outcome.model.inner.predict_dataset_raw(&ds), FP_VERO);
+            check(&tag("vero"), &outcome.model.inner.predict_dataset_raw(&ds), FP_W2);
         }
     }
 }
 
-// Captured from the pre-BTreeMap-swap build (seed state of this PR); see
-// module docs. Regenerate only for a change that intentionally alters
-// trained ensembles, and say so in the commit. FP_VERO was captured when
-// the storage × kernel sweep landed (Vero's pipeline differs from bare
-// qd4: grouping + objective defaults), from the then-current scalar/sparse
-// build — the SIMD kernels had to match it, not the other way around.
-const FP_SINGLE: u64 = 0x6fa4_55f6_cf12_84e1;
-const FP_QD1: u64 = 0xd460_8c70_9d41_1ff4;
-const FP_QD2_AR: u64 = 0x8a0e_13d1_6225_cf18;
-const FP_QD2_RS: u64 = 0x8a0e_13d1_6225_cf18;
-const FP_QD3: u64 = 0xe2aa_7b22_b437_c55e;
-const FP_QD4: u64 = 0xe2aa_7b22_b437_c55e;
-const FP_YGG: u64 = 0xe2aa_7b22_b437_c55e;
-const FP_FEATPAR: u64 = 0x6fa4_55f6_cf12_84e1;
-const FP_VERO: u64 = 0xe2aa_7b22_b437_c55e;
+// Re-pinned when gradients moved onto the power-of-two grid; every
+// pin before that differed per system in the last bits (module docs).
+/// `single`, and feature-parallel at any W: cuts from the whole dataset.
+const FP_SINGLE: u64 = 0x22b5_4901_7b03_2847;
+/// Every other system and Vero at W = 2: the sketch-merged cuts.
+const FP_W2: u64 = 0x5714_e87f_db10_bd53;
 
 /// 6 000 rows × 70 features, density 0.3 (module docs).
-fn multi_chunk_dataset(classes: usize, seed: u64) -> Dataset {
+fn large_dataset(classes: usize, seed: u64) -> Dataset {
     SyntheticConfig {
         n_instances: 6_000,
         n_features: 70,
@@ -162,50 +160,46 @@ fn multi_chunk_dataset(classes: usize, seed: u64) -> Dataset {
     .generate()
 }
 
-fn multi_chunk_config(classes: usize) -> TrainConfig {
+fn large_config(classes: usize) -> TrainConfig {
     let objective =
         if classes > 2 { Objective::Softmax { n_classes: classes } } else { Objective::Logistic };
     TrainConfig::builder().n_trees(2).n_layers(4).objective(objective).build().unwrap()
 }
 
 #[test]
-fn multi_chunk_ensembles_are_pinned() {
-    let ds = multi_chunk_dataset(2, 2001);
-    let m = single::train(&ds, &multi_chunk_config(2));
-    check("single", &m.predict_dataset_raw(&ds), FP_MC_SINGLE);
+fn larger_ensembles_are_pinned() {
+    let ds = large_dataset(2, 2001);
+    let m = single::train(&ds, &large_config(2));
+    check("single", &m.predict_dataset_raw(&ds), FP_LARGE_SINGLE);
 
-    let ds = multi_chunk_dataset(2, 2003);
+    let ds = large_dataset(2, 2003);
     let cluster = Cluster::new(3);
-    for (system, expected) in System::ALL.into_iter().zip(FP_MC_BINARY_W3) {
-        let r = system.run(&cluster, &ds, &multi_chunk_config(2));
+    for system in System::ALL {
+        let expected = match system {
+            System::LightGbmFeatureParallel => FP_LARGE_W3_FEATPAR,
+            _ => FP_LARGE_W3,
+        };
+        let r = system.run(&cluster, &ds, &large_config(2));
         check(system.name(), &r.model.predict_dataset_raw(&ds), expected);
     }
+    let m = single::train(&ds, &large_config(2));
+    check("single (W = 3 data)", &m.predict_dataset_raw(&ds), FP_LARGE_W3_FEATPAR);
 
-    let ds = multi_chunk_dataset(4, 2017);
+    let ds = large_dataset(4, 2017);
     let cluster = Cluster::new(2);
-    let pins = [(System::DimBoostLike, FP_MC_DIMBOOST_C4), (System::Vero, FP_MC_VERO_C4)];
-    for (system, expected) in pins {
-        let r = system.run(&cluster, &ds, &multi_chunk_config(4));
-        check(system.name(), &r.model.predict_dataset_raw(&ds), expected);
+    for system in [System::DimBoostLike, System::Vero] {
+        let r = system.run(&cluster, &ds, &large_config(4));
+        check(system.name(), &r.model.predict_dataset_raw(&ds), FP_LARGE_C4);
     }
 }
 
-// Captured before the intra-worker thread paths were deleted, at one
-// thread; four threads trained the same bits then.
-const FP_MC_SINGLE: u64 = 0x8cd4_0c05_d2bf_de53;
-/// In `System::ALL` order, W = 3.
-const FP_MC_BINARY_W3: [u64; 8] = [
-    0xb8a0_311c_d5c8_50ff, // XGBoost
-    0x9501_8496_8fc3_2896, // LightGBM
-    0x9501_8496_8fc3_2896, // DimBoost
-    0x9501_8496_8fc3_2896, // QD2
-    0xba84_5849_4f54_20c7, // QD3
-    0x5889_092d_92c7_34f1, // Vero
-    0xba84_5849_4f54_20c7, // Yggdrasil
-    0x6366_e3d9_6a34_d48e, // LightGBM-FP
-];
-const FP_MC_DIMBOOST_C4: u64 = 0xd9c6_93a2_154e_cfd0;
-const FP_MC_VERO_C4: u64 = 0x2820_3f6f_07ee_decf;
+const FP_LARGE_SINGLE: u64 = 0xae91_dc6f_c4ce_75be;
+/// Every system but LightGBM-FP at W = 3.
+const FP_LARGE_W3: u64 = 0xeebc_e756_bf0c_237a;
+/// LightGBM-FP at W = 3, and `single`, on the same dataset.
+const FP_LARGE_W3_FEATPAR: u64 = 0x936c_c341_cc4a_c22d;
+/// DimBoost and Vero at C = 4, W = 2.
+const FP_LARGE_C4: u64 = 0xc00d_b1f3_ae0e_f323;
 
 /// Prints the current fingerprints (run with `--nocapture --ignored`).
 #[test]
@@ -216,28 +210,28 @@ fn print_fingerprints() {
     let cluster = Cluster::new(2);
     let fp = |p: &[f64]| fingerprint(p);
     println!("FP_SINGLE: {:#018x}", fp(&single::train(&ds, &cfg).predict_dataset_raw(&ds)));
-    println!("FP_QD1: {:#018x}", fp(&qd1::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
-    println!("FP_QD2_AR: {:#018x}", fp(&qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model.predict_dataset_raw(&ds)));
-    println!("FP_QD2_RS: {:#018x}", fp(&qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model.predict_dataset_raw(&ds)));
-    println!("FP_QD3: {:#018x}", fp(&qd3::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
-    println!("FP_QD4: {:#018x}", fp(&qd4::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
-    println!("FP_YGG: {:#018x}", fp(&yggdrasil::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
-    println!("FP_FEATPAR: {:#018x}", fp(&featpar::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 qd1: {:#018x}", fp(&qd1::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 qd2/all-reduce: {:#018x}", fp(&qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 qd2/reduce-scatter: {:#018x}", fp(&qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 qd3: {:#018x}", fp(&qd3::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 qd4: {:#018x}", fp(&qd4::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
+    println!("FP_W2 yggdrasil: {:#018x}", fp(&yggdrasil::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
+    println!("FP_SINGLE featpar: {:#018x}", fp(&featpar::train(&cluster, &ds, &cfg).model.predict_dataset_raw(&ds)));
     let vcfg = VeroConfig::builder().workers(2).n_trees(4).n_layers(4).build().unwrap();
-    println!("FP_VERO: {:#018x}", fp(&Vero::fit(&vcfg, &ds).model.inner.predict_dataset_raw(&ds)));
+    println!("FP_W2 vero: {:#018x}", fp(&Vero::fit(&vcfg, &ds).model.inner.predict_dataset_raw(&ds)));
 
-    let ds = multi_chunk_dataset(2, 2001);
-    println!("FP_MC_SINGLE: {:#018x}", fp(&single::train(&ds, &multi_chunk_config(2)).predict_dataset_raw(&ds)));
-    let ds = multi_chunk_dataset(2, 2003);
+    let ds = large_dataset(2, 2001);
+    println!("FP_LARGE_SINGLE: {:#018x}", fp(&single::train(&ds, &large_config(2)).predict_dataset_raw(&ds)));
+    let ds = large_dataset(2, 2003);
     let cluster = Cluster::new(3);
     for system in System::ALL {
-        let r = system.run(&cluster, &ds, &multi_chunk_config(2));
-        println!("FP_MC_BINARY_W3 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
+        let r = system.run(&cluster, &ds, &large_config(2));
+        println!("FP_LARGE_W3 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
     }
-    let ds = multi_chunk_dataset(4, 2017);
+    let ds = large_dataset(4, 2017);
     let cluster = Cluster::new(2);
     for system in [System::DimBoostLike, System::Vero] {
-        let r = system.run(&cluster, &ds, &multi_chunk_config(4));
-        println!("FP_MC C4 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
+        let r = system.run(&cluster, &ds, &large_config(4));
+        println!("FP_LARGE_C4 {}: {:#018x}", system.name(), fp(&r.model.predict_dataset_raw(&ds)));
     }
 }

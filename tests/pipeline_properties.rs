@@ -80,7 +80,7 @@ proptest! {
         let p2 = m2.predict_dataset_raw(&ds);
         let p4 = m4.predict_dataset_raw(&ds);
         for (a, b) in p2.iter().zip(&p4) {
-            prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
         }
     }
 }

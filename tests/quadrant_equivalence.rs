@@ -2,8 +2,10 @@
 //!
 //! All four quadrants (plus the Yggdrasil and feature-parallel variants)
 //! implement the same GBDT mathematics over the same binned data — they must
-//! grow the same ensembles, differing only in cost. These tests pin that
-//! property across worker counts, objectives, and shapes.
+//! grow the same ensembles, differing only in cost. Gradients lie on one
+//! power-of-two grid, so every histogram sum is exact and "the same" means
+//! bit for bit. These tests pin that property across worker counts,
+//! objectives, and shapes.
 
 use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig};
@@ -39,10 +41,7 @@ fn assert_same_predictions(ds: &Dataset, a: &gbdt_core::GbdtModel, b: &gbdt_core
     let pa = a.predict_dataset_raw(ds);
     let pb = b.predict_dataset_raw(ds);
     for (i, (x, y)) in pa.iter().zip(&pb).enumerate() {
-        assert!(
-            (x - y).abs() < 1e-6,
-            "{tag}: prediction {i} diverged: {x} vs {y}"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "{tag}: prediction {i} diverged: {x} vs {y}");
     }
 }
 
@@ -77,6 +76,32 @@ fn all_quadrants_agree_multiclass() {
 }
 
 #[test]
+fn regression_agrees_too() {
+    // Squared error sizes its gradient grid from max |label| and the
+    // model's score bound, so row-sharded and vertical workers must derive
+    // the same grid every tree.
+    let ds = dataset(800, 14, 0, 0.5, 1021);
+    let cfg = TrainConfig::builder()
+        .n_trees(6)
+        .n_layers(5)
+        .objective(Objective::SquaredError)
+        .build()
+        .unwrap();
+    let cluster = Cluster::new(3);
+    let m1 = qd1::train(&cluster, &ds, &cfg).model;
+    let m2 = qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter).model;
+    let m3 = qd3::train(&cluster, &ds, &cfg).model;
+    let m4 = qd4::train(&cluster, &ds, &cfg).model;
+    assert!(m4.trees.iter().all(|t| t.n_leaves() > 4), "regression trees must split");
+    assert_same_predictions(&ds, &m1, &m2, "qd1-vs-qd2rs");
+    assert_same_predictions(&ds, &m2, &m3, "qd2rs-vs-qd3");
+    assert_same_predictions(&ds, &m3, &m4, "qd3-vs-qd4");
+    let reference = gbdt_quadrants::single::train(&ds, &cfg);
+    let fp = featpar::train(&cluster, &ds, &cfg).model;
+    assert_same_predictions(&ds, &reference, &fp, "single-vs-featpar");
+}
+
+#[test]
 fn agreement_holds_across_worker_counts() {
     // For each W, the trainers agree among themselves (cuts depend on the
     // sketch merge tree, so cross-W comparisons are not expected).
@@ -93,11 +118,10 @@ fn agreement_holds_across_worker_counts() {
 #[test]
 fn qd4_without_subtraction_grows_the_same_trees_with_more_histograms() {
     // The ablation shares its "scan every node" schedule with QD1.
-    // Subtraction only re-associates the floats of the derived sibling, so
-    // the same splits must win (same feature, same bin, hence the same
-    // threshold) and predictions agree to rounding; without it both
-    // siblings are live beside their parents' generation, so the histogram
-    // peak cannot be smaller.
+    // Subtraction derives the sibling's exact sums, so the same splits win
+    // (same feature, same bin, hence the same threshold) and predictions
+    // agree bit for bit; without it both siblings are live beside their
+    // parents' generation, so the histogram peak cannot be smaller.
     let ds = dataset(900, 16, 2, 0.5, 1017);
     let cfg = config(2, 4, 5);
     let cluster = Cluster::new(3);

@@ -218,8 +218,10 @@ fn encoded_model_bytes_are_pinned() {
     );
 }
 
-// Captured when the byte codec landed (PR 7).
-const FP_ENCODED_SINGLE: u64 = 0x5c0c_342e_96ef_fbc4;
+// Captured when the byte codec landed; re-pinned once when gradients moved
+// onto the power-of-two grid, which changed the trained model, not the
+// format.
+const FP_ENCODED_SINGLE: u64 = 0xa4cf_6b8a_ce8b_5092;
 
 /// Prints the current codec fingerprint (run with `--nocapture --ignored`).
 #[test]

@@ -129,7 +129,7 @@ fn grouping_strategies_yield_equivalent_quality() {
     for m in &models[1..] {
         let p = m.inner.predict_dataset_raw(&ds);
         for (a, b) in reference.iter().zip(&p) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 }
