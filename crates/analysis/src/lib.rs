@@ -1,46 +1,37 @@
-//! `gbdt-analysis`: workspace lint + SPMD protocol checker.
+//! `gbdt-analysis`: the workspace lint.
 //!
 //! The reproduction's headline claims — quadrant equivalence, codec
-//! invariance, chaos-recovery bit-identity — all reduce to two invariants:
-//! *nothing nondeterministic reaches wire bytes or model output*, and
-//! *every rank executes the same collective schedule*. The runtime suites
-//! sample those properties; this crate checks them structurally, at the
-//! source level, on every CI run.
+//! invariance, chaos-recovery bit-identity — rest on *nothing
+//! nondeterministic reaching wire bytes or model output*. The runtime
+//! suites sample that property; this crate checks it structurally, at the
+//! source level, on every CI run: [`lexer`] (a minimal Rust tokenizer that
+//! is sound about strings, raw strings, char literals, nested block
+//! comments, and `#[cfg(test)]` stripping, and that harvests
+//! `// lint: allow(<rule>)` pragmas) and [`rules`] (the deny-by-default
+//! catalog [`rules::RULES`]: per-file rules, plus the serving plane's frame
+//! coverage and fault closure and the registry's dead tags, which compare
+//! files).
 //!
-//! Two passes over the same lexed sources:
-//! * **Lint** — [`lexer`] (a minimal Rust tokenizer that is sound about
-//!   strings, raw strings, char literals, nested block comments, and
-//!   `#[cfg(test)]` stripping, and that harvests `// lint: allow(<rule>)`
-//!   pragmas) and [`rules`] (the deny-by-default catalog
-//!   [`rules::RULES`], tag registry included).
-//! * **Model check** (`gbdt-lint --model-check`) — [`ir`]/[`extract`]
-//!   lower every protocol-bearing function to a typed op tree, [`mc`]
-//!   exhaustively simulates it for world sizes 1–4 (deadlock, collective
-//!   divergence, orphan sends, serve-plane frame coverage, fault-path
-//!   closure, dead registry tags). A collective under a rank branch is a
-//!   collective divergence: the simulator is the one place that check
-//!   lives.
+//! The SPMD protocol itself is checked on the code that runs, not here:
+//! training blocks only in `recv(from, tag)`, so one run decides deadlock
+//! (a receive timeout), divergence (a peer payload that does not fit, or a
+//! wrong number the bit-identity suites catch) and orphan sends
+//! (`gbdt_cluster::Cluster` fails a run that leaves a message unreceived).
+//! DESIGN.md item 15 has the argument.
+//! Wire-codec parity is the round-trip tests' (`serve::wire::tests`,
+//! `cluster`'s `wire_proptests`), and confining `unsafe` to
+//! `gbdt-core::kernels::simd` is rustc's (`unsafe_code = "deny"` in every
+//! manifest).
 //!
-//! The crate keeps only what no other check holds. Wire-codec parity is
-//! the round-trip tests' (`serve::wire::tests`, `cluster`'s
-//! `wire_proptests`), and confining `unsafe` to `gbdt-core::kernels::simd`
-//! is rustc's (`unsafe_code = "deny"` in every manifest).
-//!
-//! The `gbdt-lint` binary (and the `workspace_is_lint_clean` /
-//! `workspace_is_protocol_clean` tests) walk every product source file —
-//! `crates/*/src/**` and `examples/` — and fail on any diagnostic. Test
-//! code is exempt by construction: the lexer strips `#[cfg(test)]`
-//! items, and the workspace walk skips `tests/` directories, whose
-//! failure-path exercises are covered by the clippy `unwrap_used` gate
-//! instead.
+//! The `gbdt-lint` binary (and the `workspace_is_lint_clean` tests) walk
+//! every product source file — `crates/*/src/**` and `examples/` — and
+//! fail on any diagnostic. Test code is exempt by construction: the lexer
+//! strips `#[cfg(test)]` items, and the workspace walk skips `tests/`
+//! directories, whose failure-path exercises are covered by the clippy
+//! `unwrap_used` gate instead.
 
-pub mod extract;
-pub mod ir;
 pub mod lexer;
-pub mod mc;
 pub mod rules;
-
-pub use mc::{model_check_files, model_check_workspace, McOutcome};
 
 use std::fmt;
 use std::fs;
@@ -116,12 +107,26 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Lints one file's source text. `rel_path` must be workspace-relative with
-/// `/` separators — it selects which rules apply (see the scope functions
-/// in [`rules`]).
+/// Lints a file set: `(workspace-relative path with `/` separators,
+/// source)` pairs. The path selects which rules apply (see the scope
+/// functions in [`rules`]); the rules that compare files see exactly this
+/// set. Diagnostics come back sorted by path and position.
+pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let lexed: Vec<(String, lexer::Lexed)> =
+        files.iter().map(|(path, src)| (path.clone(), lexer::lex(src))).collect();
+    let mut diags = rules::check_files(&lexed);
+    for (path, lx) in &lexed {
+        diags.extend(rules::check_file(path, lx));
+    }
+    diags.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
+    diags
+}
+
+/// Lints one file's source text on its own (see [`lint_files`]).
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let lexed = lexer::lex(source);
-    rules::check_file(rel_path, &lexed)
+    lint_files(&[(rel_path.to_string(), source.to_string())])
 }
 
 /// A `//@ path: <workspace-relative path>` directive, as used by the
@@ -135,11 +140,11 @@ pub fn virtual_path(source: &str) -> Option<String> {
 }
 
 /// Splits a fixture into its virtual file set. Multi-file fixtures (the
-/// model-check suite needs a registry *and* its users, or a router *and*
-/// its replica) mark each section with `//@ file: <workspace-relative
-/// path>`; a fixture without such markers is a single file at its
-/// `//@ path:` (or `rel`). Header lines before the first marker are
-/// dropped.
+/// dead-tag check needs a registry *and* its users, the frame check a
+/// router *and* its replica) mark each section with `//@ file:
+/// <workspace-relative path>`; a fixture without such markers is a single
+/// file at its `//@ path:` (or `rel`). Header lines before the first
+/// marker are dropped.
 pub fn virtual_files(rel: &str, source: &str) -> Vec<(String, String)> {
     let mut sections: Vec<(String, String)> = Vec::new();
     for line in source.lines() {
@@ -162,14 +167,7 @@ pub fn virtual_files(rel: &str, source: &str) -> Vec<(String, String)> {
 
 /// Walks the workspace at `root` and lints every product source file.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    for (rel, src) in workspace_sources(root)? {
-        diags.extend(lint_source(&rel, &src));
-    }
-    diags.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col))
-    });
-    Ok(diags)
+    Ok(lint_files(&workspace_sources(root)?))
 }
 
 /// Collects `(workspace-relative path, source)` for every linted file:

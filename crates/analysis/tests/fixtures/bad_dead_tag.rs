@@ -1,7 +1,8 @@
-//@ expect: dead-tag
+//@ expect: tag-registry
 //@ file: crates/cluster/src/comm.rs
-//! A registry with a tag no extracted schedule ever touches: dead
-//! protocol surface that new code could collide with silently.
+//! A registry with a tag no file ever sends or receives: dead protocol
+//! surface that new code could collide with silently (the dead-tag arm of
+//! `tag-registry`, which compares the registry with its users).
 
 pub mod protocol {
     /// Exercised by the ring exchange below.

@@ -1,5 +1,5 @@
 //@ path: crates/serve/src/replica.rs
-//@ expect: mc-fault-closure
+//@ expect: serve-fault-closure
 //! A replica that models crashes but recovers carelessly: it neither
 //! purges frames buffered across the crash nor announces itself to the
 //! router with a RECOVER frame. Stale pre-crash frames replay into the

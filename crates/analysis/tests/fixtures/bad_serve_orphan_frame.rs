@@ -1,4 +1,4 @@
-//@ expect: mc-orphan-frame
+//@ expect: serve-orphan-frame
 //@ file: crates/serve/src/router.rs
 //! Router that emits a frame tag its replicas never listen for: the
 //! replica demux drops `SERVE_BOGUS_TAG` on the floor, so the route

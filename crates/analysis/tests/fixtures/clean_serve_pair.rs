@@ -1,6 +1,6 @@
 //@ file: crates/serve/src/router.rs
 //! A router/replica frame machine in full agreement: every tag either
-//! side emits is in the other side's listen set. The serve-plane checks
+//! side emits is in the other side's listen set. The serving-plane rules
 //! must stay quiet.
 
 impl Router {

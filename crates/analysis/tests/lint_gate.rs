@@ -1,6 +1,8 @@
 //! The lint gate: fixture self-tests, the workspace cleanliness invariant,
-//! and an injection test proving the gate actually catches the regression
-//! it claims to (unsorted hash drains).
+//! and injection tests proving the gate catches the regressions it claims
+//! to on the real sources (an unsorted hash drain in every trainer; a
+//! mistagged health reply, a recovery without `purge_pending` or without
+//! its RECOVER frame in the replica; a registry tag nobody uses).
 
 use gbdt_analysis::rules::TRAINER_FILES;
 use std::collections::BTreeSet;
@@ -20,32 +22,31 @@ fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// Parses the `//@ path:` / `//@ expect:` directives a fixture carries.
-fn directives(source: &str) -> (String, BTreeSet<String>) {
-    let mut path = None;
+/// Parses the `//@ expect:` directive a fixture carries. Where the fixture
+/// lives is its `//@ path:`, or one `//@ file:` per section of a
+/// multi-file fixture (see `gbdt_analysis::virtual_files`).
+fn expected_rules(source: &str) -> BTreeSet<String> {
     let mut expect = BTreeSet::new();
     for line in source.lines() {
-        let line = line.trim();
-        if let Some(p) = line.strip_prefix("//@ path:") {
-            path = Some(p.trim().to_string());
-        } else if let Some(e) = line.strip_prefix("//@ expect:") {
+        if let Some(e) = line.trim().strip_prefix("//@ expect:") {
             for rule in e.split(',') {
                 expect.insert(rule.trim().to_string());
             }
         }
     }
-    (path.expect("fixture must carry a //@ path: directive"), expect)
+    expect
+}
+
+fn rules_of(diags: Vec<gbdt_analysis::Diagnostic>) -> BTreeSet<String> {
+    diags.into_iter().map(|d| d.rule.to_string()).collect()
 }
 
 fn fired_rules(path: &str, source: &str) -> BTreeSet<String> {
-    gbdt_analysis::lint_source(path, source)
-        .into_iter()
-        .map(|d| d.rule.to_string())
-        .collect()
+    rules_of(gbdt_analysis::lint_source(path, source))
 }
 
 /// Every `bad_*.rs` fixture fires exactly the rule set it declares, and the
-/// clean fixture fires nothing — under the strictest (trainer) scope.
+/// clean fixtures fire nothing — each under the scope it names.
 #[test]
 fn fixtures_fire_exactly_their_declared_rules() {
     let dir = fixtures_dir();
@@ -63,23 +64,22 @@ fn fixtures_fire_exactly_their_declared_rules() {
     for fixture in entries {
         let name = fixture.file_name().unwrap().to_string_lossy().to_string();
         let source = fs::read_to_string(&fixture).expect("fixture is readable");
-        let (virtual_path, expect) = directives(&source);
-        let fired = fired_rules(&virtual_path, &source);
+        let expect = expected_rules(&source);
+        let files = gbdt_analysis::virtual_files(&name, &source);
+        assert!(
+            files.iter().all(|(path, _)| path.starts_with("crates/")),
+            "{name}: every section needs a //@ path: or //@ file: directive"
+        );
+        let fired = rules_of(gbdt_analysis::lint_files(&files));
         if name.starts_with("bad_") {
             seen_bad += 1;
             assert!(!expect.is_empty(), "{name}: bad fixture must declare //@ expect:");
-            assert_eq!(
-                fired, expect,
-                "{name} (as {virtual_path}): fired {fired:?}, expected {expect:?}"
-            );
+            assert_eq!(fired, expect, "{name}: fired {fired:?}, expected {expect:?}");
             covered.extend(expect);
         } else {
             seen_clean += 1;
             assert!(expect.is_empty(), "{name}: clean fixture must not declare //@ expect:");
-            assert!(
-                fired.is_empty(),
-                "{name} (as {virtual_path}): clean fixture fired {fired:?}"
-            );
+            assert!(fired.is_empty(), "{name}: clean fixture fired {fired:?}");
         }
     }
     // At least one bad fixture per rule in the catalog (a rule may have
@@ -127,8 +127,9 @@ fn workspace_walk_covers_product_sources() {
 }
 
 /// Acceptance check: injecting an unsorted `HashMap` drain into a real
-/// trainer makes the gate fail. (A rank-conditional collective injected
-/// the same way is `model_check_gate`'s business.)
+/// trainer makes the gate fail. (A rank-conditional collective is not a
+/// lint finding: it fails `quadrant_equivalence` and `Cluster`'s
+/// end-of-run message check on the code that runs.)
 #[test]
 fn injected_hashmap_drain_fails_the_gate() {
     let root = workspace_root();
@@ -189,4 +190,50 @@ fn rules_respect_path_scopes() {
         let fired = fired_rules(serve_path, src);
         assert!(fired.contains("wall-clock"), "{serve_path}: {fired:?}");
     }
+}
+
+/// The workspace file set with one file's source rewritten by `mutate`.
+fn mutated_workspace(rel: &str, mutate: impl Fn(&str) -> String) -> Vec<(String, String)> {
+    let mut files = gbdt_analysis::workspace_sources(&workspace_root()).expect("workspace walk");
+    let slot = files
+        .iter_mut()
+        .find(|(p, _)| p == rel)
+        .unwrap_or_else(|| panic!("{rel} not in workspace walk"));
+    let mutated = mutate(&slot.1);
+    assert_ne!(mutated, slot.1, "mutation of {rel} must change the source");
+    slot.1 = mutated;
+    files
+}
+
+fn rules_at(files: &[(String, String)], rel: &str) -> BTreeSet<String> {
+    rules_of(gbdt_analysis::lint_files(files).into_iter().filter(|d| d.path == rel).collect())
+}
+
+/// Acceptance check: the serving plane's bugs that no serving suite notices
+/// are caught on the real sources. A health reply sent as a PING is a frame
+/// the router never accepts; a recovery that keeps pre-crash frames, or
+/// never announces itself, leaves the fault path open. (A recovery without
+/// its RECOVER frame also fails `serve_chaos` and `serve_hotswap`.)
+#[test]
+fn injected_serving_bugs_fail_the_gate() {
+    let replica = "crates/serve/src/replica.rs";
+    let fired = |mutate: fn(&str) -> String| rules_at(&mutated_workspace(replica, mutate), replica);
+    let ping = fired(|s| s.replace("SERVE_HEALTH_PONG_TAG, Bytes", "SERVE_HEALTH_PING_TAG, Bytes"));
+    assert!(ping.contains("serve-orphan-frame"), "PONG sent as PING not caught: {ping:?}");
+    let no_purge = fired(|s| s.replace("comm.purge_pending();", ""));
+    assert!(no_purge.contains("serve-fault-closure"), "no purge_pending not caught: {no_purge:?}");
+    let no_recover =
+        fired(|s| s.replace("SERVE_RECOVER_TAG, Bytes::new()", "SERVE_ACK_TAG, Bytes::new()"));
+    assert!(no_recover.contains("serve-fault-closure"), "no RECOVER not caught: {no_recover:?}");
+}
+
+/// Acceptance check: a registry tag whose only sender and receiver stop
+/// using it is dead surface, reported at the registry.
+#[test]
+fn an_unused_registry_tag_fails_the_gate() {
+    let files = mutated_workspace("crates/partition/src/transform.rs", |s| {
+        s.replace("REPARTITION_A2A_TAG", "TRANSFORM_LOCAL_TAG_NAME")
+    });
+    let fired = rules_at(&files, "crates/cluster/src/comm.rs");
+    assert!(fired.contains("tag-registry"), "dead tag not caught; fired {fired:?}");
 }

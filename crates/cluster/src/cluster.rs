@@ -9,6 +9,14 @@
 //! the failed attempt is thrown away and every worker restarts, using the
 //! per-rank checkpoint store to fast-forward past completed trees so the
 //! in-flight tree is deterministically replayed.
+//!
+//! An attempt in which every worker succeeded is then checked for
+//! messages nobody received: each endpoint lives until all workers have
+//! returned, and one still holding a message fails the run with
+//! [`CommError::Unconsumed`]. Training blocks only in `recv(from, tag)`,
+//! so the fabric is confluent and this one run decides what a protocol
+//! model checker would: a deadlock is a receive timeout, ranks that
+//! diverge fail on a payload or a leftover, an orphan send is a leftover.
 
 use crate::comm::Comm;
 use crate::cost::NetworkCostModel;
@@ -236,7 +244,10 @@ impl Cluster {
         F: Fn(&mut WorkerCtx) -> Result<T, CommError> + Sync,
     {
         let (mesh, control) = Comm::mesh_with(self.world, self.cost, self.faults);
-        let mut slots: Vec<Option<(Option<T>, WorkerStats)>> =
+        // Each worker hands its endpoint back with its output, so no
+        // endpoint closes before every worker has returned: a late send
+        // lands in a queue the check below reads instead of failing.
+        let mut slots: Vec<Option<(Option<T>, WorkerStats, Comm)>> =
             (0..self.world).map(|_| None).collect();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, Option<Failure>)>();
         let failure = std::thread::scope(|scope| {
@@ -262,7 +273,7 @@ impl Cluster {
                         Ok(Err(e)) => (None, Some(Failure::Comm(rank, e))),
                         Err(payload) => (None, Some(Failure::Panic(payload))),
                     };
-                    *slot = Some((out, std::mem::take(&mut ctx.stats)));
+                    *slot = Some((out, ctx.stats, ctx.comm));
                     // The supervisor (below) outlives every worker; a send
                     // failure would mean it already stopped listening.
                     let _ = done.send((rank, outcome));
@@ -296,17 +307,26 @@ impl Cluster {
             }
             pick_root_cause(failures)
         });
+        // Every worker has returned, so a message still waiting now was
+        // sent and never received: the protocol, not the numbers, is wrong.
+        // Only a successful attempt is checked; a failed one was cut short.
+        let failure = failure.or_else(|| {
+            slots.iter().enumerate().find_map(|(holder, slot)| {
+                let (from, tag) = slot.as_ref()?.2.unconsumed()?;
+                Some(Failure::Comm(holder, CommError::Unconsumed { holder, from, tag }))
+            })
+        });
         if let Some(failure) = failure {
             let lost = slots
                 .into_iter()
-                .map(|slot| slot.map(|(_, stats)| stats).unwrap_or_default())
+                .map(|slot| slot.map(|(_, stats, _)| stats).unwrap_or_default())
                 .collect();
             return Err((failure, lost));
         }
         let (outputs, stats): (Vec<T>, Vec<WorkerStats>) = slots
             .into_iter()
             .map(|slot| {
-                let (out, stats) = slot.expect("worker finished");
+                let (out, stats, _) = slot.expect("worker finished");
                 (out.expect("worker finished without failure"), stats)
             })
             .unzip();
@@ -478,6 +498,77 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, CommError::RetriesExhausted { to: 1, tag: 9, attempts: 3 });
+    }
+
+    #[test]
+    fn a_message_nobody_receives_fails_the_run() {
+        let cluster = Cluster::new(3);
+        let err = cluster
+            .try_run(|ctx| {
+                if ctx.rank() == 2 {
+                    ctx.comm.send(1, 0x51, Bytes::from_static(b"orphan"))?;
+                }
+                ctx.comm.barrier()
+            })
+            .unwrap_err();
+        assert_eq!(err, CommError::Unconsumed { holder: 1, from: 2, tag: 0x51 });
+        assert_eq!(err.to_string(), "rank 1 holds an unconsumed message from rank 2 tag 0x51");
+    }
+
+    /// Every message is duplicated on the wire and each receiver returns as
+    /// soon as it has the original, so the last copy of every exchange is
+    /// still queued when the workers return. Those copies are duplicates
+    /// of received messages, not leftovers.
+    #[test]
+    fn late_duplicates_of_received_messages_are_not_leftovers() {
+        let plan = FaultPlan::new(11).with_dup(1.0);
+        let cluster = Cluster::new(3).with_faults(Some(plan));
+        let (outputs, stats) = cluster
+            .try_run(|ctx| {
+                let next = (ctx.rank() + 1) % ctx.world();
+                let prev = (ctx.rank() + ctx.world() - 1) % ctx.world();
+                let mut buf = vec![ctx.rank() as f64; 5];
+                ctx.comm.all_reduce_f64(&mut buf)?;
+                ctx.comm.send(next, 7, Bytes::from(vec![ctx.rank() as u8]))?;
+                let got = ctx.comm.recv(prev, 7)?;
+                Ok((buf[0], got[0]))
+            })
+            .unwrap();
+        assert_eq!(outputs, vec![(3.0, 2), (3.0, 0), (3.0, 1)]);
+        assert!(stats.workers.iter().all(|w| w.duplicates_dropped > 0));
+    }
+
+    /// A failed attempt is cut short, so what it leaves behind says nothing
+    /// about the protocol: its own error is reported, and a recovered run
+    /// is judged by the attempt that succeeded.
+    #[test]
+    fn failed_and_recovered_attempts_are_not_checked() {
+        let err = Cluster::new(2)
+            .try_run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.comm.send(1, 3, Bytes::new())?;
+                    return Err(CommError::RetriesExhausted { to: 1, tag: 4, attempts: 2 });
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err, CommError::RetriesExhausted { to: 1, tag: 4, attempts: 2 });
+
+        let plan = FaultPlan::new(5).with_crash(1, 0, 0);
+        let cluster = Cluster::new(2).with_faults(Some(plan));
+        let (outputs, stats) = cluster.run_recoverable(|ctx| {
+            let replay = ctx.load_checkpoint::<bool>().is_some();
+            ctx.save_checkpoint(&true);
+            if ctx.rank() == 0 && !replay {
+                // Rank 1 crashes before it could receive this.
+                ctx.comm.send(1, 9, Bytes::from_static(b"stale"))?;
+            }
+            ctx.comm.barrier()?;
+            ctx.fault_point(0, 0);
+            Ok(ctx.rank())
+        });
+        assert_eq!(outputs, vec![0, 1]);
+        assert_eq!(stats.recoveries, 1);
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //! ranks. All reductions run in deterministic order, so repeated runs produce
 //! bit-identical results.
 //!
-//! The f64 reductions come in two flavors: the legacy methods ship raw
-//! little-endian f64s, and `*_codec` variants route every payload through a
-//! [`crate::wire::WireCodec`] (sparse / adaptive / low-precision), decoding
-//! and merging in the same deterministic rank/segment order. The legacy
-//! methods are the [`WireCodec::Dense`] special case, so byte counts of
-//! existing callers are unchanged.
+//! The f64 reductions route every payload through a
+//! [`crate::wire::WireCodec`] (dense / adaptive / low-precision), decoding
+//! and merging in the same deterministic rank/segment order. The one
+//! codec-less reduction, [`Comm::all_reduce_f64`], is the
+//! [`WireCodec::Dense`] case of [`Comm::all_reduce_f64_codec`]; with
+//! [`Comm::broadcast_f64`] it is what the trainers' small count and
+//! statistics exchanges use.
 //!
 //! Every collective returns `Result<_, CommError>`: a cancelled run, a
-//! receive timeout, or an exhausted retry budget surfaces as a typed error
-//! at the collective boundary instead of a panic deep in the fabric.
+//! receive timeout, an exhausted retry budget, or a peer payload that does
+//! not fit the buffer ([`CommError::Malformed`], as when ranks disagree on
+//! a reduction's length) surfaces as a typed error at the collective
+//! boundary instead of a panic deep in the fabric.
 
 use crate::comm::Comm;
 use crate::fault::CommError;
@@ -100,9 +103,10 @@ impl Comm {
             if self.rank() == root { wire::f64s_to_bytes(buf) } else { Bytes::new() };
         let received = self.broadcast(root, payload)?;
         if self.rank() != root {
-            let vals = wire::bytes_to_f64s(&received);
-            assert_eq!(vals.len(), buf.len(), "broadcast buffer length mismatch");
-            buf.copy_from_slice(&vals);
+            if received.len() != buf.len() * 8 {
+                return Err(CommError::Malformed { from: root });
+            }
+            buf.copy_from_slice(&wire::bytes_to_f64s(&received));
         }
         Ok(())
     }
@@ -110,14 +114,10 @@ impl Comm {
     /// Ring reduce-scatter: on return, rank `r` holds the fully reduced
     /// segment `r` of `buf` (bounds from [`segment_bounds`]); the rest of
     /// `buf` is garbage. Each rank moves `(W−1)/W · len` elements each way —
-    /// the bandwidth-optimal aggregation LightGBM uses (§4.1).
-    pub fn reduce_scatter_f64(&self, buf: &mut [f64]) -> Result<(usize, usize), CommError> {
-        self.reduce_scatter_f64_codec(WireCodec::Dense, buf)
-    }
-
-    /// [`Self::reduce_scatter_f64`] with every ring hop encoded under
-    /// `codec`. Partial sums are decode-merged in the same segment order as
-    /// the dense ring, so lossless codecs stay bit-identical.
+    /// the bandwidth-optimal aggregation LightGBM uses (§4.1). Every ring
+    /// hop is encoded under `codec`; partial sums are decode-merged in the
+    /// same segment order whatever the codec, so lossless codecs stay
+    /// bit-identical.
     pub fn reduce_scatter_f64_codec(
         &self,
         codec: WireCodec,
@@ -142,7 +142,8 @@ impl Comm {
             self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
             let incoming = self.recv(prev, tag + s as u64)?;
             let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
-            wire::decode_add(&incoming, &mut buf[rlo..rhi]);
+            wire::decode_add(&incoming, &mut buf[rlo..rhi])
+                .map_err(|_| CommError::Malformed { from: prev })?;
         }
         // After the loop, rank r fully owns segment (r + 1) mod w. Rotate one
         // more hop so rank r ends with segment r (one extra segment-sized
@@ -155,7 +156,8 @@ impl Comm {
         self.send_f64s(next, tag2, codec, &buf[olo..ohi])?;
         let mine = self.recv(prev, tag2)?;
         let (mlo, mhi) = segment_bounds(buf.len(), w, r);
-        wire::decode_into(&mine, &mut buf[mlo..mhi]);
+        wire::decode_into(&mine, &mut buf[mlo..mhi])
+            .map_err(|_| CommError::Malformed { from: prev })?;
         Ok((mlo, mhi))
     }
 
@@ -182,7 +184,8 @@ impl Comm {
             self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
             let incoming = self.recv(prev, tag + s as u64)?;
             let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
-            wire::decode_into(&incoming, &mut buf[rlo..rhi]);
+            wire::decode_into(&incoming, &mut buf[rlo..rhi])
+                .map_err(|_| CommError::Malformed { from: prev })?;
         }
         Ok(())
     }
@@ -307,7 +310,7 @@ mod tests {
             let len = 10;
             let got = run(world, move |c| {
                 let mut buf: Vec<f64> = (0..len).map(|i| (c.rank() + i) as f64).collect();
-                let (lo, hi) = c.reduce_scatter_f64(&mut buf).unwrap();
+                let (lo, hi) = c.reduce_scatter_f64_codec(WireCodec::Dense, &mut buf).unwrap();
                 (lo, hi, buf[lo..hi].to_vec())
             });
             for (r, (lo, hi, seg)) in got.iter().enumerate() {

@@ -433,6 +433,23 @@ impl Comm {
         false
     }
 
+    /// The smallest `(from, tag)` among the messages this endpoint still
+    /// holds, parked or queued, once its worker has returned; `None` when
+    /// every message sent here was received. Under a fault plan a queued
+    /// envelope passes duplicate detection first, so a late copy of a
+    /// message already received is not a leftover.
+    pub(crate) fn unconsumed(&self) -> Option<(usize, u64)> {
+        let mut left: Vec<(usize, u64)> =
+            self.pending.borrow().iter().map(|e| (e.from as usize, e.tag)).collect();
+        while let Ok(envelope) = self.receiver.try_recv() {
+            if envelope.from == CONTROL_FROM || (self.faults.is_some() && !self.admit(&envelope)) {
+                continue;
+            }
+            left.push((envelope.from as usize, envelope.tag));
+        }
+        left.into_iter().min()
+    }
+
     fn account_recv(&self, from: usize, len: usize) {
         if from == self.rank {
             return; // loopback is free

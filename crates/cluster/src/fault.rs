@@ -52,6 +52,18 @@ pub enum CommError {
         /// Rank whose payload was rejected.
         from: usize,
     },
+    /// Every worker returned, but a message was still waiting at an
+    /// endpoint: some rank sent what no rank received. A run that ends
+    /// like this did not follow its protocol, however right its output
+    /// looks.
+    Unconsumed {
+        /// Rank whose endpoint still holds the message.
+        holder: usize,
+        /// Rank that sent it.
+        from: usize,
+        /// Its tag.
+        tag: u64,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -69,6 +81,9 @@ impl std::fmt::Display for CommError {
                 write!(f, "pending message buffer overflowed its {capacity}-message bound")
             }
             CommError::Malformed { from } => write!(f, "malformed payload from rank {from}"),
+            CommError::Unconsumed { holder, from, tag } => {
+                write!(f, "rank {holder} holds an unconsumed message from rank {from} tag {tag:#x}")
+            }
         }
     }
 }

@@ -19,17 +19,10 @@ impl Comm {
     ///
     /// `ranges[s]` is the `[start, end)` slice of `buf` owned by server `s`
     /// (`ranges.len() == world`); ranges must be disjoint but need not cover
-    /// `buf`. Returns the fully reduced values of `ranges[rank]`.
-    pub fn ps_push_and_reduce(
-        &self,
-        buf: &[f64],
-        ranges: &[(usize, usize)],
-    ) -> Result<Vec<f64>, CommError> {
-        self.ps_push_and_reduce_codec(WireCodec::Dense, buf, ranges)
-    }
-
-    /// [`Self::ps_push_and_reduce`] with every pushed shard encoded under
-    /// `codec`; the serving rank decode-merges contributions in rank order.
+    /// `buf`. Every pushed shard is encoded under `codec`; the serving rank
+    /// decode-merges contributions in rank order and returns the fully
+    /// reduced values of `ranges[rank]`. A shard that does not fit
+    /// `ranges[rank]` is [`CommError::Malformed`] from its pusher.
     pub fn ps_push_and_reduce_codec(
         &self,
         codec: WireCodec,
@@ -53,7 +46,8 @@ impl Comm {
             if from == r {
                 continue;
             }
-            wire::decode_add(&self.recv(from, tag)?, &mut reduced);
+            wire::decode_add(&self.recv(from, tag)?, &mut reduced)
+                .map_err(|_| CommError::Malformed { from })?;
         }
         Ok(reduced)
     }
@@ -80,7 +74,7 @@ mod tests {
                                 (0..len).map(|i| (c.rank() * 10 + i) as f64).collect();
                             let ranges: Vec<_> =
                                 (0..world).map(|w| segment_bounds(len, world, w)).collect();
-                            c.ps_push_and_reduce(&buf, &ranges).unwrap()
+                            c.ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges).unwrap()
                         })
                     })
                     .collect();
@@ -148,7 +142,7 @@ mod tests {
                         let buf = vec![1.0f64; len];
                         let ranges: Vec<_> =
                             (0..world).map(|w| segment_bounds(len, world, w)).collect();
-                        c.ps_push_and_reduce(&buf, &ranges).unwrap();
+                        c.ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges).unwrap();
                         c.counters()
                     })
                 })

@@ -148,64 +148,80 @@ enum Payload<'a> {
     SparseF32(&'a [u8]),
 }
 
-/// Classifies a payload for a decode target of `n` elements. Panics on a
-/// malformed payload — inside the simulator that is always a protocol bug.
-fn classify(bytes: &Bytes, n: usize) -> Payload<'_> {
+/// A payload that does not decode into its target: a length that fits no
+/// layout for the target's element count, an unknown sparse marker, or a
+/// sparse index past the end. The collectives report it as
+/// [`crate::CommError::Malformed`] from the rank that sent it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Malformed;
+
+/// Classifies a payload for a decode target of `n` elements.
+fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, Malformed> {
     if bytes.len() % 2 == 1 {
-        let nnz =
-            u32::from_le_bytes(bytes[1..SPARSE_HEADER].try_into().expect("4-byte header")) as usize;
+        let header = bytes.get(1..SPARSE_HEADER).ok_or(Malformed)?;
+        let nnz = u32::from_le_bytes(header.try_into().expect("4-byte header")) as usize;
         let body = &bytes[SPARSE_HEADER..];
         return match bytes[0] {
-            MARKER_SPARSE_F64 => {
-                assert_eq!(body.len(), 12 * nnz, "sparse f64 payload length mismatch");
-                Payload::SparseF64(body)
-            }
-            MARKER_SPARSE_F32 => {
-                assert_eq!(body.len(), 8 * nnz, "sparse f32 payload length mismatch");
-                Payload::SparseF32(body)
-            }
-            m => panic!("unknown sparse wire marker {m:#x}"),
+            MARKER_SPARSE_F64 if body.len() == 12 * nnz => Ok(Payload::SparseF64(body)),
+            MARKER_SPARSE_F32 if body.len() == 8 * nnz => Ok(Payload::SparseF32(body)),
+            _ => Err(Malformed),
         };
     }
     if bytes.len() == n * 8 {
-        Payload::DenseF64(bytes)
+        Ok(Payload::DenseF64(bytes))
     } else if n > 0 && bytes.len() == n * 4 {
-        Payload::DenseF32(bytes)
+        Ok(Payload::DenseF32(bytes))
     } else {
-        panic!("dense payload of {} bytes cannot decode into {n} f64s", bytes.len());
+        Err(Malformed)
     }
 }
 
-fn for_each_sparse_f64(body: &[u8], n: usize, mut f: impl FnMut(usize, f64)) {
+fn for_each_sparse_f64(
+    body: &[u8],
+    n: usize,
+    mut f: impl FnMut(usize, f64),
+) -> Result<(), Malformed> {
     for pair in body.chunks_exact(12) {
         let idx = u32::from_le_bytes(pair[..4].try_into().expect("4-byte index")) as usize;
-        assert!(idx < n, "sparse index {idx} out of range for {n} elements");
+        if idx >= n {
+            return Err(Malformed);
+        }
         f(idx, f64::from_le_bytes(pair[4..].try_into().expect("8-byte value")));
     }
+    Ok(())
 }
 
-fn for_each_sparse_f32(body: &[u8], n: usize, mut f: impl FnMut(usize, f64)) {
+fn for_each_sparse_f32(
+    body: &[u8],
+    n: usize,
+    mut f: impl FnMut(usize, f64),
+) -> Result<(), Malformed> {
     for pair in body.chunks_exact(8) {
         let idx = u32::from_le_bytes(pair[..4].try_into().expect("4-byte index")) as usize;
-        assert!(idx < n, "sparse index {idx} out of range for {n} elements");
+        if idx >= n {
+            return Err(Malformed);
+        }
         f(idx, f64::from(f32::from_le_bytes(pair[4..].try_into().expect("4-byte value"))));
     }
+    Ok(())
 }
 
 /// Decodes `bytes` and accumulates (`+=`) into `out`, element-wise. Sparse
 /// payloads touch only their nonzero indices, which is bit-identical to the
 /// dense add because histogram buffers never hold `-0.0`.
-pub fn decode_add(bytes: &Bytes, out: &mut [f64]) {
-    match classify(bytes, out.len()) {
+pub fn decode_add(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
+    match classify(bytes, out.len())? {
         Payload::DenseF64(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
                 *a += f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
             }
+            Ok(())
         }
         Payload::DenseF32(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
                 *a += f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
             }
+            Ok(())
         }
         Payload::SparseF64(body) => for_each_sparse_f64(body, out.len(), |i, v| out[i] += v),
         Payload::SparseF32(body) => for_each_sparse_f32(body, out.len(), |i, v| out[i] += v),
@@ -214,25 +230,27 @@ pub fn decode_add(bytes: &Bytes, out: &mut [f64]) {
 
 /// Decodes `bytes` into `out`, overwriting it completely (absent sparse
 /// indices become `0.0`).
-pub fn decode_into(bytes: &Bytes, out: &mut [f64]) {
-    match classify(bytes, out.len()) {
+pub fn decode_into(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
+    match classify(bytes, out.len())? {
         Payload::DenseF64(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
                 *a = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
             }
+            Ok(())
         }
         Payload::DenseF32(body) => {
             for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
                 *a = f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
             }
+            Ok(())
         }
         Payload::SparseF64(body) => {
             out.fill(0.0);
-            for_each_sparse_f64(body, out.len(), |i, v| out[i] = v);
+            for_each_sparse_f64(body, out.len(), |i, v| out[i] = v)
         }
         Payload::SparseF32(body) => {
             out.fill(0.0);
-            for_each_sparse_f32(body, out.len(), |i, v| out[i] = v);
+            for_each_sparse_f32(body, out.len(), |i, v| out[i] = v)
         }
     }
 }
@@ -244,7 +262,7 @@ mod tests {
 
     fn roundtrip(codec: WireCodec, buf: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; buf.len()];
-        decode_into(&encode(codec, buf), &mut out);
+        decode_into(&encode(codec, buf), &mut out).unwrap();
         out
     }
 
@@ -268,8 +286,8 @@ mod tests {
         for codec in WireCodec::ALL {
             let payload = encode(codec, &[]);
             let mut out: Vec<f64> = vec![];
-            decode_into(&payload, &mut out);
-            decode_add(&payload, &mut out);
+            decode_into(&payload, &mut out).unwrap();
+            decode_add(&payload, &mut out).unwrap();
         }
     }
 
@@ -316,17 +334,32 @@ mod tests {
         let buf = vec![0.0, 2.0, 0.0, -1.0];
         for codec in [WireCodec::Dense, WireCodec::Auto] {
             let mut acc = vec![10.0, 10.0, 10.0, 10.0];
-            decode_add(&encode(codec, &buf), &mut acc);
+            decode_add(&encode(codec, &buf), &mut acc).unwrap();
             assert_eq!(acc, vec![10.0, 12.0, 10.0, 9.0], "{codec}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "cannot decode")]
-    fn length_mismatch_panics() {
+    fn length_mismatch_is_an_error() {
         let payload = encode(WireCodec::Dense, &[1.0, 2.0]);
         let mut out = vec![0.0; 3];
-        decode_into(&payload, &mut out);
+        assert_eq!(decode_into(&payload, &mut out), Err(Malformed));
+        assert_eq!(decode_add(&payload, &mut out), Err(Malformed));
+        // A sparse header cut short, an unknown marker, a pair count the
+        // body does not hold, and an index past the target.
+        let sparse = encode(WireCodec::Auto, &[0.0, 0.0, 4.0, 0.0]);
+        let mut bad_marker = sparse.to_vec();
+        bad_marker[0] = 0x11;
+        let mut bad_index = sparse.to_vec();
+        bad_index[5..9].copy_from_slice(&9u32.to_le_bytes());
+        for bytes in [
+            Bytes::from_static(&[MARKER_SPARSE_F64, 0, 0]),
+            Bytes::from(bad_marker),
+            sparse.slice(..sparse.len() - 2),
+            Bytes::from(bad_index),
+        ] {
+            assert_eq!(decode_into(&bytes, &mut [0.0; 4]), Err(Malformed), "{bytes:?}");
+        }
     }
 
     #[test]

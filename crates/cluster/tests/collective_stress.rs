@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used)]
 
 use gbdt_cluster::collectives::segment_bounds;
-use gbdt_cluster::{Cluster, NetworkCostModel};
+use gbdt_cluster::{Cluster, NetworkCostModel, WireCodec};
 
 #[test]
 fn interleaved_collectives_keep_tags_aligned() {
@@ -54,7 +54,7 @@ fn aggregation_primitives_agree_on_large_buffers() {
         ctx.comm.broadcast_f64(0, &mut rooted).unwrap();
 
         let ranges: Vec<_> = (0..ctx.world()).map(|w| segment_bounds(len, ctx.world(), w)).collect();
-        let shard = ctx.comm.ps_push_and_reduce(&base, &ranges).unwrap();
+        let shard = ctx.comm.ps_push_and_reduce_codec(WireCodec::Dense, &base, &ranges).unwrap();
         let (lo, _hi) = ranges[ctx.rank()];
 
         // Compare my PS shard against the same region of the ring result.

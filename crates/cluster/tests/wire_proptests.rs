@@ -30,7 +30,8 @@ proptest! {
     fn lossless_codecs_roundtrip(buf in histogram_buffer()) {
         for codec in [WireCodec::Dense, WireCodec::Auto] {
             let mut out = vec![0.0; buf.len()];
-            wire::decode_into(&wire::encode(codec, &buf), &mut out);
+            wire::decode_into(&wire::encode(codec, &buf), &mut out)
+                .expect("an encoded payload decodes");
             prop_assert_eq!(&out, &buf, "{}", codec);
         }
     }
@@ -39,7 +40,8 @@ proptest! {
     #[test]
     fn f32_codec_roundtrips_to_f32_precision(buf in histogram_buffer()) {
         let mut out = vec![0.0; buf.len()];
-        wire::decode_into(&wire::encode(WireCodec::F32, &buf), &mut out);
+        wire::decode_into(&wire::encode(WireCodec::F32, &buf), &mut out)
+            .expect("an encoded payload decodes");
         let expected: Vec<f64> = buf.iter().map(|v| f64::from(*v as f32)).collect();
         prop_assert_eq!(out, expected);
     }
@@ -50,7 +52,8 @@ proptest! {
     fn decode_add_matches_dense_add(buf in histogram_buffer(), base in -1e3f64..1e3) {
         let reference: Vec<f64> = buf.iter().map(|v| base + v).collect();
         let mut acc = vec![base; buf.len()];
-        wire::decode_add(&wire::encode(WireCodec::Auto, &buf), &mut acc);
+        wire::decode_add(&wire::encode(WireCodec::Auto, &buf), &mut acc)
+            .expect("an encoded payload decodes");
         prop_assert_eq!(&acc, &reference);
     }
 
@@ -87,11 +90,13 @@ fn edge_case_buffers_roundtrip_under_every_codec() {
     for buf in &cases {
         for codec in [WireCodec::Dense, WireCodec::Auto] {
             let mut out = vec![1.0; buf.len()]; // nonzero garbage must be overwritten
-            wire::decode_into(&wire::encode(codec, buf), &mut out);
+            wire::decode_into(&wire::encode(codec, buf), &mut out)
+                .expect("an encoded payload decodes");
             assert_eq!(&out, buf, "{codec} len={}", buf.len());
         }
         let mut out = vec![1.0; buf.len()];
-        wire::decode_into(&wire::encode(WireCodec::F32, buf), &mut out);
+        wire::decode_into(&wire::encode(WireCodec::F32, buf), &mut out)
+            .expect("an encoded payload decodes");
         let expected: Vec<f64> = buf.iter().map(|v| f64::from(*v as f32)).collect();
         assert_eq!(out, expected, "f32 len={}", buf.len());
     }

@@ -12,6 +12,7 @@ use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
 use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation, System};
+use vero::{Vero, VeroConfig};
 
 fn dataset(n: usize, d: usize, classes: usize, density: f64, seed: u64) -> Dataset {
     SyntheticConfig {
@@ -103,15 +104,31 @@ fn regression_agrees_too() {
 
 #[test]
 fn agreement_holds_across_worker_counts() {
-    // For each W, the trainers agree among themselves (cuts depend on the
-    // sketch merge tree, so cross-W comparisons are not expected).
+    // For each W from 1 to 5, every row of the system table and `Vero::fit`
+    // grow the same bits: the protocols run on the code itself at every
+    // world size, and `Cluster` fails any run that leaves a message
+    // unreceived. Cuts depend on the sketch merge tree, so cross-W
+    // comparisons are not expected; the feature-parallel row sketches all
+    // rows on every worker, so it matches the single-node oracle instead.
     let ds = dataset(700, 12, 2, 0.6, 1013);
     let cfg = config(2, 3, 5);
-    for workers in [1usize, 2, 4, 5] {
+    let oracle = gbdt_quadrants::single::train(&ds, &cfg);
+    for workers in 1usize..=5 {
         let cluster = Cluster::new(workers);
-        let m2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
-        let m4 = qd4::train(&cluster, &ds, &cfg).model;
-        assert_same_predictions(&ds, &m2, &m4, &format!("W={workers}"));
+        let reference = System::Qd2AllReduce.run(&cluster, &ds, &cfg).model;
+        for system in System::ALL {
+            let model = system.run(&cluster, &ds, &cfg).model;
+            let against = match system {
+                System::LightGbmFeatureParallel => &oracle,
+                _ => &reference,
+            };
+            let tag = format!("W={workers} {}", system.name());
+            assert_same_predictions(&ds, against, &model, &tag);
+        }
+        let vero_cfg =
+            VeroConfig { workers, train: cfg.clone(), ..VeroConfig::builder().build().unwrap() };
+        let vero = Vero::fit(&vero_cfg, &ds).model.inner;
+        assert_same_predictions(&ds, &reference, &vero, &format!("W={workers} Vero::fit"));
     }
 }
 
