@@ -776,16 +776,17 @@ fn ablations(d: &Driver, shape: Shape, w: &mut ExperimentWriter) {
     }
 
     // Sparse high-dimensional data keeps most bins empty below the root, so
-    // the adaptive codec should cut aggregation bytes hard while staying
-    // bit-identical to dense; f32 halves the residual dense payloads at the
-    // cost of a (slightly) different ensemble.
+    // the grid codec should cut aggregation bytes hard while staying
+    // lossless (logical_mb is what raw f64s would have sent); f32 narrows
+    // the cells further at the cost of a (slightly) different ensemble.
     w.section("histogram wire codec (QD2 all-reduce, sparse D=2000)");
     let sparse_ds = synthetic(2_000, 0.05, shape.seed + 16);
-    let mut dense_model = None;
+    let mut lossless_model = None;
     for codec in WireCodec::ALL {
         let wcfg = TrainConfig { wire: codec, ..cfg.clone() };
         let result = System::Qd2AllReduce.run(&d.cluster(workers, lab), &sparse_ds, &wcfg);
-        let identical = *dense_model.get_or_insert_with(|| result.model.clone()) == result.model;
+        let identical =
+            *lossless_model.get_or_insert_with(|| result.model.clone()) == result.model;
         w.row(json!({
             "wire": codec.label(),
             "logical_mb": result.stats.total_logical_f64_bytes() as f64 / 1e6,
@@ -793,7 +794,7 @@ fn ablations(d: &Driver, shape: Shape, w: &mut ExperimentWriter) {
             "compression": result.stats.wire_compression(),
             "s_per_tree": result.mean_tree_seconds(),
             "comm_s_per_tree": result.mean_tree_comm_seconds(),
-            "identical_to_dense": identical,
+            "identical_to_lossless": identical,
         }));
     }
 

@@ -9,12 +9,11 @@
 //! bit-identical results.
 //!
 //! The f64 reductions route every payload through a
-//! [`crate::wire::WireCodec`] (dense / adaptive / low-precision), decoding
-//! and merging in the same deterministic rank/segment order. The one
-//! codec-less reduction, [`Comm::all_reduce_f64`], is the
-//! [`WireCodec::Dense`] case of [`Comm::all_reduce_f64_codec`]; with
-//! [`Comm::broadcast_f64`] it is what the trainers' small count and
-//! statistics exchanges use.
+//! [`crate::wire::WireCodec`] (lossless grid / lossy f32), decoding and
+//! merging in the same deterministic rank/segment order. The one codec-less
+//! reduction, [`Comm::all_reduce_f64`], is the [`WireCodec::Grid`] case of
+//! [`Comm::all_reduce_f64_codec`]; with [`Comm::broadcast_f64`] (raw f64s)
+//! it is what the trainers' small count and statistics exchanges use.
 //!
 //! Every collective returns `Result<_, CommError>`: a cancelled run, a
 //! receive timeout, an exhausted retry budget, or a peer payload that does
@@ -111,13 +110,50 @@ impl Comm {
         Ok(())
     }
 
+    /// The `W − 1` steps of a ring from segment `first`: step `s` sends
+    /// segment `(first − s) mod W` to `next` and merges segment
+    /// `(first − s − 1) mod W` from `prev` — decode-added while reducing,
+    /// decoded over while gathering. Reducing from `first = r` leaves rank
+    /// `r` holding segment `(r + 1) mod W` fully reduced; gathering from the
+    /// segment each rank holds complete leaves every rank holding all of
+    /// them. Merges run in the same segment order whatever the codec, so
+    /// the lossless codec stays bit-identical.
+    fn ring_steps(
+        &self,
+        codec: WireCodec,
+        buf: &mut [f64],
+        first: usize,
+        reduce: bool,
+    ) -> Result<(), CommError> {
+        let w = self.world();
+        let r = self.rank();
+        let tag = self.alloc_collective_tags(w as u64 - 1);
+        let next = (r + 1) % w;
+        let prev = (r + w - 1) % w;
+        for s in 0..w - 1 {
+            let send_seg = (first + w - s) % w;
+            let recv_seg = (first + w - s - 1) % w;
+            let (slo, shi) = segment_bounds(buf.len(), w, send_seg);
+            self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
+            let incoming = self.recv(prev, tag + s as u64)?;
+            let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
+            let merged = if reduce {
+                wire::decode_add(&incoming, &mut buf[rlo..rhi])
+            } else {
+                wire::decode_into(&incoming, &mut buf[rlo..rhi])
+            };
+            merged.map_err(|_| CommError::Malformed { from: prev })?;
+        }
+        Ok(())
+    }
+
     /// Ring reduce-scatter: on return, rank `r` holds the fully reduced
     /// segment `r` of `buf` (bounds from [`segment_bounds`]); the rest of
     /// `buf` is garbage. Each rank moves `(W−1)/W · len` elements each way —
-    /// the bandwidth-optimal aggregation LightGBM uses (§4.1). Every ring
-    /// hop is encoded under `codec`; partial sums are decode-merged in the
-    /// same segment order whatever the codec, so lossless codecs stay
-    /// bit-identical.
+    /// the bandwidth-optimal aggregation LightGBM uses (§4.1) — plus one
+    /// segment-sized hop that moves the reduced segment `(r + 1) mod W` the
+    /// ring leaves on rank `r` to its owner. Every hop is encoded under
+    /// `codec`.
     pub fn reduce_scatter_f64_codec(
         &self,
         codec: WireCodec,
@@ -128,81 +164,47 @@ impl Comm {
         if w == 1 {
             return Ok((0, buf.len()));
         }
-        let tag = self.alloc_collective_tags(w as u64 - 1);
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        // Step s: send segment (r − s) mod w to next, receive and accumulate
-        // segment (r − s − 1) mod w from prev. After w−1 steps rank r fully
-        // owns segment (r + 1) mod w; a final rotation hop below leaves it
-        // with segment r.
-        for s in 0..w - 1 {
-            let send_seg = (r + w - s) % w;
-            let recv_seg = (r + w - s - 1) % w;
-            let (slo, shi) = segment_bounds(buf.len(), w, send_seg);
-            self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
-            let incoming = self.recv(prev, tag + s as u64)?;
-            let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
-            wire::decode_add(&incoming, &mut buf[rlo..rhi])
-                .map_err(|_| CommError::Malformed { from: prev })?;
-        }
-        // After the loop, rank r fully owns segment (r + 1) mod w. Rotate one
-        // more hop so rank r ends with segment r (one extra segment-sized
-        // transfer, keeping the API intuitive).
-        let owned = (r + 1) % w;
-        let (olo, ohi) = segment_bounds(buf.len(), w, owned);
-        let tag2 = self.alloc_collective_tag();
-        // Rank r owns segment r+1, which is exactly what `next` wants; my
-        // segment r sits on `prev`.
-        self.send_f64s(next, tag2, codec, &buf[olo..ohi])?;
-        let mine = self.recv(prev, tag2)?;
+        self.ring_steps(codec, buf, r, true)?;
+        // Rank r holds segment r + 1, exactly what `next` wants; segment r
+        // sits on `prev`.
+        let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
+        let (olo, ohi) = segment_bounds(buf.len(), w, next);
+        let tag = self.alloc_collective_tag();
+        self.send_f64s(next, tag, codec, &buf[olo..ohi])?;
+        let mine = self.recv(prev, tag)?;
         let (mlo, mhi) = segment_bounds(buf.len(), w, r);
         wire::decode_into(&mine, &mut buf[mlo..mhi])
             .map_err(|_| CommError::Malformed { from: prev })?;
         Ok((mlo, mhi))
     }
 
-    /// Ring all-gather of segments: rank `r` contributes segment `r` of
-    /// `buf`; on return every rank holds the complete buffer. Every
-    /// forwarded segment is encoded under `codec`.
-    pub fn all_gather_segments_f64_codec(
-        &self,
-        codec: WireCodec,
-        buf: &mut [f64],
-    ) -> Result<(), CommError> {
+    /// Ring all-reduce: element-wise sum of `buf` across all ranks, complete
+    /// everywhere, under the lossless [`WireCodec::Grid`].
+    pub fn all_reduce_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
+        self.all_reduce_f64_codec(WireCodec::Grid, buf)
+    }
+
+    /// [`Self::all_reduce_f64`] with every hop encoded under `codec`: the
+    /// ring's reduce steps, then its gather steps from the segment each rank
+    /// already holds reduced — `2(W−1)/W · len` elements sent per rank. A
+    /// lossy codec's owner passes its own segment through the codec's round
+    /// trip (no bytes sent), so with [`WireCodec::F32`] every rank holds the
+    /// same f32-widened values, bit-for-bit — just not the exact sum.
+    pub fn all_reduce_f64_codec(&self, codec: WireCodec, buf: &mut [f64]) -> Result<(), CommError> {
         let w = self.world();
-        let r = self.rank();
         if w == 1 {
             return Ok(());
         }
-        let tag = self.alloc_collective_tags(w as u64 - 1);
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        for s in 0..w - 1 {
-            let send_seg = (r + w - s) % w;
-            let recv_seg = (r + w - s - 1) % w;
-            let (slo, shi) = segment_bounds(buf.len(), w, send_seg);
-            self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
-            let incoming = self.recv(prev, tag + s as u64)?;
-            let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
-            wire::decode_into(&incoming, &mut buf[rlo..rhi])
-                .map_err(|_| CommError::Malformed { from: prev })?;
+        let r = self.rank();
+        self.ring_steps(codec, buf, r, true)?;
+        let owned = (r + 1) % w;
+        if !codec.is_lossless() {
+            let (olo, ohi) = segment_bounds(buf.len(), w, owned);
+            let quantized = wire::encode(codec, &buf[olo..ohi]);
+            wire::decode_into(&quantized, &mut buf[olo..ohi])
+                .map_err(|_| CommError::Malformed { from: r })?;
         }
-        Ok(())
-    }
-
-    /// Ring all-reduce: element-wise sum of `buf` across all ranks, complete
-    /// everywhere (reduce-scatter + all-gather; ~2·len traffic per rank).
-    pub fn all_reduce_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
-        self.all_reduce_f64_codec(WireCodec::Dense, buf)
-    }
-
-    /// [`Self::all_reduce_f64`] with every hop encoded under `codec`. With
-    /// [`WireCodec::F32`] the reduced segments are forwarded verbatim through
-    /// the all-gather (f32→f64→f32 is exact), so all ranks still agree
-    /// bit-for-bit with each other — just not with the dense result.
-    pub fn all_reduce_f64_codec(&self, codec: WireCodec, buf: &mut [f64]) -> Result<(), CommError> {
-        self.reduce_scatter_f64_codec(codec, buf)?;
-        self.all_gather_segments_f64_codec(codec, buf)
+        self.ring_steps(codec, buf, owned, false)
     }
 }
 
@@ -310,7 +312,7 @@ mod tests {
             let len = 10;
             let got = run(world, move |c| {
                 let mut buf: Vec<f64> = (0..len).map(|i| (c.rank() + i) as f64).collect();
-                let (lo, hi) = c.reduce_scatter_f64_codec(WireCodec::Dense, &mut buf).unwrap();
+                let (lo, hi) = c.reduce_scatter_f64_codec(WireCodec::Grid, &mut buf).unwrap();
                 (lo, hi, buf[lo..hi].to_vec())
             });
             for (r, (lo, hi, seg)) in got.iter().enumerate() {
@@ -350,74 +352,81 @@ mod tests {
 
         // Codec-mediated reductions record logical vs wire bytes exactly.
         // World = 2, all-zero 8-element buffer: every ring hop moves one
-        // 4-element segment (32 logical bytes); all-reduce is 3 hops per
-        // rank (1 reduce-scatter step + rotation + 1 all-gather step).
-        // Zero-nnz sparse payloads are the 5-byte header alone.
-        for (codec, hop_wire) in [
-            (WireCodec::Dense, 32u64),
-            (WireCodec::Auto, 5),
-            (WireCodec::F32, 5),
-        ] {
+        // 4-element segment (32 logical bytes); all-reduce is 2 hops per
+        // rank (1 reduce step + 1 gather step). A zero segment is the grid
+        // header and one bitmap byte, or the sparse-f32 header alone.
+        for (codec, hop_wire) in [(WireCodec::Grid, 5u64), (WireCodec::F32, 5)] {
             let counters = run(2, move |c| {
                 let mut buf = vec![0.0f64; 8];
                 c.all_reduce_f64_codec(codec, &mut buf).unwrap();
                 c.counters()
             });
             for c in counters {
-                assert_eq!(c.logical_f64_bytes, 3 * 32, "{codec}");
-                assert_eq!(c.wire_f64_bytes, 3 * hop_wire, "{codec}");
-                assert_eq!(c.bytes_sent, 3 * hop_wire, "{codec}");
+                assert_eq!(c.logical_f64_bytes, 2 * 32, "{codec}");
+                assert_eq!(c.wire_f64_bytes, 2 * hop_wire, "{codec}");
+                assert_eq!(c.bytes_sent, 2 * hop_wire, "{codec}");
             }
         }
 
-        // Adaptive switch point: a 16-element segment is dense = 128 bytes,
-        // sparse = 5 + 12·nnz. nnz = 10 (125 < 128) still ships sparse;
-        // nnz = 11 (137) flips to dense. World = 2 reduce-scatter of 32
-        // elements: only rank 1's segment 1 is nonzero, so each rank ships
-        // one 16-element segment holding those nnz values and one of zeros
-        // (the 5-byte header).
-        for (nnz, expected_wire) in [(10usize, 125u64), (11, 128)] {
+        // A ring all-reduce sends 2(W − 1)/W of the buffer per rank.
+        for world in [2usize, 3, 4] {
+            let counters = run(world, |c| {
+                let mut buf = vec![1.0f64; 12];
+                c.all_reduce_f64(&mut buf).unwrap();
+                c.counters()
+            });
+            for c in counters {
+                assert_eq!(c.logical_f64_bytes, (2 * (world - 1) * 12 / world * 8) as u64);
+            }
+        }
+
+        // Raw-f64 fallback point: a 16-element segment is 128 raw bytes, a
+        // grid frame 4 + 2 + nnz·w. With 2^55 and small integers in it,
+        // w = 8: nnz = 15 (126 < 128) still ships the grid frame; nnz = 16
+        // (134) flips to raw. World = 2 reduce-scatter of 32 elements: only
+        // rank 1's segment 1 is nonzero, so each rank ships one 16-element
+        // segment holding those nnz values and one of zeros (6 bytes).
+        for (nnz, expected_wire) in [(15usize, 126u64), (16, 128)] {
             let counters = run(2, move |c| {
                 let mut buf = vec![0.0f64; 32];
                 if c.rank() == 1 {
                     for (i, slot) in buf[16..].iter_mut().take(nnz).enumerate() {
-                        *slot = 1.0 + i as f64;
+                        *slot = if i == 0 { f64::from_bits((1023 + 55) << 52) } else { i as f64 };
                     }
                 }
-                c.reduce_scatter_f64_codec(WireCodec::Auto, &mut buf).unwrap();
+                c.reduce_scatter_f64_codec(WireCodec::Grid, &mut buf).unwrap();
                 c.counters()
             });
             for c in counters {
                 assert_eq!(c.logical_f64_bytes, 2 * 128, "nnz={nnz}");
-                assert_eq!(c.wire_f64_bytes, expected_wire + 5, "nnz={nnz}");
-                assert_eq!(c.bytes_sent, expected_wire + 5, "nnz={nnz}");
+                assert_eq!(c.wire_f64_bytes, expected_wire + 6, "nnz={nnz}");
+                assert_eq!(c.bytes_sent, expected_wire + 6, "nnz={nnz}");
             }
         }
     }
 
     #[test]
-    fn lossless_codec_reductions_match_dense_bit_for_bit() {
+    fn grid_codec_reductions_are_the_exact_sum() {
         // Integer-valued contributions sum exactly in any order, so the
-        // dense result is the unambiguous reference. ~25% density
-        // exercises sparse payloads; Auto mixes layouts across hops.
+        // element-wise sum is the unambiguous reference. ~25% density gives
+        // the grid frames zero cells to skip.
         let len = 37;
+        let mk = move |rank: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| if (i + rank).is_multiple_of(4) { (rank * 100 + i) as f64 } else { 0.0 })
+                .collect()
+        };
         for world in [1, 2, 3, 5] {
-            let mk = move |rank: usize| -> Vec<f64> {
-                (0..len)
-                    .map(|i| if (i + rank).is_multiple_of(4) { (rank * 100 + i) as f64 } else { 0.0 })
-                    .collect()
-            };
-            let dense = run(world, move |c| {
-                let mut buf = mk(c.rank());
-                c.all_reduce_f64(&mut buf).unwrap();
-                buf
-            });
+            let expected: Vec<f64> =
+                (0..len).map(|i| (0..world).map(|r| mk(r)[i]).sum()).collect();
             let got = run(world, move |c| {
                 let mut buf = mk(c.rank());
-                c.all_reduce_f64_codec(WireCodec::Auto, &mut buf).unwrap();
+                c.all_reduce_f64_codec(WireCodec::Grid, &mut buf).unwrap();
                 buf
             });
-            assert_eq!(got, dense, "all_reduce auto world={world}");
+            for (r, g) in got.iter().enumerate() {
+                assert_eq!(g, &expected, "all_reduce grid world={world} rank={r}");
+            }
         }
     }
 

@@ -17,8 +17,10 @@
 //!   accounting.
 //! * [`collectives`] — broadcast, gather, all-gather, ring all-reduce, ring
 //!   reduce-scatter (the aggregation methods of §3.1.3).
-//! * [`wire`] — pluggable histogram wire codecs (dense/sparse/f32) with
-//!   adaptive per-message selection, used by the codec-aware collectives.
+//! * [`wire`] — histogram wire codecs: the lossless grid frame (nonzero
+//!   cells as integers of the message's power-of-two unit, raw f64s as the
+//!   fallback) and the lossy f32 layouts, used by the codec-aware
+//!   collectives.
 //! * [`ps`] — parameter-server-style sharded aggregation (DimBoost, §4.1).
 //! * [`cluster`] — scoped-thread harness running one closure per worker,
 //!   with a supervisor that cancels peers on failure and replays crashed

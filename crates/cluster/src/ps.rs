@@ -74,7 +74,7 @@ mod tests {
                                 (0..len).map(|i| (c.rank() * 10 + i) as f64).collect();
                             let ranges: Vec<_> =
                                 (0..world).map(|w| segment_bounds(len, world, w)).collect();
-                            c.ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges).unwrap()
+                            c.ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges).unwrap()
                         })
                     })
                     .collect();
@@ -91,46 +91,47 @@ mod tests {
     }
 
     #[test]
-    fn ps_codec_matches_dense_and_compresses_sparse_shards() {
+    fn ps_grid_codec_is_exact_and_compresses_sparse_shards() {
         let world = 3;
         let len = 30;
         let mk = move |rank: usize| -> Vec<f64> {
             (0..len).map(|i| if i % 5 == rank { (i + 1) as f64 } else { 0.0 }).collect()
         };
-        let mut per_codec = Vec::new();
-        for codec in [WireCodec::Dense, WireCodec::Auto] {
-            let mesh = Comm::mesh(world, NetworkCostModel::infinite());
-            let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = mesh
-                    .into_iter()
-                    .map(|c| {
-                        s.spawn(move || {
-                            let buf = mk(c.rank());
-                            let ranges: Vec<_> =
-                                (0..world).map(|w| segment_bounds(len, world, w)).collect();
-                            let reduced =
-                                c.ps_push_and_reduce_codec(codec, &buf, &ranges).unwrap();
-                            (reduced, c.counters().wire_f64_bytes)
-                        })
+        let mesh = Comm::mesh(world, NetworkCostModel::infinite());
+        let results: Vec<(Vec<f64>, u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = mesh
+                .into_iter()
+                .map(|c| {
+                    s.spawn(move || {
+                        let buf = mk(c.rank());
+                        let ranges: Vec<_> =
+                            (0..world).map(|w| segment_bounds(len, world, w)).collect();
+                        let reduced =
+                            c.ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges).unwrap();
+                        let counters = c.counters();
+                        (reduced, counters.logical_f64_bytes, counters.wire_f64_bytes)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            per_codec.push(results);
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // The lossless codec reduces to the exact shards...
+        for (rank, (reduced, _, _)) in results.iter().enumerate() {
+            let (lo, hi) = segment_bounds(len, world, rank);
+            let expected: Vec<f64> = (lo..hi).map(|i| (0..world).map(|r| mk(r)[i]).sum()).collect();
+            assert_eq!(reduced, &expected, "rank={rank}");
         }
-        // Lossless codecs reduce to bit-identical shards...
-        let shards = |r: &[(Vec<f64>, u64)]| r.iter().map(|x| x.0.clone()).collect::<Vec<_>>();
-        assert_eq!(shards(&per_codec[0]), shards(&per_codec[1]));
-        // ...while the 20%-dense shards ship far fewer wire bytes: auto
-        // picks the sparse layout for every one of them.
-        let wire = |r: &[(Vec<f64>, u64)]| r.iter().map(|x| x.1).sum::<u64>();
-        assert!(wire(&per_codec[1]) * 2 < wire(&per_codec[0]), "auto should be < half");
+        // ...while the 20%-dense shards ship far fewer wire bytes.
+        let logical: u64 = results.iter().map(|x| x.1).sum();
+        let wire: u64 = results.iter().map(|x| x.2).sum();
+        assert!(wire * 2 < logical, "grid should be < half: {wire} vs {logical}");
     }
 
     #[test]
     fn ps_traffic_is_one_histogram_per_worker() {
         // Each worker sends (W-1)/W of its buffer and receives (W-1) shards
-        // of its own range: total per-worker traffic ~ len, not W*len.
+        // of its own range: total per-worker traffic ~ len, not W*len (in
+        // logical f64 bytes, before the codec shrinks them).
         let world = 4;
         let len = 1000;
         let mesh = Comm::mesh(world, NetworkCostModel::infinite());
@@ -142,7 +143,7 @@ mod tests {
                         let buf = vec![1.0f64; len];
                         let ranges: Vec<_> =
                             (0..world).map(|w| segment_bounds(len, world, w)).collect();
-                        c.ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges).unwrap();
+                        c.ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges).unwrap();
                         c.counters()
                     })
                 })
@@ -150,7 +151,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });
         for c in &counters {
-            assert_eq!(c.bytes_sent, (len as u64 * 8 / world as u64) * (world as u64 - 1));
+            assert_eq!(c.logical_f64_bytes, (len as u64 * 8 / world as u64) * (world as u64 - 1));
         }
     }
 }

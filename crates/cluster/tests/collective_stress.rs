@@ -54,7 +54,7 @@ fn aggregation_primitives_agree_on_large_buffers() {
         ctx.comm.broadcast_f64(0, &mut rooted).unwrap();
 
         let ranges: Vec<_> = (0..ctx.world()).map(|w| segment_bounds(len, ctx.world(), w)).collect();
-        let shard = ctx.comm.ps_push_and_reduce_codec(WireCodec::Dense, &base, &ranges).unwrap();
+        let shard = ctx.comm.ps_push_and_reduce_codec(WireCodec::Grid, &base, &ranges).unwrap();
         let (lo, _hi) = ranges[ctx.rank()];
 
         // Compare my PS shard against the same region of the ring result.

@@ -64,10 +64,10 @@ fn run_ps(
                 // first round's duplicates still buffered in the channel, so
                 // the duplicate counter reflects every injected copy.
                 let first = comm
-                    .ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges)
+                    .ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges)
                     .unwrap();
                 let second = comm
-                    .ps_push_and_reduce_codec(WireCodec::Dense, &buf, &ranges)
+                    .ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges)
                     .unwrap();
                 assert_eq!(first, second, "rounds merge identically");
                 (first, comm.counters().duplicates_dropped)

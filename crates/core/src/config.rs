@@ -7,19 +7,17 @@ use serde::{Deserialize, Serialize};
 /// Histogram wire codec for distributed aggregation (§3.1.3 traffic).
 ///
 /// Selects how flat f64 histogram buffers are serialized by the
-/// codec-aware collectives in `gbdt-cluster`. The lossless codecs
-/// (`Dense`, `Auto`) are guaranteed to produce bit-identical ensembles;
-/// `F32` is an opt-in lossy mode that halves payload width the way
-/// DimBoost's low-precision compressed histograms do (§4.1).
+/// codec-aware collectives in `gbdt-cluster`. `Grid` is lossless and
+/// guaranteed to produce bit-identical ensembles; `F32` is an opt-in lossy
+/// mode that halves payload width the way DimBoost's low-precision
+/// compressed histograms do (§4.1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WireCodec {
-    /// Lossless raw little-endian f64 payloads — the legacy wire format.
+    /// Lossless: every nonzero cell as a whole number of the message's
+    /// power-of-two unit, behind a presence bitmap; raw f64s for a buffer
+    /// off the grid or where the frame would not be smaller.
     #[default]
-    Dense,
-    /// Per message, the smaller of raw f64s and lossless COO-style
-    /// `(u32 bin index, f64 value)` pairs for the nonzero bins only
-    /// (Block-distributed GBT style), by the exact break-even byte count.
-    Auto,
+    Grid,
     /// Lossy f32 payloads (sparsity-aware: picks sparse or dense f32
     /// pairs per message). Changes the trained ensemble; opt-in only.
     F32,
@@ -27,7 +25,7 @@ pub enum WireCodec {
 
 impl WireCodec {
     /// All codecs, in display order.
-    pub const ALL: [WireCodec; 3] = [WireCodec::Dense, WireCodec::Auto, WireCodec::F32];
+    pub const ALL: [WireCodec; 2] = [WireCodec::Grid, WireCodec::F32];
 
     /// Whether decoded payloads are bit-identical to the encoder's input.
     pub fn is_lossless(self) -> bool {
@@ -37,8 +35,7 @@ impl WireCodec {
     /// Short label for reports and CLI echo.
     pub fn label(self) -> &'static str {
         match self {
-            WireCodec::Dense => "dense",
-            WireCodec::Auto => "auto",
+            WireCodec::Grid => "grid",
             WireCodec::F32 => "f32",
         }
     }
@@ -49,10 +46,9 @@ impl std::str::FromStr for WireCodec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "dense" => Ok(WireCodec::Dense),
-            "auto" => Ok(WireCodec::Auto),
+            "grid" => Ok(WireCodec::Grid),
             "f32" => Ok(WireCodec::F32),
-            other => Err(format!("unknown wire codec '{other}' (expected dense|auto|f32)")),
+            other => Err(format!("unknown wire codec '{other}' (expected grid|f32)")),
         }
     }
 }
@@ -187,10 +183,9 @@ pub struct TrainConfig {
     pub min_node_instances: usize,
     /// The training objective.
     pub objective: Objective,
-    /// Histogram wire codec for distributed aggregation. All lossless
-    /// codecs (everything but [`WireCodec::F32`]) train bit-identical
-    /// ensembles; trainers that never ship histograms (the vertical
-    /// quadrants) ignore it entirely.
+    /// Histogram wire codec for distributed aggregation. The lossless
+    /// [`WireCodec::Grid`] trains bit-identical ensembles; trainers that
+    /// never ship histograms (the vertical quadrants) ignore it entirely.
     pub wire: WireCodec,
     /// Binned-storage layout policy. Every choice trains a bit-identical
     /// ensemble; `Auto` densifies when the binned matrix is dense enough
@@ -213,7 +208,7 @@ impl Default for TrainConfig {
             min_child_weight: 1e-3,
             min_node_instances: 2,
             objective: Objective::Logistic,
-            wire: WireCodec::Dense,
+            wire: WireCodec::Grid,
             storage: Storage::Auto,
             kernel: Kernel::Simd,
         }
@@ -328,7 +323,7 @@ impl TrainConfigBuilder {
         self
     }
 
-    /// Sets the histogram wire codec (default [`WireCodec::Dense`]).
+    /// Sets the histogram wire codec (default [`WireCodec::Grid`]).
     pub fn wire(mut self, wire: WireCodec) -> Self {
         self.cfg.wire = wire;
         self
@@ -382,10 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn default_wire_codec_is_dense() {
-        assert_eq!(TrainConfig::default().wire, WireCodec::Dense);
-        assert!(WireCodec::Dense.is_lossless());
-        assert!(WireCodec::Auto.is_lossless());
+    fn default_wire_codec_is_the_lossless_grid() {
+        assert_eq!(TrainConfig::default().wire, WireCodec::Grid);
+        assert!(WireCodec::Grid.is_lossless());
         assert!(!WireCodec::F32.is_lossless());
     }
 
@@ -395,13 +389,15 @@ mod tests {
             assert_eq!(codec.label().parse::<WireCodec>().unwrap(), codec);
             assert_eq!(format!("{codec}"), codec.label());
         }
-        assert!("gzip".parse::<WireCodec>().is_err());
+        for gone in ["gzip", "dense", "auto"] {
+            assert!(gone.parse::<WireCodec>().is_err(), "{gone}");
+        }
     }
 
     #[test]
     fn builder_sets_wire_codec() {
-        let cfg = TrainConfig::builder().wire(WireCodec::Auto).build().unwrap();
-        assert_eq!(cfg.wire, WireCodec::Auto);
+        let cfg = TrainConfig::builder().wire(WireCodec::F32).build().unwrap();
+        assert_eq!(cfg.wire, WireCodec::F32);
     }
 
     #[test]

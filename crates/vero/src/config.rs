@@ -100,7 +100,7 @@ impl VeroConfigBuilder {
         self
     }
 
-    /// Sets the histogram wire codec (default: dense). Vero's trainer never
+    /// Sets the histogram wire codec (default: grid). Vero's trainer never
     /// aggregates histograms, so this only matters when the same config
     /// drives one of the horizontal quadrants in a comparison run; every
     /// codec trains the identical Vero ensemble.
@@ -156,9 +156,9 @@ mod tests {
 
     #[test]
     fn wire_codec_flows_into_train_config() {
-        let cfg = VeroConfig::builder().wire(WireCodec::Auto).build().unwrap();
-        assert_eq!(cfg.train.wire, WireCodec::Auto);
-        assert_eq!(VeroConfig::builder().build().unwrap().train.wire, WireCodec::Dense);
+        let cfg = VeroConfig::builder().wire(WireCodec::F32).build().unwrap();
+        assert_eq!(cfg.train.wire, WireCodec::F32);
+        assert_eq!(VeroConfig::builder().build().unwrap().train.wire, WireCodec::Grid);
     }
 
     #[test]

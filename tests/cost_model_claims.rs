@@ -26,8 +26,13 @@ fn config(classes: usize, layers: usize) -> TrainConfig {
     TrainConfig::builder().n_trees(2).n_layers(layers).objective(objective).build().unwrap()
 }
 
+/// Bytes sent on the paper's accounting: Sizehist counts uncompressed
+/// cells, so codec-mediated payloads count at their logical f64 width.
+/// (With the grid codec, compressed horizontal traffic follows occupied
+/// bins rather than D·q·C; EXPERIMENTS.md "Known deviations".)
 fn train_bytes(result: &DistTrainResult) -> u64 {
-    result.stats.total_bytes_sent()
+    let stats = &result.stats;
+    stats.total_bytes_sent() - stats.total_wire_f64_bytes() + stats.total_logical_f64_bytes()
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Wire-codec determinism and compression guarantees (DESIGN.md §4.7).
 //!
-//! The lossless codecs (`dense`, `auto`) re-encode the exact f64
-//! payload, and the decode-merge runs in the same rank/segment order as the
-//! dense path, so the trained ensemble must be bit-identical under every
-//! lossless codec. On sparse data the adaptive codec
-//! must also cut histogram-aggregation wire bytes at least 2x — that is the
-//! whole point of the layer.
+//! The lossless grid codec re-encodes the exact f64 payload, and the
+//! decode-merge runs in the same rank/segment order whatever the codec, so
+//! the trained ensemble must be bit-identical to the one a single worker
+//! grows without sending a byte. On sparse data it must also cut
+//! histogram-aggregation wire bytes at least 2x below the raw f64 layout —
+//! that is the whole point of the layer.
 
 use gbdt_cluster::Cluster;
 use gbdt_core::{GbdtModel, Objective, TrainConfig, WireCodec};
@@ -40,53 +40,50 @@ fn sparse_dataset(seed: u64) -> Dataset {
     .generate()
 }
 
-/// Every lossless codec, on both horizontal trainers, grows QD1's dense
-/// ensemble. (The name is older than the one-thread-per-worker rule: the
-/// threads are the W = 3 worker threads the codecs cross between.)
+/// The lossless codec, on both horizontal trainers at W = 3, grows the
+/// ensemble QD1 grows at W = 1, where nothing crosses the wire. (The name is
+/// older than the one-thread-per-worker rule: the threads are the W = 3
+/// worker threads the codec crosses between.)
 #[test]
 fn lossless_codecs_are_bit_identical_across_threads() {
     let ds = sparse_dataset(4001);
+    let cfg = config(2, WireCodec::Grid);
+    let alone = qd1::train(&Cluster::new(1), &ds, &cfg);
+    assert_eq!(alone.stats.total_bytes_sent(), 0, "one worker sends nothing");
     let cluster = Cluster::new(3);
-    let reference = qd1::train(&cluster, &ds, &config(2, WireCodec::Dense)).model;
-    for codec in [WireCodec::Dense, WireCodec::Auto] {
-        let cfg = config(2, codec);
-        let q1 = qd1::train(&cluster, &ds, &cfg).model;
-        let q2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
-        assert_eq!(reference, q1, "qd1 wire={codec}");
-        assert_eq!(reference, q2, "qd2 wire={codec}");
-    }
+    let q1 = qd1::train(&cluster, &ds, &cfg).model;
+    let q2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
+    assert_eq!(alone.model, q1, "qd1 wire=grid");
+    assert_eq!(alone.model, q2, "qd2 wire=grid");
 }
 
 #[test]
-fn auto_codec_compresses_sparse_aggregation_at_least_2x() {
+fn default_codec_compresses_sparse_aggregation_at_least_2x() {
     let ds = sparse_dataset(4003);
-    let cluster = Cluster::new(2);
-    let dense = qd2::train(&cluster, &ds, &config(2, WireCodec::Dense), Aggregation::AllReduce);
-    let auto = qd2::train(&cluster, &ds, &config(2, WireCodec::Auto), Aggregation::AllReduce);
+    let cfg = TrainConfig::default();
+    assert_eq!(cfg.wire, WireCodec::Grid, "the default codec is the lossless grid");
+    let cfg = config(2, cfg.wire);
+    let alone = qd2::train(&Cluster::new(1), &ds, &cfg, Aggregation::AllReduce);
+    let grid = qd2::train(&Cluster::new(2), &ds, &cfg, Aggregation::AllReduce);
 
-    // Same logical traffic, bit-identical ensemble.
-    assert_eq!(dense.model, auto.model, "auto must stay lossless");
-    assert_eq!(
-        dense.stats.total_logical_f64_bytes(),
-        auto.stats.total_logical_f64_bytes(),
-        "codec must not change what is logically aggregated"
-    );
-    // Dense ships every f64 as-is.
-    assert_eq!(dense.stats.total_logical_f64_bytes(), dense.stats.total_wire_f64_bytes());
+    // Bit-identical ensemble to the run that sends nothing.
+    assert_eq!(alone.model, grid.model, "grid must stay lossless");
 
-    // The acceptance bar: >= 2x fewer wire bytes on nnz <= 10% data.
-    let ratio = dense.stats.total_wire_f64_bytes() as f64 / auto.stats.total_wire_f64_bytes() as f64;
+    // The acceptance bar: >= 2x fewer wire bytes than raw f64s (the
+    // logical bytes) on nnz <= 10% data.
+    let ratio =
+        grid.stats.total_logical_f64_bytes() as f64 / grid.stats.total_wire_f64_bytes() as f64;
     assert!(
         ratio >= 2.0,
-        "auto codec only compressed {ratio:.2}x ({} -> {} bytes)",
-        dense.stats.total_wire_f64_bytes(),
-        auto.stats.total_wire_f64_bytes()
+        "grid codec only compressed {ratio:.2}x ({} -> {} bytes)",
+        grid.stats.total_logical_f64_bytes(),
+        grid.stats.total_wire_f64_bytes()
     );
-    assert!(auto.stats.wire_compression() >= 2.0);
+    assert!(grid.stats.wire_compression() >= 2.0);
 
     // Per-layer accounting: deeper layers are sparser, so compression at the
     // deepest recorded layer must beat the root layer.
-    let layers = auto.stats.layer_wire_bytes();
+    let layers = grid.stats.layer_wire_bytes();
     assert!(layers.len() >= 2, "expected per-layer byte records, got {layers:?}");
     let ratio_of = |(logical, wire): (u64, u64)| logical as f64 / wire.max(1) as f64;
     assert!(
@@ -95,13 +92,13 @@ fn auto_codec_compresses_sparse_aggregation_at_least_2x() {
     );
     // Layer records cover only histogram traffic, never more than the total.
     let layer_logical: u64 = layers.iter().map(|&(l, _)| l).sum();
-    assert!(layer_logical <= auto.stats.total_logical_f64_bytes());
+    assert!(layer_logical <= grid.stats.total_logical_f64_bytes());
 }
 
 #[test]
 fn f32_codec_is_rank_consistent_and_cheaper() {
     // Lossy mode: no bit-identity promise vs dense, but the run must be
-    // deterministic and strictly cheaper on the wire.
+    // deterministic and ship under half the raw f64 bytes.
     let ds = sparse_dataset(4007);
     let cluster = Cluster::new(3);
     let cfg = config(2, WireCodec::F32);
@@ -109,12 +106,11 @@ fn f32_codec_is_rank_consistent_and_cheaper() {
     let b = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce);
     assert_eq!(a.model, b.model, "f32 codec must still be run-to-run deterministic");
 
-    let dense = qd2::train(&cluster, &ds, &config(2, WireCodec::Dense), Aggregation::AllReduce);
     assert!(
-        a.stats.total_wire_f64_bytes() < dense.stats.total_wire_f64_bytes() / 2,
-        "f32 + sparsity should beat half of dense: {} vs {}",
+        a.stats.total_wire_f64_bytes() < a.stats.total_logical_f64_bytes() / 2,
+        "f32 + sparsity should beat half of raw f64s: {} vs {}",
         a.stats.total_wire_f64_bytes(),
-        dense.stats.total_wire_f64_bytes()
+        a.stats.total_logical_f64_bytes()
     );
 }
 
