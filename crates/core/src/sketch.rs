@@ -10,8 +10,9 @@
 //! Compaction offsets alternate deterministically instead of randomly, so
 //! that identical inputs always produce identical sketches — the property the
 //! cross-quadrant equivalence tests rely on. The paper's sketches are
-//! similarly "usually small in size" (§4.2.1); byte-exact wire encoding is
-//! provided for the communication cost accounting.
+//! similarly "usually small in size" (§4.2.1); the wire encoding is exact
+//! and ships each level as sorted keys, delta-coded where that is smaller
+//! ([`QuantileSketch::encode_bytes`]), for the repartition of step 1.
 //!
 //! Between calls every level holds at most `capacity` items (a compaction
 //! empties the level it compacts, and [`QuantileSketch::decode_bytes`]
@@ -21,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A mergeable streaming quantile sketch over `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantileSketch {
     capacity: usize,
     /// `levels[h]` holds items of weight `2^h`, unsorted between compactions.
@@ -31,6 +32,14 @@ pub struct QuantileSketch {
     max: f32,
     /// Deterministic compaction-offset alternator.
     flip: bool,
+}
+
+/// Two sketches are equal when they encode to the same bytes: the same
+/// items at each level, in any order, bit for bit.
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.encode_bytes() == other.encode_bytes()
+    }
 }
 
 impl Default for QuantileSketch {
@@ -240,61 +249,92 @@ impl QuantileSketch {
         cuts
     }
 
-    /// Exact wire encoding (header + per-level f32 payloads).
+    /// Exact wire encoding: a 25-byte header, then each level as a `u32`
+    /// word — its length, bit 31 set when delta-coded — and its items in
+    /// ascending [`total_key`] order (level order carries no meaning: every
+    /// compaction and every walk sorts first). A delta-coded level is its
+    /// first key in full, then the LEB128 gap to each next key; a level whose
+    /// gaps would not be smaller ships raw `f32`s, so no level outgrows its
+    /// 4 + 4·len raw bytes.
     pub fn encode_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            29 + self.levels.iter().map(|l| 4 + l.len() * 4).sum::<usize>(),
-        );
+        // Raw levels bound the length from above.
+        let bound = 25 + self.levels.iter().map(|l| 4 + 4 * l.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(bound);
         out.extend_from_slice(&(self.capacity as u32).to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
         out.extend_from_slice(&self.min.to_le_bytes());
         out.extend_from_slice(&self.max.to_le_bytes());
         out.push(u8::from(self.flip));
         out.extend_from_slice(&(self.levels.len() as u32).to_le_bytes());
+        let mut keys = Vec::new();
         for level in &self.levels {
-            out.extend_from_slice(&(level.len() as u32).to_le_bytes());
-            for v in level {
-                out.extend_from_slice(&v.to_le_bytes());
+            keys.clear();
+            keys.extend(level.iter().map(|&v| total_key(v)));
+            keys.sort_unstable();
+            debug_assert!(keys.len() < DELTA_CODED as usize);
+            // Gaps first; raw `f32`s over them when they are not smaller.
+            let (start, raw) = (out.len(), 4 + 4 * keys.len());
+            out.extend_from_slice(&(keys.len() as u32 | DELTA_CODED).to_le_bytes());
+            if let Some((&first, rest)) = keys.split_first() {
+                out.extend_from_slice(&first.to_le_bytes());
+                let mut prev = first;
+                for &key in rest {
+                    put_leb128(&mut out, key - prev);
+                    prev = key;
+                }
+            }
+            if out.len() - start >= raw {
+                out.truncate(start);
+                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+                for &key in &keys {
+                    out.extend_from_slice(&from_total_key(key).to_le_bytes());
+                }
             }
         }
         out
     }
 
     /// Decodes [`Self::encode_bytes`] output. Returns `None` on malformed
-    /// input, which includes a level longer than the capacity and a total
-    /// weight past `u64`.
+    /// input, which includes a level longer than the capacity, a key gap
+    /// past `u32`, and a total weight past `u64`.
     pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let slice = bytes.get(pos..pos + n)?;
-            pos += n;
-            Some(slice)
-        };
-        let capacity = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-        let n = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let min = f32::from_le_bytes(take(4)?.try_into().ok()?);
-        let max = f32::from_le_bytes(take(4)?.try_into().ok()?);
-        let flip = take(1)?[0] != 0;
-        let n_levels = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+        let mut wire = Reader { bytes, pos: 0 };
+        let capacity = wire.u32()? as usize;
+        let n = u64::from_le_bytes(wire.take(8)?.try_into().ok()?);
+        let min = f32::from_bits(wire.u32()?);
+        let max = f32::from_bits(wire.u32()?);
+        let flip = wire.take(1)?[0] != 0;
+        let n_levels = wire.u32()? as usize;
         if capacity < 4 || n_levels > 64 {
             return None;
         }
         let mut levels = Vec::with_capacity(n_levels.max(1));
         for _ in 0..n_levels {
-            let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+            let word = wire.u32()?;
+            let len = (word & !DELTA_CODED) as usize;
             if len > capacity {
                 return None;
             }
-            let mut level = Vec::with_capacity(len.min(bytes.len() / 4));
-            for _ in 0..len {
-                level.push(f32::from_le_bytes(take(4)?.try_into().ok()?));
+            // Every item takes at least one byte of what is left.
+            let mut level = Vec::with_capacity(len.min(bytes.len() - wire.pos));
+            if word & DELTA_CODED != 0 && len > 0 {
+                let mut key = wire.u32()?;
+                level.push(from_total_key(key));
+                for _ in 1..len {
+                    key = key.checked_add(wire.leb128()?)?;
+                    level.push(from_total_key(key));
+                }
+            } else {
+                for _ in 0..len {
+                    level.push(f32::from_bits(wire.u32()?));
+                }
             }
             levels.push(level);
         }
         if levels.is_empty() {
             levels.push(Vec::new());
         }
-        if pos != bytes.len() {
+        if wire.pos != bytes.len() {
             return None;
         }
         let sketch = QuantileSketch { capacity, levels, n, min, max, flip };
@@ -304,7 +344,51 @@ impl QuantileSketch {
 
     /// Bytes the sketch occupies on the wire.
     pub fn wire_bytes(&self) -> usize {
-        25 + self.levels.iter().map(|l| 4 + l.len() * 4).sum::<usize>()
+        self.encode_bytes().len()
+    }
+}
+
+/// Bit 31 of a level's length word: its items are delta-coded keys.
+const DELTA_CODED: u32 = 1 << 31;
+
+/// Appends `x` as LEB128: seven bits a byte, low groups first, the high bit
+/// set on every byte but the last.
+fn put_leb128(out: &mut Vec<u8>, mut x: u32) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// A cursor over a sketch's wire bytes; every read past the end is `None`.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn take(&mut self, n: usize) -> Option<&[u8]> {
+        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(slice)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    /// A LEB128 value of at most five bytes that fits a `u32`.
+    fn leb128(&mut self) -> Option<u32> {
+        let mut value = 0u64;
+        for shift in (0..35).step_by(7) {
+            let byte = self.take(1)?[0];
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return u32::try_from(value).ok();
+            }
+        }
+        None
     }
 }
 
@@ -419,6 +503,7 @@ mod tests {
         let s = filled((0..3_000).map(|i| (i as f32).sin()));
         let bytes = s.encode_bytes();
         assert_eq!(bytes.len(), s.wire_bytes());
+        assert!(bytes.len() < raw_bytes(&s), "delta-coded levels");
         let back = QuantileSketch::decode_bytes(&bytes).unwrap();
         assert_eq!(s, back);
         // Truncated input is rejected.
@@ -427,6 +512,40 @@ mod tests {
         // A level length past the bytes is rejected before it sizes anything.
         let hostile = [&bytes[..25], &u32::MAX.to_le_bytes()].concat();
         assert!(QuantileSketch::decode_bytes(&hostile).is_none());
+    }
+
+    /// Bytes of `s` with every level as raw `f32`s.
+    fn raw_bytes(s: &QuantileSketch) -> usize {
+        25 + s.levels.iter().map(|l| 4 + 4 * l.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn close_keys_ship_as_gaps_and_far_keys_raw() {
+        // 64 neighbouring floats from 1.0 up: the first key, then 63
+        // one-byte gaps.
+        let close = filled((0..64).map(|i| f32::from_bits(1f32.to_bits() + i)));
+        assert_eq!(close.wire_bytes(), 25 + 4 + 4 + 63);
+        let bytes = close.encode_bytes();
+        assert_eq!(bytes[28] >> 7, 1, "delta flag");
+        assert_eq!(QuantileSketch::decode_bytes(&bytes), Some(close));
+        // ±inf around 0.0: two five-byte gaps, so the level stays raw.
+        let far = filled([f32::INFINITY, 0.0, f32::NEG_INFINITY]);
+        assert_eq!(far.wire_bytes(), raw_bytes(&far));
+        // -0.0 next to 0.0 is a one-byte gap, and stays -0.0.
+        let signed = filled([f32::INFINITY, -0.0, 0.0, f32::NEG_INFINITY]);
+        assert_eq!(signed.wire_bytes(), 25 + 4 + 4 + 5 + 1 + 5);
+        let back = QuantileSketch::decode_bytes(&signed.encode_bytes()).unwrap();
+        let bits: Vec<u32> = back.levels[0].iter().map(|v| v.to_bits()).collect();
+        let want = [f32::NEG_INFINITY, -0.0, 0.0, f32::INFINITY].map(f32::to_bits);
+        assert_eq!(bits, want);
+        // A gap past u32, and a six-byte gap, are malformed.
+        let mut bytes = filled([1.0, 2.0]).encode_bytes();
+        bytes.truncate(25);
+        bytes.extend((2 | DELTA_CODED).to_le_bytes());
+        bytes.extend(u32::MAX.to_le_bytes());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[1]].concat()).is_none());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0x80; 5], &[0]].concat()).is_none());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0]].concat()).is_some());
     }
 
     /// The wire bytes of a sketch of capacity 4 holding `lens[h]` copies of
@@ -485,7 +604,8 @@ mod tests {
     #[test]
     fn sketch_bytes_are_pinned() {
         // Three fixed 10 000-value streams through the default capacity:
-        // every compaction, its offset and its sort order show in the bytes.
+        // every compaction and its offset show in the bytes (each level's
+        // items, sorted, delta-coded where that is smaller).
         let n = 10_000u32;
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let random = (0..n).map(move |i| {
@@ -507,7 +627,7 @@ mod tests {
             stream.for_each(|v| sketch.insert(v));
             hashes.push(fnv1a(&sketch.encode_bytes()));
         }
-        assert_eq!(hashes, [0x31b1_b784_270c_2d83, 0xcdd7_9013_4e59_097f, 0xe531_f60f_44e9_f048]);
+        assert_eq!(hashes, [0x11f6_55f4_b1d8_166e, 0x500e_4451_9c89_08de, 0x64a0_0124_3e81_3faf]);
     }
 
     #[test]

@@ -817,17 +817,59 @@ fn sketch_value((kind, bits): (u8, u32)) -> f32 {
     }
 }
 
-/// The capacity and the levels' item bits of a sketch's wire encoding.
+/// The capacity and the levels' item bits of a sketch's wire encoding, each
+/// level in ascending `total_cmp` order: a level's length word has bit 31
+/// set when its items are a first key and LEB128 key gaps, clear when they
+/// are raw `f32`s.
 fn wire_levels(bytes: &[u8]) -> (usize, Vec<Vec<u32>>) {
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let from_key = |key: u32| if key >> 31 == 1 { key & !(1 << 31) } else { !key };
     let mut levels = Vec::new();
     let mut pos = 25;
     for _ in 0..word(21) {
-        let len = word(pos) as usize;
-        levels.push((0..len).map(|k| word(pos + 4 + 4 * k)).collect());
-        pos += 4 + 4 * len;
+        let (delta, len) = (word(pos) >> 31 == 1, (word(pos) & !(1 << 31)) as usize);
+        pos += 4;
+        if delta {
+            let mut key = word(pos);
+            pos += 4;
+            let mut level = vec![from_key(key)];
+            for _ in 1..len {
+                let mut gap = 0;
+                for shift in (0..).step_by(7) {
+                    gap |= u32::from(bytes[pos] & 0x7f) << shift;
+                    pos += 1;
+                    if bytes[pos - 1] & 0x80 == 0 {
+                        break;
+                    }
+                }
+                key += gap;
+                level.push(from_key(key));
+            }
+            levels.push(level);
+        } else {
+            levels.push((0..len).map(|k| word(pos + 4 * k)).collect());
+            pos += 4 * len;
+        }
     }
     (word(0) as usize, levels)
+}
+
+/// The raw wire encoding of a sketch of `capacity` holding `levels[h]` at
+/// level `h`, in the order given, counting the weight they carry.
+fn raw_sketch_bytes(capacity: usize, levels: &[Vec<f32>], flip: bool) -> Vec<u8> {
+    let items = || levels.iter().flatten().copied();
+    let n: u64 = levels.iter().enumerate().map(|(h, l)| (l.len() as u64) << h).sum();
+    let mut bytes = (capacity as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&n.to_le_bytes());
+    bytes.extend_from_slice(&items().fold(f32::INFINITY, f32::min).to_le_bytes());
+    bytes.extend_from_slice(&items().fold(f32::NEG_INFINITY, f32::max).to_le_bytes());
+    bytes.push(u8::from(flip));
+    bytes.extend_from_slice(&(levels.len() as u32).to_le_bytes());
+    for level in levels {
+        bytes.extend_from_slice(&(level.len() as u32).to_le_bytes());
+        level.iter().for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
+    }
+    bytes
 }
 
 /// The wire encoding of a sketch of `capacity` whose level 0 holds `items`.
@@ -913,6 +955,83 @@ proptest! {
             prop_assert_eq!(cap, capacity);
             for (h, level) in levels.iter().enumerate() {
                 prop_assert!(level.len() <= capacity, "level {} holds {}", h, level.len());
+            }
+        }
+    }
+}
+
+/// The input of one [`sketch_value`].
+fn any_value() -> impl Strategy<Value = (u8, u32)> {
+    (any::<u8>(), any::<u32>())
+}
+
+/// `levels` of [`sketch_value`]s, NaN dropped.
+fn non_nan_levels(levels: Vec<Vec<(u8, u32)>>) -> Vec<Vec<f32>> {
+    let level = |l: Vec<(u8, u32)>| l.into_iter().map(sketch_value).filter(|v| !v.is_nan());
+    levels.into_iter().map(|l| level(l).collect()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any sketch — any non-NaN bits at any level (±0.0, ±inf, subnormals,
+    /// repeats) in any order — survives its wire bit for bit: the decoded
+    /// sketch encodes to the same bytes, holds the same items, and proposes
+    /// and merges the same bits. The encoding is `wire_bytes()` long and
+    /// never longer than raw `f32` levels.
+    #[test]
+    fn sketch_wire_round_trips_every_bit(
+        levels in prop::collection::vec(prop::collection::vec(any_value(), 0..48), 1..6),
+        other in prop::collection::vec(any_value(), 0..400),
+        flip in any::<bool>(),
+        q in 1usize..40,
+    ) {
+        let levels = non_nan_levels(levels);
+        let raw = raw_sketch_bytes(48, &levels, flip);
+        let sketch = QuantileSketch::decode_bytes(&raw).expect("a well-formed sketch");
+        let bytes = sketch.encode_bytes();
+        prop_assert_eq!(sketch.wire_bytes(), bytes.len());
+        prop_assert!(bytes.len() <= raw.len(), "{} > {} raw", bytes.len(), raw.len());
+        let back = QuantileSketch::decode_bytes(&bytes).expect("its own encoding");
+        prop_assert_eq!(&back.encode_bytes(), &bytes);
+        let (_, items) = wire_levels(&bytes);
+        for (h, level) in levels.iter().enumerate() {
+            let mut want = level.clone();
+            want.sort_unstable_by(f32::total_cmp);
+            prop_assert_eq!(&items[h], &want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        let bits = |cuts: Vec<f32>| cuts.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(back.candidate_splits(q)), bits(sketch.candidate_splits(q)));
+        let mut peer = QuantileSketch::new(8);
+        other.into_iter().map(sketch_value).for_each(|v| peer.insert(v));
+        let (mut a, mut b) = (sketch.clone(), back);
+        a.merge(&peer);
+        b.merge(&peer);
+        prop_assert_eq!(a.encode_bytes(), b.encode_bytes());
+        prop_assert_eq!(bits(a.candidate_splits(q)), bits(b.candidate_splits(q)));
+    }
+
+    /// Every truncation of a sketch's bytes is `None`, and every single-byte
+    /// flip is `None` or a sketch whose own bytes round-trip: no panic.
+    #[test]
+    fn hostile_sketch_bytes_are_none_or_a_sketch(
+        levels in prop::collection::vec(prop::collection::vec(any_value(), 0..16), 1..4),
+        mask in 1u8..=255,
+    ) {
+        let levels = non_nan_levels(levels);
+        let sketch = QuantileSketch::decode_bytes(&raw_sketch_bytes(16, &levels, false))
+            .expect("a well-formed sketch");
+        let bytes = sketch.encode_bytes();
+        for cut in 0..bytes.len() {
+            prop_assert!(QuantileSketch::decode_bytes(&bytes[..cut]).is_none(), "cut at {}", cut);
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            if let Some(s) = QuantileSketch::decode_bytes(&flipped) {
+                let again = s.encode_bytes();
+                let back = QuantileSketch::decode_bytes(&again).map(|t| t.encode_bytes());
+                prop_assert_eq!(back, Some(again));
             }
         }
     }

@@ -11,9 +11,12 @@
 //!   are rounded up to whole bytes, as in the paper ("we use ⌈log(p)⌉ bytes
 //!   to encode the new feature id").
 //! * **Blockified** — the compressed pairs of one (file split × column
-//!   group) cell as three flat arrays with a single header, eliminating
-//!   per-vector framing (paper Figure 9). The receiver decodes every
-//!   sender's block in place into one row-store ([`decode_blocks`]).
+//!   group) cell under a single header, eliminating per-vector framing
+//!   (paper Figure 9), at the bit width both ends derive rather than whole
+//!   bytes: one little-endian bitstream of `⌈log₂ p⌉ + ⌈log₂ q⌉`-bit pairs,
+//!   then each row's length at the width of the longest row (the header
+//!   carries that width). The receiver decodes every sender's block in place
+//!   into one row-store ([`decode_blocks`]).
 //!
 //! All encoders really produce bytes — the byte counts reported to the cost
 //! model are the lengths of these buffers, not estimates.
@@ -53,47 +56,6 @@ fn get_be(src: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     buf[8 - src.len()..].copy_from_slice(src);
     u64::from_be_bytes(buf)
-}
-
-/// Stages a `u32` array into `out` at the given element width with bulk
-/// chunked copies — width-specialized for the common 1- and 2-byte cases so
-/// the hot repartition loop compiles to straight stores instead of
-/// per-element variable-width framing.
-fn put_u32s(out: &mut [u8], values: &[u32], width: usize) {
-    debug_assert_eq!(out.len(), values.len() * width);
-    match width {
-        1 => {
-            for (dst, &v) in out.iter_mut().zip(values) {
-                *dst = v as u8;
-            }
-        }
-        2 => {
-            for (dst, &v) in out.chunks_exact_mut(2).zip(values) {
-                dst.copy_from_slice(&(v as u16).to_be_bytes());
-            }
-        }
-        4 => {
-            for (dst, &v) in out.chunks_exact_mut(4).zip(values) {
-                dst.copy_from_slice(&v.to_be_bytes());
-            }
-        }
-        _ => {
-            for (dst, &v) in out.chunks_exact_mut(width).zip(values) {
-                put_be(dst, u64::from(v));
-            }
-        }
-    }
-}
-
-/// Appends a `u32` array encoded at the given element width.
-fn extend_u32s(dst: &mut Vec<u32>, src: &[u8], width: usize) {
-    debug_assert!(src.len().is_multiple_of(width));
-    match width {
-        1 => dst.extend(src.iter().map(|&b| u32::from(b))),
-        2 => dst.extend(src.chunks_exact(2).map(|c| u32::from(u16::from_be_bytes([c[0], c[1]])))),
-        4 => dst.extend(src.chunks_exact(4).map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))),
-        _ => dst.extend(src.chunks_exact(width).map(|c| get_be(c) as u32)),
-    }
 }
 
 /// Encodes pairs in the naïve 12-byte format (for the Table 5 baseline).
@@ -175,35 +137,123 @@ pub fn decode_compressed(
         .collect())
 }
 
-/// Encodes a whole [`Block`] in the blockified wire format: a fixed header
-/// followed by the three flat arrays with compact element widths.
-pub fn encode_block(block: &Block, p: usize, q: usize) -> Bytes {
-    let fw = bytes_for_cardinality(p);
-    let bw = bytes_for_cardinality(q);
-    let nnz = block.nnz();
-    let ptr_start = 16 + nnz * (fw + bw);
-    let mut out = vec![0u8; ptr_start + (block.n_rows() + 1) * 4];
-    out[0..4].copy_from_slice(&block.file_split_index.to_be_bytes());
-    out[4..8].copy_from_slice(&block.row_offset.to_be_bytes());
-    out[8..12].copy_from_slice(&(block.n_rows() as u32).to_be_bytes());
-    out[12..16].copy_from_slice(&(nnz as u32).to_be_bytes());
-    put_u32s(&mut out[16..16 + nnz * fw], &block.feats, fw);
-    {
-        let bins = &mut out[16 + nnz * fw..ptr_start];
-        match bw {
-            1 => {
-                for (dst, &b) in bins.iter_mut().zip(&block.bins) {
-                    *dst = b as u8;
-                }
-            }
-            _ => {
-                for (dst, &b) in bins.chunks_exact_mut(bw).zip(&block.bins) {
-                    put_be(dst, u64::from(b));
-                }
-            }
+/// Bytes of a blockified payload's header: file-split index, first row,
+/// row count and pair count (big-endian `u32`s), then the bit width of a
+/// row length.
+pub const BLOCK_HEADER_BYTES: usize = 17;
+
+/// Bits needed to address `cardinality` distinct values
+/// (`⌈log₂ cardinality⌉`, minimum 1).
+pub fn bits_for_cardinality(cardinality: usize) -> u32 {
+    usize::BITS - (cardinality.max(2) - 1).leading_zeros()
+}
+
+/// Bits of a row length in a block whose longest row holds `max_row_len`
+/// pairs (`⌈log₂(max_row_len + 1)⌉`; 0 when every row is empty).
+pub fn row_len_bits(max_row_len: usize) -> u32 {
+    usize::BITS - max_row_len.leading_zeros()
+}
+
+/// Bytes of a blockified payload of `nnz` pairs in `n_rows` rows whose
+/// lengths are `len_bits` wide, for a group of `p` features and `q` bins;
+/// `None` past `usize`.
+pub fn block_bytes(nnz: usize, n_rows: usize, len_bits: u32, p: usize, q: usize) -> Option<usize> {
+    let pair_bits = u128::from(bits_for_cardinality(p) + bits_for_cardinality(q));
+    let bits = nnz as u128 * pair_bits + n_rows as u128 * u128::from(len_bits);
+    usize::try_from(bits.div_ceil(8)).ok()?.checked_add(BLOCK_HEADER_BYTES)
+}
+
+/// Appends fields of up to 32 bits to a little-endian bitstream: field `k`
+/// starts at the bit where field `k − 1` ended, counting from bit 0 of
+/// byte 0.
+struct BitWriter {
+    out: Vec<u8>,
+    /// Bits written but not yet stored, lowest first.
+    acc: u64,
+    filled: u32,
+}
+
+impl BitWriter {
+    #[inline]
+    fn put(&mut self, value: u64, bits: u32) {
+        debug_assert!(bits <= 32 && value >> bits == 0);
+        self.acc |= value << self.filled;
+        self.filled += bits;
+        if self.filled >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.filled -= 32;
         }
     }
-    put_u32s(&mut out[ptr_start..], &block.row_ptr, 4);
+
+    /// The stream, its last byte zero-padded.
+    fn finish(mut self) -> Vec<u8> {
+        let tail = self.filled.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.out
+    }
+}
+
+/// Reads fields of up to 57 bits back from a [`BitWriter`] stream.
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl BitReader<'_> {
+    /// The next `bits`-bit field. Past the end of the stream it reads zero
+    /// bits, which a caller that checked the stream's length never reaches.
+    #[inline]
+    fn get(&mut self, bits: u32) -> u64 {
+        let at = self.pos >> 3;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            None => {
+                let mut word = [0u8; 8];
+                let tail = self.bytes.get(at..).unwrap_or_default();
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(word)
+            }
+        };
+        let field = (word >> (self.pos & 7)) & ((1 << bits) - 1);
+        self.pos += bits as usize;
+        field
+    }
+}
+
+/// Encodes a whole [`Block`] in the blockified wire format: a
+/// [`BLOCK_HEADER_BYTES`] header, then one little-endian bitstream of every
+/// pair — feature in the low [`bits_for_cardinality`]`(p)` bits, bin in the
+/// next `bits_for_cardinality(q)` — followed by every row's length at
+/// [`row_len_bits`] of the longest row.
+pub fn encode_block(block: &Block, p: usize, q: usize) -> Bytes {
+    let (fb, bb) = (bits_for_cardinality(p), bits_for_cardinality(q));
+    let (nnz, n_rows) = (block.nnz(), block.n_rows());
+    let max_len = block.row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let lb = row_len_bits(max_len as usize);
+    let len = block_bytes(nnz, n_rows, lb, p, q).expect("a block that fits in memory");
+    let mut out = Vec::with_capacity(len);
+    for word in [block.file_split_index, block.row_offset, n_rows as u32, nnz as u32] {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
+    out.push(lb as u8);
+    let mut bits = BitWriter { out, acc: 0, filled: 0 };
+    let pairs = block.feats.iter().zip(&block.bins);
+    if fb + bb <= 32 {
+        for (&f, &b) in pairs {
+            bits.put(u64::from(f) | u64::from(b) << fb, fb + bb);
+        }
+    } else {
+        for (&f, &b) in pairs {
+            bits.put(u64::from(f), fb);
+            bits.put(u64::from(b), bb);
+        }
+    }
+    for w in block.row_ptr.windows(2) {
+        bits.put(u64::from(w[1] - w[0]), lb);
+    }
+    let out = bits.finish();
+    debug_assert_eq!(out.len(), len);
     Bytes::from(out)
 }
 
@@ -213,34 +263,38 @@ struct BlockHeader {
     row_offset: u32,
     n_rows: usize,
     nnz: usize,
+    len_bits: u32,
 }
 
 fn block_header(bytes: &[u8], p: usize, q: usize) -> Result<BlockHeader, DataError> {
-    if bytes.len() < 16 {
+    if bytes.len() < BLOCK_HEADER_BYTES {
         return Err(DataError::Shape("block buffer shorter than header".into()));
     }
     let hdr = |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
-    let (n_rows, nnz) = (hdr(8) as usize, hdr(12) as usize);
-    let need =
-        nnz.checked_mul(compressed_pair_bytes(p, q)).and_then(|v| v.checked_add((n_rows + 1) * 4));
-    if need != Some(bytes.len() - 16) {
+    let (n_rows, nnz, len_bits) = (hdr(8) as usize, hdr(12) as usize, u32::from(bytes[16]));
+    if len_bits > 32 {
+        return Err(DataError::Shape(format!("row lengths {len_bits} bits wide")));
+    }
+    let need = block_bytes(nnz, n_rows, len_bits, p, q);
+    if need != Some(bytes.len()) {
         return Err(DataError::Shape(format!(
-            "block buffer has {} payload bytes, header implies {need:?}",
-            bytes.len() - 16
+            "block buffer has {} bytes, header implies {need:?}",
+            bytes.len()
         )));
     }
-    Ok(BlockHeader { file_split_index: hdr(0), row_offset: hdr(4), n_rows, nnz })
+    Ok(BlockHeader { file_split_index: hdr(0), row_offset: hdr(4), n_rows, nnz, len_bits })
 }
 
 /// Decodes blockified payloads — one per sender, in file-split order, bins
-/// `⌈log q⌉` bytes wide — into one row-store of `n_rows` rows over a group of
-/// `p = n_bins.len()` features, feature `f` with `n_bins[f]` bins. The headers size
-/// its pair arrays exactly; each payload is decoded in place, appended, and
-/// dropped before the next. Every malformed payload is a [`SliceError`]
-/// (which says whom it blames): a length its header does not imply, slices
-/// that do not tile the rows, pointers that do not run from 0 to the slice's pair count
-/// without descending, a row whose features are not strictly ascending
-/// and `< p`, or a bin `≥ n_bins[f]`.
+/// `⌈log₂ q⌉` bits wide — into one row-store of `n_rows` rows over a group of
+/// `p = n_bins.len()` features, feature `f` with `n_bins[f]` bins. The headers
+/// size its pair arrays exactly (a pair is at least two bits of its payload);
+/// each payload is decoded in place, appended, and dropped before the next.
+/// Every malformed payload is a [`SliceError`] (which says whom it blames):
+/// a length its header does not imply, slices that do not tile the rows or
+/// run past `n_rows`, row lengths that do not sum to the slice's pair count,
+/// a row whose features are not strictly ascending and `< p`, or a bin
+/// `≥ n_bins[f]`.
 pub fn decode_blocks(
     payloads: Vec<Bytes>,
     n_rows: usize,
@@ -253,31 +307,40 @@ pub fn decode_blocks(
         .enumerate()
         .map(|(slice, b)| block_header(b, p, q).map_err(|error| SliceError { slice, error }))
         .collect::<Result<Vec<_>, _>>()?;
-    let (fw, bw) = (bytes_for_cardinality(p), bytes_for_cardinality(q));
+    let (fb, bb) = (bits_for_cardinality(p), bits_for_cardinality(q));
     let mut rows = Assembly::new(n_bins, n_rows, headers.iter().map(|h| h.nnz).sum());
     for (slice, (payload, h)) in payloads.into_iter().zip(headers).enumerate() {
+        let fail = |error| SliceError { slice, error };
         rows.begin(h.file_split_index, h.row_offset)?;
-        let feats_end = 16 + h.nnz * fw;
-        let bins_end = feats_end + h.nnz * bw;
-        extend_u32s(&mut rows.feats, &payload[16..feats_end], fw);
-        let bins = &payload[feats_end..bins_end];
-        match bw {
-            1 => rows.bins.extend(bins.iter().map(|&b| BinId::from(b))),
-            _ => rows.bins.extend(bins.chunks_exact(bw).map(|c| get_be(c) as BinId)),
+        if h.row_offset as usize + h.n_rows > n_rows {
+            return Err(fail(DataError::Shape(format!(
+                "slice {} runs {} rows past the {n_rows} rows",
+                h.file_split_index,
+                h.row_offset as usize + h.n_rows - n_rows
+            ))));
         }
-        let ptrs = &payload[bins_end..];
-        let ptr = |k: usize| get_be(&ptrs[4 * k..4 * k + 4]) as usize;
-        if ptr(0) != 0 || ptr(h.n_rows) != h.nnz {
-            return Err(SliceError {
-                slice,
-                error: DataError::Shape(format!(
-                    "slice {} row_ptr does not run from 0 to its {} pairs",
-                    h.file_split_index, h.nnz
-                )),
-            });
+        let mut bits = BitReader { bytes: &payload[BLOCK_HEADER_BYTES..], pos: 0 };
+        let feature_mask = (1 << fb) - 1;
+        let base = rows.feats.len();
+        rows.feats.resize(base + h.nnz, 0);
+        rows.bins.resize(base + h.nnz, 0);
+        for (f, b) in rows.feats[base..].iter_mut().zip(&mut rows.bins[base..]) {
+            let pair = bits.get(fb + bb);
+            (*f, *b) = ((pair & feature_mask) as FeatureId, (pair >> fb) as BinId);
         }
-        let base = rows.feats.len() - h.nnz;
-        rows.row_ptr.extend((1..=h.n_rows).map(|k| base + ptr(k)));
+        let mut end = base;
+        for _ in 0..h.n_rows {
+            end += bits.get(h.len_bits) as usize;
+            rows.row_ptr.push(end);
+        }
+        if end - base != h.nnz {
+            return Err(fail(DataError::Shape(format!(
+                "slice {} row lengths sum to {}, not its {} pairs",
+                h.file_split_index,
+                end - base,
+                h.nnz
+            ))));
+        }
     }
     rows.finish()
 }
@@ -369,15 +432,36 @@ mod tests {
     }
 
     #[test]
-    fn blockified_beats_per_pair_framing() {
-        // 1000 pairs in one block: header amortizes to nothing, while even a
-        // 4-byte per-row length prefix on tiny vectors would dominate.
+    fn bit_widths_match_log2() {
+        let bits: Vec<u32> = [0, 1, 2, 3, 16, 17, 20, 2_000, 2_048, 2_049, 65_536, 65_537]
+            .map(bits_for_cardinality)
+            .into();
+        assert_eq!(bits, [1, 1, 1, 2, 4, 5, 5, 11, 11, 12, 16, 17]);
+        let lens: Vec<u32> = [0, 1, 2, 3, 4, 255, 256].map(row_len_bits).into();
+        assert_eq!(lens, [0, 1, 2, 2, 3, 8, 9]);
+    }
+
+    #[test]
+    fn blocks_pack_pairs_and_row_lengths_into_bits() {
+        // 1000 pairs, one per row, over 64 features and 20 bins: 6 + 5 bits
+        // a pair and 1 bit a row length, after the 17-byte header.
         let n = 1000usize;
         let feats: Vec<u32> = (0..n as u32).map(|i| i % 64).collect();
         let bins: Vec<u16> = (0..n as u16).map(|i| i % 20).collect();
-        let row_ptr: Vec<u32> = (0..=n as u32).collect(); // one pair per row
-        let enc = encode_block(&block(0, 0, feats, bins, row_ptr), 64, 20);
-        // 16-byte header + 2 bytes/pair + 4 bytes/row pointer.
-        assert_eq!(enc.len(), 16 + n * 2 + (n + 1) * 4);
+        let row_ptr: Vec<u32> = (0..=n as u32).collect();
+        let enc = encode_block(&block(0, 0, feats.clone(), bins.clone(), row_ptr), 64, 20);
+        assert_eq!(enc.len(), 17 + (n * 11 + n).div_ceil(8));
+        assert_eq!(Some(enc.len()), block_bytes(n, n, 1, 64, 20));
+        assert!(enc.len() * 2 < 16 + n * 2 + (n + 1) * 4, "half the byte-aligned size");
+        let rows = decode_blocks(vec![enc], n, &[20; 64], 20).unwrap();
+        assert_eq!((rows.row(999).0, rows.row(999).1), (&feats[999..], &bins[999..]));
+        // Pairs wider than the 32 bits one store takes: 2^17 features and
+        // 2^16 bins write each pair as two fields.
+        let wide = block(0, 0, vec![(1 << 17) - 1, 7], vec![65_535, 1], vec![0, 1, 1, 2]);
+        let enc = encode_block(&wide, 1 << 17, 1 << 16);
+        assert_eq!(enc.len(), 17 + 9, "two 33-bit pairs and three 1-bit lengths");
+        let rows = decode_blocks(vec![enc], 3, &vec![1 << 16; 1 << 17], 1 << 16).unwrap();
+        assert_eq!(rows.row(0), (&[(1 << 17) - 1][..], &[65_535][..]));
+        assert_eq!(rows.row(2), (&[7][..], &[1][..]));
     }
 }

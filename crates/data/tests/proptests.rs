@@ -3,6 +3,7 @@
 //! wire encodings must round-trip for arbitrary inputs.
 
 use gbdt_data::binned::BinnedRowsBuilder;
+use bytes::Bytes;
 use gbdt_data::block::{Block, SliceError};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
@@ -362,12 +363,16 @@ proptest! {
         noise in 0usize..200,
     ) {
         // Rows hold features 0 and 7, so every block has pairs and every row
-        // two of them; block 0 has at least two rows.
+        // two of them; block 0 has at least two rows. The group is 12
+        // features wide, so a feature id takes 4 bits and 12..16 are ids
+        // past p that the wire can carry; a bin takes 5, so 20..32 are bins
+        // past q that it can carry.
+        const P: usize = 12;
         let m = build_binned(&rows, 8);
         let mut blocks = slices(&m, n_blocks);
         let t = target % blocks.len();
         let b = &mut blocks[t];
-        let (nnz, n_rows) = (b.nnz() as u32, b.n_rows());
+        let n_rows = b.n_rows();
         // Pair positions: the first two of row 0, and the last of some row
         // (always feature 7, so raising it keeps the row ascending).
         let (first, last) = (b.row_ptr[0] as usize, b.row_ptr[1] as usize - 1);
@@ -375,8 +380,13 @@ proptest! {
         let mut truncate = 0;
         let what = match kind {
             0 => { truncate = 1 + noise % 16; "a truncated payload" }
-            1 => { b.row_ptr[usize::from(n_rows > 1)] = nnz + 1; "a row pointer that descends" }
-            2 => { b.feats[any_last] = 8 + noise as u32 % 248; "a feature >= p" }
+            1 => {
+                // The last row's length off by one or more, either way.
+                let end = b.row_ptr.last_mut().expect("a row");
+                if noise % 2 == 0 { *end += 1 + noise as u32 % 3 } else { *end -= 1 }
+                "row lengths that do not sum to the pair count"
+            }
+            2 => { b.feats[any_last] = (P + noise % (16 - P)) as u32; "a feature >= p" }
             3 => { b.feats[first + 1] = b.feats[first]; "a repeated feature" }
             4 => { b.feats.swap(first, last); "descending features" }
             5 => { b.file_split_index += 1 + noise as u32; "a split index out of order" }
@@ -385,12 +395,12 @@ proptest! {
                 b.row_offset = b.row_offset.wrapping_sub(1 + noise as u32);
                 "a row offset that overlaps"
             }
-            _ => { b.bins[any_last] = 20 + noise as u16 % 236; "a bin past its feature's count" }
+            _ => { b.bins[any_last] = 20 + noise as u16 % 12; "a bin past its feature's count" }
         };
-        let mut wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, 8, 20)).collect();
+        let mut wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, P, 20)).collect();
         let len = wire[t].len();
         wire[t] = wire[t].slice(0..len - truncate.min(len));
-        let out = encoding::decode_blocks(wire, m.n_rows(), &[20; 8], 20);
+        let out = encoding::decode_blocks(wire, m.n_rows(), &[20; P], 20);
         // The error is typed and names the corrupted block's sender.
         let typed = match &out {
             Err(SliceError { slice, error }) if *slice == t => match kind {
@@ -401,6 +411,54 @@ proptest! {
             _ => false,
         };
         prop_assert!(typed, "{} in block {} decoded to {:?}", what, t, out.map(|r| r.n_rows()));
+    }
+
+    #[test]
+    fn packed_blocks_are_smaller_and_hostile_bytes_are_typed_errors(
+        rows in arb_binned(40, 8, 20),
+        n_blocks in 1usize..4,
+        p in 8usize..300,
+        mask in 1u8..=255,
+    ) {
+        // Sizes: the packed formula, never more than the byte-aligned
+        // layout it replaced (16-byte header, whole-byte pairs, a u32
+        // pointer a row and one more).
+        let m = build_binned(&rows, 8);
+        let n_bins = vec![20; p];
+        let blocks = slices(&m, n_blocks);
+        let wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, p, 20)).collect();
+        for (b, bytes) in blocks.iter().zip(&wire) {
+            let max_len = b.row_ptr.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+            let lb = encoding::row_len_bits(max_len);
+            let packed = encoding::block_bytes(b.nnz(), b.n_rows(), lb, p, 20);
+            prop_assert_eq!(Some(bytes.len()), packed);
+            let pairs = b.nnz() * encoding::compressed_pair_bytes(p, 20);
+            let aligned = 16 + pairs + (b.n_rows() + 1) * 4;
+            prop_assert!(bytes.len() <= aligned, "{} > {}", bytes.len(), aligned);
+        }
+        let decode = |wire: Vec<_>| encoding::decode_blocks(wire, m.n_rows(), &n_bins, 20);
+        prop_assert_eq!(decode(wire.clone()).map_err(|e| e.slice).map(|r| r.nnz()), Ok(m.nnz()));
+        // Every truncation and every single-byte flip of every payload
+        // decodes or is a typed error blaming a slice that exists; none
+        // panics, and the headers can size nothing the payloads do not hold.
+        for t in 0..wire.len() {
+            let with = |payload: Bytes| {
+                let mut hostile = wire.clone();
+                hostile[t] = payload;
+                match decode(hostile) {
+                    Ok(rows) => rows.n_rows() == m.n_rows(),
+                    Err(SliceError { slice, .. }) => slice < wire.len(),
+                }
+            };
+            for cut in 0..wire[t].len() {
+                prop_assert!(with(wire[t].slice(..cut)), "payload {} cut at {}", t, cut);
+            }
+            for at in 0..wire[t].len() {
+                let mut flipped = wire[t].to_vec();
+                flipped[at] ^= mask;
+                prop_assert!(with(Bytes::from(flipped)), "payload {} byte {} ^ {:#x}", t, at, mask);
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!    file-split order straight into one [`BinnedRows`] — one block per
 //!    worker where the paper's Figure 9 merges down to ≤ 5 and indexes them
 //!    in two phases — each payload dropped once decoded.
-//! 5. **Broadcast instance labels** — the master collects every shard's
-//!    labels and broadcasts the full vector.
+//! 5. **Share instance labels** — every worker sends its shard's labels to
+//!    every other worker in one all-gather, so each holds the full vector.
 //!
 //! Step 4's wire format is selectable ([`WireEncoding`]) to reproduce the
 //! Table 5 ablation: naïve 12-byte pairs, compressed pairs (still framed
-//! per row), or the blockified flat-array format.
+//! per row), or the blockified format, bit-packed under one header.
 
 use crate::horizontal::HorizontalPartition;
 use crate::vertical::{ColumnGrouping, GroupingStrategy};
@@ -46,7 +46,8 @@ pub enum WireEncoding {
     /// Compact 〈⌈log p⌉-byte local feature, ⌈log q⌉-byte bin〉 pairs, still
     /// framed per row (compression without blockify).
     Compressed,
-    /// Compressed pairs as three flat arrays with one header (Vero).
+    /// Compressed pairs and row lengths under one header, bit-packed at the
+    /// widths both ends derive (Vero; [`encoding::encode_block`]).
     Blockified,
 }
 
@@ -81,12 +82,22 @@ pub struct TransformReport {
     pub sketch_seconds: f64,
     /// Steps 3–4: grouping, encode, exchange, decode (comp s).
     pub repartition_seconds: f64,
-    /// Step 5: label gather + broadcast (comp s).
+    /// Step 5: label all-gather (comp s).
     pub label_seconds: f64,
     /// Modelled communication seconds across all steps.
     pub comm_seconds: f64,
+    /// Bytes this worker sent in steps 1–2: sketch batches, cut parts and
+    /// the cut broadcast.
+    pub sketch_bytes_sent: u64,
+    /// Bytes this worker sent broadcasting the column grouping (step 3).
+    pub grouping_bytes_sent: u64,
     /// Bytes this worker sent during the step-4 exchange.
     pub repartition_bytes_sent: u64,
+    /// Bytes this worker sent in the step-5 label all-gather.
+    pub label_bytes_sent: u64,
+    /// Bytes this worker sent during the whole transformation, counted
+    /// apart from the four steps: their sum.
+    pub bytes_sent: u64,
 }
 
 /// Result of the transformation on one worker.
@@ -330,12 +341,14 @@ pub fn horizontal_to_vertical(
     assert_eq!(shard.n_instances(), row_hi - row_lo, "shard does not match partition");
     let mut report = TransformReport::default();
     let comm_before = ctx.comm.counters();
+    let sent = |ctx: &WorkerCtx| ctx.comm.counters().bytes_sent;
 
     // Steps 1-2.
     // lint: allow(wall-clock) — measures computation time for modelled stats only
     let t = Instant::now();
     let (cuts, feature_counts) = build_global_cuts(ctx, shard, q, cfg.sketch_capacity)?;
     report.sketch_seconds = t.elapsed().as_secs_f64();
+    report.sketch_bytes_sent = sent(ctx) - comm_before.bytes_sent;
 
     // Step 3: master decides the grouping, broadcasts the assignment.
     // lint: allow(wall-clock) — measures computation time for modelled stats only
@@ -346,24 +359,26 @@ pub fn horizontal_to_vertical(
     } else {
         Bytes::new()
     };
+    let bytes_before = sent(ctx);
     let grouping_bytes = ctx.comm.broadcast(0, grouping_bytes)?;
+    report.grouping_bytes_sent = sent(ctx) - bytes_before;
     let grouping = decode_grouping(&grouping_bytes, d, w)?;
 
-    let bytes_before_exchange = ctx.comm.counters().bytes_sent;
     let to_send = encode_groups(shard, rank, row_lo, &cuts, &grouping, cfg);
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
 
     // Step 4: exchange, and decode every sender's slice into one row-store.
+    let bytes_before = sent(ctx);
     let received = all_to_all(ctx, to_send)?;
+    report.repartition_bytes_sent = sent(ctx) - bytes_before;
     // lint: allow(wall-clock) — measures computation time for modelled stats only
     let t = Instant::now();
     let local_data = decode_group(received, rank, &partition, &cuts, &grouping, cfg)?;
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
-    report.repartition_bytes_sent = ctx.comm.counters().bytes_sent - bytes_before_exchange;
 
-    // Step 5: labels.
+    // Step 5: labels, one all-gather.
     // lint: allow(wall-clock) — measures computation time for modelled stats only
     let t = Instant::now();
     let label_payload = {
@@ -373,28 +388,15 @@ pub fn horizontal_to_vertical(
         }
         out.freeze()
     };
-    let gathered = ctx.comm.gather(0, label_payload)?;
-    let all_labels = if let Some(parts) = gathered {
-        let mut out = BytesMut::new();
-        for part in parts {
-            out.put_slice(&part);
-        }
-        out.freeze()
-    } else {
-        Bytes::new()
-    };
-    let mut all_labels = ctx.comm.broadcast(0, all_labels)?;
-    if all_labels.len() != 4 * partition.n_instances() {
-        return Err(CommError::Malformed { from: 0 });
-    }
-    let mut labels = Vec::with_capacity(partition.n_instances());
-    while all_labels.has_remaining() {
-        labels.push(all_labels.get_f32());
-    }
+    let bytes_before = sent(ctx);
+    let parts = ctx.comm.all_gather(label_payload)?;
+    report.label_bytes_sent = sent(ctx) - bytes_before;
+    let labels = decode_labels(parts, &partition)?;
     report.label_seconds = t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
 
     report.comm_seconds = ctx.comm.counters().comm_seconds - comm_before.comm_seconds;
+    report.bytes_sent = sent(ctx) - comm_before.bytes_sent;
 
     Ok(TransformOutput { cuts, grouping, local_data, labels, feature_counts, report })
 }
@@ -531,6 +533,26 @@ fn decode_group(
             })
         }
     }
+}
+
+/// Step 5's decode: every worker's labels, in rank order, into the full
+/// vector. A part whose length is not four bytes a row of its sender's
+/// partition bounds is [`CommError::Malformed`] from that sender.
+fn decode_labels(
+    parts: Vec<Bytes>,
+    partition: &HorizontalPartition,
+) -> Result<Vec<f32>, CommError> {
+    let mut labels = Vec::with_capacity(partition.n_instances());
+    for (from, mut part) in parts.into_iter().enumerate() {
+        let (lo, hi) = partition.bounds(from);
+        if part.len() != 4 * (hi - lo) {
+            return Err(CommError::Malformed { from });
+        }
+        while part.has_remaining() {
+            labels.push(part.get_f32());
+        }
+    }
+    Ok(labels)
 }
 
 /// The master's broadcast assignment of all `d` features to `w` groups;
@@ -768,6 +790,56 @@ mod tests {
         assert!(naive as f64 / blockified as f64 > 3.0);
     }
 
+    #[test]
+    fn per_step_bytes_sum_to_the_transformation_bytes() {
+        let full = toy_dataset(90, 11, 5);
+        for world in [1, 2, 3] {
+            let partition = HorizontalPartition::new(full.n_instances(), world);
+            let cfg = TransformConfig::default();
+            let (full_ref, cfg_ref) = (&full, &cfg);
+            let (outputs, _) = Cluster::new(world).run(move |ctx| {
+                let shard = partition.shard(full_ref, ctx.rank());
+                let before = ctx.comm.counters().bytes_sent;
+                let out = horizontal_to_vertical(ctx, &shard, partition, cfg_ref).unwrap();
+                (out.report, ctx.comm.counters().bytes_sent - before)
+            });
+            for (rank, (r, sent)) in outputs.iter().enumerate() {
+                let steps = [
+                    r.sketch_bytes_sent,
+                    r.grouping_bytes_sent,
+                    r.repartition_bytes_sent,
+                    r.label_bytes_sent,
+                ];
+                assert_eq!(steps.iter().sum::<u64>(), r.bytes_sent, "W = {world} rank {rank}");
+                assert_eq!(r.bytes_sent, *sent, "W = {world} rank {rank}");
+                // Only rank 0 broadcasts the grouping; every rank sends its
+                // labels, 4 bytes a row, to each of the W − 1 others.
+                assert_eq!(r.grouping_bytes_sent > 0, rank == 0 && world > 1);
+                let rows = (partition.bounds(rank).1 - partition.bounds(rank).0) as u64;
+                assert_eq!(r.label_bytes_sent, 4 * rows * (world as u64 - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn label_parts_of_the_wrong_length_name_their_sender() {
+        // W = 3 over 10 rows: ranks hold 4, 3 and 3 labels.
+        let partition = HorizontalPartition::new(10, 3);
+        let part = |rank: usize, extra: isize| {
+            let (lo, hi) = partition.bounds(rank);
+            let len = (4 * (hi - lo)) as isize + extra;
+            let bytes = (lo..).flat_map(|i| (i as f32).to_be_bytes());
+            Bytes::from(bytes.take(len as usize).collect::<Vec<_>>())
+        };
+        let parts = |extras: [isize; 3]| (0..3).map(|rank| part(rank, extras[rank])).collect();
+        let labels = decode_labels(parts([0, 0, 0]), &partition).unwrap();
+        assert_eq!(labels, (0..10).map(|i| i as f32).collect::<Vec<_>>());
+        for (extras, from) in [([0, 0, -1], 2), ([0, 4, 0], 1), ([-4, 0, 0], 0), ([0, -12, 0], 1)] {
+            let blamed = Err(CommError::Malformed { from });
+            assert_eq!(decode_labels(parts(extras), &partition), blamed, "{extras:?}");
+        }
+    }
+
     /// Sketches of `d` features with distinct value streams.
     fn sketches(d: usize) -> Vec<QuantileSketch> {
         (0..d)
@@ -899,23 +971,29 @@ mod tests {
             let word = |bytes: &[u8], at: usize| {
                 u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
             };
-            let fw = encoding::bytes_for_cardinality(grouping.group_len(0));
-            let bw = encoding::bytes_for_cardinality(q);
             let mut slice = received[1].to_vec();
-            let first_bin = match encoding {
-                // After the 16-byte header and the nnz feature ids.
-                WireEncoding::Blockified => 16 + word(&slice, 12) * fw,
+            if encoding == WireEncoding::Blockified {
+                // The first pair's bin: the bits after the header and the
+                // pair's feature id, set to q one bit at a time.
+                let fb = encoding::bits_for_cardinality(grouping.group_len(0)) as usize;
+                let at = 8 * encoding::BLOCK_HEADER_BYTES + fb;
+                for k in 0..encoding::bits_for_cardinality(q) as usize {
+                    let (byte, bit) = ((at + k) / 8, (at + k) % 8);
+                    slice[byte] = slice[byte] & !(1 << bit) | (((q >> k) & 1) as u8) << bit;
+                }
+            } else {
                 // After the 12-byte header, the empty rows' lengths, the
                 // first non-empty row's length and its first feature id.
-                _ => {
-                    let mut pos = 12;
-                    while word(&slice, pos) == 0 {
-                        pos += 4;
-                    }
-                    pos + 4 + fw
+                let fw = encoding::bytes_for_cardinality(grouping.group_len(0));
+                let bw = encoding::bytes_for_cardinality(q);
+                let mut pos = 12;
+                while word(&slice, pos) == 0 {
+                    pos += 4;
                 }
-            };
-            slice[first_bin..first_bin + bw].copy_from_slice(&(q as u64).to_be_bytes()[8 - bw..]);
+                let first_bin = pos + 4 + fw;
+                let bin = &(q as u64).to_be_bytes()[8 - bw..];
+                slice[first_bin..first_bin + bw].copy_from_slice(bin);
+            }
             received[1] = Bytes::from(slice);
             assert_eq!(decode(received), Some(CommError::Malformed { from: 1 }), "{encoding:?}");
         }

@@ -211,7 +211,9 @@ fn transform_holds_frames_payloads_and_rows_only(broken: &mut Vec<String>) {
         // A worker's frames are the blocks it sends, before encoding — a u32
         // feature and a u16 bin per pair, a u32 pointer per row and
         // destination; its payloads are the blockified wire form of the
-        // blocks it receives, one per sender.
+        // blocks it receives, one per sender: a header each, then its pairs
+        // and row lengths bit-packed (a row length no wider than the
+        // longest row it assembles needs), padded to a byte.
         let n = ds.n_instances();
         let budget: usize = outputs
             .iter()
@@ -219,10 +221,18 @@ fn transform_holds_frames_payloads_and_rows_only(broken: &mut Vec<String>) {
             .enumerate()
             .map(|(w, (out, shard))| {
                 let frames = shard.features.n_stored() * 6 + world * (shard.n_instances() + 1) * 4;
-                let pair_bytes =
-                    encoding::compressed_pair_bytes(out.grouping.group_len(w), cfg.n_bins);
-                let payloads = world * 20 + out.local_data.nnz() * pair_bytes + n * 4;
-                let rows = out.local_data.heap_bytes();
+                let rows = &out.local_data;
+                let longest = (0..n).map(|i| rows.row(i).0.len()).max().unwrap_or(0);
+                let packed = encoding::block_bytes(
+                    rows.nnz(),
+                    n,
+                    encoding::row_len_bits(longest),
+                    out.grouping.group_len(w),
+                    cfg.n_bins,
+                )
+                .expect("a block that fits in memory");
+                let payloads = packed + (world - 1) * (encoding::BLOCK_HEADER_BYTES + 1);
+                let rows = rows.heap_bytes();
                 (payloads + frames.max(rows)) * 5 / 4
             })
             .sum();
