@@ -106,7 +106,12 @@ impl BinCuts {
         let n = dataset.n_instances();
         let d = dataset.n_features();
         assert_eq!(d, self.n_features(), "cuts built for a different dimensionality");
-        let mut builder = BinnedRowsBuilder::with_capacity(d, n, dataset.features.n_stored());
+        let mut builder = BinnedRowsBuilder::with_capacity(
+            d,
+            self.max_bins(),
+            n,
+            dataset.features.n_stored(),
+        );
         self.for_each_binned_row(dataset, |_, entries| {
             builder.push_row(entries).expect("binned entries remain sorted");
         });

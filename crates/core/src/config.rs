@@ -409,7 +409,7 @@ mod tests {
     fn bin_store_follows_policy() {
         use gbdt_data::binned::BinnedRowsBuilder;
         let rows = || {
-            let mut b = BinnedRowsBuilder::new(2);
+            let mut b = BinnedRowsBuilder::new(2, 2);
             b.push_row(&[(0, 0), (1, 1)]).unwrap();
             b.push_row(&[(0, 1), (1, 0)]).unwrap();
             b.build()

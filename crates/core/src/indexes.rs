@@ -16,7 +16,7 @@
 //!   O(1), but every node split must repartition all D columns — the
 //!   D-times-higher split cost the paper calls out.
 
-use gbdt_data::{BinId, BinnedColumns, ColumnStore, InstanceId};
+use gbdt_data::{BinId, ColumnStore, InstanceId};
 use std::collections::BTreeMap;
 
 /// Node-to-instance index: a positions array partitioned by tree node.
@@ -191,23 +191,6 @@ pub struct ColumnWiseIndex {
 }
 
 impl ColumnWiseIndex {
-    /// Builds the index from a column-store; all instances start on root.
-    pub fn from_columns(columns: &BinnedColumns) -> Self {
-        let d = columns.n_features();
-        let mut col_rows = Vec::with_capacity(d);
-        let mut col_bins = Vec::with_capacity(d);
-        let mut root_ranges = Vec::with_capacity(d);
-        for j in 0..d {
-            let (rows, bins) = columns.col(j);
-            col_rows.push(rows.to_vec());
-            col_bins.push(bins.to_vec());
-            root_ranges.push((0u32, rows.len() as u32));
-        }
-        let mut ranges = BTreeMap::new();
-        ranges.insert(0, root_ranges);
-        ColumnWiseIndex { n_rows: columns.n_rows(), col_rows, col_bins, ranges }
-    }
-
     /// Builds the index from either column-store layout. A dense store
     /// contributes exactly its present cells in ascending instance order —
     /// the same pairs, in the same order, as the sparse store — so the
@@ -296,13 +279,7 @@ impl ColumnWiseIndex {
         self.ranges.insert(right, right_ranges);
     }
 
-    /// Resets the index for a new tree (recomputed from scratch by callers;
-    /// here we just merge all ranges back to root by re-sorting columns).
-    pub fn reset_from_columns(&mut self, columns: &BinnedColumns) {
-        *self = Self::from_columns(columns);
-    }
-
-    /// [`Self::reset_from_columns`] for either column-store layout.
+    /// Resets the index for a new tree: every column back on the root.
     pub fn reset_from_store(&mut self, columns: &ColumnStore) {
         *self = Self::from_store(columns);
     }
@@ -382,19 +359,19 @@ mod tests {
         assert_eq!(counts, [(2, 2), (1, 2)]);
     }
 
-    fn sample_columns() -> BinnedColumns {
-        let mut b = BinnedRowsBuilder::new(2);
+    fn sample_columns() -> ColumnStore {
+        let mut b = BinnedRowsBuilder::new(2, 8);
         b.push_row(&[(0, 1), (1, 5)]).unwrap(); // inst 0
         b.push_row(&[(0, 2)]).unwrap(); // inst 1
         b.push_row(&[(1, 6)]).unwrap(); // inst 2
         b.push_row(&[(0, 3), (1, 7)]).unwrap(); // inst 3
-        b.build().to_columns()
+        ColumnStore::Sparse(b.build().to_columns())
     }
 
     #[test]
     fn column_wise_index_partitions_every_column() {
         let cols = sample_columns();
-        let mut idx = ColumnWiseIndex::from_columns(&cols);
+        let mut idx = ColumnWiseIndex::from_store(&cols);
         assert_eq!(idx.node_column(0, 0).0, &[0, 1, 3]);
         assert_eq!(idx.node_column(0, 1).0, &[0, 2, 3]);
         // Instances 0, 2 left; 1, 3 right.
@@ -409,7 +386,7 @@ mod tests {
 
     #[test]
     fn column_wise_index_identical_from_either_layout() {
-        let mut b = BinnedRowsBuilder::new(2);
+        let mut b = BinnedRowsBuilder::new(2, 8);
         b.push_row(&[(0, 1), (1, 5)]).unwrap();
         b.push_row(&[(0, 2)]).unwrap();
         b.push_row(&[(1, 6)]).unwrap();
@@ -428,9 +405,9 @@ mod tests {
     #[test]
     fn column_wise_reset_restores_root() {
         let cols = sample_columns();
-        let mut idx = ColumnWiseIndex::from_columns(&cols);
+        let mut idx = ColumnWiseIndex::from_store(&cols);
         idx.split(0, |i| i < 2);
-        idx.reset_from_columns(&cols);
+        idx.reset_from_store(&cols);
         assert_eq!(idx.node_column(0, 0).0, &[0, 1, 3]);
         assert_eq!(idx.node_column(1, 0).0.len(), 0);
     }

@@ -2,12 +2,13 @@
 //!
 //! Histogram construction is the dominant computation cost of every
 //! quadrant (§3.1.1), and its inner loop shape depends on the binned
-//! storage layout. The sparse kernel walks a row's 〈feature, bin〉 pairs —
-//! one `u32` feature-id load plus a single pre-sliced slot index per
-//! value. The dense kernels scan the packed cell row directly: the feature
-//! id **is** the loop position, so the per-feature histogram region
-//! advances by a constant stride with no id loads and no per-feature
-//! offset multiplies.
+//! storage layout. The sparse kernels walk a row's (or a column's) packed
+//! 〈id, bin〉 keys ([`gbdt_data::pairs`]) — one 2-, 4- or 8-byte load a
+//! value, a shift for the id and a mask for the bin; they are written once,
+//! generic over the key width. The dense kernels scan the packed cell row
+//! directly: the feature id **is** the loop position, so the per-feature
+//! histogram region advances by a constant stride with no id loads and no
+//! per-feature offset multiplies.
 //!
 //! On top of the scalar dense scan sits the SIMD fast path ([`Kernel`]
 //! knob, default on): cells are loaded in fixed-width lane groups (u8×16 /
@@ -25,9 +26,10 @@
 
 use crate::config::Kernel;
 use crate::gradients::GradBuffer;
-use crate::histogram::NodeHistogram;
+use crate::histogram::{add_instance_to_feature_slice, NodeHistogram};
 use gbdt_data::dense_binned::{BinPack, DenseBinnedRows, MISSING_U16, MISSING_U8};
-use gbdt_data::{BinId, BinnedRows, BinnedStore};
+use gbdt_data::pairs::Keys;
+use gbdt_data::{BinId, BinnedRows, BinnedStore, ColumnStore, PairKey};
 
 #[allow(unsafe_code)] // the workspace's one audited `unsafe` module; see its docs
 pub mod simd;
@@ -165,28 +167,48 @@ pub fn fill_rows_chunk(
     }
 }
 
-/// The sparse row kernel: walk each row's 〈feature, bin〉 pairs.
-///
-/// The `C = 1` fast path hoists the `(g, h)` loads out of the pair loop
-/// and indexes each 2-slot `(g, h)` pair with a single bounds-checked
-/// range; multiclass pre-slices the slot once and walks its `(g, h)`
-/// interleave with `chunks_exact(2)` — same accumulation order as
-/// [`NodeHistogram::add_instance`], fewer per-value bounds checks.
+/// The sparse row kernel: walk each row's 〈feature, bin〉 keys, at
+/// whichever width the store holds them.
 pub fn fill_sparse_rows(
     hist: &mut NodeHistogram,
     chunk: &[u32],
     rows: &BinnedRows,
     grads: &GradBuffer,
 ) {
+    let (row_ptr, bits) = (rows.row_ptr(), rows.pairs().bin_bits());
+    match rows.pairs().keys() {
+        Keys::U16(keys) => sparse_rows(hist, chunk, row_ptr, keys, bits, grads),
+        Keys::U32(keys) => sparse_rows(hist, chunk, row_ptr, keys, bits, grads),
+        Keys::U64(keys) => sparse_rows(hist, chunk, row_ptr, keys, bits, grads),
+    }
+}
+
+/// [`fill_sparse_rows`] at one key width: feature `key >> bits` and bin
+/// `key & mask` land at `f·stride + bin·2C`, in stored (ascending feature)
+/// order.
+///
+/// The `C = 1` fast path hoists the `(g, h)` loads out of the pair loop
+/// and indexes each 2-slot `(g, h)` pair with a single bounds-checked
+/// range; multiclass pre-slices the slot once and walks its `(g, h)`
+/// interleave with `chunks_exact(2)` — same accumulation order as
+/// [`NodeHistogram::add_instance`], fewer per-value bounds checks.
+fn sparse_rows<K: PairKey>(
+    hist: &mut NodeHistogram,
+    chunk: &[u32],
+    row_ptr: &[usize],
+    keys: &[K],
+    bits: u32,
+    grads: &GradBuffer,
+) {
     let c = hist.n_outputs();
     let stride = hist.feature_stride();
     let data = hist.as_mut_slice();
+    let row = |i: u32| &keys[row_ptr[i as usize]..row_ptr[i as usize + 1]];
     if c == 1 {
         for &i in chunk {
             let (g, h) = grads.pair1(i as usize);
-            let (feats, bins) = rows.row(i as usize);
-            for (&f, &b) in feats.iter().zip(bins) {
-                let pair = &mut data[f as usize * stride + b as usize * 2..][..2];
+            for &key in row(i) {
+                let pair = &mut data[key.id(bits) * stride + key.bin(bits) * 2..][..2];
                 pair[0] += g;
                 pair[1] += h;
             }
@@ -194,9 +216,8 @@ pub fn fill_sparse_rows(
     } else {
         for &i in chunk {
             let (g, h) = grads.instance(i as usize);
-            let (feats, bins) = rows.row(i as usize);
-            for (&f, &b) in feats.iter().zip(bins) {
-                let slot = &mut data[f as usize * stride + b as usize * c * 2..][..c * 2];
+            for &key in row(i) {
+                let slot = &mut data[key.id(bits) * stride + key.bin(bits) * c * 2..][..c * 2];
                 for (pair, (&gv, &hv)) in slot.chunks_exact_mut(2).zip(g.iter().zip(h)) {
                     pair[0] += gv;
                     pair[1] += hv;
@@ -476,12 +497,11 @@ fn dense_rows_multi_simd<T: CellLanes>(
 pub fn fill_column_slice(
     slice: &mut [f64],
     n_outputs: usize,
-    store: &gbdt_data::ColumnStore,
+    store: &ColumnStore,
     col: usize,
     grads: &GradBuffer,
     kernel: Kernel,
 ) {
-    use gbdt_data::ColumnStore;
     match (store, n_outputs) {
         (ColumnStore::Dense(d), 1) => {
             let cells_range = col * d.n_rows()..(col + 1) * d.n_rows();
@@ -500,10 +520,33 @@ pub fn fill_column_slice(
                 }
             }
         }
-        _ => store.for_each_in_col(col, |i, b| {
+        (ColumnStore::Dense(d), _) => d.for_each_in_col(col, |i, b| {
             let (g, h) = grads.instance(i as usize);
-            crate::histogram::add_instance_to_feature_slice(slice, n_outputs, b, g, h);
+            add_instance_to_feature_slice(slice, n_outputs, b, g, h);
         }),
+        (ColumnStore::Sparse(s), _) => {
+            let (range, bits) = (s.col_range(col), s.pairs().bin_bits());
+            match s.pairs().keys() {
+                Keys::U16(keys) => sparse_col(slice, n_outputs, &keys[range], bits, grads),
+                Keys::U32(keys) => sparse_col(slice, n_outputs, &keys[range], bits, grads),
+                Keys::U64(keys) => sparse_col(slice, n_outputs, &keys[range], bits, grads),
+            }
+        }
+    }
+}
+
+/// One sparse column's 〈instance, bin〉 keys at one width, instances
+/// ascending.
+fn sparse_col<K: PairKey>(
+    slice: &mut [f64],
+    n_outputs: usize,
+    keys: &[K],
+    bits: u32,
+    grads: &GradBuffer,
+) {
+    for &key in keys {
+        let (g, h) = grads.instance(key.id(bits));
+        add_instance_to_feature_slice(slice, n_outputs, key.bin(bits) as BinId, g, h);
     }
 }
 
@@ -573,7 +616,7 @@ mod tests {
 
     /// A deterministic ragged matrix: ~2/3 of cells present.
     fn rows(n: usize, d: usize, q: usize) -> BinnedRows {
-        let mut b = BinnedRowsBuilder::new(d);
+        let mut b = BinnedRowsBuilder::new(d, q);
         for i in 0..n {
             let entries: Vec<(FeatureId, u16)> = (0..d)
                 .filter(|j| (i + j) % 3 != 0)
@@ -587,7 +630,7 @@ mod tests {
     /// Fully dense rows: every cell present (exercises the no-branch
     /// full-group SIMD path).
     fn full_rows(n: usize, d: usize, q: usize) -> BinnedRows {
-        let mut b = BinnedRowsBuilder::new(d);
+        let mut b = BinnedRowsBuilder::new(d, q);
         for i in 0..n {
             let entries: Vec<(FeatureId, u16)> =
                 (0..d).map(|j| (j as FeatureId, ((i * 11 + j * 5) % q) as u16)).collect();
@@ -697,6 +740,25 @@ mod tests {
         let mut got = NodeHistogram::new(d, wide_bins, 1);
         fill_dense_rows(&mut got, &chunk, &dense, &g, Kernel::Simd);
         assert_eq!(got.as_slice(), expect.as_slice());
+    }
+
+    #[test]
+    fn an_out_of_range_bin_never_reaches_a_neighbouring_feature() {
+        // A 2-feature store at q = 20 once took the pair (0, 25), and the
+        // sparse fill added it at 0·40 + 25·2 = 1·40 + 5·2: feature 1, bin
+        // 5. The builder now rejects it, so no histogram sees it.
+        let mut b = BinnedRowsBuilder::new(2, 20);
+        assert!(matches!(
+            b.push_row(&[(0, 25)]),
+            Err(gbdt_data::DataError::IndexOutOfBounds { kind: "bin", index: 25, bound: 20 })
+        ));
+        b.push_row(&[(0, 19)]).unwrap();
+        let mut g = GradBuffer::new(1, 1);
+        g.set(0, 0, 1.0, 1.0);
+        let mut hist = NodeHistogram::new(2, 20, 1);
+        fill_sparse_rows(&mut hist, &[0], &b.build(), &g);
+        assert_eq!(hist.as_slice()[38..40], [1.0, 1.0], "feature 0, bin 19");
+        assert!(hist.as_slice()[40..].iter().all(|&v| v == 0.0), "feature 1 untouched");
     }
 
     #[test]

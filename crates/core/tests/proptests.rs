@@ -531,7 +531,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (d, q, n) = (19, 13, cells.len());
-        let mut builder = BinnedRowsBuilder::new(d);
+        let mut builder = BinnedRowsBuilder::new(d, q);
         for row in &cells {
             let entries: Vec<(u32, u16)> = row
                 .iter()

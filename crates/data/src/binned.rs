@@ -10,72 +10,80 @@
 //!   (what QD2 and QD4 scan).
 //! * [`BinnedColumns`] — column-store: per feature, a run of 〈instance, bin〉
 //!   pairs (what QD1 and QD3 scan).
+//!
+//! Both hold each pair as one packed key ([`PairKeys`]), so a pair costs
+//! the bits its id and bin need, rounded to a 2-, 4- or 8-byte key.
 
 use crate::error::DataError;
+use crate::pairs::PairKeys;
 use crate::{BinId, FeatureId, InstanceId};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Row-store of binned values (CSR of 〈feature, bin〉 pairs).
+/// Row-store of binned values (CSR of 〈feature, bin〉 keys).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BinnedRows {
     n_rows: usize,
     n_features: usize,
     row_ptr: Vec<usize>,
-    feats: Vec<FeatureId>,
-    bins: Vec<BinId>,
+    pairs: PairKeys,
 }
 
-/// Column-store of binned values (CSC of 〈instance, bin〉 pairs).
+/// Column-store of binned values (CSC of 〈instance, bin〉 keys).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BinnedColumns {
     n_rows: usize,
     n_features: usize,
     col_ptr: Vec<usize>,
-    rows: Vec<InstanceId>,
-    bins: Vec<BinId>,
+    pairs: PairKeys,
 }
 
 /// Incremental builder for [`BinnedRows`].
 #[derive(Debug)]
 pub struct BinnedRowsBuilder {
     n_features: usize,
+    n_bins: usize,
     row_ptr: Vec<usize>,
-    feats: Vec<FeatureId>,
-    bins: Vec<BinId>,
+    pairs: PairKeys,
 }
 
 impl BinnedRowsBuilder {
-    /// Creates a builder for matrices with `n_features` columns.
-    pub fn new(n_features: usize) -> Self {
-        BinnedRowsBuilder { n_features, row_ptr: vec![0], feats: Vec::new(), bins: Vec::new() }
+    /// Creates a builder for matrices with `n_features` columns whose bins
+    /// are `< n_bins`.
+    pub fn new(n_features: usize, n_bins: usize) -> Self {
+        Self::with_capacity(n_features, n_bins, 0, 0)
     }
 
     /// Creates a builder with capacity hints.
-    pub fn with_capacity(n_features: usize, n_rows: usize, nnz: usize) -> Self {
+    pub fn with_capacity(n_features: usize, n_bins: usize, n_rows: usize, nnz: usize) -> Self {
         let mut row_ptr = Vec::with_capacity(n_rows + 1);
         row_ptr.push(0);
         BinnedRowsBuilder {
             n_features,
+            n_bins,
             row_ptr,
-            feats: Vec::with_capacity(nnz),
-            bins: Vec::with_capacity(nnz),
+            pairs: PairKeys::with_capacity(n_features, n_bins, nnz),
         }
     }
 
-    /// Appends a row of (feature, bin) pairs; pairs must be sorted by feature.
+    /// Appends a row of (feature, bin) pairs; pairs must be sorted by
+    /// feature, features `< n_features` and bins `< n_bins`.
     pub fn push_row(&mut self, entries: &[(FeatureId, BinId)]) -> Result<(), DataError> {
         check_row(self.row_ptr.len() - 1, entries.iter().map(|e| e.0), self.n_features)?;
-        for &(f, b) in entries {
-            self.feats.push(f);
-            self.bins.push(b);
+        if let Some(&(_, b)) = entries.iter().find(|e| usize::from(e.1) >= self.n_bins) {
+            let (index, bound) = (usize::from(b), self.n_bins);
+            return Err(DataError::IndexOutOfBounds { kind: "bin", index, bound });
         }
-        self.row_ptr.push(self.feats.len());
+        for &(f, b) in entries {
+            self.pairs.push(f, b);
+        }
+        self.row_ptr.push(self.pairs.len());
         Ok(())
     }
 
     /// Finalizes the builder.
     pub fn build(self) -> BinnedRows {
-        BinnedRows::from_checked_parts(self.n_features, self.row_ptr, self.feats, self.bins)
+        BinnedRows::from_checked_parts(self.n_features, self.row_ptr, self.pairs)
     }
 }
 
@@ -105,17 +113,16 @@ pub(crate) fn check_row(
 }
 
 impl BinnedRows {
-    /// A row-store over three arrays the caller has checked: `row_ptr` runs
-    /// from 0 to the pair count without descending, and every row's features
-    /// are strictly ascending and `< n_features` ([`BinnedRowsBuilder`]
-    /// checks row by row, [`crate::block::Assembly`] slice by slice).
+    /// A row-store over parts the caller has checked: `row_ptr` runs from 0
+    /// to the pair count without descending, and every row's features are
+    /// strictly ascending and `< n_features` ([`BinnedRowsBuilder`] checks
+    /// row by row, [`crate::block::Assembly`] slice by slice).
     pub(crate) fn from_checked_parts(
         n_features: usize,
         row_ptr: Vec<usize>,
-        feats: Vec<FeatureId>,
-        bins: Vec<BinId>,
+        pairs: PairKeys,
     ) -> Self {
-        BinnedRows { n_rows: row_ptr.len() - 1, n_features, row_ptr, feats, bins }
+        BinnedRows { n_rows: row_ptr.len() - 1, n_features, row_ptr, pairs }
     }
 
     /// Number of instances.
@@ -133,51 +140,61 @@ impl BinnedRows {
     /// Number of stored pairs.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.feats.len()
+        self.pairs.len()
     }
 
-    /// Row `i` as parallel `(features, bins)` slices.
+    /// Row pointers: `row_ptr[i]..row_ptr[i + 1]` are row `i`'s pairs.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[FeatureId], &[BinId]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.feats[lo..hi], &self.bins[lo..hi])
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// Every row's pairs, back to back, as packed 〈feature, bin〉 keys.
+    #[inline]
+    pub fn pairs(&self) -> &PairKeys {
+        &self.pairs
+    }
+
+    #[inline]
+    fn row_range(&self, i: usize) -> Range<usize> {
+        self.row_ptr[i]..self.row_ptr[i + 1]
+    }
+
+    /// Row `i`'s pairs in ascending feature order.
+    #[inline]
+    pub fn for_each_in_row(&self, i: usize, f: impl FnMut(FeatureId, BinId)) {
+        self.pairs.for_each(self.row_range(i), f);
     }
 
     /// Bin of `(row, feature)` or `None` when the value is missing.
+    #[inline]
     pub fn get(&self, row: usize, feature: FeatureId) -> Option<BinId> {
-        let (feats, bins) = self.row(row);
-        feats.binary_search(&feature).ok().map(|k| bins[k])
+        self.pairs.find(self.row_range(row), feature)
     }
 
-    /// Converts to the equivalent column-store.
+    /// Converts to the equivalent column-store (same bin field; the key
+    /// width follows the instance count).
     pub fn to_columns(&self) -> BinnedColumns {
         let mut counts = vec![0usize; self.n_features];
-        for &f in &self.feats {
-            counts[f as usize] += 1;
-        }
+        self.pairs.for_each(0..self.nnz(), |f, _| counts[f as usize] += 1);
         let mut col_ptr = Vec::with_capacity(self.n_features + 1);
         col_ptr.push(0usize);
         for j in 0..self.n_features {
             col_ptr.push(col_ptr[j] + counts[j]);
         }
         let mut cursor = col_ptr[..self.n_features].to_vec();
-        let mut rows = vec![0 as InstanceId; self.nnz()];
-        let mut bins = vec![0 as BinId; self.nnz()];
+        let mut pairs = PairKeys::zeroed(self.n_rows, self.pairs.bin_bits(), self.nnz());
         for i in 0..self.n_rows {
-            let (feats, row_bins) = self.row(i);
-            for (&f, &b) in feats.iter().zip(row_bins) {
-                let dst = cursor[f as usize];
-                rows[dst] = i as InstanceId;
-                bins[dst] = b;
+            self.for_each_in_row(i, |f, b| {
+                pairs.set(cursor[f as usize], i as InstanceId, b);
                 cursor[f as usize] += 1;
-            }
+            });
         }
-        BinnedColumns { n_rows: self.n_rows, n_features: self.n_features, col_ptr, rows, bins }
+        BinnedColumns { n_rows: self.n_rows, n_features: self.n_features, col_ptr, pairs }
     }
 
     /// Extracts a vertical shard containing `cols` (renumbered `0..cols.len()`
-    /// in the given order), keeping all rows.
+    /// in the given order), keeping all rows and the bin field.
     ///
     /// This is the row-store-of-a-column-group that Vero workers hold.
     pub fn select_cols(&self, cols: &[FeatureId]) -> BinnedRows {
@@ -185,28 +202,30 @@ impl BinnedRows {
         for (new, &old) in cols.iter().enumerate() {
             remap[old as usize] = new as u32;
         }
-        let mut b = BinnedRowsBuilder::new(cols.len());
+        let mut pairs = PairKeys::with_bin_bits(cols.len(), self.pairs.bin_bits(), 0);
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        row_ptr.push(0);
         let mut entries: Vec<(FeatureId, BinId)> = Vec::new();
         for i in 0..self.n_rows {
             entries.clear();
-            let (feats, bins) = self.row(i);
-            for (&f, &bin) in feats.iter().zip(bins) {
+            self.for_each_in_row(i, |f, bin| {
                 let new = remap[f as usize];
                 if new != u32::MAX {
                     entries.push((new, bin));
                 }
-            }
+            });
             entries.sort_unstable_by_key(|&(f, _)| f);
-            b.push_row(&entries).expect("remapped entries are valid");
+            for &(f, b) in &entries {
+                pairs.push(f, b);
+            }
+            row_ptr.push(pairs.len());
         }
-        b.build()
+        BinnedRows::from_checked_parts(cols.len(), row_ptr, pairs)
     }
 
     /// Bytes of heap storage used (exact, for memory accounting).
     pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<usize>()
-            + self.feats.len() * std::mem::size_of::<FeatureId>()
-            + self.bins.len() * std::mem::size_of::<BinId>()
+        self.row_ptr.len() * std::mem::size_of::<usize>() + self.pairs.heap_bytes()
     }
 }
 
@@ -226,22 +245,36 @@ impl BinnedColumns {
     /// Number of stored pairs.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.rows.len()
+        self.pairs.len()
     }
 
-    /// Column `j` as parallel `(instances, bins)` slices; instances ascend.
+    /// Pair range of column `j` in [`Self::pairs`].
     #[inline]
-    pub fn col(&self, j: usize) -> (&[InstanceId], &[BinId]) {
-        let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        (&self.rows[lo..hi], &self.bins[lo..hi])
+    pub fn col_range(&self, j: usize) -> Range<usize> {
+        self.col_ptr[j]..self.col_ptr[j + 1]
+    }
+
+    /// Every column's pairs, back to back, as packed 〈instance, bin〉 keys.
+    #[inline]
+    pub fn pairs(&self) -> &PairKeys {
+        &self.pairs
+    }
+
+    /// Column `j`'s pairs in ascending instance order.
+    #[inline]
+    pub fn for_each_in_col(&self, j: usize, f: impl FnMut(InstanceId, BinId)) {
+        self.pairs.for_each(self.col_range(j), f);
+    }
+
+    /// Bin of `(row, feature)` or `None` when the value is missing.
+    #[inline]
+    pub fn get(&self, row: usize, feature: FeatureId) -> Option<BinId> {
+        self.pairs.find(self.col_range(feature as usize), row as InstanceId)
     }
 
     /// Bytes of heap storage used (exact, for memory accounting).
     pub fn heap_bytes(&self) -> usize {
-        self.col_ptr.len() * std::mem::size_of::<usize>()
-            + self.rows.len() * std::mem::size_of::<InstanceId>()
-            + self.bins.len() * std::mem::size_of::<BinId>()
+        self.col_ptr.len() * std::mem::size_of::<usize>() + self.pairs.heap_bytes()
     }
 }
 
@@ -250,7 +283,7 @@ mod tests {
     use super::*;
 
     fn sample() -> BinnedRows {
-        let mut b = BinnedRowsBuilder::new(4);
+        let mut b = BinnedRowsBuilder::new(4, 6);
         b.push_row(&[(0, 3), (2, 1)]).unwrap();
         b.push_row(&[(1, 2)]).unwrap();
         b.push_row(&[]).unwrap();
@@ -258,13 +291,31 @@ mod tests {
         b.build()
     }
 
+    fn row(m: &BinnedRows, i: usize) -> Vec<(FeatureId, BinId)> {
+        let mut out = Vec::new();
+        m.for_each_in_row(i, |f, b| out.push((f, b)));
+        out
+    }
+
+    fn col(m: &BinnedColumns, j: usize) -> Vec<(InstanceId, BinId)> {
+        let mut out = Vec::new();
+        m.for_each_in_col(j, |i, b| out.push((i, b)));
+        out
+    }
+
     #[test]
     fn builder_validates_order_and_bounds() {
-        let mut b = BinnedRowsBuilder::new(3);
+        let mut b = BinnedRowsBuilder::new(3, 4);
         assert!(b.push_row(&[(1, 0), (0, 0)]).is_err());
         assert!(b.push_row(&[(0, 0), (0, 1)]).is_err());
         assert!(b.push_row(&[(0, 0), (3, 1)]).is_err());
-        assert!(b.push_row(&[(0, 0), (2, 1)]).is_ok());
+        assert!(matches!(
+            b.push_row(&[(0, 0), (2, 4)]),
+            Err(DataError::IndexOutOfBounds { kind: "bin", index: 4, bound: 4 })
+        ));
+        assert!(b.push_row(&[(0, 0), (2, 3)]).is_ok());
+        let m = b.build();
+        assert_eq!((m.n_rows(), m.nnz()), (1, 2), "a rejected row stores nothing");
     }
 
     #[test]
@@ -273,6 +324,9 @@ mod tests {
         assert_eq!(m.get(0, 2), Some(1));
         assert_eq!(m.get(0, 1), None);
         assert_eq!(m.get(3, 3), Some(5));
+        assert_eq!(m.get(2, 0), None);
+        assert_eq!(m.get(3, 9), None, "a feature past the store");
+        assert_eq!(row(&m, 3), [(0, 0), (1, 1), (3, 5)]);
     }
 
     #[test]
@@ -281,24 +335,21 @@ mod tests {
         let cols = m.to_columns();
         assert_eq!((cols.n_rows(), cols.n_features(), cols.nnz()), (4, 4, m.nnz()));
         for j in 0..m.n_features() {
-            let (rows, bins) = cols.col(j);
-            let got: Vec<(InstanceId, BinId)> =
-                rows.iter().copied().zip(bins.iter().copied()).collect();
             let want: Vec<(InstanceId, BinId)> = (0..m.n_rows())
                 .filter_map(|i| m.get(i, j as FeatureId).map(|b| (i as InstanceId, b)))
                 .collect();
-            assert_eq!(got, want, "column {j}");
+            assert_eq!(col(&cols, j), want, "column {j}");
+            for i in 0..m.n_rows() {
+                assert_eq!(cols.get(i, j as FeatureId), m.get(i, j as FeatureId));
+            }
         }
     }
 
     #[test]
     fn columns_are_instance_sorted() {
         let cols = sample().to_columns();
-        let (rows, bins) = cols.col(0);
-        assert_eq!(rows, &[0, 3]);
-        assert_eq!(bins, &[3, 0]);
-        let (rows, _) = cols.col(1);
-        assert_eq!(rows, &[1, 3]);
+        assert_eq!(col(&cols, 0), [(0, 3), (3, 0)]);
+        assert_eq!(col(&cols, 1), [(1, 2), (3, 1)]);
     }
 
     #[test]
@@ -315,7 +366,9 @@ mod tests {
 
     #[test]
     fn heap_bytes_is_exact() {
+        // Four features at 6 bins: 4 · 2^3 keys fit 2 bytes.
         let m = sample();
-        assert_eq!(m.heap_bytes(), 5 * 8 + 6 * 4 + 6 * 2);
+        assert_eq!(m.heap_bytes(), 5 * 8 + 6 * 2);
+        assert_eq!(m.pairs().key_bytes(), 2);
     }
 }

@@ -1,18 +1,21 @@
 //! Blockified column groups (paper §4.2.3, Figure 9).
 //!
 //! During the horizontal-to-vertical transformation each source worker sends
-//! its slice of a column group as one *block* — three flat arrays (feature
-//! indexes, histogram bin indexes, instance pointers) — rather than millions
-//! of small vectors, sidestepping (de)serialization overhead. [`Block`] is
-//! that slice on the sending side. On the receiving side an [`Assembly`]
-//! takes the senders' slices in file-split order ("sorting the received
-//! column groups w.r.t. the original worker ids", step 4) straight into the
-//! three arrays of one [`BinnedRows`]: where the paper keeps a two-phase
-//! index over ≤ 5 merged blocks, a worker here holds one block, and a row
-//! lookup is one pointer read.
+//! its slice of a column group as one *block* rather than millions of small
+//! vectors, sidestepping (de)serialization overhead. Figure 9's three flat
+//! arrays (feature indexes, histogram bin indexes, instance pointers) are
+//! two in memory: packed 〈feature, bin〉 keys ([`PairKeys`]) and the
+//! pointers; the wire form ([`crate::encoding::encode_block`]) is
+//! unchanged. [`Block`] is that slice on the sending side. On the receiving
+//! side an [`Assembly`] takes the senders' slices in file-split order
+//! ("sorting the received column groups w.r.t. the original worker ids",
+//! step 4) straight into the keys of one [`BinnedRows`]: where the paper
+//! keeps a two-phase index over ≤ 5 merged blocks, a worker here holds one
+//! block, and a row lookup is one pointer read.
 
-use crate::binned::{check_row, BinnedRows};
+use crate::binned::BinnedRows;
 use crate::error::DataError;
+use crate::pairs::PairKeys;
 use crate::{BinId, FeatureId};
 
 /// One contiguous slice of a column group: rows `row_offset ..
@@ -23,10 +26,8 @@ pub struct Block {
     pub file_split_index: u32,
     /// Global instance id of the first row in this block.
     pub row_offset: u32,
-    /// Group-local feature ids of the stored pairs.
-    pub feats: Vec<FeatureId>,
-    /// Histogram bin indexes of the stored pairs.
-    pub bins: Vec<BinId>,
+    /// The stored pairs: group-local feature ids and histogram bin indexes.
+    pub pairs: PairKeys,
     /// Instance pointers: `row_ptr[i]..row_ptr[i+1]` delimits local row `i`.
     pub row_ptr: Vec<u32>,
 }
@@ -41,20 +42,19 @@ impl Block {
     /// Number of stored pairs.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.feats.len()
+        self.pairs.len()
     }
 }
 
 /// A worker's column group under assembly: the senders' slices, appended in
-/// file-split order to the three arrays of one [`BinnedRows`].
+/// file-split order to the keys and pointers of one [`BinnedRows`].
 #[derive(Debug)]
 pub struct Assembly {
     /// Bin count of each group-local feature; its length is the group's width.
     n_bins: Vec<usize>,
     n_rows: usize,
     pub(crate) row_ptr: Vec<usize>,
-    pub(crate) feats: Vec<FeatureId>,
-    pub(crate) bins: Vec<BinId>,
+    pub(crate) pairs: PairKeys,
     /// Slices begun so far: the file-split index the next one must carry.
     slices: u32,
     /// Rows checked so far: every row of the slices before the open one.
@@ -77,12 +77,18 @@ pub struct SliceError {
 impl Assembly {
     /// An empty assembly of `n_rows` rows over `n_bins.len()` group-local
     /// features, feature `f` binned into `n_bins[f]` bins, with room for
-    /// `nnz` pairs.
+    /// `nnz` pairs. Its keys' bin field holds the largest bin count.
     pub fn new(n_bins: &[usize], n_rows: usize, nnz: usize) -> Self {
         let mut row_ptr = Vec::with_capacity(n_rows + 1);
         row_ptr.push(0);
-        let (feats, bins) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
-        Assembly { n_bins: n_bins.to_vec(), n_rows, row_ptr, feats, bins, slices: 0, checked: 0 }
+        let q = n_bins.iter().copied().max().unwrap_or(0);
+        let pairs = PairKeys::with_capacity(n_bins.len(), q, nnz);
+        Assembly { n_bins: n_bins.to_vec(), n_rows, row_ptr, pairs, slices: 0, checked: 0 }
+    }
+
+    /// The slice a failure inside the open slice blames.
+    fn open_slice(&self) -> usize {
+        (self.slices as usize).saturating_sub(1)
     }
 
     /// Closes the open slice, then opens the next sender's, which must
@@ -106,25 +112,22 @@ impl Assembly {
     }
 
     /// Checks the open slice's rows: pointers that do not descend and end at
-    /// the pair count, features strictly ascending and `< n_bins.len()` in
-    /// every row, and each pair's bin below its feature's bin count.
+    /// the pair count, and features strictly ascending in every row (each
+    /// pair's bounds were checked as it was pushed).
     fn close(&mut self) -> Result<(), SliceError> {
-        let slice = (self.slices as usize).saturating_sub(1);
-        let fail = |error| SliceError { slice, error };
+        let fail = |error| SliceError { slice: self.open_slice(), error };
         let rows = &self.row_ptr[self.checked..];
         for (i, w) in (self.checked..).zip(rows.windows(2)) {
-            let row = self.feats.get(w[0]..w[1]).ok_or_else(|| {
-                fail(DataError::Shape(format!("row_ptr is not monotone at row {i}")))
-            })?;
-            check_row(i, row.iter().copied(), self.n_bins.len()).map_err(fail)?;
-            for (&f, &b) in row.iter().zip(&self.bins[w[0]..w[1]]) {
-                let (index, bound) = (usize::from(b), self.n_bins[f as usize]);
-                if index >= bound {
-                    return Err(fail(DataError::IndexOutOfBounds { kind: "bin", index, bound }));
-                }
+            if w[0] > w[1] || w[1] > self.pairs.len() {
+                return Err(fail(DataError::Shape(format!("row_ptr is not monotone at row {i}"))));
+            }
+            if !self.pairs.ids_ascend(w[0]..w[1]) {
+                return Err(fail(DataError::Shape(format!(
+                    "row {i} entries not strictly ascending by feature"
+                ))));
             }
         }
-        if self.row_ptr.last() != Some(&self.feats.len()) {
+        if self.row_ptr.last() != Some(&self.pairs.len()) {
             return Err(fail(DataError::Shape(
                 "row_ptr does not end at the pair count".into(),
             )));
@@ -133,17 +136,42 @@ impl Assembly {
         Ok(())
     }
 
-    /// Appends a pair to the open row.
+    /// Appends a pair to the open row: a feature `< n_bins.len()` with a bin
+    /// below its bin count, else the open slice's typed error.
     #[inline]
-    pub fn push(&mut self, feature: FeatureId, bin: BinId) {
-        self.feats.push(feature);
-        self.bins.push(bin);
+    pub fn push(&mut self, feature: FeatureId, bin: BinId) -> Result<(), SliceError> {
+        self.extend(1, || (feature, bin))
+    }
+
+    /// Appends `n` pairs drawn from `next` to the open row, each checked as
+    /// [`Self::push`] checks it.
+    #[inline]
+    pub fn extend(
+        &mut self,
+        n: usize,
+        mut next: impl FnMut() -> (FeatureId, BinId),
+    ) -> Result<(), SliceError> {
+        let (n_bins, slice) = (&self.n_bins, self.open_slice());
+        self.pairs.try_extend(n, || {
+            let (feature, bin) = next();
+            let (f, index) = (feature as usize, usize::from(bin));
+            let error = match n_bins.get(f) {
+                None => {
+                    DataError::IndexOutOfBounds { kind: "feature", index: f, bound: n_bins.len() }
+                }
+                Some(&bound) if index >= bound => {
+                    DataError::IndexOutOfBounds { kind: "bin", index, bound }
+                }
+                Some(_) => return Ok((feature, bin)),
+            };
+            Err(SliceError { slice, error })
+        })
     }
 
     /// Closes the open row.
     #[inline]
     pub fn end_row(&mut self) {
-        self.row_ptr.push(self.feats.len());
+        self.row_ptr.push(self.pairs.len());
     }
 
     /// The assembled rows, once the slices covered all `n_rows`. A short
@@ -153,14 +181,14 @@ impl Assembly {
         let assembled = self.row_ptr.len() - 1;
         if assembled != self.n_rows {
             return Err(SliceError {
-                slice: (self.slices as usize).saturating_sub(1),
+                slice: self.open_slice(),
                 error: DataError::Shape(format!(
                     "{} slices cover {assembled} of {} rows",
                     self.slices, self.n_rows
                 )),
             });
         }
-        Ok(BinnedRows::from_checked_parts(self.n_bins.len(), self.row_ptr, self.feats, self.bins))
+        Ok(BinnedRows::from_checked_parts(self.n_bins.len(), self.row_ptr, self.pairs))
     }
 }
 
@@ -178,7 +206,7 @@ mod tests {
         asm.begin(split, offset)?;
         for row in rows {
             for &(f, b) in *row {
-                asm.push(f, b);
+                asm.push(f, b)?;
             }
             asm.end_row();
         }
@@ -194,10 +222,15 @@ mod tests {
         slice(&mut asm, 2, 5, &[&[(1, 9)]]).unwrap();
         let m = asm.finish().unwrap();
         assert_eq!((m.n_rows(), m.nnz()), (6, 6));
-        assert_eq!(m.row(0), (&[0u32, 2][..], &[1u16, 3][..]));
-        assert_eq!(m.row(2), (&[][..], &[][..]));
-        assert_eq!(m.row(4), (&[2u32][..], &[7u16][..]));
-        assert_eq!(m.row(5), (&[1u32][..], &[9u16][..]));
+        let row = |i| {
+            let mut out = Vec::new();
+            m.for_each_in_row(i, |f, b| out.push((f, b)));
+            out
+        };
+        assert_eq!(row(0), [(0, 1), (2, 3)]);
+        assert_eq!(row(2), []);
+        assert_eq!(row(4), [(2, 7)]);
+        assert_eq!(row(5), [(1, 9)]);
     }
 
     #[test]
@@ -220,7 +253,7 @@ mod tests {
         let two_slices = |row: &[(u32, u16)]| {
             let mut asm = Assembly::new(&[10; 3], 2, 0);
             slice(&mut asm, 0, 0, &[&[(0, 1)]]).unwrap();
-            slice(&mut asm, 1, 1, &[row]).unwrap();
+            slice(&mut asm, 1, 1, &[row])?;
             asm.finish()
         };
         assert!(two_slices(&[(0, 1), (2, 3)]).is_ok());

@@ -1,10 +1,11 @@
 //! Dense bin-encoded matrices: one bin id per `(row, feature)` cell.
 //!
-//! The sparse [`BinnedRows`]/[`BinnedColumns`] pay 6 bytes per stored value
-//! (`u32` feature or instance id + `u16` bin) plus a binary search on point
-//! lookups. On dense workloads — the SUSY / Higgs / Criteo / Epsilon class
-//! of Table 2, where every cell is present — that indirection is pure
-//! overhead. [`DenseBinnedRows`] and [`DenseBinnedColumns`] instead store
+//! The sparse [`BinnedRows`]/[`BinnedColumns`] pay one packed key per
+//! stored value (`(id << b) | bin`: 2 bytes while `ids · 2^b ≤ 2^16`, else 4
+//! or 8; see [`crate::pairs`]) plus a binary search on point lookups. On
+//! dense workloads — the SUSY / Higgs / Criteo / Epsilon class of Table 2,
+//! where every cell is present — that indirection is pure overhead.
+//! [`DenseBinnedRows`] and [`DenseBinnedColumns`] instead store
 //! one bin id per cell in row-/column-major order, packed as `u8` when the
 //! bin count allows (`q ≤ 255`) and `u16` otherwise, with the all-ones
 //! value of the cell width reserved as the *missing* sentinel. Missing
@@ -14,11 +15,11 @@
 //! [`BinnedStore`] and [`ColumnStore`] wrap the dense and sparse layouts
 //! behind the one API the trainers use (point lookups, ordered scans,
 //! `select_cols`, `to_columns`, `heap_bytes`), so every trainer runs on
-//! either representation. The `auto` policy picks dense when the stored-value density reaches
-//! [`DEFAULT_DENSE_THRESHOLD`]: at 1 byte per cell
-//! vs 6 bytes per sparse value the dense layout is smaller from ~1/6
-//! density upward, and its scans win earlier than that because they touch
-//! no feature ids.
+//! either representation. The `auto` policy picks dense when the
+//! stored-value density reaches [`DEFAULT_DENSE_THRESHOLD`]: at 1 byte per
+//! cell vs a 2-byte key per sparse value the dense layout is smaller from
+//! ~1/2 density upward (~1/4 against 4-byte keys), and its scans touch no
+//! ids.
 //!
 //! Scan-order guarantee: a dense row scan visits features in ascending
 //! order skipping sentinels — exactly the order a sparse row's
@@ -33,9 +34,10 @@ use crate::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
 
 /// Stored-value density at or above which the `auto` policy picks the
-/// dense layout. Break-even on bytes alone is ~1/6 (u8 cells vs 6-byte
-/// sparse pairs); 0.25 leaves headroom so borderline-sparse data keeps the
-/// compact representation.
+/// dense layout. Break-even on bytes alone is ~1/2 against 2-byte sparse
+/// keys and ~1/4 against 4-byte ones (u8 cells either way); 0.25 was set
+/// against the 6-byte pairs the keys replaced, and is kept until a
+/// measurement moves it.
 pub const DEFAULT_DENSE_THRESHOLD: f64 = 0.25;
 
 /// The `auto` rule: whether `nnz` present values in an `n_rows × n_features`
@@ -209,10 +211,7 @@ impl DenseBinnedRows {
     ) -> DenseBinnedRows {
         let mut out = Self::all_missing(rows.n_rows(), rows.n_features(), n_bins, width);
         for i in 0..rows.n_rows() {
-            let (feats, bins) = rows.row(i);
-            for (&f, &b) in feats.iter().zip(bins) {
-                out.set(i, f, b);
-            }
+            rows.for_each_in_row(i, |f, b| out.set(i, f, b));
         }
         out
     }
@@ -250,7 +249,12 @@ impl DenseBinnedRows {
     /// Converts back to the sparse row-store (exact inverse of
     /// [`Self::from_sparse`] — sentinels become absent entries).
     pub fn to_sparse(&self) -> BinnedRows {
-        let mut b = BinnedRowsBuilder::with_capacity(self.n_features, self.n_rows, self.nnz);
+        let mut b = BinnedRowsBuilder::with_capacity(
+            self.n_features,
+            self.n_bins,
+            self.n_rows,
+            self.nnz,
+        );
         let mut entries: Vec<(FeatureId, BinId)> = Vec::with_capacity(self.n_features);
         for i in 0..self.n_rows {
             entries.clear();
@@ -516,14 +520,9 @@ impl BinnedStore {
 
     /// Present entries of one row in ascending feature order (the shared
     /// scan order of both layouts).
-    pub fn for_each_in_row(&self, row: usize, mut f: impl FnMut(FeatureId, BinId)) {
+    pub fn for_each_in_row(&self, row: usize, f: impl FnMut(FeatureId, BinId)) {
         match self {
-            BinnedStore::Sparse(r) => {
-                let (feats, bins) = r.row(row);
-                for (&j, &b) in feats.iter().zip(bins) {
-                    f(j, b);
-                }
-            }
+            BinnedStore::Sparse(r) => r.for_each_in_row(row, f),
             BinnedStore::Dense(d) => d.for_each_in_row(row, f),
         }
     }
@@ -599,10 +598,7 @@ impl ColumnStore {
     #[inline]
     pub fn get(&self, row: usize, feature: FeatureId) -> Option<BinId> {
         match self {
-            ColumnStore::Sparse(c) => {
-                let (rows, bins) = c.col(feature as usize);
-                rows.binary_search(&(row as crate::InstanceId)).ok().map(|k| bins[k])
-            }
+            ColumnStore::Sparse(c) => c.get(row, feature),
             ColumnStore::Dense(d) => d.get(row, feature),
         }
     }
@@ -610,7 +606,7 @@ impl ColumnStore {
     /// Present-value count of one column.
     pub fn col_nnz(&self, col: usize) -> usize {
         match self {
-            ColumnStore::Sparse(c) => c.col(col).0.len(),
+            ColumnStore::Sparse(c) => c.col_range(col).len(),
             ColumnStore::Dense(d) => {
                 let mut n = 0;
                 d.for_each_in_col(col, |_, _| n += 1);
@@ -621,14 +617,9 @@ impl ColumnStore {
 
     /// Present entries of one column in ascending instance order — the
     /// single scan order both layouts share.
-    pub fn for_each_in_col(&self, col: usize, mut f: impl FnMut(crate::InstanceId, BinId)) {
+    pub fn for_each_in_col(&self, col: usize, f: impl FnMut(crate::InstanceId, BinId)) {
         match self {
-            ColumnStore::Sparse(c) => {
-                let (rows, bins) = c.col(col);
-                for (&i, &b) in rows.iter().zip(bins) {
-                    f(i, b);
-                }
-            }
+            ColumnStore::Sparse(c) => c.for_each_in_col(col, f),
             ColumnStore::Dense(d) => d.for_each_in_col(col, f),
         }
     }
@@ -647,7 +638,7 @@ mod tests {
     use super::*;
 
     fn sample() -> BinnedRows {
-        let mut b = BinnedRowsBuilder::new(4);
+        let mut b = BinnedRowsBuilder::new(4, 6);
         b.push_row(&[(0, 3), (2, 1)]).unwrap();
         b.push_row(&[(1, 2)]).unwrap();
         b.push_row(&[]).unwrap();
@@ -752,9 +743,9 @@ mod tests {
 
     #[test]
     fn dense_heap_bytes_beat_sparse_on_dense_data() {
-        // A fully dense 32×16 matrix: sparse pays 6 B/value + row pointers,
-        // dense pays 1 B/cell.
-        let mut b = BinnedRowsBuilder::new(16);
+        // A fully dense 32×16 matrix: sparse pays a 2-byte key a value + row
+        // pointers, dense pays 1 B/cell.
+        let mut b = BinnedRowsBuilder::new(16, 7);
         for i in 0..32 {
             let entries: Vec<(FeatureId, BinId)> =
                 (0..16).map(|j| (j as FeatureId, ((i + j) % 7) as BinId)).collect();

@@ -238,16 +238,14 @@ pub fn encode_block(block: &Block, p: usize, q: usize) -> Bytes {
     }
     out.push(lb as u8);
     let mut bits = BitWriter { out, acc: 0, filled: 0 };
-    let pairs = block.feats.iter().zip(&block.bins);
+    let pairs = 0..nnz;
     if fb + bb <= 32 {
-        for (&f, &b) in pairs {
-            bits.put(u64::from(f) | u64::from(b) << fb, fb + bb);
-        }
+        block.pairs.for_each(pairs, |f, b| bits.put(u64::from(f) | u64::from(b) << fb, fb + bb));
     } else {
-        for (&f, &b) in pairs {
+        block.pairs.for_each(pairs, |f, b| {
             bits.put(u64::from(f), fb);
             bits.put(u64::from(b), bb);
-        }
+        });
     }
     for w in block.row_ptr.windows(2) {
         bits.put(u64::from(w[1] - w[0]), lb);
@@ -288,8 +286,9 @@ fn block_header(bytes: &[u8], p: usize, q: usize) -> Result<BlockHeader, DataErr
 /// Decodes blockified payloads — one per sender, in file-split order, bins
 /// `⌈log₂ q⌉` bits wide — into one row-store of `n_rows` rows over a group of
 /// `p = n_bins.len()` features, feature `f` with `n_bins[f]` bins. The headers
-/// size its pair arrays exactly (a pair is at least two bits of its payload);
-/// each payload is decoded in place, appended, and dropped before the next.
+/// size its keys exactly (a pair is at least two bits of its payload); each
+/// payload is decoded straight into keys, appended, and dropped before the
+/// next.
 /// Every malformed payload is a [`SliceError`] (which says whom it blames):
 /// a length its header does not imply, slices that do not tile the rows or
 /// run past `n_rows`, row lengths that do not sum to the slice's pair count,
@@ -321,13 +320,11 @@ pub fn decode_blocks(
         }
         let mut bits = BitReader { bytes: &payload[BLOCK_HEADER_BYTES..], pos: 0 };
         let feature_mask = (1 << fb) - 1;
-        let base = rows.feats.len();
-        rows.feats.resize(base + h.nnz, 0);
-        rows.bins.resize(base + h.nnz, 0);
-        for (f, b) in rows.feats[base..].iter_mut().zip(&mut rows.bins[base..]) {
+        let base = rows.pairs.len();
+        rows.extend(h.nnz, || {
             let pair = bits.get(fb + bb);
-            (*f, *b) = ((pair & feature_mask) as FeatureId, (pair >> fb) as BinId);
-        }
+            ((pair & feature_mask) as FeatureId, (pair >> fb) as BinId)
+        })?;
         let mut end = base;
         for _ in 0..h.n_rows {
             end += bits.get(h.len_bits) as usize;
@@ -348,9 +345,25 @@ pub fn decode_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::PairKeys;
 
     fn block(split: u32, offset: u32, feats: Vec<u32>, bins: Vec<u16>, row_ptr: Vec<u32>) -> Block {
-        Block { file_split_index: split, row_offset: offset, feats, bins, row_ptr }
+        let n_ids = feats.iter().max().map_or(0, |&f| f as usize + 1);
+        let n_bins = bins.iter().max().map_or(0, |&b| usize::from(b) + 1);
+        let mut pairs = PairKeys::with_capacity(n_ids, n_bins, feats.len());
+        for (&f, &b) in feats.iter().zip(&bins) {
+            pairs.push(f, b);
+        }
+        Block { file_split_index: split, row_offset: offset, pairs, row_ptr }
+    }
+
+    fn row(m: &BinnedRows, i: usize) -> (Vec<FeatureId>, Vec<BinId>) {
+        let mut out = (Vec::new(), Vec::new());
+        m.for_each_in_row(i, |f, b| {
+            out.0.push(f);
+            out.1.push(b);
+        });
+        out
     }
 
     #[test]
@@ -415,10 +428,10 @@ mod tests {
         let wire = vec![encode_block(&a, 64, 20), encode_block(&b, 64, 20)];
         let rows = decode_blocks(wire, 4, &[20; 64], 20).unwrap();
         assert_eq!((rows.n_rows(), rows.nnz()), (4, 5));
-        assert_eq!(rows.row(0), (&[0u32, 5][..], &[1u16, 19][..]));
-        assert_eq!(rows.row(1), (&[][..], &[][..]));
-        assert_eq!(rows.row(2), (&[2u32][..], &[0u16][..]));
-        assert_eq!(rows.row(3), (&[1u32, 63][..], &[7u16, 3][..]));
+        assert_eq!(row(&rows, 0), (vec![0, 5], vec![1, 19]));
+        assert_eq!(row(&rows, 1), (vec![], vec![]));
+        assert_eq!(row(&rows, 2), (vec![2], vec![0]));
+        assert_eq!(row(&rows, 3), (vec![1, 63], vec![7, 3]));
     }
 
     #[test]
@@ -454,14 +467,15 @@ mod tests {
         assert_eq!(Some(enc.len()), block_bytes(n, n, 1, 64, 20));
         assert!(enc.len() * 2 < 16 + n * 2 + (n + 1) * 4, "half the byte-aligned size");
         let rows = decode_blocks(vec![enc], n, &[20; 64], 20).unwrap();
-        assert_eq!((rows.row(999).0, rows.row(999).1), (&feats[999..], &bins[999..]));
+        assert_eq!(row(&rows, 999), (feats[999..].to_vec(), bins[999..].to_vec()));
         // Pairs wider than the 32 bits one store takes: 2^17 features and
         // 2^16 bins write each pair as two fields.
         let wide = block(0, 0, vec![(1 << 17) - 1, 7], vec![65_535, 1], vec![0, 1, 1, 2]);
         let enc = encode_block(&wide, 1 << 17, 1 << 16);
         assert_eq!(enc.len(), 17 + 9, "two 33-bit pairs and three 1-bit lengths");
         let rows = decode_blocks(vec![enc], 3, &vec![1 << 16; 1 << 17], 1 << 16).unwrap();
-        assert_eq!(rows.row(0), (&[(1 << 17) - 1][..], &[65_535][..]));
-        assert_eq!(rows.row(2), (&[7][..], &[1][..]));
+        assert_eq!(row(&rows, 0), (vec![(1 << 17) - 1], vec![65_535]));
+        assert_eq!(row(&rows, 2), (vec![7], vec![1]));
+        assert_eq!(rows.pairs().key_bytes(), 8, "2^17 features at 16-bit bins");
     }
 }

@@ -18,12 +18,14 @@
 //!   the evaluation (Tables 2, 4).
 //! * [`binned`] — bin-encoded matrices used after quantization: `BinnedRows`
 //!   (row-store of 〈feature, bin〉 pairs) and `BinnedColumns` (column-store).
+//! * [`pairs`] — the packed key both hold a sparse pair as: `(id << b) | bin`
+//!   in the narrowest of `u16`/`u32`/`u64`.
 //! * [`dense_binned`] — dense bin-encoded matrices (one u8/u16 cell per
 //!   `(row, feature)` with a missing sentinel) and the `BinnedStore`/
 //!   `ColumnStore` wrappers that pick dense vs sparse by density.
 //! * [`block`] — blockified column groups (paper §4.2.3, Figure 9): the
-//!   block a transformation sender ships, and the assembly that appends the
-//!   received blocks into one `BinnedRows` per worker.
+//!   block a transformation sender ships, and the assembly that decodes the
+//!   received blocks into the keys of one `BinnedRows` per worker.
 //! * [`encoding`] — key-value pair encodings: naïve 12-byte pairs vs the
 //!   compact ⌈log p⌉ / ⌈log q⌉ byte encoding of §4.2.1 step 3.
 
@@ -35,6 +37,7 @@ pub mod dense;
 pub mod encoding;
 pub mod error;
 pub mod libsvm;
+pub mod pairs;
 pub mod sparse;
 pub mod synthetic;
 
@@ -47,6 +50,7 @@ pub use dense_binned::{
 pub use dataset::{Dataset, FeatureMatrix};
 pub use dense::DenseMatrix;
 pub use error::DataError;
+pub use pairs::{PairKey, PairKeys};
 pub use sparse::{CscMatrix, CsrMatrix, SparseEntry};
 
 /// Index of a training instance (row of the dataset matrix).

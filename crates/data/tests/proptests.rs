@@ -10,7 +10,7 @@ use gbdt_data::encoding;
 use gbdt_data::sparse::CsrBuilder;
 use gbdt_data::{
     BinId, BinnedRows, BinnedStore, ColumnStore, CsrMatrix, DataError, Dataset, DenseMatrix,
-    FeatureId, FeatureMatrix,
+    FeatureId, FeatureMatrix, PairKeys,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -63,8 +63,8 @@ fn assert_window_is(window: &CsrMatrix, copy: &CsrMatrix) -> Result<(), TestCase
     Ok(())
 }
 
-fn build_binned(rows: &[Vec<(u32, u16)>], n_cols: usize) -> BinnedRows {
-    let mut b = BinnedRowsBuilder::new(n_cols);
+fn build_binned(rows: &[Vec<(u32, u16)>], n_cols: usize, q: usize) -> BinnedRows {
+    let mut b = BinnedRowsBuilder::new(n_cols, q);
     for row in rows {
         b.push_row(row).unwrap();
     }
@@ -263,7 +263,7 @@ proptest! {
 
     #[test]
     fn binned_columns_and_vertical_shard(rows in arb_binned(30, 8, 16)) {
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 16);
         let cols = ColumnStore::Sparse(m.to_columns());
         prop_assert_eq!(cols.nnz(), m.nnz());
         for i in 0..m.n_rows() {
@@ -287,7 +287,7 @@ proptest! {
 
     #[test]
     fn dense_sparse_roundtrip_both_widths(rows in arb_binned(30, 8, 16)) {
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 16);
         for width in [BinWidth::U8, BinWidth::U16] {
             let d = DenseBinnedRows::from_sparse_with_width(&m, 16, width);
             prop_assert_eq!(d.to_sparse(), m.clone());
@@ -305,7 +305,7 @@ proptest! {
     fn store_views_are_layout_invariant(rows in arb_binned(30, 8, 16)) {
         // select_cols and the column transpose must see through the layout:
         // every cell of either store's results equals the source's.
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 16);
         let sparse = BinnedStore::sparse(m.clone());
         let dense = BinnedStore::dense(m.clone(), 16);
         let cols: Vec<FeatureId> = (0u32..8).step_by(2).collect();
@@ -348,7 +348,7 @@ proptest! {
     fn blockify_roundtrip_via_wire(rows in arb_binned(40, 8, 20), n_blocks in 1usize..6) {
         // Split rows into n_blocks contiguous slices, encode each as a block,
         // and decode them all in place: the result must equal the original.
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 20);
         let wire: Vec<_> =
             slices(&m, n_blocks).iter().map(|b| encoding::encode_block(b, 8, 20)).collect();
         prop_assert_eq!(encoding::decode_blocks(wire, m.n_rows(), &[20; 8], 20).unwrap(), m);
@@ -368,7 +368,7 @@ proptest! {
         // past p that the wire can carry; a bin takes 5, so 20..32 are bins
         // past q that it can carry.
         const P: usize = 12;
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 20);
         let mut blocks = slices(&m, n_blocks);
         let t = target % blocks.len();
         let b = &mut blocks[t];
@@ -386,16 +386,25 @@ proptest! {
                 if noise % 2 == 0 { *end += 1 + noise as u32 % 3 } else { *end -= 1 }
                 "row lengths that do not sum to the pair count"
             }
-            2 => { b.feats[any_last] = (P + noise % (16 - P)) as u32; "a feature >= p" }
-            3 => { b.feats[first + 1] = b.feats[first]; "a repeated feature" }
-            4 => { b.feats.swap(first, last); "descending features" }
+            2 => { set_id(b, any_last, (P + noise % (16 - P)) as u32); "a feature >= p" }
+            3 => { set_id(b, first + 1, b.pairs.get(first).0); "a repeated feature" }
+            4 => {
+                let (f_first, f_last) = (b.pairs.get(first).0, b.pairs.get(last).0);
+                set_id(b, first, f_last);
+                set_id(b, last, f_first);
+                "descending features"
+            }
             5 => { b.file_split_index += 1 + noise as u32; "a split index out of order" }
             6 => { b.row_offset += 1 + noise as u32; "a row offset that leaves a gap" }
             7 => {
                 b.row_offset = b.row_offset.wrapping_sub(1 + noise as u32);
                 "a row offset that overlaps"
             }
-            _ => { b.bins[any_last] = 20 + noise as u16 % 12; "a bin past its feature's count" }
+            _ => {
+                let f = b.pairs.get(any_last).0;
+                b.pairs.set(any_last, f, 20 + noise as u16 % 12);
+                "a bin past its feature's count"
+            }
         };
         let mut wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, P, 20)).collect();
         let len = wire[t].len();
@@ -423,7 +432,7 @@ proptest! {
         // Sizes: the packed formula, never more than the byte-aligned
         // layout it replaced (16-byte header, whole-byte pairs, a u32
         // pointer a row and one more).
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 20);
         let n_bins = vec![20; p];
         let blocks = slices(&m, n_blocks);
         let wire: Vec<_> = blocks.iter().map(|b| encoding::encode_block(b, p, 20)).collect();
@@ -467,7 +476,7 @@ proptest! {
         n_blocks in 1usize..6,
         target in 0usize..5,
     ) {
-        let m = build_binned(&rows, 8);
+        let m = build_binned(&rows, 8, 20);
         if m.n_rows() == 0 {
             return Ok(()); // no payload is missing from nothing
         }
@@ -498,16 +507,22 @@ fn slices(m: &BinnedRows, n_blocks: usize) -> Vec<Block> {
         .windows(2)
         .enumerate()
         .map(|(k, w)| {
-            let (mut feats, mut bins, mut row_ptr) = (Vec::new(), Vec::new(), vec![0u32]);
+            let bits = m.pairs().bin_bits();
+            let mut pairs = PairKeys::with_bin_bits(m.n_features(), bits, 0);
+            let mut row_ptr = vec![0u32];
             for i in w[0]..w[1] {
-                let (f, b) = m.row(i);
-                feats.extend_from_slice(f);
-                bins.extend_from_slice(b);
-                row_ptr.push(feats.len() as u32);
+                m.for_each_in_row(i, |f, b| pairs.push(f, b));
+                row_ptr.push(pairs.len() as u32);
             }
-            Block { file_split_index: k as u32, row_offset: w[0] as u32, feats, bins, row_ptr }
+            Block { file_split_index: k as u32, row_offset: w[0] as u32, pairs, row_ptr }
         })
         .collect()
+}
+
+/// Moves pair `k` of `b` to feature `f`, keeping its bin.
+fn set_id(b: &mut Block, k: usize, f: FeatureId) {
+    let bin = b.pairs.get(k).1;
+    b.pairs.set(k, f, bin);
 }
 
 /// A binned row over 8 features that always holds features 0 and 7.

@@ -34,7 +34,7 @@ use gbdt_core::{BinCuts, QuantileSketch};
 use gbdt_data::block::{Assembly, Block, SliceError};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::encoding;
-use gbdt_data::{BinId, BinnedRows, DataError, FeatureId};
+use gbdt_data::{BinId, BinnedRows, DataError, FeatureId, PairKeys};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -427,14 +427,14 @@ fn encode_groups(
     // A frame is the block its destination will receive, before encoding.
     let mut frames: Vec<Block> = pair_counts
         .iter()
-        .map(|&pairs| {
+        .enumerate()
+        .map(|(dest, &pairs)| {
             let mut row_ptr = Vec::with_capacity(n_local + 1);
             row_ptr.push(0);
             Block {
                 file_split_index: rank as u32,
                 row_offset: row_lo as u32,
-                feats: Vec::with_capacity(pairs),
-                bins: Vec::with_capacity(pairs),
+                pairs: PairKeys::with_capacity(grouping.group_len(dest), q, pairs),
                 row_ptr,
             }
         })
@@ -442,13 +442,11 @@ fn encode_groups(
     shard.features.for_each_row(|_, feats, vals| {
         for (&f, &v) in feats.iter().zip(vals) {
             if let Some(b) = cuts.bin(f, v) {
-                let frame = &mut frames[grouping.group_of(f)];
-                frame.feats.push(grouping.local_id(f));
-                frame.bins.push(b);
+                frames[grouping.group_of(f)].pairs.push(grouping.local_id(f), b);
             }
         }
         for frame in &mut frames {
-            frame.row_ptr.push(frame.feats.len() as u32);
+            frame.row_ptr.push(frame.pairs.len() as u32);
         }
     });
     let mut to_send: Vec<Bytes> = Vec::with_capacity(w);
@@ -456,15 +454,7 @@ fn encode_groups(
         let p = grouping.group_len(dest);
         let payload = match cfg.encoding {
             WireEncoding::Blockified => encoding::encode_block(&frame, p, q),
-            WireEncoding::Compressed => encode_rowframed_compressed(
-                frame.file_split_index,
-                frame.row_offset,
-                &frame.feats,
-                &frame.bins,
-                &frame.row_ptr,
-                p,
-                q,
-            ),
+            WireEncoding::Compressed => encode_rowframed_compressed(&frame, p, q),
             WireEncoding::Naive => encode_rowframed_naive(
                 frame.file_split_index,
                 frame.row_offset,
@@ -514,7 +504,7 @@ fn decode_group(
             let pair_bytes = encoding::compressed_pair_bytes(p_local, q);
             decode_rowframed(received, &n_bins, n, pair_bytes, |row, rows| {
                 for (f, b) in encoding::decode_compressed(row, p_local, q)? {
-                    rows.push(f, b);
+                    rows.push(f, b).map_err(|e| e.error)?;
                 }
                 Ok(())
             })
@@ -526,7 +516,7 @@ fn decode_group(
                         return Err(DataError::Shape(format!("feature {f} is not in group {rank}")));
                     }
                     if let Some(b) = cuts.bin(f, v as f32) {
-                        rows.push(grouping.local_id(f), b);
+                        rows.push(grouping.local_id(f), b).map_err(|e| e.error)?;
                     }
                 }
                 Ok(())
@@ -563,24 +553,16 @@ fn decode_grouping(payload: &[u8], d: usize, w: usize) -> Result<ColumnGrouping,
         .ok_or(CommError::Malformed { from: 0 })
 }
 
-fn encode_rowframed_compressed(
-    split: u32,
-    row_offset: u32,
-    feats: &[FeatureId],
-    bins: &[BinId],
-    row_ptr: &[u32],
-    p: usize,
-    q: usize,
-) -> Bytes {
+fn encode_rowframed_compressed(frame: &Block, p: usize, q: usize) -> Bytes {
     let mut out = BytesMut::new();
-    out.put_u32(split);
-    out.put_u32(row_offset);
-    out.put_u32(row_ptr.len() as u32 - 1);
-    for win in row_ptr.windows(2) {
-        let (lo, hi) = (win[0] as usize, win[1] as usize);
-        out.put_u32((hi - lo) as u32);
-        let pairs: Vec<(FeatureId, BinId)> =
-            feats[lo..hi].iter().copied().zip(bins[lo..hi].iter().copied()).collect();
+    out.put_u32(frame.file_split_index);
+    out.put_u32(frame.row_offset);
+    out.put_u32(frame.n_rows() as u32);
+    let mut pairs: Vec<(FeatureId, BinId)> = Vec::new();
+    for win in frame.row_ptr.windows(2) {
+        pairs.clear();
+        frame.pairs.for_each(win[0] as usize..win[1] as usize, |f, b| pairs.push((f, b)));
+        out.put_u32(pairs.len() as u32);
         out.put_slice(&encoding::encode_compressed(&pairs, p, q));
     }
     out.freeze()

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 fn arb_binned(d: usize, q: u16) -> impl Strategy<Value = BinnedRows> {
     prop::collection::vec(prop::collection::vec(prop::option::of(0..q), d), 1..41)
     .prop_map(move |rows| {
-        let mut b = BinnedRowsBuilder::new(d);
+        let mut b = BinnedRowsBuilder::new(d, usize::from(q));
         for row in &rows {
             let entries: Vec<(u32, u16)> = row
                 .iter()
@@ -101,7 +101,7 @@ proptest! {
 #[test]
 fn kernels_agree_at_lane_boundaries() {
     for d in [1, 7, 8, 15, 16, 32] {
-        let mut b = BinnedRowsBuilder::new(d);
+        let mut b = BinnedRowsBuilder::new(d, 9);
         for i in 0..25usize {
             let entries: Vec<(u32, u16)> = (0..d)
                 .filter(|j| (i + j) % 4 != 0)
