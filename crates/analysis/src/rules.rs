@@ -81,7 +81,7 @@ pub const RULES: &[(&str, &str)] = &[
 
 /// Files where nondeterministic map iteration can reach wire bytes or model
 /// output: all of core/quadrants/vero, plus the cluster modules that build
-/// messages (wire codecs, collectives, parameter server). The serve crate
+/// messages (wire codecs, collectives). The serve crate
 /// stays out of scope — router.rs legitimately iterates replica maps for
 /// bookkeeping that never reaches a response byte.
 fn map_iteration_scope(path: &str) -> bool {
@@ -90,9 +90,7 @@ fn map_iteration_scope(path: &str) -> bool {
         || path.starts_with("crates/vero/src")
         || matches!(
             path,
-            "crates/cluster/src/wire.rs"
-                | "crates/cluster/src/collectives.rs"
-                | "crates/cluster/src/ps.rs"
+            "crates/cluster/src/wire.rs" | "crates/cluster/src/collectives.rs"
         )
 }
 
@@ -124,7 +122,6 @@ fn comm_layer_scope(path: &str) -> bool {
         path,
         "crates/cluster/src/comm.rs"
             | "crates/cluster/src/collectives.rs"
-            | "crates/cluster/src/ps.rs"
             | "crates/cluster/src/fault.rs"
     )
 }
@@ -138,6 +135,7 @@ pub const GROWTH_LOOP: &str = "crates/quadrants/src/grow.rs";
 pub const TRAINER_FILES: &[&str] = &[
     GROWTH_LOOP,
     "crates/quadrants/src/vertical.rs",
+    "crates/quadrants/src/horizontal.rs",
     "crates/quadrants/src/qd1.rs",
     "crates/quadrants/src/qd2.rs",
     "crates/quadrants/src/qd3.rs",

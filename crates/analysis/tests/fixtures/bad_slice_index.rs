@@ -1,4 +1,4 @@
-//@ path: crates/cluster/src/ps.rs
+//@ path: crates/cluster/src/collectives.rs
 //@ expect: slice-index
 // Known-bad: unchecked element indexing in the comm layer. The range
 // subscript below is fine (bulk view) and must NOT fire.

@@ -85,13 +85,6 @@ impl WorkerCtx {
         }
     }
 
-    /// Whether a checkpoint store is attached, i.e. the run can actually
-    /// crash and replay. Trainers use this to skip the checkpoint clone
-    /// entirely on fault-free runs.
-    pub fn has_checkpoint_store(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
     /// Restores the most recent [`WorkerCtx::save_checkpoint`] state for
     /// this rank, surviving across replay attempts. `None` on a fresh run
     /// or when the saved type differs.

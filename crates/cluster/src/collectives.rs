@@ -1,7 +1,9 @@
-//! Collective operations over the mesh: broadcast, gather, all-gather, ring
-//! all-reduce and ring reduce-scatter — the "different aggregation methods"
-//! of §3.1.3 that a compared system uses (all-reduce, reduce-scatter; no
-//! system aggregates map-reduce style to one root).
+//! Collective operations over the mesh: broadcast, gather, all-gather and
+//! one sharded reduction — the parameter-server push — under the
+//! "different aggregation methods" of §3.1.3 that a compared system uses:
+//! all-reduce is the push plus an all-gather of the reduced segments,
+//! reduce-scatter the push alone (no system aggregates map-reduce style to
+//! one root).
 //!
 //! Every rank must call the same collectives in the same program order; tags
 //! are auto-allocated from a per-endpoint counter that stays aligned across
@@ -110,101 +112,101 @@ impl Comm {
         Ok(())
     }
 
-    /// The `W − 1` steps of a ring from segment `first`: step `s` sends
-    /// segment `(first − s) mod W` to `next` and merges segment
-    /// `(first − s − 1) mod W` from `prev` — decode-added while reducing,
-    /// decoded over while gathering. Reducing from `first = r` leaves rank
-    /// `r` holding segment `(r + 1) mod W` fully reduced; gathering from the
-    /// segment each rank holds complete leaves every rank holding all of
-    /// them. Merges run in the same segment order whatever the codec, so
-    /// the lossless codec stays bit-identical.
-    fn ring_steps(
+    /// Pushes `buf`'s shards to their owning servers and reduces the shard
+    /// this rank serves — the one sharded reduction under every
+    /// aggregation (DimBoost's parameter-server push, §4.1, with every
+    /// worker doubling as one server).
+    ///
+    /// `ranges[s]` is the `[start, end)` slice of `buf` owned by server `s`
+    /// (`ranges.len() == world`); ranges must be disjoint but need not cover
+    /// `buf`. Every pushed shard is encoded under `codec`; the serving rank
+    /// decode-merges contributions in rank order and returns the fully
+    /// reduced values of `ranges[rank]`. A shard that does not fit
+    /// `ranges[rank]` is [`CommError::Malformed`] from its pusher.
+    pub fn ps_push_and_reduce_codec(
         &self,
         codec: WireCodec,
-        buf: &mut [f64],
-        first: usize,
-        reduce: bool,
-    ) -> Result<(), CommError> {
-        let w = self.world();
+        buf: &[f64],
+        ranges: &[(usize, usize)],
+    ) -> Result<Vec<f64>, CommError> {
+        assert_eq!(ranges.len(), self.world(), "one range per server");
+        let tag = self.alloc_collective_tag();
         let r = self.rank();
-        let tag = self.alloc_collective_tags(w as u64 - 1);
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        for s in 0..w - 1 {
-            let send_seg = (first + w - s) % w;
-            let recv_seg = (first + w - s - 1) % w;
-            let (slo, shi) = segment_bounds(buf.len(), w, send_seg);
-            self.send_f64s(next, tag + s as u64, codec, &buf[slo..shi])?;
-            let incoming = self.recv(prev, tag + s as u64)?;
-            let (rlo, rhi) = segment_bounds(buf.len(), w, recv_seg);
-            let merged = if reduce {
-                wire::decode_add(&incoming, &mut buf[rlo..rhi])
-            } else {
-                wire::decode_into(&incoming, &mut buf[rlo..rhi])
-            };
-            merged.map_err(|_| CommError::Malformed { from: prev })?;
+        for (server, &(lo, hi)) in ranges.iter().enumerate() {
+            if server != r {
+                self.send_f64s(server, tag, codec, &buf[lo..hi])?;
+            }
         }
-        Ok(())
+        // Serve my shard: start from my local slice, add peers in rank order.
+        // lint: allow(slice-index) — ranges.len() == world is asserted at entry
+        let (lo, hi) = ranges[r];
+        let mut reduced = buf[lo..hi].to_vec();
+        for from in 0..self.world() {
+            if from != r {
+                wire::decode_add(&self.recv(from, tag)?, &mut reduced)
+                    .map_err(|_| CommError::Malformed { from })?;
+            }
+        }
+        Ok(reduced)
     }
 
-    /// Ring reduce-scatter: on return, rank `r` holds the fully reduced
-    /// segment `r` of `buf` (bounds from [`segment_bounds`]); the rest of
-    /// `buf` is garbage. Each rank moves `(W−1)/W · len` elements each way —
-    /// the bandwidth-optimal aggregation LightGBM uses (§4.1) — plus one
-    /// segment-sized hop that moves the reduced segment `(r + 1) mod W` the
-    /// ring leaves on rank `r` to its owner. Every hop is encoded under
-    /// `codec`.
+    /// Reduce-scatter: on return, rank `r` holds the fully reduced segment
+    /// `r` of `buf` (bounds from [`segment_bounds`]); the rest of `buf` is
+    /// its local values. One push hop: each rank sends `(W−1)/W · len`
+    /// elements, encoded under `codec`.
     pub fn reduce_scatter_f64_codec(
         &self,
         codec: WireCodec,
         buf: &mut [f64],
     ) -> Result<(usize, usize), CommError> {
         let w = self.world();
-        let r = self.rank();
-        if w == 1 {
-            return Ok((0, buf.len()));
-        }
-        self.ring_steps(codec, buf, r, true)?;
-        // Rank r holds segment r + 1, exactly what `next` wants; segment r
-        // sits on `prev`.
-        let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
-        let (olo, ohi) = segment_bounds(buf.len(), w, next);
-        let tag = self.alloc_collective_tag();
-        self.send_f64s(next, tag, codec, &buf[olo..ohi])?;
-        let mine = self.recv(prev, tag)?;
-        let (mlo, mhi) = segment_bounds(buf.len(), w, r);
-        wire::decode_into(&mine, &mut buf[mlo..mhi])
-            .map_err(|_| CommError::Malformed { from: prev })?;
-        Ok((mlo, mhi))
+        let ranges: Vec<_> = (0..w).map(|s| segment_bounds(buf.len(), w, s)).collect();
+        let reduced = self.ps_push_and_reduce_codec(codec, buf, &ranges)?;
+        let (lo, hi) = segment_bounds(buf.len(), w, self.rank());
+        buf[lo..hi].copy_from_slice(&reduced);
+        Ok((lo, hi))
     }
 
-    /// Ring all-reduce: element-wise sum of `buf` across all ranks, complete
+    /// All-reduce: element-wise sum of `buf` across all ranks, complete
     /// everywhere, under the lossless [`WireCodec::Grid`].
     pub fn all_reduce_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
         self.all_reduce_f64_codec(WireCodec::Grid, buf)
     }
 
-    /// [`Self::all_reduce_f64`] with every hop encoded under `codec`: the
-    /// ring's reduce steps, then its gather steps from the segment each rank
-    /// already holds reduced — `2(W−1)/W · len` elements sent per rank. A
-    /// lossy codec's owner passes its own segment through the codec's round
-    /// trip (no bytes sent), so with [`WireCodec::F32`] every rank holds the
-    /// same f32-widened values, bit-for-bit — just not the exact sum.
+    /// [`Self::all_reduce_f64`] with every message encoded under `codec`:
+    /// the sharded push, then each owner sends its reduced segment to every
+    /// peer — `2(W−1)/W · len` elements sent per rank. Segment `s` is reduced
+    /// on rank `(s − 1) mod W`, where a ring's reduce steps leave it, so at
+    /// W = 2 every message is the ring's. A lossy codec's owner passes its
+    /// segment through the codec's round trip (no bytes sent), so with
+    /// [`WireCodec::F32`] every rank holds the same f32-widened values,
+    /// bit-for-bit — just not the exact sum.
     pub fn all_reduce_f64_codec(&self, codec: WireCodec, buf: &mut [f64]) -> Result<(), CommError> {
         let w = self.world();
         if w == 1 {
             return Ok(());
         }
-        let r = self.rank();
-        self.ring_steps(codec, buf, r, true)?;
-        let owned = (r + 1) % w;
+        let (r, len) = (self.rank(), buf.len());
+        let served = |owner: usize| segment_bounds(len, w, (owner + 1) % w);
+        let ranges: Vec<_> = (0..w).map(served).collect();
+        let reduced = self.ps_push_and_reduce_codec(codec, buf, &ranges)?;
+        let (lo, hi) = served(r);
+        buf[lo..hi].copy_from_slice(&reduced);
         if !codec.is_lossless() {
-            let (olo, ohi) = segment_bounds(buf.len(), w, owned);
-            let quantized = wire::encode(codec, &buf[olo..ohi]);
-            wire::decode_into(&quantized, &mut buf[olo..ohi])
+            let quantized = wire::encode(codec, &buf[lo..hi]);
+            wire::decode_into(&quantized, &mut buf[lo..hi])
                 .map_err(|_| CommError::Malformed { from: r })?;
         }
-        self.ring_steps(codec, buf, owned, false)
+        let tag = self.alloc_collective_tag();
+        for to in (0..w).filter(|&to| to != r) {
+            self.send_f64s(to, tag, codec, &buf[lo..hi])?;
+        }
+        for from in (0..w).filter(|&from| from != r) {
+            let (flo, fhi) = served(from);
+            wire::decode_into(&self.recv(from, tag)?, &mut buf[flo..fhi])
+                .map_err(|_| CommError::Malformed { from })?;
+        }
+        Ok(())
     }
 }
 
@@ -288,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_all_reduce_matches_sum() {
+    fn all_reduce_matches_sum() {
         for world in [1, 2, 3, 4, 5] {
             let len = 11;
             let got = run(world, move |c| {
@@ -351,9 +353,9 @@ mod tests {
         }
 
         // Codec-mediated reductions record logical vs wire bytes exactly.
-        // World = 2, all-zero 8-element buffer: every ring hop moves one
-        // 4-element segment (32 logical bytes); all-reduce is 2 hops per
-        // rank (1 reduce step + 1 gather step). A zero segment is the grid
+        // World = 2, all-zero 8-element buffer: every message moves one
+        // 4-element segment (32 logical bytes); all-reduce is 2 messages per
+        // rank (1 push + 1 gather). A zero segment is the grid
         // header and one bitmap byte, or the sparse-f32 header alone.
         for (codec, hop_wire) in [(WireCodec::Grid, 5u64), (WireCodec::F32, 5)] {
             let counters = run(2, move |c| {
@@ -368,7 +370,7 @@ mod tests {
             }
         }
 
-        // A ring all-reduce sends 2(W − 1)/W of the buffer per rank.
+        // An all-reduce sends 2(W − 1)/W of the buffer per rank.
         for world in [2usize, 3, 4] {
             let counters = run(world, |c| {
                 let mut buf = vec![1.0f64; 12];
@@ -383,13 +385,14 @@ mod tests {
         // Raw-f64 fallback point: a 16-element segment is 128 raw bytes, a
         // grid frame 4 + 2 + nnz·w. With 2^55 and small integers in it,
         // w = 8: nnz = 15 (126 < 128) still ships the grid frame; nnz = 16
-        // (134) flips to raw. World = 2 reduce-scatter of 32 elements: only
-        // rank 1's segment 1 is nonzero, so each rank ships one 16-element
-        // segment holding those nnz values and one of zeros (6 bytes).
+        // (134) flips to raw. World = 2 reduce-scatter of 32 elements is one
+        // hop, rank r pushing segment 1 − r: only rank 0's segment 1 is
+        // nonzero, so rank 0 ships those nnz values and rank 1 a segment of
+        // zeros (6 bytes).
         for (nnz, expected_wire) in [(15usize, 126u64), (16, 128)] {
             let counters = run(2, move |c| {
                 let mut buf = vec![0.0f64; 32];
-                if c.rank() == 1 {
+                if c.rank() == 0 {
                     for (i, slot) in buf[16..].iter_mut().take(nnz).enumerate() {
                         *slot = if i == 0 { f64::from_bits((1023 + 55) << 52) } else { i as f64 };
                     }
@@ -397,10 +400,12 @@ mod tests {
                 c.reduce_scatter_f64_codec(WireCodec::Grid, &mut buf).unwrap();
                 c.counters()
             });
-            for c in counters {
-                assert_eq!(c.logical_f64_bytes, 2 * 128, "nnz={nnz}");
-                assert_eq!(c.wire_f64_bytes, expected_wire + 6, "nnz={nnz}");
-                assert_eq!(c.bytes_sent, expected_wire + 6, "nnz={nnz}");
+            for (rank, c) in counters.iter().enumerate() {
+                let wire = if rank == 0 { expected_wire } else { 6 };
+                assert_eq!(c.logical_f64_bytes, 128, "nnz={nnz} rank={rank}");
+                assert_eq!(c.wire_f64_bytes, wire, "nnz={nnz} rank={rank}");
+                assert_eq!(c.bytes_sent, wire, "nnz={nnz} rank={rank}");
+                assert_eq!(c.messages_sent, 1, "nnz={nnz} rank={rank}");
             }
         }
     }
@@ -457,9 +462,65 @@ mod tests {
         }
     }
 
+    #[test]
+    fn ps_reduce_matches_global_sum() {
+        for world in [1, 2, 3, 4] {
+            let len = 9;
+            let got = run(world, move |c| {
+                let buf: Vec<f64> = (0..len).map(|i| (c.rank() * 10 + i) as f64).collect();
+                let ranges: Vec<_> = (0..world).map(|w| segment_bounds(len, world, w)).collect();
+                c.ps_push_and_reduce_codec(WireCodec::Grid, &buf, &ranges).unwrap()
+            });
+            for (rank, reduced) in got.iter().enumerate() {
+                let (lo, hi) = segment_bounds(len, world, rank);
+                let expected: Vec<f64> =
+                    (lo..hi).map(|i| (0..world).map(|w| (w * 10 + i) as f64).sum()).collect();
+                assert_eq!(reduced, &expected, "world={world} rank={rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn ps_grid_codec_is_exact_and_compresses_sparse_shards() {
+        let (world, len) = (3, 30);
+        let mk = move |rank: usize| -> Vec<f64> {
+            (0..len).map(|i| if i % 5 == rank { (i + 1) as f64 } else { 0.0 }).collect()
+        };
+        let got = run(world, move |c| {
+            let ranges: Vec<_> = (0..world).map(|w| segment_bounds(len, world, w)).collect();
+            let reduced = c.ps_push_and_reduce_codec(WireCodec::Grid, &mk(c.rank()), &ranges);
+            (reduced.unwrap(), c.counters())
+        });
+        // The lossless codec reduces to the exact shards...
+        for (rank, (reduced, _)) in got.iter().enumerate() {
+            let (lo, hi) = segment_bounds(len, world, rank);
+            let expected: Vec<f64> = (lo..hi).map(|i| (0..world).map(|r| mk(r)[i]).sum()).collect();
+            assert_eq!(reduced, &expected, "rank={rank}");
+        }
+        // ...while the 20%-dense shards ship far fewer wire bytes.
+        let logical: u64 = got.iter().map(|(_, c)| c.logical_f64_bytes).sum();
+        let wire: u64 = got.iter().map(|(_, c)| c.wire_f64_bytes).sum();
+        assert!(wire * 2 < logical, "grid should be < half: {wire} vs {logical}");
+    }
+
+    #[test]
+    fn ps_traffic_is_one_histogram_per_worker() {
+        // Each worker sends (W-1)/W of its buffer: per-worker traffic ~ len,
+        // not W·len (in logical f64 bytes, before the codec shrinks them).
+        let (world, len) = (4, 1000);
+        let counters = run(world, move |c| {
+            let ranges: Vec<_> = (0..world).map(|w| segment_bounds(len, world, w)).collect();
+            c.ps_push_and_reduce_codec(WireCodec::Grid, &vec![1.0f64; len], &ranges).unwrap();
+            c.counters()
+        });
+        for c in &counters {
+            assert_eq!(c.logical_f64_bytes, (len as u64 * 8 / world as u64) * (world as u64 - 1));
+        }
+    }
+
     /// Collectives keep working when messages are duplicated and delayed by
     /// an (otherwise lossless) fault plan — dedup happens at envelope
-    /// intake, so ring hops never consume a stale duplicate.
+    /// intake, so no receive ever consumes a stale duplicate.
     #[test]
     fn collectives_survive_duplication_faults() {
         let plan = crate::fault::FaultPlan::new(23).with_dup(0.4).with_delay(0.3, 0.001);

@@ -194,11 +194,6 @@ impl Comm {
         self.world
     }
 
-    /// The transfer-time model in force.
-    pub fn cost_model(&self) -> &NetworkCostModel {
-        &self.cost
-    }
-
     /// The fault plan attached to this mesh, if any.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
@@ -462,14 +457,8 @@ impl Comm {
     /// Allocates the next collective tag. All workers execute collectives in
     /// the same program order, so the counters stay aligned across ranks.
     pub(crate) fn alloc_collective_tag(&self) -> u64 {
-        self.alloc_collective_tags(1)
-    }
-
-    /// Allocates a block of `n` consecutive collective tags (multi-step
-    /// collectives use one tag per step).
-    pub(crate) fn alloc_collective_tags(&self, n: u64) -> u64 {
         let tag = self.next_collective_tag.get();
-        self.next_collective_tag.set(tag + n);
+        self.next_collective_tag.set(tag + 1);
         tag
     }
 

@@ -15,13 +15,14 @@
 //! * [`cost`] — latency + bandwidth transfer-time model.
 //! * [`comm`] — point-to-point endpoint with tag matching and byte
 //!   accounting.
-//! * [`collectives`] — broadcast, gather, all-gather, ring all-reduce, ring
-//!   reduce-scatter (the aggregation methods of §3.1.3).
+//! * [`collectives`] — broadcast, gather, all-gather and the one sharded
+//!   reduction, the parameter-server push (DimBoost, §4.1): all-reduce is
+//!   the push plus an all-gather of the reduced segments, reduce-scatter the
+//!   push alone (the aggregation methods of §3.1.3).
 //! * [`wire`] — histogram wire codecs: the lossless grid frame (nonzero
 //!   cells as integers of the message's power-of-two unit, raw f64s as the
 //!   fallback) and the lossy f32 layouts, used by the codec-aware
 //!   collectives.
-//! * [`ps`] — parameter-server-style sharded aggregation (DimBoost, §4.1).
 //! * [`cluster`] — scoped-thread harness running one closure per worker,
 //!   with a supervisor that cancels peers on failure and replays crashed
 //!   attempts from per-tree checkpoints.
@@ -35,7 +36,6 @@ pub mod collectives;
 pub mod comm;
 pub mod cost;
 pub mod fault;
-pub mod ps;
 pub mod stats;
 pub mod wire;
 

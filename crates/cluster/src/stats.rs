@@ -217,11 +217,6 @@ impl ClusterStats {
         self.workers.iter().map(|w| w.duplicates_dropped).sum()
     }
 
-    /// Total pending-buffer overflows across the cluster.
-    pub fn total_pending_overflows(&self) -> u64 {
-        self.workers.iter().map(|w| w.pending_overflows).sum()
-    }
-
     /// Largest per-worker data storage.
     pub fn max_data_bytes(&self) -> u64 {
         self.workers.iter().map(|w| w.data_bytes).max().unwrap_or(0)

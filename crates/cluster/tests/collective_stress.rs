@@ -1,11 +1,11 @@
 //! Stress/consistency tests of the cluster substrate beyond unit scale:
-//! interleaved collectives, large payloads, and agreement between the three
-//! aggregation primitives.
+//! interleaved collectives, large payloads, and agreement between the
+//! aggregation primitives at two to five ranks.
 
 #![allow(clippy::unwrap_used)]
 
 use gbdt_cluster::collectives::segment_bounds;
-use gbdt_cluster::{Cluster, NetworkCostModel, WireCodec};
+use gbdt_cluster::{Cluster, NetworkCostModel, WireCodec, WorkerCtx};
 
 #[test]
 fn interleaved_collectives_keep_tags_aligned() {
@@ -38,41 +38,56 @@ fn interleaved_collectives_keep_tags_aligned() {
 
 #[test]
 fn aggregation_primitives_agree_on_large_buffers() {
-    // all-reduce, its result broadcast from rank 0, and PS-sharded
-    // reduction must produce identical sums on a 100k-element buffer.
+    // The all-reduce, its result broadcast from rank 0, the sharded push and
+    // the reduce-scatter must produce the same sums, bit for bit, on a
+    // 100k-element buffer at every world size; the all-reduce sends
+    // 2(W − 1) messages a rank, the push and the reduce-scatter W − 1.
     let len = 100_000usize;
-    let world = 3;
-    let cluster = Cluster::with_cost(world, NetworkCostModel::infinite());
-    let (outputs, stats) = cluster.run(|ctx| {
-        let base: Vec<f64> =
-            (0..len).map(|i| ((ctx.rank() + 1) * (i % 97)) as f64).collect();
+    for world in [2usize, 3, 4, 5] {
+        let cluster = Cluster::with_cost(world, NetworkCostModel::infinite());
+        let (outputs, stats) = cluster.run(|ctx| {
+            let (rank, w) = (ctx.rank(), ctx.world());
+            let base: Vec<f64> = (0..len).map(|i| ((rank + 1) * (i % 97)) as f64).collect();
+            let mut messages = Vec::new();
+            let mut sent = |ctx: &WorkerCtx| {
+                let total = ctx.comm.counters().messages_sent;
+                messages.push(total - messages.iter().sum::<u64>());
+            };
 
-        let mut ring = base.clone();
-        ctx.comm.all_reduce_f64(&mut ring).unwrap();
+            let mut all = base.clone();
+            ctx.comm.all_reduce_f64(&mut all).unwrap();
+            sent(ctx);
 
-        let mut rooted = if ctx.rank() == 0 { ring.clone() } else { vec![0.0; len] };
-        ctx.comm.broadcast_f64(0, &mut rooted).unwrap();
+            let ranges: Vec<_> = (0..w).map(|s| segment_bounds(len, w, s)).collect();
+            let pushed = ctx.comm.ps_push_and_reduce_codec(WireCodec::Grid, &base, &ranges).unwrap();
+            sent(ctx);
 
-        let ranges: Vec<_> = (0..ctx.world()).map(|w| segment_bounds(len, ctx.world(), w)).collect();
-        let shard = ctx.comm.ps_push_and_reduce_codec(WireCodec::Grid, &base, &ranges).unwrap();
-        let (lo, _hi) = ranges[ctx.rank()];
+            let mut scattered = base.clone();
+            let (lo, hi) = ctx.comm.reduce_scatter_f64_codec(WireCodec::Grid, &mut scattered).unwrap();
+            sent(ctx);
 
-        // Compare my PS shard against the same region of the ring result.
-        for (k, &v) in shard.iter().enumerate() {
-            assert_eq!(v, ring[lo + k], "ps vs ring at {k}");
+            let mut rooted = if rank == 0 { all.clone() } else { vec![0.0; len] };
+            ctx.comm.broadcast_f64(0, &mut rooted).unwrap();
+
+            assert_eq!((lo, hi), ranges[rank], "world={w} rank={rank}");
+            let exact = |i: usize| ((i % 97) * w * (w + 1) / 2) as f64;
+            for (i, v) in all.iter().enumerate() {
+                assert_eq!(v.to_bits(), exact(i).to_bits(), "all-reduce at {i}, world={w}");
+                assert_eq!(v.to_bits(), rooted[i].to_bits(), "rooted at {i}, world={w}");
+            }
+            for (k, (p, s)) in pushed.iter().zip(&scattered[lo..hi]).enumerate() {
+                assert_eq!(p.to_bits(), all[lo + k].to_bits(), "push at {}, world={w}", lo + k);
+                assert_eq!(s.to_bits(), all[lo + k].to_bits(), "scatter at {}, world={w}", lo + k);
+            }
+            messages
+        });
+        let w = world as u64;
+        for (rank, messages) in outputs.iter().enumerate() {
+            assert_eq!(messages, &[2 * (w - 1), w - 1, w - 1], "world={world} rank={rank}");
         }
-        for (a, b) in ring.iter().zip(&rooted) {
-            assert_eq!(a, b, "ring vs rooted");
-        }
-        ring[0]
-    });
-    // Element 0 is (rank + 1) · (0 % 97) = 0 on every worker.
-    let expected = 0.0f64;
-    for o in outputs {
-        assert_eq!(o, expected);
+        // 100k f64 across the aggregation schemes: traffic was really moved.
+        assert!(stats.total_bytes_sent() > (len * 8) as u64);
     }
-    // 100k f64 across three aggregation schemes: traffic was really moved.
-    assert!(stats.total_bytes_sent() > (len * 8) as u64);
 }
 
 #[test]

@@ -187,11 +187,6 @@ impl NodeHistogram {
         NodeHistogram { n_features, n_bins, n_outputs, data }
     }
 
-    /// Heap bytes of this histogram (`Sizehist` for its feature count).
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
-
     /// Exact wire encoding: 12-byte header + LE f64 payload.
     ///
     /// The buffer is sized once up front and filled through fixed 8-byte

@@ -197,7 +197,11 @@ impl Split {
         }
         let feature = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
         let bin = u16::from_le_bytes(bytes[4..6].try_into().ok()?);
-        let default_left = bytes[6] != 0;
+        let default_left = match bytes[6] {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
         let gain = f64::from_le_bytes(bytes[7..15].try_into().ok()?);
         let left_len = u32::from_le_bytes(bytes[15..19].try_into().ok()?) as usize;
         let left = NodeStats::decode_bytes(bytes.get(19..19 + left_len)?)?;

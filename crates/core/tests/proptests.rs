@@ -971,6 +971,46 @@ fn non_nan_levels(levels: Vec<Vec<(u8, u32)>>) -> Vec<Vec<f32>> {
     levels.into_iter().map(|l| level(l).collect()).collect()
 }
 
+/// The byte masks every position is flipped with: the seeded one and the
+/// lowest, highest and all bits.
+fn masks(flip: u8) -> [u8; 4] {
+    [flip, 0x01, 0x80, 0xff]
+}
+
+/// Checks `decode` against every truncation and single-byte flip of
+/// `bytes`, which it must decode to something that encodes back to `bytes`:
+/// every truncation is `None`, and every flip `None` or a value that encodes
+/// back to exactly the flipped bytes — never a panic, and never a value the
+/// sender could not have sent.
+fn hostile_sweep<T>(
+    bytes: &[u8],
+    flip: u8,
+    decode: impl Fn(&[u8]) -> Option<T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert!(decode(bytes).as_ref().map(&encode).as_deref() == Some(bytes), "a sound encoding");
+    for cut in 0..bytes.len() {
+        prop_assert!(decode(&bytes[..cut]).is_none(), "cut at {}", cut);
+    }
+    for at in 0..bytes.len() {
+        for mask in masks(flip) {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= mask;
+            if let Some(value) = decode(&flipped) {
+                prop_assert_eq!(encode(&value), flipped, "byte {} ^ {:#x}", at, mask);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Child statistics of `c` classes from raw bits (NaN payloads included),
+/// read from `bits` cyclically starting at `at`.
+fn stats_from_bits(c: usize, bits: &[u64], at: usize) -> NodeStats {
+    let value = |k: usize| f64::from_bits(bits[(at + k) % bits.len()].rotate_left(k as u32));
+    NodeStats { grads: (0..c).map(value).collect(), hesses: (c..2 * c).map(value).collect() }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1034,5 +1074,45 @@ proptest! {
                 prop_assert_eq!(back, Some(again));
             }
         }
+    }
+
+    /// A local best split from a peer: any feature, bin, side, gain bits and
+    /// child class counts.
+    #[test]
+    fn hostile_split_bytes_are_none_or_canonical(
+        head in (any::<u32>(), any::<u16>(), any::<bool>(), any::<u64>()),
+        classes in (0usize..4, 0usize..4),
+        bits in prop::collection::vec(any::<u64>(), 1..8),
+        flip in 1u8..=255,
+    ) {
+        let (feature, bin, default_left, gain) = head;
+        let split = Split {
+            feature,
+            bin,
+            default_left,
+            gain: f64::from_bits(gain),
+            left: stats_from_bits(classes.0, &bits, 0),
+            right: stats_from_bits(classes.1, &bits, 1),
+        };
+        hostile_sweep(&split.encode_bytes(), flip, Split::decode_bytes, Split::encode_bytes)?;
+    }
+
+    /// The cut broadcast every horizontal trainer and the transformation
+    /// decode: any feature count, any cut count per feature (none
+    /// included), any ascending non-NaN f32 bits (±inf, subnormals).
+    #[test]
+    fn hostile_cuts_bytes_are_none_or_canonical(
+        features in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..6), 0..8),
+        flip in 1u8..=255,
+    ) {
+        let ascending = |bits: &Vec<u32>| {
+            let mut cuts: Vec<f32> =
+                bits.iter().map(|&b| f32::from_bits(b)).filter(|v| !v.is_nan()).collect();
+            cuts.sort_by(f32::total_cmp);
+            cuts.dedup_by(|a, b| a == b);
+            cuts
+        };
+        let cuts = BinCuts::from_cut_values(features.iter().map(ascending).collect());
+        hostile_sweep(&cuts.encode_bytes(), flip, BinCuts::decode_bytes, BinCuts::encode_bytes)?;
     }
 }

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 
 /// Feature storage backing a dataset: sparse row-store or dense rows.
 ///
-/// Column-store views ([`crate::sparse::CscMatrix`]) are derived from these
-/// when a quadrant calls for them — the *source* dataset always arrives
+/// Column-store views (binned columns) are derived from these when a
+/// quadrant calls for them — the *source* dataset always arrives
 /// row-partitioned and row-stored, exactly as the paper assumes datasets
 /// arrive from HDFS (§4.2.1: "training datasets are often horizontally
 /// partitioned and stored").

@@ -128,26 +128,6 @@ impl BinPack {
         }
     }
 
-    /// The raw u8 cell slice, if packed at that width — the lane accessor
-    /// the SIMD kernels and benches use to load 16-cell groups directly.
-    #[inline]
-    pub fn as_u8(&self) -> Option<&[u8]> {
-        match self {
-            BinPack::U8(c) => Some(c),
-            BinPack::U16(_) => None,
-        }
-    }
-
-    /// The raw u16 cell slice, if packed at that width (8-cell lane
-    /// groups).
-    #[inline]
-    pub fn as_u16(&self) -> Option<&[u16]> {
-        match self {
-            BinPack::U16(c) => Some(c),
-            BinPack::U8(_) => None,
-        }
-    }
-
     fn heap_bytes(&self) -> usize {
         match self {
             BinPack::U8(c) => c.len(),

@@ -6,8 +6,8 @@
 //! matters enormously for distributed GBDT. This crate provides every storage
 //! structure that analysis touches:
 //!
-//! * [`sparse`] — CSR (row-store) and CSC (column-store) sparse matrices,
-//!   the two storage patterns of the paper's §1.
+//! * [`sparse`] — CSR sparse matrices: raw feature values as a row-store
+//!   (the column-store of the paper's §1 exists only binned, below).
 //! * [`dense`] — dense row-major matrices for low-dimensional dense datasets
 //!   (the SUSY / Higgs / Criteo / Epsilon class of workloads).
 //! * [`dataset`] — labeled dataset abstraction shared by all trainers.
@@ -51,7 +51,7 @@ pub use dataset::{Dataset, FeatureMatrix};
 pub use dense::DenseMatrix;
 pub use error::DataError;
 pub use pairs::{PairKey, PairKeys};
-pub use sparse::{CscMatrix, CsrMatrix, SparseEntry};
+pub use sparse::CsrMatrix;
 
 /// Index of a training instance (row of the dataset matrix).
 pub type InstanceId = u32;

@@ -1,25 +1,15 @@
-//! Sparse matrix storage: CSR (row-store) and CSC (column-store).
+//! Sparse matrix storage: CSR, the row-store of raw feature values.
 //!
-//! These are the two storage patterns the paper contrasts (§1, §2.2.2):
-//! row-store keeps each instance as a run of 〈feature index, feature value〉
-//! pairs; column-store keeps each feature as a run of 〈instance index,
-//! feature value〉 pairs. Conversions between the two are exact and preserve
-//! the within-run ordering (ascending feature index for CSR rows, ascending
-//! instance index for CSC columns).
+//! The paper contrasts two storage patterns (§1, §2.2.2): row-store keeps
+//! each instance as a run of 〈feature index, feature value〉 pairs;
+//! column-store keeps each feature as a run of 〈instance index, feature
+//! value〉 pairs. Raw values only ever live as rows here; the trainers'
+//! column-store is the binned `BinnedColumns`, built from binned rows.
 
 use crate::error::DataError;
-use crate::{FeatureId, InstanceId};
+use crate::FeatureId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// One nonzero entry of a sparse row or column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SparseEntry {
-    /// Feature index (in a row) or instance index (in a column).
-    pub index: u32,
-    /// The stored feature value.
-    pub value: f32,
-}
 
 /// Compressed Sparse Row matrix: the row-store of the paper.
 ///
@@ -58,19 +48,6 @@ struct CsrParts {
     n_cols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<FeatureId>,
-    values: Vec<f32>,
-}
-
-/// Compressed Sparse Column matrix: the column-store of the paper.
-///
-/// `col_ptr[j]..col_ptr[j + 1]` delimits the nonzeros of feature `j` inside
-/// `row_idx` / `values`. Within a column, `row_idx` is strictly ascending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CscMatrix {
-    n_rows: usize,
-    n_cols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<InstanceId>,
     values: Vec<f32>,
 }
 
@@ -291,31 +268,6 @@ impl CsrMatrix {
         feats.binary_search(&col).ok().map(|k| vals[k])
     }
 
-    /// Converts to the equivalent column-store.
-    pub fn to_csc(&self) -> CscMatrix {
-        let mut counts = vec![0usize; self.n_cols];
-        for &c in self.entries().0 {
-            counts[c as usize] += 1;
-        }
-        let mut col_ptr = Vec::with_capacity(self.n_cols + 1);
-        col_ptr.push(0usize);
-        for j in 0..self.n_cols {
-            col_ptr.push(col_ptr[j] + counts[j]);
-        }
-        let mut cursor = col_ptr[..self.n_cols].to_vec();
-        let mut row_idx = vec![0 as InstanceId; self.nnz()];
-        let mut values = vec![0f32; self.nnz()];
-        for (i, feats, vals) in self.iter_rows() {
-            for (&f, &v) in feats.iter().zip(vals) {
-                let dst = cursor[f as usize];
-                row_idx[dst] = i as InstanceId;
-                values[dst] = v;
-                cursor[f as usize] += 1;
-            }
-        }
-        CscMatrix { n_rows: self.n_rows(), n_cols: self.n_cols, col_ptr, row_idx, values }
-    }
-
     /// The horizontal shard of rows `lo..hi`: a window over the same arrays,
     /// O(1), no bytes copied.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> CsrMatrix {
@@ -374,134 +326,6 @@ impl Deserialize for CsrMatrix {
     }
 }
 
-impl CscMatrix {
-    /// Builds a CSC matrix from raw parts, validating all invariants.
-    pub fn from_parts(
-        n_rows: usize,
-        n_cols: usize,
-        col_ptr: Vec<usize>,
-        row_idx: Vec<InstanceId>,
-        values: Vec<f32>,
-    ) -> Result<Self, DataError> {
-        if col_ptr.len() != n_cols + 1 {
-            return Err(DataError::Shape(format!(
-                "col_ptr len {} != n_cols + 1 = {}",
-                col_ptr.len(),
-                n_cols + 1
-            )));
-        }
-        if row_idx.len() != values.len() || col_ptr.last() != Some(&row_idx.len()) {
-            return Err(DataError::Shape("col_ptr does not span the nonzeros".into()));
-        }
-        for j in 0..n_cols {
-            if col_ptr[j] > col_ptr[j + 1] {
-                return Err(DataError::Shape("col_ptr is not monotone".into()));
-            }
-            let col = &row_idx[col_ptr[j]..col_ptr[j + 1]];
-            for w in col.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(DataError::Shape(format!(
-                        "column {j} indices not strictly ascending"
-                    )));
-                }
-            }
-            if let Some(&last) = col.last() {
-                if last as usize >= n_rows {
-                    return Err(DataError::IndexOutOfBounds {
-                        kind: "instance",
-                        index: last as usize,
-                        bound: n_rows,
-                    });
-                }
-            }
-        }
-        Ok(CscMatrix { n_rows, n_cols, col_ptr, row_idx, values })
-    }
-
-    /// Number of instances (rows).
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of features (columns).
-    #[inline]
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Number of stored nonzeros.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
-    /// Nonzeros of column `j` as parallel slices `(instances, values)`.
-    #[inline]
-    pub fn col(&self, j: usize) -> (&[InstanceId], &[f32]) {
-        let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        (&self.row_idx[lo..hi], &self.values[lo..hi])
-    }
-
-    /// Iterates columns as `(column index, instances, values)`.
-    pub fn iter_cols(&self) -> impl Iterator<Item = (usize, &[InstanceId], &[f32])> {
-        (0..self.n_cols).map(move |j| {
-            let (r, v) = self.col(j);
-            (j, r, v)
-        })
-    }
-
-    /// Converts to the equivalent row-store.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.n_rows];
-        for &r in &self.row_idx {
-            counts[r as usize] += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        row_ptr.push(0usize);
-        for i in 0..self.n_rows {
-            row_ptr.push(row_ptr[i] + counts[i]);
-        }
-        let mut cursor = row_ptr[..self.n_rows].to_vec();
-        let mut col_idx = vec![0 as FeatureId; self.nnz()];
-        let mut values = vec![0f32; self.nnz()];
-        for j in 0..self.n_cols {
-            let (rows, vals) = self.col(j);
-            for (&r, &v) in rows.iter().zip(vals) {
-                let dst = cursor[r as usize];
-                col_idx[dst] = j as FeatureId;
-                values[dst] = v;
-                cursor[r as usize] += 1;
-            }
-        }
-        CsrMatrix::whole(self.n_cols, row_ptr, col_idx, values)
-    }
-
-    /// Extracts the vertical shard containing columns `cols` (renumbered
-    /// `0..cols.len()` in the given order).
-    pub fn select_cols(&self, cols: &[FeatureId]) -> CscMatrix {
-        let mut col_ptr = Vec::with_capacity(cols.len() + 1);
-        col_ptr.push(0usize);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        for &j in cols {
-            let (rows, vals) = self.col(j as usize);
-            row_idx.extend_from_slice(rows);
-            values.extend_from_slice(vals);
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix { n_rows: self.n_rows, n_cols: cols.len(), col_ptr, row_idx, values }
-    }
-
-    /// Bytes of heap storage used by the matrix (exact, for memory accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.col_ptr.len() * std::mem::size_of::<usize>()
-            + self.row_idx.len() * std::mem::size_of::<InstanceId>()
-            + self.values.len() * std::mem::size_of::<f32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,24 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_to_csc_roundtrip_is_identity() {
-        let m = sample_csr();
-        let back = m.to_csc().to_csr();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn csc_columns_are_sorted_by_instance() {
-        let csc = sample_csr().to_csc();
-        let (rows, vals) = csc.col(2);
-        assert_eq!(rows, &[0, 3]);
-        assert_eq!(vals, &[2.0, 6.0]);
-        // Empty-ish column still works.
-        let (rows, _) = csc.col(1);
-        assert_eq!(rows, &[1, 3]);
-    }
-
-    #[test]
     fn slice_rows_extracts_horizontal_shard() {
         let m = sample_csr();
         let shard = m.slice_rows(1, 4);
@@ -582,25 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_extracts_vertical_shard() {
-        let csc = sample_csr().to_csc();
-        let shard = csc.select_cols(&[2, 0]);
-        assert_eq!(shard.n_cols(), 2);
-        // Column 0 of the shard is original column 2.
-        assert_eq!(shard.col(0).0, &[0, 3]);
-        assert_eq!(shard.col(1).1, &[1.0, 4.0]);
-    }
-
-    #[test]
     fn from_parts_validates_invariants() {
         assert!(CsrMatrix::from_parts(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err());
         assert!(CsrMatrix::from_parts(1, 2, vec![0, 2], vec![1, 0], vec![1.0, 2.0]).is_err());
         assert!(CsrMatrix::from_parts(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
-        assert!(CscMatrix::from_parts(2, 1, vec![0, 2], vec![1, 0], vec![1.0, 2.0]).is_err());
-        assert!(CscMatrix::from_parts(2, 1, vec![0, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
         // Empty pointer arrays (malformed external input) error, not panic.
         assert!(CsrMatrix::from_parts(0, 2, vec![], vec![], vec![]).is_err());
-        assert!(CscMatrix::from_parts(2, 0, vec![], vec![], vec![]).is_err());
         // Pointers that start past 0 are rejected.
         assert!(CsrMatrix::from_parts(1, 2, vec![1, 2], vec![0], vec![1.0]).is_err());
     }
@@ -633,7 +426,5 @@ mod tests {
     fn heap_bytes_counts_all_arrays() {
         let m = sample_csr();
         assert_eq!(m.heap_bytes(), 5 * 8 + 6 * 4 + 6 * 4);
-        let c = m.to_csc();
-        assert_eq!(c.heap_bytes(), 4 * 8 + 6 * 4 + 6 * 4);
     }
 }

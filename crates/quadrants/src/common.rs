@@ -1,25 +1,30 @@
 //! What the policies share besides the loop (`grow`): result types, the
-//! horizontal root all-reduce, the local-best exchange, wire accounting.
+//! aggregation choice, and the local-best exchange.
 
+use crate::grow::Run;
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::{CommError, WorkerCtx};
-use gbdt_core::split::{NodeStats, Split};
-use gbdt_core::GbdtModel;
+use gbdt_core::split::Split;
+use gbdt_core::{BinCuts, GbdtModel};
 use serde::{Deserialize, Serialize};
 
 /// Histogram aggregation strategy for horizontal partitioning (§3.1.3/§4.1).
+///
+/// All three are one reduction: every worker pushes each feature slice of
+/// a histogram to the worker that owns it, which sums the slice. They
+/// differ in what follows, i.e. in where splits are found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Aggregation {
-    /// Ring all-reduce: every worker ends with the global histograms and
-    /// finds splits redundantly (XGBoost's pattern).
+    /// The push, then every owner sends its reduced slice to every peer:
+    /// every worker ends with the global histograms and finds splits
+    /// redundantly (XGBoost's pattern).
     AllReduce,
-    /// Feature-sharded reduce-scatter: each worker aggregates and finds
-    /// splits for a feature subset, then local bests are exchanged
-    /// (LightGBM's pattern).
+    /// The push alone: each worker finds splits for the feature slice it
+    /// reduced, then local bests are exchanged (LightGBM's pattern).
     ReduceScatter,
     /// Parameter-server push + server-side split finding (DimBoost's
-    /// pattern); mechanically the same sharded reduction as reduce-scatter
-    /// in a co-located deployment, kept separate for system labelling.
+    /// pattern): in a co-located deployment the same messages as
+    /// reduce-scatter, kept separate for system labelling.
     ParameterServer,
 }
 
@@ -110,63 +115,20 @@ pub fn shard_dataset(
     partition.shard(dataset, rank)
 }
 
-/// Records the logical-vs-wire histogram-aggregation bytes this worker
-/// moved during one tree layer, as the delta from a counters snapshot taken
-/// just before the layer's aggregation calls.
-pub(crate) fn record_layer_wire_bytes(
-    ctx: &mut WorkerCtx,
-    layer: usize,
-    before: gbdt_cluster::comm::CommCounters,
-) {
-    let now = ctx.comm.counters();
-    ctx.stats.record_layer_bytes(
-        layer,
-        now.logical_f64_bytes - before.logical_f64_bytes,
-        now.wire_f64_bytes - before.wire_f64_bytes,
-    );
-}
-
-/// The child counts of a row-sharded layer: all-reduces the local
-/// `[left, right]` pairs of its split nodes into the global ones.
-pub(crate) fn all_reduce_counts(
-    ctx: &mut WorkerCtx,
-    mut counts: Vec<f64>,
-) -> Result<Vec<(u64, u64)>, CommError> {
-    ctx.comm.all_reduce_f64(&mut counts)?;
-    Ok(counts.chunks(2).map(|lr| (lr[0] as u64, lr[1] as u64)).collect())
-}
-
-/// The root of a row-sharded tree: all-reduces the local per-class gradient
-/// sums, then the local instance count, into the global pair.
-pub(crate) fn all_reduce_root(
-    ctx: &mut WorkerCtx,
-    mut stats: NodeStats,
-    n_local: usize,
-) -> Result<(NodeStats, u64), CommError> {
-    let c = stats.n_outputs();
-    let mut buf = Vec::with_capacity(2 * c);
-    buf.extend_from_slice(&stats.grads);
-    buf.extend_from_slice(&stats.hesses);
-    ctx.comm.all_reduce_f64(&mut buf)?;
-    stats.grads.copy_from_slice(&buf[..c]);
-    stats.hesses.copy_from_slice(&buf[c..]);
-    let mut count = vec![n_local as f64];
-    ctx.comm.all_reduce_f64(&mut count)?;
-    Ok((stats, count[0] as u64))
-}
-
 /// All-gathers per-node local best splits and resolves each node's global
 /// best deterministically. Shared by every policy that finds splits on
 /// feature subsets (QD2-sharded, the vertical quadrants, feature-parallel).
 pub(crate) fn exchange_local_bests(
     ctx: &mut WorkerCtx,
+    run: &Run,
     locals: &[Option<Split>],
 ) -> Result<Vec<Option<Split>>, CommError> {
     let n = locals.len();
     let gathered = ctx.comm.all_gather(bytes::Bytes::from(encode_local_bests(locals)))?;
+    let c = run.grads.n_outputs();
     let mut per_worker = Vec::with_capacity(gathered.len());
     for (from, buf) in gathered.iter().enumerate() {
-        per_worker.push(decode_local_bests(buf, n, from)?);
+        per_worker.push(decode_local_bests(buf, n, run.cuts, c, from)?);
     }
     Ok((0..n).map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone()))).collect())
 }
@@ -190,8 +152,22 @@ fn encode_local_bests(locals: &[Option<Split>]) -> Vec<u8> {
 }
 
 /// Rank `from`'s [`encode_local_bests`] output for exactly `n` nodes and
-/// nothing after; anything else is [`CommError::Malformed`].
-fn decode_local_bests(buf: &[u8], n: usize, from: usize) -> Result<Vec<Option<Split>>, CommError> {
+/// nothing after, every split one the receiver can apply: a feature and a
+/// bin of `cuts`, and `c` classes on both children. Anything else is
+/// [`CommError::Malformed`].
+fn decode_local_bests(
+    buf: &[u8],
+    n: usize,
+    cuts: &BinCuts,
+    c: usize,
+    from: usize,
+) -> Result<Vec<Option<Split>>, CommError> {
+    let fits = |s: &Split| {
+        (s.feature as usize) < cuts.n_features()
+            && (s.bin as usize) < cuts.n_bins(s.feature)
+            && s.left.n_outputs() == c
+            && s.right.n_outputs() == c
+    };
     let decode = || -> Option<Vec<Option<Split>>> {
         let (count, mut rest) = buf.split_first_chunk::<4>()?;
         if u32::from_le_bytes(*count) as usize != n {
@@ -207,7 +183,7 @@ fn decode_local_bests(buf: &[u8], n: usize, from: usize) -> Result<Vec<Option<Sp
                     let (len, tail) = rest.split_first_chunk::<4>()?;
                     let (split, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
                     rest = tail;
-                    Some(Split::decode_bytes(split)?)
+                    Some(Split::decode_bytes(split).filter(fits)?)
                 }
                 _ => return None,
             });
@@ -220,6 +196,7 @@ fn decode_local_bests(buf: &[u8], n: usize, from: usize) -> Result<Vec<Option<Sp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbdt_core::split::NodeStats;
 
     fn mk_split(feature: u32, gain: f64) -> Split {
         Split {
@@ -232,27 +209,85 @@ mod tests {
         }
     }
 
+    /// The receiver's cuts: four features, two bins each.
+    fn cuts() -> BinCuts {
+        BinCuts::from_cut_values(vec![vec![0.5, 1.5]; 4])
+    }
+
+    /// Rank 1's local bests as decoded by a receiver of `cuts()` and C = 1.
+    fn decode(bytes: &[u8], n: usize) -> Result<Vec<Option<Split>>, CommError> {
+        decode_local_bests(bytes, n, &cuts(), 1, 1)
+    }
+
+    const MALFORMED: Result<Vec<Option<Split>>, CommError> = Err(CommError::Malformed { from: 1 });
+
     #[test]
     fn malformed_local_bests_are_rejected_not_panicked_on() {
         let locals = vec![Some(mk_split(3, 1.0)), None, Some(mk_split(1, 2.0))];
         let bytes = encode_local_bests(&locals);
-        assert_eq!(decode_local_bests(&bytes, 3, 1), Ok(locals));
-        let malformed = Err(CommError::Malformed { from: 1 });
+        assert_eq!(decode(&bytes, 3), Ok(locals));
         // Every truncation, an over-long payload, and a stray presence byte.
         for cut in 0..bytes.len() {
-            assert_eq!(decode_local_bests(&bytes[..cut], 3, 1), malformed, "cut at {cut}");
+            assert_eq!(decode(&bytes[..cut], 3), MALFORMED, "cut at {cut}");
         }
-        assert_eq!(decode_local_bests(&[&bytes[..], &[0]].concat(), 3, 1), malformed);
+        assert_eq!(decode(&[&bytes[..], &[0]].concat(), 3), MALFORMED);
         let mut stray = bytes.clone();
         stray[4] = 2;
-        assert_eq!(decode_local_bests(&stray, 3, 1), malformed);
+        assert_eq!(decode(&stray, 3), MALFORMED);
         // A count other than the receiver's node count: fewer, more, or a
         // hostile one that promises more than the bytes hold.
-        assert_eq!(decode_local_bests(&bytes, 2, 1), malformed);
-        assert_eq!(decode_local_bests(&bytes, 4, 1), malformed);
+        assert_eq!(decode(&bytes, 2), MALFORMED);
+        assert_eq!(decode(&bytes, 4), MALFORMED);
         let short = encode_local_bests(&[None, None]);
-        assert_eq!(decode_local_bests(&short, 3, 1), malformed);
-        assert_eq!(decode_local_bests(&[0xff, 0xff, 0xff, 0xff, 0], 3, 1), malformed);
+        assert_eq!(decode(&short, 3), MALFORMED);
+        assert_eq!(decode(&[0xff, 0xff, 0xff, 0xff, 0], 3), MALFORMED);
+    }
+
+    #[test]
+    fn a_default_byte_other_than_0_or_1_is_malformed() {
+        let bytes = encode_local_bests(&[Some(mk_split(2, 1.0))]);
+        // Count (4), presence (1), length (4), then the split: feature (4),
+        // bin (2), default side.
+        let at = 4 + 1 + 4 + 6;
+        assert_eq!(bytes[at], 1);
+        for default in [2u8, 0x80, 0xff] {
+            let mut hostile = bytes.clone();
+            hostile[at] = default;
+            assert_eq!(decode(&hostile, 1), MALFORMED, "default byte {default:#x}");
+        }
+        let mut right = bytes.clone();
+        right[at] = 0;
+        assert!(!decode(&right, 1).unwrap()[0].as_ref().unwrap().default_left);
+    }
+
+    #[test]
+    fn a_feature_or_bin_outside_the_cuts_is_malformed() {
+        let applicable = Split { bin: 1, ..mk_split(3, 1.0) };
+        assert!(decode(&encode_local_bests(&[Some(applicable.clone())]), 1).is_ok());
+        // A feature past D, far past it, and a bin past the feature's bins:
+        // each would index past the cuts when the tree takes its threshold.
+        for hostile in [
+            Split { feature: 4, ..applicable.clone() },
+            Split { feature: u32::MAX, ..applicable.clone() },
+            Split { bin: 2, ..applicable.clone() },
+            Split { bin: u16::MAX, ..applicable.clone() },
+        ] {
+            let bytes = encode_local_bests(&[None, Some(hostile.clone())]);
+            assert_eq!(decode(&bytes, 2), MALFORMED, "{hostile:?}");
+        }
+    }
+
+    #[test]
+    fn a_child_with_the_wrong_class_count_is_malformed() {
+        for (left, right) in [(2, 1), (1, 2), (0, 0), (3, 3)] {
+            let hostile = Split {
+                left: NodeStats::zero(left),
+                right: NodeStats::zero(right),
+                ..mk_split(0, 1.0)
+            };
+            let bytes = encode_local_bests(&[Some(hostile)]);
+            assert_eq!(decode(&bytes, 1), MALFORMED, "C = {left} / {right}");
+        }
     }
 
     #[test]

@@ -345,11 +345,18 @@ pub(crate) fn every_node_schedule(frontier: &Frontier) -> Vec<BuildStep> {
     frontier.nodes.iter().map(|&node| BuildStep { node, derive: None }).collect()
 }
 
-/// Local gradient sums of the root over a node-to-instance index.
-pub(crate) fn sum_root(ctx: &mut WorkerCtx, run: &Run, index: &NodeToInstanceIndex) -> NodeStats {
+/// Local gradient sums of the root: every instance this worker scores, in
+/// id order.
+pub(crate) fn sum_root(ctx: &mut WorkerCtx, run: &Run) -> NodeStats {
     let mut stats = NodeStats::zero(run.grads.n_outputs());
     ctx.time(Phase::Gradients, || {
-        run.grads.sum_instances(index.instances(0), &mut stats.grads, &mut stats.hesses)
+        for i in 0..run.grads.n_instances() {
+            let (g, h) = run.grads.instance(i);
+            for k in 0..g.len() {
+                stats.grads[k] += g[k];
+                stats.hesses[k] += h[k];
+            }
+        }
     });
     stats
 }

@@ -21,8 +21,8 @@
 //!   of it places a whole layer), all-reduce.
 //! * [`qd2`] — horizontal + row-store, node-to-instance index, histogram
 //!   subtraction; aggregation: all-reduce, reduce-scatter (LightGBM) or
-//!   parameter-server (DimBoost). Its rows are scanned and looked up by the
-//!   same code as QD4's column group.
+//!   parameter-server (DimBoost), all one sharded push. Its rows are scanned
+//!   and looked up by the same code as QD4's column group.
 //! * [`qd3`] — vertical + column-store with the hybrid index plan of §5.2.2.
 //! * [`qd4`] — vertical + row-store: **Vero's** trainer.
 //! * [`yggdrasil`] — vertical + column-store with a column-wise
@@ -31,19 +31,25 @@
 //!   worker (Appendix D).
 //! * `grow` — the one per-tree / per-layer loop every distributed trainer
 //!   above runs, and the `Quadrant` policy trait through which they differ
-//!   (root / build / propose / apply); `vertical` — the one policy QD3,
-//!   QD4, Yggdrasil and feature-parallel share, parametrised by storage (a
-//!   `GroupStore`: a node's histogram fill and a per-instance `bin`
-//!   lookup). The row-store's impl is the paper's row-store under both
-//!   partitionings. Every policy holds its histograms in a `HistogramPool`.
+//!   (root / build / propose / apply). There are two policies, one per
+//!   partitioning, each parametrised by storage. `horizontal` is the one
+//!   QD1 and QD2 share: root and child-count all-reduces, aggregation,
+//!   the split scan by aggregation and wire accounting over a `ShardStore`
+//!   (a layer's fill and the store's own fused split). `vertical` is the
+//!   one QD3, QD4, Yggdrasil and feature-parallel share, over a
+//!   `GroupStore` (a node's histogram fill and a per-instance `bin`
+//!   lookup). The row-store's `GroupStore` impl is the paper's row-store
+//!   under both partitionings. Every policy holds its histograms in a
+//!   `HistogramPool`.
 //! * [`common`] — what policies share besides the loop: result types, the
-//!   horizontal root all-reduce, the local-best exchange, wire accounting.
+//!   aggregation choice, the local-best exchange.
 //! * [`System`] — the one system table: each compared system as a row
 //!   naming its cell of the grid above and the trainer that runs it.
 
 pub mod common;
 pub mod featpar;
 mod grow;
+mod horizontal;
 pub mod qd1;
 pub mod qd2;
 pub mod qd3;

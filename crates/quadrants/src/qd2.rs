@@ -1,35 +1,30 @@
 //! QD2 — horizontal partitioning + row-store (LightGBM / DimBoost, §4.1).
 //!
 //! Each worker holds a row shard in binned row-store form with a
-//! node-to-instance index, builds *local* histograms for **all D features**
-//! with the histogram subtraction technique, and the cluster aggregates them
+//! node-to-instance index — the `ShardStore` of the one horizontal policy
+//! (`horizontal`) — and builds *local* histograms for **all D features**
+//! with the histogram subtraction technique; the cluster aggregates them
 //! into global histograms — the step whose traffic grows as
 //! `Sizehist × W × (2^{L−1} − 1)` per tree and dominates on
 //! high-dimensional / deep / multi-class workloads (§3.1.3).
 //!
-//! Three aggregation strategies mirror the real systems: ring all-reduce
-//! (then every worker finds every split redundantly), feature-sharded
-//! reduce-scatter (LightGBM: each worker finds splits for its feature slice,
-//! then local bests are exchanged), and the parameter-server push of
-//! DimBoost (mechanically the sharded reduction of `gbdt-cluster::ps` with
-//! server-side split finding).
+//! The three [`Aggregation`]s mirror the real systems and are one sharded
+//! push: all-reduce adds the gather of the reduced segments (then every
+//! worker finds every split redundantly); reduce-scatter (LightGBM) and the
+//! parameter-server push (DimBoost) have each worker find splits for the
+//! feature slice it reduced, then exchange local bests.
 
-use crate::common::{
-    all_reduce_counts, all_reduce_root, exchange_local_bests, record_layer_wire_bytes, Aggregation,
-    DistTrainResult,
-};
-use crate::grow::{self, add_leaf_values_by_node, smaller_sibling_schedule, sum_root, Quadrant, Run};
+use crate::common::{Aggregation, DistTrainResult};
+use crate::grow::{add_leaf_values_by_node, smaller_sibling_schedule, BuildStep, Run};
+use crate::horizontal::{self, ShardStore};
 use crate::vertical::GroupStore;
-use gbdt_cluster::collectives::segment_bounds;
-use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
+use gbdt_cluster::Cluster;
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
-use gbdt_core::split::{best_split, best_split_in_range, NodeStats, Split};
+use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
 use gbdt_data::BinnedStore;
-use gbdt_partition::transform::build_global_cuts;
-use gbdt_partition::HorizontalPartition;
 
 /// Trains with QD2 on `cluster.world` workers.
 pub fn train(
@@ -38,167 +33,58 @@ pub fn train(
     config: &TrainConfig,
     aggregation: Aggregation,
 ) -> DistTrainResult {
-    let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
-    grow::run(cluster, config, |ctx| {
-        let shard = partition.shard(dataset, ctx.rank());
-        let (d, q, c) = (shard.n_features(), config.n_bins, config.n_outputs());
-        // Global candidate splits (local sketches merged across the cluster).
-        let (cuts, _) = build_global_cuts(ctx, &shard, q, gbdt_core::QuantileSketch::DEFAULT_CAP)?;
-        let binned = ctx.time(Phase::Sketch, || cuts.apply_store(&shard, config.storage));
-        let (rank, world) = (ctx.rank(), ctx.world());
-        let policy = RowShard {
-            index: NodeToInstanceIndex::new(binned.n_rows()),
-            binned,
-            pool: HistogramPool::new(d, q, c),
-            aggregation,
-            feature_slice: segment_bounds(d, world, rank),
-            elem_ranges: (0..world)
-                .map(|w| {
-                    let (lo, hi) = segment_bounds(d, world, w);
-                    (lo * q * c * 2, hi * q * c * 2)
-                })
-                .collect(),
-        };
-        grow::train_worker(ctx, policy, &shard.labels, &dataset.labels, &cuts, config)
+    horizontal::train(cluster, dataset, config, aggregation, |rows| RowShard {
+        index: NodeToInstanceIndex::new(rows.n_rows()),
+        rows,
     })
 }
 
 /// A row shard in binned row-store form (scanned and looked up through the
-/// same [`GroupStore`] impl as QD4's column group), its node-to-instance
-/// index, and local histograms over all D features that `aggregation`
-/// makes global.
+/// same [`GroupStore`] impl as QD4's column group) under a node-to-instance
+/// index.
 struct RowShard {
-    binned: BinnedStore,
+    rows: BinnedStore,
     index: NodeToInstanceIndex,
-    pool: HistogramPool,
-    aggregation: Aggregation,
-    /// The features this worker aggregates and finds splits for under
-    /// reduce-scatter / parameter-server aggregation.
-    feature_slice: (usize, usize),
-    /// Every worker's slice in histogram-element units (feature-aligned).
-    elem_ranges: Vec<(usize, usize)>,
 }
 
-impl Quadrant for RowShard {
-    fn root(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(NodeStats, u64), CommError> {
-        let local = sum_root(ctx, run, &self.index);
-        all_reduce_root(ctx, local, self.binned.n_rows())
-    }
-
-    /// Local histograms of the build set (the smaller siblings), aggregated;
-    /// the other sibling is derived by subtraction AFTER aggregation, so
-    /// pool histograms are always global.
-    fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError> {
+impl ShardStore for RowShard {
+    /// The smaller sibling of every pair (the root alone at layer 0).
+    fn fill(&self, pool: &mut HistogramPool, run: &Run) -> Vec<BuildStep> {
         let steps = smaller_sibling_schedule(&run.frontier);
-        ctx.time(Phase::HistogramBuild, || {
-            for step in &steps {
-                self.binned.fill(&mut self.pool, step.node, &self.index, run);
-            }
-        });
-
-        // Aggregate local histograms into global ones under the configured
-        // wire codec (control traffic stays dense).
-        let wire = run.config.wire;
-        let wire_before = ctx.comm.counters();
         for step in &steps {
-            let hist = self.pool.get_mut(step.node).expect("just built");
-            match self.aggregation {
-                Aggregation::AllReduce => ctx.comm.all_reduce_f64_codec(wire, hist.as_mut_slice())?,
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    let ranges = &self.elem_ranges;
-                    let reduced = ctx.comm.ps_push_and_reduce_codec(wire, hist.as_slice(), ranges)?;
-                    let (lo, hi) = ranges[ctx.rank()];
-                    hist.as_mut_slice()[lo..hi].copy_from_slice(&reduced);
-                }
-            }
+            self.rows.fill(pool, step.node, &self.index, run);
         }
-        record_layer_wire_bytes(ctx, run.layer, wire_before);
-        ctx.time(Phase::HistogramBuild, || {
-            for step in &steps {
-                if let Some((parent, sibling)) = step.derive {
-                    self.pool.subtract_sibling(parent, step.node, sibling);
-                }
-            }
-        });
-        Ok(())
+        steps
     }
 
-    fn propose(
-        &mut self,
-        ctx: &mut WorkerCtx,
-        run: &Run,
-    ) -> Result<Vec<Option<Split>>, CommError> {
-        let hist = |node| self.pool.get(node).expect("histogram live");
-        let n_bins = |f| run.cuts.n_bins(f);
-        match self.aggregation {
-            // Every worker holds the global histograms and finds every
-            // split redundantly.
-            Aggregation::AllReduce => Ok(run.scan(ctx, |node, stats| {
-                best_split(hist(node), stats, &run.params, n_bins, |f| f)
-            })),
-            // Local best within my feature slice, then exchange.
-            Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                let (lo, hi) = self.feature_slice;
-                let locals = run.scan(ctx, |node, stats| {
-                    best_split_in_range(
-                        hist(node),
-                        lo as u32..hi as u32,
-                        stats,
-                        &run.params,
-                        n_bins,
-                        |f| f,
-                    )
-                });
-                exchange_local_bests(ctx, &locals)
-            }
-        }
-    }
-
-    fn retire(&mut self, node: u32) {
-        self.pool.release(node);
-    }
-
-    /// Local predicate through the row-store's lookup, inside the index's
-    /// partition; then one all-reduce of the child counts of the layer.
-    fn apply(
-        &mut self,
-        ctx: &mut WorkerCtx,
-        splits: &[(u32, Split)],
-    ) -> Result<Vec<(u64, u64)>, CommError> {
+    /// The split feature looked up per instance, inside the index's
+    /// partition of each node.
+    fn split(&mut self, splits: &[(u32, Split)]) -> Vec<f64> {
         let mut counts = Vec::with_capacity(splits.len() * 2);
-        ctx.time(Phase::NodeSplit, || {
-            for (node, split) in splits {
-                let (left, right) = self.index.split(*node, |i| {
-                    match self.binned.bin(i, split.feature) {
-                        Some(b) => b <= split.bin,
-                        None => split.default_left,
-                    }
-                });
-                counts.extend([left as f64, right as f64]);
-            }
-        });
-        all_reduce_counts(ctx, counts)
+        for (node, split) in splits {
+            let (left, right) = self.index.split(*node, |i| match self.rows.bin(i, split.feature) {
+                Some(b) => b <= split.bin,
+                None => split.default_left,
+            });
+            counts.extend([left as f64, right as f64]);
+        }
+        counts
     }
 
     fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
         add_leaf_values_by_node(&self.index, leaves, scores);
     }
 
-    fn end_tree(&mut self, _ctx: &mut WorkerCtx) {
-        self.pool.release_all();
+    fn end_tree(&mut self) {
         self.index.reset();
     }
 
     fn data_bytes(&self) -> usize {
-        self.binned.heap_bytes()
+        self.rows.heap_bytes()
     }
 
     fn index_bytes(&self) -> usize {
         self.index.heap_bytes()
-    }
-
-    fn histogram_peak_bytes(&self) -> usize {
-        self.pool.peak_bytes()
     }
 }
 

@@ -124,7 +124,7 @@ pub(crate) struct Vertical<S> {
 
 impl<S: GroupStore> Quadrant for Vertical<S> {
     fn root(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(NodeStats, u64), CommError> {
-        Ok((sum_root(ctx, run, &self.index), self.n_rows as u64))
+        Ok((sum_root(ctx, run), self.n_rows as u64))
     }
 
     /// Nothing is aggregated: scan, then derive the sibling — or, when
@@ -168,7 +168,7 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
                 to_global,
             )
         });
-        exchange_local_bests(ctx, &locals)
+        exchange_local_bests(ctx, run, &locals)
     }
 
     fn retire(&mut self, node: u32) {
