@@ -12,11 +12,12 @@
 //!   histogram subtraction (§3.2.3). Splitting is a full scan too, so a
 //!   layer's splits share one ([`InstanceToNodeIndex::split_layer`]).
 //! * [`ColumnWiseIndex`] — a node-to-instance index maintained *per column*
-//!   (Yggdrasil / QD3-variant). Locating a node's pairs on every column is
-//!   O(1), but every node split must repartition all D columns — the
-//!   D-times-higher split cost the paper calls out.
+//!   (Yggdrasil / QD3-variant). It holds the column group's packed keys
+//!   themselves, so it is the store as well as the index. Locating a node's
+//!   pairs on every column is O(1), but every node split must repartition
+//!   all D columns — the D-times-higher split cost the paper calls out.
 
-use gbdt_data::{BinId, ColumnStore, InstanceId};
+use gbdt_data::{BinId, ColumnStore, InstanceId, PairKeys};
 use std::collections::BTreeMap;
 
 /// Node-to-instance index: a positions array partitioned by tree node.
@@ -179,41 +180,61 @@ impl InstanceToNodeIndex {
 }
 
 /// Column-wise node-to-instance index: each column's 〈instance, bin〉 pairs
-/// kept physically partitioned by tree node (Figure 6).
+/// kept physically partitioned by tree node (Figure 6). It is the column
+/// group's one copy of its data: the packed keys it is built from, with
+/// each tracked node's keys contiguous within every column.
 #[derive(Debug, Clone)]
 pub struct ColumnWiseIndex {
     n_rows: usize,
-    /// Per column: pair arrays, reordered in place as nodes split.
-    col_rows: Vec<Vec<InstanceId>>,
-    col_bins: Vec<Vec<BinId>>,
-    /// node id → per-column `[start, end)` ranges.
-    ranges: BTreeMap<u32, Vec<(u32, u32)>>,
+    /// Every column's keys back to back, column `j` at
+    /// `col_start[j]..col_start[j + 1]`; splits reorder keys within a column.
+    pairs: PairKeys,
+    col_start: Vec<usize>,
+    /// Node id → its slot in `ranges` (`UNTRACKED` when it has none).
+    slot_of: Vec<u32>,
+    /// One slot per tracked node: its D per-column `[start, end)` ranges.
+    ranges: Vec<(u32, u32)>,
+    n_slots: usize,
+    /// A split's right-hand keys between its two passes, sized once for
+    /// the longest column.
+    scratch: Vec<u64>,
 }
 
+const UNTRACKED: u32 = u32::MAX;
+
 impl ColumnWiseIndex {
-    /// Builds the index from either column-store layout. A dense store
-    /// contributes exactly its present cells in ascending instance order —
-    /// the same pairs, in the same order, as the sparse store — so the
-    /// resulting index (and everything trained from it) is identical.
-    pub fn from_store(columns: &ColumnStore) -> Self {
-        let d = columns.n_features();
-        let mut col_rows = Vec::with_capacity(d);
-        let mut col_bins = Vec::with_capacity(d);
-        let mut root_ranges = Vec::with_capacity(d);
-        for j in 0..d {
-            let mut rows: Vec<InstanceId> = Vec::new();
-            let mut bins: Vec<BinId> = Vec::new();
-            columns.for_each_in_col(j, |i, b| {
-                rows.push(i);
-                bins.push(b);
-            });
-            root_ranges.push((0u32, rows.len() as u32));
-            col_rows.push(rows);
-            col_bins.push(bins);
-        }
-        let mut ranges = BTreeMap::new();
-        ranges.insert(0, root_ranges);
-        ColumnWiseIndex { n_rows: columns.n_rows(), col_rows, col_bins, ranges }
+    /// Builds the index from either column-store layout, consuming it: a
+    /// sparse store hands over its keys, and a dense one yields its present
+    /// cells in ascending instance order into exactly as many keys — the
+    /// same pairs, in the same order, as the sparse store.
+    pub fn from_store(columns: ColumnStore) -> Self {
+        let n_rows = columns.n_rows();
+        let (col_start, pairs) = match columns {
+            ColumnStore::Sparse(c) => c.into_parts(),
+            ColumnStore::Dense(d) => {
+                let mut pairs = PairKeys::with_capacity(n_rows, d.n_bins(), d.nnz());
+                let mut col_start = Vec::with_capacity(d.n_features() + 1);
+                col_start.push(0);
+                for j in 0..d.n_features() {
+                    d.for_each_in_col(j, |i, b| pairs.push(i, b));
+                    col_start.push(pairs.len());
+                }
+                (col_start, pairs)
+            }
+        };
+        assert!(pairs.len() <= u32::MAX as usize, "{} pairs overflow u32 ranges", pairs.len());
+        let longest = col_start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut index = ColumnWiseIndex {
+            n_rows,
+            pairs,
+            col_start,
+            slot_of: Vec::new(),
+            ranges: Vec::new(),
+            n_slots: 0,
+            scratch: Vec::with_capacity(longest),
+        };
+        index.reset();
+        index
     }
 
     /// Number of instances in the underlying data.
@@ -223,72 +244,81 @@ impl ColumnWiseIndex {
 
     /// Number of columns indexed.
     pub fn n_features(&self) -> usize {
-        self.col_rows.len()
+        self.col_start.len() - 1
     }
 
-    /// The 〈instance, bin〉 pairs of `node` on column `j`.
-    pub fn node_column(&self, node: u32, j: usize) -> (&[InstanceId], &[BinId]) {
-        match self.ranges.get(&node) {
-            Some(r) => {
-                let (lo, hi) = r[j];
-                (&self.col_rows[j][lo as usize..hi as usize], &self.col_bins[j][lo as usize..hi as usize])
-            }
-            None => (&[], &[]),
+    /// Where `node`'s ranges start in `ranges`, if it is tracked.
+    fn slot(&self, node: u32) -> Option<usize> {
+        let d = self.n_features();
+        self.slot_of.get(node as usize).filter(|&&s| s != UNTRACKED).map(|&s| s as usize * d)
+    }
+
+    /// The 〈instance, bin〉 pairs of `node` on column `j` (none when the
+    /// node is untracked).
+    #[inline]
+    pub fn for_each_in(&self, node: u32, j: usize, f: impl FnMut(InstanceId, BinId)) {
+        if let Some(at) = self.slot(node) {
+            let (lo, hi) = self.ranges[at + j];
+            self.pairs.for_each(lo as usize..hi as usize, f);
         }
     }
 
     /// Splits `node`, repartitioning **every** column — the O(D) update cost
     /// that makes this index unsuitable for high-dimensional data (§3.2.3).
+    /// Each column's node range is partitioned stably in place; after the
+    /// first tree of a shape nothing is allocated.
     pub fn split(&mut self, node: u32, mut goes_left: impl FnMut(InstanceId) -> bool) {
-        let node_ranges = self.ranges.remove(&node).expect("splitting an untracked node");
-        let d = self.col_rows.len();
-        let mut left_ranges = Vec::with_capacity(d);
-        let mut right_ranges = Vec::with_capacity(d);
-        let mut scratch_rows: Vec<InstanceId> = Vec::new();
-        let mut scratch_bins: Vec<BinId> = Vec::new();
-        for (j, &(lo, hi)) in node_ranges.iter().enumerate().take(d) {
-            let (lo, hi) = (lo as usize, hi as usize);
-            debug_assert!(j < d);
-            scratch_rows.clear();
-            scratch_bins.clear();
-            let mut write = lo;
-            for k in lo..hi {
-                let inst = self.col_rows[j][k];
-                let bin = self.col_bins[j][k];
-                if goes_left(inst) {
-                    self.col_rows[j][write] = inst;
-                    self.col_bins[j][write] = bin;
-                    write += 1;
-                } else {
-                    scratch_rows.push(inst);
-                    scratch_bins.push(bin);
-                }
-            }
-            self.col_rows[j][write..hi].copy_from_slice(&scratch_rows);
-            self.col_bins[j][write..hi].copy_from_slice(&scratch_bins);
-            left_ranges.push((lo as u32, write as u32));
-            right_ranges.push((write as u32, hi as u32));
-        }
+        let at = self.slot(node).expect("splitting an untracked node");
         let (left, right) = crate::tree::children(node);
+        if self.slot_of.len() <= right as usize {
+            self.slot_of.resize(right as usize + 1, UNTRACKED);
+        }
         // Same aliasing guard as NodeToInstanceIndex::split, per column.
         debug_assert!(
-            !self.ranges.contains_key(&left) && !self.ranges.contains_key(&right),
+            self.slot_of[left as usize] == UNTRACKED && self.slot_of[right as usize] == UNTRACKED,
             "child node already tracked: split of {node} would alias ranges"
         );
-        self.ranges.insert(left, left_ranges);
-        self.ranges.insert(right, right_ranges);
+        let d = self.n_features();
+        // The left child keeps the parent's slot; the right takes a new one.
+        let right_at = self.n_slots * d;
+        self.ranges.resize(right_at + d, (0, 0));
+        for j in 0..d {
+            let (lo, hi) = self.ranges[at + j];
+            let range = lo as usize..hi as usize;
+            let mid = self.pairs.partition(range, &mut self.scratch, &mut goes_left) as u32;
+            self.ranges[at + j] = (lo, mid);
+            self.ranges[right_at + j] = (mid, hi);
+        }
+        self.slot_of[left as usize] = self.slot_of[node as usize];
+        self.slot_of[right as usize] = self.n_slots as u32;
+        self.slot_of[node as usize] = UNTRACKED;
+        self.n_slots += 1;
     }
 
-    /// Resets the index for a new tree: every column back on the root.
-    pub fn reset_from_store(&mut self, columns: &ColumnStore) {
-        *self = Self::from_store(columns);
+    /// Resets the index for a new tree: the node table cleared and every
+    /// column's whole range back on the root, D ranges written. No key
+    /// moves: each column holds the same pairs in whatever order the last
+    /// tree left, and every histogram sum is exact in any order.
+    pub fn reset(&mut self) {
+        self.slot_of.fill(UNTRACKED);
+        match self.slot_of.first_mut() {
+            Some(root) => *root = 0,
+            None => self.slot_of.push(0),
+        }
+        self.n_slots = 1;
+        self.ranges.clear();
+        self.ranges.extend(self.col_start.windows(2).map(|w| (w[0] as u32, w[1] as u32)));
     }
 
-    /// Bytes of heap storage used.
-    pub fn heap_bytes(&self) -> usize {
-        self.col_rows.iter().map(|c| c.len() * 4).sum::<usize>()
-            + self.col_bins.iter().map(|c| c.len() * 2).sum::<usize>()
-            + self.ranges.len() * (8 + self.col_rows.len() * 8)
+    /// Bytes of the stored data: the keys and the column offsets.
+    pub fn data_bytes(&self) -> usize {
+        self.pairs.heap_bytes() + self.col_start.len() * std::mem::size_of::<usize>()
+    }
+
+    /// Bytes of the index proper: the node table, the per-node ranges and
+    /// the split's scratch.
+    pub fn index_bytes(&self) -> usize {
+        self.slot_of.len() * 4 + self.ranges.len() * 8 + self.scratch.capacity() * 8
     }
 }
 
@@ -296,6 +326,7 @@ impl ColumnWiseIndex {
 mod tests {
     use super::*;
     use gbdt_data::binned::BinnedRowsBuilder;
+    use std::collections::BTreeSet;
 
     #[test]
     fn node_to_instance_split_is_stable() {
@@ -359,56 +390,159 @@ mod tests {
         assert_eq!(counts, [(2, 2), (1, 2)]);
     }
 
-    fn sample_columns() -> ColumnStore {
+    fn sample_rows() -> gbdt_data::BinnedRows {
         let mut b = BinnedRowsBuilder::new(2, 8);
         b.push_row(&[(0, 1), (1, 5)]).unwrap(); // inst 0
         b.push_row(&[(0, 2)]).unwrap(); // inst 1
         b.push_row(&[(1, 6)]).unwrap(); // inst 2
         b.push_row(&[(0, 3), (1, 7)]).unwrap(); // inst 3
+        b.build()
+    }
+
+    fn sample_columns() -> ColumnStore {
+        ColumnStore::Sparse(sample_rows().to_columns())
+    }
+
+    /// `node`'s pairs on column `j`, in stored order.
+    fn pairs_of(idx: &ColumnWiseIndex, node: u32, j: usize) -> Vec<(InstanceId, BinId)> {
+        let mut out = Vec::new();
+        idx.for_each_in(node, j, |i, b| out.push((i, b)));
+        out
+    }
+
+    /// `node`'s pairs on column `j` as a set.
+    fn set_of(idx: &ColumnWiseIndex, node: u32, j: usize) -> BTreeSet<(InstanceId, BinId)> {
+        pairs_of(idx, node, j).into_iter().collect()
+    }
+
+    /// 60 instances over 5 columns, each present on about two thirds.
+    fn wide_columns() -> ColumnStore {
+        let mut b = BinnedRowsBuilder::new(5, 16);
+        for i in 0..60u32 {
+            let row: Vec<(u32, BinId)> = (0..5u32)
+                .filter(|j| (i * 7 + j * 3) % 3 != 0)
+                .map(|j| (j, ((i * 13 + j * 5) % 16) as BinId))
+                .collect();
+            b.push_row(&row).unwrap();
+        }
         ColumnStore::Sparse(b.build().to_columns())
+    }
+
+    /// Grows one two-layer tree: the root, then both children, each by its
+    /// own rule.
+    fn grow(idx: &mut ColumnWiseIndex, rules: [fn(InstanceId) -> bool; 3]) {
+        idx.split(0, rules[0]);
+        idx.split(1, rules[1]);
+        idx.split(2, rules[2]);
     }
 
     #[test]
     fn column_wise_index_partitions_every_column() {
-        let cols = sample_columns();
-        let mut idx = ColumnWiseIndex::from_store(&cols);
-        assert_eq!(idx.node_column(0, 0).0, &[0, 1, 3]);
-        assert_eq!(idx.node_column(0, 1).0, &[0, 2, 3]);
+        let mut idx = ColumnWiseIndex::from_store(sample_columns());
+        assert_eq!(pairs_of(&idx, 0, 0), [(0, 1), (1, 2), (3, 3)]);
+        assert_eq!(pairs_of(&idx, 0, 1), [(0, 5), (2, 6), (3, 7)]);
         // Instances 0, 2 left; 1, 3 right.
         idx.split(0, |i| i == 0 || i == 2);
-        assert_eq!(idx.node_column(1, 0), (&[0u32][..], &[1u16][..]));
-        assert_eq!(idx.node_column(2, 0), (&[1u32, 3][..], &[2u16, 3][..]));
-        assert_eq!(idx.node_column(1, 1), (&[0u32, 2][..], &[5u16, 6][..]));
-        assert_eq!(idx.node_column(2, 1), (&[3u32][..], &[7u16][..]));
-        // Untracked node yields empty slices.
-        assert_eq!(idx.node_column(9, 0).0.len(), 0);
+        assert_eq!(pairs_of(&idx, 1, 0), [(0, 1)]);
+        assert_eq!(pairs_of(&idx, 2, 0), [(1, 2), (3, 3)]);
+        assert_eq!(pairs_of(&idx, 1, 1), [(0, 5), (2, 6)]);
+        assert_eq!(pairs_of(&idx, 2, 1), [(3, 7)]);
+        // The split node and an untracked one yield nothing.
+        assert!(pairs_of(&idx, 0, 0).is_empty());
+        assert!(pairs_of(&idx, 9, 0).is_empty());
+    }
+
+    #[test]
+    fn split_after_reset_matches_a_fresh_index() {
+        let first: [fn(InstanceId) -> bool; 3] = [|i| i % 2 == 0, |i| i < 20, |i| i % 3 == 1];
+        let second: [fn(InstanceId) -> bool; 3] = [|i| i >= 25, |i| i % 5 != 0, |i| i < 9];
+        let mut reused = ColumnWiseIndex::from_store(wide_columns());
+        grow(&mut reused, first);
+        reused.reset();
+        grow(&mut reused, second);
+        let mut fresh = ColumnWiseIndex::from_store(wide_columns());
+        grow(&mut fresh, second);
+        for node in 0..7 {
+            for j in 0..5 {
+                let (got, want) = (set_of(&reused, node, j), set_of(&fresh, node, j));
+                assert_eq!(got, want, "node {node} col {j}");
+            }
+        }
+        // The leaves cover every pair of every column exactly once.
+        for j in 0..5 {
+            let leaves: usize = (3..7).map(|node| pairs_of(&reused, node, j).len()).sum();
+            assert_eq!(leaves, column_len(&reused, j), "column {j}");
+        }
+    }
+
+    #[test]
+    fn column_wise_reset_restores_root_and_moves_no_key() {
+        let mut idx = ColumnWiseIndex::from_store(wide_columns());
+        grow(&mut idx, [|i| i % 2 == 0, |i| i < 20, |i| i % 3 == 1]);
+        let before = idx.pairs.clone();
+        idx.reset();
+        assert_eq!(idx.pairs, before);
+        // The root sees every column whole again, in the order left behind.
+        for j in 0..5 {
+            let mut col = Vec::new();
+            before.for_each(idx.col_start[j]..idx.col_start[j + 1], |i, b| col.push((i, b)));
+            assert_eq!(pairs_of(&idx, 0, j), col, "column {j}");
+            assert!(pairs_of(&idx, 1, j).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_node_without_pairs_on_a_column_splits_to_empty_ranges() {
+        let mut idx = ColumnWiseIndex::from_store(sample_columns());
+        // Node 1 holds instance 1 alone, which has no value on column 1.
+        idx.split(0, |i| i == 1);
+        assert!(pairs_of(&idx, 1, 1).is_empty());
+        idx.split(1, |_| false);
+        assert_eq!((pairs_of(&idx, 3, 0), pairs_of(&idx, 4, 0)), (vec![], vec![(1, 2)]));
+        assert!(pairs_of(&idx, 3, 1).is_empty() && pairs_of(&idx, 4, 1).is_empty());
+        assert_eq!(pairs_of(&idx, 2, 1), [(0, 5), (2, 6), (3, 7)]);
     }
 
     #[test]
     fn column_wise_index_identical_from_either_layout() {
-        let mut b = BinnedRowsBuilder::new(2, 8);
-        b.push_row(&[(0, 1), (1, 5)]).unwrap();
-        b.push_row(&[(0, 2)]).unwrap();
-        b.push_row(&[(1, 6)]).unwrap();
-        b.push_row(&[(0, 3), (1, 7)]).unwrap();
-        let rows = b.build();
-        let sparse = gbdt_data::BinnedStore::sparse(rows.clone()).to_columns();
-        let dense = gbdt_data::BinnedStore::dense(rows, 8).to_columns();
-        let a = ColumnWiseIndex::from_store(&sparse);
-        let bx = ColumnWiseIndex::from_store(&dense);
-        for j in 0..2 {
-            assert_eq!(a.node_column(0, j), bx.node_column(0, j), "column {j}");
+        let sparse = gbdt_data::BinnedStore::sparse(sample_rows()).to_columns();
+        let dense = gbdt_data::BinnedStore::dense(sample_rows(), 8).to_columns();
+        let mut a = ColumnWiseIndex::from_store(sparse);
+        let mut b = ColumnWiseIndex::from_store(dense);
+        for idx in [&mut a, &mut b] {
+            idx.split(0, |i| i != 2);
         }
-        assert_eq!(a.heap_bytes(), bx.heap_bytes());
+        for node in 0..3 {
+            for j in 0..2 {
+                assert_eq!(pairs_of(&a, node, j), pairs_of(&b, node, j), "node {node} col {j}");
+            }
+        }
+        assert_eq!((a.data_bytes(), a.index_bytes()), (b.data_bytes(), b.index_bytes()));
+        assert_eq!(a.pairs.key_bytes(), b.pairs.key_bytes());
     }
 
     #[test]
-    fn column_wise_reset_restores_root() {
-        let cols = sample_columns();
-        let mut idx = ColumnWiseIndex::from_store(&cols);
-        idx.split(0, |i| i < 2);
-        idx.reset_from_store(&cols);
-        assert_eq!(idx.node_column(0, 0).0, &[0, 1, 3]);
-        assert_eq!(idx.node_column(1, 0).0.len(), 0);
+    fn split_allocates_nothing_after_the_first_tree() {
+        let rules: [fn(InstanceId) -> bool; 3] = [|i| i % 2 == 0, |i| i < 20, |i| i % 3 == 1];
+        let mut idx = ColumnWiseIndex::from_store(wide_columns());
+        grow(&mut idx, rules);
+        idx.reset();
+        let buffers = |idx: &ColumnWiseIndex| {
+            [
+                (idx.slot_of.as_ptr() as usize, idx.slot_of.capacity()),
+                (idx.ranges.as_ptr() as usize, idx.ranges.capacity()),
+                (idx.scratch.as_ptr() as usize, idx.scratch.capacity()),
+            ]
+        };
+        let held = buffers(&idx);
+        grow(&mut idx, rules);
+        assert_eq!(buffers(&idx), held);
+        // The scratch was sized for the longest column before any split.
+        let longest = (0..5).map(|j| column_len(&idx, j)).max().unwrap();
+        assert_eq!(idx.scratch.capacity(), longest);
+    }
+
+    fn column_len(idx: &ColumnWiseIndex, j: usize) -> usize {
+        idx.col_start[j + 1] - idx.col_start[j]
     }
 }

@@ -204,25 +204,35 @@ impl GbdtModel {
         let obj_tag = r.u8()?;
         let n_classes = r.u32()? as usize;
         let objective = match obj_tag {
+            0 | 1 if n_classes != 0 => {
+                return Err(format!("objective tag {obj_tag} with {n_classes} classes"))
+            }
             0 => Objective::SquaredError,
             1 => Objective::Logistic,
             2 => Objective::Softmax { n_classes },
             t => return Err(format!("unknown objective tag {t}")),
         };
+        // Every count below that sizes an allocation is checked against the
+        // objective or against the bytes left before anything is allocated.
+        let c = objective.n_outputs();
         let learning_rate = r.f64()?;
         let n_features = r.u32()? as usize;
         let n_init = r.u32()? as usize;
-        let mut init_scores = Vec::with_capacity(n_init.min(1 << 20));
-        for _ in 0..n_init {
-            init_scores.push(r.f64()?);
+        if n_init != c {
+            return Err(format!("{n_init} initial scores for {c} outputs"));
         }
+        let init_scores = r.f64s(n_init)?;
         let n_trees = r.u32()? as usize;
-        let mut trees = Vec::with_capacity(n_trees.min(1 << 20));
+        // A tree takes at least its 12-byte header.
+        let mut trees = Vec::with_capacity(n_trees.min(r.remaining() / 12));
         for t in 0..n_trees {
             let n_layers = r.u32()? as usize;
             let n_outputs = r.u32()? as usize;
             if !(1..=24).contains(&n_layers) {
                 return Err(format!("tree {t}: n_layers {n_layers} out of range"));
+            }
+            if n_outputs != c {
+                return Err(format!("tree {t}: {n_outputs} outputs where the objective has {c}"));
             }
             let n_nodes = r.u32()? as usize;
             let mut tree = Tree::new(n_layers, n_outputs);
@@ -242,7 +252,11 @@ impl GbdtModel {
                         let feature = r.u32()?;
                         let bin = r.u16()?;
                         let threshold = r.f32()?;
-                        let default_left = r.u8()? != 0;
+                        let default_left = match r.u8()? {
+                            0 => false,
+                            1 => true,
+                            b => return Err(format!("tree {t}: default side byte {b}")),
+                        };
                         let gain = r.f64()?;
                         if (crate::tree::children(id).1) >= max {
                             return Err(format!(
@@ -251,13 +265,7 @@ impl GbdtModel {
                         }
                         tree.set_internal_with_gain(id, feature, bin, threshold, default_left, gain);
                     }
-                    1 => {
-                        let mut values = Vec::with_capacity(n_outputs);
-                        for _ in 0..n_outputs {
-                            values.push(r.f64()?);
-                        }
-                        tree.set_leaf(id, values);
-                    }
+                    1 => tree.set_leaf(id, r.f64s(n_outputs)?),
                     k => return Err(format!("tree {t}: unknown node kind {k}")),
                 }
             }
@@ -321,6 +329,21 @@ impl<'a> ByteReader<'a> {
 
     fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
+    }
+
+    /// `n` f64s, allocated only once their bytes are known to be there.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, String> {
+        let len = n.checked_mul(8).ok_or_else(|| format!("{n} values overflow the buffer"))?;
+        let values = self.take(len)?.chunks_exact(8).map(|b| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(b);
+            f64::from_le_bytes(word)
+        });
+        Ok(values.collect())
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 }
 
@@ -515,6 +538,41 @@ mod tests {
         let mut obj = bytes;
         obj[8] = 7;
         assert!(GbdtModel::decode_bytes(&obj).is_err());
+    }
+
+    /// A single flipped byte must be an error, never an allocation sized by
+    /// the flipped count: the high byte of this 103-byte model's leaf arity
+    /// once asked for 17 GB and aborted the process.
+    #[test]
+    fn a_flipped_count_is_an_error_not_an_allocation() {
+        let mut m = GbdtModel::new(Objective::Logistic, 0.1, 2);
+        let mut t = Tree::new(3, 1);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(1, vec![1.0]);
+        t.set_leaf(2, vec![-1.0]);
+        m.trees.push(t);
+        let bytes = m.encode_bytes();
+        assert_eq!(bytes.len(), 103);
+        // The tree's n_outputs is bytes 45..49.
+        assert_eq!(bytes[45..49], 1u32.to_le_bytes());
+        let mut flipped = bytes.clone();
+        flipped[48] = 0x7f;
+        assert!(GbdtModel::decode_bytes(&flipped).is_err());
+        // A class count that every field agrees on but no buffer of this
+        // size could carry.
+        let mut m = GbdtModel::new(Objective::Softmax { n_classes: 2 }, 0.1, 2);
+        m.trees.push(Tree::new(3, 2));
+        let mut wide = m.encode_bytes();
+        wide[12] = 0x7f; // n_classes
+        wide[28] = 0x7f; // n_init
+        assert!(GbdtModel::decode_bytes(&wide).is_err());
+        // Classes on an objective that has none, and a default side of 2.
+        let mut classes = bytes.clone();
+        classes[9] = 1;
+        assert!(GbdtModel::decode_bytes(&classes).is_err());
+        let mut side = bytes;
+        side[68] = 2; // the root's default side
+        assert!(GbdtModel::decode_bytes(&side).is_err());
     }
 
     #[test]

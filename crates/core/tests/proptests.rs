@@ -1,13 +1,14 @@
 //! Property-based tests of the GBDT core invariants.
 
 use gbdt_core::histogram::NodeHistogram;
+use gbdt_core::model::GbdtModel;
 use gbdt_core::kernels::fill_rows_chunk;
 use gbdt_core::loss::GradGrid;
 use gbdt_core::split::{
     best_split, best_split_for_feature, best_split_in_range, NodeStats, Split, SplitParams,
 };
 use gbdt_core::tree::{LookupResult, Tree};
-use gbdt_core::{BinCuts, GradBuffer, Kernel, QuantileSketch};
+use gbdt_core::{BinCuts, GradBuffer, Kernel, Objective, QuantileSketch};
 use gbdt_data::binned::BinnedRowsBuilder;
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::{BinId, BinnedRows, BinnedStore, FeatureId};
@@ -1114,5 +1115,73 @@ proptest! {
         };
         let cuts = BinCuts::from_cut_values(features.iter().map(ascending).collect());
         hostile_sweep(&cuts.encode_bytes(), flip, BinCuts::decode_bytes, BinCuts::encode_bytes)?;
+    }
+
+    /// A model as a replica receives it in a publish frame: any objective,
+    /// any learning-rate and score bits, trees of 1 to 3 layers grown to
+    /// any depth, any feature, bin, threshold, side, gain and leaf bits.
+    /// Known limit: a flip that raises a tree's `n_layers` (at most 24) is a
+    /// valid model whose dense node table holds 2^L slots, so this sweep
+    /// peaks near 260 MB resident.
+    #[test]
+    fn hostile_model_bytes_are_err_or_canonical(
+        head in (0u8..3, 2usize..4, any::<u64>(), 0u32..70),
+        shapes in prop::collection::vec((1usize..4, 0usize..4), 0..3),
+        bits in prop::collection::vec(any::<u64>(), 1..8),
+        flip in 1u8..=255,
+    ) {
+        let (tag, classes, rate, n_features) = head;
+        let objective = match tag {
+            0 => Objective::SquaredError,
+            1 => Objective::Logistic,
+            _ => Objective::Softmax { n_classes: classes },
+        };
+        let mut model = GbdtModel::new(objective, f64::from_bits(rate), n_features as usize);
+        let c = objective.n_outputs();
+        let mut k = 0;
+        let mut next = || {
+            k += 1;
+            bits[k % bits.len()].rotate_left(k as u32)
+        };
+        model.init_scores = (0..c).map(|_| f64::from_bits(next())).collect();
+        for (n_layers, depth) in shapes {
+            let depth = depth.min(n_layers - 1);
+            let mut tree = Tree::new(n_layers, c);
+            // A complete tree `depth` layers deep: internal above, leaves at it.
+            for id in 0..(1u32 << (depth + 1)) - 1 {
+                let word = next();
+                if id < (1 << depth) - 1 {
+                    let (feature, bin) = ((word >> 32) as u32, word as u16);
+                    let threshold = f32::from_bits((word >> 16) as u32);
+                    let gain = f64::from_bits(next());
+                    tree.set_internal_with_gain(id, feature, bin, threshold, word & 1 == 1, gain);
+                } else {
+                    tree.set_leaf(id, (0..c).map(|_| f64::from_bits(next())).collect());
+                }
+            }
+            model.trees.push(tree);
+        }
+        let decode = |b: &[u8]| GbdtModel::decode_bytes(b).ok();
+        hostile_sweep(&model.encode_bytes(), flip, decode, GbdtModel::encode_bytes)?;
+    }
+
+    /// A node histogram: any shape (empty included) and any cell bits.
+    #[test]
+    fn hostile_histogram_bytes_are_none_or_canonical(
+        shape in (0usize..4, 1usize..5, 1usize..3),
+        bits in prop::collection::vec(any::<u64>(), 1..8),
+        flip in 1u8..=255,
+    ) {
+        let (f, q, c) = shape;
+        let mut hist = NodeHistogram::new(f, q, c);
+        for (k, cell) in hist.as_mut_slice().iter_mut().enumerate() {
+            *cell = f64::from_bits(bits[k % bits.len()].rotate_left(k as u32));
+        }
+        hostile_sweep(
+            &hist.encode_bytes(),
+            flip,
+            NodeHistogram::decode_bytes,
+            NodeHistogram::encode_bytes,
+        )?;
     }
 }

@@ -276,6 +276,11 @@ impl BinnedColumns {
     pub fn heap_bytes(&self) -> usize {
         self.col_ptr.len() * std::mem::size_of::<usize>() + self.pairs.heap_bytes()
     }
+
+    /// The column pointers and the keys, handed over without a copy.
+    pub fn into_parts(self) -> (Vec<usize>, PairKeys) {
+        (self.col_ptr, self.pairs)
+    }
 }
 
 #[cfg(test)]

@@ -216,6 +216,23 @@ impl PairKeys {
         with_keys!(&self.keys, keys => find_in(&keys[range], bits, id))
     }
 
+    /// Stably reorders the pairs in `range` so that those whose id
+    /// `goes_left` come first, and returns where the others begin. `scratch`
+    /// holds the others in between; it never grows past a capacity of
+    /// `range.len()`.
+    pub fn partition(
+        &mut self,
+        range: Range<usize>,
+        scratch: &mut Vec<u64>,
+        goes_left: impl FnMut(u32) -> bool,
+    ) -> usize {
+        let (bits, start) = (self.bin_bits, range.start);
+        let run = range;
+        with_keys!(&mut self.keys, keys => {
+            start + partition_run(&mut keys[run], bits, scratch, goes_left)
+        })
+    }
+
     /// Whether the ids in `range` strictly ascend.
     pub fn ids_ascend(&self, range: Range<usize>) -> bool {
         let bits = self.bin_bits;
@@ -232,6 +249,32 @@ fn pack<K: PairKey>(bin_bits: u32, id: u32, bin: BinId) -> K {
     debug_assert!(u64::from(bin) >> bin_bits == 0, "bin {bin} wider than its field");
     debug_assert!(key <= K::MAX, "id {id} past the key width");
     K::from_u64(key)
+}
+
+/// [`PairKeys::partition`] at one key width: lefts kept in place in order,
+/// the rest stashed in `scratch` and written back after them.
+#[inline]
+fn partition_run<K: PairKey>(
+    run: &mut [K],
+    bin_bits: u32,
+    scratch: &mut Vec<u64>,
+    mut goes_left: impl FnMut(u32) -> bool,
+) -> usize {
+    scratch.clear();
+    let mut write = 0;
+    for k in 0..run.len() {
+        let key = run[k];
+        if goes_left(key.id(bin_bits) as u32) {
+            run[write] = key;
+            write += 1;
+        } else {
+            scratch.push(key.to_u64());
+        }
+    }
+    for (dst, &key) in run[write..].iter_mut().zip(scratch.iter()) {
+        *dst = K::from_u64(key);
+    }
+    write
 }
 
 /// The bin paired with `id` in `run`, whose ids ascend: the first key

@@ -2,8 +2,8 @@
 //! 2 bytes while `ids · 2^b ≤ 2^16`, 4 while `≤ 2^32`, else 8. At each
 //! boundary, on both sides, and at `p = 2^17` features of 16-bit bins,
 //! every view of a store — point lookups, row and column scans, the
-//! transpose, a vertical shard and the dense round trip — sees exactly the
-//! pairs it was built from.
+//! transpose, a stable partition of each column, a vertical shard and the
+//! dense round trip — sees exactly the pairs it was built from.
 
 use gbdt_data::binned::BinnedRowsBuilder;
 use gbdt_data::dense_binned::DenseBinnedRows;
@@ -76,6 +76,22 @@ fn check_shape(n: usize, d: usize, q: usize, row_key_bytes: usize, col_key_bytes
         });
     }
     assert_eq!(scanned, cells, "{shape}: column scans");
+
+    // A stable partition of every column by instance parity, at the
+    // column's width: evens first, then odds, each run in its old order.
+    let (col_ptr, mut keys) = cols.clone().into_parts();
+    let mut scratch = Vec::new();
+    for j in 0..d {
+        let range = col_ptr[j]..col_ptr[j + 1];
+        let mut want: Vec<(InstanceId, BinId)> = Vec::new();
+        keys.for_each(range.clone(), |i, bin| want.push((i, bin)));
+        want.sort_by_key(|&(i, _)| i % 2);
+        let mid = keys.partition(range.clone(), &mut scratch, |i| i % 2 == 0);
+        let mut got = Vec::new();
+        keys.for_each(range.clone(), |i, bin| got.push((i, bin)));
+        assert_eq!(got, want, "{shape}: column {j} partitioned");
+        assert_eq!(mid - range.start, want.iter().filter(|p| p.0 % 2 == 0).count(), "{shape}");
+    }
     let cols = ColumnStore::Sparse(cols);
     for (&(i, f), &bin) in &cells {
         assert_eq!(cols.get(i, f), Some(bin), "{shape}: column lookup ({i}, {f})");

@@ -14,14 +14,14 @@
 
 use crate::common::DistTrainResult;
 use crate::grow::{self, Run};
-use crate::vertical::{placement_by, GroupStore, Vertical};
+use crate::vertical::{GroupStore, Vertical};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::Split;
 use gbdt_core::{BinCuts, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinId, BinnedStore, FeatureId, InstanceId};
+use gbdt_data::{BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::{ColumnGrouping, GroupingStrategy, PlacementBitmap};
 
 /// Trains feature-parallel on `cluster.world` workers (full replica each).
@@ -68,21 +68,28 @@ impl GroupStore for Replica {
         self.local.fill(pool, node, index, run);
     }
 
-    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
-        self.local.bin(instance, feature)
+    fn placement(
+        &mut self,
+        node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        self.local.placement(node, instances, feature, split)
     }
 
     /// Node splitting is LOCAL: the full replica answers every feature
     /// lookup, by global id — no bitmap broadcast (Appendix D).
     fn place(
-        &self,
+        &mut self,
         ctx: &mut WorkerCtx,
         _grouping: &ColumnGrouping,
+        node: u32,
         instances: &[InstanceId],
         split: &Split,
     ) -> Result<PlacementBitmap, CommError> {
         Ok(ctx.time(Phase::NodeSplit, || {
-            placement_by(instances, split, |inst| self.full.bin(inst, split.feature))
+            self.full.placement(node, instances, split.feature, split)
         }))
     }
 

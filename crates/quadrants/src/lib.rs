@@ -37,8 +37,8 @@
 //!   the split scan by aggregation and wire accounting over a `ShardStore`
 //!   (a layer's fill and the store's own fused split). `vertical` is the
 //!   one QD3, QD4, Yggdrasil and feature-parallel share, over a
-//!   `GroupStore` (a node's histogram fill and a per-instance `bin`
-//!   lookup). The row-store's `GroupStore` impl is the paper's row-store
+//!   `GroupStore` (a node's histogram fill and the owner's placement of a
+//!   split). The row-store's `GroupStore` impl is the paper's row-store
 //!   under both partitionings. Every policy holds its histograms in a
 //!   `HistogramPool`.
 //! * [`common`] — what policies share besides the loop: result types, the

@@ -24,7 +24,7 @@ use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::BinnedStore;
+use gbdt_data::{BinnedStore, InstanceId};
 
 /// Trains with QD2 on `cluster.world` workers.
 pub fn train(
@@ -62,7 +62,8 @@ impl ShardStore for RowShard {
     fn split(&mut self, splits: &[(u32, Split)]) -> Vec<f64> {
         let mut counts = Vec::with_capacity(splits.len() * 2);
         for (node, split) in splits {
-            let (left, right) = self.index.split(*node, |i| match self.rows.bin(i, split.feature) {
+            let bin = |i: InstanceId| self.rows.get(i as usize, split.feature);
+            let (left, right) = self.index.split(*node, |i| match bin(i) {
                 Some(b) => b <= split.bin,
                 None => split.default_left,
             });

@@ -20,13 +20,14 @@
 
 use crate::common::DistTrainResult;
 use crate::grow::Run;
-use crate::vertical::{self, mark_left, GroupStore};
+use crate::vertical::{self, mark_left, placement_by, GroupStore};
 use gbdt_cluster::{Cluster, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{InstanceToNodeIndex, NodeToInstanceIndex};
+use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
+use gbdt_data::{ColumnStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
 use gbdt_partition::PlacementBitmap;
 
@@ -96,9 +97,16 @@ impl GroupStore for HybridColumns {
         }
     }
 
-    /// Binary search of the column on the sparse layout, O(1) on the dense.
-    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
-        self.columns.get(instance as usize, feature)
+    /// A point lookup per instance: a binary search of the column on the
+    /// sparse layout, O(1) on the dense.
+    fn placement(
+        &mut self,
+        _node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        placement_by(instances, split, |inst| self.columns.get(inst as usize, feature))
     }
 
     fn partition(&mut self, node: u32, instances: &[InstanceId], bitmap: &PlacementBitmap) {

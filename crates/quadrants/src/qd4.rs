@@ -22,14 +22,16 @@
 
 use crate::common::DistTrainResult;
 use crate::grow::Run;
-use crate::vertical::{self, GroupStore};
+use crate::vertical::{self, placement_by, GroupStore};
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
+use gbdt_core::split::Split;
 use gbdt_core::{kernels, TrainConfig};
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinId, BinnedStore, FeatureId, InstanceId};
+use gbdt_data::{BinnedStore, FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
+use gbdt_partition::PlacementBitmap;
 
 /// Trains with QD4 (Vero) on `cluster.world` workers, running the full
 /// pipeline: shard → transform → train.
@@ -89,9 +91,14 @@ impl GroupStore for BinnedStore {
         kernels::fill_rows_chunk(hist, index.instances(node), self, &run.grads, run.config.kernel);
     }
 
-    #[inline]
-    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
-        self.get(instance as usize, feature)
+    fn placement(
+        &mut self,
+        _node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        placement_by(instances, split, |inst| self.get(inst as usize, feature))
     }
 
     fn data_bytes(&self) -> usize {

@@ -36,27 +36,34 @@ pub(crate) trait GroupStore {
     /// Scans `node`'s values into a fresh pool histogram.
     fn fill(&self, pool: &mut HistogramPool, node: u32, index: &NodeToInstanceIndex, run: &Run);
 
-    /// The bin of `instance` on `feature` (group-local id), `None` when the
-    /// value is absent.
-    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId>;
+    /// The placement of `node`'s `instances` (bit k = k-th of them) by this
+    /// store's `feature` (group-local id): left when `bin <= split.bin`, the
+    /// split's default side when the value is absent.
+    fn placement(
+        &mut self,
+        node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap;
 
-    /// Places a node's `instances` (bit k = k-th of them) on every worker. A
-    /// column group is the only holder of its features: the split feature's
-    /// owner looks each instance up and broadcasts the bitmap (`⌈N/8⌉` bytes
-    /// — §4.2.2's 32× reduction).
+    /// Places a node's `instances` on every worker. A column group is the
+    /// only holder of its features: the split feature's owner computes the
+    /// placement and broadcasts the bitmap (`⌈N/8⌉` bytes — §4.2.2's 32×
+    /// reduction).
     fn place(
-        &self,
+        &mut self,
         ctx: &mut WorkerCtx,
         grouping: &ColumnGrouping,
+        node: u32,
         instances: &[InstanceId],
         split: &Split,
     ) -> Result<PlacementBitmap, CommError> {
         let owner = grouping.group_of(split.feature);
         let payload = if ctx.rank() == owner {
             let feature = grouping.local_id(split.feature);
-            let bitmap = ctx.time(Phase::NodeSplit, || {
-                placement_by(instances, split, |inst| self.bin(inst, feature))
-            });
+            let bitmap =
+                ctx.time(Phase::NodeSplit, || self.placement(node, instances, feature, split));
             bytes::Bytes::from(bitmap.encode_bytes())
         } else {
             bytes::Bytes::new()
@@ -184,7 +191,7 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
         for (node, split) in splits {
             let node = *node;
             let instances = self.index.instances(node);
-            let bitmap = S::place(&self.store, ctx, &self.grouping, instances, split)?;
+            let bitmap = self.store.place(ctx, &self.grouping, node, instances, split)?;
             let (left, right) = ctx.time(Phase::NodeSplit, || {
                 self.store.partition(node, self.index.instances(node), &bitmap);
                 // The index visits a node's instances in order; bit k maps

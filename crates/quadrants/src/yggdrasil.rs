@@ -3,10 +3,12 @@
 //!
 //! Each worker keeps its columns physically partitioned by tree node
 //! (Figure 6), so locating a node's 〈instance, bin〉 pairs on every column is
-//! free and histogram construction is a straight sequential read. The price
-//! is node splitting: every split must repartition **all** local columns —
-//! the `O(D)`-fold index-update cost that makes this design "only applicable
-//! for low-dimensional datasets" (§3.2.3).
+//! free and histogram construction is a straight sequential read. The
+//! partitioned columns are the worker's only copy of its column group: a
+//! new tree puts every column back on the root without moving a key. The
+//! price is node splitting: every split must repartition **all** local
+//! columns — the `O(D)`-fold index-update cost that makes this design "only
+//! applicable for low-dimensional datasets" (§3.2.3).
 //!
 //! Like every vertical trainer, no histogram ever crosses the wire, so
 //! [`TrainConfig::wire`] is accepted but has nothing to encode — all wire
@@ -18,32 +20,32 @@ use crate::vertical::{self, mark_left, GroupStore};
 use gbdt_cluster::{Cluster, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, HistogramPool};
 use gbdt_core::indexes::{ColumnWiseIndex, NodeToInstanceIndex};
+use gbdt_core::split::Split;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
-use gbdt_data::{BinId, ColumnStore, FeatureId, InstanceId};
+use gbdt_data::{FeatureId, InstanceId};
 use gbdt_partition::transform::TransformConfig;
 use gbdt_partition::PlacementBitmap;
 
 /// Trains Yggdrasil-style on `cluster.world` workers.
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
     vertical::train(cluster, dataset, config, &TransformConfig::default(), true, |local_data| {
-        // The rows are consumed building the columns, as in QD3.
+        // The rows are consumed building the columns, and the columns
+        // building the index, so at most two stages are live.
         let columns = config.storage.bin_store(local_data, config.n_bins).to_columns();
-        let cw_index = ColumnWiseIndex::from_store(&columns);
-        let scratch_left = vec![false; columns.n_rows()];
-        NodeColumns { columns, cw_index, scratch_left }
+        let columns = ColumnWiseIndex::from_store(columns);
+        let mask = vec![false; columns.n_rows()];
+        NodeColumns { columns, mask }
     })
 }
 
-/// The column group, and the same columns physically partitioned by tree
+/// The column group, held once: its columns physically partitioned by tree
 /// node. The shared node-to-instance index stays the canonical instance
 /// order (placement bits, counts, prediction updates).
 struct NodeColumns {
-    /// Kept for the whole run: every tree rebuilds `cw_index` from it, and
-    /// placements look the split feature up in it.
-    columns: ColumnStore,
-    cw_index: ColumnWiseIndex,
-    scratch_left: Vec<bool>,
+    columns: ColumnWiseIndex,
+    /// By instance id: which side of the split being applied it goes to.
+    mask: Vec<bool>,
 }
 
 impl GroupStore for NodeColumns {
@@ -53,36 +55,51 @@ impl GroupStore for NodeColumns {
         let hist = pool.acquire(node);
         let (c, stride) = (hist.n_outputs(), hist.feature_stride());
         for (j, slice) in hist.as_mut_slice().chunks_mut(stride).enumerate() {
-            let (insts, bins) = self.cw_index.node_column(node, j);
-            for (&i, &b) in insts.iter().zip(bins) {
+            self.columns.for_each_in(node, j, |i, b| {
                 let (g, h) = run.grads.instance(i as usize);
                 add_instance_to_feature_slice(slice, c, b, g, h);
-            }
+            });
         }
     }
 
-    /// A point lookup in the kept column, as QD3 does.
-    fn bin(&self, instance: InstanceId, feature: FeatureId) -> Option<BinId> {
-        self.columns.get(instance as usize, feature)
+    /// One read of the node's slice of the split column: every instance of
+    /// the node starts on the default side, and each present value moves
+    /// its instance to the side its bin picks. No point lookup.
+    fn placement(
+        &mut self,
+        node: u32,
+        instances: &[InstanceId],
+        feature: FeatureId,
+        split: &Split,
+    ) -> PlacementBitmap {
+        let mask = &mut self.mask;
+        for &inst in instances {
+            mask[inst as usize] = split.default_left;
+        }
+        self.columns.for_each_in(node, feature as usize, |inst, bin| {
+            mask[inst as usize] = bin <= split.bin;
+        });
+        PlacementBitmap::from_predicate(instances.len(), |k| mask[instances[k] as usize])
     }
 
     /// THE expensive step: repartition every column.
     fn partition(&mut self, node: u32, instances: &[InstanceId], bitmap: &PlacementBitmap) {
-        mark_left(&mut self.scratch_left, instances, bitmap);
-        let mask = &self.scratch_left;
-        self.cw_index.split(node, |i| mask[i as usize]);
+        mark_left(&mut self.mask, instances, bitmap);
+        let mask = &self.mask;
+        self.columns.split(node, |i| mask[i as usize]);
     }
 
+    /// Every column back on the root, O(D): no key moves.
     fn end_tree(&mut self, ctx: &mut WorkerCtx) {
-        ctx.time(Phase::NodeSplit, || self.cw_index.reset_from_store(&self.columns));
+        ctx.time(Phase::NodeSplit, || self.columns.reset());
     }
 
     fn data_bytes(&self) -> usize {
-        self.columns.heap_bytes()
+        self.columns.data_bytes()
     }
 
     fn index_bytes(&self) -> usize {
-        self.cw_index.heap_bytes()
+        self.columns.index_bytes()
     }
 }
 

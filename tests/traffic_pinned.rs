@@ -97,18 +97,21 @@ fn print_traffic() {
 }
 
 // Captured at the parent of the one-loop refactor (PR 24); that refactor had
-// to reproduce every value. Re-pinned three times since: for the grid wire
+// to reproduce every value. Re-pinned four times since: for the grid wire
 // codec and the ring all-reduce without its rotation hop (only the QD1/QD2
 // lines moved); for the bit-packed transformation (delta-coded sketches,
 // packed step-4 blocks, labels as one all-gather: every system but featpar
 // sends fewer bytes; at W = 3 ranks 1 and 2 send one more message, their
-// labels to each peer); and for the all-reduce as the sharded push plus a
+// labels to each peer); for the all-reduce as the sharded push plus a
 // gather of the reduced segments (only the QD1/QD2 W = 3 lines moved, with
 // the same message counts and gauges: owners receive raw local segments
 // instead of re-encoded partial sums, so each system's total fell or held;
-// at W = 2 every message is the ring's by construction). Regenerate only for
-// a change that intentionally alters what is sent or held, and say so in the
-// commit.
+// at W = 2 every message is the ring's by construction); and for Yggdrasil
+// holding its column group once (only the two Yggdrasil lines' `index=`
+// gauges moved: its index is now the node ranges and the split's scratch,
+// and the pairs it used to copy beside its columns are its data). Regenerate
+// only for a change that intentionally alters what is sent or held, and say
+// so in the commit.
 const PINNED: &[(&str, &str)] = &[
     ("qd1 W=2", "trees=4 | r0 bytes=55501 msgs=98 hist=15360 index=1200 layers=[9359, 17259, 24609] | r1 bytes=54197 msgs=98 hist=15360 index=1200 layers=[9361, 16920, 24094]"),
     ("qd2/all-reduce W=2", "trees=4 | r0 bytes=29728 msgs=74 hist=15360 index=2416 layers=[9359, 8260, 7835] | r1 bytes=28702 msgs=74 hist=15360 index=2416 layers=[9361, 7925, 7594]"),
@@ -116,7 +119,7 @@ const PINNED: &[(&str, &str)] = &[
     ("qd2/parameter-server W=2", "trees=4 | r0 bytes=17647 msgs=70 hist=15360 index=2416 layers=[4688, 3628, 3280] | r1 bytes=17374 msgs=70 hist=15360 index=2416 layers=[4680, 3556, 3476]"),
     ("qd3 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=7216 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=7216 layers=[]"),
     ("qd4 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=4816 layers=[]"),
-    ("yggdrasil W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=15690 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=15654 layers=[]"),
+    ("yggdrasil W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=7444 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=7428 layers=[]"),
     ("featpar W=2", "trees=4 | r0 bytes=1840 msgs=12 hist=7680 index=4816 layers=[] | r1 bytes=1840 msgs=12 hist=7680 index=4816 layers=[]"),
     ("vero W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=4816 layers=[]"),
     ("qd1 W=3", "trees=4 | r0 bytes=72973 msgs=196 hist=15360 index=800 layers=[12458, 22558, 32566] | r1 bytes=65615 msgs=195 hist=15360 index=800 layers=[12492, 21105, 28486] | r2 bytes=70010 msgs=195 hist=15360 index=800 layers=[12504, 22169, 31695]"),
@@ -125,7 +128,7 @@ const PINNED: &[(&str, &str)] = &[
     ("qd2/parameter-server W=3", "trees=4 | r0 bytes=23623 msgs=140 hist=15360 index=1616 layers=[6172, 4407, 4099] | r1 bytes=20502 msgs=139 hist=15360 index=1616 layers=[6212, 4106, 2972] | r2 bytes=21513 msgs=139 hist=15360 index=1616 layers=[6254, 3954, 3983]"),
     ("qd3 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=7216 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=7216 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=7216 layers=[]"),
     ("qd4 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=4816 layers=[]"),
-    ("yggdrasil W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=12086 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=12056 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=12026 layers=[]"),
+    ("yggdrasil W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=7428 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=7412 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=7284 layers=[]"),
     ("featpar W=3", "trees=4 | r0 bytes=3680 msgs=24 hist=5120 index=4816 layers=[] | r1 bytes=3176 msgs=24 hist=5120 index=4816 layers=[] | r2 bytes=3680 msgs=24 hist=5120 index=4816 layers=[]"),
     ("vero W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=4816 layers=[]"),
 ];
