@@ -2,7 +2,7 @@
 
 use crate::loss::Objective;
 use crate::metrics;
-use crate::tree::Tree;
+use crate::tree::{NodeKind, Tree};
 use gbdt_data::dataset::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -138,7 +138,17 @@ impl GbdtModel {
     ///     leaf:     f64 × n_outputs values
     /// ```
     pub fn encode_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.trees.len() * 256);
+        let trees: usize = self
+            .trees
+            .iter()
+            .map(|t| {
+                let (nodes, leaves) = (t.n_nodes(), t.n_leaves());
+                12 + 5 * nodes + INTERNAL_BYTES * (nodes - leaves) + 8 * t.n_outputs() * leaves
+            })
+            .sum();
+        // Header: magic, version, objective, rate, features, scores, tree count.
+        let len = 33 + 8 * self.init_scores.len() + trees;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MODEL_MAGIC);
         out.extend_from_slice(&MODEL_FORMAT_VERSION.to_le_bytes());
         let (obj_tag, n_classes) = match self.objective {
@@ -159,25 +169,18 @@ impl GbdtModel {
             out.extend_from_slice(&(tree.n_layers() as u32).to_le_bytes());
             out.extend_from_slice(&(tree.n_outputs() as u32).to_le_bytes());
             out.extend_from_slice(&(tree.n_nodes() as u32).to_le_bytes());
-            for id in 0..crate::tree::max_nodes(tree.n_layers()) as u32 {
-                let Some(node) = tree.node(id) else { continue };
+            for (id, node) in tree.nodes() {
                 out.extend_from_slice(&id.to_le_bytes());
-                match &node.kind {
-                    crate::tree::NodeKind::Internal {
-                        feature,
-                        bin,
-                        threshold,
-                        default_left,
-                        gain,
-                    } => {
+                match node.kind {
+                    NodeKind::Internal { feature, bin, threshold, default_left, gain } => {
                         out.push(0);
                         out.extend_from_slice(&feature.to_le_bytes());
                         out.extend_from_slice(&bin.to_le_bytes());
                         out.extend_from_slice(&threshold.to_le_bytes());
-                        out.push(u8::from(*default_left));
+                        out.push(u8::from(default_left));
                         out.extend_from_slice(&gain.to_le_bytes());
                     }
-                    crate::tree::NodeKind::Leaf { values } => {
+                    NodeKind::Leaf { values } => {
                         out.push(1);
                         for v in values {
                             out.extend_from_slice(&v.to_le_bytes());
@@ -186,6 +189,7 @@ impl GbdtModel {
                 }
             }
         }
+        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -221,7 +225,7 @@ impl GbdtModel {
         if n_init != c {
             return Err(format!("{n_init} initial scores for {c} outputs"));
         }
-        let init_scores = r.f64s(n_init)?;
+        let init_scores = r.f64s(n_init)?.collect();
         let n_trees = r.u32()? as usize;
         // A tree takes at least its 12-byte header.
         let mut trees = Vec::with_capacity(n_trees.min(r.remaining() / 12));
@@ -236,18 +240,20 @@ impl GbdtModel {
             }
             let n_nodes = r.u32()? as usize;
             let mut tree = Tree::new(n_layers, n_outputs);
-            let max = crate::tree::max_nodes(n_layers) as u32;
+            // Room for a complete tree of `n_nodes` nodes, as far as the
+            // bytes left can hold them.
+            tree.reserve(
+                (n_nodes / 2).min(r.remaining() / (5 + INTERNAL_BYTES)),
+                (n_nodes - n_nodes / 2).min(r.remaining() / (5 + 8 * c)),
+            );
             let mut prev: Option<u32> = None;
             for _ in 0..n_nodes {
                 let id = r.u32()?;
-                if id >= max {
-                    return Err(format!("tree {t}: node id {id} exceeds {n_layers} layers"));
-                }
                 if prev.is_some_and(|p| id <= p) {
                     return Err(format!("tree {t}: node ids not strictly ascending at {id}"));
                 }
                 prev = Some(id);
-                match r.u8()? {
+                let set = match r.u8()? {
                     0 => {
                         let feature = r.u32()?;
                         let bin = r.u16()?;
@@ -258,16 +264,12 @@ impl GbdtModel {
                             b => return Err(format!("tree {t}: default side byte {b}")),
                         };
                         let gain = r.f64()?;
-                        if (crate::tree::children(id).1) >= max {
-                            return Err(format!(
-                                "tree {t}: internal node {id} has no room for children"
-                            ));
-                        }
-                        tree.set_internal_with_gain(id, feature, bin, threshold, default_left, gain);
+                        tree.try_set_internal(id, feature, bin, threshold, default_left, gain)
                     }
-                    1 => tree.set_leaf(id, r.f64s(n_outputs)?),
+                    1 => tree.try_set_leaf(id, r.f64s(c)?),
                     k => return Err(format!("tree {t}: unknown node kind {k}")),
-                }
+                };
+                set.map_err(|e| format!("tree {t}: {e}"))?;
             }
             trees.push(tree);
         }
@@ -292,6 +294,8 @@ impl GbdtModel {
 pub const MODEL_MAGIC: &[u8; 4] = b"GBDT";
 /// Binary model format version ([`GbdtModel::encode_bytes`]).
 pub const MODEL_FORMAT_VERSION: u32 = 1;
+/// Bytes of an internal node's fields after its id and kind byte.
+const INTERNAL_BYTES: usize = 19;
 
 /// Bounds-checked little-endian cursor for [`GbdtModel::decode_bytes`].
 struct ByteReader<'a> {
@@ -331,15 +335,14 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
     }
 
-    /// `n` f64s, allocated only once their bytes are known to be there.
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, String> {
+    /// `n` f64s, read only once their bytes are known to be there.
+    fn f64s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = f64> + 'a, String> {
         let len = n.checked_mul(8).ok_or_else(|| format!("{n} values overflow the buffer"))?;
-        let values = self.take(len)?.chunks_exact(8).map(|b| {
+        Ok(self.take(len)?.chunks_exact(8).map(|b| {
             let mut word = [0u8; 8];
             word.copy_from_slice(b);
             f64::from_le_bytes(word)
-        });
-        Ok(values.collect())
+        }))
     }
 
     fn remaining(&self) -> usize {
@@ -575,6 +578,32 @@ mod tests {
         assert!(GbdtModel::decode_bytes(&side).is_err());
     }
 
+    /// A node is decoded only below an internal node decoded before it; a
+    /// 24-layer tree costs the nodes it carries, not `2^24` slots.
+    #[test]
+    fn orphans_are_errors_and_layers_cost_nothing() {
+        let mut m = GbdtModel::new(Objective::Logistic, 0.1, 2);
+        let mut t = Tree::new(3, 1);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(1, vec![1.0]);
+        t.set_leaf(2, vec![-1.0]);
+        m.trees.push(t);
+        let bytes = m.encode_bytes();
+        // Node ids at bytes 53, 77 and 90; 2 → 5 puts a leaf below leaf 2.
+        assert_eq!(bytes[90..94], 2u32.to_le_bytes());
+        let mut orphan = bytes.clone();
+        orphan[90] = 5;
+        let err = GbdtModel::decode_bytes(&orphan).unwrap_err();
+        assert!(err.contains("no internal parent"), "{err}");
+        // The n_layers field is bytes 41..45.
+        let mut deep = bytes;
+        deep[41] = 24;
+        let decoded = GbdtModel::decode_bytes(&deep).unwrap();
+        assert_eq!(decoded.trees[0].n_layers(), 24);
+        assert_eq!(decoded.trees[0].slots().len(), 3);
+        assert_eq!(decoded.encode_bytes(), deep);
+    }
+
     #[test]
     fn dense_zero_cell_is_missing_in_prediction() {
         // Missing goes right, a value <= 0.5 goes left: a dense zero must
@@ -599,5 +628,39 @@ mod tests {
         .unwrap();
         assert_eq!(m.predict_dataset_raw(&twin), m.predict_dataset_raw(&ds));
         assert_eq!(m.evaluate(&ds).rmse, Some(0.0));
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Three shapes in the binary format, pinned by FNV-1a hash: a complete
+    /// 3-layer tree, a 4-layer tree set depth first with one internal
+    /// node's children never set, and a root-only leaf. The bytes were
+    /// recorded from the dense `2^L`-slot tree this store replaced.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let mut m = GbdtModel::new(Objective::Softmax { n_classes: 2 }, 0.25, 9);
+        let mut complete = Tree::new(3, 2);
+        for id in 0..3u32 {
+            let gain = 1.5 * f64::from(id);
+            complete.set_internal_with_gain(id, 2 * id, id as u16, id as f32 - 0.5, id != 1, gain);
+        }
+        for id in 3..7u32 {
+            complete.set_leaf(id, vec![f64::from(id) * 0.125, -f64::from(id)]);
+        }
+        // Depth first: 0, 2, 6, 5, then 1, whose children stay vacant.
+        let mut dfs = Tree::new(4, 2);
+        dfs.set_internal_with_gain(0, 8, 3, 0.75, false, 2.0);
+        dfs.set_internal_with_gain(2, 1, 7, -1.25, true, 0.5);
+        dfs.set_leaf(6, vec![0.5, -0.5]);
+        dfs.set_leaf(5, vec![f64::MIN_POSITIVE, 1e300]);
+        dfs.set_internal(1, 4, 0, 3.0, false);
+        let mut root = Tree::new(1, 2);
+        root.set_leaf(0, vec![-0.0, 7.0]);
+        m.trees = vec![complete, dfs, root];
+        let bytes = m.encode_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (376, 0x3e86_4eba_e064_c6ed));
+        assert_eq!(GbdtModel::decode_bytes(&bytes).unwrap(), m);
     }
 }

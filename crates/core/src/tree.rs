@@ -3,10 +3,13 @@
 //! Trees grow layer by layer to at most L layers (the paper's growth model,
 //! §3.1.2). Nodes use complete-binary-tree ids: root is 0, children of `i`
 //! are `2i+1` and `2i+2`, layer `l` spans ids `2^l − 1 .. 2^(l+1) − 1`.
+//! A [`Tree`] stores only the nodes it grew, in one flat child-linked
+//! array, so its size follows its nodes rather than `2^L`.
 
 use crate::split::NodeStats;
 use gbdt_data::{BinId, FeatureId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::VecDeque;
 
 /// Children ids of node `i`.
 #[inline]
@@ -38,9 +41,9 @@ pub const fn max_nodes(n_layers: usize) -> usize {
     (1usize << n_layers) - 1
 }
 
-/// What a materialized tree node is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum NodeKind {
+/// What a materialized tree node is: a view into its tree's storage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeKind<'a> {
     /// An internal decision node.
     Internal {
         /// Global id of the split feature.
@@ -58,23 +61,64 @@ pub enum NodeKind {
     /// A leaf carrying C output values (already scaled by η).
     Leaf {
         /// Per-class leaf values.
-        values: Vec<f64>,
+        values: &'a [f64],
     },
 }
 
-/// A materialized tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TreeNode {
+/// A materialized tree node, as [`Tree::node`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TreeNode<'a> {
     /// The node payload.
-    pub kind: NodeKind,
+    pub kind: NodeKind<'a>,
+}
+
+/// [`Slot::tag`] of a slot no node has been set at.
+const VACANT: u8 = 0;
+/// [`Slot::tag`] of a leaf.
+const LEAF: u8 = 1;
+/// [`Slot::tag`] bit of an internal node.
+const INTERNAL: u8 = 2;
+/// [`Slot::tag`] bit of an internal node whose missing values go left.
+const DEFAULT_LEFT: u8 = 4;
+
+/// One node record of a [`Tree`]'s flat store.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    feature: FeatureId,
+    threshold: f32,
+    /// Internal: the slot of the left child (the right child is the next
+    /// slot). Leaf: the offset of its values in the tree's leaf pool.
+    link: u32,
+    bin: BinId,
+    /// [`VACANT`], [`LEAF`], or [`INTERNAL`] with [`DEFAULT_LEFT`] set when
+    /// missing values go left.
+    tag: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+impl Slot {
+    const VACANT: Slot = Slot { feature: 0, threshold: 0.0, link: 0, bin: 0, tag: VACANT };
 }
 
 /// One decision tree of the ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Nodes are addressed by complete-tree id but stored by materialization:
+/// one flat `Vec` of 16-byte records, the root at slot 0, and every
+/// `set_internal` appending its two children's (vacant) slots, so a tree
+/// holds at most `2·internal + 1` slots whatever its `n_layers`. Leaf
+/// values share one pool, split gains another (the internal node whose
+/// children sit at slots `2k + 1, 2k + 2` has gain `k`). Every node is set
+/// once, below an internal node already set, so every stored node is
+/// reachable from the root. Equality is semantic: the same nodes at the
+/// same ids, in whatever order they were set.
+#[derive(Debug, Clone)]
 pub struct Tree {
     n_layers: usize,
     n_outputs: usize,
-    nodes: Vec<Option<TreeNode>>,
+    slots: Vec<Slot>,
+    gains: Vec<f64>,
+    leaf_values: Vec<f64>,
 }
 
 impl Tree {
@@ -82,7 +126,21 @@ impl Tree {
     /// C = `n_outputs` values per leaf.
     pub fn new(n_layers: usize, n_outputs: usize) -> Self {
         assert!((1..=24).contains(&n_layers), "n_layers out of range");
-        Tree { n_layers, n_outputs, nodes: vec![None; max_nodes(n_layers)] }
+        Tree {
+            n_layers,
+            n_outputs,
+            slots: vec![Slot::VACANT],
+            gains: Vec::new(),
+            leaf_values: Vec::new(),
+        }
+    }
+
+    /// Reserves room for `internal` more internal nodes and `leaves` more
+    /// leaves.
+    pub(crate) fn reserve(&mut self, internal: usize, leaves: usize) {
+        self.slots.reserve_exact(2 * internal);
+        self.gains.reserve_exact(internal);
+        self.leaf_values.reserve_exact(leaves * self.n_outputs);
     }
 
     /// Number of layers this tree may grow to.
@@ -95,9 +153,49 @@ impl Tree {
         self.n_outputs
     }
 
-    /// The node at `id`, if materialized.
-    pub fn node(&self, id: u32) -> Option<&TreeNode> {
-        self.nodes.get(id as usize).and_then(Option::as_ref)
+    /// The node at `id`, if materialized. Follows the bits of `id + 1`
+    /// down from the root: O(depth).
+    pub fn node(&self, id: u32) -> Option<TreeNode<'_>> {
+        self.slot_of(id).and_then(|slot| self.view(slot))
+    }
+
+    /// The slot `id` occupies or would occupy: `None` when `id` is past
+    /// the last layer or an ancestor is not an internal node.
+    fn slot_of(&self, id: u32) -> Option<usize> {
+        if id as usize >= max_nodes(self.n_layers) {
+            return None;
+        }
+        let path = id + 1;
+        let mut slot = 0;
+        for shift in (0..path.ilog2()).rev() {
+            let s = &self.slots[slot];
+            if s.tag & INTERNAL == 0 {
+                return None;
+            }
+            slot = s.link as usize + ((path >> shift) & 1) as usize;
+        }
+        Some(slot)
+    }
+
+    /// The node stored at `slot`, if any.
+    fn view(&self, slot: usize) -> Option<TreeNode<'_>> {
+        let s = &self.slots[slot];
+        let kind = match s.tag {
+            VACANT => return None,
+            LEAF => NodeKind::Leaf { values: self.leaf_at(s.link) },
+            tag => NodeKind::Internal {
+                feature: s.feature,
+                bin: s.bin,
+                threshold: s.threshold,
+                default_left: tag & DEFAULT_LEFT != 0,
+                gain: self.gains[(s.link as usize - 1) / 2],
+            },
+        };
+        Some(TreeNode { kind })
+    }
+
+    fn leaf_at(&self, link: u32) -> &[f64] {
+        &self.leaf_values[link as usize..][..self.n_outputs]
     }
 
     /// Materializes an internal node.
@@ -122,44 +220,120 @@ impl Tree {
         default_left: bool,
         gain: f64,
     ) {
-        assert!(
-            (children(id).1 as usize) < self.nodes.len(),
-            "internal node {id} would exceed {} layers",
-            self.n_layers
-        );
-        self.nodes[id as usize] = Some(TreeNode {
-            kind: NodeKind::Internal { feature, bin, threshold, default_left, gain },
-        });
+        self.try_set_internal(id, feature, bin, threshold, default_left, gain)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`Self::set_internal_with_gain`], refusing a node past the
+    /// second-to-last layer, below no internal node, or already set.
+    pub(crate) fn try_set_internal(
+        &mut self,
+        id: u32,
+        feature: FeatureId,
+        bin: BinId,
+        threshold: f32,
+        default_left: bool,
+        gain: f64,
+    ) -> Result<(), String> {
+        if id as usize >= max_nodes(self.n_layers - 1) {
+            return Err(format!("internal node {id} would exceed {} layers", self.n_layers));
+        }
+        let slot = self.vacant_slot(id)?;
+        let tag = INTERNAL | if default_left { DEFAULT_LEFT } else { 0 };
+        // At most 2^24 slots: every offset fits a u32.
+        let link = self.slots.len() as u32;
+        self.slots[slot] = Slot { feature, threshold, link, bin, tag };
+        self.slots.extend([Slot::VACANT; 2]);
+        self.gains.push(gain);
+        Ok(())
     }
 
     /// Materializes a leaf from node statistics (Eq. 1), scaling by η.
     pub fn set_leaf_from_stats(&mut self, id: u32, stats: &NodeStats, lambda: f64, eta: f64) {
-        let values = stats.leaf_weights(lambda).into_iter().map(|w| w * eta).collect();
-        self.set_leaf(id, values);
+        let values = stats.leaf_weights(lambda).into_iter().map(|w| w * eta);
+        self.try_set_leaf(id, values).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Materializes a leaf with explicit values.
     pub fn set_leaf(&mut self, id: u32, values: Vec<f64>) {
-        assert_eq!(values.len(), self.n_outputs, "leaf arity mismatch");
-        self.nodes[id as usize] = Some(TreeNode { kind: NodeKind::Leaf { values } });
+        self.try_set_leaf(id, values.into_iter()).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`Self::set_leaf`], refusing a node past the last layer, below no
+    /// internal node, already set, or with other than C values.
+    pub(crate) fn try_set_leaf(
+        &mut self,
+        id: u32,
+        values: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<(), String> {
+        if values.len() != self.n_outputs {
+            return Err(format!(
+                "leaf arity mismatch: {} values for {} outputs",
+                values.len(),
+                self.n_outputs
+            ));
+        }
+        if id as usize >= max_nodes(self.n_layers) {
+            return Err(format!("node {id} exceeds {} layers", self.n_layers));
+        }
+        let slot = self.vacant_slot(id)?;
+        let link = u32::try_from(self.leaf_values.len())
+            .map_err(|_| format!("leaf {id}: the leaf pool outgrows u32 offsets"))?;
+        self.slots[slot] = Slot { link, tag: LEAF, ..Slot::VACANT };
+        self.leaf_values.extend(values);
+        Ok(())
+    }
+
+    /// The vacant slot of `id`, whose parent must be an internal node.
+    fn vacant_slot(&self, id: u32) -> Result<usize, String> {
+        let slot = self.slot_of(id).ok_or_else(|| format!("node {id} has no internal parent"))?;
+        if self.slots[slot].tag != VACANT {
+            return Err(format!("node {id} is already set"));
+        }
+        Ok(slot)
     }
 
     /// Number of materialized nodes.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.slots.iter().filter(|s| s.tag != VACANT).count()
+    }
+
+    /// Every materialized node with its id, in ascending id order (a
+    /// breadth-first walk of the links).
+    pub fn nodes(&self) -> impl Iterator<Item = (u32, TreeNode<'_>)> + '_ {
+        let mut queue = VecDeque::from([(0u32, 0u32)]);
+        std::iter::from_fn(move || {
+            while let Some((slot, id)) = queue.pop_front() {
+                let Some(node) = self.view(slot as usize) else { continue };
+                if let NodeKind::Internal { .. } = node.kind {
+                    let (left, (l, r)) = (self.slots[slot as usize].link, children(id));
+                    queue.extend([(left, l), (left + 1, r)]);
+                }
+                return Some((id, node));
+            }
+            None
+        })
+    }
+
+    /// Every storage slot in order: `None` where vacant, else its node and
+    /// its link — for an internal node the slot of its left child (the
+    /// right child is the next slot), for a leaf the offset of its values
+    /// in the tree's leaf pool.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = Option<(TreeNode<'_>, u32)>> + '_ {
+        (0..self.slots.len()).map(|slot| self.view(slot).map(|n| (n, self.slots[slot].link)))
     }
 
     /// The values of every leaf, in node-id order.
     pub fn leaf_values(&self) -> impl Iterator<Item = &[f64]> {
-        self.nodes.iter().filter_map(|n| match n {
-            Some(TreeNode { kind: NodeKind::Leaf { values } }) => Some(values.as_slice()),
-            _ => None,
+        self.nodes().filter_map(|(_, n)| match n.kind {
+            NodeKind::Leaf { values } => Some(values),
+            NodeKind::Internal { .. } => None,
         })
     }
 
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.leaf_values().count()
+        self.slots.iter().filter(|s| s.tag == LEAF).count()
     }
 
     /// Walks the tree with a per-feature value lookup returning `None` for
@@ -168,18 +342,19 @@ impl Tree {
     /// This single traversal backs both inference (lookup by raw value
     /// against thresholds) and training-time placement (lookup by bin).
     pub fn predict_with(&self, mut lookup: impl FnMut(FeatureId) -> LookupResult) -> &[f64] {
-        let mut id = 0u32;
+        let mut slot = 0;
         loop {
-            match &self.node(id).expect("tree traversal reached a missing node").kind {
-                NodeKind::Leaf { values } => return values,
-                NodeKind::Internal { feature, bin, threshold, default_left, .. } => {
-                    let go_left = match lookup(*feature) {
-                        LookupResult::Missing => *default_left,
-                        LookupResult::Value(v) => v <= *threshold,
-                        LookupResult::Bin(b) => b <= *bin,
+            let s = &self.slots[slot];
+            match s.tag {
+                LEAF => return self.leaf_at(s.link),
+                VACANT => panic!("tree traversal reached a missing node"),
+                tag => {
+                    let go_left = match lookup(s.feature) {
+                        LookupResult::Missing => tag & DEFAULT_LEFT != 0,
+                        LookupResult::Value(v) => v <= s.threshold,
+                        LookupResult::Bin(b) => b <= s.bin,
                     };
-                    let (l, r) = children(id);
-                    id = if go_left { l } else { r };
+                    slot = s.link as usize + usize::from(!go_left);
                 }
             }
         }
@@ -193,24 +368,105 @@ impl Tree {
         })
     }
 
-    /// Visits every internal node as `(feature, threshold, gain)`.
+    /// Visits every internal node as `(feature, threshold, gain)`, in
+    /// ascending id order.
     pub fn visit_internal(&self, mut visit: impl FnMut(FeatureId, f32, f64)) {
-        for node in self.nodes.iter().flatten() {
-            if let NodeKind::Internal { feature, threshold, gain, .. } = &node.kind {
-                visit(*feature, *threshold, *gain);
+        for (_, node) in self.nodes() {
+            if let NodeKind::Internal { feature, threshold, gain, .. } = node.kind {
+                visit(feature, threshold, gain);
             }
         }
     }
 
     /// Depth of the deepest materialized node (root-only tree = 1).
     pub fn depth(&self) -> usize {
-        let mut deepest = 0usize;
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.is_some() {
-                deepest = deepest.max((usize::BITS - (id + 1).leading_zeros()) as usize);
+        self.depth_below(0)
+    }
+
+    /// Layers from `slot` down to its deepest materialized descendant.
+    fn depth_below(&self, slot: usize) -> usize {
+        let s = &self.slots[slot];
+        match s.tag {
+            VACANT => 0,
+            LEAF => 1,
+            _ => {
+                let left = s.link as usize;
+                1 + self.depth_below(left).max(self.depth_below(left + 1))
             }
         }
-        deepest
+    }
+}
+
+impl PartialEq for Tree {
+    fn eq(&self, other: &Tree) -> bool {
+        (self.n_layers, self.n_outputs) == (other.n_layers, other.n_outputs)
+            && self.nodes().eq(other.nodes())
+    }
+}
+
+/// The JSON form of a [`Tree`]: its nodes in ascending id order.
+#[derive(Serialize, Deserialize)]
+struct TreeJson {
+    n_layers: usize,
+    n_outputs: usize,
+    nodes: Vec<NodeJson>,
+}
+
+/// One node of [`TreeJson`]: a leaf has `values`, an internal node none.
+#[derive(Serialize, Deserialize)]
+struct NodeJson {
+    id: u32,
+    feature: FeatureId,
+    bin: BinId,
+    threshold: f32,
+    default_left: bool,
+    gain: f64,
+    values: Option<Vec<f64>>,
+}
+
+impl Serialize for Tree {
+    fn to_value(&self) -> Value {
+        let node = |(id, node): (u32, TreeNode<'_>)| match node.kind {
+            NodeKind::Internal { feature, bin, threshold, default_left, gain } => {
+                NodeJson { id, feature, bin, threshold, default_left, gain, values: None }
+            }
+            NodeKind::Leaf { values } => NodeJson {
+                id,
+                feature: 0,
+                bin: 0,
+                threshold: 0.0,
+                default_left: false,
+                gain: 0.0,
+                values: Some(values.to_vec()),
+            },
+        };
+        let nodes = self.nodes().map(node).collect();
+        TreeJson { n_layers: self.n_layers, n_outputs: self.n_outputs, nodes }.to_value()
+    }
+}
+
+impl Deserialize for Tree {
+    fn from_value(v: &Value) -> Result<Tree, serde::Error> {
+        let json = TreeJson::from_value(v)?;
+        if !(1..=24).contains(&json.n_layers) {
+            return Err(serde::Error::custom(format!("n_layers {} out of range", json.n_layers)));
+        }
+        let mut tree = Tree::new(json.n_layers, json.n_outputs);
+        for n in json.nodes {
+            let set = match n.values {
+                Some(values) => tree.try_set_leaf(n.id, values.into_iter()),
+                None => tree.try_set_internal(
+                    n.id,
+                    n.feature,
+                    n.bin,
+                    n.threshold,
+                    n.default_left,
+                    n.gain,
+                ),
+            };
+            set.map_err(serde::Error::custom)?;
+        }
+        Ok(tree)
     }
 }
 
@@ -324,6 +580,81 @@ mod tests {
             t
         };
         assert_eq!(t1.depth(), 1);
+    }
+
+    #[test]
+    fn a_deep_tree_holds_the_slots_it_grew() {
+        let mut root = Tree::new(24, 1);
+        root.set_leaf(0, vec![1.0]);
+        assert_eq!(root.slots().len(), 1);
+        assert_eq!(root.depth(), 1);
+
+        // The leftmost path: 23 internal nodes, a leaf on the last layer.
+        let mut chain = Tree::new(24, 1);
+        let mut id = 0;
+        for layer in 0..23 {
+            chain.set_internal(id, layer, 0, 0.0, true);
+            id = children(id).0;
+        }
+        chain.set_leaf(id, vec![2.0]);
+        assert_eq!(chain.slots().len(), 2 * 23 + 1);
+        assert_eq!((chain.n_nodes(), chain.n_leaves(), chain.depth()), (24, 1, 24));
+        assert_eq!(chain.predict_row(&[], &[]), &[2.0]);
+        assert_eq!(chain.node(id).map(|n| n.kind), Some(NodeKind::Leaf { values: &[2.0] }));
+        assert_eq!(chain.node(2), None);
+        assert_eq!(chain.node(max_nodes(24) as u32 - 1), None);
+        assert_eq!(chain.node(u32::MAX), None);
+    }
+
+    #[test]
+    fn the_order_nodes_are_set_in_does_not_matter() {
+        let breadth_first = {
+            let mut t = Tree::new(3, 1);
+            t.set_internal_with_gain(0, 0, 0, 0.0, true, 1.0);
+            t.set_internal_with_gain(1, 1, 0, 10.0, true, 2.0);
+            t.set_internal_with_gain(2, 2, 1, 5.0, false, 3.0);
+            for id in 3..7 {
+                t.set_leaf(id, vec![f64::from(id)]);
+            }
+            t
+        };
+        let depth_first = {
+            let mut t = Tree::new(3, 1);
+            t.set_internal_with_gain(0, 0, 0, 0.0, true, 1.0);
+            t.set_internal_with_gain(2, 2, 1, 5.0, false, 3.0);
+            t.set_leaf(6, vec![6.0]);
+            t.set_leaf(5, vec![5.0]);
+            t.set_internal_with_gain(1, 1, 0, 10.0, true, 2.0);
+            t.set_leaf(4, vec![4.0]);
+            t.set_leaf(3, vec![3.0]);
+            t
+        };
+        assert_eq!(breadth_first, depth_first);
+        let ids = |t: &Tree| t.nodes().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(ids(&depth_first), (0..7).collect::<Vec<_>>());
+        for row in [[-1.0, 3.0, 0.0], [-1.0, 30.0, 0.0], [1.0, 0.0, 9.0], [1.0, 0.0, 1.0]] {
+            let feats = [0, 1, 2];
+            assert_eq!(breadth_first.predict_row(&feats, &row), depth_first.predict_row(&feats, &row));
+        }
+        let mut other_leaf = depth_first.clone();
+        other_leaf.leaf_values[0] = -6.0;
+        assert_ne!(breadth_first, other_leaf);
+    }
+
+    #[test]
+    #[should_panic(expected = "no internal parent")]
+    fn a_node_needs_an_internal_parent() {
+        let mut t = Tree::new(3, 1);
+        t.set_leaf(0, vec![0.0]);
+        t.set_leaf(1, vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already set")]
+    fn a_node_is_set_once() {
+        let mut t = Tree::new(2, 1);
+        t.set_internal(0, 0, 0, 0.0, true);
+        t.set_internal(0, 1, 0, 0.0, true);
     }
 
     #[test]

@@ -1119,10 +1119,9 @@ proptest! {
 
     /// A model as a replica receives it in a publish frame: any objective,
     /// any learning-rate and score bits, trees of 1 to 3 layers grown to
-    /// any depth, any feature, bin, threshold, side, gain and leaf bits.
-    /// Known limit: a flip that raises a tree's `n_layers` (at most 24) is a
-    /// valid model whose dense node table holds 2^L slots, so this sweep
-    /// peaks near 260 MB resident.
+    /// any depth, any feature, bin, threshold, side, gain and leaf bits. A
+    /// flip that raises a tree's `n_layers` (at most 24) is a valid model
+    /// that holds the nodes it carries (`tests/prep_memory.rs` counts it).
     #[test]
     fn hostile_model_bytes_are_err_or_canonical(
         head in (0u8..3, 2usize..4, any::<u64>(), 0u32..70),

@@ -89,7 +89,7 @@ pub(crate) trait Quadrant {
 
     /// Adds each leaf's values to the scores (`n × C`) of the instances
     /// that ended in it.
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]);
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]);
 
     /// Resets indexes and histograms for the next tree.
     fn end_tree(&mut self, ctx: &mut WorkerCtx);
@@ -201,10 +201,10 @@ pub(crate) fn train_worker<Q: Quadrant>(
 
         // Every instance's final node is a leaf: update the local scores.
         ctx.time(Phase::Predict, || {
-            let leaf_values: Vec<(u32, Vec<f64>)> = leaves
+            let leaf_values: Vec<(u32, &[f64])> = leaves
                 .iter()
-                .map(|&leaf| match &tree.node(leaf).expect("leaf set").kind {
-                    tree::NodeKind::Leaf { values } => (leaf, values.clone()),
+                .map(|&leaf| match tree.node(leaf).expect("leaf set").kind {
+                    tree::NodeKind::Leaf { values } => (leaf, values),
                     _ => unreachable!("leaves vector only holds leaf nodes"),
                 })
                 .collect();
@@ -364,11 +364,11 @@ pub(crate) fn sum_root(ctx: &mut WorkerCtx, run: &Run) -> NodeStats {
 /// [`Quadrant::add_leaf_values`] over a node-to-instance index.
 pub(crate) fn add_leaf_values_by_node(
     index: &NodeToInstanceIndex,
-    leaves: &[(u32, Vec<f64>)],
+    leaves: &[(u32, &[f64])],
     scores: &mut [f64],
 ) {
-    for (leaf, values) in leaves {
-        for &i in index.instances(*leaf) {
+    for &(leaf, values) in leaves {
+        for &i in index.instances(leaf) {
             let row = &mut scores[i as usize * values.len()..][..values.len()];
             for (score, &v) in row.iter_mut().zip(values) {
                 *score += v;

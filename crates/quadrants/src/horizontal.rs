@@ -37,7 +37,7 @@ pub(crate) trait ShardStore {
     fn split(&mut self, splits: &[(u32, Split)]) -> Vec<f64>;
 
     /// [`Quadrant::add_leaf_values`] through the index.
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]);
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]);
 
     /// Resets the index for the next tree.
     fn end_tree(&mut self);
@@ -152,7 +152,7 @@ impl<S: ShardStore> Quadrant for Horizontal<S> {
         Ok(counts.chunks(2).map(|lr| (lr[0] as u64, lr[1] as u64)).collect())
     }
 
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]) {
         self.store.add_leaf_values(leaves, scores);
     }
 

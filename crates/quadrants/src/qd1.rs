@@ -96,9 +96,9 @@ impl ShardStore for ColumnShard {
             .collect()
     }
 
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
-        let leaf_values: std::collections::BTreeMap<u32, &Vec<f64>> =
-            leaves.iter().map(|(leaf, values)| (*leaf, values)).collect();
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]) {
+        let leaf_values: std::collections::BTreeMap<u32, &[f64]> =
+            leaves.iter().copied().collect();
         for i in 0..self.columns.n_rows() {
             let values = leaf_values[&self.index.node_of(i as InstanceId)];
             let base = i * values.len();

@@ -72,7 +72,7 @@ impl ShardStore for RowShard {
         counts
     }
 
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]) {
         add_leaf_values_by_node(&self.index, leaves, scores);
     }
 

@@ -145,8 +145,8 @@ pub fn train_prebinned(
 
         // Apply leaf outputs to the running scores.
         for &leaf in &leaves {
-            let values = match &tree.node(leaf).expect("leaf materialized").kind {
-                gbdt_core::tree::NodeKind::Leaf { values } => values.clone(),
+            let values = match tree.node(leaf).expect("leaf materialized").kind {
+                gbdt_core::tree::NodeKind::Leaf { values } => values,
                 _ => unreachable!("leaf node is a leaf"),
             };
             for &i in index.instances(leaf) {

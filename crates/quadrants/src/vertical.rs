@@ -209,7 +209,7 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
     }
 
     /// Identical work on every worker, keeping their scores in lockstep.
-    fn add_leaf_values(&self, leaves: &[(u32, Vec<f64>)], scores: &mut [f64]) {
+    fn add_leaf_values(&self, leaves: &[(u32, &[f64])], scores: &mut [f64]) {
         add_leaf_values_by_node(&self.index, leaves, scores);
     }
 

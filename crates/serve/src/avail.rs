@@ -116,8 +116,10 @@ fn client_rows(seed: u64, client: usize, batch: usize, n_features: usize) -> Vec
         .collect()
 }
 
-/// Reference scores of a NaN-dense batch via the tree-walk predictor.
-fn walk_scores(model: &GbdtModel, rows: &[f32], n_features: usize) -> Vec<f64> {
+/// Reference scores of a NaN-dense batch via the tree-walk predictor, over
+/// the model's first `n_trees` trees (summed as
+/// [`GbdtModel::predict_row_into`] sums them).
+fn walk_scores(model: &GbdtModel, n_trees: usize, rows: &[f32], n_features: usize) -> Vec<f64> {
     let c = model.n_outputs();
     let mut out = vec![0.0; rows.len() / n_features * c];
     let mut feats = Vec::with_capacity(n_features);
@@ -131,7 +133,13 @@ fn walk_scores(model: &GbdtModel, rows: &[f32], n_features: usize) -> Vec<f64> {
                 vals.push(v);
             }
         }
-        model.predict_row_into(&feats, &vals, &mut out[r * c..(r + 1) * c]);
+        let out = &mut out[r * c..(r + 1) * c];
+        out.copy_from_slice(&model.init_scores);
+        for tree in model.trees.iter().take(n_trees) {
+            for (o, &v) in out.iter_mut().zip(tree.predict_row(&feats, &vals)) {
+                *o += v;
+            }
+        }
     }
     out
 }
@@ -356,12 +364,9 @@ pub fn run_avail(
             models
                 .iter()
                 .map(|m| {
-                    let prefix = (router_cfg.degrade_trees > 0).then(|| {
-                        let mut truncated = m.clone();
-                        truncated.trees.truncate(router_cfg.degrade_trees as usize);
-                        walk_scores(&truncated, rows, n_features)
-                    });
-                    Expectation { full: walk_scores(m, rows, n_features), prefix }
+                    let degrade = router_cfg.degrade_trees as usize;
+                    let prefix = (degrade > 0).then(|| walk_scores(m, degrade, rows, n_features));
+                    Expectation { full: walk_scores(m, m.trees.len(), rows, n_features), prefix }
                 })
                 .collect()
         })

@@ -1,9 +1,11 @@
 //! Lowering a trained ensemble into a flattened, cache-friendly layout.
 //!
-//! The pointer-chasing `Tree` representation is ideal for growth but
-//! hostile to inference: every step dereferences an `Option<TreeNode>`,
-//! matches an enum, and branches on leaf-ness. Compilation rewrites each
-//! tree into a breadth-first contiguous array of 16-byte [`FlatNode`]s:
+//! `Tree` already stores its nodes as one flat array of 16-byte records in
+//! materialization (breadth-first, for every trainer) order with adjacent
+//! children, but a step still decodes a kind tag, branches on leaf-ness and
+//! looks leaf values up in a per-tree pool. Compilation translates each
+//! tree slot for slot into one ensemble-wide array of 16-byte
+//! [`FlatNode`]s:
 //!
 //! * Children occupy adjacent slots (`right = left + 1`), so the taken
 //!   child is `left + (1 - go_left)` — pure arithmetic, no branch.
@@ -19,7 +21,7 @@
 //! nothing beside them (`tests/prep_memory.rs` bounds its peak bytes).
 
 use gbdt_core::model::GbdtModel;
-use gbdt_core::tree::{children, NodeKind, Tree};
+use gbdt_core::tree::{NodeKind, Tree};
 
 /// One flattened tree node: 16 bytes, so a 1024-node tree block is
 /// 16 KiB — half a typical L1d.
@@ -67,7 +69,7 @@ pub struct CompiledEnsemble {
     pub n_outputs: usize,
     /// Constant scores added before any tree (bit-copied from the model).
     pub init_scores: Vec<f64>,
-    /// All trees' nodes, tree-major, breadth-first within each tree.
+    /// All trees' nodes, tree-major, each tree in its own slot order.
     pub nodes: Vec<FlatNode>,
     /// `nodes` offset of each tree, plus a trailing total (len = T + 1).
     pub tree_off: Vec<u32>,
@@ -95,7 +97,8 @@ impl CompiledEnsemble {
     }
 }
 
-/// Compiles one tree, appending into the ensemble-wide pools.
+/// Compiles one tree, appending into the ensemble-wide pools: slot for
+/// slot, so a child's tree-local slot is its compiled one.
 fn compile_tree(
     tree: &Tree,
     t: usize,
@@ -103,55 +106,39 @@ fn compile_tree(
     leaf_values: &mut Vec<f64>,
     n_features: usize,
 ) -> Result<(), String> {
-    let base = nodes.len();
-    // BFS order doubles as the slot assignment: `order[slot]` is the
-    // complete-tree id placed at that slot, and pushing both children
-    // together makes them adjacent.
-    let mut order: Vec<u32> = vec![0];
-    let mut slot = 0usize;
-    while slot < order.len() {
-        let id = order[slot];
-        let node = tree
-            .node(id)
-            .ok_or_else(|| format!("tree {t}: node {id} reachable but not materialized"))?;
-        match &node.kind {
+    for (slot, stored) in tree.slots().enumerate() {
+        let (node, link) = stored
+            .ok_or_else(|| format!("tree {t}: slot {slot} reachable but not materialized"))?;
+        nodes.push(match node.kind {
             NodeKind::Internal { feature, threshold, default_left, .. } => {
-                if *feature as usize >= n_features {
+                if feature as usize >= n_features {
                     return Err(format!(
                         "tree {t}: split feature {feature} out of range (n_features {n_features})"
                     ));
                 }
-                if *feature & DEFAULT_LEFT_BIT != 0 {
+                if feature & DEFAULT_LEFT_BIT != 0 {
                     return Err(format!("tree {t}: feature id {feature} overflows 31 bits"));
                 }
-                let (l, r) = children(id);
-                let left_slot = order.len() as u32;
-                order.push(l);
-                order.push(r);
-                nodes.push(FlatNode {
-                    feat_dl: *feature | if *default_left { DEFAULT_LEFT_BIT } else { 0 },
-                    threshold: *threshold,
-                    left: left_slot,
+                FlatNode {
+                    feat_dl: feature | if default_left { DEFAULT_LEFT_BIT } else { 0 },
+                    threshold,
+                    left: link,
                     payload: 0,
-                });
+                }
             }
             NodeKind::Leaf { values } => {
-                let payload = leaf_values.len();
-                if payload > u32::MAX as usize {
-                    return Err(format!("tree {t}: leaf pool exceeds u32 offsets"));
-                }
+                let payload = u32::try_from(leaf_values.len())
+                    .map_err(|_| format!("tree {t}: leaf pool exceeds u32 offsets"))?;
                 leaf_values.extend_from_slice(values);
-                nodes.push(FlatNode {
+                FlatNode {
                     feat_dl: DEFAULT_LEFT_BIT, // feature 0, missing → left
                     threshold: f32::INFINITY,
                     left: slot as u32, // self-loop
-                    payload: payload as u32,
-                });
+                    payload,
+                }
             }
-        }
-        slot += 1;
+        });
     }
-    debug_assert_eq!(nodes.len() - base, order.len());
     Ok(())
 }
 

@@ -83,10 +83,13 @@ impl PredictRequest {
         let n_rows = r.u32()? as usize;
         let n_features = r.u32()?;
         let max_trees = r.u32()?;
+        if n_features == 0 && n_rows != 0 {
+            return Err(format!("{n_rows} rows of no features"));
+        }
         let n_cells = n_rows
             .checked_mul(n_features as usize)
             .ok_or_else(|| "request shape overflows".to_string())?;
-        let mut rows = Vec::with_capacity(n_cells.min(1 << 24));
+        let mut rows = Vec::with_capacity(n_cells.min(r.remaining() / 4));
         for _ in 0..n_cells {
             rows.push(r.f32()?);
         }
@@ -146,7 +149,7 @@ impl PredictResponse {
         let trees_scored = r.u32()?;
         let n_outputs = r.u32()?;
         let n_scores = r.u32()? as usize;
-        let mut scores = Vec::with_capacity(n_scores.min(1 << 24));
+        let mut scores = Vec::with_capacity(n_scores.min(r.remaining() / 8));
         for _ in 0..n_scores {
             scores.push(r.f64()?);
         }
@@ -248,6 +251,10 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn finish(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -261,6 +268,7 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn bits32(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -270,7 +278,65 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Checks `decode` against every truncation and single-byte flip of
+    /// `bytes`, which it must decode to something that encodes back to
+    /// `bytes`: every truncation is `Err`, and every flip (by `flip` and by
+    /// the lowest, highest and all bits) `Err` or a frame that encodes back
+    /// to exactly the flipped bytes — never a panic.
+    fn hostile_sweep<T>(
+        bytes: &[u8],
+        flip: u8,
+        decode: impl Fn(&[u8]) -> Result<T, String>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(decode(bytes).map(|v| encode(&v)), Ok(bytes.to_vec()));
+        for cut in 0..bytes.len() {
+            prop_assert!(decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        for at in 0..bytes.len() {
+            for mask in [flip, 0x01, 0x80, 0xff] {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                if let Ok(frame) = decode(&flipped) {
+                    prop_assert_eq!(encode(&frame), flipped, "byte {} ^ {:#x}", at, mask);
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
+        /// The four frames as a replica, router or client receives them:
+        /// any ids, versions, counts and status, 0 to 3 features, any cell,
+        /// score and payload bits.
+        #[test]
+        fn hostile_frames_are_err_or_canonical(
+            ids in (any::<u64>(), any::<u64>()),
+            counts in (any::<u32>(), any::<u32>(), 0u32..4, any::<u32>()),
+            status in 0u8..4,
+            bits in prop::collection::vec(any::<u64>(), 0..12),
+            flip in 1u8..=255,
+        ) {
+            let ((req_id, version), (trees_scored, max_trees, n_features, n_outputs)) = (ids, counts);
+            let width = (n_features as usize).max(1);
+            let n_cells = if n_features == 0 { 0 } else { bits.len() / width * width };
+            let rows = bits[..n_cells].iter().map(|&b| f32::from_bits(b as u32)).collect();
+            let req = PredictRequest { req_id, n_features, max_trees, rows };
+            hostile_sweep(&req.encode(), flip, PredictRequest::decode, PredictRequest::encode)?;
+
+            let status = ReplyStatus::from_u8(status).unwrap();
+            let scores = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let resp = PredictResponse { req_id, version, status, trees_scored, n_outputs, scores };
+            hostile_sweep(&resp.encode(), flip, PredictResponse::decode, PredictResponse::encode)?;
+
+            let ack = PublishAck { version };
+            hostile_sweep(&ack.encode(), flip, PublishAck::decode, PublishAck::encode)?;
+
+            let model_bytes = bits.iter().flat_map(|b| b.to_le_bytes()).take(40).collect();
+            let publish = PublishFrame { version, model_bytes };
+            hostile_sweep(&publish.encode(), flip, PublishFrame::decode, PublishFrame::encode)?;
+        }
+
         /// Every frame round-trips field for field. Ids, versions and counts
         /// are random, so same-width fields differ and a swapped or resized
         /// field decodes to another value; cells and scores carry NaN
@@ -320,6 +386,12 @@ mod tests {
         let mut long = bytes;
         long.push(0);
         assert!(PredictRequest::decode(&long).is_err());
+        // Rows of no features would decode as an empty request that
+        // re-encodes with no rows.
+        let empty = PredictRequest { req_id: 1, n_features: 0, max_trees: 0, rows: Vec::new() };
+        let mut rows_of_nothing = empty.encode();
+        rows_of_nothing[8] = 5;
+        assert!(PredictRequest::decode(&rows_of_nothing).is_err());
         assert!(PublishAck::decode(&[1, 2, 3]).is_err());
         // A shape whose cell count overflows must be rejected up front.
         let mut evil = Vec::new();

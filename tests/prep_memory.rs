@@ -15,7 +15,10 @@
 //! consumed by the stage that reads it, so at most two stages are live. The
 //! serving compiler is held to the same rule: it builds one layout. The
 //! split scan, which runs for every node, is held to a count of allocation
-//! calls that does not grow with the D·q bins it scans.
+//! calls that does not grow with the D·q bins it scans. Decoders are held
+//! to the bytes they read: a decoded model holds its nodes and nothing
+//! sized by its layer count, and no hostile model or serve frame costs
+//! more than a small multiple of its length.
 
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::NodeHistogram;
@@ -30,6 +33,7 @@ use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
 use gbdt_partition::HorizontalPartition;
 use gbdt_quadrants::{qd2, qd3, qd4, yggdrasil, Aggregation};
 use gbdt_serve::compile::compile;
+use gbdt_serve::wire::{PredictRequest, PredictResponse, PublishAck, PublishFrame, ReplyStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -352,7 +356,7 @@ fn serve_batch_ensemble() -> GbdtModel {
 
 /// `compile` holds the flat arrays it returns and nothing beside them: its
 /// peak stays within their allocated bytes (so `Vec` growth is allowed) plus
-/// one tree's BFS scratch — no second node layout, table or map.
+/// a KiB — no second node layout, table or map.
 fn compile_builds_one_layout(broken: &mut Vec<String>) {
     let model = serve_batch_ensemble();
     let (ens, peak) = measure(|| compile(&model, 1).expect("complete trees compile"));
@@ -370,6 +374,112 @@ fn compile_builds_one_layout(broken: &mut Vec<String>) {
              per-tree arrays it returns hold {flat} B",
             ens.nodes.len(),
             ens.leaf_values.len(),
+        ));
+    }
+}
+
+/// A decoded model holds the nodes it carries. On `serve-batch`'s complete
+/// trees (a slot per node) a tree holds at most 16 B a slot, 8 B per
+/// internal node (its gain) and 8·C per leaf beside its own header, and
+/// decoding allocates nothing it does not return.
+fn decoded_trees_hold_their_nodes(broken: &mut Vec<String>) {
+    let bytes = serve_batch_ensemble().encode_bytes();
+    let entry = LIVE.load(Ordering::SeqCst);
+    let (model, peak) = measure(|| GbdtModel::decode_bytes(&bytes).expect("a sound model"));
+    let held = LIVE.load(Ordering::SeqCst) - entry;
+    let c = model.n_outputs();
+    let nodes: usize = model
+        .trees
+        .iter()
+        .map(|t| {
+            let (nodes, leaves) = (t.n_nodes(), t.n_leaves());
+            16 * nodes + 8 * (nodes - leaves) + 8 * c * leaves
+        })
+        .sum();
+    let budget = nodes + model.trees.len() * std::mem::size_of::<Tree>() + KIB;
+    if held.max(peak) > budget {
+        broken.push(format!(
+            "decoding {} trees held {held} B and peaked {peak} B; their nodes allow {budget} B",
+            model.trees.len()
+        ));
+    }
+}
+
+/// Every truncation of `bytes`, every flip of one byte by 0x01, 0x80 or
+/// 0xff, and every `(at, byte)` overwrite in `set`.
+fn hostile_variants(bytes: &[u8], set: &[(usize, u8)]) -> Vec<Vec<u8>> {
+    let mut variants: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= mask;
+            variants.push(flipped);
+        }
+    }
+    for &(at, byte) in set {
+        let mut overwritten = bytes.to_vec();
+        overwritten[at] = byte;
+        variants.push(overwritten);
+    }
+    variants
+}
+
+/// Hostile bytes cost what they carry: decoding any truncation or single
+/// flipped byte of a small model or of a serve frame peaks at no more than
+/// 4 × its length + 4 KiB, whether it decodes or is refused — a count
+/// field read from the bytes never sizes an allocation on its own. The
+/// model is a 103-byte stump whose `n_layers` field (bytes 41..45) is also
+/// raised to 24, the most a tree may have.
+fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
+    let mut model = GbdtModel::new(Objective::Logistic, 0.1, 2);
+    let mut stump = Tree::new(3, 1);
+    stump.set_internal(0, 0, 0, 0.5, true);
+    stump.set_leaf(1, vec![1.0]);
+    stump.set_leaf(2, vec![-1.0]);
+    model.trees.push(stump);
+    let model_bytes = model.encode_bytes();
+    assert_eq!(model_bytes.len(), 103);
+    let request =
+        PredictRequest { req_id: 7, n_features: 3, max_trees: 0, rows: vec![0.5; 6] }.encode();
+    let response = PredictResponse {
+        req_id: 7,
+        version: 2,
+        status: ReplyStatus::Ok,
+        trees_scored: 0,
+        n_outputs: 1,
+        scores: vec![0.25, -0.75],
+    }
+    .encode();
+    let ack = PublishAck { version: 2 }.encode();
+    let publish = PublishFrame { version: 2, model_bytes: model_bytes.clone() }.encode();
+    let decodes_model = |b: &[u8]| GbdtModel::decode_bytes(b).is_ok();
+    within_four_times(broken, "model", &model_bytes, &[(41, 24)], decodes_model);
+    within_four_times(broken, "request", &request, &[], |b| PredictRequest::decode(b).is_ok());
+    within_four_times(broken, "response", &response, &[], |b| PredictResponse::decode(b).is_ok());
+    within_four_times(broken, "ack", &ack, &[], |b| PublishAck::decode(b).is_ok());
+    within_four_times(broken, "publish", &publish, &[], |b| PublishFrame::decode(b).is_ok());
+}
+
+/// Decodes every hostile variant of `bytes` and reports the one that peaks
+/// furthest past 4 × its length + 4 KiB, if any does.
+fn within_four_times(
+    broken: &mut Vec<String>,
+    name: &str,
+    bytes: &[u8],
+    set: &[(usize, u8)],
+    decode: impl Fn(&[u8]) -> bool,
+) {
+    let worst = hostile_variants(bytes, set)
+        .into_iter()
+        .map(|variant| {
+            let budget = 4 * variant.len() + 4 * KIB;
+            let (_, peak) = measure(|| decode(&variant));
+            (peak.saturating_sub(budget), peak, variant.len())
+        })
+        .max();
+    if let Some((over @ 1.., peak, len)) = worst {
+        broken.push(format!(
+            "a hostile {len}-byte {name} frame peaked {peak} B, {over} B over 4 × its bytes + 4 KiB"
         ));
     }
 }
@@ -422,6 +532,8 @@ fn prep_stays_inside_its_copy_budget() {
     transform_holds_frames_payloads_and_rows_only(&mut broken);
     vertical_trainers_keep_one_store(&mut broken);
     compile_builds_one_layout(&mut broken);
+    decoded_trees_hold_their_nodes(&mut broken);
+    hostile_decodes_cost_their_bytes(&mut broken);
     split_scan_allocates_per_node_only(&mut broken);
     assert!(broken.is_empty(), "{} bound(s) broken:\n{}", broken.len(), broken.join("\n"));
 }
