@@ -89,5 +89,14 @@ mod tests {
             assert!(parse(&["--scale", scale]).unwrap_err().contains("bad --scale"), "{scale}");
         }
         assert!(parse(&["--faults", "7:blorp=1"]).unwrap_err().contains("bad --faults"));
+        // Values the plan cannot hold are named errors, not a panic or a
+        // wrapped rank.
+        let five = "1:crash=0@1,crash=0@2,crash=0@3,crash=0@4,crash=0@5";
+        let err = parse(&["--faults", five]).unwrap_err();
+        assert!(err.contains("bad --faults") && err.contains("at most 4 crashes"), "{err}");
+        for delay in ["1:delay=0.5@-3", "1:delay=0.5@NaN"] {
+            let err = parse(&["--faults", delay]).unwrap_err();
+            assert!(err.contains("delay seconds"), "{delay}: {err}");
+        }
     }
 }

@@ -267,14 +267,13 @@ impl Comm {
             c.comm_seconds += self.cost.message_time(len);
             return Ok(());
         };
-        let slow = plan.slow_factor(self.rank);
         for attempt in 0..plan.max_attempts {
             // Every attempt physically occupies the wire.
             {
                 let mut c = self.counters.borrow_mut();
                 c.bytes_sent += len as u64;
                 c.messages_sent += 1;
-                c.comm_seconds += self.cost.message_time(len) * slow;
+                c.comm_seconds += self.cost.message_time(len);
             }
             if plan.should_drop(self.rank, to, tag, seq, attempt) {
                 // Lost in transit: wait out the modelled ack timeout, retry.
@@ -295,7 +294,7 @@ impl Comm {
                 let mut c = self.counters.borrow_mut();
                 c.bytes_sent += len as u64;
                 c.messages_sent += 1;
-                c.comm_seconds += self.cost.message_time(len) * slow;
+                c.comm_seconds += self.cost.message_time(len);
                 drop(c);
                 let dup = Envelope { from: self.rank as u32, tag, seq, payload };
                 // lint: allow(slice-index) — same bound; duplicate delivery is best-effort

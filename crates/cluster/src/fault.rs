@@ -1,13 +1,13 @@
 //! Deterministic, seed-driven fault injection for the simulated cluster.
 //!
 //! A [`FaultPlan`] describes *what goes wrong* during a run: per-message
-//! drop / duplicate / delay probabilities, scheduled worker crashes at tree
-//! or layer boundaries, and per-rank straggler slowdowns. Every decision is
-//! a pure hash of `(seed, kind, from, to, tag, seq, attempt)`, so the same
-//! plan replays the same faults on every run — chaos tests are reproducible
-//! and recovery is deterministic.
+//! drop / duplicate / delay probabilities and scheduled worker crashes at
+//! tree or layer boundaries. Every decision is a pure hash of
+//! `(seed, kind, from, to, tag, seq, attempt)`, so the same plan replays the
+//! same faults on every run — chaos tests are reproducible and recovery is
+//! deterministic.
 //!
-//! The plan is `Copy` (fixed-capacity crash/slow tables) so [`crate::Cluster`]
+//! The plan is `Copy` (fixed-capacity crash and tag tables) so [`crate::Cluster`]
 //! stays `Copy` and configs can pass it by value.
 
 /// Typed error produced by the communication layer instead of panicking.
@@ -105,8 +105,6 @@ pub struct InjectedCrash {
 
 /// Maximum scheduled crashes per plan (fixed so the plan stays `Copy`).
 pub const MAX_CRASHES: usize = 4;
-/// Maximum straggler entries per plan.
-pub const MAX_SLOW: usize = 4;
 /// Maximum tag-scope entries per plan (fixed so the plan stays `Copy`).
 pub const FAULT_SCOPE_CAP: usize = 8;
 
@@ -138,10 +136,9 @@ pub struct FaultPlan {
     /// Retry budget per message before `RetriesExhausted`.
     pub max_attempts: u32,
     crashes: [Option<CrashPoint>; MAX_CRASHES],
-    slow: [Option<(u16, f32)>; MAX_SLOW],
     /// When any entry is set, drop/dup/delay decisions fire only for
     /// messages whose tag is listed here (`tag=` in the spec grammar);
-    /// crash and slow entries are unaffected. Empty = every tag.
+    /// crash entries are unaffected. Empty = every tag.
     tag_scope: [Option<u64>; FAULT_SCOPE_CAP],
 }
 
@@ -175,7 +172,6 @@ impl FaultPlan {
             delay_s: 0.0,
             max_attempts: 12,
             crashes: [None; MAX_CRASHES],
-            slow: [None; MAX_SLOW],
             tag_scope: [None; FAULT_SCOPE_CAP],
         }
     }
@@ -215,19 +211,6 @@ impl FaultPlan {
             // lint: allow(panic-call) — plan-construction misuse is a test-setup bug, not a comm fault
             .unwrap_or_else(|| panic!("fault plan holds at most {MAX_CRASHES} crashes"));
         *slot = Some(CrashPoint { rank: rank as u16, tree: tree as u32, layer: layer as u32 });
-        self
-    }
-
-    /// Marks `rank` as a straggler: its modelled per-message network time is
-    /// multiplied by `factor`. Panics if the table is full.
-    pub fn with_slow(mut self, rank: usize, factor: f64) -> Self {
-        let slot = self
-            .slow
-            .iter_mut()
-            .find(|s| s.is_none())
-            // lint: allow(panic-call) — plan-construction misuse is a test-setup bug, not a comm fault
-            .unwrap_or_else(|| panic!("fault plan holds at most {MAX_SLOW} stragglers"));
-        *slot = Some((rank as u16, factor as f32));
         self
     }
 
@@ -273,7 +256,6 @@ impl FaultPlan {
             || self.dup_p > 0.0
             || self.delay_p > 0.0
             || self.crashes.iter().any(Option::is_some)
-            || self.slow.iter().any(Option::is_some)
     }
 
     /// Scheduled crashes, in insertion order.
@@ -301,15 +283,6 @@ impl FaultPlan {
             .iter()
             .flatten()
             .any(|c| c.rank as usize == rank && c.tree as usize == handled)
-    }
-
-    /// Straggler multiplier for `rank` (1.0 when not slowed).
-    pub fn slow_factor(&self, rank: usize) -> f64 {
-        self.slow
-            .iter()
-            .flatten()
-            .find(|(r, _)| *r as usize == rank)
-            .map_or(1.0, |(_, f)| f64::from(*f))
     }
 
     fn unit(&self, kind: u64, from: usize, to: usize, tag: u64, seq: u64, attempt: u32) -> f64 {
@@ -350,17 +323,19 @@ impl FaultPlan {
     }
 
     /// Parses a `seed:spec` string, e.g.
-    /// `42:drop=0.05,dup=0.02,delay=0.1@0.001,crash=1@3.1,slow=2@4.0,tag=serve_route`.
+    /// `42:drop=0.05,dup=0.02,delay=0.1@0.001,crash=1@3.1,tag=serve_route`.
     ///
     /// Grammar: the part before the first `:` is the u64 seed; the rest is a
     /// comma-separated list of `drop=P`, `dup=P`, `delay=P@SECONDS`,
     /// `crash=RANK@TREE[.LAYER]` (layer defaults to 1 — mid-tree; the serve
-    /// plane reads TREE as a frame ordinal, see [`FaultPlan::serve_crash_at`]),
-    /// `slow=RANK@FACTOR`, `attempts=N`, and `tag=<name|id>` (repeatable)
-    /// which scopes drop/dup/delay to the named protocol tags. Tag names
-    /// resolve through [`crate::comm::protocol::by_name`] — an unknown name
-    /// is a parse error; a raw id is accepted as decimal or `0x`-hex. An
-    /// empty spec after the seed is allowed (a plan that injects nothing).
+    /// plane reads TREE as a frame ordinal, see [`FaultPlan::serve_crash_at`];
+    /// at most [`MAX_CRASHES`], RANK a `u16`), `attempts=N`, and
+    /// `tag=<name|id>` (repeatable) which scopes drop/dup/delay to the named
+    /// protocol tags. Tag names resolve through
+    /// [`crate::comm::protocol::by_name`] — an unknown name is a parse
+    /// error; a raw id is accepted as decimal or `0x`-hex. Probabilities lie
+    /// in `[0, 1]` and delay seconds are finite and non-negative. An empty
+    /// spec after the seed is allowed (a plan that injects nothing).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let (seed_str, spec) = text
             .split_once(':')
@@ -389,27 +364,23 @@ impl FaultPlan {
                     let (rank, at) = value
                         .split_once('@')
                         .ok_or_else(|| format!("crash '{value}' must be 'RANK@TREE[.LAYER]'"))?;
-                    let rank: usize =
+                    // Parsed at the widths `CrashPoint` stores, so an
+                    // oversized number is refused rather than wrapped.
+                    let rank: u16 =
                         rank.parse().map_err(|e| format!("bad crash rank '{rank}': {e}"))?;
-                    let (tree, layer) = match at.split_once('.') {
+                    let (tree, layer): (u32, u32) = match at.split_once('.') {
                         Some((t, l)) => (
                             t.parse().map_err(|e| format!("bad crash tree '{t}': {e}"))?,
                             l.parse().map_err(|e| format!("bad crash layer '{l}': {e}"))?,
                         ),
-                        None => (
-                            at.parse().map_err(|e| format!("bad crash tree '{at}': {e}"))?,
-                            1usize,
-                        ),
+                        None => {
+                            (at.parse().map_err(|e| format!("bad crash tree '{at}': {e}"))?, 1)
+                        }
                     };
-                    plan = plan.with_crash(rank, tree, layer);
-                }
-                "slow" => {
-                    let (rank, factor) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("slow '{value}' must be 'RANK@FACTOR'"))?;
-                    let rank: usize =
-                        rank.parse().map_err(|e| format!("bad slow rank '{rank}': {e}"))?;
-                    plan = plan.with_slow(rank, parse_f64(factor, "slow factor")?);
+                    if plan.crashes().count() == MAX_CRASHES {
+                        return Err(format!("fault plan holds at most {MAX_CRASHES} crashes"));
+                    }
+                    plan = plan.with_crash(rank.into(), tree as usize, layer as usize);
                 }
                 "attempts" => {
                     plan.max_attempts = value
@@ -447,6 +418,9 @@ impl FaultPlan {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("fault probability {p} outside [0, 1]"));
             }
+        }
+        if !(plan.delay_s.is_finite() && plan.delay_s >= 0.0) {
+            return Err(format!("delay seconds {} must be finite and non-negative", plan.delay_s));
         }
         Ok(plan)
     }
@@ -496,8 +470,7 @@ mod tests {
     #[test]
     fn parse_full_grammar() {
         let plan =
-            FaultPlan::parse("42:drop=0.05,dup=0.02,delay=0.1@0.001,crash=1@3.2,slow=2@4.5,attempts=9")
-                .unwrap();
+            FaultPlan::parse("42:drop=0.05,dup=0.02,delay=0.1@0.001,crash=1@3.2,attempts=9").unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.drop_p, 0.05);
         assert_eq!(plan.dup_p, 0.02);
@@ -506,9 +479,27 @@ mod tests {
         assert_eq!(plan.max_attempts, 9);
         assert_eq!(plan.crash_index(1, 3, 2), Some(0));
         assert_eq!(plan.crash_index(1, 3, 1), None);
-        assert_eq!(plan.slow_factor(2), 4.5);
-        assert_eq!(plan.slow_factor(0), 1.0);
         assert!(plan.is_active());
+    }
+
+    /// Outside input is refused, never a panic or a wrapped value: a fifth
+    /// crash, a crash rank past `u16`, a tree past `u32`, a negative, NaN or
+    /// infinite delay.
+    #[test]
+    fn parse_refuses_values_the_plan_cannot_hold() {
+        let four = "1:crash=0@1,crash=0@2,crash=0@3,crash=0@4";
+        assert_eq!(FaultPlan::parse(four).unwrap().crashes().count(), MAX_CRASHES);
+        let err = FaultPlan::parse(&format!("{four},crash=0@5")).unwrap_err();
+        assert!(err.contains("at most 4 crashes"), "{err}");
+        assert_eq!(FaultPlan::parse("1:crash=65535@1").unwrap().crashes().next().unwrap().rank, 65535);
+        assert!(FaultPlan::parse("1:crash=65536@1").unwrap_err().contains("bad crash rank"));
+        assert!(FaultPlan::parse("1:crash=0@4294967296").unwrap_err().contains("bad crash tree"));
+        assert!(FaultPlan::parse("1:crash=0@1.4294967296").unwrap_err().contains("bad crash layer"));
+        for seconds in ["-3", "NaN", "inf"] {
+            let err = FaultPlan::parse(&format!("1:delay=0.5@{seconds}")).unwrap_err();
+            assert!(err.contains("delay seconds"), "{seconds}: {err}");
+        }
+        assert_eq!(FaultPlan::parse("1:delay=0.5@0").unwrap().delay_s, 0.0);
     }
 
     #[test]

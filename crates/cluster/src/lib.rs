@@ -27,7 +27,7 @@
 //!   with a supervisor that cancels peers on failure and replays crashed
 //!   attempts from per-tree checkpoints.
 //! * [`fault`] — deterministic seed-driven fault injection (drop / dup /
-//!   delay / crash / straggler) and the typed [`fault::CommError`].
+//!   delay / crash) and the typed [`fault::CommError`].
 //! * [`stats`] — per-worker phase timers, byte counters, memory gauges,
 //!   retry/recovery accounting.
 

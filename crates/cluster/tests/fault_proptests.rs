@@ -4,7 +4,10 @@
 //!   reordering** (the pending buffer absorbs out-of-order arrivals);
 //! * the parameter-server emulation merges **bit-identical histograms**
 //!   under seeded duplication/drop faults, with the duplicates detected and
-//!   discarded at intake.
+//!   discarded at intake;
+//! * the `--faults` grammar (`FaultPlan::parse`) takes outside input: every
+//!   truncation and single-byte substitution of a valid spec is a typed
+//!   error or a plan the comm layer can run, never a panic.
 
 #![allow(clippy::unwrap_used)]
 
@@ -12,6 +15,7 @@ use bytes::Bytes;
 use gbdt_cluster::comm::Comm;
 use gbdt_cluster::{FaultPlan, NetworkCostModel, WireCodec};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::thread;
 
 /// Deterministic per-rank "histogram" so every worker pushes distinct data.
@@ -137,6 +141,75 @@ proptest! {
         let (faulted, _) = run_ps(world, len, Some(plan));
         // Bit-identical merge, not just approximately equal.
         prop_assert_eq!(clean, faulted);
+    }
+}
+
+/// A valid spec that uses every key of the grammar.
+fn valid_spec(seed: u64, probs: (f64, f64, f64), delay_s: f64, crashes: &[(u16, u32, u32)]) -> String {
+    let (drop, dup, delay) = probs;
+    let mut items = vec![
+        format!("drop={drop}"),
+        format!("dup={dup}"),
+        format!("delay={delay}@{delay_s}"),
+        "attempts=9".to_string(),
+        "tag=serve_route".to_string(),
+        format!("tag={}", seed % 1000),
+    ];
+    items.extend(crashes.iter().map(|(rank, tree, layer)| format!("crash={rank}@{tree}.{layer}")));
+    format!("{seed}:{}", items.join(","))
+}
+
+/// Parses `spec` and checks that whatever is accepted is a plan the comm
+/// layer can run; a panic is reported with the input that caused it.
+fn parses_to_a_runnable_plan_or_an_error(spec: &str) -> Result<(), TestCaseError> {
+    let parsed = std::panic::catch_unwind(|| FaultPlan::parse(spec));
+    let Ok(parsed) = parsed else {
+        return Err(TestCaseError::fail(format!("parse panicked on {spec:?}")));
+    };
+    if let Ok(plan) = parsed {
+        for p in [plan.drop_p, plan.dup_p, plan.delay_p] {
+            prop_assert!((0.0..=1.0).contains(&p), "{spec:?} parsed a probability of {p}");
+        }
+        prop_assert!(
+            plan.delay_s.is_finite() && plan.delay_s >= 0.0,
+            "{spec:?} parsed a delay of {} s",
+            plan.delay_s
+        );
+        prop_assert!(plan.max_attempts >= 1, "{spec:?} parsed zero attempts");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every truncation of a valid spec, and every substitution of one of
+    /// its bytes by any other byte that leaves the text UTF-8, parses or is
+    /// refused without panicking.
+    #[test]
+    fn hostile_fault_specs_are_typed_errors(
+        seed in any::<u64>(),
+        probs in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        delay_s in 0.0f64..2.0,
+        crashes in proptest::collection::vec((any::<u16>(), any::<u32>(), 0u32..24), 0..5),
+    ) {
+        let spec = valid_spec(seed, probs, delay_s, &crashes);
+        prop_assert!(FaultPlan::parse(&spec).is_ok(), "{spec:?} must parse");
+        let bytes = spec.as_bytes();
+        for cut in 0..bytes.len() {
+            if let Ok(text) = std::str::from_utf8(&bytes[..cut]) {
+                parses_to_a_runnable_plan_or_an_error(text)?;
+            }
+        }
+        for at in 0..bytes.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                if let Ok(text) = std::str::from_utf8(&flipped) {
+                    parses_to_a_runnable_plan_or_an_error(text)?;
+                }
+            }
+        }
     }
 }
 

@@ -227,8 +227,9 @@ impl GbdtModel {
         }
         let init_scores = r.f64s(n_init)?.collect();
         let n_trees = r.u32()? as usize;
-        // A tree takes at least its 12-byte header.
-        let mut trees = Vec::with_capacity(n_trees.min(r.remaining() / 12));
+        // Grown tree by tree, not reserved from `n_trees`: a count the bytes
+        // could hold still costs 88 bytes a tree before the first one fails.
+        let mut trees = Vec::new();
         for t in 0..n_trees {
             let n_layers = r.u32()? as usize;
             let n_outputs = r.u32()? as usize;
@@ -271,11 +272,13 @@ impl GbdtModel {
                 };
                 set.map_err(|e| format!("tree {t}: {e}"))?;
             }
+            tree.check_complete().map_err(|e| format!("tree {t}: {e}"))?;
             trees.push(tree);
         }
         if r.pos != bytes.len() {
             return Err(format!("{} trailing bytes after model payload", bytes.len() - r.pos));
         }
+        trees.shrink_to_fit();
         Ok(GbdtModel { objective, learning_rate, n_features, init_scores, trees })
     }
 
@@ -661,6 +664,32 @@ mod tests {
         m.trees = vec![complete, dfs, root];
         let bytes = m.encode_bytes();
         assert_eq!((bytes.len(), fnv1a(&bytes)), (376, 0x3e86_4eba_e064_c6ed));
-        assert_eq!(GbdtModel::decode_bytes(&bytes).unwrap(), m);
+        // Node 1's children are vacant, so that tree cannot be walked and
+        // the decoder refuses it; the other two round-trip.
+        let err = GbdtModel::decode_bytes(&bytes).unwrap_err();
+        assert!(err.contains("tree 1: an internal node is missing a child"), "{err}");
+        m.trees.remove(1);
+        assert_eq!(GbdtModel::decode_bytes(&m.encode_bytes()).unwrap(), m);
+    }
+
+    /// Both decoders refuse a tree that cannot be walked: one with no root,
+    /// and one whose internal node lacks a child. Either shape used to
+    /// decode and then panic in `predict_row` ("tree traversal reached a
+    /// missing node").
+    #[test]
+    fn trees_that_cannot_be_walked_are_refused() {
+        let mut rootless = GbdtModel::new(Objective::Logistic, 0.1, 2);
+        rootless.trees.push(Tree::new(3, 1));
+        let mut childless = GbdtModel::new(Objective::Logistic, 0.1, 2);
+        let mut t = Tree::new(3, 1);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(1, vec![1.0]);
+        childless.trees.push(t);
+        for (m, what) in [(rootless, "no root"), (childless, "missing a child")] {
+            let err = GbdtModel::decode_bytes(&m.encode_bytes()).unwrap_err();
+            assert!(err.contains(what), "{err}");
+            let err = GbdtModel::from_json(&m.to_json()).unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
     }
 }

@@ -284,6 +284,17 @@ impl Tree {
         Ok(())
     }
 
+    /// Refuses a tree that cannot be walked: one with no root, or with an
+    /// internal node whose child was never set. Decoders call it once every
+    /// node is read.
+    pub(crate) fn check_complete(&self) -> Result<(), String> {
+        match self.slots.iter().position(|s| s.tag == VACANT) {
+            None => Ok(()),
+            Some(0) => Err("the tree has no root".into()),
+            Some(_) => Err("an internal node is missing a child".into()),
+        }
+    }
+
     /// The vacant slot of `id`, whose parent must be an internal node.
     fn vacant_slot(&self, id: u32) -> Result<usize, String> {
         let slot = self.slot_of(id).ok_or_else(|| format!("node {id} has no internal parent"))?;
@@ -466,6 +477,7 @@ impl Deserialize for Tree {
             };
             set.map_err(serde::Error::custom)?;
         }
+        tree.check_complete().map_err(serde::Error::custom)?;
         Ok(tree)
     }
 }

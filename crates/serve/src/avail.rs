@@ -18,8 +18,8 @@
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 
 use crate::exec::Strategy;
-use crate::replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
-use crate::router::{run_router, RouterConfig, RouterStats};
+use crate::replica::{run_replica, ReplicaStats, ROUTER_RANK};
+use crate::router::{run_router, RouterConfig, RouterStats, DEADLINE, RETRY_BUDGET};
 use crate::server::ModelSlot;
 use crate::stats::{AvailRun, Clock};
 use crate::wire::{PredictRequest, PredictResponse, PublishAck, ReplyStatus};
@@ -50,16 +50,17 @@ pub struct AvailConfig {
     pub strategy: Strategy,
     /// Seed for the synthetic feature rows.
     pub seed: u64,
-    /// Routing policy (its `n_replicas` is overridden by ours).
+    /// The router's overload policy.
     pub router: RouterConfig,
-    /// Replica lifecycle knobs.
-    pub replica: ReplicaConfig,
-    /// How long a client waits for a response before counting the
-    /// request failed. Must exceed `router.deadline × retry_budget`, or a
-    /// client gives up on requests the router is still retrying;
-    /// [`run_avail`] refuses a config where it does not.
-    pub client_patience: Duration,
 }
+
+/// How long a client waits for a response before counting the request
+/// failed.
+const CLIENT_PATIENCE: Duration = Duration::from_millis(900);
+
+// A client that gave up before the router's last retry could expire would
+// count as failed a request the router still answers.
+const _: () = assert!(CLIENT_PATIENCE.as_millis() > DEADLINE.as_millis() * RETRY_BUDGET as u128);
 
 impl Default for AvailConfig {
     fn default() -> Self {
@@ -73,8 +74,6 @@ impl Default for AvailConfig {
             strategy: Strategy::PerRow,
             seed: 42,
             router: RouterConfig::default(),
-            replica: ReplicaConfig::default(),
-            client_patience: Duration::from_millis(900),
         }
     }
 }
@@ -235,7 +234,7 @@ fn client_loop(
     let mut out = ClientOutcome::default();
     comm.set_recv_patience(Duration::from_millis(5));
     let per_client_qps = cfg.qps / cfg.n_clients.max(1) as f64;
-    let patience_s = cfg.client_patience.as_secs_f64();
+    let patience_s = CLIENT_PATIENCE.as_secs_f64();
     for i in 0..cfg.requests_per_client {
         for &(at, ref payload) in publish_payloads {
             if at == i {
@@ -338,22 +337,12 @@ pub fn run_avail(
     if cfg.batch == 0 {
         return Err("batch must be positive".into());
     }
-    let retry_window = cfg.router.deadline.as_secs_f64() * cfg.router.retry_budget as f64;
-    if cfg.client_patience.as_secs_f64() <= retry_window {
-        return Err(format!(
-            "client_patience {:?} must exceed router.deadline × retry_budget = {retry_window} s",
-            cfg.client_patience
-        ));
-    }
     let n_features = first.n_features.max(1);
     for (k, m) in models.iter().enumerate().skip(1) {
         if m.n_features.max(1) != n_features || m.n_outputs() != first.n_outputs() {
             return Err(format!("model {k} shape differs from the initial model"));
         }
     }
-    let mut router_cfg = cfg.router;
-    router_cfg.n_replicas = cfg.n_replicas;
-
     let batches: Vec<Vec<f32>> = (0..cfg.n_clients)
         .map(|c| client_rows(cfg.seed, c + 1, cfg.batch, n_features))
         .collect();
@@ -364,7 +353,7 @@ pub fn run_avail(
             models
                 .iter()
                 .map(|m| {
-                    let degrade = router_cfg.degrade_trees as usize;
+                    let degrade = cfg.router.degrade_trees as usize;
                     let prefix = (degrade > 0).then(|| walk_scores(m, degrade, rows, n_features));
                     Expectation { full: walk_scores(m, m.trees.len(), rows, n_features), prefix }
                 })
@@ -403,16 +392,12 @@ pub fn run_avail(
     std::thread::scope(|scope| {
         let executor = &executor;
         let cfg_ref = &cfg;
-        let router_cfg = &router_cfg;
         let router = scope.spawn(move || {
-            run_router(&router_comm, router_cfg, model_bytes, cfg_ref.n_clients)
+            run_router(&router_comm, &cfg_ref.router, model_bytes, cfg_ref.n_clients)
         });
         let mut replica_handles = Vec::new();
         for (comm, slot) in replica_comms.into_iter().zip(&slots) {
-            let replica_cfg = cfg.replica;
-            replica_handles.push(scope.spawn(move || {
-                run_replica(&comm, slot, executor.as_ref(), &replica_cfg)
-            }));
+            replica_handles.push(scope.spawn(move || run_replica(&comm, slot, executor.as_ref())));
         }
         let mut client_handles = Vec::new();
         for (idx, comm) in client_comms.into_iter().enumerate() {
@@ -617,25 +602,5 @@ mod tests {
         // excludes think time by construction.
         let scheduled = pace_to_schedule(2, 0.0, clock);
         assert!(scheduled >= 0.02);
-    }
-
-    /// A client that gives up before the router's last retry could expire
-    /// would count as failed a request the router still answers.
-    #[test]
-    fn patience_must_outlast_the_router_retry_window() {
-        let models = [model_with_leaves(1.0, -1.0, 2)];
-        // The default router retries for 120 ms × 3 = 360 ms.
-        let impatient =
-            AvailConfig { client_patience: Duration::from_millis(300), ..AvailConfig::default() };
-        let err = run_avail(&models, &impatient, None).unwrap_err();
-        assert!(err.contains("client_patience"), "{err}");
-        let cfg = AvailConfig {
-            n_replicas: 1,
-            n_clients: 1,
-            requests_per_client: 4,
-            ..AvailConfig::default()
-        };
-        assert_eq!(cfg.client_patience, Duration::from_millis(900));
-        assert_eq!(run_avail(&models, &cfg, None).unwrap().run.served, 4);
     }
 }

@@ -57,7 +57,7 @@ pub mod wire;
 pub use avail::{run_avail, AvailConfig};
 pub use compile::CompiledEnsemble;
 pub use exec::{Blocked, ExecStrategy, PerRow, Strategy};
-pub use replica::{run_replica, ReplicaConfig, ReplicaStats, ROUTER_RANK};
+pub use replica::{run_replica, ReplicaStats, ROUTER_RANK};
 pub use router::{run_router, RouterConfig, RouterStats};
 pub use server::ModelSlot;
 pub use stats::AvailRun;

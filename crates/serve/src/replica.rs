@@ -21,7 +21,7 @@
 
 use crate::exec::ExecStrategy;
 use crate::server::{score_request, ModelSlot};
-use crate::wire::{PredictRequest, PublishFrame};
+use crate::wire::{PredictRequest, PublishAck, PublishFrame};
 use bytes::Bytes;
 use gbdt_cluster::comm::protocol::{
     SERVE_ACK_TAG, SERVE_HEALTH_PING_TAG, SERVE_HEALTH_PONG_TAG, SERVE_PUBLISH_TAG,
@@ -33,28 +33,14 @@ use std::time::Duration;
 /// Rank of the router in a replicated serving mesh.
 pub const ROUTER_RANK: usize = 0;
 
-/// Knobs of one replica's lifecycle.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplicaConfig {
-    /// How long a crashed replica stays dead before recovering (real
-    /// time — the router must observe the outage).
-    pub recovery_delay: Duration,
-    /// Receive patience per poll of the frame loop.
-    pub tick: Duration,
-    /// Give up recovering if the router doesn't resync a model within
-    /// this many ticks (the run is ending or the router is gone).
-    pub max_resync_ticks: usize,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            recovery_delay: Duration::from_millis(30),
-            tick: Duration::from_millis(5),
-            max_resync_ticks: 400,
-        }
-    }
-}
+/// How long a crashed replica stays dead before recovering (real time —
+/// the router must observe the outage).
+const RECOVERY_DELAY: Duration = Duration::from_millis(30);
+/// Receive patience per poll of the frame loop.
+const TICK: Duration = Duration::from_millis(5);
+/// Give up recovering if the router doesn't resync a model within this
+/// many ticks (the run is ending or the router is gone).
+const MAX_RESYNC_TICKS: usize = 400;
 
 /// What one replica session handled (accumulated across crash cycles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,13 +85,12 @@ fn replica_loop(
     comm: &Comm,
     slot: &ModelSlot,
     strategy: &dyn ExecStrategy,
-    cfg: &ReplicaConfig,
     stats: &mut ReplicaStats,
     frames_handled: &mut usize,
 ) -> Result<LoopExit, CommError> {
     let tags =
         [SERVE_ROUTE_TAG, SERVE_PUBLISH_TAG, SERVE_HEALTH_PING_TAG, SERVE_STOP_TAG];
-    comm.set_recv_patience(cfg.tick);
+    comm.set_recv_patience(TICK);
     loop {
         let (from, tag, payload) = match comm.recv_any(&tags) {
             Ok(frame) => frame,
@@ -131,7 +116,7 @@ fn replica_loop(
         match tag {
             SERVE_STOP_TAG => return Ok(LoopExit::Stopped),
             SERVE_HEALTH_PING_TAG => {
-                let pong = slot.version().to_le_bytes().to_vec();
+                let pong = PublishAck { version: slot.version() }.encode();
                 if comm.send(from, SERVE_HEALTH_PONG_TAG, Bytes::from(pong)).is_err() {
                     stats.send_failures += 1;
                 }
@@ -156,37 +141,38 @@ fn replica_loop(
             },
             _ => {
                 // SERVE_PUBLISH_TAG
-                match PublishFrame::decode(&payload) {
-                    Ok(frame) => match apply_publish(slot, &frame) {
-                        Ok(applied) => {
-                            if applied {
-                                stats.publishes += 1;
-                            } else {
-                                stats.stale_publishes += 1;
-                            }
-                            let ack = slot.version().to_le_bytes().to_vec();
-                            if comm.send(from, SERVE_ACK_TAG, Bytes::from(ack)).is_err() {
-                                stats.send_failures += 1;
-                            }
-                        }
-                        Err(_) => stats.malformed += 1,
-                    },
-                    Err(_) => stats.malformed += 1,
-                }
+                handle_publish(comm, slot, &payload, stats);
             }
         }
     }
 }
 
-/// Seats a router-versioned publish; `Ok(false)` means it was stale
-/// (version ≤ served — a delayed or re-sent frame) and was skipped.
-fn apply_publish(slot: &ModelSlot, frame: &PublishFrame) -> Result<bool, String> {
-    if frame.version <= slot.version() {
-        return Ok(false);
+/// Seats a router-versioned publish frame, counts it and acks the version
+/// now served. A stale frame (version ≤ served — a delayed or re-sent
+/// frame) is skipped but still acked; one that does not decode or seat is
+/// counted malformed and not acked. Returns whether it was acked.
+fn handle_publish(comm: &Comm, slot: &ModelSlot, payload: &[u8], stats: &mut ReplicaStats) -> bool {
+    let seated = PublishFrame::decode(payload).and_then(|frame| {
+        if frame.version <= slot.version() {
+            return Ok(false);
+        }
+        let model = gbdt_core::model::GbdtModel::decode_bytes(&frame.model_bytes)?;
+        slot.publish_versioned(&model, frame.version)?;
+        Ok(true)
+    });
+    match seated {
+        Ok(true) => stats.publishes += 1,
+        Ok(false) => stats.stale_publishes += 1,
+        Err(_) => {
+            stats.malformed += 1;
+            return false;
+        }
     }
-    let model = gbdt_core::model::GbdtModel::decode_bytes(&frame.model_bytes)?;
-    slot.publish_versioned(&model, frame.version)?;
-    Ok(true)
+    let ack = PublishAck { version: slot.version() }.encode();
+    if comm.send(ROUTER_RANK, SERVE_ACK_TAG, Bytes::from(ack)).is_err() {
+        stats.send_failures += 1;
+    }
+    true
 }
 
 /// Runs one replica for the whole session, supervising crash cycles.
@@ -197,19 +183,18 @@ pub fn run_replica(
     comm: &Comm,
     slot: &ModelSlot,
     strategy: &dyn ExecStrategy,
-    cfg: &ReplicaConfig,
 ) -> Result<ReplicaStats, CommError> {
     let mut stats = ReplicaStats::default();
     let mut frames_handled = 0usize;
     loop {
-        match replica_loop(comm, slot, strategy, cfg, &mut stats, &mut frames_handled)? {
+        match replica_loop(comm, slot, strategy, &mut stats, &mut frames_handled)? {
             LoopExit::Stopped => {
                 stats.last_version = slot.version();
                 return Ok(stats);
             }
             LoopExit::Crashed => {
                 // Dead: whatever was parked in our buffers dies with us.
-                std::thread::sleep(cfg.recovery_delay);
+                std::thread::sleep(RECOVERY_DELAY);
                 comm.purge_pending();
                 // Rejoin: announce, then wait for the router to resync the
                 // current model (it may already be ours if the crash hit
@@ -217,7 +202,7 @@ pub fn run_replica(
                 // back stale and is skipped). The announcement is re-sent
                 // periodically in case a lossy plan ate it.
                 let mut resynced = false;
-                for tick in 0..cfg.max_resync_ticks {
+                for tick in 0..MAX_RESYNC_TICKS {
                     if tick % 50 == 0 {
                         match comm.send(ROUTER_RANK, SERVE_RECOVER_TAG, Bytes::new()) {
                             Ok(()) => {}
@@ -237,27 +222,9 @@ pub fn run_replica(
                                 return Ok(stats);
                             }
                             frames_handled += 1;
-                            match PublishFrame::decode(&payload) {
-                                Ok(frame) => {
-                                    match apply_publish(slot, &frame) {
-                                        Ok(true) => stats.publishes += 1,
-                                        Ok(false) => stats.stale_publishes += 1,
-                                        Err(_) => {
-                                            stats.malformed += 1;
-                                            continue;
-                                        }
-                                    }
-                                    let ack = slot.version().to_le_bytes().to_vec();
-                                    if comm
-                                        .send(ROUTER_RANK, SERVE_ACK_TAG, Bytes::from(ack))
-                                        .is_err()
-                                    {
-                                        stats.send_failures += 1;
-                                    }
-                                    resynced = true;
-                                    break;
-                                }
-                                Err(_) => stats.malformed += 1,
+                            if handle_publish(comm, slot, &payload, &mut stats) {
+                                resynced = true;
+                                break;
                             }
                         }
                         Ok(_) => stats.malformed += 1,

@@ -7,12 +7,12 @@
 //! * **Failover** — each forwarded request carries a per-attempt
 //!   deadline; an expired attempt strikes the replica it was on and the
 //!   request is retried on the next healthy replica, up to
-//!   [`RouterConfig::retry_budget`] attempts before the client gets a
+//!   `RETRY_BUDGET` (3) attempts before the client gets a
 //!   typed `Failed` response. Enough strikes (or a send failure, or a
 //!   missed heartbeat) mark a replica `Down`; a heartbeat pong or a
 //!   `SERVE_RECOVER_TAG` announcement brings it back.
 //! * **Hedging** — an outstanding first attempt older than a
-//!   p99-derived delay (never below [`RouterConfig::hedge_floor`]) gets
+//!   p99-derived delay (never below `HEDGE_FLOOR`, 25 ms) gets
 //!   one backup copy on a different replica. Whichever reply lands first
 //!   wins; the loser is suppressed by its router-assigned request id, so
 //!   a hedge can never double-count.
@@ -30,6 +30,9 @@
 //!   replica (recovering or lagging replicas are resynced on their next
 //!   recover/pong), so a version stamp means the same model everywhere.
 //!
+//! Only the three overload knobs are settable ([`RouterConfig`]): they are
+//! what a workload varies. Every other timing is a constant below.
+//!
 //! All wall-clock reads go through [`crate::stats::Clock`] — the scoring
 //! path stays clock-free and the lint allowlist stays narrow.
 
@@ -46,11 +49,9 @@ use gbdt_cluster::{Comm, CommError};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Knobs of the routing policy.
+/// The overload knobs of the routing policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Serving replicas (ranks `1..=n_replicas`; clients follow).
-    pub n_replicas: usize,
     /// Per-replica inflight bound; past it on every healthy replica the
     /// request is shed.
     pub queue_cap: usize,
@@ -59,40 +60,29 @@ pub struct RouterConfig {
     pub high_water: usize,
     /// Trees scored per output in degraded mode.
     pub degrade_trees: u32,
-    /// Per-attempt deadline before a request fails over.
-    pub deadline: Duration,
-    /// Max scoring attempts per request (first + retries).
-    pub retry_budget: usize,
-    /// Hedge delay floor; the actual delay is `max(floor, p99)` over a
-    /// sliding window of completed latencies.
-    pub hedge_floor: Duration,
-    /// Deadline strikes that mark a replica `Down`.
-    pub strike_limit: u32,
-    /// Heartbeat ping period.
-    pub ping_interval: Duration,
-    /// `Up` replicas missing pongs for this long go `Down`.
-    pub pong_timeout: Duration,
-    /// Event-loop receive patience (the sweep tick).
-    pub tick: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            n_replicas: 3,
-            queue_cap: 32,
-            high_water: 24,
-            degrade_trees: 0,
-            deadline: Duration::from_millis(120),
-            retry_budget: 3,
-            hedge_floor: Duration::from_millis(25),
-            strike_limit: 2,
-            ping_interval: Duration::from_millis(40),
-            pong_timeout: Duration::from_millis(400),
-            tick: Duration::from_millis(2),
-        }
+        RouterConfig { queue_cap: 32, high_water: 24, degrade_trees: 0 }
     }
 }
+
+/// Per-attempt deadline before a request fails over.
+pub(crate) const DEADLINE: Duration = Duration::from_millis(120);
+/// Max scoring attempts per request (first + retries).
+pub(crate) const RETRY_BUDGET: usize = 3;
+/// Hedge delay floor; the actual delay is `max(floor, p99)` over a sliding
+/// window of completed latencies.
+const HEDGE_FLOOR: Duration = Duration::from_millis(25);
+/// Deadline strikes that mark a replica `Down`.
+const STRIKE_LIMIT: u32 = 2;
+/// Heartbeat ping period.
+const PING_INTERVAL: Duration = Duration::from_millis(40);
+/// `Up` replicas missing pongs for this long go `Down`.
+const PONG_TIMEOUT: Duration = Duration::from_millis(400);
+/// Event-loop receive patience (the sweep tick).
+const TICK: Duration = Duration::from_millis(2);
 
 /// What one routing session did — the availability ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,14 +160,25 @@ struct Router<'a> {
     next_rid: u64,
     version: u64,
     model_bytes: Vec<u8>,
+    /// The last [`LATENCY_WINDOW`] completed latencies, a ring whose
+    /// oldest sample sits at `next_latency` once it is full.
     latencies_s: Vec<f64>,
+    next_latency: usize,
+    /// p99 of `latencies_s`, floored; recomputed when a sample lands.
+    hedge_delay_s: f64,
     last_ping_s: f64,
     stats: RouterStats,
 }
 
 impl<'a> Router<'a> {
-    fn new(comm: &'a Comm, cfg: RouterConfig, model_bytes: Vec<u8>, clock: Clock) -> Self {
-        let replicas = (1..=cfg.n_replicas)
+    fn new(
+        comm: &'a Comm,
+        cfg: RouterConfig,
+        n_replicas: usize,
+        model_bytes: Vec<u8>,
+        clock: Clock,
+    ) -> Self {
+        let replicas = (1..=n_replicas)
             .map(|rank| Replica {
                 rank,
                 health: Health::Up,
@@ -196,7 +197,9 @@ impl<'a> Router<'a> {
             next_rid: 1,
             version: 1,
             model_bytes,
-            latencies_s: Vec::new(),
+            latencies_s: Vec::with_capacity(LATENCY_WINDOW),
+            next_latency: 0,
+            hedge_delay_s: HEDGE_FLOOR.as_secs_f64(),
             last_ping_s: 0.0,
             stats: RouterStats::default(),
         }
@@ -238,20 +241,19 @@ impl<'a> Router<'a> {
         candidate(true).or_else(|| candidate(false))
     }
 
-    /// Current hedge delay: p99 of the completed-latency window, floored.
-    fn hedge_delay_s(&self) -> f64 {
-        let floor = self.cfg.hedge_floor.as_secs_f64();
-        if self.latencies_s.len() < 16 {
-            return floor;
-        }
-        percentile(&self.latencies_s, 0.99).max(floor)
-    }
-
+    /// Adds a completed latency to the window, replacing the oldest once it
+    /// is full, and recomputes the hedge delay: p99 of the window, floored
+    /// (the floor alone below 16 samples).
     fn record_latency(&mut self, sample_s: f64) {
-        if self.latencies_s.len() >= LATENCY_WINDOW {
-            self.latencies_s.remove(0);
+        if self.latencies_s.len() < LATENCY_WINDOW {
+            self.latencies_s.push(sample_s);
+        } else {
+            self.latencies_s[self.next_latency] = sample_s;
+            self.next_latency = (self.next_latency + 1) % LATENCY_WINDOW;
         }
-        self.latencies_s.push(sample_s);
+        if self.latencies_s.len() >= 16 {
+            self.hedge_delay_s = percentile(&self.latencies_s, 0.99).max(HEDGE_FLOOR.as_secs_f64());
+        }
     }
 
     /// Sends one attempt of `rid` to `replica`, applying the degraded
@@ -369,7 +371,6 @@ impl<'a> Router<'a> {
         if let Some(r) = self.replica_mut(replica) {
             r.strikes = 0;
         }
-        self.record_latency(now_s - out.sent_s);
         self.stats.served += 1;
         if resp.trees_scored > 0 {
             self.stats.degraded += 1;
@@ -379,6 +380,8 @@ impl<'a> Router<'a> {
         }
         resp.req_id = out.client_req_id;
         self.respond(out.client, &resp);
+        // After the response: the hedge delay's sort is off the client's path.
+        self.record_latency(now_s - out.sent_s);
     }
 
     /// A publish from a trainer/client: version it, broadcast, ack.
@@ -428,7 +431,7 @@ impl<'a> Router<'a> {
     /// Deadline, hedge, and heartbeat bookkeeping; runs every tick.
     fn sweep(&mut self, now_s: f64) {
         // Expired attempts: strike their replicas, then retry or fail.
-        let deadline_s = self.cfg.deadline.as_secs_f64();
+        let deadline_s = DEADLINE.as_secs_f64();
         let expired: Vec<u64> = self
             .outstanding
             .iter()
@@ -442,12 +445,12 @@ impl<'a> Router<'a> {
             for rank in charged {
                 if let Some(r) = self.replica_mut(rank) {
                     r.strikes += 1;
-                    if r.strikes >= self.cfg.strike_limit {
+                    if r.strikes >= STRIKE_LIMIT {
                         self.mark_down(rank);
                     }
                 }
             }
-            if out.attempts >= self.cfg.retry_budget {
+            if out.attempts >= RETRY_BUDGET {
                 self.stats.failed += 1;
                 let refusal =
                     PredictResponse::refusal(out.client_req_id, ReplyStatus::Failed);
@@ -475,7 +478,7 @@ impl<'a> Router<'a> {
         }
 
         // Hedges: one backup for slow first attempts.
-        let hedge_delay_s = self.hedge_delay_s();
+        let hedge_delay_s = self.hedge_delay_s;
         let hedgeable: Vec<u64> = self
             .outstanding
             .iter()
@@ -504,7 +507,7 @@ impl<'a> Router<'a> {
         }
 
         // Heartbeats.
-        if now_s - self.last_ping_s >= self.cfg.ping_interval.as_secs_f64() {
+        if now_s - self.last_ping_s >= PING_INTERVAL.as_secs_f64() {
             self.last_ping_s = now_s;
             let ranks: Vec<usize> = self.replicas.iter().map(|r| r.rank).collect();
             for rank in ranks {
@@ -513,7 +516,7 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        let pong_timeout_s = self.cfg.pong_timeout.as_secs_f64();
+        let pong_timeout_s = PONG_TIMEOUT.as_secs_f64();
         let stale: Vec<usize> = self
             .replicas
             .iter()
@@ -535,8 +538,8 @@ impl<'a> Router<'a> {
             SERVE_RECOVER_TAG,
             SERVE_STOP_TAG,
         ];
-        self.comm.set_recv_patience(self.cfg.tick);
-        let first_client = self.cfg.n_replicas + 1;
+        self.comm.set_recv_patience(TICK);
+        let first_client = self.replicas.len() + 1;
         let mut stops = 0usize;
         while stops < n_clients || !self.outstanding.is_empty() {
             let now_s = self.clock.elapsed_s();
@@ -553,8 +556,8 @@ impl<'a> Router<'a> {
                         self.handle_publish(from, payload.to_vec());
                     }
                     SERVE_ACK_TAG if from >= 1 && from < first_client => {
-                        match payload.as_ref().try_into().map(u64::from_le_bytes) {
-                            Ok(version) => {
+                        match PublishAck::decode(&payload) {
+                            Ok(PublishAck { version }) => {
                                 if let Some(r) = self.replica_mut(from) {
                                     r.version = version;
                                 }
@@ -564,8 +567,8 @@ impl<'a> Router<'a> {
                     }
                     SERVE_HEALTH_PONG_TAG if from >= 1 && from < first_client => {
                         self.mark_up(from, now_s);
-                        match payload.as_ref().try_into().map(u64::from_le_bytes) {
-                            Ok(version) => {
+                        match PublishAck::decode(&payload) {
+                            Ok(PublishAck { version }) => {
                                 if let Some(r) = self.replica_mut(from) {
                                     r.version = version;
                                 }
@@ -598,7 +601,7 @@ impl<'a> Router<'a> {
             self.sweep(self.clock.elapsed_s());
         }
         // Session over: stop every replica.
-        for rank in 1..=self.cfg.n_replicas {
+        for rank in 1..=self.replicas.len() {
             let _ = self.comm.send(rank, SERVE_STOP_TAG, Bytes::new());
         }
         self.stats.last_version = self.version;
@@ -609,6 +612,9 @@ impl<'a> Router<'a> {
 /// Runs the routing event loop on this rank until every one of
 /// `n_clients` peers has sent a `SERVE_STOP_TAG` frame and no request is
 /// outstanding, then stops the replica group.
+///
+/// The mesh is the router, then the replicas, then the clients: ranks
+/// `1..=R` serve, where `R = world − 1 − n_clients`.
 ///
 /// `model_bytes` is the [`GbdtModel::encode_bytes`] payload of the
 /// version-1 model every replica was seated with (kept for resyncing
@@ -622,18 +628,18 @@ pub fn run_router(
     n_clients: usize,
 ) -> Result<RouterStats, CommError> {
     assert_eq!(comm.rank(), ROUTER_RANK, "router must run on rank 0");
-    assert!(cfg.n_replicas >= 1, "need at least one replica");
+    let n_replicas = comm.world().saturating_sub(1 + n_clients);
+    assert!(n_replicas >= 1, "need at least one replica");
     assert!(cfg.queue_cap >= 1, "queue_cap must be positive");
-    assert!(cfg.retry_budget >= 1, "retry_budget counts the first attempt");
     let clock = Clock::new();
-    Router::new(comm, *cfg, model_bytes, clock).run(n_clients)
+    Router::new(comm, *cfg, n_replicas, model_bytes, clock).run(n_clients)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::PerRow;
-    use crate::replica::{run_replica, ReplicaConfig};
+    use crate::replica::{run_replica, ReplicaStats};
     use crate::server::ModelSlot;
     use gbdt_cluster::NetworkCostModel;
     use gbdt_core::model::GbdtModel;
@@ -662,15 +668,13 @@ mod tests {
             (mesh.next().unwrap(), mesh.next().unwrap(), mesh.next().unwrap());
         let v1 = stump_model(1.0, -1.0);
         let slot = ModelSlot::new(&v1).unwrap();
-        let cfg = RouterConfig { n_replicas: 1, ..RouterConfig::default() };
+        let cfg = RouterConfig::default();
 
         std::thread::scope(|scope| {
             let slot = &slot;
             let router =
                 scope.spawn(move || run_router(&router_comm, &cfg, v1.encode_bytes(), 1).unwrap());
-            let replica = scope.spawn(move || {
-                run_replica(&replica_comm, slot, &PerRow, &ReplicaConfig::default()).unwrap()
-            });
+            let replica = scope.spawn(move || run_replica(&replica_comm, slot, &PerRow).unwrap());
             let response = |tag, payload: Vec<u8>| {
                 client.send(ROUTER_RANK, tag, Bytes::from(payload)).unwrap();
                 client.recv(ROUTER_RANK, SERVE_RESPONSE_TAG).unwrap()
@@ -717,5 +721,114 @@ mod tests {
             let replica = replica.join().unwrap();
             assert_eq!((replica.publishes, replica.last_version), (1, 2), "{replica:?}");
         });
+    }
+
+    struct Session {
+        clean: bool,
+        replicas: Vec<ReplicaStats>,
+        answered: Vec<Vec<u64>>,
+        stray: Vec<usize>,
+    }
+
+    /// Runs a `1 + R + C` mesh where every client sends four requests at
+    /// once. Returns whether the router ended cleanly, each replica's stats,
+    /// the ids answered to each client, and how many replica frames
+    /// (routes, pings, publishes, stops) reached each client rank. Nothing
+    /// waits forever on a miscounted group: a client gives up after 2 s,
+    /// and every replica rank is stopped once the router is done.
+    fn session(n_replicas: usize, n_clients: usize) -> Session {
+        let world = 1 + n_replicas + n_clients;
+        let mesh = Comm::mesh(world, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
+        let mut mesh = mesh.into_iter();
+        let router_comm = mesh.next().unwrap();
+        let replica_comms: Vec<Comm> = mesh.by_ref().take(n_replicas).collect();
+        let client_comms: Vec<Comm> = mesh.collect();
+        let model = stump_model(1.0, -1.0);
+        let slots: Vec<ModelSlot> =
+            (0..n_replicas).map(|_| ModelSlot::new(&model).unwrap()).collect();
+        let bytes = model.encode_bytes();
+        // Every request is queued before the router starts, so it sees all
+        // of them before any reply and spreads them over every replica.
+        for client in &client_comms {
+            for req_id in 1..=4 {
+                let req = PredictRequest { req_id, n_features: 2, max_trees: 0, rows: vec![0.0; 2] };
+                client.send(ROUTER_RANK, SERVE_REQUEST_TAG, Bytes::from(req.encode())).unwrap();
+            }
+        }
+        std::thread::scope(|scope| {
+            let router = scope.spawn(move || {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_router(&router_comm, &RouterConfig::default(), bytes, n_clients)
+                }));
+                (matches!(run, Ok(Ok(_))), router_comm)
+            });
+            let replicas: Vec<_> = replica_comms
+                .into_iter()
+                .zip(&slots)
+                .map(|(comm, slot)| scope.spawn(move || run_replica(&comm, slot, &PerRow).unwrap()))
+                .collect();
+            let replica_tags =
+                [SERVE_ROUTE_TAG, SERVE_HEALTH_PING_TAG, SERVE_PUBLISH_TAG, SERVE_STOP_TAG];
+            let clients: Vec<_> = client_comms
+                .into_iter()
+                .map(|client| {
+                    scope.spawn(move || {
+                        // Receives wait at most 20 ms each, and the client
+                        // gives up 2 s in: a stream of frames it should never
+                        // get cannot hold it.
+                        client.set_recv_patience(Duration::from_millis(20));
+                        let clock = Clock::new();
+                        let (mut answered, mut stray) = (Vec::new(), 0);
+                        let mut tags = vec![SERVE_RESPONSE_TAG];
+                        tags.extend(replica_tags);
+                        while answered.len() < 4 && clock.elapsed_s() < 2.0 {
+                            match client.recv_any(&tags) {
+                                Ok((_, SERVE_RESPONSE_TAG, bytes)) => {
+                                    let r = PredictResponse::decode(&bytes).unwrap();
+                                    if r.status == ReplyStatus::Ok && r.scores == [1.0] {
+                                        answered.push(r.req_id);
+                                    }
+                                }
+                                Ok(_) => stray += 1,
+                                Err(_) => {}
+                            }
+                        }
+                        answered.sort_unstable();
+                        let _ = client.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new());
+                        (answered, stray, client)
+                    })
+                })
+                .collect();
+            let clients: Vec<_> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+            let (clean, router_comm) = router.join().unwrap();
+            for rank in 1..=n_replicas {
+                let _ = router_comm.send(rank, SERVE_STOP_TAG, Bytes::new());
+            }
+            let replicas = replicas.into_iter().map(|h| h.join().unwrap()).collect();
+            let (answered, stray) = clients
+                .into_iter()
+                .map(|(answered, stray, client)| {
+                    let late = std::iter::from_fn(|| client.recv_any(&replica_tags).ok()).count();
+                    (answered, stray + late)
+                })
+                .unzip();
+            Session { clean, replicas, answered, stray }
+        })
+    }
+
+    /// The router counts its replicas from the mesh: with one replica and
+    /// two clients, or two replicas and one client, every request is
+    /// answered, every replica rank serves, and no replica frame reaches a
+    /// client rank.
+    #[test]
+    fn replicas_are_the_ranks_between_the_router_and_the_clients() {
+        for (n_replicas, n_clients) in [(1, 2), (2, 1)] {
+            let run = session(n_replicas, n_clients);
+            let shape = format!("R = {n_replicas}, C = {n_clients}");
+            assert!(run.clean, "{shape}: the router failed");
+            assert_eq!(run.answered, vec![vec![1, 2, 3, 4]; n_clients], "{shape}");
+            assert!(run.replicas.iter().all(|r| r.requests > 0), "{shape}: {:?}", run.replicas);
+            assert_eq!(run.stray, vec![0; n_clients], "{shape}");
+        }
     }
 }

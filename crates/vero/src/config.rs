@@ -122,7 +122,7 @@ impl VeroConfigBuilder {
     }
 
     /// Injects a deterministic fault plan (drops, duplicates, delays,
-    /// scheduled crashes, stragglers). Under any lossless plan the trained
+    /// scheduled crashes). Under any lossless plan the trained
     /// ensemble is bit-identical to the fault-free run.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = Some(plan);

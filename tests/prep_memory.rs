@@ -406,22 +406,20 @@ fn decoded_trees_hold_their_nodes(broken: &mut Vec<String>) {
 }
 
 /// Every truncation of `bytes`, every flip of one byte by 0x01, 0x80 or
-/// 0xff, and every `(at, byte)` overwrite in `set`.
-fn hostile_variants(bytes: &[u8], set: &[(usize, u8)]) -> Vec<Vec<u8>> {
-    let mut variants: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-    for at in 0..bytes.len() {
-        for mask in [0x01, 0x80, 0xff] {
-            let mut flipped = bytes.to_vec();
-            flipped[at] ^= mask;
-            variants.push(flipped);
-        }
-    }
-    for &(at, byte) in set {
-        let mut overwritten = bytes.to_vec();
-        overwritten[at] = byte;
-        variants.push(overwritten);
-    }
-    variants
+/// 0xff, and every `(at, byte)` overwrite in `set`, one at a time.
+fn hostile_variants<'a>(
+    bytes: &'a [u8],
+    set: &'a [(usize, u8)],
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    let replaced = move |at: usize, byte: u8| {
+        let mut variant = bytes.to_vec();
+        variant[at] = byte;
+        variant
+    };
+    let truncations = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let flips = (0..bytes.len())
+        .flat_map(move |at| [0x01, 0x80, 0xff].map(|mask| replaced(at, bytes[at] ^ mask)));
+    truncations.chain(flips).chain(set.iter().map(move |&(at, byte)| replaced(at, byte)))
 }
 
 /// Hostile bytes cost what they carry: decoding any truncation or single
@@ -429,7 +427,9 @@ fn hostile_variants(bytes: &[u8], set: &[(usize, u8)]) -> Vec<Vec<u8>> {
 /// 4 × its length + 4 KiB, whether it decodes or is refused — a count
 /// field read from the bytes never sizes an allocation on its own. The
 /// model is a 103-byte stump whose `n_layers` field (bytes 41..45) is also
-/// raised to 24, the most a tree may have.
+/// raised to 24, the most a tree may have; a model of 1 000 trees that
+/// carry no nodes (12 041 bytes) is refused rather than held at 8.6 × its
+/// bytes.
 fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
     let mut model = GbdtModel::new(Objective::Logistic, 0.1, 2);
     let mut stump = Tree::new(3, 1);
@@ -454,6 +454,11 @@ fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
     let publish = PublishFrame { version: 2, model_bytes: model_bytes.clone() }.encode();
     let decodes_model = |b: &[u8]| GbdtModel::decode_bytes(b).is_ok();
     within_four_times(broken, "model", &model_bytes, &[(41, 24)], decodes_model);
+    let mut empty_trees = GbdtModel::new(Objective::Logistic, 0.1, 2);
+    empty_trees.trees = vec![Tree::new(3, 1); 1_000];
+    let empty_bytes = empty_trees.encode_bytes();
+    assert_eq!(empty_bytes.len(), 12_041);
+    within_four_times(broken, "empty-tree model", &empty_bytes, &[], decodes_model);
     within_four_times(broken, "request", &request, &[], |b| PredictRequest::decode(b).is_ok());
     within_four_times(broken, "response", &response, &[], |b| PredictResponse::decode(b).is_ok());
     within_four_times(broken, "ack", &ack, &[], |b| PublishAck::decode(b).is_ok());
@@ -470,7 +475,6 @@ fn within_four_times(
     decode: impl Fn(&[u8]) -> bool,
 ) {
     let worst = hostile_variants(bytes, set)
-        .into_iter()
         .map(|variant| {
             let budget = 4 * variant.len() + 4 * KIB;
             let (_, peak) = measure(|| decode(&variant));
