@@ -1,4 +1,4 @@
-//! `gbdt-lint` — the workspace determinism gate.
+//! `gbdt-lint` — the protocol half of the workspace determinism gate.
 //!
 //! ```text
 //! gbdt-lint [--root PATH] [--json] [FILE...]
@@ -10,6 +10,11 @@
 //! `//@ file:` directives honoured), so rule scoping and the rules that
 //! compare files behave identically. Exits 1 if any diagnostic fires;
 //! `--json` emits a machine-readable array for CI.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a CLI entry point reads its own arguments"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

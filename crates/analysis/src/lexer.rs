@@ -1,19 +1,14 @@
 //! A small Rust lexer: just enough tokenization for source-level invariant
 //! checking, and not a token more.
 //!
-//! The rules in this crate match on *token sequences* (`Instant :: now`,
-//! `. drain (`), so the lexer's one job is to make those matches sound:
-//! nothing inside a string, raw string, char literal, or (nested) block
-//! comment may ever surface as a token. Comments are not entirely
-//! discarded — line comments are scanned for `// lint: allow(<rule>)`
-//! pragmas, the per-line escape hatch the rule engine honours.
+//! The rules in this crate match on *token sequences* (`const … TAG`,
+//! `. recv_any (`), so the lexer's one job is to make those matches sound:
+//! nothing inside a string, raw string, char literal, or (nested) comment
+//! may ever surface as a token.
 //!
 //! `#[cfg(test)]` items and `#[test]` functions are stripped after lexing:
-//! test code exercises failure paths on purpose (`unwrap()` on comm results,
-//! deliberate panics) and is covered by the existing clippy gate instead.
-
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+//! test code builds protocol fragments on purpose (a local tag, a loop over
+//! trees) that the rules must not read as product code.
 
 /// One lexical token. Literal payloads are not kept — no rule needs the
 /// contents of a string, only the fact that it is *not* code.
@@ -54,44 +49,11 @@ impl Token {
     }
 }
 
-/// Lexed file: tokens (with test code already stripped) plus the allow
-/// pragmas collected from comments, keyed by line number.
-#[derive(Clone)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    /// `line -> rules` from `// lint: allow(rule-a, rule-b) — reason`.
-    /// A pragma suppresses diagnostics on its own line and the next line,
-    /// so it can trail the offending statement or sit just above it.
-    pub pragmas: BTreeMap<u32, Vec<String>>,
-    /// `(pragma line, rule)` pairs that actually suppressed a finding —
-    /// recorded by [`Lexed::allowed`] so the `stale-pragma` rule can flag
-    /// allowlist entries that no longer earn their keep.
-    pub used: RefCell<BTreeSet<(u32, String)>>,
-}
-
-impl Lexed {
-    /// Whether `rule` is allowed at `line` by a pragma on that line or the
-    /// line directly above it. A hit is recorded against the pragma's own
-    /// line for stale-pragma accounting.
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        for l in [line, line.saturating_sub(1)] {
-            if let Some(rules) = self.pragmas.get(&l) {
-                if rules.iter().any(|r| r == rule) {
-                    self.used.borrow_mut().insert((l, rule.to_string()));
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Tokenizes `source`, strips test-only items, and collects allow pragmas.
-pub fn lex(source: &str) -> Lexed {
+/// Tokenizes `source` and strips test-only items.
+pub fn lex(source: &str) -> Vec<Token> {
     let mut lx = Lexer::new(source);
     lx.run();
-    let tokens = strip_test_items(lx.tokens);
-    Lexed { tokens, pragmas: lx.pragmas, used: RefCell::new(BTreeSet::new()) }
+    strip_test_items(lx.tokens)
 }
 
 struct Lexer<'a> {
@@ -100,12 +62,11 @@ struct Lexer<'a> {
     line: u32,
     col: u32,
     tokens: Vec<Token>,
-    pragmas: BTreeMap<u32, Vec<String>>,
 }
 
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
-        Lexer { src: source.as_bytes(), pos: 0, line: 1, col: 1, tokens: Vec::new(), pragmas: BTreeMap::new() }
+        Lexer { src: source.as_bytes(), pos: 0, line: 1, col: 1, tokens: Vec::new() }
     }
 
     fn peek(&self, ahead: usize) -> u8 {
@@ -155,22 +116,10 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Consumes `// ...` to end of line, harvesting a `lint: allow(...)`
-    /// pragma if present. Doc comments (`///`, `//!`) are documentation,
-    /// not directives — prose *describing* the pragma syntax must never
-    /// act as (or be flagged as) a pragma.
+    /// Consumes `// ...` to end of line.
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
         while self.pos < self.src.len() && self.peek(0) != b'\n' {
             self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
-        if text.starts_with("///") || text.starts_with("//!") {
-            return;
-        }
-        if let Some(rules) = parse_pragma(text) {
-            self.pragmas.entry(line).or_default().extend(rules);
         }
     }
 
@@ -326,27 +275,6 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `lint: allow(rule-a, rule-b)` out of a line comment's text.
-/// Rule names use kebab-case; anything after the closing paren (a `— why`
-/// justification) is ignored but encouraged.
-fn parse_pragma(comment: &str) -> Option<Vec<String>> {
-    let at = comment.find("lint:")?;
-    let rest = comment[at + 5..].trim_start();
-    let rest = rest.strip_prefix("allow")?.trim_start();
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.find(')')?;
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    if rules.is_empty() {
-        None
-    } else {
-        Some(rules)
-    }
-}
-
 /// Removes `#[cfg(test)]` items and `#[test]` functions from the token
 /// stream. The item following the attribute is skipped up to its closing
 /// brace (or trailing semicolon for `mod tests;` declarations).
@@ -457,7 +385,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| t.ident().map(String::from))
             .collect()
@@ -483,30 +410,19 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) { let c = 'x'; }";
-        let lexed = lex(src);
-        let lifetimes = lexed.tokens.iter().filter(|t| t.tok == Tok::Lifetime).count();
-        let chars = lexed.tokens.iter().filter(|t| t.tok == Tok::Literal).count();
+        let tokens = lex(src);
+        let lifetimes = tokens.iter().filter(|t| t.tok == Tok::Lifetime).count();
+        let chars = tokens.iter().filter(|t| t.tok == Tok::Literal).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 1);
     }
 
     #[test]
     fn ranges_do_not_merge_into_numbers() {
-        let lexed = lex("for i in 0..n_trees {}");
-        let dots = lexed.tokens.iter().filter(|t| t.is_punct('.')).count();
+        let tokens = lex("for i in 0..n_trees {}");
+        let dots = tokens.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2);
-        assert!(lexed.tokens.iter().any(|t| t.tok == Tok::Num("0".into())));
-    }
-
-    #[test]
-    fn pragmas_are_collected_with_rules() {
-        let src = "let x = 1; // lint: allow(map-iteration, wall-clock) — justified\n";
-        let lexed = lex(src);
-        assert!(lexed.allowed("map-iteration", 1));
-        assert!(lexed.allowed("wall-clock", 1));
-        assert!(lexed.allowed("map-iteration", 2)); // next line too
-        assert!(!lexed.allowed("slice-index", 1));
-        assert!(!lexed.allowed("map-iteration", 3));
+        assert!(tokens.iter().any(|t| t.tok == Tok::Num("0".into())));
     }
 
     #[test]
@@ -547,7 +463,7 @@ mod tests {
 
     #[test]
     fn hex_numbers_with_underscores_lex_whole() {
-        let lexed = lex("const T: u64 = 0x7261_7274;");
-        assert!(lexed.tokens.iter().any(|t| t.tok == Tok::Num("0x7261_7274".into())));
+        let tokens = lex("const T: u64 = 0x7261_7274;");
+        assert!(tokens.iter().any(|t| t.tok == Tok::Num("0x7261_7274".into())));
     }
 }

@@ -1,47 +1,22 @@
-//! The deny-by-default rule catalog.
+//! The deny-by-default rule catalog: the protocol facts no compiler knows.
 //!
 //! Every rule here is keyed to a correctness claim an earlier PR made
 //! dynamically; the catalog turns sampled evidence into a structural
-//! guarantee. See DESIGN.md §4.10 for the rule-by-rule rationale.
+//! guarantee. See DESIGN.md item 10 for the rule-by-rule rationale, and for
+//! the determinism rules clippy enforces on types (`clippy.toml`).
 //!
-//! Scoping is path-based: each rule names the crates/files where its hazard
-//! can actually reach wire bytes, model output, or the SPMD schedule. Most
-//! rules read one file ([`check_file`]); the serving-plane rules and the
-//! dead-tag arm of `tag-registry` compare files ([`check_files`]).
-//! Escape hatches are per-line `// lint: allow(<rule>) — why` pragmas; a
-//! pragma without a justification text still works, but review should
-//! reject it.
+//! Scoping is path-based: each rule names the files where its hazard can
+//! reach the SPMD schedule or the serving plane's frames. `fault-point` and
+//! the registry arm of `tag-registry` read one file ([`check_file`]); the
+//! serving-plane rules and the dead-tag arm of `tag-registry` compare files
+//! ([`check_files`]). No rule has an escape hatch.
 
-use crate::lexer::{Lexed, Token};
+use crate::lexer::Token;
 use crate::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `(id, summary)` for every rule the engine enforces.
 pub const RULES: &[(&str, &str)] = &[
-    (
-        "map-iteration",
-        "HashMap/HashSet iteration order is process-random and must never reach \
-         messages, model output, or stats in deterministic paths",
-    ),
-    (
-        "wall-clock",
-        "Instant/SystemTime reads are banned outside cluster::stats, cluster::cost, \
-         and the bench crate — wall-clock must feed modelled stats only",
-    ),
-    (
-        "ambient-env",
-        "thread identity and process environment reads are banned in trainer paths",
-    ),
-    (
-        "panic-call",
-        "panic!/unimplemented!/todo! are banned in the comm layer — every fault \
-         must surface as a typed CommError",
-    ),
-    (
-        "slice-index",
-        "unchecked slice indexing in the comm layer can panic mid-collective; use \
-         get() or justify the bound with a pragma",
-    ),
     (
         "tag-registry",
         "manual point-to-point tags must live in gbdt_cluster::protocol, be unique, \
@@ -54,11 +29,6 @@ pub const RULES: &[(&str, &str)] = &[
          trainer file may grow a per-tree loop of its own",
     ),
     (
-        "comm-unwrap",
-        "CommError results must propagate with ? — unwrap/expect on a comm call \
-         turns a recoverable fault into a worker abort",
-    ),
-    (
         "serve-orphan-frame",
         "a serving-plane role sends a frame tag that no recv/recv_any of the role \
          it targets accepts",
@@ -68,70 +38,18 @@ pub const RULES: &[(&str, &str)] = &[
         "a replica that names Crashed must call purge_pending, send a RECOVER frame, \
          and keep every recv_any set a subset of its widest one",
     ),
-    (
-        "stale-pragma",
-        "a `// lint: allow(...)` pragma that suppresses zero findings (or names \
-         an unknown rule) — allowlists must not outlive the code they excuse",
-    ),
 ];
 
 // ---------------------------------------------------------------------------
 // Path scopes
 // ---------------------------------------------------------------------------
 
-/// Files where nondeterministic map iteration can reach wire bytes or model
-/// output: all of core/quadrants/vero, plus the cluster modules that build
-/// messages (wire codecs, collectives). The serve crate
-/// stays out of scope — router.rs legitimately iterates replica maps for
-/// bookkeeping that never reaches a response byte.
-fn map_iteration_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src")
-        || path.starts_with("crates/quadrants/src")
-        || path.starts_with("crates/vero/src")
-        || matches!(
-            path,
-            "crates/cluster/src/wire.rs" | "crates/cluster/src/collectives.rs"
-        )
-}
-
-/// Wall-clock reads are the *business* of the stats/cost layers and the
-/// bench harness; everywhere else they are a determinism hazard.
-fn wall_clock_scope(path: &str) -> bool {
-    // serve/stats.rs is the serving layer's sanctioned stopwatch; the
-    // traversal kernels and request loop around it stay clock-free so a
-    // timing read can never sit next to the bit-identity contract.
-    !(path == "crates/cluster/src/stats.rs"
-        || path == "crates/cluster/src/cost.rs"
-        || path == "crates/serve/src/stats.rs"
-        || path.starts_with("crates/bench/")
-        || path.starts_with("crates/analysis/"))
-}
-
-/// Trainer paths: everything that executes between dataset and model.
-fn ambient_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src")
-        || path.starts_with("crates/quadrants/src")
-        || path.starts_with("crates/vero/src")
-        || path.starts_with("crates/partition/src")
-        || path.starts_with("crates/cluster/src")
-}
-
-/// The comm layer proper, where a panic strands every other worker.
-fn comm_layer_scope(path: &str) -> bool {
-    matches!(
-        path,
-        "crates/cluster/src/comm.rs"
-            | "crates/cluster/src/collectives.rs"
-            | "crates/cluster/src/fault.rs"
-    )
-}
-
 /// The one per-tree / per-layer growth loop of distributed training.
 pub const GROWTH_LOOP: &str = "crates/quadrants/src/grow.rs";
 
 /// Every source file of distributed training: the growth loop and the
-/// policy files it is generic over. The single list the lint scopes and
-/// the gate tests read.
+/// policy files it is generic over. The single list the gate tests read
+/// (the walk's coverage, and the files that carry the comm-unwrap deny).
 pub const TRAINER_FILES: &[&str] = &[
     GROWTH_LOOP,
     "crates/quadrants/src/vertical.rs",
@@ -144,12 +62,6 @@ pub const TRAINER_FILES: &[&str] = &[
     "crates/quadrants/src/featpar.rs",
 ];
 
-/// The SPMD trainer sources whose collective schedules must be
-/// rank-symmetric (Vero's driver delegates its loop to qd4).
-fn trainer_scope(path: &str) -> bool {
-    TRAINER_FILES.contains(&path) || path == "crates/vero/src/system.rs"
-}
-
 /// Where a per-tree loop may not appear: everything under the quadrants
 /// crate but the growth loop itself and the single-node reference trainer
 /// (no fault machinery to poll; kept independent as the test oracle).
@@ -157,15 +69,6 @@ fn second_loop_scope(path: &str) -> bool {
     path.starts_with("crates/quadrants/src/")
         && path != GROWTH_LOOP
         && path != "crates/quadrants/src/single.rs"
-}
-
-/// Where `.unwrap()`/`.expect()` on a comm result would bypass supervision:
-/// the trainers, their shared helpers, and the cluster crate itself.
-fn comm_unwrap_scope(path: &str) -> bool {
-    trainer_scope(path)
-        || path == "crates/quadrants/src/common.rs"
-        || path.starts_with("crates/cluster/src")
-        || path.starts_with("crates/partition/src")
 }
 
 // ---------------------------------------------------------------------------
@@ -186,21 +89,6 @@ fn match_seq(tokens: &[Token], i: usize, pat: &[&str]) -> bool {
             _ => t.ident() == Some(p),
         }
     })
-}
-
-/// Names a collective call site: any method in the blocking-rendezvous
-/// family. Prefix-matched so codec variants (`all_reduce_f64_codec`) and
-/// helpers built directly on collectives (`all_reduce_stats`) all count.
-fn is_collective_name(name: &str) -> bool {
-    const PREFIXES: &[&str] = &[
-        "broadcast",
-        "gather",
-        "all_gather",
-        "all_reduce",
-        "reduce_scatter",
-        "ps_push",
-    ];
-    PREFIXES.iter().any(|p| name.starts_with(p))
 }
 
 /// Index of the bracket closing the `{`, `(` or `[` at `open`, or
@@ -229,318 +117,12 @@ fn matching_close(tokens: &[Token], open: usize) -> usize {
 
 fn push_diag(
     out: &mut Vec<Diagnostic>,
-    lexed: &Lexed,
     path: &str,
     tok: &Token,
     rule: &'static str,
     message: String,
 ) {
-    if !lexed.allowed(rule, tok.line) {
-        out.push(Diagnostic {
-            path: path.to_string(),
-            line: tok.line,
-            col: tok.col,
-            rule,
-            message,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: map-iteration
-// ---------------------------------------------------------------------------
-
-/// Order-dependent consumption of a `HashMap`/`HashSet`.
-///
-/// Pass 1 harvests identifiers bound or typed as hash collections
-/// (`x: HashMap<..>`, `let mut x = HashMap::new()`); pass 2 flags
-/// `.iter()/.keys()/.values()/.drain()/.into_iter()` on them and
-/// `for _ in &x` loops — unless the surrounding statements sort the result
-/// (an ident starting with `sort` within the same or next statement).
-fn check_map_iteration(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !map_iteration_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    let mut maps: Vec<String> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if matches!(t.ident(), Some("HashMap") | Some("HashSet")) {
-            if let Some(name) = map_binding_name(toks, i) {
-                if !maps.contains(&name) {
-                    maps.push(name);
-                }
-            }
-        }
-    }
-    if maps.is_empty() {
-        return;
-    }
-    const ITER_METHODS: &[&str] =
-        &["iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "into_keys", "into_values"];
-    for i in 0..toks.len() {
-        // `<map> . <iter-method> (`
-        if let Some(name) = toks[i].ident() {
-            if maps.iter().any(|m| m == name)
-                && match_seq(toks, i + 1, &["."])
-                && toks.get(i + 2).and_then(Token::ident).is_some_and(|m| ITER_METHODS.contains(&m))
-                && match_seq(toks, i + 3, &["("])
-                && !sorted_nearby(toks, i)
-            {
-                let method = toks[i + 2].ident().unwrap_or("");
-                push_diag(
-                    out,
-                    lexed,
-                    path,
-                    &toks[i],
-                    "map-iteration",
-                    format!(
-                        "`{name}.{method}()` iterates a hash collection in nondeterministic \
-                         order; sort the result, use a BTreeMap, or justify with \
-                         `// lint: allow(map-iteration)`"
-                    ),
-                );
-            }
-        }
-        // `for <pat> in [&[mut]] <map> {`
-        if toks[i].ident() == Some("for") {
-            if let Some((j, name)) = for_loop_over(toks, i, &maps) {
-                if !sorted_nearby(toks, j) {
-                    push_diag(
-                        out,
-                        lexed,
-                        path,
-                        &toks[j],
-                        "map-iteration",
-                        format!(
-                            "`for _ in &{name}` iterates a hash collection in \
-                             nondeterministic order"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// For a `HashMap`/`HashSet` ident at `i`, walks backwards past the
-/// `std :: collections ::` qualification and returns the identifier being
-/// bound (`x : HashMap`, `x = HashMap::new()`, `x : & HashMap`).
-fn map_binding_name(toks: &[Token], i: usize) -> Option<String> {
-    let mut j = i;
-    // Skip the path prefix: `std :: collections ::`.
-    while j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':') {
-        j -= 2;
-        if j >= 1 && toks[j - 1].ident().is_some() {
-            j -= 1;
-        }
-    }
-    if j == 0 {
-        return None;
-    }
-    let before = &toks[j - 1];
-    let mut k = j - 1;
-    if before.is_punct('&') || before.ident() == Some("mut") {
-        // `x: &HashMap` / `x: &mut HashMap`
-        while k > 0 && (toks[k].is_punct('&') || toks[k].ident() == Some("mut")) {
-            k -= 1;
-        }
-    }
-    if toks[k].is_punct(':') || toks[k].is_punct('=') {
-        return toks.get(k.checked_sub(1)?)?.ident().map(String::from);
-    }
-    None
-}
-
-/// If the `for` loop at `i` iterates (a reference to) one of `maps`,
-/// returns the map token index and name. The iterated expression must be
-/// exactly `[&[mut]] <map>` — `map.len()` etc. never match.
-fn for_loop_over(toks: &[Token], i: usize, maps: &[String]) -> Option<(usize, String)> {
-    // Find `in` before the body `{` (patterns contain no braces).
-    let mut j = i + 1;
-    while j < toks.len() && !toks[j].is_punct('{') {
-        if toks[j].ident() == Some("in") {
-            let mut k = j + 1;
-            while k < toks.len() && (toks[k].is_punct('&') || toks[k].ident() == Some("mut")) {
-                k += 1;
-            }
-            let name = toks.get(k)?.ident()?;
-            if maps.iter().any(|m| m == name) && toks.get(k + 1).is_some_and(|t| t.is_punct('{')) {
-                return Some((k, name.to_string()));
-            }
-            return None;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Whether an ident starting with `sort` appears between the flagged token
-/// and the end of the *next* statement — the "immediately sorted" escape,
-/// covering both `…collect(); v.sort();` and single-expression chains.
-fn sorted_nearby(toks: &[Token], i: usize) -> bool {
-    let mut semis = 0;
-    for t in toks.iter().skip(i) {
-        if t.is_punct(';') {
-            semis += 1;
-            if semis == 2 {
-                return false;
-            }
-        }
-        if t.ident().is_some_and(|id| id.starts_with("sort")) {
-            return true;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rules: wall-clock, ambient-env, panic-call
-// ---------------------------------------------------------------------------
-
-fn check_wall_clock(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !wall_clock_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        for ty in ["Instant", "SystemTime"] {
-            if match_seq(toks, i, &[ty, ":", ":", "now"]) {
-                push_diag(
-                    out,
-                    lexed,
-                    path,
-                    &toks[i],
-                    "wall-clock",
-                    format!(
-                        "`{ty}::now()` outside cluster::stats/cluster::cost/bench; wall-clock \
-                         must only feed modelled stats, never wire bytes or model output"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn check_ambient_env(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !ambient_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        for f in ["var", "var_os", "vars", "args"] {
-            if match_seq(toks, i, &["env", ":", ":", f]) {
-                push_diag(
-                    out,
-                    lexed,
-                    path,
-                    &toks[i],
-                    "ambient-env",
-                    format!("`env::{f}` in a trainer path: process environment is ambient \
-                             nondeterministic input"),
-                );
-            }
-        }
-        if match_seq(toks, i, &["current", "(", ")", ".", "id"]) {
-            push_diag(
-                out,
-                lexed,
-                path,
-                &toks[i],
-                "ambient-env",
-                "`thread::current().id()` in a trainer path: thread identity must never \
-                 influence results"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_panic_call(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !comm_layer_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if let Some(name) = toks[i].ident() {
-            if matches!(name, "panic" | "unimplemented" | "todo")
-                && match_seq(toks, i + 1, &["!"])
-            {
-                push_diag(
-                    out,
-                    lexed,
-                    path,
-                    &toks[i],
-                    "panic-call",
-                    format!("`{name}!` in the comm layer; return a typed CommError instead"),
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: slice-index
-// ---------------------------------------------------------------------------
-
-/// `expr[i]` indexing in the comm layer. Range subscripts (`buf[lo..hi]`)
-/// are exempt — they are bulk views whose bounds the collectives compute
-/// from world size, and slicing failure there would already be a protocol
-/// bug caught by shape asserts.
-fn check_slice_index(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !comm_layer_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        // Indexing looks like `<ident> [ ... ]`. A `[` after anything else is
-        // a type (`: [u8; 4]`), an attribute (`#[...]`), a macro body
-        // (`vec![...]` — the `!` sits between), or an array literal. A `[`
-        // after a *keyword* is a slice type (`&mut [f64]`) or an array
-        // literal in expression position (`for p in [a, b]`), never indexing.
-        const KEYWORDS: &[&str] = &[
-            "mut", "dyn", "impl", "in", "as", "return", "break", "else", "match", "const",
-        ];
-        let receiver = toks[i].ident().is_some_and(|id| !KEYWORDS.contains(&id))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
-            && !(i > 0 && toks[i - 1].is_punct('!'));
-        if receiver {
-            // Find the matching `]` and look for a `..` range inside.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let mut has_range = false;
-            while j < toks.len() {
-                if toks[j].is_punct('[') {
-                    depth += 1;
-                } else if toks[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 && toks[j].is_punct('.') && match_seq(toks, j + 1, &["."]) {
-                    has_range = true;
-                }
-                j += 1;
-            }
-            if !has_range && j > i + 2 {
-                let name = toks[i].ident().unwrap_or("<expr>");
-                push_diag(
-                    out,
-                    lexed,
-                    path,
-                    &toks[i + 1],
-                    "slice-index",
-                    format!(
-                        "unchecked index `{name}[..]` in the comm layer can panic \
-                         mid-collective; use .get() or justify the bound"
-                    ),
-                );
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
+    out.push(Diagnostic { path: path.to_string(), line: tok.line, col: tok.col, rule, message });
 }
 
 // ---------------------------------------------------------------------------
@@ -553,12 +135,11 @@ fn check_slice_index(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
 /// checkpoint-recoverable boundaries; a second such loop anywhere else
 /// under the quadrants crate would escape that, and every other thing the
 /// loop owns (checkpoints, the gate, timing), so it is a finding by itself.
-fn check_fault_point(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
+fn check_fault_point(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
     let second = second_loop_scope(path);
     if path != GROWTH_LOOP && !second {
         return;
     }
-    let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if toks[i].ident() != Some("for") {
             continue;
@@ -583,59 +164,7 @@ fn check_fault_point(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
         } else {
             continue;
         };
-        push_diag(out, lexed, path, &toks[i], "fault-point", message.to_string());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: comm-unwrap
-// ---------------------------------------------------------------------------
-
-/// `.unwrap()` / `.expect(` on a statement that performs comm. The
-/// statement is scanned backwards to the nearest `;`/`{`/`}`; if it
-/// contains a comm token (a collective name, `send`, `recv`, `comm`, or
-/// `fault_point`), the unwrap turns a typed CommError into a panic that
-/// bypasses retry and supervision.
-fn check_comm_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    if !comm_unwrap_scope(path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        let is_unwrap = match_seq(toks, i, &[".", "unwrap", "(", ")"])
-            || match_seq(toks, i, &[".", "expect", "("]);
-        if !is_unwrap {
-            continue;
-        }
-        // Scan back to statement start.
-        let mut j = i;
-        while j > 0 {
-            let t = &toks[j - 1];
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                break;
-            }
-            j -= 1;
-        }
-        let comm_token = toks[j..i].iter().any(|t| {
-            t.ident().is_some_and(|id| {
-                is_collective_name(id)
-                    || matches!(id, "send" | "recv" | "comm" | "fault_point")
-            })
-        });
-        if comm_token {
-            let method = toks[i + 1].ident().unwrap_or("unwrap");
-            push_diag(
-                out,
-                lexed,
-                path,
-                &toks[i + 1],
-                "comm-unwrap",
-                format!(
-                    "`.{method}()` on a comm result: CommError must propagate with `?` so \
-                     retry/supervision can absorb the fault"
-                ),
-            );
-        }
+        push_diag(out, path, &toks[i], "fault-point", message.to_string());
     }
 }
 
@@ -650,11 +179,10 @@ fn check_comm_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
 /// constant must sit in the `protocol` module, carry a unique literal
 /// value, and stay below `COLLECTIVE_TAG_BASE` (1 << 63), where the
 /// collectives allocate their own tags.
-fn check_tag_registry(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
+fn check_tag_registry(path: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
     if !path.starts_with("crates/") {
         return;
     }
-    let toks = &lexed.tokens;
     let in_comm = path == "crates/cluster/src/comm.rs";
 
     let protocol_span = protocol_span(toks);
@@ -669,45 +197,22 @@ fn check_tag_registry(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let tok = &toks[i];
+        let mut flag = |message: String| push_diag(out, path, tok, "tag-registry", message);
         if !in_comm {
-            push_diag(
-                out,
-                lexed,
-                path,
-                tok,
-                "tag-registry",
-                format!(
-                    "manual tag constant `{name}` outside the central registry; declare it \
-                     in gbdt_cluster::protocol so uniqueness is checkable"
-                ),
-            );
+            flag(format!(
+                "manual tag constant `{name}` outside the central registry; declare it \
+                 in gbdt_cluster::protocol so uniqueness is checkable"
+            ));
             continue;
         }
         let inside = protocol_span.is_some_and(|(open, close)| i > open && i < close);
         if !inside {
-            push_diag(
-                out,
-                lexed,
-                path,
-                tok,
-                "tag-registry",
-                format!(
-                    "tag constant `{name}` in comm.rs but outside `mod protocol`; move it \
-                     into the registry"
-                ),
-            );
+            flag(format!(
+                "tag constant `{name}` in comm.rs but outside `mod protocol`; move it into \
+                 the registry"
+            ));
             continue;
         }
-        // Inside the registry no pragma applies: a duplicate is never excusable.
-        let mut flag = |message: String| {
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: tok.line,
-                col: tok.col,
-                rule: "tag-registry",
-                message,
-            })
-        };
         // `const NAME: u64 = <num> ;`
         let val = (i + 2..toks.len().min(i + 10)).find_map(|j| {
             if toks[j].is_punct('=') {
@@ -766,45 +271,6 @@ fn parse_u64(raw: &str) -> Option<u64> {
         u64::from_str_radix(oct, 8).ok()
     } else {
         s.parse().ok()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: stale-pragma
-// ---------------------------------------------------------------------------
-
-/// Flags allow pragmas that suppressed nothing. Must run *after* every
-/// other rule, [`check_files`]' included: [`Lexed::allowed`] records each
-/// suppression as it happens, so by the end of a pass any
-/// `(pragma line, rule)` pair not in the used set is dead weight.
-/// `stale-pragma` itself is exempt.
-fn check_stale_pragmas(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    let used = lexed.used.borrow().clone();
-    for (line, rules) in &lexed.pragmas {
-        for rule in rules {
-            if rule == "stale-pragma" {
-                continue;
-            }
-            let reason = if !RULES.iter().any(|(n, _)| n == rule) {
-                format!("pragma allows `{rule}`, which is not a known rule")
-            } else if !used.contains(&(*line, rule.clone())) {
-                format!(
-                    "pragma allows `{rule}` but suppresses no `{rule}` finding \
-                     here — remove it"
-                )
-            } else {
-                continue;
-            };
-            if !lexed.allowed("stale-pragma", *line) {
-                out.push(Diagnostic {
-                    path: path.to_string(),
-                    line: *line,
-                    col: 1,
-                    rule: "stale-pragma",
-                    message: reason,
-                });
-            }
-        }
     }
 }
 
@@ -954,7 +420,11 @@ fn tag_set(inner: &[Token]) -> BTreeSet<String> {
 /// `serve-orphan-frame` and `serve-fault-closure` over the serving roles in
 /// `files`. A send is checked only when its target role is in the set and
 /// accepts something, so a role linted alone stays quiet.
-fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Vec<Diagnostic>) {
+fn check_serve_frames(
+    files: &[(String, Vec<Token>)],
+    frames: &[Frames],
+    out: &mut Vec<Diagnostic>,
+) {
     let mut accepts: BTreeMap<ServeRole, BTreeSet<&str>> = BTreeMap::new();
     for ((path, _), f) in files.iter().zip(frames) {
         if let Some(role) = serve_role(path) {
@@ -963,9 +433,8 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
             set.extend(f.recv_any.iter().flat_map(|(tags, _)| tags.iter().map(String::as_str)));
         }
     }
-    for ((path, lexed), f) in files.iter().zip(frames) {
+    for ((path, toks), f) in files.iter().zip(frames) {
         let Some(role) = serve_role(path) else { continue };
-        let toks = &lexed.tokens;
         for (tag, peer, at) in &f.sends {
             let target = match role {
                 ServeRole::Router if peer.iter().any(|p| p == "client" || p == "publisher") => {
@@ -978,7 +447,6 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
             if !set.contains(tag.as_str()) {
                 push_diag(
                     out,
-                    lexed,
                     path,
                     &toks[*at],
                     "serve-orphan-frame",
@@ -996,7 +464,6 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
         if !f.purges {
             push_diag(
                 out,
-                lexed,
                 path,
                 crashed,
                 "serve-fault-closure",
@@ -1008,7 +475,6 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
         if !f.sends.iter().any(|(t, _, _)| t.contains("RECOVER")) {
             push_diag(
                 out,
-                lexed,
                 path,
                 crashed,
                 "serve-fault-closure",
@@ -1022,7 +488,6 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
             if widest.is_some_and(|w| !set.is_subset(w)) {
                 push_diag(
                     out,
-                    lexed,
                     path,
                     &toks[*at],
                     "serve-fault-closure",
@@ -1041,28 +506,25 @@ fn check_serve_frames(files: &[(String, Lexed)], frames: &[Frames], out: &mut Ve
 /// sends or receives is protocol surface new code could collide with
 /// silently. Quiet unless some other file moves frames at all, so the
 /// registry linted alone stays clean.
-fn check_dead_tags(files: &[(String, Lexed)], frames: &[Frames], out: &mut Vec<Diagnostic>) {
+fn check_dead_tags(files: &[(String, Vec<Token>)], frames: &[Frames], out: &mut Vec<Diagnostic>) {
     let Some(registry) = files.iter().position(|(p, _)| p == REGISTRY) else { return };
     let others = || frames.iter().enumerate().filter(move |(i, _)| *i != registry).map(|(_, f)| f);
     if others().all(Frames::is_empty) {
         return;
     }
     let used: BTreeSet<&str> = others().flat_map(Frames::tags).collect();
-    let (path, lexed) = &files[registry];
-    let toks = &lexed.tokens;
+    let (path, toks) = &files[registry];
     let Some((open, close)) = protocol_span(toks) else { return };
     for i in open..close {
         let Some(name) = toks.get(i + 1).and_then(Token::ident) else { continue };
         if toks[i].ident() == Some("const") && is_tag_const(name) && !used.contains(name) {
             push_diag(
                 out,
-                lexed,
                 path,
                 &toks[i],
                 "tag-registry",
                 format!(
-                    "registry tag `{name}` is never sent or received; delete it or justify \
-                     with `// lint: allow(tag-registry)`"
+                    "registry tag `{name}` is never sent or received; delete it"
                 ),
             );
         }
@@ -1075,29 +537,22 @@ fn check_dead_tags(files: &[(String, Lexed)], frames: &[Frames], out: &mut Vec<D
 
 /// Runs the rules that compare files: the serving plane's frame coverage
 /// and fault closure, and registry tags no file sends or receives. Paths
-/// are workspace-relative. Run it before [`check_file`] on the same
-/// [`Lexed`]s, so a pragma these rules honour is not reported stale.
-pub fn check_files(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    let frames: Vec<Frames> = files.iter().map(|(_, lexed)| Frames::read(&lexed.tokens)).collect();
+/// are workspace-relative.
+pub fn check_files(files: &[(String, Vec<Token>)]) -> Vec<Diagnostic> {
+    let frames: Vec<Frames> = files.iter().map(|(_, toks)| Frames::read(toks)).collect();
     let mut out = Vec::new();
     check_serve_frames(files, &frames, &mut out);
     check_dead_tags(files, &frames, &mut out);
     out
 }
 
-/// Runs every rule against one lexed file. `path` is workspace-relative
+/// Runs the per-file rules (`fault-point` and the registry arm of
+/// `tag-registry`) against one lexed file. `path` is workspace-relative
 /// with `/` separators — it selects which rules apply.
-pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
+pub fn check_file(path: &str, toks: &[Token]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    check_map_iteration(path, lexed, &mut out);
-    check_wall_clock(path, lexed, &mut out);
-    check_ambient_env(path, lexed, &mut out);
-    check_panic_call(path, lexed, &mut out);
-    check_slice_index(path, lexed, &mut out);
-    check_fault_point(path, lexed, &mut out);
-    check_comm_unwrap(path, lexed, &mut out);
-    check_tag_registry(path, lexed, &mut out);
-    check_stale_pragmas(path, lexed, &mut out);
+    check_fault_point(path, toks, &mut out);
+    check_tag_registry(path, toks, &mut out);
     out.sort_by_key(|d| (d.line, d.col));
     out
 }
@@ -1120,7 +575,7 @@ mod tests {
             if !path.starts_with("crates/serve/src/") {
                 continue;
             }
-            let frames = Frames::read(&crate::lexer::lex(&src).tokens);
+            let frames = Frames::read(&crate::lexer::lex(&src));
             if frames.tags().any(|t| t.starts_with("SERVE_") && t.ends_with("_TAG")) {
                 assert!(serve_role(&path).is_some(), "{path} moves serve frames under no role");
                 bearing.push(path.rsplit('/').next().unwrap_or("").to_string());
@@ -1146,7 +601,7 @@ mod tests {
                 comm.purge_pending();
             }
         ";
-        let frames = Frames::read(&crate::lexer::lex(src).tokens);
+        let frames = Frames::read(&crate::lexer::lex(src));
         let sets: Vec<Vec<&str>> = frames
             .recv_any
             .iter()

@@ -1,22 +1,21 @@
 //@ path: crates/quadrants/src/grow.rs
 // Clean file under the strictest scope (the growth loop): every construct below
-// LOOKS like a violation to a naive matcher but is fine — strings,
-// comments, raw strings, sorted iteration, rank-conditional payloads with
-// the collective hoisted out, pragma-justified loops, and test-only code.
-
-use std::collections::HashMap;
+// LOOKS like a violation to a naive matcher but is fine — strings, comments,
+// raw strings and char literals quoting bad code, the one per-tree loop with
+// its fault_point poll, and test-only code.
 
 /* A block comment quoting bad code:
-   /* nested! */ ctx.comm.all_reduce_f64(buf).unwrap(); panic!("boom");
+   /* nested! */ for t in 0..config.n_trees { grow_tree(ctx, t)?; }
+   const STRAY_TAG: u64 = 7;
    still inside the comment. */
 
 pub fn train_worker(ctx: &mut WorkerCtx, config: &TrainConfig) -> Result<(), CommError> {
-    // A commented-out deadlock must not fire:
-    // if rank == 0 { ctx.comm.all_reduce_f64(&mut buf)?; }
-    let diag = "call .unwrap() and panic! and Instant::now() loudly";
-    let raw = r#"for (k, v) in map.drain() { HashMap::new(); }"#;
-    let marker = 'u';
-    let bytes = b"unwrap() in a byte string";
+    // A commented-out second loop must not fire:
+    // for t in start_tree..config.n_trees { grow_tree(ctx, t)?; }
+    let diag = "const STRAY_TAG: u64 = 7; for t in 0..config.n_trees {}";
+    let raw = r#"for t in start_tree..config.n_trees { ctx.comm.send(1, SHUFFLE_TAG, b) }"#;
+    let marker = '{';
+    let bytes = b"const BYTE_TAG: u64 = 1;";
     log(diag, raw, marker, bytes);
 
     for t in 0..config.n_trees {
@@ -32,34 +31,16 @@ pub fn train_worker(ctx: &mut WorkerCtx, config: &TrainConfig) -> Result<(), Com
     Ok(())
 }
 
-/// Hash iteration immediately sorted is deterministic and allowed.
-pub fn sorted_keys(pool: &HashMap<u32, f64>) -> Vec<u32> {
-    let mut keys: Vec<u32> = pool.keys().copied().collect();
-    keys.sort_unstable();
-    keys
-}
-
-/// Order-insensitive reduction over a hash map, justified in place.
-pub fn total(pool: &HashMap<u32, f64>) -> f64 {
-    let mut sum = 0.0;
-    // lint: allow(map-iteration) — f64 sum reordering is absorbed before any wire use
-    for v in pool.values() {
-        sum += v;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const TEST_ONLY_TAG: u64 = 0x7e57;
+
     #[test]
-    fn test_code_may_unwrap_comm_results() {
-        let mut buf = vec![1.0];
-        ctx.comm.all_reduce_f64(&mut buf).unwrap();
-        if rank == 0 {
-            ctx.comm.broadcast(0, payload).unwrap();
+    fn test_code_may_loop_over_trees_and_tag_its_own_messages() {
+        for t in 0..config.n_trees {
+            ctx.comm.send(1, TEST_ONLY_TAG, encode_tree(t)).unwrap();
         }
-        panic!("test-only panics are the clippy gate's business");
     }
 }

@@ -3,6 +3,11 @@
 //! an aligned table. No names runs every experiment of
 //! `gbdt_bench::experiments::EXPERIMENTS`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a CLI entry point reads its own arguments"
+)]
+
 use gbdt_bench::args::Args;
 use gbdt_bench::experiments::{select, Driver};
 use std::process::exit;

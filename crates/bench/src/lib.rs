@@ -19,6 +19,11 @@
 //! one process; real vs modelled links); the *shape* of each comparison is
 //! the reproduction target, recorded in `EXPERIMENTS.md`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the bench harness times experiments; nothing it reads reaches a model"
+)]
+
 pub mod args;
 pub mod datasets;
 pub mod endtoend;

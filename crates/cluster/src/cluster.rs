@@ -54,7 +54,7 @@ impl WorkerCtx {
 
     /// Times `f` as computation in `phase` (convenience passthrough).
     pub fn time<T>(&mut self, phase: crate::stats::Phase, f: impl FnOnce() -> T) -> T {
-        // lint: allow(wall-clock) — measures computation time for modelled stats only
+        #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
         let start = std::time::Instant::now();
         let out = f();
         self.stats.add_comp(phase, start.elapsed().as_secs_f64());
@@ -79,6 +79,10 @@ impl WorkerCtx {
     /// Saves this rank's recovery state (typically `(model, scores, …)`
     /// cloned at a tree boundary). A no-op outside
     /// [`Cluster::run_recoverable`], so fault-free runs pay nothing.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned slot means a worker panicked, which fails the run anyway"
+    )]
     pub fn save_checkpoint<T: Clone + Send + 'static>(&self, state: &T) {
         if let Some(slot) = &self.checkpoint {
             *slot.lock().expect("checkpoint lock") = Some(Box::new(state.clone()));
@@ -88,6 +92,10 @@ impl WorkerCtx {
     /// Restores the most recent [`WorkerCtx::save_checkpoint`] state for
     /// this rank, surviving across replay attempts. `None` on a fresh run
     /// or when the saved type differs.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned slot means a worker panicked, which fails the run anyway"
+    )]
     pub fn load_checkpoint<T: Clone + Send + 'static>(&self) -> Option<T> {
         let slot = self.checkpoint.as_ref()?;
         let guard = slot.lock().expect("checkpoint lock");
@@ -192,7 +200,10 @@ impl Cluster {
         // wasted are real overhead and must survive into the final report.
         let mut carry: Vec<WorkerStats> = vec![WorkerStats::default(); self.world];
         loop {
-            // lint: allow(wall-clock) — measures computation time for modelled stats only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "times computation for modelled stats only"
+            )]
             let start = std::time::Instant::now();
             match self.run_attempt(&f, &crash_fired, store) {
                 Ok((outputs, mut stats)) => {
@@ -226,6 +237,7 @@ impl Cluster {
     /// On failure the per-rank stats collected before the attempt died are
     /// returned alongside the root cause, so a recovering caller can account
     /// the wasted traffic and computation.
+    #[expect(clippy::expect_used, reason = "with no failure, every worker filled its slot")]
     fn run_attempt<T, F>(
         &self,
         f: &F,
@@ -361,7 +373,6 @@ fn pick_root_cause(failures: Vec<Failure>) -> Option<Failure> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::stats::Phase;
@@ -456,6 +467,7 @@ mod tests {
     /// channel never disconnects). The supervisor must cancel peers and
     /// fail the run in bounded time.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test bounds the run's wall time")]
     fn single_worker_panic_fails_run_in_bounded_time() {
         let cluster = Cluster::new(3);
         let start = std::time::Instant::now();

@@ -23,6 +23,8 @@
 //! a reduction's length) surfaces as a typed error at the collective
 //! boundary instead of a panic deep in the fabric.
 
+#![deny(clippy::panic, clippy::unimplemented, clippy::todo, clippy::indexing_slicing)]
+
 use crate::comm::Comm;
 use crate::fault::CommError;
 use crate::wire::{self, WireCodec};
@@ -123,6 +125,10 @@ impl Comm {
     /// decode-merges contributions in rank order and returns the fully
     /// reduced values of `ranges[rank]`. A shard that does not fit
     /// `ranges[rank]` is [`CommError::Malformed`] from its pusher.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one range per rank (asserted at entry), each inside `buf`"
+    )]
     pub fn ps_push_and_reduce_codec(
         &self,
         codec: WireCodec,
@@ -138,7 +144,6 @@ impl Comm {
             }
         }
         // Serve my shard: start from my local slice, add peers in rank order.
-        // lint: allow(slice-index) — ranges.len() == world is asserted at entry
         let (lo, hi) = ranges[r];
         let mut reduced = buf[lo..hi].to_vec();
         for from in 0..self.world() {
@@ -154,6 +159,10 @@ impl Comm {
     /// `r` of `buf` (bounds from [`segment_bounds`]); the rest of `buf` is
     /// its local values. One push hop: each rank sends `(W−1)/W · len`
     /// elements, encoded under `codec`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segment_bounds` stays inside `buf`, and `reduced` is that segment"
+    )]
     pub fn reduce_scatter_f64_codec(
         &self,
         codec: WireCodec,
@@ -181,6 +190,10 @@ impl Comm {
     /// segment through the codec's round trip (no bytes sent), so with
     /// [`WireCodec::F32`] every rank holds the same f32-widened values,
     /// bit-for-bit — just not the exact sum.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`segment_bounds` stays inside `buf`, and `reduced` is that segment"
+    )]
     pub fn all_reduce_f64_codec(&self, codec: WireCodec, buf: &mut [f64]) -> Result<(), CommError> {
         let w = self.world();
         if w == 1 {
@@ -211,7 +224,6 @@ impl Comm {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::cost::NetworkCostModel;

@@ -23,15 +23,16 @@
 //! receive deadline bounds the wait even if cancellation is never
 //! delivered.
 
+#![deny(clippy::panic, clippy::unimplemented, clippy::todo, clippy::indexing_slicing)]
+
 use crate::cost::NetworkCostModel;
 use crate::fault::{CommError, FaultPlan};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One in-flight message.
 #[derive(Debug, Clone)]
@@ -50,11 +51,21 @@ pub struct Envelope {
 /// Pseudo-rank used by supervisor control envelopes (cancellation).
 pub const CONTROL_FROM: u32 = u32::MAX;
 
-/// Default bound on how long a `recv` waits before reporting
-/// [`CommError::Timeout`]. Generous: real protocol messages arrive in
-/// microseconds; this only fires when a peer is truly gone and
-/// cancellation was never delivered.
+/// Default bound on how long a `recv` or `recv_any` waits before reporting
+/// [`CommError::Timeout`], counted from the call: frames for other
+/// receives arriving meanwhile do not restart it. Generous: real protocol
+/// messages arrive in microseconds; this only fires when a peer is truly
+/// gone and cancellation was never delivered.
 pub const RECV_PATIENCE: Duration = Duration::from_secs(30);
+
+/// The wall clock, read for receive deadlines only.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a receive deadline bounds liveness and never reaches bytes or a model"
+)]
+fn now() -> Instant {
+    Instant::now()
+}
 
 /// Default bound on the out-of-order pending buffer. Every message that
 /// arrives while a `recv`/`recv_any` waits for something else is parked
@@ -102,7 +113,11 @@ pub struct Comm {
     faults: Option<FaultPlan>,
     /// `(from, tag, seq)` triples already delivered — duplicate detection.
     /// Only populated when a fault plan is attached.
-    seen: RefCell<HashSet<(u32, u64, u64)>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only: the set is never iterated, so its order reaches nothing"
+    )]
+    seen: RefCell<std::collections::HashSet<(u32, u64, u64)>>,
     /// Next sequence number per destination rank.
     send_seq: RefCell<Vec<u64>>,
     cancel: Arc<AtomicBool>,
@@ -174,7 +189,7 @@ impl Comm {
                 next_collective_tag: Cell::new(COLLECTIVE_TAG_BASE),
                 cost,
                 faults,
-                seen: RefCell::new(HashSet::new()),
+                seen: RefCell::default(),
                 send_seq: RefCell::new(vec![0; world]),
                 cancel: Arc::clone(&cancel),
                 recv_patience: Cell::new(RECV_PATIENCE),
@@ -233,15 +248,16 @@ impl Comm {
         while self.receiver.try_recv().is_ok() {}
     }
 
+    #[expect(clippy::indexing_slicing, reason = "one entry per rank; `send` asserts `to < world`")]
     fn next_seq(&self, to: usize) -> u64 {
         let mut seqs = self.send_seq.borrow_mut();
-        // lint: allow(slice-index) — seqs has world entries; send() asserts to < world
         let seq = seqs[to];
-        seqs[to] += 1; // lint: allow(slice-index) — same bound as the read above
+        seqs[to] += 1;
         seq
     }
 
     /// Sends `payload` to `to` under `tag`.
+    #[expect(clippy::indexing_slicing, reason = "one entry per rank; `send` asserts `to < world`")]
     pub fn send(&self, to: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
         assert!(to < self.world, "rank {to} out of range");
         if self.cancel.load(Ordering::Relaxed) {
@@ -259,7 +275,6 @@ impl Comm {
             // Fault-free fast path: byte accounting identical to the
             // historical panic-on-failure implementation.
             let envelope = Envelope { from: self.rank as u32, tag, seq, payload };
-            // lint: allow(slice-index) — senders has world entries; send() asserts to < world
             self.senders[to].send(envelope).map_err(|_| CommError::PeerGone { to })?;
             let mut c = self.counters.borrow_mut();
             c.bytes_sent += len as u64;
@@ -286,7 +301,6 @@ impl Comm {
                 plan.delay_for(self.rank, to, tag, seq, attempt);
             let envelope =
                 Envelope { from: self.rank as u32, tag, seq, payload: payload.clone() };
-            // lint: allow(slice-index) — senders has world entries; send() asserts to < world
             self.senders[to].send(envelope).map_err(|_| CommError::PeerGone { to })?;
             if plan.should_dup(self.rank, to, tag, seq, attempt) {
                 // The network delivers a second physical copy with the same
@@ -297,7 +311,6 @@ impl Comm {
                 c.comm_seconds += self.cost.message_time(len);
                 drop(c);
                 let dup = Envelope { from: self.rank as u32, tag, seq, payload };
-                // lint: allow(slice-index) — same bound; duplicate delivery is best-effort
                 let _ = self.senders[to].send(dup);
             }
             return Ok(());
@@ -339,11 +352,13 @@ impl Comm {
                 return Ok(envelope.payload);
             }
         }
+        let deadline = now() + self.recv_patience.get();
         loop {
             if self.cancel.load(Ordering::Relaxed) {
                 return Err(CommError::Cancelled);
             }
-            let envelope = match self.receiver.recv_timeout(self.recv_patience.get()) {
+            let left = deadline.saturating_duration_since(now());
+            let envelope = match self.receiver.recv_timeout(left) {
                 Ok(envelope) => envelope,
                 Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { from, tag }),
                 Err(RecvTimeoutError::Disconnected) => {
@@ -382,11 +397,13 @@ impl Comm {
                 return Ok((envelope.from as usize, envelope.tag, envelope.payload));
             }
         }
+        let deadline = now() + self.recv_patience.get();
         loop {
             if self.cancel.load(Ordering::Relaxed) {
                 return Err(CommError::Cancelled);
             }
-            let envelope = match self.receiver.recv_timeout(self.recv_patience.get()) {
+            let left = deadline.saturating_duration_since(now());
+            let envelope = match self.receiver.recv_timeout(left) {
                 Ok(envelope) => envelope,
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(CommError::Timeout {
@@ -583,7 +600,6 @@ pub mod protocol {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -615,6 +631,42 @@ mod tests {
         // Nothing left: recv_any times out with a typed error.
         server.set_recv_patience(std::time::Duration::from_millis(10));
         assert!(matches!(server.recv_any(&[11, 22]), Err(CommError::Timeout { .. })));
+    }
+
+    /// A receive's patience counts from the call: frames for other receives
+    /// arriving every millisecond do not restart it.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test bounds a receive's wall time")]
+    fn a_stream_of_other_frames_does_not_extend_the_deadline() {
+        let mut mesh = Comm::mesh(2, NetworkCostModel::infinite());
+        let (b, a) = (mesh.pop().unwrap(), mesh.pop().unwrap());
+        let patience = Duration::from_millis(100);
+        b.set_recv_patience(patience);
+        let stop = AtomicBool::new(false);
+        let outcomes = std::thread::scope(|s| {
+            let stop = &stop;
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = a.send(1, 99, Bytes::new());
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            let start = Instant::now();
+            let recv = b.recv(0, 77).map(drop);
+            let recv_took = start.elapsed();
+            let start = Instant::now();
+            let any = b.recv_any(&[77]).map(drop);
+            let any_took = start.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            [("recv", recv, recv_took), ("recv_any", any, any_took)]
+        });
+        for (what, result, took) in outcomes {
+            assert!(matches!(result, Err(CommError::Timeout { .. })), "{what}: {result:?}");
+            assert!(
+                took >= patience && took < patience + Duration::from_millis(50),
+                "{what} returned after {took:?}, patience {patience:?}"
+            );
+        }
     }
 
     #[test]

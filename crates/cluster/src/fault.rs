@@ -10,6 +10,8 @@
 //! The plan is `Copy` (fixed-capacity crash and tag tables) so [`crate::Cluster`]
 //! stays `Copy` and configs can pass it by value.
 
+#![deny(clippy::panic, clippy::unimplemented, clippy::todo, clippy::indexing_slicing)]
+
 /// Typed error produced by the communication layer instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -204,11 +206,14 @@ impl FaultPlan {
     /// Schedules a crash of `rank` at the start of layer `layer` of tree
     /// `tree`. Panics if the plan already holds [`MAX_CRASHES`] crashes.
     pub fn with_crash(mut self, rank: usize, tree: usize, layer: usize) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "plan-construction misuse is a test-setup bug, not a comm fault"
+        )]
         let slot = self
             .crashes
             .iter_mut()
             .find(|c| c.is_none())
-            // lint: allow(panic-call) — plan-construction misuse is a test-setup bug, not a comm fault
             .unwrap_or_else(|| panic!("fault plan holds at most {MAX_CRASHES} crashes"));
         *slot = Some(CrashPoint { rank: rank as u16, tree: tree as u32, layer: layer as u32 });
         self
@@ -221,11 +226,14 @@ impl FaultPlan {
         if self.tag_scope.iter().flatten().any(|&t| t == tag) {
             return self;
         }
+        #[expect(
+            clippy::panic,
+            reason = "plan-construction misuse is a test-setup bug, not a comm fault"
+        )]
         let slot = self
             .tag_scope
             .iter_mut()
             .find(|t| t.is_none())
-            // lint: allow(panic-call) — plan-construction misuse is a test-setup bug, not a comm fault
             .unwrap_or_else(|| panic!("fault plan scopes at most {FAULT_SCOPE_CAP} tags"));
         *slot = Some(tag);
         self
@@ -427,7 +435,6 @@ impl FaultPlan {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

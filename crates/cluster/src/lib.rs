@@ -31,6 +31,8 @@
 //! * [`stats`] — per-worker phase timers, byte counters, memory gauges,
 //!   retry/recovery accounting.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cluster;
 pub mod collectives;
 pub mod comm;

@@ -1,6 +1,11 @@
 //! Per-worker instrumentation: phase timers, communication accounting, and
 //! memory gauges — the raw material behind every bar in Figure 10.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the sanctioned stopwatch: its readings feed modelled stats, never bytes or a model"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -362,7 +367,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             ALL_PHASES.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), ALL_PHASES.len());
     }

@@ -78,6 +78,7 @@ pub(crate) fn f64s_to_bytes(buf: &[f64]) -> Bytes {
 }
 
 /// Inverse of [`f64s_to_bytes`], pre-sized.
+#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
 pub(crate) fn bytes_to_f64s(bytes: &Bytes) -> Vec<f64> {
     let mut out = Vec::with_capacity(bytes.len() / 8);
     out.extend(bytes.chunks_exact(8).map(|ch| f64::from_le_bytes(ch.try_into().expect("8-byte chunk"))));
@@ -188,6 +189,10 @@ fn put_group(cells: &[f64], inverse: (f64, f64), w: usize, window: &mut [u8; WIN
 
 /// Encodes `buf` as a grid frame, or as raw f64s where the frame cannot
 /// carry it or would not be smaller.
+#[expect(
+    clippy::expect_used,
+    reason = "the frame carries WINDOW bytes of slack past its last slot"
+)]
 fn encode_grid(buf: &[f64]) -> Bytes {
     let n = buf.len();
     let Some((unit, w, nnz)) = grid_header(buf) else {
@@ -299,6 +304,7 @@ fn parse_grid(bytes: &[u8], n: usize) -> Result<Grid<'_>, Malformed> {
 }
 
 /// Classifies a payload for a decode target of `n` elements.
+#[expect(clippy::expect_used, reason = "`get(1..SPARSE_HEADER)` is 4 bytes")]
 fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, Malformed> {
     if bytes.len() == n * 8 {
         return Ok(Payload::RawF64(bytes));
@@ -325,6 +331,7 @@ fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, Malformed> {
 /// Decodes a group of up to 8 cells from `window` (the value bytes from
 /// the group's first slot on, zero-padded past the frame), calling `f` on
 /// each; absent cells decode to `+0.0`. Returns the bytes the group took.
+#[expect(clippy::expect_used, reason = "`window[at..at + 8]` is 8 bytes")]
 fn take_group(
     grid: &Grid<'_>,
     mask: u64,
@@ -347,6 +354,7 @@ fn take_group(
 
 /// Calls `f(cell, value)` for every cell of `out` in order. Branch-free
 /// over the presence bits: every cell loads a whole u64 from its slot.
+#[expect(clippy::expect_used, reason = "both windows are WINDOW-byte slices")]
 fn for_each_grid(grid: &Grid<'_>, out: &mut [f64], mut f: impl FnMut(&mut f64, f64)) {
     let mask = u64::MAX.checked_shr(64 - 8 * grid.w as u32).unwrap_or(0);
     let values = grid.values;
@@ -371,6 +379,7 @@ fn for_each_grid(grid: &Grid<'_>, out: &mut [f64], mut f: impl FnMut(&mut f64, f
     }
 }
 
+#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
 fn for_each_sparse_f32(
     body: &[u8],
     n: usize,
@@ -389,6 +398,7 @@ fn for_each_sparse_f32(
 /// Decodes `bytes` and accumulates (`+=`) into `out`, element-wise. Every
 /// grid cell is added, absent ones as `+0.0`, so this is bit-identical to
 /// adding the raw f64 layout.
+#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
 pub fn decode_add(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
     match classify(bytes, out.len())? {
         Payload::RawF64(body) => {
@@ -413,6 +423,7 @@ pub fn decode_add(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
 
 /// Decodes `bytes` into `out`, overwriting it completely (absent cells
 /// become `0.0`).
+#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
 pub fn decode_into(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
     match classify(bytes, out.len())? {
         Payload::RawF64(body) => {
@@ -439,7 +450,6 @@ pub fn decode_into(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -2,8 +2,6 @@
 //! interleaved collectives, large payloads, and agreement between the
 //! aggregation primitives at two to five ranks.
 
-#![allow(clippy::unwrap_used)]
-
 use gbdt_cluster::collectives::segment_bounds;
 use gbdt_cluster::{Cluster, NetworkCostModel, WireCodec, WorkerCtx};
 

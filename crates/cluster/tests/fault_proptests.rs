@@ -9,8 +9,6 @@
 //!   truncation and single-byte substitution of a valid spec is a typed
 //!   error or a plan the comm layer can run, never a panic.
 
-#![allow(clippy::unwrap_used)]
-
 use bytes::Bytes;
 use gbdt_cluster::comm::Comm;
 use gbdt_cluster::{FaultPlan, NetworkCostModel, WireCodec};

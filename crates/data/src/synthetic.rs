@@ -310,7 +310,7 @@ mod tests {
         };
         let ds = cfg.generate();
         assert!(ds.labels.iter().all(|&y| (0.0..5.0).contains(&y)));
-        let distinct: std::collections::HashSet<i32> =
+        let distinct: std::collections::BTreeSet<i32> =
             ds.labels.iter().map(|&y| y as i32).collect();
         assert!(distinct.len() >= 4, "expected most classes to appear, got {distinct:?}");
     }

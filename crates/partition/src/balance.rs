@@ -16,6 +16,7 @@ pub fn greedy_partition(weights: &[u64], n_groups: usize) -> Vec<usize> {
     let mut loads = vec![0u64; n_groups];
     let mut assignment = vec![0usize; weights.len()];
     for item in order {
+        #[expect(clippy::expect_used, reason = "asserted above: n_groups >= 1")]
         let lightest = (0..n_groups).min_by_key(|&g| (loads[g], g)).expect("n_groups >= 1");
         assignment[item] = lightest;
         loads[lightest] += weights[item];
@@ -39,7 +40,7 @@ pub fn imbalance(loads: &[u64]) -> f64 {
         return 1.0;
     }
     let mean = total as f64 / loads.len() as f64;
-    let max = *loads.iter().max().unwrap() as f64;
+    let max = loads.iter().copied().max().unwrap_or(0) as f64;
     max / mean
 }
 

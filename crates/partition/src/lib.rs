@@ -11,6 +11,8 @@
 //!   §4.2.1 (Figure 8) with naïve / compressed / blockified wire variants
 //!   (Appendix A, Table 5).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod balance;
 pub mod bitmap;
 pub mod horizontal;

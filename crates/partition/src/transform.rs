@@ -344,14 +344,14 @@ pub fn horizontal_to_vertical(
     let sent = |ctx: &WorkerCtx| ctx.comm.counters().bytes_sent;
 
     // Steps 1-2.
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
     let t = Instant::now();
     let (cuts, feature_counts) = build_global_cuts(ctx, shard, q, cfg.sketch_capacity)?;
     report.sketch_seconds = t.elapsed().as_secs_f64();
     report.sketch_bytes_sent = sent(ctx) - comm_before.bytes_sent;
 
     // Step 3: master decides the grouping, broadcasts the assignment.
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
     let t = Instant::now();
     let grouping_bytes = if rank == 0 {
         let g = ColumnGrouping::build(cfg.strategy, d, w, &feature_counts);
@@ -372,14 +372,14 @@ pub fn horizontal_to_vertical(
     let bytes_before = sent(ctx);
     let received = all_to_all(ctx, to_send)?;
     report.repartition_bytes_sent = sent(ctx) - bytes_before;
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
     let t = Instant::now();
     let local_data = decode_group(received, rank, &partition, &cuts, &grouping, cfg)?;
     report.repartition_seconds += t.elapsed().as_secs_f64();
     ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
 
     // Step 5: labels, one all-gather.
-    // lint: allow(wall-clock) — measures computation time for modelled stats only
+    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
     let t = Instant::now();
     let label_payload = {
         let mut out = BytesMut::with_capacity(shard.labels.len() * 4);

@@ -149,6 +149,7 @@ impl ColumnGrouping {
         if payload.len() != d * 4 || world == 0 || encoded_world != world {
             return None;
         }
+        #[expect(clippy::unwrap_used, reason = "4-byte chunks convert to [u8; 4]")]
         let assignment: Vec<u32> = payload
             .chunks_exact(4)
             .map(|ch| u32::from_le_bytes(ch.try_into().unwrap()))

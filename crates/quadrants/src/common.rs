@@ -1,6 +1,8 @@
 //! What the policies share besides the loop (`grow`): result types, the
 //! aggregation choice, and the local-best exchange.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::grow::Run;
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::{CommError, WorkerCtx};

@@ -12,6 +12,8 @@
 //! to encode: every codec (including the lossy f32) trains the identical
 //! ensemble here.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::DistTrainResult;
 use crate::grow::{self, Run};
 use crate::vertical::{GroupStore, Vertical};

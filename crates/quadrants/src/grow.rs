@@ -9,6 +9,8 @@
 //! `min_node_instances` gate, per-tree timing and checkpoint/restore; a
 //! policy owns its data, its index(es), its histograms and every collective.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::{DistTrainResult, TreeStat};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::indexes::NodeToInstanceIndex;
@@ -201,6 +203,7 @@ pub(crate) fn train_worker<Q: Quadrant>(
 
         // Every instance's final node is a leaf: update the local scores.
         ctx.time(Phase::Predict, || {
+            #[expect(clippy::expect_used, reason = "every id in `leaves` was set as a leaf")]
             let leaf_values: Vec<(u32, &[f64])> = leaves
                 .iter()
                 .map(|&leaf| match tree.node(leaf).expect("leaf set").kind {
@@ -227,6 +230,10 @@ pub(crate) fn run(
     config: &TrainConfig,
     worker: impl Fn(&mut WorkerCtx) -> Result<(GbdtModel, Vec<TreeStat>), CommError> + Sync,
 ) -> DistTrainResult {
+    #[expect(
+        clippy::expect_used,
+        reason = "an invalid config is the caller's bug, caught before any worker starts"
+    )]
     config.validate().expect("invalid training config");
     let (outputs, stats) = cluster.run_recoverable(worker);
     let (mut models, per_worker_trees): (Vec<GbdtModel>, Vec<Vec<TreeStat>>) =
@@ -260,7 +267,7 @@ fn merge_tree_stats(per_worker: &[Vec<TreeStat>]) -> Vec<TreeStat> {
 /// Per-node gradient sums, ordered by node id. A `BTreeMap` by
 /// construction: frontier contents feed split decisions and (via leaf
 /// weights) the model itself, so no iteration over this map may depend on
-/// process-random hash order (lint rule `map-iteration`).
+/// process-random hash order (`clippy::disallowed_types` bans hash maps).
 pub type NodeStatsMap = std::collections::BTreeMap<u32, NodeStats>;
 
 /// Frontier bookkeeping for one growing tree: per-node stats and global

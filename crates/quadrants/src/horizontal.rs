@@ -13,6 +13,8 @@
 //! node-to-instance index (the smaller sibling scanned, the other derived
 //! after aggregation).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::{exchange_local_bests, Aggregation, DistTrainResult};
 use crate::grow::{self, sum_root, BuildStep, Quadrant, Run};
 use gbdt_cluster::collectives::segment_bounds;
@@ -85,6 +87,7 @@ impl<S: ShardStore> Quadrant for Horizontal<S> {
         let wire = run.config.wire;
         let before = ctx.comm.counters();
         for step in &steps {
+            #[expect(clippy::expect_used, reason = "the fill just built every node of `steps`")]
             let hist = self.pool.get_mut(step.node).expect("just built").as_mut_slice();
             match self.aggregation {
                 Aggregation::AllReduce => ctx.comm.all_reduce_f64_codec(wire, hist)?,
@@ -116,6 +119,7 @@ impl<S: ShardStore> Quadrant for Horizontal<S> {
         ctx: &mut WorkerCtx,
         run: &Run,
     ) -> Result<Vec<Option<Split>>, CommError> {
+        #[expect(clippy::expect_used, reason = "every frontier node's histogram is live")]
         let hist = |node| self.pool.get(node).expect("histogram live");
         let n_bins = |f| run.cuts.n_bins(f);
         match self.aggregation {

@@ -13,6 +13,8 @@
 //! leader-based variant has identical traffic shape). Node splitting is the
 //! same kind of pass: one scan of the index moves the whole layer.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::{Aggregation, DistTrainResult};
 use crate::grow::{every_node_schedule, BuildStep, Run};
 use crate::horizontal::{self, ShardStore};

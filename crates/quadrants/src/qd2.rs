@@ -14,6 +14,8 @@
 //! parameter-server push (DimBoost) have each worker find splits for the
 //! feature slice it reduced, then exchange local bests.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::{Aggregation, DistTrainResult};
 use crate::grow::{add_leaf_values_by_node, smaller_sibling_schedule, BuildStep, Run};
 use crate::horizontal::{self, ShardStore};

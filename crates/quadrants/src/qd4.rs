@@ -20,6 +20,8 @@
 //! encode: every codec (including the lossy f32) trains the identical
 //! ensemble, which `tests/wire_determinism.rs` pins.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::DistTrainResult;
 use crate::grow::Run;
 use crate::vertical::{self, placement_by, GroupStore};

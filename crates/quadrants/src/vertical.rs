@@ -14,6 +14,8 @@
 //! replicated case: a store that also holds everyone else's features, so
 //! it overrides [`GroupStore::place`] and never broadcasts.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::{exchange_local_bests, DistTrainResult};
 use crate::grow::{
     self, add_leaf_values_by_node, every_node_schedule, smaller_sibling_schedule, sum_root,
@@ -166,6 +168,7 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
     ) -> Result<Vec<Option<Split>>, CommError> {
         let rank = ctx.rank();
         let to_global = |f: FeatureId| self.grouping.global_id(rank, f);
+        #[expect(clippy::expect_used, reason = "every frontier node's histogram is live")]
         let locals = run.scan(ctx, |node, stats| {
             best_split(
                 self.pool.get(node).expect("histogram live"),

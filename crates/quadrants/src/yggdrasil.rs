@@ -14,6 +14,8 @@
 //! [`TrainConfig::wire`] is accepted but has nothing to encode — all wire
 //! codecs (including the lossy f32) train the identical ensemble.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::common::DistTrainResult;
 use crate::grow::Run;
 use crate::vertical::{self, mark_left, GroupStore};

@@ -34,7 +34,7 @@
 //! what a workload varies. Every other timing is a constant below.
 //!
 //! All wall-clock reads go through [`crate::stats::Clock`] — the scoring
-//! path stays clock-free and the lint allowlist stays narrow.
+//! path stays clock-free and the clippy allowance stays narrow.
 
 use crate::replica::ROUTER_RANK;
 use crate::stats::{percentile, Clock};
@@ -46,7 +46,6 @@ use gbdt_cluster::comm::protocol::{
     SERVE_ROUTE_TAG, SERVE_STOP_TAG,
 };
 use gbdt_cluster::{Comm, CommError};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// The overload knobs of the routing policy.
@@ -156,7 +155,11 @@ struct Router<'a> {
     cfg: RouterConfig,
     clock: Clock,
     replicas: Vec<Replica>,
-    outstanding: HashMap<u64, Outstanding>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by request id; its sweep order only orders retries and hedges"
+    )]
+    outstanding: std::collections::HashMap<u64, Outstanding>,
     next_rid: u64,
     version: u64,
     model_bytes: Vec<u8>,
@@ -193,7 +196,7 @@ impl<'a> Router<'a> {
             cfg,
             clock,
             replicas,
-            outstanding: HashMap::new(),
+            outstanding: Default::default(),
             next_rid: 1,
             version: 1,
             model_bytes,

@@ -1,11 +1,16 @@
 //! Serving-side time measurement and latency accounting.
 //!
 //! This module is the **only** place in `gbdt-serve` permitted to read the
-//! wall clock (`gbdt-lint`'s `wall-clock` rule allowlists exactly this
-//! file). The scoring hot path stays clock-free — traversal kernels
+//! wall clock (the one `#![allow(clippy::disallowed_methods)]` in the
+//! crate). The scoring hot path stays clock-free — traversal kernels
 //! measuring themselves would both perturb the measurement and smuggle
 //! nondeterminism next to the bit-identity contract. Everything else
 //! (client pacing, router deadlines, latency percentiles) goes through [`Clock`].
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the sanctioned stopwatch: its readings feed modelled stats, never bytes or a model"
+)]
 
 use std::time::Instant;
 

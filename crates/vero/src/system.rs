@@ -1,5 +1,7 @@
 //! The Vero system facade: fit, predict, save, load.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::config::VeroConfig;
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::Cluster;
@@ -157,6 +159,10 @@ impl VeroModel {
     }
 
     /// Serializes to pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "a model holds only plain numbers, which always serialize"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serializes")
     }

@@ -8,6 +8,11 @@
 //! Without arguments, a small demo file is generated, trained on, and the
 //! model is written next to it.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a CLI entry point reads its own arguments"
+)]
+
 use gbdt_data::libsvm;
 use gbdt_data::synthetic::SyntheticConfig;
 use vero::{Vero, VeroConfig};

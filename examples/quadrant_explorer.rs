@@ -10,6 +10,11 @@
 //! cargo run --release --example quadrant_explorer -- 40000 50 2 8
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a CLI entry point reads its own arguments"
+)]
+
 use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
