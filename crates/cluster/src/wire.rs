@@ -47,6 +47,7 @@
 
 use bytes::Bytes;
 pub use gbdt_core::config::WireCodec;
+use gbdt_data::frame::{DecodeError, Reader};
 
 /// First byte of a grid frame.
 const MARKER_GRID: u8 = 0xD6;
@@ -79,6 +80,7 @@ pub(crate) fn f64s_to_bytes(buf: &[f64]) -> Bytes {
 
 /// Inverse of [`f64s_to_bytes`], pre-sized.
 #[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
+#[expect(clippy::disallowed_methods, reason = "hot loop: the raw-f64 layout of every collective")]
 pub(crate) fn bytes_to_f64s(bytes: &Bytes) -> Vec<f64> {
     let mut out = Vec::with_capacity(bytes.len() / 8);
     out.extend(bytes.chunks_exact(8).map(|ch| f64::from_le_bytes(ch.try_into().expect("8-byte chunk"))));
@@ -276,55 +278,48 @@ enum Payload<'a> {
     SparseF32(&'a [u8]),
 }
 
-/// A payload that does not decode into its target: a length that fits no
-/// layout for the target's element count, an unknown marker, a short or
-/// inconsistent grid frame (width past 8 bytes, unit past the f64 range,
-/// presence bits past the target, value bytes that are not popcount × w),
-/// or a sparse index past the end. The collectives report it as
-/// [`crate::CommError::Malformed`] from the rank that sent it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Malformed;
-
-/// Validates a grid frame for a decode target of `n` elements.
-fn parse_grid(bytes: &[u8], n: usize) -> Result<Grid<'_>, Malformed> {
-    let Some(&[_, u0, u1, w]) = bytes.get(..GRID_HEADER) else {
-        return Err(Malformed);
-    };
-    let w = usize::from(w);
-    let scale = pow2(i32::from(i16::from_le_bytes([u0, u1]))).ok_or(Malformed)?;
-    let body = &bytes[GRID_HEADER..];
-    let bitmap = body.get(..n.div_ceil(8)).ok_or(Malformed)?;
-    let past_end = bitmap.last().map_or(0, |last| last >> (n % 8));
-    let nnz: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
-    let values = &body[bitmap.len()..];
-    if w > 8 || (!n.is_multiple_of(8) && past_end != 0) || values.len() != nnz * w {
-        return Err(Malformed);
+/// Validates the rest of a grid frame, its marker read, for a decode
+/// target of `n` elements: a width of at most 8 bytes, a unit inside the
+/// f64 range, no presence bit past the target, and popcount × w value
+/// bytes.
+fn parse_grid<'a>(r: &mut Reader<'a>, n: usize) -> Result<Grid<'a>, DecodeError> {
+    let unit = r.u16()? as i16;
+    let w = usize::from(r.u8()?);
+    let scale = pow2(i32::from(unit)).ok_or_else(|| r.error(format!("unit 2^{unit} past f64")))?;
+    if w > 8 {
+        return Err(r.error(format!("{w}-byte cells")));
     }
+    let bitmap = r.take(n.div_ceil(8))?;
+    if bitmap.last().is_some_and(|last| !n.is_multiple_of(8) && last >> (n % 8) != 0) {
+        return Err(r.error(format!("presence bits past cell {n}")));
+    }
+    let nnz: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+    let values = r.take(nnz * w)?;
+    r.finish()?;
     Ok(Grid { scale, w, bitmap, values })
 }
 
-/// Classifies a payload for a decode target of `n` elements.
-#[expect(clippy::expect_used, reason = "`get(1..SPARSE_HEADER)` is 4 bytes")]
-fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, Malformed> {
+/// Classifies a payload for a decode target of `n` elements. A length that
+/// fits no layout, an unknown marker, a refused grid frame or a sparse
+/// frame that is not 8 bytes a pair is a [`DecodeError`]; the collectives
+/// report it as [`crate::CommError::Malformed`] from the rank that sent it.
+fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, DecodeError> {
     if bytes.len() == n * 8 {
         return Ok(Payload::RawF64(bytes));
     }
     if bytes.len() == n * 4 {
         return Ok(Payload::DenseF32(bytes));
     }
-    match bytes.first() {
-        Some(&MARKER_GRID) => parse_grid(bytes, n).map(Payload::Grid),
-        Some(&MARKER_SPARSE_F32) => {
-            let header = bytes.get(1..SPARSE_HEADER).ok_or(Malformed)?;
-            let nnz = u32::from_le_bytes(header.try_into().expect("4-byte header")) as usize;
-            let body = &bytes[SPARSE_HEADER..];
-            if body.len() == 8 * nnz {
-                Ok(Payload::SparseF32(body))
-            } else {
-                Err(Malformed)
-            }
+    let mut r = Reader::new(bytes);
+    match r.u8()? {
+        MARKER_GRID => parse_grid(&mut r, n).map(Payload::Grid),
+        MARKER_SPARSE_F32 => {
+            let nnz = r.u32()? as usize;
+            let body = r.take(8 * nnz)?;
+            r.finish()?;
+            Ok(Payload::SparseF32(body))
         }
-        _ => Err(Malformed),
+        marker => Err(DecodeError { offset: 0, what: format!("unknown marker {marker:#x}") }),
     }
 }
 
@@ -332,6 +327,7 @@ fn classify(bytes: &Bytes, n: usize) -> Result<Payload<'_>, Malformed> {
 /// the group's first slot on, zero-padded past the frame), calling `f` on
 /// each; absent cells decode to `+0.0`. Returns the bytes the group took.
 #[expect(clippy::expect_used, reason = "`window[at..at + 8]` is 8 bytes")]
+#[expect(clippy::disallowed_methods, reason = "hot loop: the grid cell decode")]
 fn take_group(
     grid: &Grid<'_>,
     mask: u64,
@@ -380,15 +376,17 @@ fn for_each_grid(grid: &Grid<'_>, out: &mut [f64], mut f: impl FnMut(&mut f64, f
 }
 
 #[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
+#[expect(clippy::disallowed_methods, reason = "hot loop: the sparse-f32 pair decode")]
 fn for_each_sparse_f32(
     body: &[u8],
     n: usize,
     mut f: impl FnMut(usize, f64),
-) -> Result<(), Malformed> {
-    for pair in body.chunks_exact(8) {
+) -> Result<(), DecodeError> {
+    for (k, pair) in body.chunks_exact(8).enumerate() {
         let idx = u32::from_le_bytes(pair[..4].try_into().expect("4-byte index")) as usize;
         if idx >= n {
-            return Err(Malformed);
+            let offset = SPARSE_HEADER + 8 * k;
+            return Err(DecodeError { offset, what: format!("index {idx} past {n} cells") });
         }
         f(idx, f64::from(f32::from_le_bytes(pair[4..].try_into().expect("4-byte value"))));
     }
@@ -398,55 +396,41 @@ fn for_each_sparse_f32(
 /// Decodes `bytes` and accumulates (`+=`) into `out`, element-wise. Every
 /// grid cell is added, absent ones as `+0.0`, so this is bit-identical to
 /// adding the raw f64 layout.
-#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
-pub fn decode_add(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
-    match classify(bytes, out.len())? {
-        Payload::RawF64(body) => {
-            for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
-                *a += f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
-            }
-            Ok(())
-        }
-        Payload::DenseF32(body) => {
-            for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
-                *a += f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
-            }
-            Ok(())
-        }
-        Payload::Grid(grid) => {
-            for_each_grid(&grid, out, |a, v| *a += v);
-            Ok(())
-        }
-        Payload::SparseF32(body) => for_each_sparse_f32(body, out.len(), |i, v| out[i] += v),
-    }
+pub fn decode_add(bytes: &Bytes, out: &mut [f64]) -> Result<(), DecodeError> {
+    decode_each(bytes, out, false, |a, v| *a += v)
 }
 
 /// Decodes `bytes` into `out`, overwriting it completely (absent cells
 /// become `0.0`).
-#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
-pub fn decode_into(bytes: &Bytes, out: &mut [f64]) -> Result<(), Malformed> {
-    match classify(bytes, out.len())? {
+pub fn decode_into(bytes: &Bytes, out: &mut [f64]) -> Result<(), DecodeError> {
+    decode_each(bytes, out, true, |a, v| *a = v)
+}
+
+/// Calls `set(cell, value)` for every cell of `out` that `bytes` carries: all
+/// of them but a sparse payload's absent ones, zeroed first if `zero_absent`.
+fn decode_each(
+    bytes: &Bytes,
+    out: &mut [f64],
+    zero_absent: bool,
+    set: impl Fn(&mut f64, f64),
+) -> Result<(), DecodeError> {
+    let n = out.len();
+    match classify(bytes, n)? {
         Payload::RawF64(body) => {
-            for (a, ch) in out.iter_mut().zip(body.chunks_exact(8)) {
-                *a = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
-            }
-            Ok(())
+            out.iter_mut().zip(Reader::new(body).f64s(n)?).for_each(|(a, v)| set(a, v));
         }
         Payload::DenseF32(body) => {
-            for (a, ch) in out.iter_mut().zip(body.chunks_exact(4)) {
-                *a = f64::from(f32::from_le_bytes(ch.try_into().expect("4-byte chunk")));
-            }
-            Ok(())
+            out.iter_mut().zip(Reader::new(body).f32s(n)?).for_each(|(a, v)| set(a, f64::from(v)));
         }
-        Payload::Grid(grid) => {
-            for_each_grid(&grid, out, |a, v| *a = v);
-            Ok(())
-        }
+        Payload::Grid(grid) => for_each_grid(&grid, out, set),
         Payload::SparseF32(body) => {
-            out.fill(0.0);
-            for_each_sparse_f32(body, out.len(), |i, v| out[i] = v)
+            if zero_absent {
+                out.fill(0.0);
+            }
+            return for_each_sparse_f32(body, n, |i, v| set(&mut out[i], v));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -579,7 +563,7 @@ mod tests {
         assert_eq!(acc, vec![10.0, 12.0, 0.0, 9.0, 10.0, 10.0, 10.0, 10.0, 10.0]);
     }
 
-    /// One frame per `Malformed` arm of the grid parser, from a valid one.
+    /// One frame per refusal of the grid parser, from a valid one.
     #[test]
     fn every_grid_malformed_arm_is_reachable() {
         let buf = [0.0, 3.0, 0.0, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0];
@@ -607,8 +591,8 @@ mod tests {
             ("unknown marker", with(0, 0x11)),
         ];
         for (arm, bytes) in cases {
-            assert_eq!(decode_into(&bytes, &mut vec![0.0; n]), Err(Malformed), "{arm}");
-            assert_eq!(decode_add(&bytes, &mut vec![0.0; n]), Err(Malformed), "{arm}");
+            assert!(decode_into(&bytes, &mut vec![0.0; n]).is_err(), "{arm}");
+            assert!(decode_add(&bytes, &mut vec![0.0; n]).is_err(), "{arm}");
         }
     }
 
@@ -642,7 +626,7 @@ mod tests {
             sparse.slice(..sparse.len() - 2),
             Bytes::from(bad_index),
         ] {
-            assert_eq!(decode_into(&bytes, &mut [0.0; 4]), Err(Malformed), "{bytes:?}");
+            assert!(decode_into(&bytes, &mut [0.0; 4]).is_err(), "{bytes:?}");
         }
     }
 
@@ -650,8 +634,8 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let payload = f64s_to_bytes(&[1.0, 2.0]);
         let mut out = vec![0.0; 3];
-        assert_eq!(decode_into(&payload, &mut out), Err(Malformed));
-        assert_eq!(decode_add(&payload, &mut out), Err(Malformed));
+        assert!(decode_into(&payload, &mut out).is_err());
+        assert!(decode_add(&payload, &mut out).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::config::Storage;
 use crate::sketch::QuantileSketch;
 use gbdt_data::binned::BinnedRowsBuilder;
 use gbdt_data::dataset::Dataset;
+use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::{BinId, BinnedRows, BinnedStore, DenseBinnedRows, FeatureId};
 use serde::{Deserialize, Serialize};
 
@@ -182,29 +183,23 @@ impl BinCuts {
         out
     }
 
-    /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let s = bytes.get(pos..pos + n)?;
-            pos += n;
-            Some(s)
-        };
-        let d = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-        // Each feature takes ≥ 2 bytes: a header cannot size past the bytes.
-        let mut cuts = Vec::with_capacity(d.min(bytes.len() / 2));
-        for _ in 0..d {
-            let len = u16::from_le_bytes(take(2)?.try_into().ok()?) as usize;
-            let mut c = Vec::with_capacity(len);
-            for _ in 0..len {
-                c.push(f32::from_le_bytes(take(4)?.try_into().ok()?));
+    /// Decodes [`Self::encode_bytes`] output: cuts [`Self::from_cut_values`]
+    /// accepts, strictly ascending within each feature.
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let d = r.u32()? as usize;
+        // Each feature takes at least its 2-byte length.
+        let mut cuts = Vec::with_capacity(r.count(d, 2)?);
+        for f in 0..d {
+            let len = r.u16()? as usize;
+            let c: Vec<f32> = r.f32s(len)?.collect();
+            if !c.windows(2).all(|pair| pair[0] < pair[1]) {
+                return Err(r.error(format!("feature {f} cuts not strictly ascending")));
             }
             cuts.push(c);
         }
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(BinCuts { cuts })
+        r.finish()?;
+        Ok(BinCuts { cuts })
     }
 }
 
@@ -317,11 +312,22 @@ mod tests {
         let c = cuts_simple();
         let bytes = c.encode_bytes();
         assert_eq!(BinCuts::decode_bytes(&bytes).unwrap(), c);
-        assert!(BinCuts::decode_bytes(&bytes[..bytes.len() - 2]).is_none());
+        assert!(BinCuts::decode_bytes(&bytes[..bytes.len() - 2]).is_err());
         // A feature count past the bytes is rejected before it sizes anything.
         let mut hostile = bytes.clone();
         hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(BinCuts::decode_bytes(&hostile).is_none());
+        assert!(BinCuts::decode_bytes(&hostile).is_err());
+    }
+
+    /// A broadcast whose cuts `from_cut_values` would refuse is refused on
+    /// the wire too: feature 0's second cut, 2.0 at bytes 10..14, has its
+    /// sign flipped below the first.
+    #[test]
+    fn cuts_out_of_order_are_refused() {
+        let mut bytes = cuts_simple().encode_bytes();
+        bytes[13] ^= 0x80;
+        let err = BinCuts::decode_bytes(&bytes).unwrap_err();
+        assert_eq!(err.what, "feature 0 cuts not strictly ascending");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::gradients::GradPair;
 use crate::split::NodeStats;
+use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -204,23 +205,13 @@ impl NodeHistogram {
     }
 
     /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 12 {
-            return None;
-        }
-        let f = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let q = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let c = u32::from_le_bytes(bytes[8..12].try_into().ok()?) as usize;
-        let payload = &bytes[12..];
-        let expect = f.checked_mul(q)?.checked_mul(c)?.checked_mul(16)?;
-        if payload.len() != expect {
-            return None;
-        }
-        let mut data = Vec::with_capacity(payload.len() / 8);
-        data.extend(
-            payload.chunks_exact(8).map(|ch| f64::from_le_bytes(ch.try_into().unwrap())),
-        );
-        Some(NodeHistogram { n_features: f, n_bins: q, n_outputs: c, data })
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (f, q, c) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+        let cells = f.checked_mul(q).and_then(|fq| fq.checked_mul(2 * c));
+        let data = r.f64s(cells.ok_or_else(|| r.error("histogram shape overflows"))?)?.collect();
+        r.finish()?;
+        Ok(NodeHistogram { n_features: f, n_bins: q, n_outputs: c, data })
     }
 }
 
@@ -440,8 +431,8 @@ mod tests {
         h.add(2, 3, 1, 0.123, 4.56);
         let bytes = h.encode_bytes();
         assert_eq!(NodeHistogram::decode_bytes(&bytes).unwrap(), h);
-        assert!(NodeHistogram::decode_bytes(&bytes[..10]).is_none());
-        assert!(NodeHistogram::decode_bytes(&bytes[..bytes.len() - 8]).is_none());
+        assert!(NodeHistogram::decode_bytes(&bytes[..10]).is_err());
+        assert!(NodeHistogram::decode_bytes(&bytes[..bytes.len() - 8]).is_err());
     }
 
     #[test]

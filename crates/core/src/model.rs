@@ -4,6 +4,7 @@ use crate::loss::Objective;
 use crate::metrics;
 use crate::tree::{NodeKind, Tree};
 use gbdt_data::dataset::Dataset;
+use gbdt_data::frame::{DecodeError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// A trained GBDT model: `ŷᵢ = Σ_t η·f_t(xᵢ)` (leaf values are stored
@@ -194,27 +195,27 @@ impl GbdtModel {
     }
 
     /// Decodes [`Self::encode_bytes`] output. `decode(encode(m)) == m`
-    /// bit-for-bit; malformed or truncated buffers return a description of
-    /// the first framing violation instead of panicking.
-    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = ByteReader { bytes, pos: 0 };
+    /// bit-for-bit; malformed or truncated buffers are refused at the first
+    /// framing violation instead of panicking.
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
         if r.take(4)? != MODEL_MAGIC {
-            return Err("bad magic: not a GBDT model buffer".into());
+            return Err(r.error("bad magic: not a GBDT model buffer"));
         }
         let version = r.u32()?;
         if version != MODEL_FORMAT_VERSION {
-            return Err(format!("unsupported model format version {version}"));
+            return Err(r.error(format!("unsupported model format version {version}")));
         }
         let obj_tag = r.u8()?;
         let n_classes = r.u32()? as usize;
         let objective = match obj_tag {
             0 | 1 if n_classes != 0 => {
-                return Err(format!("objective tag {obj_tag} with {n_classes} classes"))
+                return Err(r.error(format!("objective tag {obj_tag} with {n_classes} classes")))
             }
             0 => Objective::SquaredError,
             1 => Objective::Logistic,
             2 => Objective::Softmax { n_classes },
-            t => return Err(format!("unknown objective tag {t}")),
+            t => return Err(r.error(format!("unknown objective tag {t}"))),
         };
         // Every count below that sizes an allocation is checked against the
         // objective or against the bytes left before anything is allocated.
@@ -223,7 +224,7 @@ impl GbdtModel {
         let n_features = r.u32()? as usize;
         let n_init = r.u32()? as usize;
         if n_init != c {
-            return Err(format!("{n_init} initial scores for {c} outputs"));
+            return Err(r.error(format!("{n_init} initial scores for {c} outputs")));
         }
         let init_scores = r.f64s(n_init)?.collect();
         let n_trees = r.u32()? as usize;
@@ -234,10 +235,12 @@ impl GbdtModel {
             let n_layers = r.u32()? as usize;
             let n_outputs = r.u32()? as usize;
             if !(1..=24).contains(&n_layers) {
-                return Err(format!("tree {t}: n_layers {n_layers} out of range"));
+                return Err(r.error(format!("tree {t}: n_layers {n_layers} out of range")));
             }
             if n_outputs != c {
-                return Err(format!("tree {t}: {n_outputs} outputs where the objective has {c}"));
+                return Err(r.error(format!(
+                    "tree {t}: {n_outputs} outputs where the objective has {c}"
+                )));
             }
             let n_nodes = r.u32()? as usize;
             let mut tree = Tree::new(n_layers, n_outputs);
@@ -251,33 +254,25 @@ impl GbdtModel {
             for _ in 0..n_nodes {
                 let id = r.u32()?;
                 if prev.is_some_and(|p| id <= p) {
-                    return Err(format!("tree {t}: node ids not strictly ascending at {id}"));
+                    let what = format!("tree {t}: node ids not strictly ascending at {id}");
+                    return Err(r.error(what));
                 }
                 prev = Some(id);
                 let set = match r.u8()? {
                     0 => {
-                        let feature = r.u32()?;
-                        let bin = r.u16()?;
-                        let threshold = r.f32()?;
-                        let default_left = match r.u8()? {
-                            0 => false,
-                            1 => true,
-                            b => return Err(format!("tree {t}: default side byte {b}")),
-                        };
-                        let gain = r.f64()?;
+                        let (feature, bin, threshold) = (r.u32()?, r.u16()?, r.f32()?);
+                        let (default_left, gain) = (r.flag()?, r.f64()?);
                         tree.try_set_internal(id, feature, bin, threshold, default_left, gain)
                     }
                     1 => tree.try_set_leaf(id, r.f64s(c)?),
-                    k => return Err(format!("tree {t}: unknown node kind {k}")),
+                    k => return Err(r.error(format!("tree {t}: unknown node kind {k}"))),
                 };
-                set.map_err(|e| format!("tree {t}: {e}"))?;
+                set.map_err(|e| r.error(format!("tree {t}: {e}")))?;
             }
-            tree.check_complete().map_err(|e| format!("tree {t}: {e}"))?;
+            tree.check_complete().map_err(|e| r.error(format!("tree {t}: {e}")))?;
             trees.push(tree);
         }
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after model payload", bytes.len() - r.pos));
-        }
+        r.finish()?;
         trees.shrink_to_fit();
         Ok(GbdtModel { objective, learning_rate, n_features, init_scores, trees })
     }
@@ -299,59 +294,6 @@ pub const MODEL_MAGIC: &[u8; 4] = b"GBDT";
 pub const MODEL_FORMAT_VERSION: u32 = 1;
 /// Bytes of an internal node's fields after its id and kind byte.
 const INTERNAL_BYTES: usize = 19;
-
-/// Bounds-checked little-endian cursor for [`GbdtModel::decode_bytes`].
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated model buffer at byte {}", self.pos))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().map_err(|_| "u16".to_string())?))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "u32".to_string())?))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "f32".to_string())?))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
-    }
-
-    /// `n` f64s, read only once their bytes are known to be there.
-    fn f64s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = f64> + 'a, String> {
-        let len = n.checked_mul(8).ok_or_else(|| format!("{n} values overflow the buffer"))?;
-        Ok(self.take(len)?.chunks_exact(8).map(|b| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(b);
-            f64::from_le_bytes(word)
-        }))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
 
 /// How [`GbdtModel::feature_importance`] weighs each split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -597,7 +539,7 @@ mod tests {
         let mut orphan = bytes.clone();
         orphan[90] = 5;
         let err = GbdtModel::decode_bytes(&orphan).unwrap_err();
-        assert!(err.contains("no internal parent"), "{err}");
+        assert!(err.what.contains("no internal parent"), "{err}");
         // The n_layers field is bytes 41..45.
         let mut deep = bytes;
         deep[41] = 24;
@@ -667,7 +609,7 @@ mod tests {
         // Node 1's children are vacant, so that tree cannot be walked and
         // the decoder refuses it; the other two round-trip.
         let err = GbdtModel::decode_bytes(&bytes).unwrap_err();
-        assert!(err.contains("tree 1: an internal node is missing a child"), "{err}");
+        assert!(err.what.contains("tree 1: an internal node is missing a child"), "{err}");
         m.trees.remove(1);
         assert_eq!(GbdtModel::decode_bytes(&m.encode_bytes()).unwrap(), m);
     }
@@ -687,7 +629,7 @@ mod tests {
         childless.trees.push(t);
         for (m, what) in [(rootless, "no root"), (childless, "missing a child")] {
             let err = GbdtModel::decode_bytes(&m.encode_bytes()).unwrap_err();
-            assert!(err.contains(what), "{err}");
+            assert!(err.what.contains(what), "{err}");
             let err = GbdtModel::from_json(&m.to_json()).unwrap_err();
             assert!(err.contains(what), "{err}");
         }

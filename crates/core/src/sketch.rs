@@ -19,6 +19,7 @@
 //! rejects anything else), so an insert compacts only when level 0
 //! overflows.
 
+use gbdt_data::frame::{DecodeError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// A mergeable streaming quantile sketch over `f32` values.
@@ -294,52 +295,46 @@ impl QuantileSketch {
         out
     }
 
-    /// Decodes [`Self::encode_bytes`] output. Returns `None` on malformed
-    /// input, which includes a level longer than the capacity, a key gap
-    /// past `u32`, and a total weight past `u64`.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut wire = Reader { bytes, pos: 0 };
-        let capacity = wire.u32()? as usize;
-        let n = u64::from_le_bytes(wire.take(8)?.try_into().ok()?);
-        let min = f32::from_bits(wire.u32()?);
-        let max = f32::from_bits(wire.u32()?);
-        let flip = wire.take(1)?[0] != 0;
-        let n_levels = wire.u32()? as usize;
+    /// Decodes [`Self::encode_bytes`] output. Refuses malformed input,
+    /// which includes a level longer than the capacity, a key gap past
+    /// `u32`, and a total weight past `u64`.
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let capacity = r.u32()? as usize;
+        let (n, min, max, flip) = (r.u64()?, r.f32()?, r.f32()?, r.flag()?);
+        let n_levels = r.u32()? as usize;
         if capacity < 4 || n_levels > 64 {
-            return None;
+            return Err(r.error(format!("capacity {capacity} with {n_levels} levels")));
         }
         let mut levels = Vec::with_capacity(n_levels.max(1));
         for _ in 0..n_levels {
-            let word = wire.u32()?;
+            let word = r.u32()?;
             let len = (word & !DELTA_CODED) as usize;
             if len > capacity {
-                return None;
+                return Err(r.error(format!("a level of {len} past capacity {capacity}")));
             }
-            // Every item takes at least one byte of what is left.
-            let mut level = Vec::with_capacity(len.min(bytes.len() - wire.pos));
-            if word & DELTA_CODED != 0 && len > 0 {
-                let mut key = wire.u32()?;
+            let level = if word & DELTA_CODED != 0 && len > 0 {
+                // Every item takes at least one byte of what is left.
+                let mut level = Vec::with_capacity(r.count(len, 1)?);
+                let mut key = r.u32()?;
                 level.push(from_total_key(key));
                 for _ in 1..len {
-                    key = key.checked_add(wire.leb128()?)?;
+                    key = key.checked_add(leb128(&mut r)?).ok_or_else(|| r.error("key past u32"))?;
                     level.push(from_total_key(key));
                 }
+                level
             } else {
-                for _ in 0..len {
-                    level.push(f32::from_bits(wire.u32()?));
-                }
-            }
+                r.f32s(len)?.collect()
+            };
             levels.push(level);
         }
         if levels.is_empty() {
             levels.push(Vec::new());
         }
-        if wire.pos != bytes.len() {
-            return None;
-        }
+        r.finish()?;
         let sketch = QuantileSketch { capacity, levels, n, min, max, flip };
-        sketch.weight()?;
-        Some(sketch)
+        sketch.weight().ok_or_else(|| r.error("total weight past u64"))?;
+        Ok(sketch)
     }
 
     /// Bytes the sketch occupies on the wire.
@@ -361,35 +356,17 @@ fn put_leb128(out: &mut Vec<u8>, mut x: u32) {
     out.push(x as u8);
 }
 
-/// A cursor over a sketch's wire bytes; every read past the end is `None`.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// A LEB128 value of at most five bytes that fits a `u32`.
-    fn leb128(&mut self) -> Option<u32> {
-        let mut value = 0u64;
-        for shift in (0..35).step_by(7) {
-            let byte = self.take(1)?[0];
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return u32::try_from(value).ok();
-            }
+/// A LEB128 value of at most five bytes that fits a `u32`.
+fn leb128(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+    let mut value = 0u64;
+    for shift in (0..35).step_by(7) {
+        let byte = r.u8()?;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return u32::try_from(value).map_err(|_| r.error("LEB128 gap past u32"));
         }
-        None
     }
+    Err(r.error("LEB128 gap past five bytes"))
 }
 
 #[cfg(test)]
@@ -507,11 +484,11 @@ mod tests {
         let back = QuantileSketch::decode_bytes(&bytes).unwrap();
         assert_eq!(s, back);
         // Truncated input is rejected.
-        assert!(QuantileSketch::decode_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(QuantileSketch::decode_bytes(&[1, 2, 3]).is_none());
+        assert!(QuantileSketch::decode_bytes(&bytes[..bytes.len() - 1]).is_err());
+        assert!(QuantileSketch::decode_bytes(&[1, 2, 3]).is_err());
         // A level length past the bytes is rejected before it sizes anything.
         let hostile = [&bytes[..25], &u32::MAX.to_le_bytes()].concat();
-        assert!(QuantileSketch::decode_bytes(&hostile).is_none());
+        assert!(QuantileSketch::decode_bytes(&hostile).is_err());
     }
 
     /// Bytes of `s` with every level as raw `f32`s.
@@ -527,7 +504,7 @@ mod tests {
         assert_eq!(close.wire_bytes(), 25 + 4 + 4 + 63);
         let bytes = close.encode_bytes();
         assert_eq!(bytes[28] >> 7, 1, "delta flag");
-        assert_eq!(QuantileSketch::decode_bytes(&bytes), Some(close));
+        assert_eq!(QuantileSketch::decode_bytes(&bytes), Ok(close));
         // ±inf around 0.0: two five-byte gaps, so the level stays raw.
         let far = filled([f32::INFINITY, 0.0, f32::NEG_INFINITY]);
         assert_eq!(far.wire_bytes(), raw_bytes(&far));
@@ -543,9 +520,9 @@ mod tests {
         bytes.truncate(25);
         bytes.extend((2 | DELTA_CODED).to_le_bytes());
         bytes.extend(u32::MAX.to_le_bytes());
-        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[1]].concat()).is_none());
-        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0x80; 5], &[0]].concat()).is_none());
-        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0]].concat()).is_some());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[1]].concat()).is_err());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0x80; 5], &[0]].concat()).is_err());
+        assert!(QuantileSketch::decode_bytes(&[&bytes[..], &[0]].concat()).is_ok());
     }
 
     /// The wire bytes of a sketch of capacity 4 holding `lens[h]` copies of
@@ -564,9 +541,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_a_level_over_capacity() {
-        assert!(QuantileSketch::decode_bytes(&with_levels(&[4, 0, 4])).is_some());
-        assert!(QuantileSketch::decode_bytes(&with_levels(&[5])).is_none());
-        assert!(QuantileSketch::decode_bytes(&with_levels(&[0, 0, 5])).is_none());
+        assert!(QuantileSketch::decode_bytes(&with_levels(&[4, 0, 4])).is_ok());
+        assert!(QuantileSketch::decode_bytes(&with_levels(&[5])).is_err());
+        assert!(QuantileSketch::decode_bytes(&with_levels(&[0, 0, 5])).is_err());
     }
 
     #[test]
@@ -577,15 +554,15 @@ mod tests {
             lens[h] = len;
             QuantileSketch::decode_bytes(&with_levels(&lens))
         };
-        assert!(top(63, 1).is_some());
-        assert!(top(63, 2).is_none());
-        assert!(top(62, 3).is_some());
-        assert!(top(62, 4).is_none());
+        assert!(top(63, 1).is_ok());
+        assert!(top(63, 2).is_err());
+        assert!(top(62, 3).is_ok());
+        assert!(top(62, 4).is_err());
         let mut lens = vec![0; 64];
         (lens[62], lens[63]) = (1, 1);
-        assert!(QuantileSketch::decode_bytes(&with_levels(&lens)).is_some());
+        assert!(QuantileSketch::decode_bytes(&with_levels(&lens)).is_ok());
         lens[61] = 2;
-        assert!(QuantileSketch::decode_bytes(&with_levels(&lens)).is_none());
+        assert!(QuantileSketch::decode_bytes(&with_levels(&lens)).is_err());
     }
 
     #[test]

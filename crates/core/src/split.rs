@@ -15,6 +15,7 @@
 //! so any fold order picks the same winner.
 
 use crate::histogram::NodeHistogram;
+use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::{BinId, FeatureId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -121,20 +122,12 @@ impl NodeStats {
     }
 
     /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let c = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let payload = &bytes[4..];
-        if payload.len() != c * 16 {
-            return None;
-        }
-        let vals: Vec<f64> = payload
-            .chunks_exact(8)
-            .map(|ch| f64::from_le_bytes(ch.try_into().unwrap()))
-            .collect();
-        Some(NodeStats { grads: vals[..c].to_vec(), hesses: vals[c..].to_vec() })
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let c = r.u32()? as usize;
+        let (grads, hesses) = (r.f64s(c)?.collect(), r.f64s(c)?.collect());
+        r.finish()?;
+        Ok(NodeStats { grads, hesses })
     }
 }
 
@@ -191,22 +184,15 @@ impl Split {
     }
 
     /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 19 {
-            return None;
-        }
-        let feature = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
-        let bin = u16::from_le_bytes(bytes[4..6].try_into().ok()?);
-        let default_left = match bytes[6] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let gain = f64::from_le_bytes(bytes[7..15].try_into().ok()?);
-        let left_len = u32::from_le_bytes(bytes[15..19].try_into().ok()?) as usize;
-        let left = NodeStats::decode_bytes(bytes.get(19..19 + left_len)?)?;
-        let right = NodeStats::decode_bytes(bytes.get(19 + left_len..)?)?;
-        Some(Split { feature, bin, default_left, gain, left, right })
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (feature, bin, default_left, gain) = (r.u32()?, r.u16()?, r.flag()?, r.f64()?);
+        let left_len = r.u32()? as usize;
+        // Each child decodes as a frame of its own: offsets in its refusals
+        // count from the child's first byte.
+        let left = NodeStats::decode_bytes(r.take(left_len)?)?;
+        let right = NodeStats::decode_bytes(r.take(r.remaining())?)?;
+        Ok(Split { feature, bin, default_left, gain, left, right })
     }
 }
 
@@ -622,7 +608,7 @@ mod tests {
     fn stats_and_split_wire_roundtrip() {
         let stats = NodeStats { grads: vec![1.5, -2.5], hesses: vec![0.5, 3.0] };
         assert_eq!(NodeStats::decode_bytes(&stats.encode_bytes()).unwrap(), stats);
-        assert!(NodeStats::decode_bytes(&stats.encode_bytes()[..7]).is_none());
+        assert!(NodeStats::decode_bytes(&stats.encode_bytes()[..7]).is_err());
         let split = Split {
             feature: 12,
             bin: 7,
@@ -632,6 +618,6 @@ mod tests {
             right: NodeStats::zero(2),
         };
         assert_eq!(Split::decode_bytes(&split.encode_bytes()).unwrap(), split);
-        assert!(Split::decode_bytes(&split.encode_bytes()[..20]).is_none());
+        assert!(Split::decode_bytes(&split.encode_bytes()[..20]).is_err());
     }
 }

@@ -11,8 +11,11 @@ use gbdt_core::tree::{LookupResult, Tree};
 use gbdt_core::{BinCuts, GradBuffer, Kernel, Objective, QuantileSketch};
 use gbdt_data::binned::BinnedRowsBuilder;
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
+use gbdt_data::frame::Reader;
+use gbdt_data::hostile;
 use gbdt_data::{BinId, BinnedRows, BinnedStore, FeatureId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// The allocating split scan the running-sum scan replaced, kept as the
 /// oracle it must equal bit for bit: `NodeStats` per side, per bin and per
@@ -326,10 +329,10 @@ proptest! {
         let bytes = hist.encode_bytes();
         prop_assert_eq!(bytes.len(), 12 + d * q * c * 2 * 8);
         let decoded = NodeHistogram::decode_bytes(&bytes);
-        prop_assert_eq!(decoded.as_ref(), Some(&hist), "decode(encode(h)) != h");
+        prop_assert_eq!(decoded.as_ref(), Ok(&hist), "decode(encode(h)) != h");
         // Truncated payloads must be rejected, never mis-decoded.
         if !bytes.is_empty() {
-            prop_assert_eq!(NodeHistogram::decode_bytes(&bytes[..bytes.len() - 1]), None);
+            prop_assert!(NodeHistogram::decode_bytes(&bytes[..bytes.len() - 1]).is_err());
         }
     }
 
@@ -823,36 +826,34 @@ fn sketch_value((kind, bits): (u8, u32)) -> f32 {
 /// set when its items are a first key and LEB128 key gaps, clear when they
 /// are raw `f32`s.
 fn wire_levels(bytes: &[u8]) -> (usize, Vec<Vec<u32>>) {
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     let from_key = |key: u32| if key >> 31 == 1 { key & !(1 << 31) } else { !key };
-    let mut levels = Vec::new();
-    let mut pos = 25;
-    for _ in 0..word(21) {
-        let (delta, len) = (word(pos) >> 31 == 1, (word(pos) & !(1 << 31)) as usize);
-        pos += 4;
-        if delta {
-            let mut key = word(pos);
-            pos += 4;
-            let mut level = vec![from_key(key)];
-            for _ in 1..len {
-                let mut gap = 0;
-                for shift in (0..).step_by(7) {
-                    gap |= u32::from(bytes[pos] & 0x7f) << shift;
-                    pos += 1;
-                    if bytes[pos - 1] & 0x80 == 0 {
-                        break;
-                    }
-                }
-                key += gap;
-                level.push(from_key(key));
-            }
-            levels.push(level);
-        } else {
-            levels.push((0..len).map(|k| word(pos + 4 * k)).collect());
-            pos += 4 * len;
+    let mut r = Reader::new(bytes);
+    let capacity = r.u32().unwrap() as usize;
+    r.take(17).unwrap(); // n, min, max, flip
+    let n_levels = r.u32().unwrap();
+    let mut level = || {
+        let word = r.u32().unwrap();
+        let (delta, len) = (word >> 31 == 1, (word & !(1 << 31)) as usize);
+        if !delta {
+            return r.u32s(len).unwrap().collect();
         }
-    }
-    (word(0) as usize, levels)
+        let mut key = r.u32().unwrap();
+        let mut level = vec![from_key(key)];
+        for _ in 1..len {
+            let mut gap = 0;
+            for shift in (0..).step_by(7) {
+                let byte = r.u8().unwrap();
+                gap |= u32::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    break;
+                }
+            }
+            key += gap;
+            level.push(from_key(key));
+        }
+        level
+    };
+    (capacity, (0..n_levels).map(|_| level()).collect())
 }
 
 /// The raw wire encoding of a sketch of `capacity` holding `levels[h]` at
@@ -972,39 +973,6 @@ fn non_nan_levels(levels: Vec<Vec<(u8, u32)>>) -> Vec<Vec<f32>> {
     levels.into_iter().map(|l| level(l).collect()).collect()
 }
 
-/// The byte masks every position is flipped with: the seeded one and the
-/// lowest, highest and all bits.
-fn masks(flip: u8) -> [u8; 4] {
-    [flip, 0x01, 0x80, 0xff]
-}
-
-/// Checks `decode` against every truncation and single-byte flip of
-/// `bytes`, which it must decode to something that encodes back to `bytes`:
-/// every truncation is `None`, and every flip `None` or a value that encodes
-/// back to exactly the flipped bytes — never a panic, and never a value the
-/// sender could not have sent.
-fn hostile_sweep<T>(
-    bytes: &[u8],
-    flip: u8,
-    decode: impl Fn(&[u8]) -> Option<T>,
-    encode: impl Fn(&T) -> Vec<u8>,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    prop_assert!(decode(bytes).as_ref().map(&encode).as_deref() == Some(bytes), "a sound encoding");
-    for cut in 0..bytes.len() {
-        prop_assert!(decode(&bytes[..cut]).is_none(), "cut at {}", cut);
-    }
-    for at in 0..bytes.len() {
-        for mask in masks(flip) {
-            let mut flipped = bytes.to_vec();
-            flipped[at] ^= mask;
-            if let Some(value) = decode(&flipped) {
-                prop_assert_eq!(encode(&value), flipped, "byte {} ^ {:#x}", at, mask);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Child statistics of `c` classes from raw bits (NaN payloads included),
 /// read from `bits` cyclically starting at `at`.
 fn stats_from_bits(c: usize, bits: &[u64], at: usize) -> NodeStats {
@@ -1063,16 +1031,12 @@ proptest! {
         let sketch = QuantileSketch::decode_bytes(&raw_sketch_bytes(16, &levels, false))
             .expect("a well-formed sketch");
         let bytes = sketch.encode_bytes();
-        for cut in 0..bytes.len() {
-            prop_assert!(QuantileSketch::decode_bytes(&bytes[..cut]).is_none(), "cut at {}", cut);
-        }
-        for at in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[at] ^= mask;
-            if let Some(s) = QuantileSketch::decode_bytes(&flipped) {
+        for variant in hostile::variants(&bytes, mask) {
+            if let Ok(s) = QuantileSketch::decode_bytes(&variant) {
+                prop_assert_eq!(variant.len(), bytes.len(), "a truncation decodes");
                 let again = s.encode_bytes();
                 let back = QuantileSketch::decode_bytes(&again).map(|t| t.encode_bytes());
-                prop_assert_eq!(back, Some(again));
+                prop_assert_eq!(back, Ok(again));
             }
         }
     }
@@ -1095,7 +1059,8 @@ proptest! {
             left: stats_from_bits(classes.0, &bits, 0),
             right: stats_from_bits(classes.1, &bits, 1),
         };
-        hostile_sweep(&split.encode_bytes(), flip, Split::decode_bytes, Split::encode_bytes)?;
+        hostile::sweep(&split.encode_bytes(), flip, Split::decode_bytes, Split::encode_bytes)
+            .map_err(TestCaseError::fail)?;
     }
 
     /// The cut broadcast every horizontal trainer and the transformation
@@ -1114,7 +1079,8 @@ proptest! {
             cuts
         };
         let cuts = BinCuts::from_cut_values(features.iter().map(ascending).collect());
-        hostile_sweep(&cuts.encode_bytes(), flip, BinCuts::decode_bytes, BinCuts::encode_bytes)?;
+        hostile::sweep(&cuts.encode_bytes(), flip, BinCuts::decode_bytes, BinCuts::encode_bytes)
+            .map_err(TestCaseError::fail)?;
     }
 
     /// A model as a replica receives it in a publish frame: any objective,
@@ -1160,8 +1126,9 @@ proptest! {
             }
             model.trees.push(tree);
         }
-        let decode = |b: &[u8]| GbdtModel::decode_bytes(b).ok();
-        hostile_sweep(&model.encode_bytes(), flip, decode, GbdtModel::encode_bytes)?;
+        let bytes = model.encode_bytes();
+        hostile::sweep(&bytes, flip, GbdtModel::decode_bytes, GbdtModel::encode_bytes)
+            .map_err(TestCaseError::fail)?;
     }
 
     /// A node histogram: any shape (empty included) and any cell bits.
@@ -1176,11 +1143,8 @@ proptest! {
         for (k, cell) in hist.as_mut_slice().iter_mut().enumerate() {
             *cell = f64::from_bits(bits[k % bits.len()].rotate_left(k as u32));
         }
-        hostile_sweep(
-            &hist.encode_bytes(),
-            flip,
-            NodeHistogram::decode_bytes,
-            NodeHistogram::encode_bytes,
-        )?;
+        let bytes = hist.encode_bytes();
+        hostile::sweep(&bytes, flip, NodeHistogram::decode_bytes, NodeHistogram::encode_bytes)
+            .map_err(TestCaseError::fail)?;
     }
 }

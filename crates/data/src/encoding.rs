@@ -69,7 +69,7 @@ pub fn encode_naive(pairs: &[(FeatureId, f64)]) -> Bytes {
 }
 
 /// Decodes the naïve format.
-pub fn decode_naive(bytes: Bytes) -> Result<Vec<(FeatureId, f64)>, DataError> {
+pub fn decode_naive(bytes: &[u8]) -> Result<Vec<(FeatureId, f64)>, DataError> {
     if !bytes.len().is_multiple_of(NAIVE_PAIR_BYTES) {
         return Err(DataError::Shape(format!(
             "naive buffer len {} not a multiple of {NAIVE_PAIR_BYTES}",
@@ -118,7 +118,7 @@ pub fn encode_compressed(pairs: &[(FeatureId, BinId)], p: usize, q: usize) -> By
 
 /// Decodes the compressed format given the same `p` and `q`.
 pub fn decode_compressed(
-    bytes: Bytes,
+    bytes: &[u8],
     p: usize,
     q: usize,
 ) -> Result<Vec<(FeatureId, BinId)>, DataError> {
@@ -204,6 +204,7 @@ impl BitReader<'_> {
     /// The next `bits`-bit field. Past the end of the stream it reads zero
     /// bits, which a caller that checked the stream's length never reaches.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "hot loop: the blockified bitstream read")]
     fn get(&mut self, bits: u32) -> u64 {
         let at = self.pos >> 3;
         let word = match self.bytes.get(at..at + 8) {
@@ -391,13 +392,13 @@ mod tests {
         let pairs = vec![(0u32, 1.5f64), (7, -2.25), (100_000, 0.0)];
         let enc = encode_naive(&pairs);
         assert_eq!(enc.len(), pairs.len() * NAIVE_PAIR_BYTES);
-        assert_eq!(decode_naive(enc).unwrap(), pairs);
+        assert_eq!(decode_naive(&enc).unwrap(), pairs);
     }
 
     #[test]
     fn naive_rejects_truncated_buffer() {
         let enc = encode_naive(&[(1, 2.0)]);
-        assert!(decode_naive(enc.slice(0..5)).is_err());
+        assert!(decode_naive(&enc[0..5]).is_err());
     }
 
     #[test]
@@ -410,14 +411,14 @@ mod tests {
                 pairs.len() * compressed_pair_bytes(p, q),
                 "p={p} q={q}"
             );
-            assert_eq!(decode_compressed(enc, p, q).unwrap(), pairs, "p={p} q={q}");
+            assert_eq!(decode_compressed(&enc, p, q).unwrap(), pairs, "p={p} q={q}");
         }
     }
 
     #[test]
     fn compressed_rejects_misaligned_buffer() {
         let enc = encode_compressed(&[(1, 1)], 200, 20);
-        assert!(decode_compressed(enc.slice(0..1), 200, 20).is_err());
+        assert!(decode_compressed(&enc[0..1], 200, 20).is_err());
     }
 
     #[test]

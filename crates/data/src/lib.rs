@@ -28,6 +28,8 @@
 //!   received blocks into the keys of one `BinnedRows` per worker.
 //! * [`encoding`] — key-value pair encodings: naïve 12-byte pairs vs the
 //!   compact ⌈log p⌉ / ⌈log q⌉ byte encoding of §4.2.1 step 3.
+//! * [`frame`] — the checked reader and the one error every frame decoder
+//!   of the workspace uses.
 
 pub mod binned;
 pub mod block;
@@ -36,6 +38,9 @@ pub mod dataset;
 pub mod dense;
 pub mod encoding;
 pub mod error;
+pub mod frame;
+#[doc(hidden)]
+pub mod hostile;
 pub mod libsvm;
 pub mod pairs;
 pub mod sparse;

@@ -320,7 +320,7 @@ proptest! {
     fn naive_encoding_roundtrip(pairs in prop::collection::vec((any::<u32>(), -1e9f64..1e9), 0..200)) {
         let enc = encoding::encode_naive(&pairs);
         prop_assert_eq!(enc.len(), pairs.len() * encoding::NAIVE_PAIR_BYTES);
-        prop_assert_eq!(encoding::decode_naive(enc).unwrap(), pairs);
+        prop_assert_eq!(encoding::decode_naive(&enc).unwrap(), pairs);
     }
 
     #[test]
@@ -334,7 +334,7 @@ proptest! {
             .map(|(f, b)| (f % p.min(u32::MAX as usize) as u32, b % q.min(u16::MAX as usize + 1) as u16))
             .collect();
         let enc = encoding::encode_compressed(&pairs, p, q);
-        prop_assert_eq!(encoding::decode_compressed(enc, p, q).unwrap(), pairs);
+        prop_assert_eq!(encoding::decode_compressed(&enc, p, q).unwrap(), pairs);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! ids). All workers then apply the same bitmap to their node-to-instance
 //! indexes, which keeps those indexes identical across the cluster.
 
+use gbdt_data::frame::{DecodeError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// A packed left/right placement bitmap: bit `i` set means the `i`-th
@@ -77,29 +78,21 @@ impl PlacementBitmap {
     }
 
     /// Decodes [`Self::encode_bytes`] output.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let n_bits = u64::from_le_bytes(bytes[0..8].try_into().ok()?) as usize;
-        let n_bytes = n_bits.div_ceil(8);
-        let payload = &bytes[8..];
-        if payload.len() != n_bytes {
-            return None;
-        }
+    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let n_bits = r.u64()? as usize;
+        let payload = r.take(n_bits.div_ceil(8))?;
+        r.finish()?;
         let mut words = vec![0u64; n_bits.div_ceil(64)];
         for (chunk, &b) in payload.iter().enumerate() {
             words[chunk / 8] |= u64::from(b) << ((chunk % 8) * 8);
         }
         // Reject stray bits beyond n_bits (defensive: malformed input).
-        if !n_bits.is_multiple_of(64) {
-            if let Some(&last) = words.last() {
-                if last >> (n_bits % 64) != 0 {
-                    return None;
-                }
-            }
+        let stray = |last: &u64| last >> (n_bits % 64) != 0;
+        if !n_bits.is_multiple_of(64) && words.last().is_some_and(stray) {
+            return Err(r.error(format!("bits set past bit {n_bits}")));
         }
-        Some(PlacementBitmap { n_bits, words })
+        Ok(PlacementBitmap { n_bits, words })
     }
 
     /// Wire size in bytes.
@@ -147,11 +140,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed() {
-        assert!(PlacementBitmap::decode_bytes(&[1, 2, 3]).is_none());
+        assert!(PlacementBitmap::decode_bytes(&[1, 2, 3]).is_err());
         let bm = PlacementBitmap::from_predicate(20, |i| i % 2 == 0);
         let mut bytes = bm.encode_bytes();
         bytes.push(0);
-        assert!(PlacementBitmap::decode_bytes(&bytes).is_none());
+        assert!(PlacementBitmap::decode_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -27,13 +27,14 @@
 
 use crate::horizontal::HorizontalPartition;
 use crate::vertical::{ColumnGrouping, GroupingStrategy};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use gbdt_cluster::comm::protocol::REPARTITION_A2A_TAG;
 use gbdt_cluster::{CommError, Phase, WorkerCtx};
 use gbdt_core::{BinCuts, QuantileSketch};
 use gbdt_data::block::{Assembly, Block, SliceError};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::encoding;
+use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::{BinId, BinnedRows, DataError, FeatureId, PairKeys};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -183,33 +184,40 @@ fn encode_sketch_batches(local: &[QuantileSketch], rank: usize, w: usize) -> Vec
 /// [`CommError::Malformed`].
 fn merge_sketch_batch(
     merged: &mut [QuantileSketch],
-    mut batch: Bytes,
+    batch: Bytes,
     rank: usize,
     w: usize,
     from: usize,
 ) -> Result<(), CommError> {
-    let malformed = CommError::Malformed { from };
-    while batch.has_remaining() {
-        if batch.remaining() < 8 {
-            return Err(malformed);
+    from_sender(&batch, from, |r| {
+        while r.remaining() > 0 {
+            let (f, len) = (r.be_u32()? as usize, r.be_u32()? as usize);
+            if f >= merged.len() || f % w != rank {
+                return Err(r.error(format!("feature {f} is not merged here")));
+            }
+            let sketch = QuantileSketch::decode_bytes(r.take(len)?)?;
+            if merged[f].count().checked_add(sketch.count()).is_none() {
+                return Err(r.error("merged count past u64"));
+            }
+            merged[f].merge(&sketch);
+            if merged[f].weight().is_none() {
+                return Err(r.error("merged weight past u64"));
+            }
         }
-        let f = batch.get_u32() as usize;
-        let len = batch.get_u32() as usize;
-        if f >= merged.len() || f % w != rank || batch.remaining() < len {
-            return Err(malformed);
-        }
-        let Some(sketch) = QuantileSketch::decode_bytes(&batch.split_to(len)) else {
-            return Err(malformed);
-        };
-        if merged[f].count().checked_add(sketch.count()).is_none() {
-            return Err(malformed);
-        }
-        merged[f].merge(&sketch);
-        if merged[f].weight().is_none() {
-            return Err(malformed);
-        }
-    }
-    Ok(())
+        Ok(())
+    })
+}
+
+/// Sender `from`'s frame, read whole by `read`: a refusal or a byte left
+/// over is [`CommError::Malformed`] from that sender.
+fn from_sender<'a, T>(
+    bytes: &'a [u8],
+    from: usize,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<T, CommError> {
+    let mut r = Reader::new(bytes);
+    let value = read(&mut r).and_then(|value| r.finish().map(|()| value));
+    value.map_err(|_| CommError::Malformed { from })
 }
 
 /// This worker's 〈feature, count, cuts〉 record for each feature it merged.
@@ -239,26 +247,26 @@ fn decode_cut_parts(
     let w = parts.len();
     let mut cut_values: Vec<Vec<f32>> = vec![Vec::new(); d];
     let mut counts = vec![0u64; d];
-    for (from, mut part) in parts.into_iter().enumerate() {
-        let malformed = CommError::Malformed { from };
-        for f in (from..d).step_by(w) {
-            if part.remaining() < 14 || part.get_u32() as usize != f {
-                return Err(malformed);
+    for (from, part) in parts.into_iter().enumerate() {
+        from_sender(&part, from, |r| {
+            for f in (from..d).step_by(w) {
+                let feature = r.be_u32()? as usize;
+                if feature != f {
+                    return Err(r.error(format!("feature {feature} where {f} is due")));
+                }
+                counts[f] = r.be_u64()?;
+                let len = r.be_u16()? as usize;
+                if len > n_bins {
+                    return Err(r.error(format!("{len} cuts past {n_bins} bins")));
+                }
+                let cuts: Vec<f32> = r.be_f32s(len)?.collect();
+                if !cuts.windows(2).all(|pair| pair[0] < pair[1]) {
+                    return Err(r.error(format!("feature {f} cuts not strictly ascending")));
+                }
+                cut_values[f] = cuts;
             }
-            counts[f] = part.get_u64();
-            let len = part.get_u16() as usize;
-            if len > n_bins || part.remaining() < 4 * len {
-                return Err(malformed);
-            }
-            let cuts: Vec<f32> = (0..len).map(|_| part.get_f32()).collect();
-            if !cuts.windows(2).all(|pair| pair[0] < pair[1]) {
-                return Err(malformed);
-            }
-            cut_values[f] = cuts;
-        }
-        if part.has_remaining() {
-            return Err(malformed);
-        }
+            Ok(())
+        })?;
     }
     Ok((cut_values, counts))
 }
@@ -279,23 +287,19 @@ fn encode_cuts_and_counts(cuts: &BinCuts, counts: &[u64]) -> Bytes {
 /// for all `d` features) followed by one count per feature. Anything else
 /// is [`CommError::Malformed`].
 fn decode_cuts_and_counts(
-    mut full: Bytes,
+    full: Bytes,
     d: usize,
     n_bins: usize,
 ) -> Result<(BinCuts, Vec<u64>), CommError> {
-    let malformed = CommError::Malformed { from: 0 };
-    if full.remaining() < 4 {
-        return Err(malformed);
-    }
-    let cut_len = full.get_u32() as usize;
-    if full.remaining() != cut_len + 8 * d {
-        return Err(malformed);
-    }
-    let cuts = BinCuts::decode_bytes(&full.split_to(cut_len))
-        .filter(|cuts| cuts.n_features() == d && cuts.max_bins() <= n_bins)
-        .ok_or(malformed)?;
-    let counts = (0..d).map(|_| full.get_u64()).collect();
-    Ok((cuts, counts))
+    from_sender(&full, 0, |r| {
+        let cut_len = r.be_u32()? as usize;
+        let cuts = BinCuts::decode_bytes(r.take(cut_len)?)?;
+        if cuts.n_features() != d || cuts.max_bins() > n_bins {
+            return Err(r.error(format!("cuts for {} features, not {d}", cuts.n_features())));
+        }
+        let counts = (0..r.count(d, 8)?).map(|_| r.be_u64()).collect::<Result<_, _>>()?;
+        Ok((cuts, counts))
+    })
 }
 
 /// All-to-all exchange: `payloads[w]` goes to worker `w`; returns the
@@ -488,8 +492,8 @@ fn decode_group(
     // of line.
     for (from, bytes) in received.iter().enumerate() {
         let (lo, hi) = partition.bounds(from);
-        let header = bytes.get(..12).map(|mut h| [h.get_u32(), h.get_u32(), h.get_u32()]);
-        if header != Some([from, lo, hi - lo].map(|v| v as u32)) {
+        let mut r = Reader::new(bytes);
+        if [r.be_u32(), r.be_u32(), r.be_u32()] != [from, lo, hi - lo].map(|v| Ok(v as u32)) {
             return Err(CommError::Malformed { from });
         }
     }
@@ -502,7 +506,7 @@ fn decode_group(
         }
         WireEncoding::Compressed => {
             let pair_bytes = encoding::compressed_pair_bytes(p_local, q);
-            decode_rowframed(received, &n_bins, n, pair_bytes, |row, rows| {
+            decode_rowframed(received, &n_bins, partition, pair_bytes, |row, rows| {
                 for (f, b) in encoding::decode_compressed(row, p_local, q)? {
                     rows.push(f, b).map_err(|e| e.error)?;
                 }
@@ -510,7 +514,8 @@ fn decode_group(
             })
         }
         WireEncoding::Naive => {
-            decode_rowframed(received, &n_bins, n, encoding::NAIVE_PAIR_BYTES, |row, rows| {
+            let naive = encoding::NAIVE_PAIR_BYTES;
+            decode_rowframed(received, &n_bins, partition, naive, |row, rows| {
                 for (f, v) in encoding::decode_naive(row)? {
                     if f as usize >= grouping.n_features() || grouping.group_of(f) != rank {
                         return Err(DataError::Shape(format!("feature {f} is not in group {rank}")));
@@ -533,14 +538,9 @@ fn decode_labels(
     partition: &HorizontalPartition,
 ) -> Result<Vec<f32>, CommError> {
     let mut labels = Vec::with_capacity(partition.n_instances());
-    for (from, mut part) in parts.into_iter().enumerate() {
+    for (from, part) in parts.into_iter().enumerate() {
         let (lo, hi) = partition.bounds(from);
-        if part.len() != 4 * (hi - lo) {
-            return Err(CommError::Malformed { from });
-        }
-        while part.has_remaining() {
-            labels.push(part.get_f32());
-        }
+        from_sender(&part, from, |r| r.be_f32s(hi - lo).map(|values| labels.extend(values)))?;
     }
     Ok(labels)
 }
@@ -549,6 +549,7 @@ fn decode_labels(
 /// anything else is [`CommError::Malformed`].
 fn decode_grouping(payload: &[u8], d: usize, w: usize) -> Result<ColumnGrouping, CommError> {
     ColumnGrouping::decode_bytes(payload, w)
+        .ok()
         .filter(|grouping| grouping.n_features() == d)
         .ok_or(CommError::Malformed { from: 0 })
 }
@@ -570,35 +571,30 @@ fn encode_rowframed_compressed(frame: &Block, p: usize, q: usize) -> Bytes {
 
 /// Decodes row-framed payloads — one per sender, in file-split order, each
 /// with the 12-byte header [`decode_group`] checked — into one row-store of
-/// the group features binned `n_bins` over `n_rows` rows, each payload
-/// dropped once decoded.
+/// the group features binned `n_bins` over the partition's rows, each
+/// payload dropped once decoded.
 /// `decode_row` appends one row's pairs, `pair_bytes` wide on the wire. A
 /// payload that does not decode is [`CommError::Malformed`] from its sender.
 fn decode_rowframed(
     received: Vec<Bytes>,
     n_bins: &[usize],
-    n_rows: usize,
+    partition: &HorizontalPartition,
     pair_bytes: usize,
-    mut decode_row: impl FnMut(Bytes, &mut Assembly) -> Result<(), DataError>,
+    mut decode_row: impl FnMut(&[u8], &mut Assembly) -> Result<(), DataError>,
 ) -> Result<BinnedRows, CommError> {
-    let mut rows = Assembly::new(n_bins, n_rows, 0);
-    for (from, mut bytes) in received.into_iter().enumerate() {
-        let malformed = CommError::Malformed { from };
-        rows.begin(bytes.get_u32(), bytes.get_u32()).map_err(malformed_slice)?;
-        for _ in 0..bytes.get_u32() {
-            if bytes.remaining() < 4 {
-                return Err(malformed);
+    let mut rows = Assembly::new(n_bins, partition.n_instances(), 0);
+    for (from, bytes) in received.into_iter().enumerate() {
+        let (lo, hi) = partition.bounds(from);
+        rows.begin(from as u32, lo as u32).map_err(malformed_slice)?;
+        from_sender(&bytes, from, |r| {
+            r.take(12)?;
+            for _ in lo..hi {
+                let row = r.be_u32()? as usize * pair_bytes;
+                decode_row(r.take(row)?, &mut rows).map_err(|e| r.error(e.to_string()))?;
+                rows.end_row();
             }
-            let len = bytes.get_u32() as usize * pair_bytes;
-            if bytes.remaining() < len {
-                return Err(malformed);
-            }
-            decode_row(bytes.split_to(len), &mut rows).map_err(|_| CommError::Malformed { from })?;
-            rows.end_row();
-        }
-        if bytes.has_remaining() {
-            return Err(malformed);
-        }
+            Ok(())
+        })?;
     }
     rows.finish().map_err(malformed_slice)
 }
@@ -641,6 +637,7 @@ fn encode_rowframed_naive(
 mod tests {
     use super::*;
     use gbdt_cluster::Cluster;
+    use gbdt_data::hostile;
     use gbdt_data::synthetic::SyntheticConfig;
 
     fn toy_dataset(n: usize, d: usize, seed: u64) -> Dataset {
@@ -897,7 +894,7 @@ mod tests {
             for _ in 0..=top {
                 bytes.extend(1u32.to_le_bytes().into_iter().chain(0.5f32.to_le_bytes()));
             }
-            assert!(QuantileSketch::decode_bytes(&bytes).is_some());
+            assert!(QuantileSketch::decode_bytes(&bytes).is_ok());
             let batch = [words(&[1, bytes.len() as u32]), bytes].concat();
             let mut merged = sketches(d);
             merge_sketch_batch(&mut merged, Bytes::from(batch), 1, w, 0).map(|()| merged)
@@ -1080,6 +1077,60 @@ mod tests {
         assert_eq!(decode_cuts_and_counts(full.clone(), d + 1, q), malformed);
         assert_eq!(decode_cuts_and_counts(full.clone(), d, q - 1), malformed);
         assert_eq!(decode(&words(&[u32::MAX])), malformed);
+    }
+
+    /// Every truncation and single-byte flip of a real frame of each of the
+    /// transformation's decoders is refused or decodes — never a panic: a
+    /// sketch batch, a cut part, the cut broadcast, a label part, the
+    /// grouping, and a step-4 slice in each of the three encodings.
+    #[test]
+    fn hostile_transform_frames_are_refused_or_decoded() {
+        let (d, w, q) = (3, 2, 4);
+        let batch = encode_sketch_batches(&sketches(d), 0, w).swap_remove(1);
+        for variant in hostile::variants(&batch, 0x5a) {
+            let _ = merge_sketch_batch(&mut sketches(d), Bytes::from(variant), 1, w, 0);
+        }
+        let parts: Vec<Bytes> =
+            (0..w).map(|rank| encode_cut_part(&sketches(d), rank, w, q)).collect();
+        for variant in hostile::variants(&parts[1], 0x5a) {
+            let _ = decode_cut_parts(vec![parts[0].clone(), Bytes::from(variant)], d, q);
+        }
+        let full = encode_cuts_and_counts(&BinCuts::from_sketches(&sketches(d), q), &[5, 6, 7]);
+        for variant in hostile::variants(&full, 0x5a) {
+            let _ = decode_cuts_and_counts(Bytes::from(variant), d, q);
+        }
+        let data = toy_dataset(12, 6, 3);
+        let partition = HorizontalPartition::new(data.n_instances(), 2);
+        let labels = |rank: usize| -> Vec<u8> {
+            let (lo, hi) = partition.bounds(rank);
+            data.labels[lo..hi].iter().flat_map(|y| y.to_be_bytes()).collect()
+        };
+        for variant in hostile::variants(&labels(1), 0x5a) {
+            let _ = decode_labels(vec![Bytes::from(labels(0)), Bytes::from(variant)], &partition);
+        }
+        let grouping = ColumnGrouping::build(GroupingStrategy::RoundRobin, 6, 2, &[]);
+        for variant in hostile::variants(&grouping.encode_bytes(), 0x5a) {
+            let _ = decode_grouping(&variant, 6, 2);
+        }
+        for encoding in [WireEncoding::Blockified, WireEncoding::Compressed, WireEncoding::Naive] {
+            let cfg = TransformConfig { encoding, ..Default::default() };
+            let cuts = BinCuts::from_dataset(&data, cfg.n_bins);
+            let slices: Vec<Bytes> = (0..2)
+                .map(|rank| {
+                    let shard = partition.shard(&data, rank);
+                    let row_lo = partition.bounds(rank).0;
+                    encode_groups(&shard, rank, row_lo, &cuts, &grouping, &cfg).swap_remove(0)
+                })
+                .collect();
+            let decode = |slice: Vec<u8>| {
+                let received = vec![slices[0].clone(), Bytes::from(slice)];
+                decode_group(received, 0, &partition, &cuts, &grouping, &cfg)
+            };
+            assert!(decode(slices[1].to_vec()).is_ok(), "{encoding:?}");
+            for variant in hostile::variants(&slices[1], 0x5a) {
+                let _ = decode(variant);
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! occurrence counts taken from the global quantile sketches (§4.2.3).
 
 use crate::balance::greedy_partition;
+use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::FeatureId;
 use serde::{Deserialize, Serialize};
 
@@ -138,26 +139,19 @@ impl ColumnGrouping {
     }
 
     /// Decodes [`Self::encode_bytes`] output of a grouping into `world`
-    /// groups; `None` for anything else.
-    pub fn decode_bytes(bytes: &[u8], world: usize) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
+    /// groups; anything else is refused.
+    pub fn decode_bytes(bytes: &[u8], world: usize) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (encoded_world, d) = (r.u32()? as usize, r.u32()? as usize);
+        if world == 0 || encoded_world != world {
+            return Err(r.error(format!("a grouping into {encoded_world} groups, not {world}")));
         }
-        let encoded_world = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let d = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let payload = &bytes[8..];
-        if payload.len() != d * 4 || world == 0 || encoded_world != world {
-            return None;
+        let assignment: Vec<u32> = r.u32s(d)?.collect();
+        r.finish()?;
+        if let Some(f) = assignment.iter().position(|&g| g as usize >= world) {
+            return Err(r.error(format!("feature {f} in a group past {world}")));
         }
-        #[expect(clippy::unwrap_used, reason = "4-byte chunks convert to [u8; 4]")]
-        let assignment: Vec<u32> = payload
-            .chunks_exact(4)
-            .map(|ch| u32::from_le_bytes(ch.try_into().unwrap()))
-            .collect();
-        if assignment.iter().any(|&g| g as usize >= world) {
-            return None;
-        }
-        Some(Self::from_assignment(assignment, world))
+        Ok(Self::from_assignment(assignment, world))
     }
 }
 
@@ -231,17 +225,17 @@ mod tests {
         let g = ColumnGrouping::build(GroupingStrategy::RoundRobin, 9, 4, &[]);
         let bytes = g.encode_bytes();
         assert_eq!(ColumnGrouping::decode_bytes(&bytes, 4).unwrap(), g);
-        assert!(ColumnGrouping::decode_bytes(&bytes[..5], 4).is_none());
+        assert!(ColumnGrouping::decode_bytes(&bytes[..5], 4).is_err());
         // Corrupt a group id beyond world.
         let mut bad = bytes.clone();
         bad[8] = 200;
-        assert!(ColumnGrouping::decode_bytes(&bad, 4).is_none());
+        assert!(ColumnGrouping::decode_bytes(&bad, 4).is_err());
         // A header naming another world, the receiver's own or a hostile
         // one that would size a group per claimed worker.
-        assert!(ColumnGrouping::decode_bytes(&bytes, 3).is_none());
+        assert!(ColumnGrouping::decode_bytes(&bytes, 3).is_err());
         let mut hostile = bytes.clone();
         hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(ColumnGrouping::decode_bytes(&hostile, 4).is_none());
+        assert!(ColumnGrouping::decode_bytes(&hostile, 4).is_err());
     }
 
     #[test]

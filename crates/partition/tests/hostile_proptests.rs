@@ -2,44 +2,14 @@
 //! grouping the master sends before the transformation
 //! (`ColumnGrouping::decode_bytes`) and the instance placement a split
 //! feature's owner sends after every split (`PlacementBitmap::decode_bytes`).
-//! Every truncation of an encoding is `None`, and every single-byte flip is
-//! `None` or a value that encodes back to exactly the flipped bytes — never
+//! Every truncation of an encoding is refused, and every single-byte flip is
+//! refused or a value that encodes back to exactly the flipped bytes — never
 //! a panic, and never a value the sender could not have sent.
 
+use gbdt_data::hostile;
 use gbdt_partition::{ColumnGrouping, GroupingStrategy, PlacementBitmap};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-/// The byte masks every position is flipped with: the seeded one and the
-/// lowest, highest and all bits.
-fn masks(flip: u8) -> [u8; 4] {
-    [flip, 0x01, 0x80, 0xff]
-}
-
-/// Checks `decode` against every truncation and single-byte flip of
-/// `bytes`, which it must decode to something that encodes back to `bytes`.
-fn sweep<T: PartialEq + std::fmt::Debug>(
-    bytes: &[u8],
-    flip: u8,
-    decode: impl Fn(&[u8]) -> Option<T>,
-    encode: impl Fn(&T) -> Vec<u8>,
-) -> Result<(), TestCaseError> {
-    let whole = decode(bytes);
-    prop_assert!(whole.as_ref().map(&encode).as_deref() == Some(bytes), "a sound encoding");
-    for cut in 0..bytes.len() {
-        prop_assert!(decode(&bytes[..cut]).is_none(), "cut at {}", cut);
-    }
-    for at in 0..bytes.len() {
-        for mask in masks(flip) {
-            let mut flipped = bytes.to_vec();
-            flipped[at] ^= mask;
-            if let Some(value) = decode(&flipped) {
-                prop_assert_eq!(encode(&value), flipped, "byte {} ^ {:#x}", at, mask);
-            }
-        }
-    }
-    Ok(())
-}
 
 const STRATEGIES: [GroupingStrategy; 4] = [
     GroupingStrategy::RoundRobin,
@@ -59,14 +29,15 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let grouping = ColumnGrouping::build(STRATEGIES[strategy], weights.len(), world, &weights);
-        sweep(
+        hostile::sweep(
             &grouping.encode_bytes(),
             flip,
             |b| ColumnGrouping::decode_bytes(b, world),
             ColumnGrouping::encode_bytes,
-        )?;
+        )
+        .map_err(TestCaseError::fail)?;
         // Another world than the one it was sent for is never accepted.
-        prop_assert!(ColumnGrouping::decode_bytes(&grouping.encode_bytes(), world + 1).is_none());
+        prop_assert!(ColumnGrouping::decode_bytes(&grouping.encode_bytes(), world + 1).is_err());
     }
 
     #[test]
@@ -76,6 +47,7 @@ proptest! {
     ) {
         let bitmap = PlacementBitmap::from_predicate(left.len(), |i| left[i]);
         let bytes = bitmap.encode_bytes();
-        sweep(&bytes, flip, PlacementBitmap::decode_bytes, PlacementBitmap::encode_bytes)?;
+        hostile::sweep(&bytes, flip, PlacementBitmap::decode_bytes, PlacementBitmap::encode_bytes)
+            .map_err(TestCaseError::fail)?;
     }
 }

@@ -8,6 +8,7 @@ use gbdt_cluster::stats::ClusterStats;
 use gbdt_cluster::{CommError, WorkerCtx};
 use gbdt_core::split::Split;
 use gbdt_core::{BinCuts, GbdtModel};
+use gbdt_data::frame::{DecodeError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// Histogram aggregation strategy for horizontal partitioning (§3.1.3/§4.1).
@@ -130,7 +131,9 @@ pub(crate) fn exchange_local_bests(
     let c = run.grads.n_outputs();
     let mut per_worker = Vec::with_capacity(gathered.len());
     for (from, buf) in gathered.iter().enumerate() {
-        per_worker.push(decode_local_bests(buf, n, run.cuts, c, from)?);
+        per_worker.push(
+            decode_local_bests(buf, n, run.cuts, c).map_err(|_| CommError::Malformed { from })?,
+        );
     }
     Ok((0..n).map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone()))).collect())
 }
@@ -153,46 +156,42 @@ fn encode_local_bests(locals: &[Option<Split>]) -> Vec<u8> {
     payload
 }
 
-/// Rank `from`'s [`encode_local_bests`] output for exactly `n` nodes and
-/// nothing after, every split one the receiver can apply: a feature and a
-/// bin of `cuts`, and `c` classes on both children. Anything else is
-/// [`CommError::Malformed`].
+/// An [`encode_local_bests`] output for exactly `n` nodes and nothing
+/// after, every split one the receiver can apply: a feature and a bin of
+/// `cuts`, and `c` classes on both children. Anything else is refused.
 fn decode_local_bests(
     buf: &[u8],
     n: usize,
     cuts: &BinCuts,
     c: usize,
-    from: usize,
-) -> Result<Vec<Option<Split>>, CommError> {
+) -> Result<Vec<Option<Split>>, DecodeError> {
     let fits = |s: &Split| {
         (s.feature as usize) < cuts.n_features()
             && (s.bin as usize) < cuts.n_bins(s.feature)
             && s.left.n_outputs() == c
             && s.right.n_outputs() == c
     };
-    let decode = || -> Option<Vec<Option<Split>>> {
-        let (count, mut rest) = buf.split_first_chunk::<4>()?;
-        if u32::from_le_bytes(*count) as usize != n {
-            return None;
-        }
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (&present, tail) = rest.split_first()?;
-            rest = tail;
-            list.push(match present {
-                0 => None,
-                1 => {
-                    let (len, tail) = rest.split_first_chunk::<4>()?;
-                    let (split, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
-                    rest = tail;
-                    Some(Split::decode_bytes(split).filter(fits)?)
-                }
-                _ => return None,
-            });
-        }
-        rest.is_empty().then_some(list)
-    };
-    decode().ok_or(CommError::Malformed { from })
+    let mut r = Reader::new(buf);
+    let count = r.u32()? as usize;
+    if count != n {
+        return Err(r.error(format!("{count} local bests for {n} nodes")));
+    }
+    let mut list = Vec::with_capacity(n);
+    for _ in 0..n {
+        list.push(if r.flag()? {
+            let len = r.u32()? as usize;
+            let split = Split::decode_bytes(r.take(len)?)?;
+            if !fits(&split) {
+                let what = format!("a split of feature {} the cuts cannot apply", split.feature);
+                return Err(r.error(what));
+            }
+            Some(split)
+        } else {
+            None
+        });
+    }
+    r.finish()?;
+    Ok(list)
 }
 
 #[cfg(test)]
@@ -218,7 +217,7 @@ mod tests {
 
     /// Rank 1's local bests as decoded by a receiver of `cuts()` and C = 1.
     fn decode(bytes: &[u8], n: usize) -> Result<Vec<Option<Split>>, CommError> {
-        decode_local_bests(bytes, n, &cuts(), 1, 1)
+        decode_local_bests(bytes, n, &cuts(), 1).map_err(|_| CommError::Malformed { from: 1 })
     }
 
     const MALFORMED: Result<Vec<Option<Split>>, CommError> = Err(CommError::Malformed { from: 1 });

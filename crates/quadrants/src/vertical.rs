@@ -28,6 +28,7 @@ use gbdt_core::split::{best_split, NodeStats, Split};
 use gbdt_core::tree;
 use gbdt_core::TrainConfig;
 use gbdt_data::dataset::Dataset;
+use gbdt_data::frame::DecodeError;
 use gbdt_data::{BinId, BinnedRows, FeatureId, InstanceId};
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig, TransformOutput};
 use gbdt_partition::{ColumnGrouping, HorizontalPartition, PlacementBitmap};
@@ -70,7 +71,8 @@ pub(crate) trait GroupStore {
         } else {
             bytes::Bytes::new()
         };
-        decode_placement(&ctx.comm.broadcast(owner, payload)?, instances.len(), owner)
+        decode_placement(&ctx.comm.broadcast(owner, payload)?, instances.len())
+            .map_err(|_| CommError::Malformed { from: owner })
     }
 
     /// Partitions the storage's own second index, if it keeps one.
@@ -101,12 +103,15 @@ pub(crate) fn placement_by(
     })
 }
 
-/// The `owner`'s broadcast placement of a node's `n` instances; anything
-/// else is [`CommError::Malformed`].
-fn decode_placement(payload: &[u8], n: usize, owner: usize) -> Result<PlacementBitmap, CommError> {
-    PlacementBitmap::decode_bytes(payload)
-        .filter(|bitmap| bitmap.len() == n)
-        .ok_or(CommError::Malformed { from: owner })
+/// A broadcast placement of a node's `n` instances; anything else is
+/// refused.
+fn decode_placement(payload: &[u8], n: usize) -> Result<PlacementBitmap, DecodeError> {
+    let bitmap = PlacementBitmap::decode_bytes(payload)?;
+    if bitmap.len() != n {
+        let what = format!("{} placements for {n} instances", bitmap.len());
+        return Err(DecodeError { offset: 0, what });
+    }
+    Ok(bitmap)
 }
 
 /// Spreads a node's placement bitmap into a by-instance-id mask, so an
@@ -276,15 +281,14 @@ mod tests {
     fn a_placement_that_does_not_cover_the_node_is_malformed() {
         let bitmap = PlacementBitmap::from_predicate(70, |k| k % 3 == 0);
         let bytes = bitmap.encode_bytes();
-        assert_eq!(decode_placement(&bytes, 70, 1), Ok(bitmap));
-        let malformed = Err(CommError::Malformed { from: 1 });
+        assert_eq!(decode_placement(&bytes, 70), Ok(bitmap));
         // Truncated header, truncated body, over-long body.
-        assert_eq!(decode_placement(&bytes[..5], 70, 1), malformed);
-        assert_eq!(decode_placement(&bytes[..bytes.len() - 1], 70, 1), malformed);
-        assert_eq!(decode_placement(&[&bytes[..], &[0]].concat(), 70, 1), malformed);
+        assert!(decode_placement(&bytes[..5], 70).is_err());
+        assert!(decode_placement(&bytes[..bytes.len() - 1], 70).is_err());
+        assert!(decode_placement(&[&bytes[..], &[0]].concat(), 70).is_err());
         // A well-formed bitmap over the wrong number of instances.
-        assert_eq!(decode_placement(&bytes, 71, 1), malformed);
-        assert_eq!(decode_placement(&bytes, 64, 1), malformed);
-        assert_eq!(decode_placement(&[], 0, 1), malformed);
+        assert!(decode_placement(&bytes, 71).is_err());
+        assert!(decode_placement(&bytes, 64).is_err());
+        assert!(decode_placement(&[], 0).is_err());
     }
 }

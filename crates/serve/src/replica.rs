@@ -152,18 +152,18 @@ fn replica_loop(
 /// frame) is skipped but still acked; one that does not decode or seat is
 /// counted malformed and not acked. Returns whether it was acked.
 fn handle_publish(comm: &Comm, slot: &ModelSlot, payload: &[u8], stats: &mut ReplicaStats) -> bool {
-    let seated = PublishFrame::decode(payload).and_then(|frame| {
+    let seated = PublishFrame::decode(payload).ok().and_then(|frame| {
         if frame.version <= slot.version() {
-            return Ok(false);
+            return Some(false);
         }
-        let model = gbdt_core::model::GbdtModel::decode_bytes(&frame.model_bytes)?;
-        slot.publish_versioned(&model, frame.version)?;
-        Ok(true)
+        let model = gbdt_core::model::GbdtModel::decode_bytes(&frame.model_bytes).ok()?;
+        slot.publish_versioned(&model, frame.version).ok()?;
+        Some(true)
     });
     match seated {
-        Ok(true) => stats.publishes += 1,
-        Ok(false) => stats.stale_publishes += 1,
-        Err(_) => {
+        Some(true) => stats.publishes += 1,
+        Some(false) => stats.stale_publishes += 1,
+        None => {
             stats.malformed += 1;
             return false;
         }

@@ -46,6 +46,7 @@ use gbdt_cluster::comm::protocol::{
     SERVE_ROUTE_TAG, SERVE_STOP_TAG,
 };
 use gbdt_cluster::{Comm, CommError};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The overload knobs of the routing policy.
@@ -155,11 +156,9 @@ struct Router<'a> {
     cfg: RouterConfig,
     clock: Clock,
     replicas: Vec<Replica>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed by request id; its sweep order only orders retries and hedges"
-    )]
-    outstanding: std::collections::HashMap<u64, Outstanding>,
+    /// Keyed by router-assigned id, which only grows: the sweep retries
+    /// and hedges in request order.
+    outstanding: BTreeMap<u64, Outstanding>,
     next_rid: u64,
     version: u64,
     model_bytes: Vec<u8>,
@@ -724,6 +723,35 @@ mod tests {
             let replica = replica.join().unwrap();
             assert_eq!((replica.publishes, replica.last_version), (1, 2), "{replica:?}");
         });
+    }
+
+    /// Expired requests are retried in the order they arrived: the sweep
+    /// re-forwards 64 of them, none charged to a replica, by ascending id.
+    #[test]
+    fn the_sweep_retries_in_request_order() {
+        let mesh = Comm::mesh(2, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
+        let cfg = RouterConfig { queue_cap: 64, ..RouterConfig::default() };
+        let mut router = Router::new(&mesh[0], cfg, 1, Vec::new(), Clock::new());
+        for rid in 1..=64 {
+            let req = PredictRequest { req_id: rid, n_features: 1, max_trees: 0, rows: vec![0.0] };
+            let out = Outstanding {
+                client: 0,
+                client_req_id: rid,
+                req,
+                sent_s: 0.0,
+                attempts: 1,
+                hedged: false,
+                charged: Vec::new(),
+                tried: Vec::new(),
+            };
+            router.outstanding.insert(rid, out);
+        }
+        router.sweep(2.0 * DEADLINE.as_secs_f64());
+        let forwarded: Vec<u64> = (0..64)
+            .map(|_| mesh[1].recv(0, SERVE_ROUTE_TAG).unwrap())
+            .map(|frame| PredictRequest::decode(&frame).unwrap().req_id)
+            .collect();
+        assert_eq!(forwarded, (1..=64).collect::<Vec<_>>());
     }
 
     struct Session {

@@ -10,6 +10,8 @@
 //!
 //! [`GbdtModel::encode_bytes`]: gbdt_core::model::GbdtModel::encode_bytes
 
+use gbdt_data::frame::{DecodeError, Reader};
+
 /// Outcome class of a [`PredictResponse`]. `Ok` responses carry scores;
 /// the rest carry an empty score vector and explain why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,19 +25,6 @@ pub enum ReplyStatus {
     Failed = 2,
     /// The request frame could not be decoded.
     Malformed = 3,
-}
-
-impl ReplyStatus {
-    /// Decodes the wire byte.
-    pub fn from_u8(v: u8) -> Result<Self, String> {
-        match v {
-            0 => Ok(ReplyStatus::Ok),
-            1 => Ok(ReplyStatus::Shed),
-            2 => Ok(ReplyStatus::Failed),
-            3 => Ok(ReplyStatus::Malformed),
-            other => Err(format!("unknown reply status {other}")),
-        }
-    }
 }
 
 /// A batch of dense rows to score. `NaN` cells mean *missing*.
@@ -77,22 +66,17 @@ impl PredictRequest {
     }
 
     /// Decodes [`Self::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Cursor { bytes, pos: 0 };
-        let req_id = r.u64()?;
-        let n_rows = r.u32()? as usize;
-        let n_features = r.u32()?;
-        let max_trees = r.u32()?;
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (req_id, n_rows) = (r.u64()?, r.u32()? as usize);
+        let (n_features, max_trees) = (r.u32()?, r.u32()?);
         if n_features == 0 && n_rows != 0 {
-            return Err(format!("{n_rows} rows of no features"));
+            return Err(r.error(format!("{n_rows} rows of no features")));
         }
         let n_cells = n_rows
             .checked_mul(n_features as usize)
-            .ok_or_else(|| "request shape overflows".to_string())?;
-        let mut rows = Vec::with_capacity(n_cells.min(r.remaining() / 4));
-        for _ in 0..n_cells {
-            rows.push(r.f32()?);
-        }
+            .ok_or_else(|| r.error("request shape overflows"))?;
+        let rows = r.f32s(n_cells)?.collect();
         r.finish()?;
         Ok(PredictRequest { req_id, n_features, max_trees, rows })
     }
@@ -141,18 +125,19 @@ impl PredictResponse {
     }
 
     /// Decodes [`Self::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Cursor { bytes, pos: 0 };
-        let req_id = r.u64()?;
-        let version = r.u64()?;
-        let status = ReplyStatus::from_u8(r.u8()?)?;
-        let trees_scored = r.u32()?;
-        let n_outputs = r.u32()?;
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (req_id, version) = (r.u64()?, r.u64()?);
+        let status = match r.u8()? {
+            0 => ReplyStatus::Ok,
+            1 => ReplyStatus::Shed,
+            2 => ReplyStatus::Failed,
+            3 => ReplyStatus::Malformed,
+            other => return Err(r.error(format!("unknown reply status {other}"))),
+        };
+        let (trees_scored, n_outputs) = (r.u32()?, r.u32()?);
         let n_scores = r.u32()? as usize;
-        let mut scores = Vec::with_capacity(n_scores.min(r.remaining() / 8));
-        for _ in 0..n_scores {
-            scores.push(r.f64()?);
-        }
+        let scores = r.f64s(n_scores)?.collect();
         r.finish()?;
         Ok(PredictResponse { req_id, version, status, trees_scored, n_outputs, scores })
     }
@@ -172,10 +157,11 @@ impl PublishAck {
     }
 
     /// Decodes [`Self::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let arr: [u8; 8] =
-            bytes.try_into().map_err(|_| format!("publish ack is {} bytes, want 8", bytes.len()))?;
-        Ok(PublishAck { version: u64::from_le_bytes(arr) })
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let version = r.u64()?;
+        r.finish()?;
+        Ok(PublishAck { version })
     }
 }
 
@@ -203,8 +189,8 @@ impl PublishFrame {
     }
 
     /// Decodes [`Self::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Cursor { bytes, pos: 0 };
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
         let version = r.u64()?;
         let n_bytes = r.u64()? as usize;
         let model_bytes = r.take(n_bytes)?.to_vec();
@@ -213,62 +199,15 @@ impl PublishFrame {
     }
 }
 
-/// Bounds-checked little-endian cursor.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated serve frame at byte {}", self.pos))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "u32".to_string())?))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "u64".to_string())?))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "f32".to_string())?))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing bytes in serve frame", self.bytes.len() - self.pos))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbdt_data::hostile;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+
+    const STATUSES: [ReplyStatus; 4] =
+        [ReplyStatus::Ok, ReplyStatus::Shed, ReplyStatus::Failed, ReplyStatus::Malformed];
 
     fn bits32(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -276,33 +215,6 @@ mod tests {
 
     fn bits64(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Checks `decode` against every truncation and single-byte flip of
-    /// `bytes`, which it must decode to something that encodes back to
-    /// `bytes`: every truncation is `Err`, and every flip (by `flip` and by
-    /// the lowest, highest and all bits) `Err` or a frame that encodes back
-    /// to exactly the flipped bytes — never a panic.
-    fn hostile_sweep<T>(
-        bytes: &[u8],
-        flip: u8,
-        decode: impl Fn(&[u8]) -> Result<T, String>,
-        encode: impl Fn(&T) -> Vec<u8>,
-    ) -> Result<(), TestCaseError> {
-        prop_assert_eq!(decode(bytes).map(|v| encode(&v)), Ok(bytes.to_vec()));
-        for cut in 0..bytes.len() {
-            prop_assert!(decode(&bytes[..cut]).is_err(), "cut at {}", cut);
-        }
-        for at in 0..bytes.len() {
-            for mask in [flip, 0x01, 0x80, 0xff] {
-                let mut flipped = bytes.to_vec();
-                flipped[at] ^= mask;
-                if let Ok(frame) = decode(&flipped) {
-                    prop_assert_eq!(encode(&frame), flipped, "byte {} ^ {:#x}", at, mask);
-                }
-            }
-        }
-        Ok(())
     }
 
     proptest! {
@@ -313,7 +225,7 @@ mod tests {
         fn hostile_frames_are_err_or_canonical(
             ids in (any::<u64>(), any::<u64>()),
             counts in (any::<u32>(), any::<u32>(), 0u32..4, any::<u32>()),
-            status in 0u8..4,
+            status in 0usize..4,
             bits in prop::collection::vec(any::<u64>(), 0..12),
             flip in 1u8..=255,
         ) {
@@ -322,19 +234,23 @@ mod tests {
             let n_cells = if n_features == 0 { 0 } else { bits.len() / width * width };
             let rows = bits[..n_cells].iter().map(|&b| f32::from_bits(b as u32)).collect();
             let req = PredictRequest { req_id, n_features, max_trees, rows };
-            hostile_sweep(&req.encode(), flip, PredictRequest::decode, PredictRequest::encode)?;
+            hostile::sweep(&req.encode(), flip, PredictRequest::decode, PredictRequest::encode)
+                .map_err(TestCaseError::fail)?;
 
-            let status = ReplyStatus::from_u8(status).unwrap();
+            let status = STATUSES[status];
             let scores = bits.iter().map(|&b| f64::from_bits(b)).collect();
             let resp = PredictResponse { req_id, version, status, trees_scored, n_outputs, scores };
-            hostile_sweep(&resp.encode(), flip, PredictResponse::decode, PredictResponse::encode)?;
+            hostile::sweep(&resp.encode(), flip, PredictResponse::decode, PredictResponse::encode)
+                .map_err(TestCaseError::fail)?;
 
             let ack = PublishAck { version };
-            hostile_sweep(&ack.encode(), flip, PublishAck::decode, PublishAck::encode)?;
+            hostile::sweep(&ack.encode(), flip, PublishAck::decode, PublishAck::encode)
+                .map_err(TestCaseError::fail)?;
 
             let model_bytes = bits.iter().flat_map(|b| b.to_le_bytes()).take(40).collect();
             let publish = PublishFrame { version, model_bytes };
-            hostile_sweep(&publish.encode(), flip, PublishFrame::decode, PublishFrame::encode)?;
+            hostile::sweep(&publish.encode(), flip, PublishFrame::decode, PublishFrame::encode)
+                .map_err(TestCaseError::fail)?;
         }
 
         /// Every frame round-trips field for field. Ids, versions and counts
@@ -345,7 +261,7 @@ mod tests {
         fn every_frame_round_trips(
             ids in (any::<u64>(), any::<u64>()),
             counts in (any::<u32>(), any::<u32>(), any::<u32>(), 1u32..6),
-            status in 0u8..4,
+            status in 0usize..4,
             cells in prop::collection::vec(prop::option::of(-1e3f32..1e3), 0..40),
             scores in prop::collection::vec(prop::option::of(-1e3f64..1e3), 0..40),
             model_bytes in prop::collection::vec(any::<u8>(), 0..64),
@@ -359,7 +275,7 @@ mod tests {
             prop_assert_eq!((back.req_id, back.n_features, back.max_trees), (req_id, n_features, max_trees));
             prop_assert_eq!(bits32(&back.rows), bits32(&req.rows));
 
-            let status = ReplyStatus::from_u8(status).unwrap();
+            let status = STATUSES[status];
             let scores: Vec<f64> = scores.iter().map(|s| s.unwrap_or(f64::NAN)).collect();
             let resp = PredictResponse { req_id, version, status, trees_scored, n_outputs, scores };
             let back = PredictResponse::decode(&resp.encode()).unwrap();

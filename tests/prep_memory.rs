@@ -23,14 +23,16 @@
 use gbdt_cluster::Cluster;
 use gbdt_core::histogram::NodeHistogram;
 use gbdt_core::model::GbdtModel;
-use gbdt_core::split::best_split;
+use gbdt_cluster::wire::{self, WireCodec};
+use gbdt_core::split::{best_split, Split};
 use gbdt_core::tree::Tree;
-use gbdt_core::{NodeStats, Objective, SplitParams, TrainConfig};
+use gbdt_core::{BinCuts, NodeStats, Objective, QuantileSketch, SplitParams, TrainConfig};
 use gbdt_data::encoding;
+use gbdt_data::hostile;
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::{Dataset, PairKeys};
 use gbdt_partition::transform::{horizontal_to_vertical, TransformConfig};
-use gbdt_partition::HorizontalPartition;
+use gbdt_partition::{ColumnGrouping, GroupingStrategy, HorizontalPartition, PlacementBitmap};
 use gbdt_quadrants::{qd2, qd3, qd4, yggdrasil, Aggregation};
 use gbdt_serve::compile::compile;
 use gbdt_serve::wire::{PredictRequest, PredictResponse, PublishAck, PublishFrame, ReplyStatus};
@@ -405,31 +407,19 @@ fn decoded_trees_hold_their_nodes(broken: &mut Vec<String>) {
     }
 }
 
-/// Every truncation of `bytes`, every flip of one byte by 0x01, 0x80 or
-/// 0xff, and every `(at, byte)` overwrite in `set`, one at a time.
-fn hostile_variants<'a>(
-    bytes: &'a [u8],
-    set: &'a [(usize, u8)],
-) -> impl Iterator<Item = Vec<u8>> + 'a {
-    let replaced = move |at: usize, byte: u8| {
-        let mut variant = bytes.to_vec();
-        variant[at] = byte;
-        variant
-    };
-    let truncations = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
-    let flips = (0..bytes.len())
-        .flat_map(move |at| [0x01, 0x80, 0xff].map(|mask| replaced(at, bytes[at] ^ mask)));
-    truncations.chain(flips).chain(set.iter().map(move |&(at, byte)| replaced(at, byte)))
-}
+/// A frame's name, its bytes, the mask its flips use besides 0x01, 0x80
+/// and 0xff, and whether a variant decodes.
+type HostileCase<'a> = (&'a str, &'a [u8], u8, &'a dyn Fn(&[u8]) -> bool);
 
 /// Hostile bytes cost what they carry: decoding any truncation or single
-/// flipped byte of a small model or of a serve frame peaks at no more than
-/// 4 × its length + 4 KiB, whether it decodes or is refused — a count
-/// field read from the bytes never sizes an allocation on its own. The
-/// model is a 103-byte stump whose `n_layers` field (bytes 41..45) is also
-/// raised to 24, the most a tree may have; a model of 1 000 trees that
-/// carry no nodes (12 041 bytes) is refused rather than held at 8.6 × its
-/// bytes.
+/// flipped byte ([`hostile::variants`]) of a small frame of every public
+/// decoder peaks at no more than 4 × its length + 4 KiB, whether it decodes
+/// or is refused — a count field read from the bytes never sizes an
+/// allocation on its own. The model is a 103-byte stump whose `n_layers`
+/// field (bytes 41..45, holding 3) is also flipped to 24, the most a tree
+/// may have; a model of 1 000 trees that carry no nodes (12 041 bytes) is
+/// refused rather than held at 8.6 × its bytes. A flipped cut count once
+/// reserved 64 Ki cuts for a 20-byte cut broadcast.
 fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
     let mut model = GbdtModel::new(Objective::Logistic, 0.1, 2);
     let mut stump = Tree::new(3, 1);
@@ -439,6 +429,10 @@ fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
     model.trees.push(stump);
     let model_bytes = model.encode_bytes();
     assert_eq!(model_bytes.len(), 103);
+    let mut empty_trees = GbdtModel::new(Objective::Logistic, 0.1, 2);
+    empty_trees.trees = vec![Tree::new(3, 1); 1_000];
+    let empty_bytes = empty_trees.encode_bytes();
+    assert_eq!(empty_bytes.len(), 12_041);
     let request =
         PredictRequest { req_id: 7, n_features: 3, max_trees: 0, rows: vec![0.5; 6] }.encode();
     let response = PredictResponse {
@@ -452,39 +446,49 @@ fn hostile_decodes_cost_their_bytes(broken: &mut Vec<String>) {
     .encode();
     let ack = PublishAck { version: 2 }.encode();
     let publish = PublishFrame { version: 2, model_bytes: model_bytes.clone() }.encode();
-    let decodes_model = |b: &[u8]| GbdtModel::decode_bytes(b).is_ok();
-    within_four_times(broken, "model", &model_bytes, &[(41, 24)], decodes_model);
-    let mut empty_trees = GbdtModel::new(Objective::Logistic, 0.1, 2);
-    empty_trees.trees = vec![Tree::new(3, 1); 1_000];
-    let empty_bytes = empty_trees.encode_bytes();
-    assert_eq!(empty_bytes.len(), 12_041);
-    within_four_times(broken, "empty-tree model", &empty_bytes, &[], decodes_model);
-    within_four_times(broken, "request", &request, &[], |b| PredictRequest::decode(b).is_ok());
-    within_four_times(broken, "response", &response, &[], |b| PredictResponse::decode(b).is_ok());
-    within_four_times(broken, "ack", &ack, &[], |b| PublishAck::decode(b).is_ok());
-    within_four_times(broken, "publish", &publish, &[], |b| PublishFrame::decode(b).is_ok());
-}
-
-/// Decodes every hostile variant of `bytes` and reports the one that peaks
-/// furthest past 4 × its length + 4 KiB, if any does.
-fn within_four_times(
-    broken: &mut Vec<String>,
-    name: &str,
-    bytes: &[u8],
-    set: &[(usize, u8)],
-    decode: impl Fn(&[u8]) -> bool,
-) {
-    let worst = hostile_variants(bytes, set)
-        .map(|variant| {
-            let budget = 4 * variant.len() + 4 * KIB;
-            let (_, peak) = measure(|| decode(&variant));
-            (peak.saturating_sub(budget), peak, variant.len())
-        })
-        .max();
-    if let Some((over @ 1.., peak, len)) = worst {
-        broken.push(format!(
-            "a hostile {len}-byte {name} frame peaked {peak} B, {over} B over 4 × its bytes + 4 KiB"
-        ));
+    let (hist, stats) = split_histogram(2, 3, 2);
+    let (left, right) = (stats.clone(), stats.clone());
+    let split = Split { feature: 1, bin: 2, default_left: true, gain: 0.5, left, right };
+    let cuts = BinCuts::from_cut_values(vec![vec![0.5, 1.5], vec![2.5]]).encode_bytes();
+    assert_eq!(cuts.len(), 20);
+    let mut sketch = QuantileSketch::new(8);
+    (0..20).for_each(|i| sketch.insert(i as f32));
+    let bitmap = PlacementBitmap::from_predicate(70, |k| k % 3 == 0).encode_bytes();
+    let grouping = ColumnGrouping::build(GroupingStrategy::RoundRobin, 9, 4, &[]).encode_bytes();
+    let cells = [0.0, 3.0, 0.0, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0];
+    let grid = wire::encode(WireCodec::Grid, &cells).to_vec();
+    let sparse = wire::encode(WireCodec::F32, &cells).to_vec();
+    let decodes_grid = |b: &[u8]| wire::decode_add(&b.to_vec().into(), &mut [0.0; 9]).is_ok();
+    let table: [HostileCase; 15] = [
+        ("model", &model_bytes, 3 ^ 24, &|b| GbdtModel::decode_bytes(b).is_ok()),
+        ("empty-tree model", &empty_bytes, 0x5a, &|b| GbdtModel::decode_bytes(b).is_ok()),
+        ("request", &request, 0x5a, &|b| PredictRequest::decode(b).is_ok()),
+        ("response", &response, 0x5a, &|b| PredictResponse::decode(b).is_ok()),
+        ("ack", &ack, 0x5a, &|b| PublishAck::decode(b).is_ok()),
+        ("publish", &publish, 0x5a, &|b| PublishFrame::decode(b).is_ok()),
+        ("histogram", &hist.encode_bytes(), 0x5a, &|b| NodeHistogram::decode_bytes(b).is_ok()),
+        ("node stats", &stats.encode_bytes(), 0x5a, &|b| NodeStats::decode_bytes(b).is_ok()),
+        ("split", &split.encode_bytes(), 0x5a, &|b| Split::decode_bytes(b).is_ok()),
+        ("cuts", &cuts, 0x5a, &|b| BinCuts::decode_bytes(b).is_ok()),
+        ("sketch", &sketch.encode_bytes(), 0x5a, &|b| QuantileSketch::decode_bytes(b).is_ok()),
+        ("bitmap", &bitmap, 0x5a, &|b| PlacementBitmap::decode_bytes(b).is_ok()),
+        ("grouping", &grouping, 0x5a, &|b| ColumnGrouping::decode_bytes(b, 4).is_ok()),
+        ("grid", &grid, 0x5a, &decodes_grid),
+        ("sparse f32", &sparse, 0x5a, &decodes_grid),
+    ];
+    for (name, bytes, flip, decode) in table {
+        let worst = hostile::variants(bytes, flip)
+            .map(|variant| {
+                let budget = 4 * variant.len() + 4 * KIB;
+                let (_, peak) = measure(|| decode(&variant));
+                (peak.saturating_sub(budget), peak, variant.len())
+            })
+            .max();
+        if let Some((over @ 1.., peak, len)) = worst {
+            broken.push(format!(
+                "a hostile {len}-byte {name} frame peaked {peak} B, {over} B over 4 × its bytes + 4 KiB"
+            ));
+        }
     }
 }
 
