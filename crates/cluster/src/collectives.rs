@@ -29,6 +29,7 @@ use crate::comm::Comm;
 use crate::fault::CommError;
 use crate::wire::{self, WireCodec};
 use bytes::Bytes;
+use gbdt_data::frame::Reader;
 
 /// Segment `[start, end)` of a length-`len` buffer owned by `seg` of `world`.
 pub fn segment_bounds(len: usize, world: usize, seg: usize) -> (usize, usize) {
@@ -106,10 +107,10 @@ impl Comm {
             if self.rank() == root { wire::f64s_to_bytes(buf) } else { Bytes::new() };
         let received = self.broadcast(root, payload)?;
         if self.rank() != root {
-            if received.len() != buf.len() * 8 {
-                return Err(CommError::Malformed { from: root });
-            }
-            buf.copy_from_slice(&wire::bytes_to_f64s(&received));
+            let mut r = Reader::new(&received);
+            let values = r.f64s(buf.len()).map_err(|_| CommError::Malformed { from: root })?;
+            r.finish().map_err(|_| CommError::Malformed { from: root })?;
+            buf.iter_mut().zip(values).for_each(|(dst, v)| *dst = v);
         }
         Ok(())
     }
@@ -298,6 +299,21 @@ mod tests {
         });
         for g in got {
             assert_eq!(g, vec![1.5, 2.5]);
+        }
+    }
+
+    #[test]
+    fn a_short_or_long_f64_broadcast_is_malformed() {
+        // Rank 1 expects one f64 and receives two; rank 2 expects three.
+        let got = run(3, |c| {
+            let mut buf = vec![1.5; [2, 1, 3][c.rank()]];
+            let result = c.broadcast_f64(0, &mut buf);
+            (result, buf)
+        });
+        assert_eq!(got[0], (Ok(()), vec![1.5, 1.5]));
+        for (result, buf) in &got[1..] {
+            assert!(matches!(result, Err(CommError::Malformed { from: 0 })), "{result:?}");
+            assert!(buf.iter().all(|&v| v == 1.5), "a refused payload wrote {buf:?}");
         }
     }
 

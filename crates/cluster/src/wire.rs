@@ -78,15 +78,6 @@ pub(crate) fn f64s_to_bytes(buf: &[f64]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Inverse of [`f64s_to_bytes`], pre-sized.
-#[expect(clippy::expect_used, reason = "fixed-width chunks convert to arrays of their width")]
-#[expect(clippy::disallowed_methods, reason = "hot loop: the raw-f64 layout of every collective")]
-pub(crate) fn bytes_to_f64s(bytes: &Bytes) -> Vec<f64> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    out.extend(bytes.chunks_exact(8).map(|ch| f64::from_le_bytes(ch.try_into().expect("8-byte chunk"))));
-    out
-}
-
 /// Bytes the message carries logically: the decoded f64 width.
 pub fn logical_bytes(n_elements: usize) -> u64 {
     (n_elements * 8) as u64
@@ -641,7 +632,10 @@ mod tests {
     #[test]
     fn bulk_f64_helpers_roundtrip() {
         let buf: Vec<f64> = (0..100).map(|i| f64::from(i) * 0.5 - 10.0).collect();
-        assert_eq!(bytes_to_f64s(&f64s_to_bytes(&buf)), buf);
+        let bytes = f64s_to_bytes(&buf);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.f64s(buf.len()).map(Iterator::collect::<Vec<_>>), Ok(buf));
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(f64s_to_bytes(&[]).len(), 0);
     }
 }

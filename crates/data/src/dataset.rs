@@ -70,9 +70,9 @@ impl FeatureMatrix {
     /// slices, ascending by feature — for either storage exactly the entries
     /// of [`Self::to_csr`], so sketching and binning see one dataset whether
     /// it arrives dense, sparse, or as a shard of either.
-    pub fn for_each_row(&self, mut f: impl FnMut(usize, &[FeatureId], &[f32])) {
+    pub fn for_each_row(&self, f: impl FnMut(usize, &[FeatureId], &[f32])) {
         match self {
-            FeatureMatrix::Sparse(m) => m.iter_rows().for_each(|(i, feats, vals)| f(i, feats, vals)),
+            FeatureMatrix::Sparse(m) => m.for_each_row(f),
             FeatureMatrix::Dense(m) => m.for_each_row(f),
         }
     }

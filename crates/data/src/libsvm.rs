@@ -121,7 +121,7 @@ pub fn write_to<W: Write>(writer: &mut W, dataset: &Dataset) -> Result<(), DataE
     let csr = dataset.features.to_csr();
     for (i, feats, vals) in csr.iter_rows() {
         write!(writer, "{}", dataset.labels[i])?;
-        for (&f, &v) in feats.iter().zip(vals) {
+        for (f, &v) in feats.iter().zip(vals) {
             write!(writer, " {}:{}", f + 1, v)?;
         }
         writeln!(writer)?;

@@ -14,6 +14,10 @@
 //! Keys sort exactly as the `(id, bin)` pairs they encode, so a row's (or a
 //! column's) run of keys ascends by id, and a point lookup is one binary
 //! search for the first key `≥ id << b`.
+//!
+//! The raw row-store ([`crate::CsrMatrix`]) holds its feature ids as the
+//! same keys with a 0-bit bin field (`PairKeys::from_ids`): 2 bytes an id
+//! up to 65 536 features, 4 above.
 
 use crate::encoding::bits_for_cardinality;
 use crate::BinId;
@@ -114,6 +118,20 @@ impl PairKeys {
         PairKeys { bin_bits, keys }
     }
 
+    /// `ids` as pairs with a 0-bit bin field, each `< n_ids`: a bare run of
+    /// ids at the narrowest width, the buffer itself when that is `u32`.
+    pub(crate) fn from_ids(n_ids: usize, ids: Vec<u32>) -> Self {
+        let mut pairs = Self::with_bin_bits(n_ids, 0, 0);
+        match &mut pairs.keys {
+            Keys::U32(keys) => *keys = ids,
+            keys => with_keys!(keys, k => {
+                k.reserve_exact(ids.len());
+                ids.iter().for_each(|&id| k.push(pack(0, id, 0)));
+            }),
+        }
+        pairs
+    }
+
     /// `len` pairs `(0, 0)`, to be overwritten with [`Self::set`].
     pub(crate) fn zeroed(n_ids: usize, bin_bits: u32, len: usize) -> Self {
         let mut pairs = Self::with_bin_bits(n_ids, bin_bits, 0);
@@ -209,9 +227,26 @@ impl PairKeys {
         })
     }
 
+    /// The ids of the pairs in `range` appended to `out`, in stored order.
+    #[inline]
+    pub(crate) fn extend_ids(&self, range: Range<usize>, out: &mut Vec<u32>) {
+        let bits = self.bin_bits;
+        with_keys!(&self.keys, keys => out.extend(keys[range].iter().map(|k| k.id(bits) as u32)))
+    }
+
     /// The bin paired with `id` in `range`, whose ids ascend.
     #[inline]
     pub fn find(&self, range: Range<usize>, id: u32) -> Option<BinId> {
+        let bits = self.bin_bits;
+        with_keys!(&self.keys, keys => {
+            let run = &keys[range];
+            find_in(run, bits, id).map(|at| run[at].bin(bits) as BinId)
+        })
+    }
+
+    /// Where `id` sits in `range`, whose ids ascend, counted from its start.
+    #[inline]
+    pub(crate) fn position(&self, range: Range<usize>, id: u32) -> Option<usize> {
         let bits = self.bin_bits;
         with_keys!(&self.keys, keys => find_in(&keys[range], bits, id))
     }
@@ -277,18 +312,16 @@ fn partition_run<K: PairKey>(
     write
 }
 
-/// The bin paired with `id` in `run`, whose ids ascend: the first key
+/// Where `id` sits in `run`, whose ids ascend: the first key
 /// `≥ id << bin_bits`, if it carries `id`. An id whose first key the width
 /// cannot hold has no pair.
 #[inline]
-fn find_in<K: PairKey>(run: &[K], bin_bits: u32, id: u32) -> Option<BinId> {
+fn find_in<K: PairKey>(run: &[K], bin_bits: u32, id: u32) -> Option<usize> {
     let floor = u64::from(id) << bin_bits;
     if floor > K::MAX {
         return None;
     }
     let floor = K::from_u64(floor);
     let at = run.partition_point(|&k| k < floor);
-    run.get(at)
-        .filter(|k| k.id(bin_bits) == id as usize)
-        .map(|k| k.bin(bin_bits) as BinId)
+    run.get(at).filter(|k| k.id(bin_bits) == id as usize).map(|_| at)
 }

@@ -7,14 +7,19 @@
 //! column-store is the binned `BinnedColumns`, built from binned rows.
 
 use crate::error::DataError;
+use crate::pairs::{Keys, PairKeys};
 use crate::FeatureId;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Compressed Sparse Row matrix: the row-store of the paper.
 ///
 /// `row_ptr[i]..row_ptr[i + 1]` delimits the nonzeros of instance `i` inside
-/// `col_idx` / `values`. Within a row, `col_idx` is strictly ascending.
+/// `ids` / `values`. Within a row, the ids strictly ascend. The ids are held
+/// at the narrowest width that fits `n_cols` of them — 2 bytes up to 65 536
+/// features, 4 above (packed keys with a 0-bit bin field, [`PairKeys`]);
+/// every accessor hands out [`FeatureId`]s.
 ///
 /// The three arrays are immutable and shared: a matrix is a window of rows
 /// over them, so [`CsrMatrix::slice_rows`] and `clone` are O(1) and copy no
@@ -33,15 +38,16 @@ pub struct CsrMatrix {
 }
 
 /// The arrays of the matrix a window was cut from. `row_ptr` holds absolute
-/// offsets into `col_idx` / `values` for every row of that matrix.
+/// offsets into `ids` / `values` for every row of that matrix.
 struct CsrArrays {
     row_ptr: Vec<usize>,
-    col_idx: Vec<FeatureId>,
+    ids: PairKeys,
     values: Vec<f32>,
 }
 
-/// A window's own arrays with `row_ptr` rebased to 0: what `from_parts`
-/// takes, and the serialized and printed form of a [`CsrMatrix`].
+/// A window's own arrays with `row_ptr` rebased to 0 and the ids at full
+/// width: what `from_parts` takes, and the serialized and printed form of a
+/// [`CsrMatrix`].
 #[derive(Serialize, Deserialize)]
 struct CsrParts {
     n_rows: usize,
@@ -51,19 +57,76 @@ struct CsrParts {
     values: Vec<f32>,
 }
 
-/// Incremental builder for [`CsrMatrix`], appending one row at a time.
-#[derive(Debug, Default)]
+/// The feature ids of one run of a [`CsrMatrix`] (a row, or a window's
+/// stretch), read in place at the matrix's id width.
+#[derive(Clone)]
+pub struct RowIds<'a> {
+    ids: &'a PairKeys,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> RowIds<'a> {
+    /// Number of ids.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Whether the run holds no id.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FeatureId> + 'a {
+        let ids = self.ids;
+        (self.start..self.end).map(move |k| ids.get(k).0)
+    }
+
+    /// The ids at full width.
+    pub fn to_vec(&self) -> Vec<FeatureId> {
+        let mut out = Vec::with_capacity(self.len());
+        self.ids.extend_ids(self.start..self.end, &mut out);
+        out
+    }
+
+    /// The key buffer the run lives in and its place there: two runs over
+    /// the same buffer and range share their bytes.
+    pub fn run(&self) -> (&'a PairKeys, Range<usize>) {
+        (self.ids, self.start..self.end)
+    }
+}
+
+impl PartialEq for RowIds<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for RowIds<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Incremental builder for [`CsrMatrix`], appending one row at a time and
+/// writing each id at the matrix's width.
+#[derive(Debug)]
 pub struct CsrBuilder {
     n_cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<FeatureId>,
+    ids: PairKeys,
     values: Vec<f32>,
+    /// The row being pushed, sorted by feature: reused across rows.
+    sorted: Vec<(FeatureId, f32)>,
 }
 
 impl CsrBuilder {
     /// Creates a builder for a matrix with `n_cols` columns.
     pub fn new(n_cols: usize) -> Self {
-        CsrBuilder { n_cols, row_ptr: vec![0], col_idx: Vec::new(), values: Vec::new() }
+        Self::with_capacity(n_cols, 0, 0)
     }
 
     /// Creates a builder with capacity hints for rows and nonzeros.
@@ -73,54 +136,46 @@ impl CsrBuilder {
         CsrBuilder {
             n_cols,
             row_ptr,
-            col_idx: Vec::with_capacity(nnz),
+            ids: PairKeys::with_bin_bits(n_cols, 0, nnz),
             values: Vec::with_capacity(nnz),
+            sorted: Vec::new(),
         }
     }
 
     /// Appends one row given `(feature, value)` pairs.
     ///
     /// Pairs need not be sorted; they are sorted here. Duplicate feature
-    /// indices within a row and out-of-range indices are rejected.
+    /// indices within a row and out-of-range indices are rejected, and a
+    /// rejected row leaves the builder as it was.
     pub fn push_row(&mut self, entries: &[(FeatureId, f32)]) -> Result<(), DataError> {
-        let start = self.col_idx.len();
-        for &(feat, val) in entries {
-            if feat as usize >= self.n_cols {
-                return Err(DataError::IndexOutOfBounds {
-                    kind: "feature",
-                    index: feat as usize,
-                    bound: self.n_cols,
-                });
-            }
-            self.col_idx.push(feat);
+        if let Some(&(feat, _)) = entries.iter().find(|&&(f, _)| f as usize >= self.n_cols) {
+            return Err(DataError::IndexOutOfBounds {
+                kind: "feature",
+                index: feat as usize,
+                bound: self.n_cols,
+            });
+        }
+        self.sorted.clear();
+        self.sorted.extend_from_slice(entries);
+        self.sorted.sort_unstable_by_key(|&(feat, _)| feat);
+        if let Some(w) = self.sorted.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(DataError::Shape(format!(
+                "duplicate feature {} in row {}",
+                w[0].0,
+                self.row_ptr.len() - 1
+            )));
+        }
+        for &(feat, val) in &self.sorted {
+            self.ids.push(feat, 0);
             self.values.push(val);
         }
-        // Sort the just-appended run by feature index.
-        let row_len = self.col_idx.len() - start;
-        if row_len > 1 {
-            let mut perm: Vec<usize> = (0..row_len).collect();
-            perm.sort_unstable_by_key(|&k| self.col_idx[start + k]);
-            let feats: Vec<FeatureId> = perm.iter().map(|&k| self.col_idx[start + k]).collect();
-            let vals: Vec<f32> = perm.iter().map(|&k| self.values[start + k]).collect();
-            self.col_idx[start..].copy_from_slice(&feats);
-            self.values[start..].copy_from_slice(&vals);
-            for w in self.col_idx[start..].windows(2) {
-                if w[0] == w[1] {
-                    return Err(DataError::Shape(format!(
-                        "duplicate feature {} in row {}",
-                        w[0],
-                        self.row_ptr.len() - 1
-                    )));
-                }
-            }
-        }
-        self.row_ptr.push(self.col_idx.len());
+        self.row_ptr.push(self.values.len());
         Ok(())
     }
 
     /// Finalizes the builder into a [`CsrMatrix`].
     pub fn build(self) -> CsrMatrix {
-        CsrMatrix::whole(self.n_cols, self.row_ptr, self.col_idx, self.values)
+        CsrMatrix::whole(self.n_cols, self.row_ptr, self.ids, self.values)
     }
 }
 
@@ -171,19 +226,15 @@ impl CsrMatrix {
                 }
             }
         }
-        Ok(CsrMatrix::whole(n_cols, row_ptr, col_idx, values))
+        let ids = PairKeys::from_ids(n_cols, col_idx);
+        Ok(CsrMatrix::whole(n_cols, row_ptr, ids, values))
     }
 
     /// The window over all rows of freshly built arrays (invariants already
     /// established by the caller).
-    fn whole(
-        n_cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<FeatureId>,
-        values: Vec<f32>,
-    ) -> Self {
+    fn whole(n_cols: usize, row_ptr: Vec<usize>, ids: PairKeys, values: Vec<f32>) -> Self {
         let hi = row_ptr.len() - 1;
-        CsrMatrix { n_cols, arrays: Arc::new(CsrArrays { row_ptr, col_idx, values }), lo: 0, hi }
+        CsrMatrix { n_cols, arrays: Arc::new(CsrArrays { row_ptr, ids, values }), lo: 0, hi }
     }
 
     /// Absolute offsets of this window's rows: `n_rows + 1` entries.
@@ -192,21 +243,26 @@ impl CsrMatrix {
         &self.arrays.row_ptr[self.lo..=self.hi]
     }
 
-    /// This window's stretch of `col_idx` / `values`.
+    /// The ids and values at absolute offsets `start..end`.
     #[inline]
-    fn entries(&self) -> (&[FeatureId], &[f32]) {
-        let (base, end) = (self.arrays.row_ptr[self.lo], self.arrays.row_ptr[self.hi]);
-        (&self.arrays.col_idx[base..end], &self.arrays.values[base..end])
+    fn run(&self, start: usize, end: usize) -> (RowIds<'_>, &[f32]) {
+        (RowIds { ids: &self.arrays.ids, start, end }, &self.arrays.values[start..end])
+    }
+
+    /// This window's stretch of ids / values.
+    #[inline]
+    fn entries(&self) -> (RowIds<'_>, &[f32]) {
+        self.run(self.arrays.row_ptr[self.lo], self.arrays.row_ptr[self.hi])
     }
 
     fn to_parts(&self) -> CsrParts {
         let ptrs = self.ptrs();
-        let (col_idx, values) = self.entries();
+        let (ids, values) = self.entries();
         CsrParts {
             n_rows: self.n_rows(),
             n_cols: self.n_cols,
             row_ptr: ptrs.iter().map(|&p| p - ptrs[0]).collect(),
-            col_idx: col_idx.to_vec(),
+            col_idx: ids.to_vec(),
             values: values.to_vec(),
         }
     }
@@ -245,27 +301,50 @@ impl CsrMatrix {
         self.arrays.row_ptr[self.hi] - self.arrays.row_ptr[self.lo]
     }
 
-    /// Nonzeros of row `i` as parallel slices `(features, values)`.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&[FeatureId], &[f32]) {
-        let ptrs = self.ptrs();
-        let (lo, hi) = (ptrs[i], ptrs[i + 1]);
-        (&self.arrays.col_idx[lo..hi], &self.arrays.values[lo..hi])
+    /// Bytes of one stored feature id: 2 up to 65 536 columns, else 4.
+    pub fn id_bytes(&self) -> usize {
+        self.arrays.ids.key_bytes()
     }
 
-    /// Iterates rows as `(row index, features, values)`.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[FeatureId], &[f32])> {
-        let arrays = &*self.arrays;
-        self.ptrs()
-            .windows(2)
-            .enumerate()
-            .map(move |(i, w)| (i, &arrays.col_idx[w[0]..w[1]], &arrays.values[w[0]..w[1]]))
+    /// Nonzeros of row `i`: its ids in place, and its values.
+    #[inline]
+    pub fn row(&self, i: usize) -> (RowIds<'_>, &[f32]) {
+        let ptrs = self.ptrs();
+        self.run(ptrs[i], ptrs[i + 1])
+    }
+
+    /// Iterates rows as `(row index, ids, values)`.
+    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, RowIds<'_>, &[f32])> {
+        self.ptrs().windows(2).enumerate().map(move |(i, w)| {
+            let (ids, vals) = self.run(w[0], w[1]);
+            (i, ids, vals)
+        })
+    }
+
+    /// Visits every row as parallel `(features, values)` slices. At 4-byte
+    /// width the ids are handed out in place; narrower ids are widened row
+    /// by row into one scratch buffer.
+    pub fn for_each_row(&self, mut f: impl FnMut(usize, &[FeatureId], &[f32])) {
+        let CsrArrays { ids, values, .. } = &*self.arrays;
+        let rows = self.ptrs().windows(2).enumerate();
+        // A key with a 0-bit bin field is its id.
+        if let Keys::U32(wide) = ids.keys() {
+            rows.for_each(|(i, w)| f(i, &wide[w[0]..w[1]], &values[w[0]..w[1]]));
+        } else {
+            let mut scratch = Vec::new();
+            rows.for_each(|(i, w)| {
+                scratch.clear();
+                ids.extend_ids(w[0]..w[1], &mut scratch);
+                f(i, &scratch, &values[w[0]..w[1]]);
+            });
+        }
     }
 
     /// Value at `(row, col)`, or `None` when the entry is missing (sparse zero).
     pub fn get(&self, row: usize, col: FeatureId) -> Option<f32> {
-        let (feats, vals) = self.row(row);
-        feats.binary_search(&col).ok().map(|k| vals[k])
+        let (ptrs, arrays) = (self.ptrs(), &*self.arrays);
+        let (lo, hi) = (ptrs[row], ptrs[row + 1]);
+        arrays.ids.position(lo..hi, col).map(|k| arrays.values[lo + k])
     }
 
     /// The horizontal shard of rows `lo..hi`: a window over the same arrays,
@@ -285,7 +364,7 @@ impl CsrMatrix {
     /// shared arrays are.
     pub fn heap_bytes(&self) -> usize {
         (self.n_rows() + 1) * std::mem::size_of::<usize>()
-            + self.nnz() * (std::mem::size_of::<FeatureId>() + std::mem::size_of::<f32>())
+            + self.nnz() * (self.id_bytes() + std::mem::size_of::<f32>())
     }
 }
 
@@ -351,7 +430,7 @@ mod tests {
         assert_eq!(m.n_cols(), 3);
         assert_eq!(m.nnz(), 6);
         let (f, v) = m.row(3);
-        assert_eq!(f, &[0, 1, 2]);
+        assert_eq!(f.to_vec(), [0, 1, 2]);
         assert_eq!(v, &[4.0, 5.0, 6.0]);
     }
 
@@ -382,8 +461,8 @@ mod tests {
         let m = sample_csr();
         let shard = m.slice_rows(1, 4);
         assert_eq!(shard.n_rows(), 3);
-        assert_eq!(shard.row(0).0, &[1]);
-        assert_eq!(shard.row(1).0, &[] as &[FeatureId]);
+        assert_eq!(shard.row(0).0.to_vec(), [1]);
+        assert!(shard.row(1).0.is_empty());
         assert_eq!(shard.row(2).1, &[4.0, 5.0, 6.0]);
     }
 
@@ -425,6 +504,18 @@ mod tests {
     #[test]
     fn heap_bytes_counts_all_arrays() {
         let m = sample_csr();
-        assert_eq!(m.heap_bytes(), 5 * 8 + 6 * 4 + 6 * 4);
+        assert_eq!(m.id_bytes(), 2);
+        assert_eq!(m.heap_bytes(), 5 * 8 + 6 * 2 + 6 * 4);
+    }
+
+    #[test]
+    fn a_rejected_row_leaves_the_builder_as_it_was() {
+        let mut b = CsrBuilder::new(3);
+        b.push_row(&[(2, 1.0)]).unwrap();
+        assert!(b.push_row(&[(1, 1.0), (1, 2.0)]).is_err());
+        assert!(b.push_row(&[(0, 1.0), (3, 2.0)]).is_err());
+        b.push_row(&[(0, 3.0)]).unwrap();
+        let want = CsrMatrix::from_parts(2, 3, vec![0, 1, 2], vec![2, 0], vec![1.0, 3.0]);
+        assert_eq!(b.build(), want.unwrap());
     }
 }

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use gbdt_data::block::{Block, SliceError};
 use gbdt_data::dense_binned::{BinWidth, DenseBinnedRows};
 use gbdt_data::encoding;
-use gbdt_data::sparse::CsrBuilder;
+use gbdt_data::sparse::{CsrBuilder, RowIds};
 use gbdt_data::{
     BinId, BinnedRows, BinnedStore, ColumnStore, CsrMatrix, DataError, Dataset, DenseMatrix,
     FeatureId, FeatureMatrix, PairKeys,
@@ -70,12 +70,18 @@ fn build_binned(rows: &[Vec<(u32, u16)>], n_cols: usize, q: usize) -> BinnedRows
     b.build()
 }
 
+/// Whether two id runs are the same bytes of one key buffer, not equal copies.
+fn shares_ids(a: &RowIds, b: &RowIds) -> bool {
+    let ((keys_a, run_a), (keys_b, run_b)) = (a.run(), b.run());
+    std::ptr::eq(keys_a, keys_b) && run_a == run_b
+}
+
 /// Whether every row of `cut` is rows `lo..` of `parent` in the same storage,
 /// pointing into `parent`'s own buffer — kept variant, no cell copied.
 fn aliases_rows_of(cut: &FeatureMatrix, parent: &FeatureMatrix, lo: usize) -> bool {
     match (cut, parent) {
         (FeatureMatrix::Sparse(c), FeatureMatrix::Sparse(p)) => (0..c.n_rows()).all(|i| {
-            std::ptr::eq(c.row(i).0, p.row(lo + i).0) && std::ptr::eq(c.row(i).1, p.row(lo + i).1)
+            shares_ids(&c.row(i).0, &p.row(lo + i).0) && std::ptr::eq(c.row(i).1, p.row(lo + i).1)
         }),
         (FeatureMatrix::Dense(c), FeatureMatrix::Dense(p)) => {
             (0..c.n_rows()).all(|i| std::ptr::eq(c.row(i), p.row(lo + i)))
@@ -128,7 +134,7 @@ proptest! {
 
         // Aliasing: the window's rows are the parent's bytes, not a copy.
         for i in 0..window.n_rows() {
-            prop_assert!(std::ptr::eq(window.row(i).0, m.row(lo + i).0));
+            prop_assert!(shares_ids(&window.row(i).0, &m.row(lo + i).0));
             prop_assert!(std::ptr::eq(window.row(i).1, m.row(lo + i).1));
         }
 
@@ -199,7 +205,8 @@ proptest! {
         let mut failure = None;
         m.for_each_row(|i, feats, vals| {
             visited += 1;
-            if (feats, vals) != csr.row(i) {
+            let (ids, values) = csr.row(i);
+            if (feats, vals) != (&ids.to_vec()[..], values) {
                 failure = Some(format!("row {i}: {feats:?} {vals:?} != {:?}", csr.row(i)));
             }
             // A row with no zero cell is the matrix's own cells, not a copy.
@@ -527,4 +534,119 @@ fn arb_row_with_ends() -> impl Strategy<Value = Vec<(u32, u16)>> {
             row.into_iter().collect()
         },
     )
+}
+
+/// Strategy: rows of sorted, distinct `(slot, value)` over 16 slots, no
+/// value an exact zero; [`at_width`] places the slots at both ends of a
+/// matrix's columns.
+fn arb_edge_rows() -> impl Strategy<Value = Vec<Vec<(u32, f32)>>> {
+    let signed = (0.5f32..100.0, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v });
+    prop::collection::vec(
+        prop::collection::btree_map(0u32..16, signed, 0..10)
+            .prop_map(|m| m.into_iter().collect::<Vec<_>>()),
+        0..8,
+    )
+}
+
+/// `rows` over `n_cols` columns: slots 0..8 are the first ids, slots 8..16
+/// the last eight, so the widest id a width must hold is drawn.
+fn at_width(rows: &[Vec<(u32, f32)>], n_cols: usize) -> Vec<Vec<(u32, f32)>> {
+    let top = n_cols as u32 - 16;
+    rows.iter()
+        .map(|row| row.iter().map(|&(s, v)| (if s < 8 { s } else { top + s }, v)).collect())
+        .collect()
+}
+
+/// Everything `m` hands out — rows, lookups, the row visit, serde and the
+/// byte count — equals the `u32` oracle `rows` it was built from.
+fn assert_matches_oracle(m: &CsrMatrix, rows: &[Vec<(u32, f32)>]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(m.n_rows(), rows.len());
+    let (mut ids, mut vals) = (Vec::new(), Vec::new());
+    for (i, row) in rows.iter().enumerate() {
+        let (row_ids, row_vals) = m.row(i);
+        let want: Vec<u32> = row.iter().map(|e| e.0).collect();
+        prop_assert_eq!(row_ids.to_vec(), want.clone());
+        prop_assert_eq!(row_ids.iter().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(row_vals, &row.iter().map(|e| e.1).collect::<Vec<_>>()[..]);
+        for &(f, v) in row {
+            prop_assert_eq!(m.get(i, f), Some(v));
+        }
+        for f in [8, m.n_cols() as u32 - 9, m.n_cols() as u32, u32::MAX] {
+            prop_assert_eq!(m.get(i, f), None);
+        }
+        ids.extend(want);
+        vals.extend(row.iter().map(|e| e.1));
+    }
+    let mut visited = Vec::new();
+    m.for_each_row(|i, f, v| visited.push((i, f.to_vec(), v.to_vec())));
+    let want: Vec<_> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i, r.iter().map(|e| e.0).collect(), r.iter().map(|e| e.1).collect()))
+        .collect();
+    prop_assert_eq!(visited, want);
+    let v = m.to_value();
+    prop_assert_eq!(Vec::<u32>::from_value(v.get("col_idx").unwrap()).unwrap(), ids);
+    prop_assert_eq!(Vec::<f32>::from_value(v.get("values").unwrap()).unwrap(), vals);
+    prop_assert_eq!(&CsrMatrix::from_value(&v).unwrap(), m);
+    prop_assert_eq!(m.heap_bytes(), (m.n_rows() + 1) * 8 + m.nnz() * (m.id_bytes() + 4));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// At 65 536 columns every id fits 2 bytes; at 65 537 the ids take 4.
+    /// Either way a matrix, its windows and windows of windows, its serde
+    /// round trip, its row visit and a dense matrix's CSR equal the `u32`
+    /// oracle, and a window's ids are its parent's bytes.
+    #[test]
+    fn csr_ids_take_the_narrowest_width_at_the_boundary(
+        slots in arb_edge_rows(),
+        ends in prop::collection::vec(0usize..9, 4),
+    ) {
+        for (n_cols, width) in [(65_536, 2), (65_537, 4)] {
+            let rows = at_width(&slots, n_cols);
+            let m = build_csr(&rows, n_cols);
+            prop_assert_eq!(m.id_bytes(), width);
+            assert_matches_oracle(&m, &rows)?;
+
+            let n = rows.len();
+            let (lo, hi) = (ends[0].min(ends[1]).min(n), ends[0].max(ends[1]).min(n));
+            let window = m.slice_rows(lo, hi);
+            assert_matches_oracle(&window, &rows[lo..hi])?;
+            assert_window_is(&window, &build_csr(&rows[lo..hi], n_cols))?;
+            for i in 0..window.n_rows() {
+                prop_assert!(shares_ids(&window.row(i).0, &m.row(lo + i).0));
+                prop_assert!(std::ptr::eq(window.row(i).1, m.row(lo + i).1));
+            }
+            let w = window.n_rows();
+            let (lo2, hi2) = (ends[2].min(ends[3]).min(w), ends[2].max(ends[3]).min(w));
+            let inner = window.slice_rows(lo2, hi2);
+            assert_matches_oracle(&inner, &rows[lo + lo2..lo + hi2])?;
+            prop_assert!(
+                (0..inner.n_rows()).all(|i| shares_ids(&inner.row(i).0, &m.row(lo + lo2 + i).0))
+            );
+
+            let mut row_ptr = vec![0];
+            row_ptr.extend(rows.iter().scan(0, |end, r| { *end += r.len(); Some(*end) }));
+            let col_idx = rows.iter().flatten().map(|e| e.0).collect();
+            let values = rows.iter().flatten().map(|e| e.1).collect();
+            let parts = CsrMatrix::from_parts(n, n_cols, row_ptr, col_idx, values).unwrap();
+            prop_assert_eq!(parts.id_bytes(), width);
+            prop_assert_eq!(&parts, &m);
+
+            let mut cells = vec![0.0f32; n * n_cols];
+            for (i, row) in rows.iter().enumerate() {
+                for &(f, v) in row {
+                    cells[i * n_cols + f as usize] = v;
+                }
+            }
+            let dense = DenseMatrix::from_flat(n, n_cols, cells).unwrap();
+            let csr = dense.to_csr();
+            prop_assert_eq!(csr.id_bytes(), width);
+            assert_matches_oracle(&csr, &rows)?;
+            prop_assert_eq!(&csr, &m);
+        }
+    }
 }

@@ -105,7 +105,9 @@ mod tests {
                             for i in 0..csr.n_rows() {
                                 let (row, parent) = (csr.row(i), whole.row(lo + i));
                                 assert_eq!(row, parent, "n={n} rank={rank} row={i}");
-                                assert!(std::ptr::eq(row.0, parent.0), "features copied");
+                                let (ids, parent_ids) = (row.0.run(), parent.0.run());
+                                assert!(std::ptr::eq(ids.0, parent_ids.0), "features copied");
+                                assert_eq!(ids.1, parent_ids.1, "features copied");
                                 assert!(std::ptr::eq(row.1, parent.1), "values copied");
                             }
                         }

@@ -225,10 +225,11 @@ mod tests {
         let outcome = Vero::fit(&small_config(2), &ds);
         let csr = ds.features.to_csr();
         let (feats, vals) = csr.row(0);
-        let p = outcome.model.predict(feats, vals);
+        let feats = feats.to_vec();
+        let p = outcome.model.predict(&feats, vals);
         assert_eq!(p.len(), 1);
         assert!((0.0..=1.0).contains(&p[0]));
-        let raw = outcome.model.predict_raw(feats, vals);
+        let raw = outcome.model.predict_raw(&feats, vals);
         assert!((gbdt_core::loss::sigmoid(raw[0]) - p[0]).abs() < 1e-12);
     }
 

@@ -61,13 +61,14 @@ fn main() {
     // 4. Single-instance prediction: sparse (feature, value) pairs.
     let csr = valid.features.to_csr();
     let (feats, vals) = csr.row(0);
-    let p = outcome.model.predict(feats, vals);
+    let feats = feats.to_vec();
+    let p = outcome.model.predict(&feats, vals);
     println!("P(class 1 | first validation row) = {:.4} (label {})", p[0], valid.labels[0]);
 
     // 5. Save and reload.
     let path = std::env::temp_dir().join("vero-quickstart.json");
     outcome.model.save(&path).expect("model saves");
     let reloaded = VeroModel::load(&path).expect("model loads");
-    assert_eq!(reloaded.predict(feats, vals), p);
+    assert_eq!(reloaded.predict(&feats, vals), p);
     println!("model saved to {} and reloaded: identical predictions", path.display());
 }

@@ -156,6 +156,38 @@ fn config() -> TrainConfig {
     TrainConfig::builder().n_trees(2).n_layers(4).build().unwrap()
 }
 
+/// Generating a sparse dataset of N rows over D ≤ 65 536 features holds what
+/// it returns — the CSR at 2-byte ids and 4-byte values, its row pointers
+/// and the labels, each allocated once at its final size — plus at most a
+/// KiB of working state (the D × C weights of this 64-feature shape, one
+/// row's sample). 4-byte ids would hold 2 · nnz bytes more.
+fn sparse_generation_holds_two_byte_ids(broken: &mut Vec<String>) {
+    let cfg = SyntheticConfig {
+        n_instances: 20_000,
+        n_features: 64,
+        n_classes: 2,
+        density: 0.1,
+        seed: 2303,
+        ..Default::default()
+    };
+    let (ds, peak) = measure(|| cfg.generate());
+    let (n, nnz) = (ds.n_instances(), ds.features.n_stored());
+    let returned = nnz * (2 + 4) + (n + 1) * 8 + n * 4;
+    let heap = ds.features.heap_bytes() + ds.labels.capacity() * 4;
+    if heap != returned {
+        broken.push(format!(
+            "a generated {n} × {} sparse dataset of {nnz} values counts {heap} B, not {returned} B",
+            cfg.n_features
+        ));
+    }
+    if peak > returned + KIB {
+        broken.push(format!(
+            "generating {nnz} sparse values over {n} rows peaked {peak} B; 2-byte ids, values, \
+             row pointers and labels allow {returned} B + 1 KiB"
+        ));
+    }
+}
+
 /// The hold-out split and the worker shard of a dense dataset copy labels and
 /// nothing else: every cut is a window over the caller's cells.
 fn dense_row_cuts_allocate_their_labels_only(broken: &mut Vec<String>) {
@@ -535,6 +567,7 @@ fn split_scan_allocates_per_node_only(broken: &mut Vec<String>) {
 #[test]
 fn prep_stays_inside_its_copy_budget() {
     let mut broken = Vec::new();
+    sparse_generation_holds_two_byte_ids(&mut broken);
     dense_row_cuts_allocate_their_labels_only(&mut broken);
     qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(&mut broken);
     transform_holds_frames_payloads_and_rows_only(&mut broken);
