@@ -237,10 +237,15 @@ pub fn add_instance_to_feature_slice(
 /// Pool of per-node histograms with subtraction support and exact peak-memory
 /// accounting (the quantity Figure 10(e)/(f) reports).
 ///
-/// Parent histograms are retained while their children are outstanding
-/// (§3.1.2: "we have to conserve the histograms of the parent nodes"), and
-/// buffers are recycled through a free list so steady-state training does not
-/// allocate.
+/// One lifetime rule: a histogram lives until its node's split scan has run
+/// and no later subtraction reads it. Parent histograms are retained while
+/// their children are outstanding (§3.1.2: "we have to conserve the
+/// histograms of the parent nodes") and nothing else is: the last built
+/// layer, whose children are all leaves, is filled, derived, scanned and
+/// released one pair at a time. QD1 is the exception — its instance-to-node
+/// index fills a whole layer in one column pass, so its layer is live at
+/// once. Buffers are recycled through a free list so steady-state training
+/// does not allocate.
 #[derive(Debug)]
 pub struct HistogramPool {
     n_features: usize,

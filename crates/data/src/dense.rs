@@ -6,7 +6,7 @@
 //! row-store whose every non-zero cell is present.
 
 use crate::error::DataError;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrBuilder, CsrMatrix};
 use crate::FeatureId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -132,20 +132,12 @@ impl DenseMatrix {
     }
 
     /// Converts to a CSR matrix, keeping explicit zeros out of the storage.
-    /// A count pass sizes the arrays exactly, so nothing is reallocated.
+    /// A count pass sizes the arrays exactly, and each id is written once,
+    /// at the matrix's width, so nothing is reallocated or narrowed.
     pub fn to_csr(&self) -> CsrMatrix {
-        let nnz = self.n_present();
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        self.for_each_row(|_, feats, row_vals| {
-            col_idx.extend_from_slice(feats);
-            vals.extend_from_slice(row_vals);
-            row_ptr.push(col_idx.len());
-        });
-        CsrMatrix::from_parts(self.n_rows, self.n_cols, row_ptr, col_idx, vals)
-            .expect("dense-to-CSR conversion preserves invariants")
+        let mut builder = CsrBuilder::with_capacity(self.n_cols, self.n_rows, self.n_present());
+        self.for_each_row(|_, feats, vals| builder.push_ascending(feats, vals));
+        builder.build()
     }
 
     /// The horizontal shard of rows `lo..hi`: a window over the same buffer,

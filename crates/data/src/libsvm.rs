@@ -116,17 +116,30 @@ pub fn read_file(
     read_from(file, n_classes, n_features, name)
 }
 
-/// Writes a dataset in LIBSVM format (1-based indices).
+/// Writes a dataset in LIBSVM format (1-based indices), streaming its rows
+/// in their own storage: nothing is converted or copied first.
 pub fn write_to<W: Write>(writer: &mut W, dataset: &Dataset) -> Result<(), DataError> {
-    let csr = dataset.features.to_csr();
-    for (i, feats, vals) in csr.iter_rows() {
-        write!(writer, "{}", dataset.labels[i])?;
-        for (f, &v) in feats.iter().zip(vals) {
-            write!(writer, " {}:{}", f + 1, v)?;
+    let mut written = Ok(());
+    dataset.features.for_each_row(|i, feats, vals| {
+        if written.is_ok() {
+            written = write_row(writer, dataset.labels[i], feats, vals);
         }
-        writeln!(writer)?;
+    });
+    Ok(written?)
+}
+
+/// One LIBSVM line: the label, then `feature:value` for each stored value.
+fn write_row<W: Write>(
+    writer: &mut W,
+    label: f32,
+    feats: &[FeatureId],
+    vals: &[f32],
+) -> std::io::Result<()> {
+    write!(writer, "{label}")?;
+    for (f, v) in feats.iter().zip(vals) {
+        write!(writer, " {}:{}", f + 1, v)?;
     }
-    Ok(())
+    writeln!(writer)
 }
 
 #[cfg(test)]

@@ -173,6 +173,19 @@ impl CsrBuilder {
         Ok(())
     }
 
+    /// Appends one row whose ids are already strictly ascending and in
+    /// range (a row another matrix handed out), with no sort and no scratch.
+    pub(crate) fn push_ascending(&mut self, feats: &[FeatureId], vals: &[f32]) {
+        debug_assert_eq!(feats.len(), vals.len());
+        debug_assert!(feats.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        debug_assert!(feats.last().is_none_or(|&f| (f as usize) < self.n_cols), "ids in range");
+        for &feat in feats {
+            self.ids.push(feat, 0);
+        }
+        self.values.extend_from_slice(vals);
+        self.row_ptr.push(self.values.len());
+    }
+
     /// Finalizes the builder into a [`CsrMatrix`].
     pub fn build(self) -> CsrMatrix {
         CsrMatrix::whole(self.n_cols, self.row_ptr, self.ids, self.values)

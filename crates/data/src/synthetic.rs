@@ -70,7 +70,8 @@ impl SyntheticConfig {
         assert!((0.0..=1.0).contains(&self.density), "density must be in [0, 1]");
         let mut rng = StdRng::seed_from_u64(self.seed);
         let c_eff = self.n_classes.max(1);
-        let weights = self.random_weights(&mut rng, c_eff);
+        let mut sampler = DistinctSampler::new(self.n_features);
+        let weights = self.random_weights(&mut rng, &mut sampler, c_eff);
 
         let density = if self.dense { 1.0 } else { self.density };
         let nnz_per_row = ((self.n_features as f64) * density).round().max(1.0) as usize;
@@ -108,8 +109,7 @@ impl SyntheticConfig {
             for _ in 0..self.n_instances {
                 scores.iter_mut().for_each(|s| *s = 0.0);
                 entries.clear();
-                let picked = rand::seq::index::sample(&mut rng, self.n_features, nnz_per_row);
-                for j in picked {
+                for &j in sampler.sample(&mut rng, nnz_per_row) {
                     let v: f32 = rng.gen_range(-1.0..1.0);
                     entries.push((j as FeatureId, v));
                     for (c, s) in scores.iter_mut().enumerate() {
@@ -130,14 +130,18 @@ impl SyntheticConfig {
     }
 
     /// D×C weight matrix, row-major, with `(1 - p)·D` rows zeroed per class.
-    fn random_weights(&self, rng: &mut StdRng, c_eff: usize) -> Vec<f32> {
+    fn random_weights(
+        &self,
+        rng: &mut StdRng,
+        sampler: &mut DistinctSampler,
+        c_eff: usize,
+    ) -> Vec<f32> {
         let mut w = vec![0f32; self.n_features * c_eff];
         let informative =
             ((self.n_features as f64) * self.informative_ratio).round().max(1.0) as usize;
         let informative = informative.min(self.n_features);
         for c in 0..c_eff {
-            let picked = rand::seq::index::sample(rng, self.n_features, informative);
-            for j in picked {
+            for &j in sampler.sample(rng, informative) {
                 w[j * c_eff + c] = rng.gen_range(-1.0f32..1.0);
             }
         }
@@ -160,6 +164,41 @@ impl SyntheticConfig {
             }
         }
         best as f32
+    }
+}
+
+/// Distinct indices from `0..length`, drawn as `rand::seq::index::sample`
+/// draws them (Floyd's algorithm: the same `gen_range` calls in the same
+/// order, so the same indices in the same order) into one buffer reused
+/// across calls, with a by-index mask for membership where the shim searches
+/// its list. Only the entries a call set are cleared by the next.
+struct DistinctSampler {
+    chosen: Vec<usize>,
+    taken: Vec<bool>,
+}
+
+impl DistinctSampler {
+    fn new(length: usize) -> Self {
+        DistinctSampler { chosen: Vec::new(), taken: vec![false; length] }
+    }
+
+    /// `amount` distinct indices of `0..length`, in draw order.
+    fn sample(&mut self, rng: &mut impl Rng, amount: usize) -> &[usize] {
+        let length = self.taken.len();
+        assert!(amount <= length, "cannot sample {amount} distinct indices from 0..{length}");
+        for &i in &self.chosen {
+            self.taken[i] = false;
+        }
+        self.chosen.clear();
+        self.chosen.reserve(amount);
+        for j in length - amount..length {
+            let t = rng.gen_range(0..j + 1);
+            // Every earlier pick is below `j`, so `j` itself is free.
+            let pick = if self.taken[t] { j } else { t };
+            self.taken[pick] = true;
+            self.chosen.push(pick);
+        }
+        &self.chosen
     }
 }
 
@@ -252,6 +291,29 @@ pub mod presets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    proptest! {
+        /// The reused buffer and its mask draw what the shim's fresh `Vec`
+        /// and linear search draw, call after call, and leave the generator
+        /// at the same next draw.
+        #[test]
+        fn the_sampler_draws_what_the_shim_draws(
+            length in 1usize..300,
+            amounts in proptest::collection::vec(0usize..300, 1..6),
+            seed in any::<u64>(),
+        ) {
+            let mut sampler = DistinctSampler::new(length);
+            let (mut ours, mut shims) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for amount in amounts.into_iter().map(|a| a % (length + 1)) {
+                let expected = rand::seq::index::sample(&mut shims, length, amount).into_vec();
+                prop_assert_eq!(sampler.sample(&mut ours, amount), &expected[..]);
+                prop_assert_eq!(ours.next_u64(), shims.next_u64());
+            }
+        }
+    }
 
     #[test]
     fn deterministic_given_seed() {

@@ -13,6 +13,7 @@
 
 use crate::common::{DistTrainResult, TreeStat};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
+use gbdt_core::histogram::{HistogramPool, NodeHistogram};
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::split::{NodeStats, Split, SplitParams};
 use gbdt_core::tree::{self, Tree};
@@ -33,27 +34,49 @@ pub(crate) struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// The timed local split scan of the layer: `best(node, stats)` for
-    /// every frontier node with at least `min_node_instances` instances,
-    /// `None` for the rest.
-    pub fn scan(
+    /// Whether this is the last layer whose histograms are built: its
+    /// children are all leaves, so no later subtraction reads them.
+    fn is_last_built_layer(&self) -> bool {
+        self.layer + 2 == self.config.n_layers
+    }
+
+    /// The timed local split scan of one frontier node: `best(stats)` when
+    /// the node has at least `min_node_instances` instances, `None`
+    /// otherwise.
+    fn scan(
         &self,
         ctx: &mut WorkerCtx,
-        best: impl Fn(u32, &NodeStats) -> Option<Split>,
-    ) -> Vec<Option<Split>> {
-        let frontier = &self.frontier;
-        ctx.time(Phase::SplitFind, || {
-            frontier
-                .nodes
-                .iter()
-                .map(|&node| {
-                    if frontier.counts[&node] < self.config.min_node_instances as u64 {
-                        return None;
-                    }
-                    best(node, &frontier.stats[&node])
-                })
-                .collect()
-        })
+        node: u32,
+        best: impl FnOnce(&NodeStats) -> Option<Split>,
+    ) -> Option<Split> {
+        if self.frontier.counts[&node] < self.config.min_node_instances as u64 {
+            return None;
+        }
+        ctx.time(Phase::SplitFind, || best(&self.frontier.stats[&node]))
+    }
+
+    /// Scans the nodes `step` completed (its built node, then the sibling it
+    /// derived) into `locals`, in frontier order, under the one lifetime
+    /// rule: a histogram is freed once its node is scanned and no later
+    /// subtraction reads it — at the last built layer, right here.
+    pub fn scan_step(
+        &self,
+        ctx: &mut WorkerCtx,
+        pool: &mut HistogramPool,
+        step: &BuildStep,
+        locals: &mut [Option<Split>],
+        best: impl Fn(&NodeHistogram, &NodeStats) -> Option<Split>,
+    ) {
+        for node in step.nodes() {
+            #[expect(clippy::expect_used, reason = "a schedule completes frontier nodes only")]
+            let k = self.frontier.nodes.binary_search(&node).expect("a frontier node");
+            #[expect(clippy::expect_used, reason = "the step just built or derived it")]
+            let hist = pool.get(node).expect("histogram live");
+            locals[k] = self.scan(ctx, node, |stats| best(hist, stats));
+            if self.is_last_built_layer() {
+                pool.release(node);
+            }
+        }
     }
 }
 
@@ -61,22 +84,24 @@ impl Run<'_> {
 /// replicated feature-parallel case): the data a worker holds, the index
 /// over it, its histograms, and the collectives that stand in for what the
 /// worker does not hold. [`train_worker`] calls `root` per tree, then
-/// `build`, `propose`, `apply` per layer; every worker makes every call, so
+/// `find_splits` and `apply` per layer; every worker makes every call, so
 /// each may communicate.
 pub(crate) trait Quadrant {
     /// Global gradient sums and instance count of the root: local sums,
     /// all-reduced when rows are sharded.
     fn root(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(NodeStats, u64), CommError>;
 
-    /// Leaves a global histogram (over the features this worker answers
-    /// for) for every frontier node: which nodes are scanned, by which scan,
-    /// aggregated how, and which are derived by subtraction afterwards.
-    fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError>;
-
-    /// The global best split per frontier node (global feature ids), `None`
-    /// where the node becomes a leaf; goes through [`Run::scan`].
-    fn propose(&mut self, ctx: &mut WorkerCtx, run: &Run)
-        -> Result<Vec<Option<Split>>, CommError>;
+    /// Builds a global histogram (over the features this worker answers
+    /// for) for every frontier node — which nodes are scanned, by which
+    /// scan, aggregated how, and which are derived by subtraction — scans
+    /// each through [`Run::scan_step`] as soon as it is complete, and
+    /// returns the global best split per frontier node (global feature
+    /// ids), `None` where the node becomes a leaf.
+    fn find_splits(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        run: &Run,
+    ) -> Result<Vec<Option<Split>>, CommError>;
 
     /// `node` became a leaf: its histogram is dead.
     fn retire(&mut self, node: u32);
@@ -169,9 +194,8 @@ pub(crate) fn train_worker<Q: Quadrant>(
             }
             run.layer = layer;
 
-            Q::build(&mut q, ctx, &run)?;
+            let decisions = Q::find_splits(&mut q, ctx, &run)?;
             ctx.stats.histogram_peak_bytes = q.histogram_peak_bytes() as u64;
-            let decisions = Q::propose(&mut q, ctx, &run)?;
 
             let mut splits: Vec<(u32, Split)> = Vec::new();
             for (&node, decision) in run.frontier.nodes.iter().zip(decisions) {
@@ -318,6 +342,14 @@ pub(crate) struct BuildStep {
     pub node: u32,
     /// `(parent, sibling)`.
     pub derive: Option<(u32, u32)>,
+}
+
+impl BuildStep {
+    /// The nodes whose histograms the step completes: the built node, then
+    /// the derived sibling.
+    pub fn nodes(&self) -> impl Iterator<Item = u32> {
+        std::iter::once(self.node).chain(self.derive.map(|(_, sibling)| sibling))
+    }
 }
 
 /// Which sibling to build and which to derive by subtraction: build the

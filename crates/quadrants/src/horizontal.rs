@@ -29,10 +29,12 @@ use gbdt_partition::HorizontalPartition;
 
 /// How a worker stores its row shard and the index over it.
 pub(crate) trait ShardStore {
-    /// Scans the layer's local histograms into `pool` and returns the
-    /// schedule: the nodes scanned, each with the sibling it yields by
-    /// subtraction once aggregated.
-    fn fill(&self, pool: &mut HistogramPool, run: &Run) -> Vec<BuildStep>;
+    /// The layer's schedule, in passes: the nodes each pass scans, each
+    /// with the sibling it yields by subtraction once aggregated.
+    fn passes(&self, run: &Run) -> Vec<Vec<BuildStep>>;
+
+    /// Scans the local histograms of one pass's nodes into `pool`.
+    fn fill(&self, pool: &mut HistogramPool, pass: &[BuildStep], run: &Run);
 
     /// Partitions the index for every split node, in order, and returns the
     /// local `[left, right]` instance counts of each, flattened.
@@ -55,8 +57,8 @@ pub(crate) trait ShardStore {
 /// every feature, made global by `aggregation`.
 struct Horizontal<S> {
     store: S,
-    /// Global histograms once `build` returns (over this worker's feature
-    /// slice only, when the aggregation is sharded).
+    /// Global histograms once a pass is aggregated (over this worker's
+    /// feature slice only, when the aggregation is sharded).
     pool: HistogramPool,
     aggregation: Aggregation,
     /// The features this worker aggregates and scans under sharded
@@ -79,23 +81,54 @@ impl<S: ShardStore> Quadrant for Horizontal<S> {
         Ok((stats, count[0] as u64))
     }
 
-    /// Local histograms of the store's schedule, aggregated under the
-    /// configured wire codec (control traffic stays dense); siblings are
-    /// derived AFTER aggregation, so pool histograms are always global.
-    fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError> {
-        let steps = ctx.time(Phase::HistogramBuild, || self.store.fill(&mut self.pool, run));
-        let wire = run.config.wire;
+    /// Local histograms of the store's schedule, one pass at a time, each
+    /// aggregated under the configured wire codec (control traffic stays
+    /// dense); siblings are derived AFTER aggregation, so pool histograms
+    /// are always global. Every completed node is then scanned: everywhere
+    /// after an all-reduce, within this worker's feature slice (then the
+    /// local-best exchange) after the sharded push.
+    fn find_splits(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        run: &Run,
+    ) -> Result<Vec<Option<Split>>, CommError> {
+        let (wire, aggregation) = (run.config.wire, self.aggregation);
+        let (lo, hi) = self.feature_slice;
+        let n_bins = |f| run.cuts.n_bins(f);
+        let mut locals = vec![None; run.frontier.nodes.len()];
         let before = ctx.comm.counters();
-        for step in &steps {
-            #[expect(clippy::expect_used, reason = "the fill just built every node of `steps`")]
-            let hist = self.pool.get_mut(step.node).expect("just built").as_mut_slice();
-            match self.aggregation {
-                Aggregation::AllReduce => ctx.comm.all_reduce_f64_codec(wire, hist)?,
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    let reduced = ctx.comm.ps_push_and_reduce_codec(wire, hist, &self.elem_ranges)?;
-                    let (lo, hi) = self.elem_ranges[ctx.rank()];
-                    hist[lo..hi].copy_from_slice(&reduced);
+        for pass in self.store.passes(run) {
+            ctx.time(Phase::HistogramBuild, || self.store.fill(&mut self.pool, &pass, run));
+            for step in &pass {
+                #[expect(clippy::expect_used, reason = "the fill just built every node of `pass`")]
+                let hist = self.pool.get_mut(step.node).expect("just built").as_mut_slice();
+                match aggregation {
+                    Aggregation::AllReduce => ctx.comm.all_reduce_f64_codec(wire, hist)?,
+                    Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                        let reduced =
+                            ctx.comm.ps_push_and_reduce_codec(wire, hist, &self.elem_ranges)?;
+                        let (lo, hi) = self.elem_ranges[ctx.rank()];
+                        hist[lo..hi].copy_from_slice(&reduced);
+                    }
                 }
+            }
+            for step in &pass {
+                if let Some((parent, sibling)) = step.derive {
+                    ctx.time(Phase::HistogramBuild, || {
+                        self.pool.subtract_sibling(parent, step.node, sibling)
+                    });
+                }
+                run.scan_step(ctx, &mut self.pool, step, &mut locals, |hist, stats| {
+                    match aggregation {
+                        Aggregation::AllReduce => {
+                            best_split(hist, stats, &run.params, n_bins, |f| f)
+                        }
+                        Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                            let features = lo as u32..hi as u32;
+                            best_split_in_range(hist, features, stats, &run.params, n_bins, |f| f)
+                        }
+                    }
+                });
             }
         }
         let now = ctx.comm.counters();
@@ -104,37 +137,11 @@ impl<S: ShardStore> Quadrant for Horizontal<S> {
             now.logical_f64_bytes - before.logical_f64_bytes,
             now.wire_f64_bytes - before.wire_f64_bytes,
         );
-        ctx.time(Phase::HistogramBuild, || {
-            for step in &steps {
-                if let Some((parent, sibling)) = step.derive {
-                    self.pool.subtract_sibling(parent, step.node, sibling);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    fn propose(
-        &mut self,
-        ctx: &mut WorkerCtx,
-        run: &Run,
-    ) -> Result<Vec<Option<Split>>, CommError> {
-        #[expect(clippy::expect_used, reason = "every frontier node's histogram is live")]
-        let hist = |node| self.pool.get(node).expect("histogram live");
-        let n_bins = |f| run.cuts.n_bins(f);
-        match self.aggregation {
-            // Every worker holds the global histograms and finds every
+        match aggregation {
+            // Every worker holds the global histograms and found every
             // split redundantly.
-            Aggregation::AllReduce => Ok(run.scan(ctx, |node, stats| {
-                best_split(hist(node), stats, &run.params, n_bins, |f| f)
-            })),
-            // Local best within my feature slice, then exchange.
+            Aggregation::AllReduce => Ok(locals),
             Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                let (lo, hi) = self.feature_slice;
-                let locals = run.scan(ctx, |node, stats| {
-                    let features = lo as u32..hi as u32;
-                    best_split_in_range(hist(node), features, stats, &run.params, n_bins, |f| f)
-                });
                 exchange_local_bests(ctx, run, &locals)
             }
         }

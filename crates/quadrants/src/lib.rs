@@ -31,16 +31,17 @@
 //!   worker (Appendix D).
 //! * `grow` — the one per-tree / per-layer loop every distributed trainer
 //!   above runs, and the `Quadrant` policy trait through which they differ
-//!   (root / build / propose / apply). There are two policies, one per
+//!   (root / find splits / apply). There are two policies, one per
 //!   partitioning, each parametrised by storage. `horizontal` is the one
 //!   QD1 and QD2 share: root and child-count all-reduces, aggregation,
 //!   the split scan by aggregation and wire accounting over a `ShardStore`
-//!   (a layer's fill and the store's own fused split). `vertical` is the
+//!   (a layer's fill passes and the store's own fused split). `vertical` is the
 //!   one QD3, QD4, Yggdrasil and feature-parallel share, over a
 //!   `GroupStore` (a node's histogram fill and the owner's placement of a
 //!   split). The row-store's `GroupStore` impl is the paper's row-store
 //!   under both partitionings. Every policy holds its histograms in a
-//!   `HistogramPool`.
+//!   `HistogramPool`, each until its node is scanned and no later
+//!   subtraction reads it.
 //! * [`common`] — what policies share besides the loop: result types, the
 //!   aggregation choice, the local-best exchange.
 //! * [`System`] — the one system table: each compared system as a row

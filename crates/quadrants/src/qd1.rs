@@ -41,15 +41,19 @@ struct ColumnShard {
 }
 
 impl ShardStore for ColumnShard {
-    /// One linear pass over the columns builds the histograms of the WHOLE
-    /// layer — no subtraction, every pair of the shard is touched: each
-    /// 〈instance, bin〉 pair is routed to its instance's current node,
-    /// columns ascending and each column's pairs in stored order. The live
-    /// set is the frontier and nothing else.
-    fn fill(&self, pool: &mut HistogramPool, run: &Run) -> Vec<BuildStep> {
+    /// One pass for the WHOLE layer: no subtraction, every node scanned.
+    fn passes(&self, run: &Run) -> Vec<Vec<BuildStep>> {
+        vec![every_node_schedule(&run.frontier)]
+    }
+
+    /// One linear pass over the columns builds the histograms of the pass's
+    /// nodes — every pair of the shard is touched: each 〈instance, bin〉
+    /// pair is routed to its instance's current node, columns ascending and
+    /// each column's pairs in stored order. The live set is the pass and
+    /// nothing else.
+    fn fill(&self, pool: &mut HistogramPool, pass: &[BuildStep], run: &Run) {
         pool.release_all();
-        let steps = every_node_schedule(&run.frontier);
-        for step in &steps {
+        for step in pass {
             pool.acquire(step.node);
         }
         let (columns, index) = (&self.columns, &self.index);
@@ -74,7 +78,6 @@ impl ShardStore for ColumnShard {
                 }
             });
         }
-        steps
     }
 
     /// One pass over each split feature's column places the present

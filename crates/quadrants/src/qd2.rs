@@ -50,13 +50,17 @@ struct RowShard {
 }
 
 impl ShardStore for RowShard {
-    /// The smaller sibling of every pair (the root alone at layer 0).
-    fn fill(&self, pool: &mut HistogramPool, run: &Run) -> Vec<BuildStep> {
-        let steps = smaller_sibling_schedule(&run.frontier);
-        for step in &steps {
+    /// The smaller sibling of every pair (the root alone at layer 0), one
+    /// pass each: a pair is built, aggregated, derived and scanned before
+    /// the next is built.
+    fn passes(&self, run: &Run) -> Vec<Vec<BuildStep>> {
+        smaller_sibling_schedule(&run.frontier).into_iter().map(|step| vec![step]).collect()
+    }
+
+    fn fill(&self, pool: &mut HistogramPool, pass: &[BuildStep], run: &Run) {
+        for step in pass {
             self.rows.fill(pool, step.node, &self.index, run);
         }
-        steps
     }
 
     /// The split feature looked up per instance, inside the index's

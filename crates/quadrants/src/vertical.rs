@@ -142,15 +142,25 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
     }
 
     /// Nothing is aggregated: scan, then derive the sibling — or, when
-    /// nothing will be derived from the parent, drop the parent.
-    fn build(&mut self, ctx: &mut WorkerCtx, run: &Run) -> Result<(), CommError> {
+    /// nothing will be derived from the parent, drop the parent — then the
+    /// local best splits of the completed nodes over this worker's group
+    /// (reported under global feature ids), and the exchange that picks
+    /// each node's global best.
+    fn find_splits(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        run: &Run,
+    ) -> Result<Vec<Option<Split>>, CommError> {
         let steps = if self.use_subtraction {
             smaller_sibling_schedule(&run.frontier)
         } else {
             every_node_schedule(&run.frontier)
         };
-        ctx.time(Phase::HistogramBuild, || {
-            for step in steps {
+        let rank = ctx.rank();
+        let to_global = |f: FeatureId| self.grouping.global_id(rank, f);
+        let mut locals = vec![None; run.frontier.nodes.len()];
+        for step in steps {
+            ctx.time(Phase::HistogramBuild, || {
                 self.store.fill(&mut self.pool, step.node, &self.index, run);
                 match step.derive {
                     Some((parent, sibling)) => {
@@ -159,30 +169,12 @@ impl<S: GroupStore> Quadrant for Vertical<S> {
                     None if step.node > 0 => self.pool.release(tree::parent(step.node)),
                     None => {}
                 }
-            }
-        });
-        Ok(())
-    }
-
-    /// Local best splits over this worker's group (reported under global
-    /// feature ids), then the exchange that picks each node's global best.
-    fn propose(
-        &mut self,
-        ctx: &mut WorkerCtx,
-        run: &Run,
-    ) -> Result<Vec<Option<Split>>, CommError> {
-        let rank = ctx.rank();
-        let to_global = |f: FeatureId| self.grouping.global_id(rank, f);
-        #[expect(clippy::expect_used, reason = "every frontier node's histogram is live")]
-        let locals = run.scan(ctx, |node, stats| {
-            best_split(
-                self.pool.get(node).expect("histogram live"),
-                stats,
-                &run.params,
-                |f| run.cuts.n_bins(to_global(f)),
-                to_global,
-            )
-        });
+            });
+            run.scan_step(ctx, &mut self.pool, &step, &mut locals, |hist, stats| {
+                let n_bins = |f| run.cuts.n_bins(to_global(f));
+                best_split(hist, stats, &run.params, n_bins, to_global)
+            });
+        }
         exchange_local_bests(ctx, run, &locals)
     }
 

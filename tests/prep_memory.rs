@@ -188,6 +188,55 @@ fn sparse_generation_holds_two_byte_ids(broken: &mut Vec<String>) {
     }
 }
 
+/// Generating rows allocates per dataset, not per row: one sample buffer and
+/// one membership mask serve every row. On `train-hd-sparse`'s shape (80 000
+/// rows over 4 000 features at density 0.02) a `Vec` per row would make
+/// 80 000 calls.
+fn sparse_generation_allocates_per_dataset(broken: &mut Vec<String>) {
+    let cfg = SyntheticConfig {
+        n_instances: 80_000,
+        n_features: 4_000,
+        n_classes: 2,
+        density: 0.02,
+        seed: 3,
+        ..Default::default()
+    };
+    let (ds, calls) = allocation_calls(|| cfg.generate());
+    if calls > 64 {
+        broken.push(format!(
+            "generating {} rows over {} features made {calls} allocation calls, not ≤ 64",
+            ds.n_instances(),
+            ds.n_features()
+        ));
+    }
+}
+
+/// Converting a dense matrix to CSR holds what it returns — ids written once
+/// at their final width, values, row pointers — plus at most a KiB; writing a
+/// dense dataset as LIBSVM streams its rows and holds at most a KiB.
+fn dense_rows_stream_out_without_a_copy(broken: &mut Vec<String>) {
+    let ds = dense_dataset();
+    let (csr, peak) = measure(|| ds.features.to_csr());
+    if peak > csr.heap_bytes() + KIB {
+        broken.push(format!(
+            "to_csr on a {} × {} dense matrix peaked {peak} B; the {} B it returns allow + 1 KiB",
+            ds.n_instances(),
+            ds.n_features(),
+            csr.heap_bytes()
+        ));
+    }
+    drop(csr);
+    let (written, peak) = measure(|| gbdt_data::libsvm::write_to(&mut std::io::sink(), &ds));
+    written.expect("a sink takes every byte");
+    if peak > KIB {
+        broken.push(format!(
+            "writing a {} × {} dense dataset as LIBSVM peaked {peak} B, not ≤ 1 KiB",
+            ds.n_instances(),
+            ds.n_features()
+        ));
+    }
+}
+
 /// The hold-out split and the worker shard of a dense dataset copy labels and
 /// nothing else: every cut is a window over the caller's cells.
 fn dense_row_cuts_allocate_their_labels_only(broken: &mut Vec<String>) {
@@ -568,6 +617,8 @@ fn split_scan_allocates_per_node_only(broken: &mut Vec<String>) {
 fn prep_stays_inside_its_copy_budget() {
     let mut broken = Vec::new();
     sparse_generation_holds_two_byte_ids(&mut broken);
+    sparse_generation_allocates_per_dataset(&mut broken);
+    dense_rows_stream_out_without_a_copy(&mut broken);
     dense_row_cuts_allocate_their_labels_only(&mut broken);
     qd2_on_a_dense_matrix_peaks_below_the_matrix_itself(&mut broken);
     transform_holds_frames_payloads_and_rows_only(&mut broken);

@@ -86,6 +86,65 @@ fn traffic_and_gauges_match_the_pinned_values() {
     assert!(moved.is_empty(), "traffic or gauges moved:\n{}", moved.join("\n"));
 }
 
+/// The histogram lifetime rule, exactly: a histogram lives until its node
+/// is scanned and no later subtraction reads it. On complete trees of L
+/// layers the last built layer (2^(L−2) nodes) is filled, derived, scanned
+/// and freed one pair at a time beside the 2^(L−3) parents it derives from,
+/// so every policy that fills node by node peaks at (2^(L−3) + 1) ·
+/// Sizehist of its local width: D/W features on a vertical worker, D on a
+/// QD2 worker. QD1 fills the whole layer in one column pass, so it holds
+/// 2^(L−2) · Sizehist — the cost of its instance-to-node index (§3.2.3).
+#[test]
+fn histogram_peaks_follow_the_lifetime_rule_on_complete_trees() {
+    use gbdt_core::histogram::histogram_size_bytes;
+    let (d, world) = (12, 3);
+    let ds = SyntheticConfig {
+        n_instances: 8_000,
+        n_features: d,
+        n_classes: 2,
+        dense: true,
+        seed: 9161,
+        ..Default::default()
+    }
+    .generate();
+    let cluster = Cluster::new(world);
+    for n_layers in [4, 5] {
+        let cfg = TrainConfig::builder().n_trees(2).n_layers(n_layers).build().unwrap();
+        let sizehist = |features| histogram_size_bytes(features, cfg.n_bins, 1) as u64;
+        let whole_layer = (1u64 << (n_layers - 2)) * sizehist(d);
+        let node_by_node = (1u64 << (n_layers - 3)) + 1;
+        let qd2_peak = node_by_node * sizehist(d);
+        let group_peak = node_by_node * sizehist(d / world);
+        let no_subtraction = qd4::Qd4Options { use_subtraction: false };
+        let transform = gbdt_partition::transform::TransformConfig::default();
+        let runs = [
+            ("qd1", qd1::train(&cluster, &ds, &cfg), whole_layer),
+            ("qd2/all-reduce", qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce), qd2_peak),
+            ("qd2/sharded", qd2::train(&cluster, &ds, &cfg, Aggregation::ReduceScatter), qd2_peak),
+            ("qd3", qd3::train(&cluster, &ds, &cfg), group_peak),
+            ("qd4", qd4::train(&cluster, &ds, &cfg), group_peak),
+            (
+                "qd4 without subtraction",
+                qd4::train_with_options(&cluster, &ds, &cfg, &transform, no_subtraction),
+                group_peak,
+            ),
+            ("yggdrasil", yggdrasil::train(&cluster, &ds, &cfg), group_peak),
+            ("featpar", featpar::train(&cluster, &ds, &cfg), group_peak),
+        ];
+        for (name, result, expected) in runs {
+            let leaves: Vec<usize> = result.model.trees.iter().map(|t| t.n_leaves()).collect();
+            let complete = vec![1 << (n_layers - 1); cfg.n_trees];
+            assert_eq!(leaves, complete, "{name} L={n_layers}: incomplete trees");
+            for (rank, w) in result.stats.workers.iter().enumerate() {
+                assert_eq!(
+                    w.histogram_peak_bytes, expected,
+                    "{name} L={n_layers} rank {rank}: histogram peak"
+                );
+            }
+        }
+    }
+}
+
 /// Prints the current lines as the `PINNED` table (run with
 /// `--nocapture --ignored`).
 #[test]
@@ -97,7 +156,7 @@ fn print_traffic() {
 }
 
 // Captured at the parent of the one-loop refactor (PR 24); that refactor had
-// to reproduce every value. Re-pinned four times since: for the grid wire
+// to reproduce every value. Re-pinned five times since: for the grid wire
 // codec and the ring all-reduce without its rotation hop (only the QD1/QD2
 // lines moved); for the bit-packed transformation (delta-coded sketches,
 // packed step-4 blocks, labels as one all-gather: every system but featpar
@@ -109,26 +168,30 @@ fn print_traffic() {
 // at W = 2 every message is the ring's by construction); and for Yggdrasil
 // holding its column group once (only the two Yggdrasil lines' `index=`
 // gauges moved: its index is now the node ranges and the split's scratch,
-// and the pairs it used to copy beside its columns are its data). Regenerate
+// and the pairs it used to copy beside its columns are its data); and for
+// the histogram lifetime rule (only the `hist=` gauges of the QD2 and
+// vertical lines moved: the last built layer is filled, derived, scanned and
+// freed pair by pair, 4 → 3 histograms at L = 4; QD1's whole-layer pass and
+// every byte, message and index value are unchanged). Regenerate
 // only for a change that intentionally alters what is sent or held, and say
 // so in the commit.
 const PINNED: &[(&str, &str)] = &[
     ("qd1 W=2", "trees=4 | r0 bytes=55501 msgs=98 hist=15360 index=1200 layers=[9359, 17259, 24609] | r1 bytes=54197 msgs=98 hist=15360 index=1200 layers=[9361, 16920, 24094]"),
-    ("qd2/all-reduce W=2", "trees=4 | r0 bytes=29728 msgs=74 hist=15360 index=2416 layers=[9359, 8260, 7835] | r1 bytes=28702 msgs=74 hist=15360 index=2416 layers=[9361, 7925, 7594]"),
-    ("qd2/reduce-scatter W=2", "trees=4 | r0 bytes=17647 msgs=70 hist=15360 index=2416 layers=[4688, 3628, 3280] | r1 bytes=17374 msgs=70 hist=15360 index=2416 layers=[4680, 3556, 3476]"),
-    ("qd2/parameter-server W=2", "trees=4 | r0 bytes=17647 msgs=70 hist=15360 index=2416 layers=[4688, 3628, 3280] | r1 bytes=17374 msgs=70 hist=15360 index=2416 layers=[4680, 3556, 3476]"),
-    ("qd3 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=7216 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=7216 layers=[]"),
-    ("qd4 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=4816 layers=[]"),
-    ("yggdrasil W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=7444 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=7428 layers=[]"),
-    ("featpar W=2", "trees=4 | r0 bytes=1840 msgs=12 hist=7680 index=4816 layers=[] | r1 bytes=1840 msgs=12 hist=7680 index=4816 layers=[]"),
-    ("vero W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=7680 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=7680 index=4816 layers=[]"),
+    ("qd2/all-reduce W=2", "trees=4 | r0 bytes=29728 msgs=74 hist=11520 index=2416 layers=[9359, 8260, 7835] | r1 bytes=28702 msgs=74 hist=11520 index=2416 layers=[9361, 7925, 7594]"),
+    ("qd2/reduce-scatter W=2", "trees=4 | r0 bytes=17647 msgs=70 hist=11520 index=2416 layers=[4688, 3628, 3280] | r1 bytes=17374 msgs=70 hist=11520 index=2416 layers=[4680, 3556, 3476]"),
+    ("qd2/parameter-server W=2", "trees=4 | r0 bytes=17647 msgs=70 hist=11520 index=2416 layers=[4688, 3628, 3280] | r1 bytes=17374 msgs=70 hist=11520 index=2416 layers=[4680, 3556, 3476]"),
+    ("qd3 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=5760 index=7216 layers=[] | r1 bytes=8018 msgs=29 hist=5760 index=7216 layers=[]"),
+    ("qd4 W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=5760 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=5760 index=4816 layers=[]"),
+    ("yggdrasil W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=5760 index=7444 layers=[] | r1 bytes=8018 msgs=29 hist=5760 index=7428 layers=[]"),
+    ("featpar W=2", "trees=4 | r0 bytes=1840 msgs=12 hist=5760 index=4816 layers=[] | r1 bytes=1840 msgs=12 hist=5760 index=4816 layers=[]"),
+    ("vero W=2", "trees=4 | r0 bytes=8751 msgs=32 hist=5760 index=4816 layers=[] | r1 bytes=8018 msgs=29 hist=5760 index=4816 layers=[]"),
     ("qd1 W=3", "trees=4 | r0 bytes=72973 msgs=196 hist=15360 index=800 layers=[12458, 22558, 32566] | r1 bytes=65615 msgs=195 hist=15360 index=800 layers=[12492, 21105, 28486] | r2 bytes=70010 msgs=195 hist=15360 index=800 layers=[12504, 22169, 31695]"),
-    ("qd2/all-reduce W=3", "trees=4 | r0 bytes=38975 msgs=148 hist=15360 index=1616 layers=[12458, 10502, 10624] | r1 bytes=33532 msgs=147 hist=15360 index=1616 layers=[12492, 9461, 8047] | r2 bytes=36241 msgs=147 hist=15360 index=1616 layers=[12504, 10067, 10028]"),
-    ("qd2/reduce-scatter W=3", "trees=4 | r0 bytes=23623 msgs=140 hist=15360 index=1616 layers=[6172, 4407, 4099] | r1 bytes=20502 msgs=139 hist=15360 index=1616 layers=[6212, 4106, 2972] | r2 bytes=21513 msgs=139 hist=15360 index=1616 layers=[6254, 3954, 3983]"),
-    ("qd2/parameter-server W=3", "trees=4 | r0 bytes=23623 msgs=140 hist=15360 index=1616 layers=[6172, 4407, 4099] | r1 bytes=20502 msgs=139 hist=15360 index=1616 layers=[6212, 4106, 2972] | r2 bytes=21513 msgs=139 hist=15360 index=1616 layers=[6254, 3954, 3983]"),
-    ("qd3 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=7216 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=7216 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=7216 layers=[]"),
-    ("qd4 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=4816 layers=[]"),
-    ("yggdrasil W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=7428 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=7412 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=7284 layers=[]"),
-    ("featpar W=3", "trees=4 | r0 bytes=3680 msgs=24 hist=5120 index=4816 layers=[] | r1 bytes=3176 msgs=24 hist=5120 index=4816 layers=[] | r2 bytes=3680 msgs=24 hist=5120 index=4816 layers=[]"),
-    ("vero W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=5120 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=5120 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=5120 index=4816 layers=[]"),
+    ("qd2/all-reduce W=3", "trees=4 | r0 bytes=38975 msgs=148 hist=11520 index=1616 layers=[12458, 10502, 10624] | r1 bytes=33532 msgs=147 hist=11520 index=1616 layers=[12492, 9461, 8047] | r2 bytes=36241 msgs=147 hist=11520 index=1616 layers=[12504, 10067, 10028]"),
+    ("qd2/reduce-scatter W=3", "trees=4 | r0 bytes=23623 msgs=140 hist=11520 index=1616 layers=[6172, 4407, 4099] | r1 bytes=20502 msgs=139 hist=11520 index=1616 layers=[6212, 4106, 2972] | r2 bytes=21513 msgs=139 hist=11520 index=1616 layers=[6254, 3954, 3983]"),
+    ("qd2/parameter-server W=3", "trees=4 | r0 bytes=23623 msgs=140 hist=11520 index=1616 layers=[6172, 4407, 4099] | r1 bytes=20502 msgs=139 hist=11520 index=1616 layers=[6212, 4106, 2972] | r2 bytes=21513 msgs=139 hist=11520 index=1616 layers=[6254, 3954, 3983]"),
+    ("qd3 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=3840 index=7216 layers=[] | r1 bytes=9741 msgs=55 hist=3840 index=7216 layers=[] | r2 bytes=9996 msgs=45 hist=3840 index=7216 layers=[]"),
+    ("qd4 W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=3840 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=3840 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=3840 index=4816 layers=[]"),
+    ("yggdrasil W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=3840 index=7428 layers=[] | r1 bytes=9741 msgs=55 hist=3840 index=7412 layers=[] | r2 bytes=9996 msgs=45 hist=3840 index=7284 layers=[]"),
+    ("featpar W=3", "trees=4 | r0 bytes=3680 msgs=24 hist=3840 index=4816 layers=[] | r1 bytes=3176 msgs=24 hist=3840 index=4816 layers=[] | r2 bytes=3680 msgs=24 hist=3840 index=4816 layers=[]"),
+    ("vero W=3", "trees=4 | r0 bytes=11796 msgs=52 hist=3840 index=4816 layers=[] | r1 bytes=9741 msgs=55 hist=3840 index=4816 layers=[] | r2 bytes=9996 msgs=45 hist=3840 index=4816 layers=[]"),
 ];
