@@ -416,8 +416,8 @@ mod tests {
             // Ring: send rank to next, receive from prev.
             let next = (ctx.rank() + 1) % ctx.world();
             let prev = (ctx.rank() + ctx.world() - 1) % ctx.world();
-            ctx.comm.send(next, 5, Bytes::from(vec![ctx.rank() as u8])).unwrap();
-            ctx.comm.recv(prev, 5).unwrap()[0] as usize
+            ctx.comm.send_raw(next, 5, Bytes::from(vec![ctx.rank() as u8])).unwrap();
+            ctx.comm.recv_raw(prev, 5).unwrap()[0] as usize
         });
         assert_eq!(outputs, vec![2, 0, 1]);
         assert_eq!(stats.total_bytes_sent(), 3);
@@ -477,7 +477,7 @@ mod tests {
                     panic!("worker 1 exploded");
                 }
                 // Peers wait on a message the dead worker will never send.
-                let _ = ctx.comm.recv(1, 77);
+                let _ = ctx.comm.recv_raw(1, 77);
             })
         }));
         let payload = result.expect_err("run must fail");
@@ -498,7 +498,7 @@ mod tests {
                 if ctx.rank() == 0 {
                     Err(CommError::RetriesExhausted { to: 1, tag: 9, attempts: 3 })
                 } else {
-                    ctx.comm.recv(0, 1).map(|_| ())
+                    ctx.comm.recv_raw(0, 1).map(|_| ())
                 }
             })
             .unwrap_err();
@@ -511,7 +511,7 @@ mod tests {
         let err = cluster
             .try_run(|ctx| {
                 if ctx.rank() == 2 {
-                    ctx.comm.send(1, 0x51, Bytes::from_static(b"orphan"))?;
+                    ctx.comm.send_raw(1, 0x51, Bytes::from_static(b"orphan"))?;
                 }
                 ctx.comm.barrier()
             })
@@ -534,8 +534,8 @@ mod tests {
                 let prev = (ctx.rank() + ctx.world() - 1) % ctx.world();
                 let mut buf = vec![ctx.rank() as f64; 5];
                 ctx.comm.all_reduce_f64(&mut buf)?;
-                ctx.comm.send(next, 7, Bytes::from(vec![ctx.rank() as u8]))?;
-                let got = ctx.comm.recv(prev, 7)?;
+                ctx.comm.send_raw(next, 7, Bytes::from(vec![ctx.rank() as u8]))?;
+                let got = ctx.comm.recv_raw(prev, 7)?;
                 Ok((buf[0], got[0]))
             })
             .unwrap();
@@ -551,7 +551,7 @@ mod tests {
         let err = Cluster::new(2)
             .try_run(|ctx| {
                 if ctx.rank() == 0 {
-                    ctx.comm.send(1, 3, Bytes::new())?;
+                    ctx.comm.send_raw(1, 3, Bytes::new())?;
                     return Err(CommError::RetriesExhausted { to: 1, tag: 4, attempts: 2 });
                 }
                 Ok(())
@@ -566,7 +566,7 @@ mod tests {
             ctx.save_checkpoint(&true);
             if ctx.rank() == 0 && !replay {
                 // Rank 1 crashes before it could receive this.
-                ctx.comm.send(1, 9, Bytes::from_static(b"stale"))?;
+                ctx.comm.send_raw(1, 9, Bytes::from_static(b"stale"))?;
             }
             ctx.comm.barrier()?;
             ctx.fault_point(0, 0);
@@ -615,7 +615,7 @@ mod tests {
                 if ctx.rank() == 1 {
                     panic!("genuine bug");
                 }
-                let _ = ctx.comm.recv(1, 3);
+                let _ = ctx.comm.recv_raw(1, 3);
                 Ok(())
             })
         }));

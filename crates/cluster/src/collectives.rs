@@ -53,12 +53,12 @@ impl Comm {
         if self.rank() == root {
             for to in 0..self.world() {
                 if to != root {
-                    self.send(to, tag, payload.clone())?;
+                    self.send_raw(to, tag, payload.clone())?;
                 }
             }
             Ok(payload)
         } else {
-            self.recv(root, tag)
+            self.recv_raw(root, tag)
         }
     }
 
@@ -72,12 +72,12 @@ impl Comm {
                 if from == root {
                     out.push(payload.clone());
                 } else {
-                    out.push(self.recv(from, tag)?);
+                    out.push(self.recv_raw(from, tag)?);
                 }
             }
             Ok(Some(out))
         } else {
-            self.send(root, tag, payload)?;
+            self.send_raw(root, tag, payload)?;
             Ok(None)
         }
     }
@@ -87,7 +87,7 @@ impl Comm {
         let tag = self.alloc_collective_tag();
         for to in 0..self.world() {
             if to != self.rank() {
-                self.send(to, tag, payload.clone())?;
+                self.send_raw(to, tag, payload.clone())?;
             }
         }
         let mut out = Vec::with_capacity(self.world());
@@ -95,7 +95,7 @@ impl Comm {
             if from == self.rank() {
                 out.push(payload.clone());
             } else {
-                out.push(self.recv(from, tag)?);
+                out.push(self.recv_raw(from, tag)?);
             }
         }
         Ok(out)
@@ -149,7 +149,7 @@ impl Comm {
         let mut reduced = buf[lo..hi].to_vec();
         for from in 0..self.world() {
             if from != r {
-                wire::decode_add(&self.recv(from, tag)?, &mut reduced)
+                wire::decode_add(&self.recv_raw(from, tag)?, &mut reduced)
                     .map_err(|_| CommError::Malformed { from })?;
             }
         }
@@ -217,7 +217,7 @@ impl Comm {
         }
         for from in (0..w).filter(|&from| from != r) {
             let (flo, fhi) = served(from);
-            wire::decode_into(&self.recv(from, tag)?, &mut buf[flo..fhi])
+            wire::decode_into(&self.recv_raw(from, tag)?, &mut buf[flo..fhi])
                 .map_err(|_| CommError::Malformed { from })?;
         }
         Ok(())

@@ -34,6 +34,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+pub use protocol::Tag;
+
 /// One in-flight message.
 #[derive(Debug, Clone)]
 pub struct Envelope {
@@ -256,9 +258,17 @@ impl Comm {
         seq
     }
 
-    /// Sends `payload` to `to` under `tag`.
+    /// Sends `payload` to `to` under `tag`. A send takes a [`Tag`] itself,
+    /// not a frame kind that maps to one, so a protocol that types its
+    /// frames by the receiving role (the serving plane's inboxes) chooses
+    /// the target's frame kind in a helper of its own.
+    pub fn send(&self, to: usize, tag: Tag, payload: Bytes) -> Result<(), CommError> {
+        self.send_raw(to, tag.id(), payload)
+    }
+
+    /// [`Comm::send`] under any id, a collective's allocated tags included.
     #[expect(clippy::indexing_slicing, reason = "one entry per rank; `send` asserts `to < world`")]
-    pub fn send(&self, to: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
+    pub(crate) fn send_raw(&self, to: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
         assert!(to < self.world, "rank {to} out of range");
         if self.cancel.load(Ordering::Relaxed) {
             return Err(CommError::Cancelled);
@@ -333,14 +343,20 @@ impl Comm {
             c.logical_f64_bytes += crate::wire::logical_bytes(vals.len());
             c.wire_f64_bytes += payload.len() as u64;
         }
-        self.send(to, tag, payload)
+        self.send_raw(to, tag, payload)
     }
 
     /// Receives the message from `from` with `tag`, blocking until it
     /// arrives, the run is cancelled, or the receive deadline passes.
     /// Other messages arriving meanwhile are buffered; duplicated
-    /// deliveries are accounted and discarded.
-    pub fn recv(&self, from: usize, tag: u64) -> Result<Bytes, CommError> {
+    /// deliveries are accounted and discarded. `tag` is a [`Tag`] or a
+    /// frame kind that maps to one.
+    pub fn recv(&self, from: usize, tag: impl Into<Tag>) -> Result<Bytes, CommError> {
+        self.recv_raw(from, tag.into().id())
+    }
+
+    /// [`Comm::recv`] under any id, a collective's allocated tags included.
+    pub(crate) fn recv_raw(&self, from: usize, tag: u64) -> Result<Bytes, CommError> {
         // Check the out-of-order buffer first.
         {
             let mut pending = self.pending.borrow_mut();
@@ -380,7 +396,8 @@ impl Comm {
     }
 
     /// Receives the next message carrying **any** of `tags`, from any rank,
-    /// returning `(from, tag, payload)`.
+    /// returning `(from, tag, payload)`. `tags` are [`Tag`]s or frame kinds
+    /// that map to one; the match comes back as the one given.
     ///
     /// This is the serving-loop primitive: a server rank multiplexing
     /// prediction requests, model publishes, and shutdowns from many client
@@ -388,13 +405,20 @@ impl Comm {
     /// fixed-order `recv` chain would starve whichever client it is not
     /// currently blocked on. Buffered out-of-order messages are drained
     /// first (oldest first), so no request is starved by later arrivals.
-    pub fn recv_any(&self, tags: &[u64]) -> Result<(usize, u64, Bytes), CommError> {
+    pub fn recv_any<T: Copy + Into<Tag>>(
+        &self,
+        tags: &[T],
+    ) -> Result<(usize, T, Bytes), CommError> {
+        let wanted =
+            |envelope: &Envelope| tags.iter().copied().find(|&t| t.into().id() == envelope.tag);
         {
             let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|e| tags.contains(&e.tag)) {
+            if let Some((pos, tag)) =
+                pending.iter().enumerate().find_map(|(pos, e)| Some((pos, wanted(e)?)))
+            {
                 let envelope = pending.remove(pos); // oldest match, FIFO
                 self.account_recv(envelope.from as usize, envelope.payload.len());
-                return Ok((envelope.from as usize, envelope.tag, envelope.payload));
+                return Ok((envelope.from as usize, tag, envelope.payload));
             }
         }
         let deadline = now() + self.recv_patience.get();
@@ -408,7 +432,7 @@ impl Comm {
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(CommError::Timeout {
                         from: usize::MAX,
-                        tag: tags.first().copied().unwrap_or(0),
+                        tag: tags.first().map_or(0, |&t| t.into().id()),
                     })
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -421,9 +445,9 @@ impl Comm {
             if self.faults.is_some() && !self.admit(&envelope) {
                 continue;
             }
-            if tags.contains(&envelope.tag) {
+            if let Some(tag) = wanted(&envelope) {
                 self.account_recv(envelope.from as usize, envelope.payload.len());
-                return Ok((envelope.from as usize, envelope.tag, envelope.payload));
+                return Ok((envelope.from as usize, tag, envelope.payload));
             }
             self.buffer_pending(envelope)?;
         }
@@ -498,104 +522,97 @@ impl Comm {
     }
 }
 
-/// Collective tags live in the top half of the tag space; explicit
-/// point-to-point protocols should use tags below this.
+/// Collective tags live in the top half of the tag space, which no
+/// [`Tag`] id (a `u32`) can reach.
 pub const COLLECTIVE_TAG_BASE: u64 = 1 << 63;
 
-/// Central registry of every manual point-to-point message tag.
+/// The registry of every manual point-to-point message tag.
 ///
 /// Messages match on `(from, tag)`, so two concurrently in-flight protocols
-/// sharing a tag can cross-deliver. Keeping every manual tag here — one
-/// named constant per message kind, each a literal below
-/// [`COLLECTIVE_TAG_BASE`] — makes uniqueness a property `gbdt-lint` checks
-/// (rule `tag-registry`) rather than a convention. Declaring a tag constant
-/// anywhere else in the workspace is a lint error.
+/// sharing a tag can cross-deliver. [`Comm::send`], [`Comm::recv`] and
+/// [`Comm::recv_any`] take a [`Tag`], so a point-to-point tag exists only
+/// here; a repeated id is rustc error E0081, and a `u32` id stays below
+/// [`COLLECTIVE_TAG_BASE`].
 pub mod protocol {
-    /// All-to-all repartition payload: one message per `(sender, receiver)`
-    /// pair carrying the receiver's vertical shard during
-    /// `horizontal_to_vertical` (the row→column transform of §3.1.1). Sent
-    /// once per transform, before any collective traffic, so a single tag
-    /// is unambiguous.
-    pub const REPARTITION_A2A_TAG: u64 = 0x7261_7274; // "rprt"
+    /// Declares [`Tag`]: each entry is a variant, its id and its name in
+    /// the `tag=` grammar of [`crate::fault::FaultPlan::parse`].
+    macro_rules! registry {
+        ($($(#[$doc:meta])* $variant:ident = $id:literal, $name:literal;)+) => {
+            /// A point-to-point message tag.
+            #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+            #[repr(u32)]
+            pub enum Tag {
+                $($(#[$doc])* $variant = $id,)+
+            }
 
-    /// Prediction request: client → server, a `gbdt-serve` wire-framed
-    /// batch of dense feature rows (request id, row count, f32 cells).
-    pub const SERVE_REQUEST_TAG: u64 = 0x7376_7271; // "svrq"
+            impl Tag {
+                /// Every registered tag, in declaration order.
+                pub const ALL: &'static [Tag] = &[$(Tag::$variant),+];
 
-    /// Prediction response: server → client, raw scores for one request
-    /// (request id, model version, f64 scores row-major).
-    pub const SERVE_RESPONSE_TAG: u64 = 0x7376_7270; // "svrp"
-
-    /// Model publish: trainer → server, a [`GbdtModel::encode_bytes`]
-    /// payload to hot-swap in; acked on the response tag.
-    pub const SERVE_PUBLISH_TAG: u64 = 0x7376_7062; // "svpb"
-
-    /// Serving shutdown: client → server, drains after the client's last
-    /// request (the server exits once every client has said stop).
-    pub const SERVE_STOP_TAG: u64 = 0x7376_7374; // "svst"
-
-    /// Routed prediction request: router → replica, the client's request
-    /// re-framed under a router-assigned routing id (plus a degraded-mode
-    /// tree budget when the replica's queue is past the high-water mark).
-    pub const SERVE_ROUTE_TAG: u64 = 0x7376_7275; // "svru"
-
-    /// Replica reply: replica → router, scores for one routed request
-    /// (routing id, version, mode, scores); the router rewrites the id and
-    /// forwards to the owning client.
-    pub const SERVE_REPLY_TAG: u64 = 0x7376_7279; // "svry"
-
-    /// Publish application ack: replica → router, the version a replica
-    /// just compiled and swapped in (the router tracks per-replica applied
-    /// versions; a stale or failed apply acks version 0).
-    pub const SERVE_ACK_TAG: u64 = 0x7376_616b; // "svak"
-
-    /// Crash-recovery resync: replica → router, sent when a replica comes
-    /// back from a (simulated) crash and needs the current model; answered
-    /// with a versioned publish frame on [`SERVE_PUBLISH_TAG`].
-    pub const SERVE_RECOVER_TAG: u64 = 0x7376_7263; // "svrc"
-
-    /// Health probe: router → replica, an empty heartbeat frame; a live
-    /// replica answers on [`SERVE_HEALTH_PONG_TAG`].
-    pub const SERVE_HEALTH_PING_TAG: u64 = 0x7376_6870; // "svhp"
-
-    /// Health reply: replica → router, carrying the replica's currently
-    /// served model version.
-    pub const SERVE_HEALTH_PONG_TAG: u64 = 0x7376_6871; // "svhq"
-
-    /// Resolves a human-readable tag name (the `tag=` grammar of
-    /// [`crate::fault::FaultPlan::parse`]) to its registered id.
-    pub fn by_name(name: &str) -> Option<u64> {
-        match name {
-            "repartition" => Some(REPARTITION_A2A_TAG),
-            "serve_request" => Some(SERVE_REQUEST_TAG),
-            "serve_response" => Some(SERVE_RESPONSE_TAG),
-            "serve_publish" => Some(SERVE_PUBLISH_TAG),
-            "serve_stop" => Some(SERVE_STOP_TAG),
-            "serve_route" => Some(SERVE_ROUTE_TAG),
-            "serve_reply" => Some(SERVE_REPLY_TAG),
-            "serve_ack" => Some(SERVE_ACK_TAG),
-            "serve_recover" => Some(SERVE_RECOVER_TAG),
-            "health_ping" => Some(SERVE_HEALTH_PING_TAG),
-            "health_pong" => Some(SERVE_HEALTH_PONG_TAG),
-            _ => None,
-        }
+                /// The tag's name in the `tag=` grammar.
+                pub const fn name(self) -> &'static str {
+                    match self {
+                        $(Tag::$variant => $name,)+
+                    }
+                }
+            }
+        };
     }
 
-    /// Every name [`by_name`] resolves, for error messages and docs.
-    pub fn known_names() -> Vec<&'static str> {
-        vec![
-            "repartition",
-            "serve_request",
-            "serve_response",
-            "serve_publish",
-            "serve_stop",
-            "serve_route",
-            "serve_reply",
-            "serve_ack",
-            "serve_recover",
-            "health_ping",
-            "health_pong",
-        ]
+    registry! {
+        /// All-to-all repartition payload: one message per `(sender,
+        /// receiver)` pair during `horizontal_to_vertical` (the row→column
+        /// transform of §3.1.1): the sketch batches of steps 1–2, then the
+        /// receiver's vertical shard in step 4.
+        Repartition = 0x7261_7274, "repartition"; // "rprt"
+        /// Prediction request: client → router, a `gbdt-serve` wire-framed
+        /// batch of dense feature rows (request id, row count, f32 cells).
+        ServeRequest = 0x7376_7271, "serve_request"; // "svrq"
+        /// Prediction response: router → client, scores for one request
+        /// (request id, model version, f64 scores row-major), or a publish
+        /// ack.
+        ServeResponse = 0x7376_7270, "serve_response"; // "svrp"
+        /// Model publish: client → router, a `GbdtModel::encode_bytes`
+        /// payload to hot-swap in; router → replica, the same model under
+        /// its router-assigned version.
+        ServePublish = 0x7376_7062, "serve_publish"; // "svpb"
+        /// Serving shutdown: client → router after the client's last
+        /// request, router → replica at the end of the session.
+        ServeStop = 0x7376_7374, "serve_stop"; // "svst"
+        /// Routed prediction request: router → replica, the client's request
+        /// re-framed under a router-assigned routing id (plus a degraded-mode
+        /// tree budget when the replica's queue is past the high-water mark).
+        ServeRoute = 0x7376_7275, "serve_route"; // "svru"
+        /// Replica reply: replica → router, scores for one routed request
+        /// (routing id, version, mode, scores); the router rewrites the id and
+        /// forwards to the owning client.
+        ServeReply = 0x7376_7279, "serve_reply"; // "svry"
+        /// Publish application ack: replica → router, the version a replica
+        /// just compiled and swapped in (a stale apply acks the version it
+        /// keeps serving).
+        ServeAck = 0x7376_616b, "serve_ack"; // "svak"
+        /// Crash-recovery resync: replica → router, sent when a replica comes
+        /// back from a (simulated) crash and needs the current model; answered
+        /// with a versioned publish frame.
+        ServeRecover = 0x7376_7263, "serve_recover"; // "svrc"
+        /// Health probe: router → replica, an empty heartbeat frame; a live
+        /// replica answers with a pong.
+        ServeHealthPing = 0x7376_6870, "health_ping"; // "svhp"
+        /// Health reply: replica → router, carrying the replica's currently
+        /// served model version.
+        ServeHealthPong = 0x7376_6871, "health_pong"; // "svhq"
+    }
+
+    impl Tag {
+        /// The id carried on the wire and hashed by fault plans.
+        pub const fn id(self) -> u64 {
+            self as u32 as u64
+        }
+
+        /// Resolves a `tag=` name to its tag.
+        pub fn by_name(name: &str) -> Option<Tag> {
+            Tag::ALL.iter().copied().find(|tag| tag.name() == name)
+        }
     }
 }
 
@@ -608,29 +625,30 @@ mod tests {
         let mesh =
             Comm::mesh(3, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
         let (server, c1, c2) = (&mesh[0], &mesh[1], &mesh[2]);
-        c1.send(0, 11, Bytes::from_static(b"one")).unwrap();
-        c2.send(0, 22, Bytes::from_static(b"two")).unwrap();
-        c1.send(0, 33, Bytes::from_static(b"ignored-tag")).unwrap();
-        c1.send(0, 11, Bytes::from_static(b"three")).unwrap();
+        let (one, two, other) = (Tag::ServeRequest, Tag::ServeReply, Tag::ServeStop);
+        c1.send(0, one, Bytes::from_static(b"one")).unwrap();
+        c2.send(0, two, Bytes::from_static(b"two")).unwrap();
+        c1.send(0, other, Bytes::from_static(b"ignored-tag")).unwrap();
+        c1.send(0, one, Bytes::from_static(b"three")).unwrap();
         let mut got = Vec::new();
         for _ in 0..3 {
-            let (from, tag, payload) = server.recv_any(&[11, 22]).unwrap();
-            got.push((from, tag, payload.to_vec()));
+            let (from, tag, payload) = server.recv_any(&[one, two]).unwrap();
+            got.push((from, tag.id(), payload.to_vec()));
         }
         got.sort();
         assert_eq!(
             got,
             vec![
-                (1, 11, b"one".to_vec()),
-                (1, 11, b"three".to_vec()),
-                (2, 22, b"two".to_vec()),
+                (1, one.id(), b"one".to_vec()),
+                (1, one.id(), b"three".to_vec()),
+                (2, two.id(), b"two".to_vec()),
             ]
         );
         // The non-matching tag stayed buffered for a targeted recv.
-        assert_eq!(&server.recv(1, 33).unwrap()[..], b"ignored-tag");
+        assert_eq!(&server.recv(1, other).unwrap()[..], b"ignored-tag");
         // Nothing left: recv_any times out with a typed error.
         server.set_recv_patience(std::time::Duration::from_millis(10));
-        assert!(matches!(server.recv_any(&[11, 22]), Err(CommError::Timeout { .. })));
+        assert!(matches!(server.recv_any(&[one, two]), Err(CommError::Timeout { .. })));
     }
 
     /// A receive's patience counts from the call: frames for other receives
@@ -647,15 +665,15 @@ mod tests {
             let stop = &stop;
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let _ = a.send(1, 99, Bytes::new());
+                    let _ = a.send_raw(1, 99, Bytes::new());
                     std::thread::sleep(Duration::from_millis(1));
                 }
             });
             let start = Instant::now();
-            let recv = b.recv(0, 77).map(drop);
+            let recv = b.recv(0, Tag::ServeRequest).map(drop);
             let recv_took = start.elapsed();
             let start = Instant::now();
-            let any = b.recv_any(&[77]).map(drop);
+            let any = b.recv_any(&[Tag::ServeRequest]).map(drop);
             let any_took = start.elapsed();
             stop.store(true, Ordering::Relaxed);
             [("recv", recv, recv_took), ("recv_any", any, any_took)]
@@ -677,17 +695,17 @@ mod tests {
         // Flood with frames on a tag the receiver is not asking for: each one
         // lands in the pending buffer until the bound trips.
         for i in 0..6u64 {
-            a.send(1, 99, Bytes::from(vec![i as u8])).unwrap();
+            a.send_raw(1, 99, Bytes::from(vec![i as u8])).unwrap();
         }
         b.set_recv_patience(std::time::Duration::from_millis(50));
-        let err = b.recv(0, 77).unwrap_err();
+        let err = b.recv_raw(0, 77).unwrap_err();
         assert!(
             matches!(err, CommError::PendingOverflow { capacity: 4 }),
             "expected PendingOverflow, got {err:?}"
         );
         assert_eq!(b.counters().pending_overflows, 1);
         // The buffered (non-overflowing) frames are still deliverable.
-        assert_eq!(&b.recv(0, 99).unwrap()[..], &[0u8]);
+        assert_eq!(&b.recv_raw(0, 99).unwrap()[..], &[0u8]);
         // Overflow folds into worker stats.
         let mut stats = crate::stats::WorkerStats::default();
         b.fold_into(&mut stats);
@@ -698,21 +716,21 @@ mod tests {
     fn purge_pending_discards_buffered_and_queued_frames() {
         let mesh = Comm::mesh(2, NetworkCostModel::infinite());
         let (a, b) = (&mesh[0], &mesh[1]);
-        a.send(1, 5, Bytes::from_static(b"buffered")).unwrap();
+        a.send_raw(1, 5, Bytes::from_static(b"buffered")).unwrap();
         // Pull tag 5 into the pending buffer by asking for a different tag.
         b.set_recv_patience(std::time::Duration::from_millis(10));
-        assert!(matches!(b.recv(0, 6), Err(CommError::Timeout { .. })));
-        a.send(1, 5, Bytes::from_static(b"queued")).unwrap();
+        assert!(matches!(b.recv_raw(0, 6), Err(CommError::Timeout { .. })));
+        a.send_raw(1, 5, Bytes::from_static(b"queued")).unwrap();
         b.purge_pending();
-        assert!(matches!(b.recv(0, 5), Err(CommError::Timeout { .. })));
+        assert!(matches!(b.recv_raw(0, 5), Err(CommError::Timeout { .. })));
     }
 
     #[test]
     fn send_recv_roundtrip_with_accounting() {
         let mesh = Comm::mesh(2, NetworkCostModel { latency_s: 0.001, bandwidth_bytes_per_s: 1000.0 });
         let (a, b) = (&mesh[0], &mesh[1]);
-        a.send(1, 7, Bytes::from_static(b"hello")).unwrap();
-        let got = b.recv(0, 7).unwrap();
+        a.send_raw(1, 7, Bytes::from_static(b"hello")).unwrap();
+        let got = b.recv_raw(0, 7).unwrap();
         assert_eq!(&got[..], b"hello");
         let ca = a.counters();
         assert_eq!(ca.bytes_sent, 5);
@@ -727,19 +745,19 @@ mod tests {
     fn tag_matching_buffers_out_of_order() {
         let mesh = Comm::mesh(2, NetworkCostModel::infinite());
         let (a, b) = (&mesh[0], &mesh[1]);
-        a.send(1, 1, Bytes::from_static(b"first")).unwrap();
-        a.send(1, 2, Bytes::from_static(b"second")).unwrap();
+        a.send_raw(1, 1, Bytes::from_static(b"first")).unwrap();
+        a.send_raw(1, 2, Bytes::from_static(b"second")).unwrap();
         // Receive in reverse tag order.
-        assert_eq!(&b.recv(0, 2).unwrap()[..], b"second");
-        assert_eq!(&b.recv(0, 1).unwrap()[..], b"first");
+        assert_eq!(&b.recv_raw(0, 2).unwrap()[..], b"second");
+        assert_eq!(&b.recv_raw(0, 1).unwrap()[..], b"first");
     }
 
     #[test]
     fn loopback_is_free() {
         let mesh = Comm::mesh(1, NetworkCostModel::lab_cluster());
         let a = &mesh[0];
-        a.send(0, 3, Bytes::from_static(b"self")).unwrap();
-        assert_eq!(&a.recv(0, 3).unwrap()[..], b"self");
+        a.send_raw(0, 3, Bytes::from_static(b"self")).unwrap();
+        assert_eq!(&a.recv_raw(0, 3).unwrap()[..], b"self");
         let c = a.counters();
         assert_eq!(c.bytes_sent, 0);
         assert_eq!(c.bytes_received, 0);
@@ -753,10 +771,10 @@ mod tests {
         let a = mesh.pop().unwrap();
         std::thread::scope(|s| {
             s.spawn(move || {
-                a.send(1, 9, Bytes::from(vec![1u8, 2, 3])).unwrap();
+                a.send_raw(1, 9, Bytes::from(vec![1u8, 2, 3])).unwrap();
             });
             s.spawn(move || {
-                assert_eq!(&b.recv(0, 9).unwrap()[..], &[1, 2, 3]);
+                assert_eq!(&b.recv_raw(0, 9).unwrap()[..], &[1, 2, 3]);
             });
         });
     }
@@ -764,7 +782,7 @@ mod tests {
     #[test]
     fn fold_into_accumulates_stats() {
         let mesh = Comm::mesh(2, NetworkCostModel::infinite());
-        mesh[0].send(1, 1, Bytes::from_static(b"xy")).unwrap();
+        mesh[0].send_raw(1, 1, Bytes::from_static(b"xy")).unwrap();
         let mut stats = crate::stats::WorkerStats::default();
         mesh[0].fold_into(&mut stats);
         assert_eq!(stats.bytes_sent, 2);
@@ -775,7 +793,7 @@ mod tests {
     fn recv_times_out_with_typed_error() {
         let mesh = Comm::mesh(2, NetworkCostModel::infinite());
         mesh[1].set_recv_patience(Duration::from_millis(20));
-        assert_eq!(mesh[1].recv(0, 1), Err(CommError::Timeout { from: 0, tag: 1 }));
+        assert_eq!(mesh[1].recv_raw(0, 1), Err(CommError::Timeout { from: 0, tag: 1 }));
     }
 
     #[test]
@@ -784,14 +802,14 @@ mod tests {
         let b = mesh.pop().unwrap();
         std::thread::scope(|s| {
             s.spawn(move || {
-                assert_eq!(b.recv(0, 1), Err(CommError::Cancelled));
+                assert_eq!(b.recv_raw(0, 1), Err(CommError::Cancelled));
             });
             std::thread::sleep(Duration::from_millis(10));
             control.cancel_all();
         });
         assert!(control.is_cancelled());
         // Sends after cancellation fail fast too.
-        assert_eq!(mesh[0].send(1, 1, Bytes::new()), Err(CommError::Cancelled));
+        assert_eq!(mesh[0].send_raw(1, 1, Bytes::new()), Err(CommError::Cancelled));
     }
 
     #[test]
@@ -802,8 +820,8 @@ mod tests {
         let (a, b) = (&mesh[0], &mesh[1]);
         let n = 200;
         for i in 0..n {
-            a.send(1, i, Bytes::from_static(b"payload!")).unwrap();
-            assert_eq!(&b.recv(0, i).unwrap()[..], b"payload!");
+            a.send_raw(1, i, Bytes::from_static(b"payload!")).unwrap();
+            assert_eq!(&b.recv_raw(0, i).unwrap()[..], b"payload!");
         }
         let c = a.counters();
         assert!(c.retries > 0, "expected some dropped attempts at p=0.5");
@@ -822,14 +840,14 @@ mod tests {
         let (a, b) = (&mesh[0], &mesh[1]);
         let n = 200u64;
         for i in 0..n {
-            a.send(1, i, Bytes::from_static(b"x")).unwrap();
+            a.send_raw(1, i, Bytes::from_static(b"x")).unwrap();
         }
         for i in 0..n {
-            assert_eq!(&b.recv(0, i).unwrap()[..], b"x");
+            assert_eq!(&b.recv_raw(0, i).unwrap()[..], b"x");
         }
         // Drain any trailing duplicates still queued.
         b.set_recv_patience(Duration::from_millis(10));
-        assert!(b.recv(0, n + 1).is_err());
+        assert!(b.recv_raw(0, n + 1).is_err());
         let cb = b.counters();
         assert!(cb.duplicates_dropped > 0, "expected duplicates at p=0.5");
         assert_eq!(cb.bytes_received, n + cb.duplicates_dropped);
@@ -842,7 +860,7 @@ mod tests {
         let plan = FaultPlan::new(1).with_drop(1.0).with_max_attempts(3);
         let (mesh, _control) = Comm::mesh_with(2, NetworkCostModel::infinite(), Some(plan));
         assert_eq!(
-            mesh[0].send(1, 9, Bytes::from_static(b"doomed")),
+            mesh[0].send_raw(1, 9, Bytes::from_static(b"doomed")),
             Err(CommError::RetriesExhausted { to: 1, tag: 9, attempts: 3 })
         );
         assert_eq!(mesh[0].counters().retries, 3);
@@ -854,8 +872,8 @@ mod tests {
         let (faulty, _c1) = Comm::mesh_with(2, cost, Some(FaultPlan::new(3)));
         let clean = Comm::mesh(2, cost);
         for mesh in [&faulty, &clean] {
-            mesh[0].send(1, 7, Bytes::from_static(b"hello")).unwrap();
-            mesh[1].recv(0, 7).unwrap();
+            mesh[0].send_raw(1, 7, Bytes::from_static(b"hello")).unwrap();
+            mesh[1].recv_raw(0, 7).unwrap();
         }
         let (cf, cc) = (faulty[0].counters(), clean[0].counters());
         assert_eq!(cf.bytes_sent, cc.bytes_sent);

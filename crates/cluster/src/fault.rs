@@ -12,6 +12,8 @@
 
 #![deny(clippy::panic, clippy::unimplemented, clippy::todo, clippy::indexing_slicing)]
 
+use crate::comm::Tag;
+
 /// Typed error produced by the communication layer instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -222,7 +224,12 @@ impl FaultPlan {
     /// Restricts drop/dup/delay decisions to messages carrying `tag`
     /// (repeatable up to [`FAULT_SCOPE_CAP`] tags). Panics if the table is
     /// full; re-adding a tag already in scope is a no-op.
-    pub fn with_tag(mut self, tag: u64) -> Self {
+    pub fn with_tag(self, tag: Tag) -> Self {
+        self.with_tag_id(tag.id())
+    }
+
+    /// [`FaultPlan::with_tag`] by id: the `tag=` grammar also takes raw ids.
+    fn with_tag_id(mut self, tag: u64) -> Self {
         if self.tag_scope.iter().flatten().any(|&t| t == tag) {
             return self;
         }
@@ -339,9 +346,9 @@ impl FaultPlan {
     /// plane reads TREE as a frame ordinal, see [`FaultPlan::serve_crash_at`];
     /// at most [`MAX_CRASHES`], RANK a `u16`), `attempts=N`, and
     /// `tag=<name|id>` (repeatable) which scopes drop/dup/delay to the named
-    /// protocol tags. Tag names resolve through
-    /// [`crate::comm::protocol::by_name`] — an unknown name is a parse
-    /// error; a raw id is accepted as decimal or `0x`-hex. Probabilities lie
+    /// protocol tags. Tag names resolve through [`Tag::by_name`] — an
+    /// unknown name is a parse error; a raw id is accepted as decimal or
+    /// `0x`-hex. Probabilities lie
     /// in `[0, 1]` and delay seconds are finite and non-negative. An empty
     /// spec after the seed is allowed (a plan that injects nothing).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
@@ -397,8 +404,8 @@ impl FaultPlan {
                     plan.max_attempts = plan.max_attempts.max(1);
                 }
                 "tag" => {
-                    let tag = match crate::comm::protocol::by_name(value) {
-                        Some(tag) => tag,
+                    let tag = match Tag::by_name(value) {
+                        Some(tag) => tag.id(),
                         None => {
                             let parsed = match value.strip_prefix("0x") {
                                 Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
@@ -407,7 +414,7 @@ impl FaultPlan {
                             parsed.ok_or_else(|| {
                                 format!(
                                     "unknown tag '{value}' (known names: {})",
-                                    crate::comm::protocol::known_names().join(", ")
+                                    Tag::ALL.iter().map(|t| t.name()).collect::<Vec<_>>().join(", ")
                                 )
                             })?
                         }
@@ -417,7 +424,7 @@ impl FaultPlan {
                     {
                         return Err(format!("at most {FAULT_SCOPE_CAP} tag= items per plan"));
                     }
-                    plan = plan.with_tag(tag);
+                    plan = plan.with_tag_id(tag);
                 }
                 other => return Err(format!("unknown fault key '{other}'")),
             }
@@ -527,7 +534,7 @@ mod tests {
 
     #[test]
     fn tag_scope_confines_drop_dup_delay() {
-        let scoped = FaultPlan::new(7).with_drop(1.0).with_dup(1.0).with_tag(5).with_tag(9);
+        let scoped = FaultPlan::new(7).with_drop(1.0).with_dup(1.0).with_tag_id(5).with_tag_id(9);
         let open = FaultPlan::new(7).with_drop(1.0).with_dup(1.0);
         assert!(scoped.targets_tag(5) && scoped.targets_tag(9));
         assert!(!scoped.targets_tag(6));
@@ -543,34 +550,56 @@ mod tests {
                 "scoping must not change the in-scope dice"
             );
         }
-        let delayed = FaultPlan::new(3).with_delay(1.0, 0.5).with_tag(2);
+        let delayed = FaultPlan::new(3).with_delay(1.0, 0.5).with_tag_id(2);
         assert_eq!(delayed.delay_for(0, 1, 2, 0, 0), 0.5);
         assert_eq!(delayed.delay_for(0, 1, 3, 0, 0), 0.0);
         // Re-adding an in-scope tag is a no-op, not a second slot.
         assert_eq!(scoped.tag_scope().count(), 2);
-        assert_eq!(scoped.with_tag(5).tag_scope().count(), 2);
+        assert_eq!(scoped.with_tag_id(5).tag_scope().count(), 2);
     }
 
     #[test]
     fn parse_tag_scope_names_and_ids() {
         let plan = FaultPlan::parse("1:drop=0.5,tag=serve_route,tag=serve_reply").unwrap();
         let scoped: Vec<u64> = plan.tag_scope().collect();
-        assert_eq!(
-            scoped,
-            vec![
-                crate::comm::protocol::SERVE_ROUTE_TAG,
-                crate::comm::protocol::SERVE_REPLY_TAG
-            ]
-        );
+        assert_eq!(scoped, vec![Tag::ServeRoute.id(), Tag::ServeReply.id()]);
         // Raw ids in decimal and hex.
         let by_id = FaultPlan::parse("1:tag=42,tag=0x7376_7271").unwrap();
         let scoped: Vec<u64> = by_id.tag_scope().collect();
-        assert_eq!(scoped, vec![42, crate::comm::protocol::SERVE_REQUEST_TAG]);
-        // Every registered name parses.
-        for name in crate::comm::protocol::known_names() {
-            let spec = format!("1:tag={name}");
-            assert!(FaultPlan::parse(&spec).is_ok(), "registered name {name} must parse");
+        assert_eq!(scoped, vec![42, Tag::ServeRequest.id()]);
+        // Every registered name parses to its tag.
+        for &tag in Tag::ALL {
+            let plan = FaultPlan::parse(&format!("1:tag={}", tag.name())).unwrap();
+            assert_eq!(plan.tag_scope().collect::<Vec<_>>(), vec![tag.id()], "{tag:?}");
         }
+    }
+
+    /// The registry's names and ids as the `tag=` grammar and every chaos
+    /// plan know them: a fault plan's drop, dup and delay draws hash the
+    /// id, so an id that moved would move every seeded chaos outcome.
+    #[test]
+    fn tag_names_and_ids_are_pinned() {
+        let pinned: Vec<(&str, u64)> = Tag::ALL.iter().map(|t| (t.name(), t.id())).collect();
+        assert_eq!(
+            pinned,
+            vec![
+                ("repartition", 0x7261_7274),
+                ("serve_request", 0x7376_7271),
+                ("serve_response", 0x7376_7270),
+                ("serve_publish", 0x7376_7062),
+                ("serve_stop", 0x7376_7374),
+                ("serve_route", 0x7376_7275),
+                ("serve_reply", 0x7376_7279),
+                ("serve_ack", 0x7376_616b),
+                ("serve_recover", 0x7376_7263),
+                ("health_ping", 0x7376_6870),
+                ("health_pong", 0x7376_6871),
+            ]
+        );
+        let err = FaultPlan::parse("1:tag=serve_requets").unwrap_err();
+        let (_, known) = err.split_once("known names: ").expect("the error lists the names");
+        let listed: Vec<&str> = known.trim_end_matches(')').split(", ").collect();
+        assert_eq!(listed, Tag::ALL.iter().map(|t| t.name()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod stats;
 pub mod wire;
 
 pub use cluster::{Cluster, WorkerCtx};
-pub use comm::{protocol, Comm};
+pub use comm::{protocol, Comm, Tag};
 pub use cost::NetworkCostModel;
 pub use fault::{CommError, FaultPlan, InjectedCrash};
 pub use stats::{Phase, WorkerStats};

@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use gbdt_cluster::comm::Comm;
-use gbdt_cluster::{FaultPlan, NetworkCostModel, WireCodec};
+use gbdt_cluster::{FaultPlan, NetworkCostModel, Tag, WireCodec};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::thread;
@@ -89,9 +89,9 @@ fn run_ps(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Messages sent in any order are received correctly in canonical tag
+    /// Messages sent in any order are received correctly in registry
     /// order: the `(from, tag)` match plus the pending buffer make the
-    /// receive path order-independent.
+    /// receive path order-independent. Message `i` carries `Tag::ALL[i]`.
     #[test]
     fn recv_is_order_independent(n in 1usize..12, shuffle_seed in any::<u64>()) {
         let send_order = shuffled(n, shuffle_seed);
@@ -102,11 +102,11 @@ proptest! {
         let sender = thread::spawn(move || {
             for tag in send_order {
                 let payload = Bytes::from(vec![tag as u8; tag + 1]);
-                tx.send(1, tag as u64, payload).unwrap();
+                tx.send(1, Tag::ALL[tag], payload).unwrap();
             }
         });
         for tag in 0..n {
-            let got = rx.recv(0, tag as u64).unwrap();
+            let got = rx.recv(0, Tag::ALL[tag]).unwrap();
             prop_assert_eq!(got.len(), tag + 1);
             prop_assert!(got.iter().all(|&b| b == tag as u8));
         }

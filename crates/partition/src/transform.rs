@@ -28,8 +28,7 @@
 use crate::horizontal::HorizontalPartition;
 use crate::vertical::{ColumnGrouping, GroupingStrategy};
 use bytes::{BufMut, Bytes, BytesMut};
-use gbdt_cluster::comm::protocol::REPARTITION_A2A_TAG;
-use gbdt_cluster::{CommError, Phase, WorkerCtx};
+use gbdt_cluster::{CommError, Phase, Tag, WorkerCtx};
 use gbdt_core::{BinCuts, QuantileSketch};
 use gbdt_data::block::{Assembly, Block, SliceError};
 use gbdt_data::dataset::Dataset;
@@ -37,7 +36,6 @@ use gbdt_data::encoding;
 use gbdt_data::frame::{DecodeError, Reader};
 use gbdt_data::{BinId, BinnedRows, DataError, FeatureId, PairKeys};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Wire format of the step-4 repartition (the Table 5 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,11 +77,14 @@ impl Default for TransformConfig {
 /// Timing/traffic breakdown of one transformation (Appendix A, Table 5).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransformReport {
-    /// Steps 1–2: sketching, merge, candidate split generation (comp s).
+    /// Steps 1–2: sketching, merge, candidate split generation: this
+    /// worker's [`Phase::Sketch`] computation seconds.
     pub sketch_seconds: f64,
-    /// Steps 3–4: grouping, encode, exchange, decode (comp s).
+    /// Steps 3–4: grouping, encode, decode: [`Phase::Transform`]
+    /// computation seconds (the broadcast and exchange waits excluded).
     pub repartition_seconds: f64,
-    /// Step 5: label all-gather (comp s).
+    /// Step 5: label encode and decode: [`Phase::Transform`] computation
+    /// seconds (the all-gather wait excluded).
     pub label_seconds: f64,
     /// Modelled communication seconds across all steps.
     pub comm_seconds: f64,
@@ -316,7 +317,7 @@ fn all_to_all(ctx: &mut WorkerCtx, payloads: Vec<Bytes>) -> Result<Vec<Bytes>, C
             // all_gather-compatible point-to-point sends: one tag per
             // all-to-all, aligned across ranks because every rank calls this
             // in the same program order.
-            ctx.comm.send(dest, REPARTITION_A2A_TAG, payload)?;
+            ctx.comm.send(dest, Tag::Repartition, payload)?;
         }
     }
     let mut out = Vec::with_capacity(ctx.world());
@@ -324,7 +325,7 @@ fn all_to_all(ctx: &mut WorkerCtx, payloads: Vec<Bytes>) -> Result<Vec<Bytes>, C
         if from == rank {
             out.push(own.clone());
         } else {
-            out.push(ctx.comm.recv(from, REPARTITION_A2A_TAG)?);
+            out.push(ctx.comm.recv(from, Tag::Repartition)?);
         }
     }
     Ok(out)
@@ -348,56 +349,52 @@ pub fn horizontal_to_vertical(
     let sent = |ctx: &WorkerCtx| ctx.comm.counters().bytes_sent;
 
     // Steps 1-2.
-    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
-    let t = Instant::now();
+    let sketch_before = ctx.stats.comp(Phase::Sketch);
     let (cuts, feature_counts) = build_global_cuts(ctx, shard, q, cfg.sketch_capacity)?;
-    report.sketch_seconds = t.elapsed().as_secs_f64();
+    report.sketch_seconds = ctx.stats.comp(Phase::Sketch) - sketch_before;
     report.sketch_bytes_sent = sent(ctx) - comm_before.bytes_sent;
 
     // Step 3: master decides the grouping, broadcasts the assignment.
-    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
-    let t = Instant::now();
+    let transform_before = ctx.stats.comp(Phase::Transform);
     let grouping_bytes = if rank == 0 {
-        let g = ColumnGrouping::build(cfg.strategy, d, w, &feature_counts);
-        Bytes::from(g.encode_bytes())
+        ctx.time(Phase::Transform, || {
+            Bytes::from(ColumnGrouping::build(cfg.strategy, d, w, &feature_counts).encode_bytes())
+        })
     } else {
         Bytes::new()
     };
     let bytes_before = sent(ctx);
     let grouping_bytes = ctx.comm.broadcast(0, grouping_bytes)?;
     report.grouping_bytes_sent = sent(ctx) - bytes_before;
-    let grouping = decode_grouping(&grouping_bytes, d, w)?;
-
-    let to_send = encode_groups(shard, rank, row_lo, &cuts, &grouping, cfg);
-    report.repartition_seconds += t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+    let (grouping, to_send) = ctx.time(Phase::Transform, || {
+        let grouping = decode_grouping(&grouping_bytes, d, w)?;
+        let to_send = encode_groups(shard, rank, row_lo, &cuts, &grouping, cfg);
+        Ok::<_, CommError>((grouping, to_send))
+    })?;
 
     // Step 4: exchange, and decode every sender's slice into one row-store.
     let bytes_before = sent(ctx);
     let received = all_to_all(ctx, to_send)?;
     report.repartition_bytes_sent = sent(ctx) - bytes_before;
-    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
-    let t = Instant::now();
-    let local_data = decode_group(received, rank, &partition, &cuts, &grouping, cfg)?;
-    report.repartition_seconds += t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+    let local_data = ctx.time(Phase::Transform, || {
+        decode_group(received, rank, &partition, &cuts, &grouping, cfg)
+    })?;
+    report.repartition_seconds = ctx.stats.comp(Phase::Transform) - transform_before;
 
     // Step 5: labels, one all-gather.
-    #[expect(clippy::disallowed_methods, reason = "times computation for modelled stats only")]
-    let t = Instant::now();
-    let label_payload = {
+    let labels_before = ctx.stats.comp(Phase::Transform);
+    let label_payload = ctx.time(Phase::Transform, || {
         let mut out = BytesMut::with_capacity(shard.labels.len() * 4);
         for &y in &shard.labels {
             out.put_f32(y);
         }
         out.freeze()
-    };
+    });
     let bytes_before = sent(ctx);
     let parts = ctx.comm.all_gather(label_payload)?;
     report.label_bytes_sent = sent(ctx) - bytes_before;
-    let labels = decode_labels(parts, &partition)?;
-    report.label_seconds = t.elapsed().as_secs_f64();
-    ctx.stats.add_comp(Phase::Transform, t.elapsed().as_secs_f64());
+    let labels = ctx.time(Phase::Transform, || decode_labels(parts, &partition))?;
+    report.label_seconds = ctx.stats.comp(Phase::Transform) - labels_before;
 
     report.comm_seconds = ctx.comm.counters().comm_seconds - comm_before.comm_seconds;
     report.bytes_sent = sent(ctx) - comm_before.bytes_sent;
@@ -797,6 +794,27 @@ mod tests {
                 let rows = (partition.bounds(rank).1 - partition.bounds(rank).0) as u64;
                 assert_eq!(r.label_bytes_sent, 4 * rows * (world as u64 - 1));
             }
+        }
+    }
+
+    /// The report's seconds are the worker's phase totals: sketching is
+    /// `Phase::Sketch`, the repartition and the labels split
+    /// `Phase::Transform` between them, and no wait is charged twice.
+    #[test]
+    fn per_step_seconds_are_the_phase_totals() {
+        let full = toy_dataset(90, 11, 5);
+        let partition = HorizontalPartition::new(full.n_instances(), 2);
+        let cfg = TransformConfig::default();
+        let (full_ref, cfg_ref) = (&full, &cfg);
+        let (outputs, _) = Cluster::new(2).run(move |ctx| {
+            let shard = partition.shard(full_ref, ctx.rank());
+            let out = horizontal_to_vertical(ctx, &shard, partition, cfg_ref).unwrap();
+            (out.report, ctx.stats.comp(Phase::Sketch), ctx.stats.comp(Phase::Transform))
+        });
+        for (r, sketch, transform) in outputs {
+            assert_eq!(r.sketch_seconds, sketch);
+            assert!((r.repartition_seconds + r.label_seconds - transform).abs() < 1e-9);
+            assert!(r.repartition_seconds >= 0.0 && r.label_seconds >= 0.0);
         }
     }
 

@@ -18,15 +18,13 @@
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 
 use crate::exec::Strategy;
+use crate::inbox::{to_router, ToClient, ToRouter};
 use crate::replica::{run_replica, ReplicaStats, ROUTER_RANK};
 use crate::router::{run_router, RouterConfig, RouterStats, DEADLINE, RETRY_BUDGET};
 use crate::server::ModelSlot;
 use crate::stats::{AvailRun, Clock};
 use crate::wire::{PredictRequest, PredictResponse, PublishAck, ReplyStatus};
 use bytes::Bytes;
-use gbdt_cluster::comm::protocol::{
-    SERVE_PUBLISH_TAG, SERVE_REQUEST_TAG, SERVE_RESPONSE_TAG, SERVE_STOP_TAG,
-};
 use gbdt_cluster::{Comm, CommError, FaultPlan, NetworkCostModel};
 use gbdt_core::model::GbdtModel;
 use std::time::Duration;
@@ -178,7 +176,7 @@ fn await_response(
 ) -> Option<(PredictResponse, f64)> {
     let deadline_s = clock.elapsed_s() + patience_s;
     loop {
-        match comm.recv(ROUTER_RANK, SERVE_RESPONSE_TAG) {
+        match comm.recv(ROUTER_RANK, ToClient::Response) {
             Ok(bytes) => {
                 let arrived_s = clock.elapsed_s();
                 if let Ok(resp) = PredictResponse::decode(&bytes) {
@@ -238,12 +236,12 @@ fn client_loop(
     for i in 0..cfg.requests_per_client {
         for &(at, ref payload) in publish_payloads {
             if at == i {
-                let _ = comm.send(ROUTER_RANK, SERVE_PUBLISH_TAG, Bytes::from(payload.clone()));
+                let _ = to_router(comm, ToRouter::Publish, Bytes::from(payload.clone()));
                 // Best-effort ack wait: a lost ack must not stall traffic —
                 // verification keys on the stamped version either way.
                 let ack_deadline_s = clock.elapsed_s() + patience_s;
                 while clock.elapsed_s() < ack_deadline_s {
-                    match comm.recv(ROUTER_RANK, SERVE_RESPONSE_TAG) {
+                    match comm.recv(ROUTER_RANK, ToClient::Response) {
                         Ok(bytes) => {
                             if PublishAck::decode(&bytes).is_ok() {
                                 break;
@@ -265,7 +263,7 @@ fn client_loop(
             rows: rows.to_vec(),
         };
         out.requests += 1;
-        if comm.send(ROUTER_RANK, SERVE_REQUEST_TAG, Bytes::from(req.encode())).is_err() {
+        if to_router(comm, ToRouter::Request, Bytes::from(req.encode())).is_err() {
             out.failed += 1;
             continue;
         }
@@ -408,7 +406,7 @@ pub fn run_avail(
             client_handles.push(scope.spawn(move || {
                 let outcome =
                     client_loop(&comm, cfg_ref, rows, n_features, expected, publishes, clock);
-                let _ = comm.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new());
+                let _ = to_router(&comm, ToRouter::Stop, Bytes::new());
                 outcome
             }));
         }

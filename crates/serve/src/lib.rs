@@ -34,7 +34,9 @@
 //! closed-loop clients, ledgers every request as served / degraded /
 //! shed / failed under an optional seeded
 //! [`FaultPlan`](gbdt_cluster::FaultPlan), and verifies each response
-//! bit-exactly against its stamped `(version, trees_scored)`.
+//! bit-exactly against its stamped `(version, trees_scored)`. Each role
+//! receives the frames of its own [`inbox`] and sends only frames of its
+//! target's, so a frame nobody accepts does not compile.
 //!
 //! Every strategy is bit-identical to [`GbdtModel::predict_row_into`]:
 //! scores accumulate in ascending tree order from the same init scores,
@@ -48,6 +50,7 @@
 pub mod avail;
 pub mod compile;
 pub mod exec;
+pub mod inbox;
 pub mod replica;
 pub mod router;
 pub mod server;

@@ -10,23 +10,20 @@
 //! supervising wrapper ([`run_replica`]) then simulates the process
 //! dying and restarting — it sleeps the recovery delay, **purges** every
 //! queued and buffered frame (a dead process loses its socket buffers),
-//! announces itself on `SERVE_RECOVER_TAG`, and reseats whatever model
-//! the router sends back before rejoining the group. Versions are always
-//! router-assigned, so a replica that slept through a publish can never
-//! stamp a response with a version that means something different on a
-//! sibling replica.
+//! announces itself with a [`ToRouter::Recover`] frame, and reseats
+//! whatever model the router sends back before rejoining the group.
+//! Versions are always router-assigned, so a replica that slept through a
+//! publish can never stamp a response with a version that means something
+//! different on a sibling replica.
 //!
 //! [`FaultPlan`]: gbdt_cluster::FaultPlan
 //! [`FaultPlan::serve_crash_at`]: gbdt_cluster::FaultPlan::serve_crash_at
 
 use crate::exec::ExecStrategy;
+use crate::inbox::{to_router, ToReplica, ToRouter};
 use crate::server::{score_request, ModelSlot};
 use crate::wire::{PredictRequest, PublishAck, PublishFrame};
 use bytes::Bytes;
-use gbdt_cluster::comm::protocol::{
-    SERVE_ACK_TAG, SERVE_HEALTH_PING_TAG, SERVE_HEALTH_PONG_TAG, SERVE_PUBLISH_TAG,
-    SERVE_RECOVER_TAG, SERVE_REPLY_TAG, SERVE_ROUTE_TAG, SERVE_STOP_TAG,
-};
 use gbdt_cluster::{Comm, CommError};
 use std::time::Duration;
 
@@ -88,11 +85,9 @@ fn replica_loop(
     stats: &mut ReplicaStats,
     frames_handled: &mut usize,
 ) -> Result<LoopExit, CommError> {
-    let tags =
-        [SERVE_ROUTE_TAG, SERVE_PUBLISH_TAG, SERVE_HEALTH_PING_TAG, SERVE_STOP_TAG];
     comm.set_recv_patience(TICK);
     loop {
-        let (from, tag, payload) = match comm.recv_any(&tags) {
+        let (from, frame, payload) = match comm.recv_any(ToReplica::ALL) {
             Ok(frame) => frame,
             Err(CommError::Timeout { .. }) => continue,
             Err(e) => return Err(e),
@@ -113,15 +108,15 @@ fn replica_loop(
             }
         }
         *frames_handled += 1;
-        match tag {
-            SERVE_STOP_TAG => return Ok(LoopExit::Stopped),
-            SERVE_HEALTH_PING_TAG => {
+        match frame {
+            ToReplica::Stop => return Ok(LoopExit::Stopped),
+            ToReplica::HealthPing => {
                 let pong = PublishAck { version: slot.version() }.encode();
-                if comm.send(from, SERVE_HEALTH_PONG_TAG, Bytes::from(pong)).is_err() {
+                if to_router(comm, ToRouter::HealthPong, Bytes::from(pong)).is_err() {
                     stats.send_failures += 1;
                 }
             }
-            SERVE_ROUTE_TAG => match PredictRequest::decode(&payload) {
+            ToReplica::Route => match PredictRequest::decode(&payload) {
                 Ok(req) => {
                     let ens = slot.load();
                     let response = score_request(&ens, strategy, &req);
@@ -130,17 +125,13 @@ fn replica_loop(
                     if response.trees_scored > 0 {
                         stats.degraded += 1;
                     }
-                    if comm
-                        .send(from, SERVE_REPLY_TAG, Bytes::from(response.encode()))
-                        .is_err()
-                    {
+                    if to_router(comm, ToRouter::Reply, Bytes::from(response.encode())).is_err() {
                         stats.send_failures += 1;
                     }
                 }
                 Err(_) => stats.malformed += 1,
             },
-            _ => {
-                // SERVE_PUBLISH_TAG
+            ToReplica::Publish => {
                 handle_publish(comm, slot, &payload, stats);
             }
         }
@@ -169,7 +160,7 @@ fn handle_publish(comm: &Comm, slot: &ModelSlot, payload: &[u8], stats: &mut Rep
         }
     }
     let ack = PublishAck { version: slot.version() }.encode();
-    if comm.send(ROUTER_RANK, SERVE_ACK_TAG, Bytes::from(ack)).is_err() {
+    if to_router(comm, ToRouter::Ack, Bytes::from(ack)).is_err() {
         stats.send_failures += 1;
     }
     true
@@ -204,7 +195,7 @@ pub fn run_replica(
                 let mut resynced = false;
                 for tick in 0..MAX_RESYNC_TICKS {
                     if tick % 50 == 0 {
-                        match comm.send(ROUTER_RANK, SERVE_RECOVER_TAG, Bytes::new()) {
+                        match to_router(comm, ToRouter::Recover, Bytes::new()) {
                             Ok(()) => {}
                             Err(CommError::PeerGone { .. }) => {
                                 // The router is gone (session torn down
@@ -215,9 +206,9 @@ pub fn run_replica(
                             Err(_) => stats.send_failures += 1,
                         }
                     }
-                    match comm.recv_any(&[SERVE_PUBLISH_TAG, SERVE_STOP_TAG]) {
-                        Ok((from, tag, payload)) if from == ROUTER_RANK => {
-                            if tag == SERVE_STOP_TAG {
+                    match comm.recv_any(&[ToReplica::Publish, ToReplica::Stop]) {
+                        Ok((from, frame, payload)) if from == ROUTER_RANK => {
+                            if frame == ToReplica::Stop {
                                 stats.last_version = slot.version();
                                 return Ok(stats);
                             }

@@ -10,7 +10,7 @@
 //!   `RETRY_BUDGET` (3) attempts before the client gets a
 //!   typed `Failed` response. Enough strikes (or a send failure, or a
 //!   missed heartbeat) mark a replica `Down`; a heartbeat pong or a
-//!   `SERVE_RECOVER_TAG` announcement brings it back.
+//!   [`ToRouter::Recover`] announcement brings it back.
 //! * **Hedging** — an outstanding first attempt older than a
 //!   p99-derived delay (never below `HEDGE_FLOOR`, 25 ms) gets
 //!   one backup copy on a different replica. Whichever reply lands first
@@ -36,15 +36,11 @@
 //! All wall-clock reads go through [`crate::stats::Clock`] — the scoring
 //! path stays clock-free and the clippy allowance stays narrow.
 
+use crate::inbox::{to_client, to_replica, ToClient, ToReplica, ToRouter};
 use crate::replica::ROUTER_RANK;
 use crate::stats::{percentile, Clock};
 use crate::wire::{PredictRequest, PredictResponse, PublishAck, PublishFrame, ReplyStatus};
 use bytes::Bytes;
-use gbdt_cluster::comm::protocol::{
-    SERVE_ACK_TAG, SERVE_HEALTH_PING_TAG, SERVE_HEALTH_PONG_TAG, SERVE_PUBLISH_TAG,
-    SERVE_RECOVER_TAG, SERVE_REPLY_TAG, SERVE_REQUEST_TAG, SERVE_RESPONSE_TAG,
-    SERVE_ROUTE_TAG, SERVE_STOP_TAG,
-};
 use gbdt_cluster::{Comm, CommError};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -106,7 +102,7 @@ pub struct RouterStats {
     pub duplicates_suppressed: u64,
     /// Publishes accepted and broadcast.
     pub publishes: u64,
-    /// Replica recoveries observed (`SERVE_RECOVER_TAG` announcements).
+    /// Replica recoveries observed ([`ToRouter::Recover`] announcements).
     pub recoveries: u64,
     /// Replicas marked `Down` (strikes, send failures, missed pongs).
     pub downs: u64,
@@ -278,7 +274,7 @@ impl<'a> Router<'a> {
             out.tried.push(replica);
         }
         out.charged.push(replica);
-        match self.comm.send(replica, SERVE_ROUTE_TAG, Bytes::from(req.encode())) {
+        match to_replica(self.comm, replica, ToReplica::Route, Bytes::from(req.encode())) {
             Ok(()) => {
                 if let Some(r) = self.replica_mut(replica) {
                     r.inflight += 1;
@@ -305,8 +301,8 @@ impl<'a> Router<'a> {
     }
 
     fn respond(&mut self, client: usize, response: &PredictResponse) {
-        if self.comm.send(client, SERVE_RESPONSE_TAG, Bytes::from(response.encode())).is_err()
-        {
+        let frame = Bytes::from(response.encode());
+        if to_client(self.comm, client, ToClient::Response, frame).is_err() {
             self.stats.response_send_failures += 1;
         }
     }
@@ -406,7 +402,8 @@ impl<'a> Router<'a> {
             .map(|r| r.rank)
             .collect();
         for rank in up {
-            if self.comm.send(rank, SERVE_PUBLISH_TAG, Bytes::from(frame.clone())).is_err() {
+            if to_replica(self.comm, rank, ToReplica::Publish, Bytes::from(frame.clone())).is_err()
+            {
                 self.mark_down(rank);
             }
         }
@@ -415,7 +412,7 @@ impl<'a> Router<'a> {
 
     fn respond_ack(&mut self, publisher: usize, version: u64) {
         let ack = PublishAck { version }.encode();
-        if self.comm.send(publisher, SERVE_RESPONSE_TAG, Bytes::from(ack)).is_err() {
+        if to_client(self.comm, publisher, ToClient::Response, Bytes::from(ack)).is_err() {
             self.stats.response_send_failures += 1;
         }
     }
@@ -425,7 +422,7 @@ impl<'a> Router<'a> {
         let frame =
             PublishFrame { version: self.version, model_bytes: self.model_bytes.clone() }
                 .encode();
-        if self.comm.send(replica, SERVE_PUBLISH_TAG, Bytes::from(frame)).is_err() {
+        if to_replica(self.comm, replica, ToReplica::Publish, Bytes::from(frame)).is_err() {
             self.mark_down(replica);
         }
     }
@@ -513,7 +510,7 @@ impl<'a> Router<'a> {
             self.last_ping_s = now_s;
             let ranks: Vec<usize> = self.replicas.iter().map(|r| r.rank).collect();
             for rank in ranks {
-                if self.comm.send(rank, SERVE_HEALTH_PING_TAG, Bytes::new()).is_err() {
+                if to_replica(self.comm, rank, ToReplica::HealthPing, Bytes::new()).is_err() {
                     self.mark_down(rank);
                 }
             }
@@ -531,33 +528,27 @@ impl<'a> Router<'a> {
     }
 
     fn run(&mut self, n_clients: usize) -> Result<RouterStats, CommError> {
-        let tags = [
-            SERVE_REQUEST_TAG,
-            SERVE_REPLY_TAG,
-            SERVE_PUBLISH_TAG,
-            SERVE_ACK_TAG,
-            SERVE_HEALTH_PONG_TAG,
-            SERVE_RECOVER_TAG,
-            SERVE_STOP_TAG,
-        ];
         self.comm.set_recv_patience(TICK);
         let first_client = self.replicas.len() + 1;
         let mut stops = 0usize;
         while stops < n_clients || !self.outstanding.is_empty() {
             let now_s = self.clock.elapsed_s();
-            match self.comm.recv_any(&tags) {
-                Ok((from, tag, payload)) => match tag {
-                    SERVE_STOP_TAG => stops += 1,
-                    SERVE_REQUEST_TAG if from >= first_client => {
-                        self.handle_request(from, &payload, now_s);
+            match self.comm.recv_any(ToRouter::ALL) {
+                Ok((from, frame, payload)) => match frame {
+                    ToRouter::Stop => stops += 1,
+                    // A frame from the wrong side of the group.
+                    ToRouter::Request | ToRouter::Publish if from < first_client => {
+                        self.stats.malformed += 1;
                     }
-                    SERVE_REPLY_TAG if from >= 1 && from < first_client => {
-                        self.handle_reply(from, &payload, now_s);
+                    ToRouter::Reply | ToRouter::Ack | ToRouter::HealthPong | ToRouter::Recover
+                        if from == ROUTER_RANK || from >= first_client =>
+                    {
+                        self.stats.malformed += 1;
                     }
-                    SERVE_PUBLISH_TAG if from >= first_client => {
-                        self.handle_publish(from, payload.to_vec());
-                    }
-                    SERVE_ACK_TAG if from >= 1 && from < first_client => {
+                    ToRouter::Request => self.handle_request(from, &payload, now_s),
+                    ToRouter::Reply => self.handle_reply(from, &payload, now_s),
+                    ToRouter::Publish => self.handle_publish(from, payload.to_vec()),
+                    ToRouter::Ack => {
                         match PublishAck::decode(&payload) {
                             Ok(PublishAck { version }) => {
                                 if let Some(r) = self.replica_mut(from) {
@@ -567,7 +558,7 @@ impl<'a> Router<'a> {
                             Err(_) => self.stats.malformed += 1,
                         }
                     }
-                    SERVE_HEALTH_PONG_TAG if from >= 1 && from < first_client => {
+                    ToRouter::HealthPong => {
                         self.mark_up(from, now_s);
                         match PublishAck::decode(&payload) {
                             Ok(PublishAck { version }) => {
@@ -583,7 +574,7 @@ impl<'a> Router<'a> {
                             Err(_) => self.stats.malformed += 1,
                         }
                     }
-                    SERVE_RECOVER_TAG if from >= 1 && from < first_client => {
+                    ToRouter::Recover => {
                         self.stats.recoveries += 1;
                         if let Some(r) = self.replica_mut(from) {
                             r.inflight = 0;
@@ -591,7 +582,6 @@ impl<'a> Router<'a> {
                         self.mark_up(from, now_s);
                         self.resync(from);
                     }
-                    _ => self.stats.malformed += 1,
                 },
                 Err(CommError::Timeout { .. }) => {}
                 Err(CommError::PendingOverflow { .. }) => {
@@ -604,7 +594,7 @@ impl<'a> Router<'a> {
         }
         // Session over: stop every replica.
         for rank in 1..=self.replicas.len() {
-            let _ = self.comm.send(rank, SERVE_STOP_TAG, Bytes::new());
+            let _ = to_replica(self.comm, rank, ToReplica::Stop, Bytes::new());
         }
         self.stats.last_version = self.version;
         Ok(self.stats)
@@ -612,7 +602,7 @@ impl<'a> Router<'a> {
 }
 
 /// Runs the routing event loop on this rank until every one of
-/// `n_clients` peers has sent a `SERVE_STOP_TAG` frame and no request is
+/// `n_clients` peers has sent a [`ToRouter::Stop`] frame and no request is
 /// outstanding, then stops the replica group.
 ///
 /// The mesh is the router, then the replicas, then the clients: ranks
@@ -642,8 +632,10 @@ mod tests {
     use super::*;
     use crate::exec::PerRow;
     use crate::replica::{run_replica, ReplicaStats};
+    use crate::inbox::to_router;
     use crate::server::ModelSlot;
-    use gbdt_cluster::NetworkCostModel;
+    use gbdt_cluster::comm::MeshControl;
+    use gbdt_cluster::{NetworkCostModel, Tag};
     use gbdt_core::model::GbdtModel;
     use gbdt_core::tree::Tree;
     use gbdt_core::Objective;
@@ -658,13 +650,29 @@ mod tests {
         m
     }
 
+    /// Cancels the mesh when the scripted side panics: a replica ignores a
+    /// stop from any rank but the router, so a failed script could not end
+    /// it otherwise.
+    struct CancelOnPanic<'a>(&'a MeshControl);
+
+    impl Drop for CancelOnPanic<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.cancel_all();
+            }
+        }
+    }
+
     /// One client, the router and one replica, driven frame by frame:
     /// requests are answered by the current version, a publish is acked
     /// with the version the router assigned, and garbage frames are refused
-    /// without ending the session or touching the served model.
+    /// without ending the session or touching the served model. The client
+    /// waits at most 2 s for any response, so a router that miscounts its
+    /// group fails the test instead of hanging it.
     #[test]
     fn request_publish_stop_session() {
-        let mesh = Comm::mesh(3, NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 });
+        let cost = NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 };
+        let (mesh, control) = Comm::mesh_with(3, cost, None);
         let mut mesh = mesh.into_iter();
         let (router_comm, replica_comm, client) =
             (mesh.next().unwrap(), mesh.next().unwrap(), mesh.next().unwrap());
@@ -672,14 +680,17 @@ mod tests {
         let slot = ModelSlot::new(&v1).unwrap();
         let cfg = RouterConfig::default();
 
+        client.set_recv_patience(Duration::from_secs(2));
+
         std::thread::scope(|scope| {
             let slot = &slot;
             let router =
                 scope.spawn(move || run_router(&router_comm, &cfg, v1.encode_bytes(), 1).unwrap());
             let replica = scope.spawn(move || run_replica(&replica_comm, slot, &PerRow).unwrap());
-            let response = |tag, payload: Vec<u8>| {
-                client.send(ROUTER_RANK, tag, Bytes::from(payload)).unwrap();
-                client.recv(ROUTER_RANK, SERVE_RESPONSE_TAG).unwrap()
+            let _cancel = CancelOnPanic(&control);
+            let response = |frame, payload: Vec<u8>| {
+                to_router(&client, frame, Bytes::from(payload)).unwrap();
+                client.recv(ROUTER_RANK, ToClient::Response).unwrap()
             };
 
             let req = PredictRequest {
@@ -689,29 +700,29 @@ mod tests {
                 rows: vec![0.0, 0.0, 1.0, 0.0],
             };
             let resp =
-                PredictResponse::decode(&response(SERVE_REQUEST_TAG, req.encode())).unwrap();
+                PredictResponse::decode(&response(ToRouter::Request, req.encode())).unwrap();
             assert_eq!((resp.req_id, resp.version), (9, 1));
             assert_eq!(resp.scores, vec![1.0, -1.0]);
 
             // Hot-swap to a model with other leaves; the router assigns v2.
             let v2 = stump_model(5.0, -5.0).encode_bytes();
-            let ack = PublishAck::decode(&response(SERVE_PUBLISH_TAG, v2)).unwrap();
+            let ack = PublishAck::decode(&response(ToRouter::Publish, v2)).unwrap();
             assert_eq!(ack.version, 2);
 
             let resp =
-                PredictResponse::decode(&response(SERVE_REQUEST_TAG, req.encode())).unwrap();
+                PredictResponse::decode(&response(ToRouter::Request, req.encode())).unwrap();
             assert_eq!((resp.req_id, resp.version), (9, 2));
             assert_eq!(resp.scores, vec![5.0, -5.0]);
 
             // Garbage request: a typed refusal, and the session goes on.
-            let err = PredictResponse::decode(&response(SERVE_REQUEST_TAG, vec![1, 2, 3])).unwrap();
+            let err = PredictResponse::decode(&response(ToRouter::Request, vec![1, 2, 3])).unwrap();
             assert_eq!((err.version, err.status), (0, ReplyStatus::Malformed));
 
             // Garbage publish: acked with version 0, v2 stays served.
-            let ack = PublishAck::decode(&response(SERVE_PUBLISH_TAG, vec![7; 5])).unwrap();
+            let ack = PublishAck::decode(&response(ToRouter::Publish, vec![7; 5])).unwrap();
             assert_eq!(ack.version, 0);
 
-            client.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new()).unwrap();
+            to_router(&client, ToRouter::Stop, Bytes::new()).unwrap();
             let stats = router.join().unwrap();
             assert!(
                 matches!(
@@ -748,7 +759,7 @@ mod tests {
         }
         router.sweep(2.0 * DEADLINE.as_secs_f64());
         let forwarded: Vec<u64> = (0..64)
-            .map(|_| mesh[1].recv(0, SERVE_ROUTE_TAG).unwrap())
+            .map(|_| mesh[1].recv(0, ToReplica::Route).unwrap())
             .map(|frame| PredictRequest::decode(&frame).unwrap().req_id)
             .collect();
         assert_eq!(forwarded, (1..=64).collect::<Vec<_>>());
@@ -783,7 +794,7 @@ mod tests {
         for client in &client_comms {
             for req_id in 1..=4 {
                 let req = PredictRequest { req_id, n_features: 2, max_trees: 0, rows: vec![0.0; 2] };
-                client.send(ROUTER_RANK, SERVE_REQUEST_TAG, Bytes::from(req.encode())).unwrap();
+                to_router(client, ToRouter::Request, Bytes::from(req.encode())).unwrap();
             }
         }
         std::thread::scope(|scope| {
@@ -798,8 +809,6 @@ mod tests {
                 .zip(&slots)
                 .map(|(comm, slot)| scope.spawn(move || run_replica(&comm, slot, &PerRow).unwrap()))
                 .collect();
-            let replica_tags =
-                [SERVE_ROUTE_TAG, SERVE_HEALTH_PING_TAG, SERVE_PUBLISH_TAG, SERVE_STOP_TAG];
             let clients: Vec<_> = client_comms
                 .into_iter()
                 .map(|client| {
@@ -810,11 +819,13 @@ mod tests {
                         client.set_recv_patience(Duration::from_millis(20));
                         let clock = Clock::new();
                         let (mut answered, mut stray) = (Vec::new(), 0);
-                        let mut tags = vec![SERVE_RESPONSE_TAG];
-                        tags.extend(replica_tags);
+                        // The client's own frame, then every frame a
+                        // replica accepts, which no client should get.
+                        let mut tags = vec![Tag::ServeResponse];
+                        tags.extend(ToReplica::ALL.iter().map(|&f| Tag::from(f)));
                         while answered.len() < 4 && clock.elapsed_s() < 2.0 {
                             match client.recv_any(&tags) {
-                                Ok((_, SERVE_RESPONSE_TAG, bytes)) => {
+                                Ok((_, Tag::ServeResponse, bytes)) => {
                                     let r = PredictResponse::decode(&bytes).unwrap();
                                     if r.status == ReplyStatus::Ok && r.scores == [1.0] {
                                         answered.push(r.req_id);
@@ -825,7 +836,7 @@ mod tests {
                             }
                         }
                         answered.sort_unstable();
-                        let _ = client.send(ROUTER_RANK, SERVE_STOP_TAG, Bytes::new());
+                        let _ = to_router(&client, ToRouter::Stop, Bytes::new());
                         (answered, stray, client)
                     })
                 })
@@ -833,13 +844,13 @@ mod tests {
             let clients: Vec<_> = clients.into_iter().map(|h| h.join().unwrap()).collect();
             let (clean, router_comm) = router.join().unwrap();
             for rank in 1..=n_replicas {
-                let _ = router_comm.send(rank, SERVE_STOP_TAG, Bytes::new());
+                let _ = to_replica(&router_comm, rank, ToReplica::Stop, Bytes::new());
             }
             let replicas = replicas.into_iter().map(|h| h.join().unwrap()).collect();
             let (answered, stray) = clients
                 .into_iter()
                 .map(|(answered, stray, client)| {
-                    let late = std::iter::from_fn(|| client.recv_any(&replica_tags).ok()).count();
+                    let late = std::iter::from_fn(|| client.recv_any(ToReplica::ALL).ok()).count();
                     (answered, stray + late)
                 })
                 .unzip();

@@ -1,7 +1,7 @@
 //! Wire framing for the serving protocol.
 //!
-//! Three frame kinds flow over the `gbdt-cluster` fabric, each on its own
-//! registered tag (`gbdt_cluster::comm::protocol::SERVE_*`): prediction
+//! Three payload kinds flow over the `gbdt-cluster` fabric, each in the
+//! frames of [`crate::inbox`] that carry it: prediction
 //! requests (client → server), prediction responses / publish acks
 //! (server → client), and model publishes (trainer → server, carrying a
 //! [`GbdtModel::encode_bytes`] payload). All fields are little-endian;

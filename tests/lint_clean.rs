@@ -1,23 +1,24 @@
-//! Tier-1 gate: the workspace is clean under both halves of the
-//! determinism gate (DESIGN.md item 10), so a plain `cargo test -q`
-//! enforces every rule without needing `--workspace`.
+//! Tier-1 gate: the workspace is clippy-clean under the determinism rules
+//! (DESIGN.md item 10), so a plain `cargo test -q` enforces every rule
+//! without needing `--workspace`.
 //!
-//! * `gbdt-lint` holds the protocol rules no compiler knows: registry tags
-//!   (`tag-registry`), the growth loop's `fault_point` (`fault-point`), and
-//!   the serving plane's frame coverage (`serve-orphan-frame`) and
-//!   crash-recovery closure (`serve-fault-closure`). Its fixture self-tests
-//!   and injection tests live with the analysis crate.
-//! * clippy holds the rules that need types: hash-order iteration, wall-clock
-//!   and environment reads, comm-layer panics, indexing and unwraps, and
-//!   stale exemptions. The root `clippy.toml` names the disallowed types
-//!   and methods, `[workspace.lints]` sets their levels, and module-level
-//!   `#![deny]` lines carry the path-scoped ones. The fixtures in
-//!   `tests/clippy_fixtures/` show each rule fires; [`SCOPES`] shows each
-//!   scoped file carries its deny line.
+//! Types and clippy hold the rules. The protocol's are types: a
+//! point-to-point tag is a variant of `gbdt_cluster::Tag` (a repeated id is
+//! rustc error E0081), and a serving frame is a variant of its receiving
+//! role's inbox (`gbdt_serve::inbox`), so a frame nobody accepts does not
+//! compile. The tests hold what a type cannot: `tests/chaos_recovery.rs`
+//! that the growth loop polls `fault_point`, `tests/serve_chaos.rs` that a
+//! crashed replica purges its queue and announces its recovery. clippy
+//! holds hash-order iteration, wall-clock and environment reads, comm-layer
+//! panics, indexing and unwraps, and stale exemptions: the root
+//! `clippy.toml` names the disallowed types and methods,
+//! `[workspace.lints]` sets their levels, and module-level `#![deny]` lines
+//! carry the path-scoped ones. The fixtures in `tests/clippy_fixtures/`
+//! show each rule fires; [`SCOPES`] shows each scoped file carries its deny
+//! line.
 //!
 //! The SPMD protocol is checked on the code that runs (DESIGN.md item 15).
 
-use gbdt_analysis::rules::TRAINER_FILES;
 use serde_json::Value;
 use std::collections::BTreeSet;
 use std::fs;
@@ -53,24 +54,22 @@ const SCOPES: &[(&str, &str, &[&str])] = &[
             "crates/partition/src/lib.rs",
             "crates/quadrants/src/common.rs",
             "crates/vero/src/system.rs",
+            // The growth loop and every policy it is generic over.
+            "crates/quadrants/src/grow.rs",
+            "crates/quadrants/src/vertical.rs",
+            "crates/quadrants/src/horizontal.rs",
+            "crates/quadrants/src/qd1.rs",
+            "crates/quadrants/src/qd2.rs",
+            "crates/quadrants/src/qd3.rs",
+            "crates/quadrants/src/qd4.rs",
+            "crates/quadrants/src/yggdrasil.rs",
+            "crates/quadrants/src/featpar.rs",
         ],
     ),
 ];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-#[test]
-fn workspace_is_lint_clean() {
-    let diags = gbdt_analysis::lint_workspace(root()).expect("workspace walk succeeds");
-    let rendered: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-    assert!(
-        diags.is_empty(),
-        "workspace has {} lint error(s) — run `cargo run -p gbdt-analysis --bin gbdt-lint`:\n{}",
-        diags.len(),
-        rendered.join("\n")
-    );
 }
 
 /// `cargo clippy` with its own target directory under `name`, so it never
@@ -110,8 +109,7 @@ fn workspace_is_clippy_clean() {
 /// workspace's lint levels, fails here.
 #[test]
 fn old_scopes_carry_their_deny_lines() {
-    let trainers = ("comm-unwrap", COMM_UNWRAP, TRAINER_FILES);
-    for &(scope, line, files) in SCOPES.iter().chain([&trainers]) {
+    for &(scope, line, files) in SCOPES {
         for file in files {
             let src = fs::read_to_string(root().join(file)).expect("scoped file is readable");
             assert!(
@@ -167,7 +165,7 @@ fn markers(name: &str, src: &str) -> BTreeSet<(String, u64, String)> {
     out
 }
 
-/// Each fixture of a rule clippy took over from `gbdt-lint` is rejected,
+/// Each fixture of a rule clippy holds is rejected,
 /// under the root `clippy.toml` and the workspace's lint levels, by exactly
 /// the lints its `//~` markers name on exactly those lines. A fixture with
 /// an `//@ scope:` directive gets that scope's deny line, as the scoped

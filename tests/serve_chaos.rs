@@ -10,17 +10,23 @@
 //! * **availability ≥ 99%** of non-shed requests;
 //! * **failover is bounded** — every request resolves (served, shed, or
 //!   typed-failed within the retry budget); none hang.
+//!
+//! A scripted router also drives one replica through a crash frame by
+//! frame: it must drop what was queued while it was dead, announce its
+//! recovery and serve again only from the model the router resyncs.
 
-use gbdt_cluster::comm::protocol::{
-    SERVE_HEALTH_PING_TAG, SERVE_HEALTH_PONG_TAG, SERVE_PUBLISH_TAG, SERVE_REPLY_TAG,
-    SERVE_REQUEST_TAG, SERVE_RESPONSE_TAG, SERVE_ROUTE_TAG,
-};
-use gbdt_cluster::FaultPlan;
+use bytes::Bytes;
+use gbdt_cluster::comm::MeshControl;
+use gbdt_cluster::{Comm, FaultPlan, NetworkCostModel, Tag};
 use gbdt_core::model::GbdtModel;
 use gbdt_core::tree::Tree;
 use gbdt_core::Objective;
 use gbdt_serve::avail::{run_avail, AvailConfig, AvailOutcome};
-use gbdt_serve::exec::Strategy;
+use gbdt_serve::exec::{PerRow, Strategy};
+use gbdt_serve::inbox::{to_replica, ToReplica, ToRouter};
+use gbdt_serve::wire::{PredictRequest, PublishAck, PublishFrame};
+use gbdt_serve::{run_replica, ModelSlot};
+use std::time::Duration;
 
 fn model(leaf_scale: f64, n_trees: usize, n_features: usize) -> GbdtModel {
     let mut m = GbdtModel::new(Objective::SquaredError, 0.1, n_features);
@@ -38,13 +44,13 @@ fn model(leaf_scale: f64, n_trees: usize, n_features: usize) -> GbdtModel {
 
 /// The serve-path tag scope: chaos confined to exactly the serving plane.
 fn serve_tagged(plan: FaultPlan) -> FaultPlan {
-    plan.with_tag(SERVE_REQUEST_TAG)
-        .with_tag(SERVE_RESPONSE_TAG)
-        .with_tag(SERVE_ROUTE_TAG)
-        .with_tag(SERVE_REPLY_TAG)
-        .with_tag(SERVE_PUBLISH_TAG)
-        .with_tag(SERVE_HEALTH_PING_TAG)
-        .with_tag(SERVE_HEALTH_PONG_TAG)
+    plan.with_tag(Tag::ServeRequest)
+        .with_tag(Tag::ServeResponse)
+        .with_tag(Tag::ServeRoute)
+        .with_tag(Tag::ServeReply)
+        .with_tag(Tag::ServePublish)
+        .with_tag(Tag::ServeHealthPing)
+        .with_tag(Tag::ServeHealthPong)
 }
 
 fn assert_acceptance(outcome: &AvailOutcome) {
@@ -193,4 +199,56 @@ fn shedding_is_typed_and_bounded_under_overload() {
     // The overload actually engaged the machinery: something was degraded
     // or shed.
     assert!(run.degraded + run.shed > 0, "overload neither degraded nor shed: {run:?}");
+}
+
+/// Cancels the mesh when the scripted router panics: the replica ignores a
+/// stop from any other rank, so a failed script could not end it otherwise.
+struct CancelOnPanic<'a>(&'a MeshControl);
+
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.cancel_all();
+        }
+    }
+}
+
+/// A crashed replica loses what was queued for it while it was dead. A
+/// scripted router sends the fatal frame of a `crash=1@0` plan and at once
+/// a second request, which queues while the replica is down; it then
+/// expects the replica's recovery announcement, resyncs it with version 2,
+/// and stops it. The queued request must never be answered.
+#[test]
+fn a_crashed_replica_purges_its_queue_and_announces_recovery() {
+    let plan = FaultPlan::new(1).with_crash(1, 0, 0);
+    let cost = NetworkCostModel { latency_s: 0.0, bandwidth_bytes_per_s: 1e9 };
+    let (mesh, control) = Comm::mesh_with(2, cost, Some(plan));
+    let mut mesh = mesh.into_iter();
+    let (router, replica_comm) = (mesh.next().unwrap(), mesh.next().unwrap());
+    router.set_recv_patience(Duration::from_secs(5));
+    let slot = ModelSlot::new(&model(1.0, 4, 3)).unwrap();
+    let stats = std::thread::scope(|scope| {
+        let slot = &slot;
+        let replica = scope.spawn(move || run_replica(&replica_comm, slot, &PerRow));
+        let _cancel = CancelOnPanic(&control);
+        for req_id in [1, 2] {
+            let req = PredictRequest { req_id, n_features: 3, max_trees: 0, rows: vec![0.0; 3] };
+            to_replica(&router, 1, ToReplica::Route, Bytes::from(req.encode())).unwrap();
+        }
+        router.recv(1, ToRouter::Recover).expect("the replica announces its recovery");
+        let resync = PublishFrame { version: 2, model_bytes: model(2.0, 4, 3).encode_bytes() };
+        to_replica(&router, 1, ToReplica::Publish, Bytes::from(resync.encode())).unwrap();
+        let ack = PublishAck::decode(&router.recv(1, ToRouter::Ack).unwrap()).unwrap();
+        assert_eq!(ack.version, 2, "the replica seats the resynced model");
+        to_replica(&router, 1, ToReplica::Stop, Bytes::new()).unwrap();
+        let stats = replica.join().unwrap().expect("the replica session ends cleanly");
+        router.set_recv_patience(Duration::from_millis(50));
+        assert!(router.recv(1, ToRouter::Reply).is_err(), "a purged request was answered");
+        stats
+    });
+    assert_eq!(
+        (stats.crashes, stats.requests, stats.publishes, stats.last_version),
+        (1, 0, 1, 2),
+        "{stats:?}"
+    );
 }

@@ -14,8 +14,7 @@
 //!    the main thread publishes repeatedly; every observed score must
 //!    equal exactly one version's expected output.
 
-use gbdt_cluster::comm::protocol::{SERVE_PUBLISH_TAG, SERVE_ROUTE_TAG};
-use gbdt_cluster::{Cluster, FaultPlan};
+use gbdt_cluster::{Cluster, FaultPlan, Tag};
 use gbdt_core::model::GbdtModel;
 use gbdt_core::TrainConfig;
 use gbdt_data::synthetic::SyntheticConfig;
@@ -178,8 +177,8 @@ fn publish_during_crash_recovery_is_never_torn() {
         .with_drop(0.03)
         .with_crash(1, 25, 0)
         .with_crash(1, 90, 0)
-        .with_tag(SERVE_ROUTE_TAG)
-        .with_tag(SERVE_PUBLISH_TAG);
+        .with_tag(Tag::ServeRoute)
+        .with_tag(Tag::ServePublish);
     let cfg = AvailConfig {
         label: "swap-under-crash".into(),
         n_replicas: 3,
